@@ -114,7 +114,10 @@ driver()
         }
 
         const Measurement d = measure(trace, [&] {
-            ConvFetchSource source(module, layout, abstractM, trace);
+            const DecodedProgram decoded =
+                DecodedProgram::forModule(module);
+            ConvFetchSource source(module, layout, abstractM, trace,
+                                   decoded);
             return simulatePipeline(source, abstractM).retiredOps;
         });
         const Measurement v = measure(trace, [&] {

@@ -149,8 +149,9 @@ BENCHMARK(BM_BsaTimingSim);
 /**
  * The sweep-shaped workload the figure drivers actually run: a full
  * conv/BSA pair across a 3-point icache sweep (6 timing runs).  The
- * seed path re-runs the functional interpreter inside every timing
- * run and executes the points serially; the replay path captures one
+ * seed path runs the functional interpreter afresh for every timing
+ * run (the Interp::Limits entry points capture a trace, then replay
+ * it) and executes the points serially; the replay path captures one
  * trace and fans the points across BSISA_JOBS cores.  Items/s is
  * simulated operations per second (Mops/s at the usual scales), so
  * the two benchmarks are directly comparable.  BSISA_BENCH_OPS

@@ -42,10 +42,9 @@ report()
         // One trace (store-served when warm) answers both the
         // characterization walk and the timing pair.
         const ExecTrace trace = captureOrLoadTrace(m, limits);
-        TraceReplaySource replay(trace);
-        BlockEvent ev;
         std::uint64_t blocks = 0, ops = 0, callret = 0, lib_blocks = 0;
-        while (replay.next(ev)) {
+        for (std::size_t i = 0; i < trace.eventCount; ++i) {
+            const TraceEvent &ev = trace.events[i];
             ++blocks;
             ops += m.functions[ev.func].blocks[ev.block].ops.size();
             callret += ev.exit == ExitKind::Call ||

@@ -47,9 +47,8 @@ SimResult
 runConventional(const Module &module, const MachineConfig &machine,
                 Interp::Limits limits)
 {
-    const ConvLayout layout(module);
-    ConvFetchSource source(module, layout, machine, limits);
-    return simulateModel(source, machine);
+    return runConventional(module, machine,
+                           captureTrace(module, limits));
 }
 
 SimResult
@@ -57,7 +56,8 @@ runConventional(const Module &module, const MachineConfig &machine,
                 const ExecTrace &trace)
 {
     const ConvLayout layout(module);
-    ConvFetchSource source(module, layout, machine, trace);
+    const DecodedProgram decoded = DecodedProgram::forModule(module);
+    ConvFetchSource source(module, layout, machine, trace, decoded);
     return simulateModel(source, machine);
 }
 
@@ -65,15 +65,16 @@ SimResult
 runBlockStructured(const BsaModule &bsa, const MachineConfig &machine,
                    Interp::Limits limits)
 {
-    BsaFetchSource source(bsa, machine, limits);
-    return simulateModel(source, machine);
+    return runBlockStructured(bsa, machine,
+                              captureTrace(*bsa.src, limits));
 }
 
 SimResult
 runBlockStructured(const BsaModule &bsa, const MachineConfig &machine,
                    const ExecTrace &trace)
 {
-    BsaFetchSource source(bsa, machine, trace);
+    const DecodedProgram decoded = DecodedProgram::forBsa(bsa);
+    BsaFetchSource source(bsa, machine, trace, decoded);
     return simulateModel(source, machine);
 }
 
@@ -81,14 +82,8 @@ TraceCacheResult
 runTraceCache(const Module &module, const MachineConfig &machine,
               const TraceCacheConfig &tcConfig, Interp::Limits limits)
 {
-    const ConvLayout layout(module);
-    TraceCacheFetchSource source(module, layout, machine, tcConfig,
-                                 limits);
-    TraceCacheResult result;
-    result.sim = simulateModel(source, machine);
-    result.traceHits = source.traceHits();
-    result.traceMisses = source.traceMisses();
-    return result;
+    return runTraceCache(module, machine, tcConfig,
+                         captureTrace(module, limits));
 }
 
 TraceCacheResult
@@ -96,8 +91,9 @@ runTraceCache(const Module &module, const MachineConfig &machine,
               const TraceCacheConfig &tcConfig, const ExecTrace &trace)
 {
     const ConvLayout layout(module);
+    const DecodedProgram decoded = DecodedProgram::forModule(module);
     TraceCacheFetchSource source(module, layout, machine, tcConfig,
-                                 trace);
+                                 trace, decoded);
     TraceCacheResult result;
     result.sim = simulateModel(source, machine);
     result.traceHits = source.traceHits();

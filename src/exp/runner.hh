@@ -51,7 +51,8 @@ struct PairResult
     }
 };
 
-/** Simulate the conventional machine only. */
+/** Simulate the conventional machine only: captureTrace under
+ *  @p limits, then the replay overload below. */
 SimResult runConventional(const Module &module,
                           const MachineConfig &machine,
                           Interp::Limits limits);
@@ -61,7 +62,8 @@ SimResult runConventional(const Module &module,
                           const MachineConfig &machine,
                           const ExecTrace &trace);
 
-/** Enlarge (per @p config) then simulate the BSA machine only. */
+/** Simulate the BSA machine only: captureTrace of bsa.src under
+ *  @p limits, then the replay overload below. */
 SimResult runBlockStructured(const BsaModule &bsa,
                              const MachineConfig &machine,
                              Interp::Limits limits);
@@ -176,7 +178,8 @@ class PairSweep
  * Extension: conventional machine augmented with a trace cache (the
  * paper's section-3 competitor / section-6 complement).  Returns the
  * cycle result plus the trace cache's hit statistics
- * (TraceCacheResult, sim/machine.hh).
+ * (TraceCacheResult, sim/machine.hh).  Captures a trace under
+ * @p limits, then runs the replay overload below.
  */
 struct TraceCacheConfig;
 TraceCacheResult runTraceCache(const Module &module,

@@ -777,10 +777,11 @@ checkOoo(const Module &module, const ExecTrace &trace,
     // Conventional machine: exact committed-op accounting, the
     // span-retention digest, and determinism.
     const ConvLayout layout(module);
+    const DecodedProgram decoded = DecodedProgram::forModule(module);
     OooTelemetry tel;
     SimResult conv;
     {
-        ConvFetchSource source(module, layout, oooM, trace);
+        ConvFetchSource source(module, layout, oooM, trace, decoded);
         conv = simulateOoO(source, oooM, &tel);
     }
     OracleResult r = checkOooInvariants(conv, tel, oooM, "conv");
@@ -798,14 +799,14 @@ checkOoo(const Module &module, const ExecTrace &trace,
         // Commit order == emit order under in-order commit, so the
         // digest folded at ROB drain (from spans retained across many
         // next() calls) must equal the emit-time fold on a fresh walk.
-        ConvFetchSource ref(module, layout, oooM, trace);
+        ConvFetchSource ref(module, layout, oooM, trace, decoded);
         if (tel.commitDigest != fetchStreamDigest(ref))
             return fail("ooo", "conv commit-order digest differs from "
                                "the emit-time fetch-stream digest");
     }
     {
         OooTelemetry again;
-        ConvFetchSource source(module, layout, oooM, trace);
+        ConvFetchSource source(module, layout, oooM, trace, decoded);
         if (!sameSim(conv, simulateOoO(source, oooM, &again)) ||
             again.commitDigest != tel.commitDigest)
             return fail("ooo", "conv rerun on the same trace differs");
@@ -824,10 +825,11 @@ checkOoo(const Module &module, const ExecTrace &trace,
 
     // Block-structured machine on the default enlargement.
     const BsaModule bsa = enlargeModule(module, EnlargeConfig{});
+    const DecodedProgram bsaDecoded = DecodedProgram::forBsa(bsa);
     OooTelemetry btel;
     SimResult bs;
     {
-        BsaFetchSource source(bsa, oooM, trace);
+        BsaFetchSource source(bsa, oooM, trace, bsaDecoded);
         bs = simulateOoO(source, oooM, &btel);
     }
     r = checkOooInvariants(bs, btel, oooM, "bsa");
@@ -838,7 +840,7 @@ checkOoo(const Module &module, const ExecTrace &trace,
         return fail("ooo", "bsa committed-op count outside the "
                            "merge-deletion envelope");
     {
-        BsaFetchSource ref(bsa, oooM, trace);
+        BsaFetchSource ref(bsa, oooM, trace, bsaDecoded);
         if (btel.commitDigest != fetchStreamDigest(ref))
             return fail("ooo", "bsa commit-order digest differs from "
                                "the emit-time fetch-stream digest");
@@ -902,7 +904,7 @@ checkOoo(const Module &module, const ExecTrace &trace,
     OooTelemetry ttel;
     SimResult ts;
     {
-        ConvFetchSource source(module, layout, tiny, trace);
+        ConvFetchSource source(module, layout, tiny, trace, decoded);
         ts = simulateOoO(source, tiny, &ttel);
     }
     r = checkOooInvariants(ts, ttel, tiny, "tiny");

@@ -12,70 +12,14 @@
 namespace bsisa
 {
 
-namespace
-{
-
-std::uint64_t
-headToken(FuncId func, BlockId block)
-{
-    return (std::uint64_t(func) << 32) | block;
-}
-
-} // namespace
-
 BsaFetchSource::BsaFetchSource(const BsaModule &bsa_mod,
                                const MachineConfig &config,
-                               Interp::Limits limits)
-    : BsaFetchSource(bsa_mod, config,
-                     std::make_unique<InterpEventSource>(*bsa_mod.src,
-                                                         limits),
-                     nullptr)
+                               const ExecTrace &execTrace,
+                               const DecodedProgram &decodedProgram)
+    : bsa(bsa_mod), module(*bsa_mod.src), decoded(decodedProgram),
+      trace(execTrace), perfect(config.perfectPrediction),
+      predictor(config.predictor)
 {
-}
-
-BsaFetchSource::BsaFetchSource(const BsaModule &bsa_mod,
-                               const MachineConfig &config,
-                               const ExecTrace &trace)
-    : BsaFetchSource(bsa_mod, config,
-                     std::make_unique<TraceReplaySource>(trace),
-                     nullptr)
-{
-}
-
-BsaFetchSource::BsaFetchSource(const BsaModule &bsa_mod,
-                               const MachineConfig &config,
-                               const ExecTrace &trace,
-                               const DecodedProgram &sharedDecoded)
-    : BsaFetchSource(bsa_mod, config,
-                     std::make_unique<TraceReplaySource>(trace),
-                     &sharedDecoded)
-{
-}
-
-BsaFetchSource::BsaFetchSource(const BsaModule &bsa_mod,
-                               const MachineConfig &config,
-                               std::unique_ptr<EventSource> source,
-                               const DecodedProgram *sharedDecoded)
-    : bsa(bsa_mod), module(*bsa_mod.src),
-      ownedDecoded(sharedDecoded ? DecodedProgram()
-                                 : DecodedProgram::forBsa(bsa_mod)),
-      decoded(sharedDecoded ? sharedDecoded : &ownedDecoded),
-      perfect(config.perfectPrediction), predictor(config.predictor),
-      stream(std::move(source))
-{
-    refill();
-}
-
-void
-BsaFetchSource::refill()
-{
-    while (!streamDone && events.size() < lookahead) {
-        BlockEvent ev;
-        if (stream->next(ev))
-            events.push_back(ev);
-        else
-            streamDone = true;
-    }
 }
 
 int
@@ -84,10 +28,11 @@ BsaFetchSource::maximalVariant(FuncId func, BlockId head,
 {
     const HeadTrie &trie = bsa.trie(func, head);
     const Function &fn = module.functions[func];
+    const std::size_t size = windowSize();
     int node = 0;
     unsigned i = 0;
-    BSISA_ASSERT(!events.empty() && events[0].block == head &&
-                 events[0].func == func);
+    BSISA_ASSERT(size > 0 && event(0).block == head &&
+                 event(0).func == func);
 
     for (;;) {
         const TrieNode &tn = trie.nodes[node];
@@ -95,10 +40,10 @@ BsaFetchSource::maximalVariant(FuncId func, BlockId head,
         int child = -1;
         if (term.op == Opcode::Jmp) {
             child = tn.childThru;
-        } else if (term.op == Opcode::Trap && i < events.size()) {
-            child = events[i].taken ? tn.childTaken : tn.childNotTaken;
+        } else if (term.op == Opcode::Trap && i < size) {
+            child = event(i).taken ? tn.childTaken : tn.childNotTaken;
         }
-        if (child == -1 || i + 1 >= events.size()) {
+        if (child == -1 || i + 1 >= size) {
             // Stop here; if the walk was cut short by a truncated
             // event stream the node may be pass-through, so fall to
             // its default emitted descendant.
@@ -111,8 +56,8 @@ BsaFetchSource::maximalVariant(FuncId func, BlockId head,
                 BSISA_ASSERT(stop != -1);
             }
             const AtomicBlock &blk = bsa.blocks[trie.nodes[stop].block];
-            eventsUsed = static_cast<unsigned>(std::min<std::size_t>(
-                blk.bbs.size(), events.size()));
+            eventsUsed = static_cast<unsigned>(
+                std::min<std::size_t>(blk.bbs.size(), size));
             return stop;
         }
         node = child;
@@ -129,10 +74,10 @@ BsaFetchSource::compatible(AtomicBlockId block, FuncId func,
     const AtomicBlock &blk = bsa.blocks[block];
     if (blk.func != func || blk.bbs.front() != head)
         return false;
-    if (blk.bbs.size() > events.size())
+    if (blk.bbs.size() > windowSize())
         return false;
     for (std::size_t i = 0; i < blk.bbs.size(); ++i) {
-        const BlockEvent &ev = events[i];
+        const TraceEvent &ev = event(i);
         if (ev.func != func || ev.block != blk.bbs[i])
             return false;
         if (i + 1 < blk.bbs.size() &&
@@ -154,20 +99,21 @@ BsaFetchSource::variantIndex(const HeadTrie &trie, AtomicBlockId block)
 
 void
 BsaFetchSource::predictSuccessor(AtomicBlockId committed,
-                                 const BlockEvent &lastEvent)
+                                 const TraceEvent &lastEvent)
 {
     const AtomicBlock &blk = bsa.blocks[committed];
-    const DecodedUnit &du = decoded->unit(committed);
+    const DecodedUnit &du = decoded.unit(committed);
     pendingRedirect = RedirectInfo{};
     predictedNext = invalidId;
 
-    if (lastEvent.exit == ExitKind::Halt || events.empty())
+    const std::size_t size = windowSize();
+    if (lastEvent.exit == ExitKind::Halt || size == 0)
         return;
 
     const FuncId next_func = lastEvent.nextFunc;
     const BlockId next_head = lastEvent.nextBlock;
-    BSISA_ASSERT(events[0].func == next_func &&
-                 events[0].block == next_head);
+    BSISA_ASSERT(event(0).func == next_func &&
+                 event(0).block == next_head);
 
     const HeadTrie &next_trie = bsa.trie(next_func, next_head);
     unsigned used = 0;
@@ -264,7 +210,7 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
         break;
     }
     if (term.op == Opcode::Call)
-        predictor.pushReturn(headToken(blk.func, term.target0));
+        predictor.pushReturn(blockToken(blk.func, term.target0));
 
     // ------------------------------------------------------- train
     const unsigned actual_variant = variantIndex(next_trie, s_max);
@@ -306,8 +252,8 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
         pendingRedirect.resolveOpIdx = du.opCount - 1;
         if (candidate != invalidId) {
             const AtomicBlock &wrong = bsa.blocks[candidate];
-            const DecodedUnit &wdu = decoded->unit(candidate);
-            pendingRedirect.wrongOps = decoded->ops(wdu);
+            const DecodedUnit &wdu = decoded.unit(candidate);
+            pendingRedirect.wrongOps = decoded.ops(wdu);
             pendingRedirect.wrongOpCount = wdu.opCount;
             pendingRedirect.wrongPc = wrong.addr;
             pendingRedirect.wrongBytes = wdu.sizeBytes;
@@ -325,8 +271,8 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
     AtomicBlockId wrong_id = candidate;
     unsigned hops = 0;
     for (;;) {
-        const DecodedUnit &wdu = decoded->unit(wrong_id);
-        const DecodedFault *wfaults = decoded->faults(wdu);
+        const DecodedUnit &wdu = decoded.unit(wrong_id);
+        const DecodedFault *wfaults = decoded.faults(wdu);
         // Find the first divergent merge edge by comparing the
         // decoded direction mask with the actual stream; thru edges
         // cannot diverge, so trapMask walks only the fault edges.
@@ -338,9 +284,9 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
              m &= m - 1, ++dir_idx) {
             const unsigned i =
                 static_cast<unsigned>(std::countr_zero(m));
-            if (i >= events.size())
+            if (i >= size)
                 break;  // truncated stream at the program tail
-            const bool actual_dir = events[i].taken;
+            const bool actual_dir = event(i).taken;
             const bool merged_dir = (wdu.dirMask >> dir_idx) & 1;
             if (actual_dir != merged_dir) {
                 diverged = true;
@@ -363,7 +309,7 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
         if (hops == 0) {
             // The first wrong block is the one the pipeline issues.
             pendingRedirect.resolveOpIdx = resolve_op;
-            pendingRedirect.wrongOps = decoded->ops(wdu);
+            pendingRedirect.wrongOps = decoded.ops(wdu);
             pendingRedirect.wrongOpCount = wdu.opCount;
             pendingRedirect.wrongPc = bsa.blocks[wrong_id].addr;
             pendingRedirect.wrongBytes = wdu.sizeBytes;
@@ -385,12 +331,11 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
 bool
 BsaFetchSource::next(TimingUnit &unit)
 {
-    refill();
-    if (events.empty())
+    if (pos >= trace.eventCount)
         return false;
 
-    const FuncId func = events[0].func;
-    const BlockId head = events[0].block;
+    const FuncId func = event(0).func;
+    const BlockId head = event(0).block;
 
     AtomicBlockId committed;
     if (predictedNext != invalidId &&
@@ -403,55 +348,26 @@ BsaFetchSource::next(TimingUnit &unit)
     }
 
     const AtomicBlock &blk = bsa.blocks[committed];
-    const DecodedUnit &du = decoded->unit(committed);
+    const DecodedUnit &du = decoded.unit(committed);
     unit.pc = blk.addr;
     unit.bytes = du.sizeBytes;
-    unit.ops = decoded->ops(du);
+    unit.ops = decoded.ops(du);
     unit.opCount = du.opCount;
     unit.redirect = pendingRedirect;
 
-    // Gather the block's memory addresses.  Replayed events slice one
-    // shared pool in stream order, so consecutive spans are adjacent
-    // and the whole block is a single zero-copy span; live-interp
-    // events rotate through separate buffers and fall back to a copy.
+    // Consume the block's events; their address spans are adjacent in
+    // the trace pool (ExecTrace invariant), so the block's addresses
+    // are one zero-copy slice.
     const std::size_t consume =
-        std::min<std::size_t>(blk.bbs.size(), events.size());
-    bool adjacent = true;
+        std::min<std::size_t>(blk.bbs.size(), windowSize());
     std::uint32_t total = 0;
-    for (std::size_t i = 0; i < consume; ++i) {
-        const BlockEvent &ev = events[i];
-        if (i > 0 &&
-            events[0].memAddrs + total != ev.memAddrs) {
-            adjacent = false;
-            break;
-        }
-        total += ev.memCount;
-    }
-    if (adjacent) {
-        unit.memAddrs = events.front().memAddrs;
-        unit.memCount = total;
-    } else {
-        emitMemAddrs.clear();
-        for (std::size_t i = 0; i < consume; ++i) {
-            const BlockEvent &ev = events[i];
-            emitMemAddrs.insert(emitMemAddrs.end(), ev.memAddrs,
-                                ev.memAddrs + ev.memCount);
-        }
-        unit.memAddrs = emitMemAddrs.data();
-        unit.memCount =
-            static_cast<std::uint32_t>(emitMemAddrs.size());
-    }
+    for (std::size_t i = 0; i < consume; ++i)
+        total += event(i).memCount;
+    unit.memAddrs = trace.memAddrs + event(0).memBegin;
+    unit.memCount = total;
 
-    // Consume the block's events (spans stay valid per the
-    // EventSource stability contract).
-    BlockEvent last;
-    for (std::size_t i = 0; i < consume; ++i) {
-        if (i + 1 == consume)
-            last = events.front();
-        events.pop_front();
-    }
-
-    refill();
+    const TraceEvent &last = event(consume - 1);
+    pos += consume;
     predictSuccessor(committed, last);
     return true;
 }

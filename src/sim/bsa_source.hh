@@ -2,8 +2,8 @@
  * @file
  * Fetch source for the block-structured machine.
  *
- * Walks the committed basic-block stream (from the functional
- * interpreter) and groups it into atomic blocks by descending each
+ * Walks the committed basic-block stream (a replayed ExecTrace) and
+ * groups it into atomic blocks by descending each
  * enlargement head's variant trie along the *actual* branch
  * directions.  The block successor predictor chooses which variant the
  * machine fetches; a compatible (prefix) choice commits directly —
@@ -18,12 +18,11 @@
 #ifndef BSISA_SIM_BSA_SOURCE_HH
 #define BSISA_SIM_BSA_SOURCE_HH
 
-#include <memory>
+#include <algorithm>
 
 #include "codegen/layout.hh"
 #include "core/bsa.hh"
 #include "predict/blockpred.hh"
-#include "sim/event_ring.hh"
 #include "sim/fetch_source.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
@@ -34,20 +33,16 @@ namespace bsisa
 class BsaFetchSource : public FetchSource
 {
   public:
-    /** Drive a private functional interpreter. */
-    BsaFetchSource(const BsaModule &bsa, const MachineConfig &config,
-                   Interp::Limits limits);
-
-    /** Replay a captured trace (shared across timing configs). */
-    BsaFetchSource(const BsaModule &bsa, const MachineConfig &config,
-                   const ExecTrace &trace);
-
-    /** Replay sharing a pre-built decode: lockstep batches build the
-     *  DecodedProgram once and hand it to every lane's source, so a
-     *  batch holds exactly one copy of the static metadata. */
+    /** Replay @p trace of bsa.src.  @p decoded is
+     *  DecodedProgram::forBsa(@p bsa), owned by the caller so a batch
+     *  shares one copy. */
     BsaFetchSource(const BsaModule &bsa, const MachineConfig &config,
                    const ExecTrace &trace,
-                   const DecodedProgram &sharedDecoded);
+                   const DecodedProgram &decoded);
+
+    /** Lookahead window depth: the unit at stream position pos sees
+     *  events [pos, pos + min(lookahead, eventCount - pos)). */
+    static constexpr std::size_t lookahead = 64;
 
     bool next(TimingUnit &unit) override;
 
@@ -64,31 +59,15 @@ class BsaFetchSource : public FetchSource
     std::uint64_t cascadeHops() const override { return nCascadeHops; }
 
   private:
-    /** Common tail of the public constructors; @p sharedDecoded is
-     *  null when this source should build (and own) its decode. */
-    BsaFetchSource(const BsaModule &bsa, const MachineConfig &config,
-                   std::unique_ptr<EventSource> source,
-                   const DecodedProgram *sharedDecoded);
-
-    /** Lookahead depth (ring capacity); must stay below the
-     *  EventSource span-stability window. */
-    static constexpr std::size_t lookahead = 64;
-    static_assert(lookahead < eventSpanStability);
-
     const BsaModule &bsa;
     const Module &module;
-    /** Per-op metadata and merge masks: owned when standalone
-     *  (decoded points at ownedDecoded), borrowed when batched. */
-    DecodedProgram ownedDecoded;
-    const DecodedProgram *decoded;
+    const DecodedProgram &decoded;
+    const ExecTrace &trace;
     bool perfect;
     BlockPredictor predictor;
-    std::unique_ptr<EventSource> stream;
 
-    /** Lookahead of committed basic-block events (fixed ring: the
-     *  refill/consume cycle never touches the allocator). */
-    EventRing<BlockEvent, lookahead> events;
-    bool streamDone = false;
+    /** First unconsumed trace event. */
+    std::size_t pos = 0;
 
     /** Successor block the predictor chose for the upcoming head
      *  (invalidId on the first unit / after Halt). */
@@ -97,29 +76,35 @@ class BsaFetchSource : public FetchSource
     /** Redirect info describing how the upcoming unit gets fetched. */
     RedirectInfo pendingRedirect;
 
-    /** Fallback storage for the emitted unit's memory addresses, used
-     *  only when the consumed events' spans are not adjacent in their
-     *  pool (live-interp runs; replayed traces are always adjacent and
-     *  stream through zero-copy). */
-    std::vector<std::uint64_t> emitMemAddrs;
-
     std::uint64_t nPredictions = 0;
     std::uint64_t nTrapMiss = 0;
     std::uint64_t nFaultMiss = 0;
     std::uint64_t nCascadeHops = 0;
 
-    void refill();
+    /** Events in the lookahead window (0 at end of stream). */
+    std::size_t
+    windowSize() const
+    {
+        return std::min(lookahead, trace.eventCount - pos);
+    }
+
+    /** Event @p i of the lookahead window. */
+    const TraceEvent &
+    event(std::size_t i) const
+    {
+        return trace.events[pos + i];
+    }
 
     /**
      * Greedy maximal walk of (func, head)'s trie against the actual
-     * directions in the lookahead buffer.
+     * directions in the lookahead window.
      * @return emitted trie node index; eventsUsed is the number of
-     *         buffered events the variant covers.
+     *         window events the variant covers.
      */
     int maximalVariant(FuncId func, BlockId head,
                        unsigned &eventsUsed) const;
 
-    /** True iff @p block's merge path matches the buffered events
+    /** True iff @p block's merge path matches the window events
      *  (i.e. fetching it would commit without any fault firing). */
     bool compatible(AtomicBlockId block, FuncId func,
                     BlockId head) const;
@@ -131,7 +116,7 @@ class BsaFetchSource : public FetchSource
     /** Predict the successor of the just-emitted block and set up
      *  predictedNext/pendingRedirect for the next unit. */
     void predictSuccessor(AtomicBlockId committed,
-                          const BlockEvent &lastEvent);
+                          const TraceEvent &lastEvent);
 };
 
 } // namespace bsisa

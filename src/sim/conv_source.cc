@@ -10,70 +10,14 @@
 namespace bsisa
 {
 
-namespace
-{
-
-/** Opaque token for predictor targets: (func, block). */
-std::uint64_t
-blockToken(FuncId func, BlockId block)
-{
-    return (std::uint64_t(func) << 32) | block;
-}
-
-} // namespace
-
 ConvFetchSource::ConvFetchSource(const Module &mod,
                                  const ConvLayout &lay,
                                  const MachineConfig &config,
-                                 Interp::Limits limits)
-    : ConvFetchSource(mod, lay, config,
-                      std::make_unique<InterpEventSource>(mod, limits),
-                      nullptr)
+                                 const ExecTrace &execTrace,
+                                 const DecodedProgram &decodedProgram)
+    : layout(lay), decoded(decodedProgram), trace(execTrace),
+      pred(mod, lay, decodedProgram, config)
 {
-}
-
-ConvFetchSource::ConvFetchSource(const Module &mod,
-                                 const ConvLayout &lay,
-                                 const MachineConfig &config,
-                                 const ExecTrace &trace)
-    : ConvFetchSource(mod, lay, config,
-                      std::make_unique<TraceReplaySource>(trace),
-                      nullptr)
-{
-}
-
-ConvFetchSource::ConvFetchSource(const Module &mod,
-                                 const ConvLayout &lay,
-                                 const MachineConfig &config,
-                                 const ExecTrace &trace,
-                                 const DecodedProgram &sharedDecoded)
-    : ConvFetchSource(mod, lay, config,
-                      std::make_unique<TraceReplaySource>(trace),
-                      &sharedDecoded)
-{
-}
-
-ConvFetchSource::ConvFetchSource(const Module &mod,
-                                 const ConvLayout &lay,
-                                 const MachineConfig &config,
-                                 std::unique_ptr<EventSource> source,
-                                 const DecodedProgram *sharedDecoded)
-    : module(mod), layout(lay),
-      ownedDecoded(sharedDecoded ? DecodedProgram()
-                                 : DecodedProgram::forModule(mod)),
-      decoded(sharedDecoded ? sharedDecoded : &ownedDecoded),
-      pred(mod, lay, *decoded, config), events(std::move(source))
-{
-    curValid = events->next(cur);
-    nextValid = curValid && events->next(nextEv);
-}
-
-void
-ConvFetchSource::advance()
-{
-    std::swap(cur, nextEv);
-    curValid = nextValid;
-    nextValid = curValid && events->next(nextEv);
 }
 
 void
@@ -195,25 +139,23 @@ ConvPredictor::captureOutcomes(const ExecTrace &trace,
 bool
 ConvFetchSource::next(TimingUnit &unit)
 {
-    if (!curValid)
+    if (pos >= trace.eventCount)
         return false;
+    const TraceEvent &e = trace.events[pos++];
 
-    unit.pc = layout.addrOf(cur.func, cur.block);
-    unit.bytes = layout.bytesOf(cur.func, cur.block);
-    const DecodedUnit &du = decoded->unit(cur.func, cur.block);
-    unit.ops = decoded->ops(du);
+    unit.pc = layout.addrOf(e.func, e.block);
+    unit.bytes = layout.bytesOf(e.func, e.block);
+    const DecodedUnit &du = decoded.unit(e.func, e.block);
+    unit.ops = decoded.ops(du);
     unit.opCount = du.opCount;
-    // Zero-copy: cur's span stays valid until the source advances
-    // past the lookahead, well after the pipeline consumes the unit.
-    unit.memAddrs = cur.memAddrs;
-    unit.memCount = cur.memCount;
+    unit.memAddrs = trace.memAddrs + e.memBegin;
+    unit.memCount = e.memCount;
     unit.redirect = pred.pending();
 
     // Predict this unit's successor; the result describes how the
     // NEXT unit gets fetched.
-    pred.predictSuccessor(cur.func, cur.block, cur.exit, cur.taken,
-                          cur.nextFunc, cur.nextBlock);
-    advance();
+    pred.predictSuccessor(e.func, e.block, e.exit, e.taken, e.nextFunc,
+                          e.nextBlock);
     return true;
 }
 

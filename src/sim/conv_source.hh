@@ -8,8 +8,6 @@
 #ifndef BSISA_SIM_CONV_SOURCE_HH
 #define BSISA_SIM_CONV_SOURCE_HH
 
-#include <memory>
-
 #include "codegen/layout.hh"
 #include "predict/twolevel.hh"
 #include "sim/fetch_outcome.hh"
@@ -83,20 +81,11 @@ class ConvPredictor
 class ConvFetchSource : public FetchSource
 {
   public:
-    /** Drive a private functional interpreter. */
-    ConvFetchSource(const Module &module, const ConvLayout &layout,
-                    const MachineConfig &config, Interp::Limits limits);
-
-    /** Replay a captured trace (shared across timing configs). */
-    ConvFetchSource(const Module &module, const ConvLayout &layout,
-                    const MachineConfig &config, const ExecTrace &trace);
-
-    /** Replay sharing a pre-built decode: lockstep batches build the
-     *  DecodedProgram once and hand it to every lane's source, so a
-     *  batch holds exactly one copy of the static metadata. */
+    /** Replay @p trace.  @p decoded is DecodedProgram::forModule of
+     *  @p module, owned by the caller so a batch shares one copy. */
     ConvFetchSource(const Module &module, const ConvLayout &layout,
                     const MachineConfig &config, const ExecTrace &trace,
-                    const DecodedProgram &sharedDecoded);
+                    const DecodedProgram &decoded);
 
     bool next(TimingUnit &unit) override;
 
@@ -116,30 +105,12 @@ class ConvFetchSource : public FetchSource
     std::uint64_t cascadeHops() const override { return 0; }
 
   private:
-    /** Common tail of the public constructors; @p sharedDecoded is
-     *  null when this source should build (and own) its decode. */
-    ConvFetchSource(const Module &module, const ConvLayout &layout,
-                    const MachineConfig &config,
-                    std::unique_ptr<EventSource> source,
-                    const DecodedProgram *sharedDecoded);
-
-    const Module &module;
     const ConvLayout &layout;
-    /** Per-op metadata: owned when standalone (decoded points at
-     *  ownedDecoded), borrowed when batched (ownedDecoded empty). */
-    DecodedProgram ownedDecoded;
-    const DecodedProgram *decoded;
+    const DecodedProgram &decoded;
+    const ExecTrace &trace;
     ConvPredictor pred;
-    std::unique_ptr<EventSource> events;
-
-    /** Double-buffered events: current and lookahead.  Each event's
-     *  memAddrs span outlives the lookahead (EventSource span
-     *  contract), so the emitted unit aliases cur's span directly. */
-    BlockEvent cur, nextEv;
-    bool curValid = false;
-    bool nextValid = false;
-
-    void advance();
+    /** Next trace event to emit (one unit per event). */
+    std::size_t pos = 0;
 };
 
 } // namespace bsisa

@@ -23,8 +23,8 @@
  * a clean-running group costs 16 bytes per fetch step and nothing per
  * redirect.  RedirectInfo's wrong-path pointers reference the shared
  * DecodedProgram, which outlives the engine, so storing them is safe;
- * non-adjacent committed address spans (rare) are gathered into the
- * stream's own side pool instead of a transient per-step buffer.
+ * a unit's committed addresses are one slice of the trace's address
+ * pool (the ExecTrace span-adjacency invariant), stored as an offset.
  */
 
 #ifndef BSISA_SIM_FETCH_OUTCOME_HH
@@ -49,23 +49,21 @@ struct FetchOutcomeRecord
 {
     std::uint32_t pos;        //!< stream position the unit starts at
     std::uint32_t committed;  //!< committed block id (driver-defined)
-    std::uint32_t memOffset;  //!< span start (pool, or sideMem below)
-    std::uint32_t memCount : 31;
-    std::uint32_t sideMem : 1;  //!< memOffset indexes sideMem
+    std::uint32_t memOffset;  //!< span start in the trace pool
+    std::uint32_t memCount;   //!< span length
 };
 
 /**
  * The memoized fetch-outcome stream of one predictor identity: the
  * per-step records, the sparse redirect list (redirects[i] applies to
- * fetch step redirectStep[i]; both ascend), the gathered side pool for
- * non-adjacent spans, and the fetch-side statistics the lanes report.
+ * fetch step redirectStep[i]; both ascend), and the fetch-side
+ * statistics the lanes report.
  */
 struct FetchOutcomeStream
 {
     std::vector<FetchOutcomeRecord> steps;
     std::vector<RedirectInfo> redirects;      //!< mispredicts only
     std::vector<std::uint32_t> redirectStep;  //!< parallel step index
-    std::vector<std::uint64_t> sideMem;       //!< non-adjacent spans
 
     std::uint64_t nPredictions = 0;
     std::uint64_t nTrapMiss = 0;

@@ -13,11 +13,12 @@
  * the wrongly fetched block whose operations consumed machine
  * resources).
  *
- * Span lifetime: the decoded-op pointers reference the source's
- * DecodedProgram pools and outlive the source; the memAddrs span
- * references either the replayed trace's shared address pool or a
- * stable per-source emit buffer, and is valid until the next next()
- * call — exactly the window in which the pipeline consumes the unit.
+ * Span lifetime: the memAddrs span is a slice of the replayed
+ * ExecTrace's address pool and lives as long as the trace.  The
+ * decoded-op pointers reference the caller's DecodedProgram pools,
+ * except for trace-cache units, whose concatenated ops live in a
+ * per-source buffer that is valid until the next next() call — the
+ * window in which a consumer must copy what it retains.
  */
 
 #ifndef BSISA_SIM_FETCH_SOURCE_HH
@@ -29,6 +30,14 @@
 
 namespace bsisa
 {
+
+/** Opaque (func, block) token: predictor targets, return-stack
+ *  entries and trace-cache block identities. */
+inline std::uint64_t
+blockToken(FuncId func, BlockId block)
+{
+    return (std::uint64_t(func) << 32) | block;
+}
 
 /** How a unit's fetch was delayed by a misprediction. */
 struct RedirectInfo

@@ -40,9 +40,8 @@ enum class ExitKind : unsigned char
  * One committed basic-block execution.
  *
  * A trivially copyable value: the Ld/St addresses are carried as a
- * read-only span into storage owned by the producing EventSource (the
- * trace pool on replay, a reuse ring on live interpretation), not as
- * a per-event vector.  See EventSource for the span lifetime contract.
+ * read-only span into the interpreter's per-step buffer, not as a
+ * per-event vector; captureTrace copies them into the ExecTrace pool.
  */
 struct BlockEvent
 {
@@ -94,8 +93,8 @@ class Interp
      * @param ev Filled with the committed event.  The event's memAddrs
      *           span points into a buffer owned by this interpreter
      *           and is overwritten by the next step() call; callers
-     *           needing longer-lived addresses must copy (see
-     *           InterpEventSource for the buffered variant).
+     *           needing longer-lived addresses must copy (captureTrace
+     *           pools them into an ExecTrace).
      * @retval true a block was executed.
      * @retval false the program halted or a limit was reached.
      */

@@ -63,6 +63,7 @@
 #include <chrono>
 
 #include "predict/blockpred.hh"
+#include "sim/bsa_source.hh"
 #include "sim/conv_source.hh"
 #include "sim/fetch_outcome.hh"
 #include "sim/tc_source.hh"
@@ -977,21 +978,14 @@ lockstepConventional(const Module &module, const ConvLayout &layout,
 namespace
 {
 
-std::uint64_t
-headToken(FuncId func, BlockId block)
-{
-    return (std::uint64_t(func) << 32) | block;
-}
-
 /**
  * The shared-translation BSA lockstep walk.
  *
- * Transcribes BsaFetchSource over direct trace indexing: a group's
- * "lookahead buffer" is the window [pos, pos + min(64, remaining)) of
- * the shared event array, so the EventRing's truncated-tail semantics
- * are reproduced exactly while the whole config-independent
- * translation at a stream position — a pure function of that position
- * — is computed once and memoised for every group (PosMemo), and the
+ * Transcribes BsaFetchSource: a group's lookahead is the same window
+ * [pos, pos + min(64, remaining)) of the shared event array, so the
+ * truncated-tail semantics are reproduced exactly while the whole
+ * config-independent translation at a stream position — a pure
+ * function of that position — is computed once and memoised for every group (PosMemo), and the
  * per-block successor-trie lookups the predictor path needs are
  * hoisted out of the hash tables into one flat table (BlockAux) at
  * construction.  Prediction itself is stream-driven — the predictor
@@ -1036,12 +1030,11 @@ class LockstepBsa
             groups.emplace_back(machines[members.front()], members);
         }
         // The fused walk retains every group's full stream; its worst
-        // case — one record per event, every event a mispredict, every
-        // span gathered into the side pool — is committed up front by
-        // the reservations below (exact upper bounds, so the capture
-        // walk is allocation-free: the lockstep steady state performs
-        // a length-independent number of heap allocations,
-        // tests/test_decoded.cc).  When that commitment would blow the
+        // case — one record per event, every event a mispredict — is
+        // committed up front by the reservations below (exact upper
+        // bounds, so the capture walk is allocation-free: the lockstep
+        // steady state performs a length-independent number of heap
+        // allocations, tests/test_decoded.cc).  When that commitment would blow the
         // capture budget, fall back to the per-group driver, which
         // streams one record at a time in O(1) memory (the PR 7
         // profile).  Oracle groups never redirect.
@@ -1051,8 +1044,6 @@ class LockstepBsa
                 sizeof(FetchOutcomeRecord) * trace.eventCount;
             if (!group.perfect)
                 captureBytes += redirectBytesPerEvent * trace.eventCount;
-            captureBytes +=
-                sizeof(std::uint64_t) * trace.memAddrCount;
         }
         fused = !envSet("BSISA_FORCE_PER_GROUP") &&
                 captureBytes <= captureBudgetBytes();
@@ -1072,8 +1063,7 @@ class LockstepBsa
     std::vector<SimResult> run();
 
   private:
-    /** Matches BsaFetchSource::lookahead (EventRing capacity). */
-    static constexpr std::size_t lookahead = 64;
+    static constexpr std::size_t lookahead = BsaFetchSource::lookahead;
 
     /** One prediction group: the shared fetch-side state of every
      *  lane whose prediction evolution is identical. */
@@ -1092,9 +1082,7 @@ class LockstepBsa
         std::size_t pos = 0;  //!< next unconsumed event
         AtomicBlockId predictedNext = invalidId;
         RedirectInfo pendingRedirect;
-        /** The group's recorded fetch outcomes (see captureStep).
-         *  Non-adjacent address spans gather into stream.sideMem, the
-         *  persistent replacement for the old per-step emit buffer. */
+        /** The group's recorded fetch outcomes (see captureStep). */
         FetchOutcomeStream stream;
 
         std::uint64_t nPredictions = 0;
@@ -1118,7 +1106,6 @@ class LockstepBsa
         std::uint32_t varIdx = 0;        //!< smax's canonical variant
         std::uint32_t memCount = 0;      //!< pooled span length (smax)
         std::uint8_t consume = 0;        //!< events smax consumes
-        bool adjacent = false;  //!< span is one contiguous pool slice
         bool compatMax = false; //!< smax passes the stream-compat check
         bool computed = false;
     };
@@ -1168,7 +1155,7 @@ class LockstepBsa
 
     /** Reconstruct the TimingUnit described by @p rec (redirect left
      *  cleared; the drivers gather redirects per lane). */
-    void buildUnit(const Group &group, const FetchOutcomeRecord &rec,
+    void buildUnit(const FetchOutcomeRecord &rec,
                    TimingUnit &unit) const;
 
     /** Interleaved reference driver (PR 7 structure): one unit per
@@ -1248,25 +1235,16 @@ LockstepBsa::memoAt(std::size_t pos)
     pm.compatMax =
         compatibleAt(pos, pm.smax, evs[0].func, evs[0].block);
 
-    // The maximal commit's event consumption and pooled address span.
-    // Replayed events slice one shared pool in stream order, so
-    // consecutive spans are usually adjacent and the whole unit is a
-    // single zero-copy span into the trace pool.
+    // The maximal commit's event consumption and address span: events
+    // slice the trace pool in stream order (ExecTrace invariant), so
+    // the whole unit is a single zero-copy span into the pool.
     const AtomicBlock &blk = bsa.blocks[pm.smax];
     const std::size_t consume =
         std::min<std::size_t>(blk.bbs.size(), size);
     pm.consume = static_cast<std::uint8_t>(consume);
-    bool adjacent = true;
     std::uint32_t total = 0;
-    for (std::size_t i = 0; i < consume; ++i) {
-        const TraceEvent &e = evs[i];
-        if (i > 0 && evs[0].memBegin + total != e.memBegin) {
-            adjacent = false;
-            break;
-        }
-        total += e.memCount;
-    }
-    pm.adjacent = adjacent;
+    for (std::size_t i = 0; i < consume; ++i)
+        total += evs[i].memCount;
     pm.memCount = total;
     pm.computed = true;
     return pm;
@@ -1450,7 +1428,7 @@ LockstepBsa::predictSuccessor(Group &group, AtomicBlockId committed,
         break;
     }
     if (term.op == Opcode::Call)
-        predictor.pushReturn(headToken(blk.func, term.target0));
+        predictor.pushReturn(blockToken(blk.func, term.target0));
 
     // ------------------------------------------------------- train
     const unsigned actual_variant = pm.varIdx;
@@ -1601,68 +1579,34 @@ LockstepBsa::captureStep(Group &group)
     if (!fused) {
         // Streaming mode: runPerGroup consumes each record as soon as
         // it is captured, so the stream only ever holds the newest one
-        // (and its redirect/side span) — O(1) memory over any trace
-        // length, like the engine before the decoupling.  clear()
+        // (and its redirect) — O(1) memory over any trace length,
+        // like the engine before the decoupling.  clear()
         // keeps capacity, so the steady state stays allocation-free.
         st.steps.clear();
         st.redirects.clear();
         st.redirectStep.clear();
-        st.sideMem.clear();
     }
     FetchOutcomeRecord rec;
     rec.pos = static_cast<std::uint32_t>(group.pos);
     rec.committed = committed;
 
-    // Record the block's memory span; the gathering fallback for
-    // non-adjacent spans mirrors BsaFetchSource for safety, appending
-    // into the stream's persistent side pool.
+    // Record the block's memory span: one slice of the trace pool
+    // starting at the head event (ExecTrace span adjacency).
     std::size_t consume;
-    bool adjacent;
     std::uint32_t total;
     if (committed == pm.smax) {
         consume = pm.consume;
-        adjacent = pm.adjacent;
         total = pm.memCount;
     } else {
         const AtomicBlock &blk = bsa.blocks[committed];
         consume = std::min<std::size_t>(blk.bbs.size(),
                                         availAt(group.pos));
-        adjacent = true;
         total = 0;
-        for (std::size_t i = 0; i < consume; ++i) {
-            const TraceEvent &e = ev(group, i);
-            if (i > 0 && e0.memBegin + total != e.memBegin) {
-                adjacent = false;
-                break;
-            }
-            total += e.memCount;
-        }
+        for (std::size_t i = 0; i < consume; ++i)
+            total += ev(group, i).memCount;
     }
-    if (adjacent) {
-        rec.memOffset = static_cast<std::uint32_t>(e0.memBegin);
-        rec.memCount = total;
-        rec.sideMem = 0;
-    } else {
-        // First non-adjacent span in a fused (retaining) run: one
-        // reservation covers the group's whole walk (each event's
-        // span is gathered at most once, so the side pool never
-        // exceeds the trace pool).  A streaming run clears the pool
-        // every step, so its capacity only ever reaches the largest
-        // single span.
-        if (fused && st.sideMem.capacity() == 0)
-            st.sideMem.reserve(trace.memAddrCount);
-        rec.memOffset = static_cast<std::uint32_t>(st.sideMem.size());
-        for (std::size_t i = 0; i < consume; ++i) {
-            const TraceEvent &e = ev(group, i);
-            st.sideMem.insert(st.sideMem.end(),
-                              trace.memAddrs + e.memBegin,
-                              trace.memAddrs + e.memBegin + e.memCount);
-        }
-        rec.memCount =
-            static_cast<std::uint32_t>(st.sideMem.size()) -
-            rec.memOffset;
-        rec.sideMem = 1;
-    }
+    rec.memOffset = static_cast<std::uint32_t>(e0.memBegin);
+    rec.memCount = total;
 
     // The redirect recorded by the PREVIOUS step's prediction applies
     // to this unit's fetch; store it sparsely against this step.
@@ -1681,8 +1625,7 @@ LockstepBsa::captureStep(Group &group)
 }
 
 void
-LockstepBsa::buildUnit(const Group &group,
-                       const FetchOutcomeRecord &rec,
+LockstepBsa::buildUnit(const FetchOutcomeRecord &rec,
                        TimingUnit &unit) const
 {
     const AtomicBlock &blk = bsa.blocks[rec.committed];
@@ -1691,9 +1634,7 @@ LockstepBsa::buildUnit(const Group &group,
     unit.bytes = du.sizeBytes;
     unit.ops = decoded.ops(du);
     unit.opCount = du.opCount;
-    unit.memAddrs = (rec.sideMem ? group.stream.sideMem.data()
-                                 : trace.memAddrs) +
-                    rec.memOffset;
+    unit.memAddrs = trace.memAddrs + rec.memOffset;
     unit.memCount = rec.memCount;
     unit.redirect = RedirectInfo{};
 }
@@ -1721,7 +1662,7 @@ LockstepBsa::runPerGroup(LanePipelines &pipes)
                 continue;
             }
             const FetchOutcomeStream &st = group.stream;
-            buildUnit(group, st.steps.back(), unit);
+            buildUnit(st.steps.back(), unit);
             if (!st.redirectStep.empty() &&
                 st.redirectStep.back() == st.steps.size() - 1)
                 unit.redirect = st.redirects.back();
@@ -1790,7 +1731,7 @@ LockstepBsa::runFused(LanePipelines &pipes)
             const std::size_t gl = atPos[i];  // partition leader
             const FetchOutcomeRecord lead =
                 groups[gl].stream.steps[cur[gl]];
-            buildUnit(groups[gl], lead, unit);
+            buildUnit(lead, unit);
             std::size_t runFirst = 0;
             std::size_t runCount = 0;
             auto flush = [&]() {

@@ -5,6 +5,8 @@
 
 #include "sim/tc_source.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace bsisa
@@ -13,69 +15,15 @@ namespace bsisa
 TraceCacheFetchSource::TraceCacheFetchSource(
     const Module &mod, const ConvLayout &lay,
     const MachineConfig &config, const TraceCacheConfig &tcConfig,
-    Interp::Limits limits)
-    : TraceCacheFetchSource(
-          mod, lay, config, tcConfig,
-          std::make_unique<InterpEventSource>(mod, limits), nullptr)
+    const ExecTrace &execTrace, const DecodedProgram &decodedProgram)
+    : module(mod), layout(lay), decoded(decodedProgram),
+      trace(execTrace), perfect(config.perfectPrediction),
+      predictor(config.predictor), cache(tcConfig)
 {
-}
-
-TraceCacheFetchSource::TraceCacheFetchSource(
-    const Module &mod, const ConvLayout &lay,
-    const MachineConfig &config, const TraceCacheConfig &tcConfig,
-    const ExecTrace &trace)
-    : TraceCacheFetchSource(mod, lay, config, tcConfig,
-                            std::make_unique<TraceReplaySource>(trace),
-                            nullptr)
-{
-}
-
-TraceCacheFetchSource::TraceCacheFetchSource(
-    const Module &mod, const ConvLayout &lay,
-    const MachineConfig &config, const TraceCacheConfig &tcConfig,
-    const ExecTrace &trace, const DecodedProgram &sharedDecoded)
-    : TraceCacheFetchSource(mod, lay, config, tcConfig,
-                            std::make_unique<TraceReplaySource>(trace),
-                            &sharedDecoded)
-{
-}
-
-TraceCacheFetchSource::TraceCacheFetchSource(
-    const Module &mod, const ConvLayout &lay,
-    const MachineConfig &config, const TraceCacheConfig &tcConfig,
-    std::unique_ptr<EventSource> source,
-    const DecodedProgram *sharedDecoded)
-    : module(mod), layout(lay),
-      ownedDecoded(sharedDecoded ? DecodedProgram()
-                                 : DecodedProgram::forModule(mod)),
-      decoded(sharedDecoded ? sharedDecoded : &ownedDecoded),
-      perfect(config.perfectPrediction),
-      predictor(config.predictor), cache(tcConfig),
-      stream(std::move(source))
-{
-    refill();
-}
-
-void
-TraceCacheFetchSource::refill()
-{
-    while (!streamDone && events.size() < lookahead) {
-        BlockEvent ev;
-        if (stream->next(ev))
-            events.push_back(ev);
-        else
-            streamDone = true;
-    }
-}
-
-std::uint64_t
-TraceCacheFetchSource::token(FuncId func, BlockId block)
-{
-    return (std::uint64_t(func) << 32) | block;
 }
 
 bool
-TraceCacheFetchSource::predictTrap(const BlockEvent &ev)
+TraceCacheFetchSource::predictTrap(const TraceEvent &ev)
 {
     const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
     if (perfect)
@@ -87,20 +35,20 @@ TraceCacheFetchSource::predictTrap(const BlockEvent &ev)
 }
 
 void
-TraceCacheFetchSource::handleExit(const BlockEvent &ev)
+TraceCacheFetchSource::handleExit(const TraceEvent &ev)
 {
     const Function &fn = module.functions[ev.func];
     const Operation &term = fn.blocks[ev.block].terminator();
     const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
     switch (ev.exit) {
       case ExitKind::Call:
-        predictor.pushReturn(token(ev.func, term.target0));
+        predictor.pushReturn(blockToken(ev.func, term.target0));
         break;
       case ExitKind::Ret: {
         if (perfect)
             break;
         ++nPredictions;
-        const std::uint64_t actual = token(ev.nextFunc, ev.nextBlock);
+        const std::uint64_t actual = blockToken(ev.nextFunc, ev.nextBlock);
         if (predictor.popReturn() != actual) {
             ++nMispredicts;
             pendingRedirect.mispredicted = true;
@@ -111,7 +59,7 @@ TraceCacheFetchSource::handleExit(const BlockEvent &ev)
         if (perfect)
             break;
         ++nPredictions;
-        const std::uint64_t actual = token(ev.nextFunc, ev.nextBlock);
+        const std::uint64_t actual = blockToken(ev.nextFunc, ev.nextBlock);
         const std::uint64_t predicted = predictor.predictTarget(pc);
         predictor.updateTarget(pc, actual);
         if (predicted != actual) {
@@ -126,10 +74,10 @@ TraceCacheFetchSource::handleExit(const BlockEvent &ev)
 }
 
 void
-TraceCacheFetchSource::fillWith(const BlockEvent &ev)
+TraceCacheFetchSource::fillWith(const TraceEvent &ev)
 {
     const unsigned block_ops =
-        decoded->unit(ev.func, ev.block).opCount;
+        decoded.unit(ev.func, ev.block).opCount;
 
     if (fill.valid &&
         (fill.blocks.size() >= cache.config().maxBlocks ||
@@ -138,12 +86,12 @@ TraceCacheFetchSource::fillWith(const BlockEvent &ev)
     }
     if (!fill.valid) {
         fill.valid = true;
-        fill.start = token(ev.func, ev.block);
+        fill.start = blockToken(ev.func, ev.block);
         fill.blocks.clear();
         fill.dirs.clear();
         fill.ops = 0;
     }
-    fill.blocks.push_back(token(ev.func, ev.block));
+    fill.blocks.push_back(blockToken(ev.func, ev.block));
     fill.ops += block_ops;
 
     switch (ev.exit) {
@@ -173,28 +121,26 @@ TraceCacheFetchSource::flushFill()
 bool
 TraceCacheFetchSource::next(TimingUnit &unit)
 {
-    refill();
-    if (events.empty())
+    if (pos >= trace.eventCount)
         return false;
 
-    // Copy the head's identity: events.front() is recycled by the
-    // pop/refill cycle inside the commit loop below.
-    const FuncId head_func = events.front().func;
-    const BlockId head_block = events.front().block;
-    const std::uint64_t start = token(head_func, head_block);
+    const TraceEvent &head = trace.events[pos];
+    const std::uint64_t start = blockToken(head.func, head.block);
 
     // Gather direction predictions along the upcoming path (the trace
     // cache needs multiple predictions per cycle; this is one of its
     // acknowledged hardware costs).
     predictedDirs.clear();
     std::uint64_t spec_hist =
-        predictor.speculativeHistory(layout.addrOf(head_func,
-                                                   head_block));
+        predictor.speculativeHistory(layout.addrOf(head.func,
+                                                   head.block));
+    const std::size_t window =
+        std::min(lookahead, trace.eventCount - pos);
     for (std::size_t i = 0;
-         i < events.size() &&
+         i < window &&
          predictedDirs.size() + 1 < cache.config().maxBlocks * 2;
          ++i) {
-        const BlockEvent &ev = events[i];
+        const TraceEvent &ev = trace.events[pos + i];
         if (ev.exit == ExitKind::Trap) {
             const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
             bool dir;
@@ -213,9 +159,8 @@ TraceCacheFetchSource::next(TimingUnit &unit)
         }
     }
 
-    const Trace *trace = cache.lookup(start, predictedDirs);
-    const std::size_t planned =
-        trace ? trace->blocks.size() : std::size_t(1);
+    const Trace *tc = cache.lookup(start, predictedDirs);
+    const std::size_t planned = tc ? tc->blocks.size() : std::size_t(1);
 
     unit.redirect = pendingRedirect;
     pendingRedirect = RedirectInfo{};
@@ -223,28 +168,30 @@ TraceCacheFetchSource::next(TimingUnit &unit)
     // Commit planned blocks while they match the actual stream; a
     // wrong direction prediction truncates the unit at the offending
     // trap (earlier blocks commit; the rest of the trace is squashed).
+    // The committed events' address spans are adjacent in the trace
+    // pool (ExecTrace invariant), so the unit's addresses are one
+    // zero-copy slice starting at the head's span.
+    unit.memAddrs = trace.memAddrs + head.memBegin;
+    unit.memCount = 0;
     emitOps.clear();
-    emitSpans.clear();
     std::size_t committed = 0;
     std::size_t trap_idx = 0;  // index into predictedDirs
     bool stop = false;
     while (committed < planned && !stop) {
-        BSISA_ASSERT(!events.empty());
-        const BlockEvent ev = events.front();
-        events.pop_front();
+        const TraceEvent &ev = trace.events[pos];
         const Function &fn = module.functions[ev.func];
         const Block &blk = fn.blocks[ev.block];
-        if (trace && trace->blocks[committed] != token(ev.func,
-                                                       ev.block)) {
+        if (tc && tc->blocks[committed] != blockToken(ev.func,
+                                                      ev.block)) {
             // Should not happen: divergence is caught at the trap
-            // below.  Defensive: re-queue and stop.
-            events.push_front(ev);
+            // below.  Defensive: leave the event unconsumed and stop.
             break;
         }
-        const DecodedUnit &bdu = decoded->unit(ev.func, ev.block);
-        const DecodedOp *bops = decoded->ops(bdu);
+        ++pos;
+        const DecodedUnit &bdu = decoded.unit(ev.func, ev.block);
+        const DecodedOp *bops = decoded.ops(bdu);
         emitOps.insert(emitOps.end(), bops, bops + bdu.opCount);
-        emitSpans.emplace_back(ev.memAddrs, ev.memCount);
+        unit.memCount += ev.memCount;
         ++committed;
         fillWith(ev);
 
@@ -272,8 +219,8 @@ TraceCacheFetchSource::next(TimingUnit &unit)
                 const Operation &term = blk.terminator();
                 const BlockId wrong =
                     predicted ? term.target0 : term.target1;
-                const DecodedUnit &wdu = decoded->unit(ev.func, wrong);
-                pendingRedirect.wrongOps = decoded->ops(wdu);
+                const DecodedUnit &wdu = decoded.unit(ev.func, wrong);
+                pendingRedirect.wrongOps = decoded.ops(wdu);
                 pendingRedirect.wrongOpCount = wdu.opCount;
                 pendingRedirect.wrongPc = layout.addrOf(ev.func, wrong);
                 pendingRedirect.wrongBytes =
@@ -292,42 +239,14 @@ TraceCacheFetchSource::next(TimingUnit &unit)
             stop = true;
             break;
         }
-        refill();
-        if (events.empty())
+        if (pos >= trace.eventCount)
             break;
-    }
-
-    // Memory addresses: a single zero-copy span when the committed
-    // events' pool slices are adjacent (always true on replay, where
-    // the stream is consumed in capture order); otherwise concatenate
-    // into the reused fallback buffer.  The consumed spans stay valid
-    // per the EventSource stability contract.
-    bool adjacent = true;
-    std::uint32_t total = 0;
-    for (std::size_t i = 0; i < emitSpans.size(); ++i) {
-        if (i > 0 && emitSpans[0].first + total != emitSpans[i].first) {
-            adjacent = false;
-            break;
-        }
-        total += emitSpans[i].second;
-    }
-    if (adjacent && !emitSpans.empty()) {
-        unit.memAddrs = emitSpans[0].first;
-        unit.memCount = total;
-    } else {
-        emitMemAddrs.clear();
-        for (const auto &[span, count] : emitSpans)
-            emitMemAddrs.insert(emitMemAddrs.end(), span,
-                                span + count);
-        unit.memAddrs = emitMemAddrs.data();
-        unit.memCount =
-            static_cast<std::uint32_t>(emitMemAddrs.size());
     }
 
     BSISA_ASSERT(!emitOps.empty());
-    unit.pc = layout.addrOf(head_func, head_block);
+    unit.pc = layout.addrOf(head.func, head.block);
     unit.bytes = static_cast<std::uint32_t>(emitOps.size() * opBytes);
-    unit.skipIcache = trace != nullptr;
+    unit.skipIcache = tc != nullptr;
     unit.ops = emitOps.data();
     unit.opCount = static_cast<std::uint32_t>(emitOps.size());
     return true;

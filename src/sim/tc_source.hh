@@ -16,13 +16,11 @@
 #ifndef BSISA_SIM_TC_SOURCE_HH
 #define BSISA_SIM_TC_SOURCE_HH
 
-#include <memory>
 #include <vector>
 
 #include "cache/trace_cache.hh"
 #include "codegen/layout.hh"
 #include "predict/twolevel.hh"
-#include "sim/event_ring.hh"
 #include "sim/fetch_source.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
@@ -33,26 +31,13 @@ namespace bsisa
 class TraceCacheFetchSource : public FetchSource
 {
   public:
-    /** Drive a private functional interpreter. */
-    TraceCacheFetchSource(const Module &module, const ConvLayout &layout,
-                          const MachineConfig &config,
-                          const TraceCacheConfig &tcConfig,
-                          Interp::Limits limits);
-
-    /** Replay a captured trace (shared across timing configs). */
-    TraceCacheFetchSource(const Module &module, const ConvLayout &layout,
-                          const MachineConfig &config,
-                          const TraceCacheConfig &tcConfig,
-                          const ExecTrace &trace);
-
-    /** Replay sharing a pre-built decode: lockstep batches build the
-     *  DecodedProgram once and hand it to every lane's source, so a
-     *  batch holds exactly one copy of the static metadata. */
+    /** Replay @p trace.  @p decoded is DecodedProgram::forModule of
+     *  @p module, owned by the caller so a batch shares one copy. */
     TraceCacheFetchSource(const Module &module, const ConvLayout &layout,
                           const MachineConfig &config,
                           const TraceCacheConfig &tcConfig,
                           const ExecTrace &trace,
-                          const DecodedProgram &sharedDecoded);
+                          const DecodedProgram &decoded);
 
     bool next(TimingUnit &unit) override;
 
@@ -70,32 +55,20 @@ class TraceCacheFetchSource : public FetchSource
     std::uint64_t traceMisses() const { return cache.misses(); }
 
   private:
-    /** Common tail of the public constructors; @p sharedDecoded is
-     *  null when this source should build (and own) its decode. */
-    TraceCacheFetchSource(const Module &module, const ConvLayout &layout,
-                          const MachineConfig &config,
-                          const TraceCacheConfig &tcConfig,
-                          std::unique_ptr<EventSource> source,
-                          const DecodedProgram *sharedDecoded);
-
-    /** Lookahead depth (ring capacity); must stay below the
-     *  EventSource span-stability window. */
+    /** Lookahead window depth for multi-block direction prediction:
+     *  events [pos, pos + min(lookahead, eventCount - pos)). */
     static constexpr std::size_t lookahead = 16;
-    static_assert(lookahead < eventSpanStability);
 
     const Module &module;
     const ConvLayout &layout;
-    /** Per-op metadata: owned when standalone (decoded points at
-     *  ownedDecoded), borrowed when batched (ownedDecoded empty). */
-    DecodedProgram ownedDecoded;
-    const DecodedProgram *decoded;
+    const DecodedProgram &decoded;
+    const ExecTrace &trace;
     bool perfect;
     TwoLevelPredictor predictor;
     TraceCache cache;
-    std::unique_ptr<EventSource> stream;
 
-    EventRing<BlockEvent, lookahead> events;
-    bool streamDone = false;
+    /** First unconsumed trace event. */
+    std::size_t pos = 0;
 
     /** Redirect computed while emitting the previous unit. */
     RedirectInfo pendingRedirect;
@@ -103,33 +76,24 @@ class TraceCacheFetchSource : public FetchSource
     /** Fill unit: committed blocks accumulating into a new trace. */
     Trace fill;
 
-    /** Stable emit buffers (reused across units; emitMemAddrs is a
-     *  fallback used only when the committed events' spans are not
-     *  adjacent in their pool — replayed traces stream zero-copy). */
+    /** The emitted unit's concatenated ops (reused across units). */
     std::vector<DecodedOp> emitOps;
-    std::vector<std::uint64_t> emitMemAddrs;
-    /** (span, count) of each committed event, reused per next(). */
-    std::vector<std::pair<const std::uint64_t *, std::uint32_t>>
-        emitSpans;
     /** Direction predictions along the upcoming path, reused. */
     std::vector<bool> predictedDirs;
 
     std::uint64_t nPredictions = 0;
     std::uint64_t nMispredicts = 0;
 
-    void refill();
-    static std::uint64_t token(FuncId func, BlockId block);
-
     /** Predict the direction of the trap ending @p ev's block; counts
      *  and trains.  Returns predicted direction. */
-    bool predictTrap(const BlockEvent &ev);
+    bool predictTrap(const TraceEvent &ev);
 
     /** Handle the non-trap exits (call/ret/ijmp bookkeeping). */
-    void handleExit(const BlockEvent &ev);
+    void handleExit(const TraceEvent &ev);
 
     /** Append a committed block to the fill unit, flushing when the
      *  trace is complete. */
-    void fillWith(const BlockEvent &ev);
+    void fillWith(const TraceEvent &ev);
     void flushFill();
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace capture/replay implementation.
+ * Trace capture implementation.
  */
 
 #include "sim/trace.hh"
@@ -44,25 +44,6 @@ profileFromTrace(const ExecTrace &trace)
             profile.record(ev.func, ev.block, ev.taken);
     }
     return profile;
-}
-
-bool
-TraceReplaySource::next(BlockEvent &ev)
-{
-    if (pos >= trace.eventCount)
-        return false;
-    const TraceEvent &te = trace.events[pos++];
-    ev.func = te.func;
-    ev.block = te.block;
-    ev.nextFunc = te.nextFunc;
-    ev.nextBlock = te.nextBlock;
-    ev.exit = te.exit;
-    ev.taken = te.taken;
-    // Zero-copy: hand out a view into the shared address pool (owned
-    // memory or mmap-ed store pages alike).
-    ev.memAddrs = trace.memAddrs + te.memBegin;
-    ev.memCount = te.memCount;
-    return true;
 }
 
 } // namespace bsisa

@@ -1,6 +1,6 @@
 /**
  * @file
- * Functional-trace capture and replay.
+ * Functional-trace capture.
  *
  * Every timing model in this repo consumes the same committed dynamic
  * basic-block stream (DESIGN.md section 5), so one functional
@@ -8,19 +8,17 @@
  * ExecTrace records that stream from one Interp run into a compact
  * in-memory buffer — per event: block identity, exit kind, trap
  * direction, successor, and the Ld/St addresses (pooled into a single
- * shared vector) — and a TraceReplaySource feeds it back through the
- * common EventSource interface the fetch sources consume.  Capturing
- * once per (module, limits) and replaying across an icache sweep or a
- * predictor ablation removes the dominant redundant work from the
- * paper's sweep-shaped experiments, and replay cursors are read-only
- * over the trace, so config points can fan out across threads (see
- * support/parallel.hh).
+ * shared vector) — and every fetch source replays it by index.
+ * Capturing once per (module, limits) and replaying across an icache
+ * sweep or a predictor ablation removes the dominant redundant work
+ * from the paper's sweep-shaped experiments, and replay cursors are
+ * read-only over the trace, so config points can fan out across
+ * threads (see support/parallel.hh).
  */
 
 #ifndef BSISA_SIM_TRACE_HH
 #define BSISA_SIM_TRACE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -56,6 +54,15 @@ struct TraceEvent
  * store entry (sim/trace_store.hh), whose pages then back replay
  * spans directly with zero copies.  `backing` pins whatever owns
  * foreign pools (e.g. the file mapping) for the trace's lifetime.
+ *
+ * Span adjacency invariant: events slice the pool in stream order
+ * with no gaps, i.e. events[0].memBegin == 0, events[i].memBegin ==
+ * events[i-1].memBegin + events[i-1].memCount, and the last span ends
+ * at memAddrCount.  Both builders guarantee it — captureTrace appends
+ * sequentially, and the trace-store decoder derives the offsets as
+ * that running sum and rejects an entry whose sum is not the pool
+ * size — so a fetch unit covering events [pos, pos + n) has the
+ * single span [events[pos].memBegin, + sum of their memCounts).
  *
  * Traces are move-only: spans point into the owned vectors, whose
  * heap buffers survive moves but not copies.
@@ -114,78 +121,6 @@ ExecTrace captureTrace(const Module &module, Interp::Limits limits);
 /** Derive a branch-bias profile from a captured trace (equivalent to
  *  collectProfile() over the same execution, without re-running it). */
 ProfileData profileFromTrace(const ExecTrace &trace);
-
-/**
- * A pull-based producer of committed BlockEvents — the seam between
- * functional execution and the fetch sources.  Implementations either
- * run the interpreter directly (InterpEventSource) or replay a
- * captured ExecTrace (TraceReplaySource); the streams are identical.
- *
- * Span contract: each event's memAddrs span points into storage owned
- * by the source and stays valid for at least the next
- * eventSpanStability - 1 subsequent next() calls (replayed spans point
- * into the trace pool and live as long as the trace itself).  Fetch
- * sources may therefore buffer up to eventSpanStability / 2 events of
- * lookahead without copying addresses.
- */
-class EventSource
-{
-  public:
-    virtual ~EventSource() = default;
-
-    /** Produce the next committed event; false at end of program. */
-    virtual bool next(BlockEvent &ev) = 0;
-};
-
-/** Minimum number of next() calls an event's memAddrs span survives
- *  (sized above every fetch source's lookahead depth). */
-constexpr std::size_t eventSpanStability = 128;
-
-/** EventSource that owns a live functional interpreter.  The
- *  interpreter reuses one address buffer per step, so events are
- *  rotated through eventSpanStability retained copies to satisfy the
- *  span contract. */
-class InterpEventSource final : public EventSource
-{
-  public:
-    InterpEventSource(const Module &module, Interp::Limits limits)
-        : interp(module, limits)
-    {
-    }
-
-    bool
-    next(BlockEvent &ev) override
-    {
-        if (!interp.step(ev))
-            return false;
-        std::vector<std::uint64_t> &slot = pool[cursor];
-        cursor = (cursor + 1) & (eventSpanStability - 1);
-        slot.assign(ev.memAddrs, ev.memAddrs + ev.memCount);
-        ev.memAddrs = slot.data();
-        return true;
-    }
-
-  private:
-    Interp interp;
-    std::array<std::vector<std::uint64_t>, eventSpanStability> pool;
-    std::size_t cursor = 0;
-};
-
-/** EventSource that replays a captured trace.  Holds only a cursor;
- *  many replay sources may read one trace concurrently.  Replay is
- *  zero-copy: emitted events carry spans into the trace's shared
- *  address pool. */
-class TraceReplaySource final : public EventSource
-{
-  public:
-    explicit TraceReplaySource(const ExecTrace &t) : trace(t) {}
-
-    bool next(BlockEvent &ev) override;
-
-  private:
-    const ExecTrace &trace;
-    std::size_t pos = 0;
-};
 
 } // namespace bsisa
 

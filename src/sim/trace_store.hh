@@ -28,8 +28,8 @@
  *                      aligned.  Stored verbatim *because* replay
  *                      hands out zero-copy spans into this section:
  *                      the mmap-ed pages become ExecTrace::memAddrs
- *                      directly and satisfy the span-stability
- *                      contract for the life of the trace.
+ *                      directly, and the implicit offsets satisfy
+ *                      the ExecTrace span-adjacency invariant.
  *
  * Opening verifies the header, both section checksums, and the
  * decoded event stream's bounds; any mismatch (torn write, stale

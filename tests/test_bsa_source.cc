@@ -47,6 +47,8 @@ struct TestRig
 {
     Module module;
     BsaModule bsa;
+    DecodedProgram decoded;
+    ExecTrace trace;
 
     explicit TestRig(const char *source, std::uint64_t data_seed = 5)
         : module(compileBlockCOrDie(source))
@@ -56,6 +58,8 @@ struct TestRig
             word = rng.nextBelow(8);
         bsa = enlargeModule(module, EnlargeConfig{});
         layoutBsaModule(bsa);
+        decoded = DecodedProgram::forBsa(bsa);
+        trace = captureTrace(module, Interp::Limits{});
     }
 };
 
@@ -76,7 +80,8 @@ TEST(BsaSource, TilesTheBasicBlockStreamExactly)
     }
 
     MachineConfig machine;
-    BsaFetchSource source(setup.bsa, machine, limits);
+    BsaFetchSource source(setup.bsa, machine, setup.trace,
+                          setup.decoded);
     TimingUnit unit;
     std::size_t cursor = 0;
     std::uint64_t total_ops = 0;
@@ -115,7 +120,8 @@ TEST(BsaSource, MemAddrsMatchFunctionalExecution)
     }
 
     MachineConfig machine;
-    BsaFetchSource source(setup.bsa, machine, limits);
+    BsaFetchSource source(setup.bsa, machine, setup.trace,
+                          setup.decoded);
     TimingUnit unit;
     std::vector<std::uint64_t> got;
     while (source.next(unit))
@@ -129,7 +135,8 @@ TEST(BsaSource, PerfectPredictionNeverMispredicts)
     TestRig setup(kBranchy);
     MachineConfig machine;
     machine.perfectPrediction = true;
-    BsaFetchSource source(setup.bsa, machine, Interp::Limits{});
+    BsaFetchSource source(setup.bsa, machine, setup.trace,
+                          setup.decoded);
     TimingUnit unit;
     while (source.next(unit))
         EXPECT_FALSE(unit.redirect.mispredicted);
@@ -140,7 +147,8 @@ TEST(BsaSource, RealPredictorMispredictsAndClassifies)
 {
     TestRig setup(kBranchy);
     MachineConfig machine;
-    BsaFetchSource source(setup.bsa, machine, Interp::Limits{});
+    BsaFetchSource source(setup.bsa, machine, setup.trace,
+                          setup.decoded);
     TimingUnit unit;
     std::uint64_t fault_units = 0, trap_units = 0;
     while (source.next(unit)) {
@@ -180,7 +188,8 @@ TEST(BsaSource, DeterministicStream)
     MachineConfig machine;
     for (int round = 0; round < 2; ++round) {
         static std::vector<std::uint64_t> first;
-        BsaFetchSource source(setup.bsa, machine, Interp::Limits{});
+        BsaFetchSource source(setup.bsa, machine, setup.trace,
+                              setup.decoded);
         TimingUnit unit;
         std::vector<std::uint64_t> pcs;
         while (source.next(unit))
@@ -203,12 +212,14 @@ TEST(BsaSource, OpBudgetTruncationIsClean)
     const Module m = generateWorkload(params);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{});
     layoutBsaModule(bsa);
+    const DecodedProgram decoded = DecodedProgram::forBsa(bsa);
 
     for (std::uint64_t budget : {1000u, 5000u, 50000u}) {
         MachineConfig machine;
         Interp::Limits limits;
         limits.maxOps = budget;
-        BsaFetchSource source(bsa, machine, limits);
+        const ExecTrace trace = captureTrace(m, limits);
+        BsaFetchSource source(bsa, machine, trace, decoded);
         TimingUnit unit;
         std::uint64_t units = 0;
         while (source.next(unit))
@@ -228,7 +239,8 @@ TEST(BsaSource, ShallowCommitsArePossibleButBounded)
 
     auto run_avg = [&](bool perfect) {
         machine.perfectPrediction = perfect;
-        BsaFetchSource source(setup.bsa, machine, Interp::Limits{});
+        BsaFetchSource source(setup.bsa, machine, setup.trace,
+                              setup.decoded);
         TimingUnit unit;
         std::uint64_t units = 0, ops = 0;
         while (source.next(unit)) {

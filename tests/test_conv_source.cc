@@ -70,8 +70,10 @@ TEST(ConvSource, EmitsEveryBlockExactlyOnce)
     }
 
     const ConvLayout layout(m);
+    const DecodedProgram decoded = DecodedProgram::forModule(m);
+    const ExecTrace trace = captureTrace(m, limits);
     MachineConfig machine;
-    ConvFetchSource source(m, layout, machine, limits);
+    ConvFetchSource source(m, layout, machine, trace, decoded);
     TimingUnit unit;
     std::uint64_t units = 0, ops = 0;
     while (source.next(unit)) {
@@ -89,8 +91,10 @@ TEST(ConvSource, RedirectsPointAtThePreviousTerminator)
 {
     const Module m = makeProgram(kMixed);
     const ConvLayout layout(m);
+    const DecodedProgram decoded = DecodedProgram::forModule(m);
+    const ExecTrace trace = captureTrace(m, Interp::Limits{});
     MachineConfig machine;
-    ConvFetchSource source(m, layout, machine, Interp::Limits{});
+    ConvFetchSource source(m, layout, machine, trace, decoded);
     TimingUnit unit;
     std::size_t prev_ops = 0;
     std::uint64_t mispredicted_units = 0;

@@ -8,8 +8,9 @@
  *      Operation properties they cache (including the fault masks of
  *      atomic blocks).
  *   2. Every timing model produces a bit-identical SimResult whether
- *      the committed stream comes from a live interpreter or from a
- *      zero-copy trace replay, across all eight benchmarks.
+ *      it is run through the Interp::Limits entry points (one
+ *      interpreter run, captured then replayed) or over a trace
+ *      captured up front, across all eight benchmarks.
  *   3. The replay hot path is allocation-free in the steady state: a
  *      4x-longer replay performs exactly as many heap allocations as
  *      a short one (all allocations are construction/warmup), i.e.
@@ -223,22 +224,24 @@ TEST(Decoded, ReplaySteadyStateIsAllocationFree)
 
     MachineConfig machine;
     const ConvLayout layout(m);
+    const DecodedProgram decoded = DecodedProgram::forModule(m);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{}, nullptr, nullptr);
     layoutBsaModule(bsa);
+    const DecodedProgram bsaDecoded = DecodedProgram::forBsa(bsa);
 
     // Allocations during simulatePipeline only: sources (and their
     // decoded programs) are constructed outside the measured region,
     // so any remaining count is SchedState warmup — identical for
     // both trace lengths iff the per-block path never allocates.
     auto conv_allocs = [&](const ExecTrace &t) {
-        ConvFetchSource source(m, layout, machine, t);
+        ConvFetchSource source(m, layout, machine, t, decoded);
         const std::uint64_t before =
             allocCount.load(std::memory_order_relaxed);
         simulatePipeline(source, machine);
         return allocCount.load(std::memory_order_relaxed) - before;
     };
     auto bsa_allocs = [&](const ExecTrace &t) {
-        BsaFetchSource source(bsa, machine, t);
+        BsaFetchSource source(bsa, machine, t, bsaDecoded);
         const std::uint64_t before =
             allocCount.load(std::memory_order_relaxed);
         simulatePipeline(source, machine);
@@ -247,50 +250,6 @@ TEST(Decoded, ReplaySteadyStateIsAllocationFree)
 
     EXPECT_EQ(conv_allocs(long_trace), conv_allocs(short_trace));
     EXPECT_EQ(bsa_allocs(long_trace), bsa_allocs(short_trace));
-}
-
-TEST(Decoded, SharedDecodeConstructionCopiesNothing)
-{
-    // Lockstep batches build the DecodedProgram once and hand it to
-    // every lane's source; the shared-decode constructors must borrow
-    // it, not copy it.  A borrowed decode skips every decode-table
-    // allocation, so the shared ctor allocates strictly less than the
-    // owning ctor.
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    Interp::Limits limits;
-    limits.maxOps = suite[0].scaledBudget(4000);
-    const ExecTrace trace = captureTrace(m, limits);
-    MachineConfig machine;
-    const ConvLayout layout(m);
-    const DecodedProgram decoded = DecodedProgram::forModule(m);
-
-    auto conv_ctor_allocs = [&](bool shared) {
-        const std::uint64_t before =
-            allocCount.load(std::memory_order_relaxed);
-        if (shared) {
-            ConvFetchSource source(m, layout, machine, trace, decoded);
-        } else {
-            ConvFetchSource source(m, layout, machine, trace);
-        }
-        return allocCount.load(std::memory_order_relaxed) - before;
-    };
-    EXPECT_LT(conv_ctor_allocs(true), conv_ctor_allocs(false));
-
-    BsaModule bsa = enlargeModule(m, EnlargeConfig{}, nullptr, nullptr);
-    layoutBsaModule(bsa);
-    const DecodedProgram bsaDecoded = DecodedProgram::forBsa(bsa);
-    auto bsa_ctor_allocs = [&](bool shared) {
-        const std::uint64_t before =
-            allocCount.load(std::memory_order_relaxed);
-        if (shared) {
-            BsaFetchSource source(bsa, machine, trace, bsaDecoded);
-        } else {
-            BsaFetchSource source(bsa, machine, trace);
-        }
-        return allocCount.load(std::memory_order_relaxed) - before;
-    };
-    EXPECT_LT(bsa_ctor_allocs(true), bsa_ctor_allocs(false));
 }
 
 TEST(Decoded, LockstepSteadyStateIsAllocationFree)
@@ -365,18 +324,20 @@ TEST(Decoded, MmapReplaySteadyStateIsAllocationFree)
 
     MachineConfig machine;
     const ConvLayout layout(m);
+    const DecodedProgram decoded = DecodedProgram::forModule(m);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{}, nullptr, nullptr);
     layoutBsaModule(bsa);
+    const DecodedProgram bsaDecoded = DecodedProgram::forBsa(bsa);
 
     auto conv_allocs = [&](const ExecTrace &t) {
-        ConvFetchSource source(m, layout, machine, t);
+        ConvFetchSource source(m, layout, machine, t, decoded);
         const std::uint64_t before =
             allocCount.load(std::memory_order_relaxed);
         simulatePipeline(source, machine);
         return allocCount.load(std::memory_order_relaxed) - before;
     };
     auto bsa_allocs = [&](const ExecTrace &t) {
-        BsaFetchSource source(bsa, machine, t);
+        BsaFetchSource source(bsa, machine, t, bsaDecoded);
         const std::uint64_t before =
             allocCount.load(std::memory_order_relaxed);
         simulatePipeline(source, machine);

@@ -23,6 +23,7 @@
 #include "exp/runner.hh"
 #include "frontend/compile.hh"
 #include "fuzz/corpus.hh"
+#include "sim/bsa_source.hh"
 #include "sim/fetch_outcome.hh"
 #include "sim/trace.hh"
 #include "support/parallel.hh"
@@ -126,10 +127,25 @@ class ScopedEnv
 TEST(Lockstep, BatchMatchesSequentialAcrossSuite)
 {
     const std::vector<MachineConfig> grid = grid16();
-    for (const SpecBenchmark &bench : specint95Suite()) {
-        SCOPED_TRACE(bench.params.name);
-        const Module m = generateWorkload(bench.params);
-        const ExecTrace trace = captureTrace(m, testLimits(bench));
+    const auto suite = specint95Suite();
+    // Every benchmark at its test budget, plus one trace shorter than
+    // the 64-event BSA lookahead, so every fetch of it sees a window
+    // truncated at the trace tail.
+    std::vector<std::pair<const SpecBenchmark *, Interp::Limits>> inputs;
+    for (const SpecBenchmark &bench : suite)
+        inputs.emplace_back(&bench, testLimits(bench));
+    Interp::Limits shortLimits;
+    shortLimits.maxBlocks = 40;
+    inputs.emplace_back(&suite[0], shortLimits);
+
+    for (const auto &[bench, limits] : inputs) {
+        SCOPED_TRACE(bench->params.name + " maxBlocks=" +
+                     std::to_string(limits.maxBlocks));
+        const Module m = generateWorkload(bench->params);
+        const ExecTrace trace = captureTrace(m, limits);
+        if (limits.maxBlocks == shortLimits.maxBlocks) {
+            ASSERT_LT(trace.eventCount, BsaFetchSource::lookahead);
+        }
 
         // Conventional machine.
         const std::vector<SimResult> convBatch =

@@ -375,9 +375,10 @@ TEST(Ooo, CommitDigestMatchesEmitStreamAcrossMachines)
     machine.timingModel = TimingModel::Ooo;
 
     const ConvLayout layout(module);
+    const DecodedProgram decoded = DecodedProgram::forModule(module);
     OooTelemetry tel;
     {
-        ConvFetchSource source(module, layout, machine, trace);
+        ConvFetchSource source(module, layout, machine, trace, decoded);
         const SimResult r = simulateOoO(source, machine, &tel);
         EXPECT_EQ(r.retiredOps, trace.dynOps);
         EXPECT_EQ(r.retiredUnits, trace.eventCount);
@@ -391,18 +392,20 @@ TEST(Ooo, CommitDigestMatchesEmitStreamAcrossMachines)
         // The ROB drains units many next() calls after their emit, so
         // digest equality proves the backend retained every span it
         // needed rather than reading freed memory.
-        ConvFetchSource reference(module, layout, machine, trace);
+        ConvFetchSource reference(module, layout, machine, trace,
+                                  decoded);
         EXPECT_EQ(tel.commitDigest, fetchStreamDigest(reference));
     }
 
     const BsaModule bsa = enlargeModule(module, EnlargeConfig{});
+    const DecodedProgram bsaDecoded = DecodedProgram::forBsa(bsa);
     OooTelemetry btel;
     {
-        BsaFetchSource source(bsa, machine, trace);
+        BsaFetchSource source(bsa, machine, trace, bsaDecoded);
         simulateOoO(source, machine, &btel);
     }
     {
-        BsaFetchSource reference(bsa, machine, trace);
+        BsaFetchSource reference(bsa, machine, trace, bsaDecoded);
         EXPECT_EQ(btel.commitDigest, fetchStreamDigest(reference));
     }
 }

@@ -2,7 +2,7 @@
  * @file
  * Tests of the persistent content-addressed trace store.
  *
- * Four properties are pinned down:
+ * Five properties are pinned down:
  *   1. The on-disk round trip is bit-exact: encode + mmap-open
  *      reproduces every TraceEvent field and pool address of a live
  *      capture, on all eight benchmarks, and the replayed SimResult
@@ -16,6 +16,8 @@
  *      results, and leaves a repaired entry on disk.
  *   4. With no store configured, captureOrLoadTrace is plain
  *      captureTrace.
+ *   5. Captured and warm-loaded traces both satisfy the ExecTrace
+ *      span-adjacency invariant the fetch sources slice units by.
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +83,19 @@ expectSameTrace(const ExecTrace &a, const ExecTrace &b)
     }
     for (std::size_t i = 0; i < a.memAddrCount; ++i)
         ASSERT_EQ(a.memAddrs[i], b.memAddrs[i]) << "addr " << i;
+}
+
+/** ExecTrace span adjacency: each event's span starts where the
+ *  previous one ended, and the last span ends at the pool size. */
+void
+expectAdjacentSpans(const ExecTrace &t)
+{
+    std::uint64_t next = 0;
+    for (std::size_t i = 0; i < t.eventCount; ++i) {
+        ASSERT_EQ(t.events[i].memBegin, next) << "event " << i;
+        next += t.events[i].memCount;
+    }
+    EXPECT_EQ(next, t.memAddrCount);
 }
 
 void
@@ -178,6 +193,25 @@ TEST_F(TraceStoreTest, WarmLoadRunsZeroFunctionalExecutions)
     EXPECT_EQ(TraceStore::stats().warmLoads, 1u);
     EXPECT_EQ(TraceStore::stats().fallbacks, 0u);
     expectSameTrace(cold, warm);
+}
+
+TEST_F(TraceStoreTest, CapturedAndWarmTracesHaveAdjacentSpans)
+{
+    const auto suite = specint95Suite();
+    const Module m = generateWorkload(suite[0].params);
+    const std::uint64_t digest = moduleDigest(m);
+    Interp::Limits limits;
+    limits.maxOps = suite[0].scaledBudget(4000);
+
+    const ExecTrace captured = captureTrace(m, limits);
+    ASSERT_GT(captured.memAddrCount, 0u);
+    expectAdjacentSpans(captured);
+
+    const TraceStore store(dir);
+    (void)store.load(m, digest, limits);  // cold: write the entry
+    const ExecTrace warm = store.load(m, digest, limits);
+    ASSERT_TRUE(warm.mapped());
+    expectAdjacentSpans(warm);
 }
 
 TEST_F(TraceStoreTest, CorruptionMatrixFallsBackAndRepairs)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/trace_cache.hh"
+#include "codegen/layout.hh"
 #include "exp/runner.hh"
 #include "frontend/compile.hh"
 #include "sim/tc_source.hh"
@@ -126,22 +127,40 @@ TEST(TcSource, RetiresExactlyTheDynamicOps)
     Interp interp(m, limits);
     interp.run();
     const std::uint64_t want = interp.dynOps();
+    const ExecTrace trace = captureTrace(m, limits);
 
+    // Driven directly, the units' ops add up to the functional run and
+    // their address spans tile the trace pool in order.
     MachineConfig machine;
+    const ConvLayout layout(m);
+    const DecodedProgram decoded = DecodedProgram::forModule(m);
+    TraceCacheFetchSource source(m, layout, machine, TraceCacheConfig{},
+                                 trace, decoded);
+    TimingUnit unit;
+    std::uint64_t ops = 0, addrs = 0;
+    while (source.next(unit)) {
+        ops += unit.opCount;
+        ASSERT_EQ(unit.memAddrs, trace.memAddrs + addrs);
+        addrs += unit.memCount;
+    }
+    EXPECT_EQ(ops, want);
+    EXPECT_EQ(addrs, trace.memAddrCount);
+    EXPECT_GT(source.traceHits(), 0u);
+
     const TraceCacheResult r =
-        runTraceCache(m, machine, TraceCacheConfig{}, limits);
+        runTraceCache(m, machine, TraceCacheConfig{}, trace);
     EXPECT_EQ(r.sim.retiredOps, want);
 }
 
 TEST(TcSource, HitsGrowFetchRate)
 {
     const Module m = loopyModule();
-    Interp::Limits limits;
+    const ExecTrace trace = captureTrace(m, Interp::Limits{});
     MachineConfig machine;
 
-    const SimResult conv = runConventional(m, machine, limits);
+    const SimResult conv = runConventional(m, machine, trace);
     const TraceCacheResult tc =
-        runTraceCache(m, machine, TraceCacheConfig{}, limits);
+        runTraceCache(m, machine, TraceCacheConfig{}, trace);
 
     // A hot loop is exactly what a trace cache eats: many hits, larger
     // average fetch unit, fewer cycles.
@@ -153,11 +172,11 @@ TEST(TcSource, HitsGrowFetchRate)
 TEST(TcSource, PerfectPredictionHasNoMispredicts)
 {
     const Module m = loopyModule();
-    Interp::Limits limits;
+    const ExecTrace trace = captureTrace(m, Interp::Limits{});
     MachineConfig machine;
     machine.perfectPrediction = true;
     const TraceCacheResult r =
-        runTraceCache(m, machine, TraceCacheConfig{}, limits);
+        runTraceCache(m, machine, TraceCacheConfig{}, trace);
     EXPECT_EQ(r.sim.mispredicts, 0u);
 }
 
@@ -167,13 +186,12 @@ TEST(TcSource, ZeroCapacityDegradesToConventional)
     // ever installed and behaviour must match the plain machine's
     // block sizes.
     const Module m = loopyModule();
-    Interp::Limits limits;
+    const ExecTrace trace = captureTrace(m, Interp::Limits{});
     MachineConfig machine;
     TraceCacheConfig tiny;
     tiny.maxBlocks = 1;
-    const TraceCacheResult r =
-        runTraceCache(m, machine, tiny, limits);
-    const SimResult conv = runConventional(m, machine, limits);
+    const TraceCacheResult r = runTraceCache(m, machine, tiny, trace);
+    const SimResult conv = runConventional(m, machine, trace);
     EXPECT_EQ(r.traceHits, 0u);
     EXPECT_NEAR(r.sim.avgBlockSize(), conv.avgBlockSize(), 1e-9);
 }
@@ -181,12 +199,12 @@ TEST(TcSource, ZeroCapacityDegradesToConventional)
 TEST(TcSource, DeterministicAcrossRuns)
 {
     const Module m = loopyModule();
-    Interp::Limits limits;
+    const ExecTrace trace = captureTrace(m, Interp::Limits{});
     MachineConfig machine;
     const TraceCacheResult a =
-        runTraceCache(m, machine, TraceCacheConfig{}, limits);
+        runTraceCache(m, machine, TraceCacheConfig{}, trace);
     const TraceCacheResult b =
-        runTraceCache(m, machine, TraceCacheConfig{}, limits);
+        runTraceCache(m, machine, TraceCacheConfig{}, trace);
     EXPECT_EQ(a.sim.cycles, b.sim.cycles);
     EXPECT_EQ(a.traceHits, b.traceHits);
 }
