@@ -25,10 +25,8 @@
 #include "codegen/layout.hh"
 #include "exp/runner.hh"
 #include "frontend/compile.hh"
-#include "sim/fetch_outcome.hh"
 #include "sim/trace_store.hh"
 #include "support/env.hh"
-#include "support/simd_dispatch.hh"
 #include "support/parallel.hh"
 #include "support/rng.hh"
 #include "support/varint.hh"
@@ -287,34 +285,6 @@ BM_Grid16Conv_IndependentReplay(benchmark::State &state)
 BENCHMARK(BM_Grid16Conv_IndependentReplay)
     ->Unit(benchmark::kMillisecond);
 
-/**
- * Wall-clock split of the fused lockstep runs between the fetch
- * pre-pass (predictors walking the trace, recording outcome streams)
- * and the timing walk (op-major batches consuming them), accumulated
- * across benchmark iterations from lockstepLastFetchStats().  Each
- * phase's ops/s is the sweep's simulated ops divided by that phase's
- * seconds alone — i.e. the throughput the sweep would reach if the
- * other phase were free — recorded in BENCH_PR8.json.
- */
-struct PhaseAccum
-{
-    double fetchSec = 0.0;
-    double timingSec = 0.0;
-    std::uint64_t simOps = 0;
-};
-
-PhaseAccum convPhases;
-PhaseAccum bsaPhases;
-
-void
-accumulatePhases(PhaseAccum &accum, std::uint64_t simOps)
-{
-    const LockstepFetchStats &fs = lockstepLastFetchStats();
-    accum.fetchSec += fs.fetchSeconds;
-    accum.timingSec += fs.timingSeconds;
-    accum.simOps += simOps;
-}
-
 void
 BM_Grid16Conv_Lockstep(benchmark::State &state)
 {
@@ -325,7 +295,6 @@ BM_Grid16Conv_Lockstep(benchmark::State &state)
     limits.maxOps = budget;
     const ExecTrace trace = captureTrace(m, limits);
     const std::vector<MachineConfig> grid = benchGrid16();
-    convPhases = PhaseAccum{};
     for (auto _ : state) {
         const std::vector<SimResult> results =
             runConventionalBatch(m, grid, trace);
@@ -333,7 +302,6 @@ BM_Grid16Conv_Lockstep(benchmark::State &state)
         for (const SimResult &r : results)
             total += r.cycles;
         benchmark::DoNotOptimize(total);
-        accumulatePhases(convPhases, budget * grid.size());
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
                             std::int64_t(budget) *
@@ -378,7 +346,6 @@ BM_Grid16Bsa_Lockstep(benchmark::State &state)
     limits.maxOps = budget;
     const ExecTrace trace = captureTrace(m, limits);
     const std::vector<MachineConfig> grid = benchGrid16();
-    bsaPhases = PhaseAccum{};
     for (auto _ : state) {
         const std::vector<SimResult> results =
             runBlockStructuredBatch(bsa, grid, trace);
@@ -386,154 +353,12 @@ BM_Grid16Bsa_Lockstep(benchmark::State &state)
         for (const SimResult &r : results)
             total += r.cycles;
         benchmark::DoNotOptimize(total);
-        accumulatePhases(bsaPhases, budget * grid.size());
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
                             std::int64_t(budget) *
                             std::int64_t(grid.size()));
 }
 BENCHMARK(BM_Grid16Bsa_Lockstep)->Unit(benchmark::kMillisecond);
-
-#if defined(__unix__) || defined(__APPLE__)
-
-/**
- * The same sixteen-config lockstep sweeps with the op-major inner
- * loop disabled (BSISA_FORCE_LANE_MAJOR pins the per-lane reference
- * walk, which is structurally the engine as it existed before the
- * op-major rework).  Lockstep / LockstepLaneMajor from one process
- * run is the op-major + SIMD speedup recorded in BENCH_PR7.json —
- * same binary, same machine state, so the ratio is immune to the
- * run-to-run drift that plagues absolute ops/s on shared hosts.
- */
-struct ScopedSetenv
-{
-    const char *name;
-    ScopedSetenv(const char *n, const char *v) : name(n)
-    {
-        ::setenv(n, v, 1);
-    }
-    ~ScopedSetenv() { ::unsetenv(name); }
-};
-
-void
-BM_Grid16Conv_LockstepLaneMajor(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = sweepBudget();
-    Interp::Limits limits;
-    limits.maxOps = budget;
-    const ExecTrace trace = captureTrace(m, limits);
-    const std::vector<MachineConfig> grid = benchGrid16();
-    const ScopedSetenv laneMajor("BSISA_FORCE_LANE_MAJOR", "1");
-    for (auto _ : state) {
-        const std::vector<SimResult> results =
-            runConventionalBatch(m, grid, trace);
-        std::uint64_t total = 0;
-        for (const SimResult &r : results)
-            total += r.cycles;
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
-                            std::int64_t(grid.size()));
-}
-BENCHMARK(BM_Grid16Conv_LockstepLaneMajor)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_Grid16Bsa_LockstepLaneMajor(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    BsaModule bsa = enlargeModule(m, EnlargeConfig{});
-    layoutBsaModule(bsa);
-    const std::uint64_t budget = sweepBudget();
-    Interp::Limits limits;
-    limits.maxOps = budget;
-    const ExecTrace trace = captureTrace(m, limits);
-    const std::vector<MachineConfig> grid = benchGrid16();
-    const ScopedSetenv laneMajor("BSISA_FORCE_LANE_MAJOR", "1");
-    for (auto _ : state) {
-        const std::vector<SimResult> results =
-            runBlockStructuredBatch(bsa, grid, trace);
-        std::uint64_t total = 0;
-        for (const SimResult &r : results)
-            total += r.cycles;
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
-                            std::int64_t(grid.size()));
-}
-BENCHMARK(BM_Grid16Bsa_LockstepLaneMajor)
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * The same sixteen-config lockstep sweeps with the fused cross-group
- * timing walk disabled (BSISA_FORCE_PER_GROUP pins the interleaved
- * per-group reference, which is structurally the engine as it existed
- * before the fetch/timing decoupling: prediction-group batches capped
- * at the group's lane count, predictor queried live between steps).
- * Lockstep / LockstepPerGroup from one process run is the fetch-
- * fusion speedup recorded in BENCH_PR8.json — same binary, same
- * machine state, so the ratio is immune to run-to-run drift.
- */
-void
-BM_Grid16Conv_LockstepPerGroup(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = sweepBudget();
-    Interp::Limits limits;
-    limits.maxOps = budget;
-    const ExecTrace trace = captureTrace(m, limits);
-    const std::vector<MachineConfig> grid = benchGrid16();
-    const ScopedSetenv perGroup("BSISA_FORCE_PER_GROUP", "1");
-    for (auto _ : state) {
-        const std::vector<SimResult> results =
-            runConventionalBatch(m, grid, trace);
-        std::uint64_t total = 0;
-        for (const SimResult &r : results)
-            total += r.cycles;
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
-                            std::int64_t(grid.size()));
-}
-BENCHMARK(BM_Grid16Conv_LockstepPerGroup)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_Grid16Bsa_LockstepPerGroup(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    BsaModule bsa = enlargeModule(m, EnlargeConfig{});
-    layoutBsaModule(bsa);
-    const std::uint64_t budget = sweepBudget();
-    Interp::Limits limits;
-    limits.maxOps = budget;
-    const ExecTrace trace = captureTrace(m, limits);
-    const std::vector<MachineConfig> grid = benchGrid16();
-    const ScopedSetenv perGroup("BSISA_FORCE_PER_GROUP", "1");
-    for (auto _ : state) {
-        const std::vector<SimResult> results =
-            runBlockStructuredBatch(bsa, grid, trace);
-        std::uint64_t total = 0;
-        for (const SimResult &r : results)
-            total += r.cycles;
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
-                            std::int64_t(grid.size()));
-}
-BENCHMARK(BM_Grid16Bsa_LockstepPerGroup)
-    ->Unit(benchmark::kMillisecond);
-
-#endif // unix
 
 /**
  * Trace-store cold vs warm cost, and the sweep driven from a warm
@@ -828,11 +653,7 @@ writePr6Json(const std::vector<TeeReporter::Entry> &entries)
     double bsa_indep = 0.0, bsa_lock = 0.0;
     bool any = false;
     for (const TeeReporter::Entry &e : entries) {
-        // "Lockstep" is a prefix of the LaneMajor/PerGroup reference
-        // variants' names, so exclude them before substring-matching.
-        if (e.name.find("Grid16") == std::string::npos ||
-            e.name.find("LaneMajor") != std::string::npos ||
-            e.name.find("PerGroup") != std::string::npos)
+        if (e.name.find("Grid16") == std::string::npos)
             continue;
         any = true;
         if (e.name.find("Grid16Conv_IndependentReplay") !=
@@ -860,9 +681,7 @@ writePr6Json(const std::vector<TeeReporter::Entry> &entries)
     std::fprintf(f, "{\n  \"benchmarks\": [\n");
     bool first = true;
     for (const TeeReporter::Entry &e : entries) {
-        if (e.name.find("Grid16") == std::string::npos ||
-            e.name.find("LaneMajor") != std::string::npos ||
-            e.name.find("PerGroup") != std::string::npos)
+        if (e.name.find("Grid16") == std::string::npos)
             continue;
         std::fprintf(f,
                      "%s    {\"name\": \"%s\", "
@@ -891,174 +710,6 @@ writePr6Json(const std::vector<TeeReporter::Entry> &entries)
     std::fclose(f);
 }
 
-/** Write the op-major-vs-lane-major lockstep inner-loop numbers as
- *  BENCH_PR7.json (path overridable via BSISA_BENCH_JSON_PR7; empty
- *  string disables).  Both variants of each sweep ran in THIS
- *  process, so the speedup keys isolate the inner-loop rework from
- *  machine drift; simd_kernel records which kernel implementation the
- *  op-major runs dispatched to. */
-void
-writePr7Json(const std::vector<TeeReporter::Entry> &entries)
-{
-    const char *env = std::getenv("BSISA_BENCH_JSON_PR7");
-    const std::string path = env ? env : "BENCH_PR7.json";
-    if (path.empty())
-        return;
-
-    double conv_op = 0.0, conv_lane = 0.0;
-    double bsa_op = 0.0, bsa_lane = 0.0;
-    bool any = false;
-    for (const TeeReporter::Entry &e : entries) {
-        if (e.name.find("Grid16") == std::string::npos ||
-            e.name.find("Lockstep") == std::string::npos ||
-            e.name.find("PerGroup") != std::string::npos)
-            continue;
-        const bool lane_major =
-            e.name.find("LaneMajor") != std::string::npos;
-        const bool conv =
-            e.name.find("Grid16Conv") != std::string::npos;
-        if (lane_major)
-            (conv ? conv_lane : bsa_lane) = e.itemsPerSecond;
-        else
-            (conv ? conv_op : bsa_op) = e.itemsPerSecond;
-        any = true;
-    }
-    if (!any || (conv_lane == 0.0 && bsa_lane == 0.0))
-        return;  // need both variants for a meaningful ratio
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-    bool first = true;
-    for (const TeeReporter::Entry &e : entries) {
-        if (e.name.find("Grid16") == std::string::npos ||
-            e.name.find("Lockstep") == std::string::npos ||
-            e.name.find("PerGroup") != std::string::npos)
-            continue;
-        std::fprintf(f,
-                     "%s    {\"name\": \"%s\", "
-                     "\"real_time_sec\": %.9g, "
-                     "\"cpu_time_sec\": %.9g, "
-                     "\"items_per_second\": %.9g, "
-                     "\"iterations\": %lld}",
-                     first ? "" : ",\n", e.name.c_str(),
-                     e.realTimeSec, e.cpuTimeSec, e.itemsPerSecond,
-                     static_cast<long long>(e.iterations));
-        first = false;
-    }
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f, "  \"simd_kernel\": \"%s\",\n",
-                 simdKernels().name);
-    std::fprintf(f,
-                 "  \"conv_lane_major_ops_per_sec\": %.9g,\n"
-                 "  \"conv_op_major_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_lane_major_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_op_major_ops_per_sec\": %.9g,\n",
-                 conv_lane, conv_op, bsa_lane, bsa_op);
-    std::fprintf(f, "  \"conv_op_major_speedup\": %.6g,\n",
-                 conv_lane > 0.0 ? conv_op / conv_lane : 0.0);
-    std::fprintf(f, "  \"bsa_op_major_speedup\": %.6g\n",
-                 bsa_lane > 0.0 ? bsa_op / bsa_lane : 0.0);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-}
-
-/** Write the fused-vs-per-group lockstep numbers plus the fused runs'
- *  fetch/timing phase split as BENCH_PR8.json (path overridable via
- *  BSISA_BENCH_JSON_PR8; empty string disables).  Both variants of
- *  each sweep ran in THIS process, so the speedup keys isolate the
- *  fetch/timing decoupling from machine drift; the phase keys report
- *  each phase's standalone throughput (sweep ops / that phase's
- *  seconds) from the fused runs' lockstepLastFetchStats(). */
-void
-writePr8Json(const std::vector<TeeReporter::Entry> &entries)
-{
-    const char *env = std::getenv("BSISA_BENCH_JSON_PR8");
-    const std::string path = env ? env : "BENCH_PR8.json";
-    if (path.empty())
-        return;
-
-    double conv_fused = 0.0, conv_group = 0.0;
-    double bsa_fused = 0.0, bsa_group = 0.0;
-    for (const TeeReporter::Entry &e : entries) {
-        if (e.name.find("Grid16") == std::string::npos ||
-            e.name.find("Lockstep") == std::string::npos ||
-            e.name.find("LaneMajor") != std::string::npos)
-            continue;
-        const bool per_group =
-            e.name.find("PerGroup") != std::string::npos;
-        const bool conv =
-            e.name.find("Grid16Conv") != std::string::npos;
-        if (per_group)
-            (conv ? conv_group : bsa_group) = e.itemsPerSecond;
-        else
-            (conv ? conv_fused : bsa_fused) = e.itemsPerSecond;
-    }
-    if (conv_group == 0.0 && bsa_group == 0.0)
-        return;  // need both variants for a meaningful ratio
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-    bool first = true;
-    for (const TeeReporter::Entry &e : entries) {
-        if (e.name.find("Grid16") == std::string::npos ||
-            e.name.find("Lockstep") == std::string::npos ||
-            e.name.find("LaneMajor") != std::string::npos)
-            continue;
-        std::fprintf(f,
-                     "%s    {\"name\": \"%s\", "
-                     "\"real_time_sec\": %.9g, "
-                     "\"cpu_time_sec\": %.9g, "
-                     "\"items_per_second\": %.9g, "
-                     "\"iterations\": %lld}",
-                     first ? "" : ",\n", e.name.c_str(),
-                     e.realTimeSec, e.cpuTimeSec, e.itemsPerSecond,
-                     static_cast<long long>(e.iterations));
-        first = false;
-    }
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f, "  \"simd_kernel\": \"%s\",\n",
-                 simdKernels().name);
-    std::fprintf(f,
-                 "  \"conv_per_group_ops_per_sec\": %.9g,\n"
-                 "  \"conv_fused_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_per_group_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_fused_ops_per_sec\": %.9g,\n",
-                 conv_group, conv_fused, bsa_group, bsa_fused);
-    std::fprintf(f, "  \"conv_fused_speedup\": %.6g,\n",
-                 conv_group > 0.0 ? conv_fused / conv_group : 0.0);
-    std::fprintf(f, "  \"bsa_fused_speedup\": %.6g,\n",
-                 bsa_group > 0.0 ? bsa_fused / bsa_group : 0.0);
-    std::fprintf(f,
-                 "  \"conv_fetch_phase_ops_per_sec\": %.9g,\n"
-                 "  \"conv_timing_phase_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_fetch_phase_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_timing_phase_ops_per_sec\": %.9g\n",
-                 convPhases.fetchSec > 0.0
-                     ? double(convPhases.simOps) / convPhases.fetchSec
-                     : 0.0,
-                 convPhases.timingSec > 0.0
-                     ? double(convPhases.simOps) / convPhases.timingSec
-                     : 0.0,
-                 bsaPhases.fetchSec > 0.0
-                     ? double(bsaPhases.simOps) / bsaPhases.fetchSec
-                     : 0.0,
-                 bsaPhases.timingSec > 0.0
-                     ? double(bsaPhases.simOps) / bsaPhases.timingSec
-                     : 0.0);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -1072,8 +723,6 @@ main(int argc, char **argv)
     benchmark::Shutdown();
     writeJson(reporter.entries);
     writePr6Json(reporter.entries);
-    writePr7Json(reporter.entries);
-    writePr8Json(reporter.entries);
     bsisabench::reportTraceStore();
     std::error_code ec;
     std::filesystem::remove_all(benchStoreDir(), ec);

@@ -674,29 +674,6 @@ checkLockstep(const Module &module, const ExecTrace &trace,
         }
     }
 
-    // Fetch-fusion differential: the decoupled drivers (default,
-    // computed above) against the interleaved per-group reference
-    // structure — the cross-group batch fusion and the recorded
-    // outcome streams must not change any lane's results.
-    ::setenv("BSISA_FORCE_PER_GROUP", "1", 1);
-    const std::vector<SimResult> convPerGroup =
-        runConventionalBatch(module, grid, trace);
-    const std::vector<SimResult> bsaPerGroup =
-        runBlockStructuredBatch(bsa, grid, trace);
-    ::unsetenv("BSISA_FORCE_PER_GROUP");
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!sameSim(batched[i], convPerGroup[i])) {
-            return fail("fetchfusion",
-                        "conv lane " + std::to_string(i) +
-                            " differs between fused and per-group");
-        }
-        if (!sameSim(bbatch[i], bsaPerGroup[i])) {
-            return fail("fetchfusion",
-                        "bsa lane " + std::to_string(i) +
-                            " differs between fused and per-group");
-        }
-    }
-
     // Trace-cache machine: two cache geometries per machine config.
     std::vector<MachineConfig> tcMachines{grid[0], grid[0], grid[3]};
     TraceCacheConfig small;

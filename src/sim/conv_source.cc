@@ -105,24 +105,15 @@ ConvPredictor::predictSuccessor(FuncId func, BlockId block,
 }
 
 void
-ConvPredictor::captureOutcomes(const ExecTrace &trace,
-                               FetchOutcomeStream &out)
+ConvPredictor::captureOutcomes(const ExecTrace &trace, std::size_t begin,
+                               std::size_t end, FetchOutcomeStream &out)
 {
-    // The fused conventional driver compares redirect steps against
-    // truncated positions, so the stream length must fit the 32-bit
-    // step indices (the BSA driver asserts the same bound).
+    // The timing walk compares redirect steps against truncated
+    // positions, so the stream length must fit the 32-bit step
+    // indices (the BSA driver asserts the same bound).
     BSISA_ASSERT(trace.eventCount <= 0xffffffffull,
                  "redirect step indices are 32-bit");
-    // Exact upper bound (at most one redirect per event), reserved up
-    // front so the capture loop is allocation-free: the lockstep
-    // steady state performs a length-independent number of heap
-    // allocations (tests/test_decoded.cc).  Oracle predictors never
-    // redirect and skip the reservation entirely.
-    if (!perfect) {
-        out.redirects.reserve(trace.eventCount);
-        out.redirectStep.reserve(trace.eventCount);
-    }
-    for (std::size_t pos = 0; pos < trace.eventCount; ++pos) {
+    for (std::size_t pos = begin; pos < end; ++pos) {
         const TraceEvent &e = trace.events[pos];
         if (pendingRedirect.mispredicted) {
             out.redirects.push_back(pendingRedirect);
@@ -132,8 +123,6 @@ ConvPredictor::captureOutcomes(const ExecTrace &trace,
         predictSuccessor(e.func, e.block, e.exit, e.taken, e.nextFunc,
                          e.nextBlock);
     }
-    out.nPredictions = nPredictions;
-    out.nTrapMiss = nMispredicts;
 }
 
 bool

@@ -47,19 +47,20 @@ class ConvPredictor
                           BlockId nextBlock);
 
     /**
-     * Decoupled fetch-outcome pre-pass: run this predictor over the
-     * whole committed stream of @p trace in one sweep, recording the
-     * sparse redirect outcomes into @p out (redirects[i] applies to
-     * the unit fetched at trace position redirectStep[i]).  The
-     * conventional machine's units ARE the trace events, so no
-     * per-step records are stored — a timing walk reconstructs each
-     * unit from the event and gathers its lane's redirect by cursor.
-     * Identical call sequence to the interleaved driver (pending()
-     * read before predictSuccessor() per event), so the trained
-     * predictor state and the statistics are bit-identical.
+     * Decoupled fetch-outcome pre-pass: run this predictor over trace
+     * positions [@p begin, @p end) in one sweep, appending the sparse
+     * redirect outcomes to @p out (redirects[i] applies to the unit
+     * fetched at trace position redirectStep[i]).  The conventional
+     * machine's units ARE the trace events, so no per-step records
+     * are stored — a timing walk reconstructs each unit from the
+     * event and gathers its lane's redirect by cursor.  Same call
+     * sequence as ConvFetchSource (pending() read before
+     * predictSuccessor() per event), so consecutive windows leave the
+     * trained predictor state and the statistics bit-identical to a
+     * singleton replay.
      */
-    void captureOutcomes(const ExecTrace &trace,
-                         FetchOutcomeStream &out);
+    void captureOutcomes(const ExecTrace &trace, std::size_t begin,
+                         std::size_t end, FetchOutcomeStream &out);
 
     /** Redirect info for the unit about to be fetched. */
     const RedirectInfo &pending() const { return pendingRedirect; }

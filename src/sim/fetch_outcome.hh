@@ -25,11 +25,18 @@
  * DecodedProgram, which outlives the engine, so storing them is safe;
  * a unit's committed addresses are one slice of the trace's address
  * pool (the ExecTrace span-adjacency invariant), stored as an offset.
+ *
+ * The drivers capture in fixed windows of fetchCaptureWindow trace
+ * events: every group records the steps starting inside the window,
+ * the timing walk consumes them, and the streams are cleared (keeping
+ * their capacity) before the next window.  Stream memory is therefore
+ * bounded by groups x window whatever the trace length.
  */
 
 #ifndef BSISA_SIM_FETCH_OUTCOME_HH
 #define BSISA_SIM_FETCH_OUTCOME_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +44,14 @@
 
 namespace bsisa
 {
+
+/**
+ * Trace events per capture window.  A window's records and redirects
+ * are at most one per event, so reserving min(fetchCaptureWindow,
+ * eventCount) entries per group is an exact bound and the capture
+ * walk never allocates.
+ */
+constexpr std::size_t fetchCaptureWindow = std::size_t(1) << 12;
 
 /**
  * One fetch step of a prediction group: the committed unit identity
@@ -54,10 +69,9 @@ struct FetchOutcomeRecord
 };
 
 /**
- * The memoized fetch-outcome stream of one predictor identity: the
- * per-step records, the sparse redirect list (redirects[i] applies to
- * fetch step redirectStep[i]; both ascend), and the fetch-side
- * statistics the lanes report.
+ * The fetch-outcome stream of one predictor identity over the current
+ * capture window: the per-step records and the sparse redirect list
+ * (redirects[i] applies to fetch step redirectStep[i]; both ascend).
  */
 struct FetchOutcomeStream
 {
@@ -65,20 +79,24 @@ struct FetchOutcomeStream
     std::vector<RedirectInfo> redirects;      //!< mispredicts only
     std::vector<std::uint32_t> redirectStep;  //!< parallel step index
 
-    std::uint64_t nPredictions = 0;
-    std::uint64_t nTrapMiss = 0;
-    std::uint64_t nFaultMiss = 0;
-    std::uint64_t nCascadeHops = 0;
+    /** Drop the window's contents, keeping the capacity. */
+    void
+    clear()
+    {
+        steps.clear();
+        redirects.clear();
+        redirectStep.clear();
+    }
 };
 
 /**
  * Instrumentation of the most recent lockstep run on this thread
  * (filled by lockstepConventional / lockstepBlockStructured): group
  * and batching shape, memoization effectiveness, and the wall-clock
- * split between the fetch pre-pass and the timing kernel.  Intended
- * for tests (memo hit-rate and fused-width asserts) and for the
- * per-phase throughput numbers in BENCH_PR8.json; not part of any
- * result contract.
+ * split between the fetch pre-pass and the timing kernel (summed over
+ * the capture windows).  Intended for tests (memo hit-rate and
+ * batch-width asserts), the bench harnesses and perfbench's traced
+ * run; not part of any result contract.
  */
 struct LockstepFetchStats
 {
@@ -90,7 +108,10 @@ struct LockstepFetchStats
     std::uint64_t maxBatchLanes = 0;    //!< widest batch issued
     std::uint64_t memoLookups = 0;   //!< per-position memo queries
     std::uint64_t memoComputes = 0;  //!< queries that had to compute
-    bool fused = false;              //!< cross-group fusion active
+    /** Cross-group fused walk ran.  Always true for both replay
+     *  drivers (it is their only walk); kept because perfbench's
+     *  sim.lockstep.fused_ratio reads it. */
+    bool fused = false;
     double fetchSeconds = 0.0;       //!< pre-pass wall clock
     double timingSeconds = 0.0;      //!< timing-walk wall clock
 };

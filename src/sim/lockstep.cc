@@ -8,8 +8,8 @@
  * drives) is a thin composition of them, and the op-major
  * opMajorChunk() performs the same per-lane operations in the same
  * per-lane order — only the cross-lane interleaving differs, and
- * lanes never interact, so the sequential, lane-major, and op-major
- * paths are bit-identical by construction.  The lockstep drivers
+ * lanes never interact, so the one-lane and op-major paths are
+ * bit-identical by construction.  The lockstep drivers
  * differ only in how much of the fetch translation they compute once
  * per stream position instead of once per (position, config):
  *
@@ -19,8 +19,8 @@
  *     one ConvPredictor runs per prediction group, not per lane —
  *     and runs in a decoupled pre-pass (ConvPredictor::
  *     captureOutcomes) that records each group's sparse redirect
- *     stream before any timing work, so the timing walk is a pure
- *     data-consumer loop;
+ *     stream over a capture window before any timing work on it, so
+ *     the timing walk is a pure data-consumer loop;
  *   - block-structured: the maximal-variant trie walk, its variant
  *     index and stream compatibility, the consumed event count, and
  *     the unit's pooled address span all depend only on the stream
@@ -30,8 +30,9 @@
  *     its cursor drifts until it re-meets the others at a head
  *     boundary.  The whole fetch side runs as a pre-pass too
  *     (LockstepBsa::captureStep), recording one FetchOutcomeRecord
- *     per fetch step into each group's FetchOutcomeStream; the timing
- *     walk then advances the streams by MINIMUM POSITION, so lanes of
+ *     per fetch step into each group's FetchOutcomeStream, one capture
+ *     window at a time; the timing walk then advances the window's
+ *     streams by MINIMUM POSITION, so lanes of
  *     different prediction groups whose streams coincide at a
  *     position fuse into one full-width op-major batch (per-lane
  *     redirects gathered from the streams);
@@ -67,7 +68,6 @@
 #include "sim/conv_source.hh"
 #include "sim/fetch_outcome.hh"
 #include "sim/tc_source.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 #include "support/simd_dispatch.hh"
 
@@ -88,27 +88,6 @@ secondsBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-/** Ceiling on the bytes the fused drivers may commit to retained
- *  fetch-outcome streams (worst case, reserved before any work so the
- *  capture walk stays allocation-free — tests/test_decoded.cc pins a
- *  length-independent allocation count, which rules out growing the
- *  stream vectors on demand).  Sweeps whose worst case exceeds the
- *  budget fall back to the interleaved per-group driver, which streams
- *  in O(1) memory exactly like the engine before the decoupling.
- *  BSISA_CAPTURE_BUDGET overrides the default (bytes; 0 = unlimited). */
-std::uint64_t
-captureBudgetBytes()
-{
-    const std::uint64_t v =
-        envU64("BSISA_CAPTURE_BUDGET", 512ull << 20);
-    return v == 0 ? ~std::uint64_t(0) : v;
-}
-
-/** Worst-case retained bytes of one group's redirect stream: one
- *  RedirectInfo plus one step index per trace event. */
-constexpr std::uint64_t redirectBytesPerEvent =
-    sizeof(RedirectInfo) + sizeof(std::uint32_t);
-
 } // namespace
 
 const LockstepFetchStats &
@@ -128,8 +107,7 @@ lockstepFetchStatsSlot()
 LanePipelines::LanePipelines(const MachineConfig *cfgs,
                              std::size_t laneCount)
     : configs(cfgs, cfgs + laneCount), lanes(laneCount),
-      results(laneCount), stride(laneStride(laneCount)),
-      forceLaneMajor(envSet("BSISA_FORCE_LANE_MAJOR"))
+      results(laneCount), stride(laneStride(laneCount))
 {
     slots.reserve(laneCount);
     icaches.reserve(laneCount);
@@ -606,11 +584,8 @@ LanePipelines::stepBatch(std::size_t first, std::size_t count,
     fs.timingLaneSteps += count;
     if (count > fs.maxBatchLanes)
         fs.maxBatchLanes = count;
-    if (forceLaneMajor || count == 1) {
-        for (std::size_t l = 0; l < count; ++l) {
-            stepOneLane(first + l, unit,
-                        redirects ? redirects[l] : unit.redirect);
-        }
+    if (count == 1) {
+        stepOneLane(first, unit, redirects ? redirects[0] : unit.redirect);
         return;
     }
     // The per-op dcache miss mask is one word wide, so op-major
@@ -851,18 +826,8 @@ lockstepConventional(const Module &module, const ConvLayout &layout,
     fs = LockstepFetchStats{};
     fs.groups = ngroups;
     fs.lanes = n;
-    // Conventional units are the trace events themselves, so the
-    // fused pre-pass retains only the sparse redirect streams — but
-    // their reservations are worst-case (every event a mispredict).
-    // Fall back to the interleaved O(1)-memory driver when that
-    // commitment would blow the capture budget.
-    std::uint64_t captureBytes = 0;
-    for (const auto &group : grouped.groups) {
-        if (!grouped.ordered[group.front()].perfectPrediction)
-            captureBytes += redirectBytesPerEvent * trace.eventCount;
-    }
-    fs.fused = !envSet("BSISA_FORCE_PER_GROUP") &&
-               captureBytes <= captureBudgetBytes();
+    fs.fused = true;
+    fs.fetchSteps = trace.eventCount * ngroups;
 
     // One basic block per event on every lane: walk the trace once,
     // decode each event into a unit once, and advance every lane over
@@ -873,59 +838,51 @@ lockstepConventional(const Module &module, const ConvLayout &layout,
     // reads pipeline state, so collecting every group's verdict
     // before stepping is order-equivalent to interleaving).
     //
-    // By default the predictors run in a decoupled pre-pass
-    // (captureOutcomes) recording each group's sparse redirect stream,
-    // and the timing walk consumes the recorded outcomes by cursor —
-    // no predictor work interleaves with the kernel loop.
-    // BSISA_FORCE_PER_GROUP — or a worst-case redirect reservation
-    // past the capture budget — selects the interleaved reference
-    // structure instead (the PR 7 baseline; bit-identical because the
-    // pre-pass replays the exact pending()/predictSuccessor sequence).
-    TimingUnit unit;
-    std::vector<RedirectInfo> laneRedirects(n);
-    auto buildUnit = [&](const TraceEvent &e) {
-        unit.pc = layout.addrOf(e.func, e.block);
-        unit.bytes = layout.bytesOf(e.func, e.block);
-        const DecodedUnit &du = decoded.unit(e.func, e.block);
-        unit.ops = decoded.ops(du);
-        unit.opCount = du.opCount;
-        unit.memAddrs = trace.memAddrs + e.memBegin;
-        unit.memCount = e.memCount;
-    };
-    if (!fs.fused) {
-        for (std::size_t pos = 0; pos < trace.eventCount; ++pos) {
-            const TraceEvent &e = trace.events[pos];
-            buildUnit(e);
-            for (std::size_t g = 0; g < ngroups; ++g) {
-                const RedirectInfo rd = preds[g].pending();
-                for (const std::size_t l : grouped.groups[g])
-                    laneRedirects[l] = rd;
-            }
-            pipes.stepBatch(0, n, unit, laneRedirects.data());
-            for (std::size_t g = 0; g < ngroups; ++g) {
-                preds[g].predictSuccessor(e.func, e.block, e.exit,
-                                          e.taken, e.nextFunc,
-                                          e.nextBlock);
-            }
+    // The predictors run in a decoupled pre-pass (captureOutcomes)
+    // recording each group's sparse redirect stream over one capture
+    // window, and the timing walk consumes the window's outcomes by
+    // cursor — no predictor work interleaves with the kernel loop.  A
+    // window holds at most one redirect per event, so the exact
+    // reservations below keep the capture allocation-free (oracle
+    // predictors never redirect).
+    const std::size_t window =
+        std::min(fetchCaptureWindow, trace.eventCount);
+    std::vector<FetchOutcomeStream> streams(ngroups);
+    for (std::size_t g = 0; g < ngroups; ++g) {
+        if (!grouped.ordered[grouped.groups[g].front()]
+                 .perfectPrediction) {
+            streams[g].redirects.reserve(window);
+            streams[g].redirectStep.reserve(window);
         }
-    } else {
-        using Clock = std::chrono::steady_clock;
+    }
+    std::vector<std::size_t> rcur(ngroups);
+    std::vector<RedirectInfo> laneRedirects(n);
+    TimingUnit unit;
+    using Clock = std::chrono::steady_clock;
+    for (std::size_t begin = 0; begin < trace.eventCount;
+         begin += fetchCaptureWindow) {
+        const std::size_t end =
+            std::min(trace.eventCount, begin + fetchCaptureWindow);
         const auto t0 = Clock::now();
-        std::vector<FetchOutcomeStream> streams(ngroups);
-        for (std::size_t g = 0; g < ngroups; ++g)
-            preds[g].captureOutcomes(trace, streams[g]);
+        for (std::size_t g = 0; g < ngroups; ++g) {
+            streams[g].clear();
+            preds[g].captureOutcomes(trace, begin, end, streams[g]);
+        }
         const auto t1 = Clock::now();
-        fs.fetchSteps = trace.eventCount * ngroups;
 
-        std::vector<std::size_t> rcur(ngroups, 0);
-        for (std::size_t pos = 0; pos < trace.eventCount; ++pos) {
+        std::fill(rcur.begin(), rcur.end(), 0);
+        for (std::size_t pos = begin; pos < end; ++pos) {
             const TraceEvent &e = trace.events[pos];
-            buildUnit(e);
+            unit.pc = layout.addrOf(e.func, e.block);
+            unit.bytes = layout.bytesOf(e.func, e.block);
+            const DecodedUnit &du = decoded.unit(e.func, e.block);
+            unit.ops = decoded.ops(du);
+            unit.opCount = du.opCount;
+            unit.memAddrs = trace.memAddrs + e.memBegin;
+            unit.memCount = e.memCount;
             // Most events redirect no group at all; those step with
             // the unit's default (clear) redirect and skip the
-            // per-lane gather entirely — a fast path the interleaved
-            // structure cannot take, because it must re-read every
-            // group's live pending() each event.
+            // per-lane gather entirely.
             bool any = false;
             for (std::size_t g = 0; g < ngroups; ++g) {
                 const FetchOutcomeStream &st = streams[g];
@@ -953,8 +910,8 @@ lockstepConventional(const Module &module, const ConvLayout &layout,
             }
         }
         const auto t2 = Clock::now();
-        fs.fetchSeconds = secondsBetween(t0, t1);
-        fs.timingSeconds = secondsBetween(t1, t2);
+        fs.fetchSeconds += secondsBetween(t0, t1);
+        fs.timingSeconds += secondsBetween(t1, t2);
     }
 
     std::vector<SimResult> laneOut(n);
@@ -994,17 +951,15 @@ namespace
  * pipelines are per config; the caller lays each group's lanes out
  * contiguously (groupLanes), so a group steps as one op-major batch.
  *
- * The fetch and timing sides are decoupled (PR 8): captureStep runs
- * one group's predictor/fetch walk one unit forward, appending a
- * FetchOutcomeRecord (and sparse redirect) to the group's stream; the
- * default driver (runFused) first runs every group's capture to
- * completion, then walks the recorded streams by minimum position so
- * groups whose streams coincide at a position — committing the same
- * block — FUSE into one full-width stepBatch with per-lane redirects
- * gathered from the streams.  BSISA_FORCE_PER_GROUP — or a worst-case
- * stream reservation past the capture budget (captureBudgetBytes) —
- * selects the interleaved one-unit-per-group-per-round reference (the
- * PR 7 structure) instead, which streams in O(1) memory.
+ * The fetch and timing sides are decoupled: captureStep runs one
+ * group's predictor/fetch walk one unit forward, appending a
+ * FetchOutcomeRecord (and sparse redirect) to the group's stream.
+ * run() works in capture windows of fetchCaptureWindow events: every
+ * group captures the steps that start in the window, then timingWalk
+ * consumes the recorded streams by minimum position so groups whose
+ * streams coincide at a position — committing the same block — FUSE
+ * into one full-width stepBatch with per-lane redirects gathered from
+ * the streams.
  */
 class LockstepBsa
 {
@@ -1029,34 +984,22 @@ class LockstepBsa
             }
             groups.emplace_back(machines[members.front()], members);
         }
-        // The fused walk retains every group's full stream; its worst
-        // case — one record per event, every event a mispredict — is
-        // committed up front by the reservations below (exact upper
-        // bounds, so the capture walk is allocation-free: the lockstep
-        // steady state performs a length-independent number of heap
-        // allocations, tests/test_decoded.cc).  When that commitment would blow the
-        // capture budget, fall back to the per-group driver, which
-        // streams one record at a time in O(1) memory (the PR 7
-        // profile).  Oracle groups never redirect.
-        std::uint64_t captureBytes = 0;
-        for (const Group &group : groups) {
-            captureBytes +=
-                sizeof(FetchOutcomeRecord) * trace.eventCount;
-            if (!group.perfect)
-                captureBytes += redirectBytesPerEvent * trace.eventCount;
-        }
-        fused = !envSet("BSISA_FORCE_PER_GROUP") &&
-                captureBytes <= captureBudgetBytes();
-        if (fused) {
-            for (Group &group : groups) {
-                group.stream.steps.reserve(trace.eventCount);
-                if (!group.perfect) {
-                    group.stream.redirects.reserve(trace.eventCount);
-                    group.stream.redirectStep.reserve(
-                        trace.eventCount);
-                }
+        // A window holds at most one step (and one redirect) per
+        // trace event, so these exact bounds keep the capture walk
+        // allocation-free: the lockstep steady state performs a
+        // length-independent number of heap allocations
+        // (tests/test_decoded.cc).  Oracle groups never redirect.
+        const std::size_t window =
+            std::min(fetchCaptureWindow, trace.eventCount);
+        for (Group &group : groups) {
+            group.stream.steps.reserve(window);
+            if (!group.perfect) {
+                group.stream.redirects.reserve(window);
+                group.stream.redirectStep.reserve(window);
             }
         }
+        laneRedirects.resize(machines.size());
+        atPos.reserve(groups.size());
         buildBlockAux();
     }
 
@@ -1082,16 +1025,18 @@ class LockstepBsa
         std::size_t pos = 0;  //!< next unconsumed event
         AtomicBlockId predictedNext = invalidId;
         RedirectInfo pendingRedirect;
-        /** The group's recorded fetch outcomes (see captureStep). */
+        /** The group's fetch outcomes in the current capture window
+         *  (see captureStep), and the timing walk's cursors into
+         *  them. */
         FetchOutcomeStream stream;
+        std::size_t nextStep = 0;
+        std::size_t nextRedirect = 0;
 
         std::uint64_t nPredictions = 0;
         std::uint64_t nTrapMiss = 0;
         std::uint64_t nFaultMiss = 0;
         std::uint64_t nCascadeHops = 0;
         std::uint64_t nFetchSteps = 0;  //!< records captured in total
-
-        bool done = false;
     };
 
     /**
@@ -1150,22 +1095,17 @@ class LockstepBsa
     /** Advance @p group's fetch side one unit: choose the commit,
      *  record its FetchOutcomeRecord (and sparse redirect) into the
      *  group's stream, consume the events, train the predictor.
-     *  Returns false when the stream is exhausted. */
-    bool captureStep(Group &group);
+     *  Requires group.pos < trace.eventCount. */
+    void captureStep(Group &group);
 
     /** Reconstruct the TimingUnit described by @p rec (redirect left
      *  cleared; the drivers gather redirects per lane). */
     void buildUnit(const FetchOutcomeRecord &rec,
                    TimingUnit &unit) const;
 
-    /** Interleaved reference driver (PR 7 structure): one unit per
-     *  group per round, each group stepping alone. */
-    void runPerGroup(LanePipelines &pipes);
-
-    /** Decoupled driver: capture every group's stream to completion,
-     *  then walk the streams by minimum position, fusing coincident
-     *  groups into full-width batches. */
-    void runFused(LanePipelines &pipes);
+    /** Consume every group's captured window by minimum position,
+     *  fusing coincident groups into full-width batches. */
+    void timingWalk(LanePipelines &pipes);
 
     const BsaModule &bsa;
     const Module &module;
@@ -1173,10 +1113,10 @@ class LockstepBsa
     const std::vector<MachineConfig> &machines;
     const ExecTrace &trace;
     std::vector<Group> groups;
-    /** Decoupled fused driver selected (full streams retained); false
-     *  streams the per-group reference in O(1) memory — forced by
-     *  BSISA_FORCE_PER_GROUP or a capture-budget overflow. */
-    bool fused = true;
+    /** timingWalk scratch: per-lane redirect rows, and the groups
+     *  whose next record sits at the current minimum position. */
+    std::vector<RedirectInfo> laneRedirects;
+    std::vector<std::size_t> atPos;
 
     /** Shared per-position translation memo (lazily filled). */
     std::vector<PosMemo> memo;
@@ -1553,12 +1493,9 @@ LockstepBsa::predictSuccessor(Group &group, AtomicBlockId committed,
     group.predictedNext = wrong_id;
 }
 
-bool
+void
 LockstepBsa::captureStep(Group &group)
 {
-    if (group.pos >= trace.eventCount)
-        return false;
-
     const PosMemo &pm = memoAt(group.pos);
     const TraceEvent &e0 = ev(group, 0);
 
@@ -1576,16 +1513,6 @@ LockstepBsa::captureStep(Group &group)
     }
 
     FetchOutcomeStream &st = group.stream;
-    if (!fused) {
-        // Streaming mode: runPerGroup consumes each record as soon as
-        // it is captured, so the stream only ever holds the newest one
-        // (and its redirect) — O(1) memory over any trace length,
-        // like the engine before the decoupling.  clear()
-        // keeps capacity, so the steady state stays allocation-free.
-        st.steps.clear();
-        st.redirects.clear();
-        st.redirectStep.clear();
-    }
     FetchOutcomeRecord rec;
     rec.pos = static_cast<std::uint32_t>(group.pos);
     rec.committed = committed;
@@ -1621,7 +1548,6 @@ LockstepBsa::captureStep(Group &group)
     const TraceEvent &last = ev(group, consume - 1);
     group.pos += consume;
     predictSuccessor(group, committed, last);
-    return true;
 }
 
 void
@@ -1640,97 +1566,40 @@ LockstepBsa::buildUnit(const FetchOutcomeRecord &rec,
 }
 
 void
-LockstepBsa::runPerGroup(LanePipelines &pipes)
+LockstepBsa::timingWalk(LanePipelines &pipes)
 {
-    // PR 7 reference structure: groups advance one unit per round, so
-    // their cursors stay within a block length of each other and
-    // every per-position memo entry is computed by the leading group
-    // and reused hot by the rest — but each stepBatch is only one
-    // group wide.  (Merging batches across groups by ROUND NUMBER was
-    // tried and measured here: shallow commits make group cursors
-    // random-walk apart, so same-round unit matches are <0.2%.
-    // runFused merges by STREAM POSITION instead, which the decoupled
-    // pre-pass makes exact.)
-    TimingUnit unit{};
-    for (;;) {
-        bool any = false;
-        for (Group &group : groups) {
-            if (group.done)
-                continue;
-            if (!captureStep(group)) {
-                group.done = true;
-                continue;
-            }
-            const FetchOutcomeStream &st = group.stream;
-            buildUnit(st.steps.back(), unit);
-            if (!st.redirectStep.empty() &&
-                st.redirectStep.back() == st.steps.size() - 1)
-                unit.redirect = st.redirects.back();
-            pipes.stepBatch(group.lanes.front(), group.lanes.size(),
-                            unit);
-            any = true;
-        }
-        if (!any)
-            break;
-    }
-}
-
-void
-LockstepBsa::runFused(LanePipelines &pipes)
-{
-    using Clock = std::chrono::steady_clock;
-    LockstepFetchStats &fs = lockstepFetchStatsSlot();
-
-    // Phase A: the fetch-outcome pre-pass.  Each group's predictor
-    // walk runs to completion, so every per-position memo entry is
-    // computed once (by the first group to reach it) and served from
-    // the memo to the rest.
-    const auto t0 = Clock::now();
-    for (Group &group : groups) {
-        while (captureStep(group)) {
-        }
-    }
-    const auto t1 = Clock::now();
-
-    // Phase B: the timing walk consumes the streams as plain data by
-    // MINIMUM POSITION: at each round the groups whose next record
-    // sits at the minimum stream position are partitioned by
-    // committed block, and each partition — adjacent groups form one
-    // contiguous lane run — steps as one full-width batch with
-    // per-lane redirects gathered from the streams.  Lanes never
-    // interact and each lane still sees its own (unit, redirect)
-    // sequence in stream order, so any such interleaving is
-    // bit-identical to the per-group reference.
-    const std::size_t ng = groups.size();
-    std::vector<std::size_t> cur(ng, 0);   //!< next record per group
-    std::vector<std::size_t> rcur(ng, 0);  //!< next redirect per group
-    std::vector<RedirectInfo> laneRedirects(machines.size());
+    // The timing walk consumes the streams as plain data by MINIMUM
+    // POSITION: at each round the groups whose next record sits at the
+    // minimum stream position are partitioned by committed block, and
+    // each partition — adjacent groups form one contiguous lane run —
+    // steps as one full-width batch with per-lane redirects gathered
+    // from the streams.  Lanes never interact and each lane still sees
+    // its own (unit, redirect) sequence in stream order, so any such
+    // interleaving is bit-identical to the singleton replay.
     constexpr std::size_t consumedMark = ~std::size_t(0);
-    std::vector<std::size_t> atPos;
-    atPos.reserve(ng);
     TimingUnit unit{};
-
     for (;;) {
         std::uint64_t minPos = ~std::uint64_t(0);
-        for (std::size_t g = 0; g < ng; ++g) {
-            if (cur[g] < groups[g].stream.steps.size())
+        for (const Group &group : groups) {
+            if (group.nextStep < group.stream.steps.size())
                 minPos = std::min<std::uint64_t>(
-                    minPos, groups[g].stream.steps[cur[g]].pos);
+                    minPos, group.stream.steps[group.nextStep].pos);
         }
         if (minPos == ~std::uint64_t(0))
             break;
         atPos.clear();
-        for (std::size_t g = 0; g < ng; ++g) {
-            if (cur[g] < groups[g].stream.steps.size() &&
-                groups[g].stream.steps[cur[g]].pos == minPos)
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            const Group &group = groups[g];
+            if (group.nextStep < group.stream.steps.size() &&
+                group.stream.steps[group.nextStep].pos == minPos)
                 atPos.push_back(g);
         }
         for (std::size_t i = 0; i < atPos.size(); ++i) {
             if (atPos[i] == consumedMark)
                 continue;
-            const std::size_t gl = atPos[i];  // partition leader
+            const Group &leader = groups[atPos[i]];  // partition leader
             const FetchOutcomeRecord lead =
-                groups[gl].stream.steps[cur[gl]];
+                leader.stream.steps[leader.nextStep];
             buildUnit(lead, unit);
             std::size_t runFirst = 0;
             std::size_t runCount = 0;
@@ -1742,21 +1611,20 @@ LockstepBsa::runFused(LanePipelines &pipes)
                 runCount = 0;
             };
             for (std::size_t j = i; j < atPos.size(); ++j) {
-                const std::size_t g = atPos[j];
-                if (g == consumedMark)
+                if (atPos[j] == consumedMark)
                     continue;
-                Group &grp = groups[g];
-                const FetchOutcomeRecord &r = grp.stream.steps[cur[g]];
+                Group &grp = groups[atPos[j]];
+                const FetchOutcomeStream &st = grp.stream;
+                const FetchOutcomeRecord &r = st.steps[grp.nextStep];
                 if (r.committed != lead.committed)
                     continue;
                 // Same position, same block: the span content is
                 // identical whichever group's storage backs it.
                 BSISA_ASSERT(r.memCount == lead.memCount);
                 RedirectInfo rd{};
-                const FetchOutcomeStream &st = grp.stream;
-                if (rcur[g] < st.redirectStep.size() &&
-                    st.redirectStep[rcur[g]] == cur[g])
-                    rd = st.redirects[rcur[g]++];
+                if (grp.nextRedirect < st.redirectStep.size() &&
+                    st.redirectStep[grp.nextRedirect] == grp.nextStep)
+                    rd = st.redirects[grp.nextRedirect++];
                 for (const std::size_t lane : grp.lanes)
                     laneRedirects[lane] = rd;
                 const std::size_t laneFirst = grp.lanes.front();
@@ -1768,15 +1636,12 @@ LockstepBsa::runFused(LanePipelines &pipes)
                     runFirst = laneFirst;
                     runCount = grp.lanes.size();
                 }
-                ++cur[g];
+                ++grp.nextStep;
                 atPos[j] = consumedMark;
             }
             flush();
         }
     }
-    const auto t2 = Clock::now();
-    fs.fetchSeconds = secondsBetween(t0, t1);
-    fs.timingSeconds = secondsBetween(t1, t2);
 }
 
 std::vector<SimResult>
@@ -1792,12 +1657,35 @@ LockstepBsa::run()
     fs = LockstepFetchStats{};
     fs.groups = groups.size();
     fs.lanes = n;
-    fs.fused = fused;
+    fs.fused = true;
 
-    if (fused)
-        runFused(pipes);
-    else
-        runPerGroup(pipes);
+    // Capture window by window.  Every group records the steps that
+    // start before the window's end — the first group to reach a
+    // position fills its memo entry, the rest read it hot — and then
+    // the timing walk consumes them.  A record at position p lands in
+    // the window that contains p, so the timing walk sees, window
+    // after window, exactly the minimum-position order of one capture
+    // over the whole trace: results and every counter are independent
+    // of the window size.
+    using Clock = std::chrono::steady_clock;
+    for (std::size_t begin = 0; begin < trace.eventCount;
+         begin += fetchCaptureWindow) {
+        const std::size_t end =
+            std::min(trace.eventCount, begin + fetchCaptureWindow);
+        const auto t0 = Clock::now();
+        for (Group &group : groups) {
+            group.stream.clear();
+            group.nextStep = 0;
+            group.nextRedirect = 0;
+            while (group.pos < end)
+                captureStep(group);
+        }
+        const auto t1 = Clock::now();
+        timingWalk(pipes);
+        const auto t2 = Clock::now();
+        fs.fetchSeconds += secondsBetween(t0, t1);
+        fs.timingSeconds += secondsBetween(t1, t2);
+    }
 
     for (const Group &group : groups)
         fs.fetchSteps += group.nFetchSteps;

@@ -30,15 +30,14 @@
  * fetch_outcome.hh): each prediction group's predictor/fetch walk
  * runs exactly once over the trace in a pre-pass, recording compact
  * per-step outcome records (and sparse redirects) into a
- * FetchOutcomeStream, and the timing walk consumes the recorded
- * streams as plain data.  Freed from interleaving with prediction,
- * the BSA timing walk advances the streams by minimum position and
- * fuses lanes of DIFFERENT prediction groups that commit the same
- * block at the same position into one full-width op-major batch.
- * BSISA_FORCE_PER_GROUP restores the interleaved one-group-at-a-time
- * structure (the PR 7 baseline and differential reference);
- * lockstepLastFetchStats() reports the batching shape, memo hit
- * rates, and the per-phase wall-clock split of the latest run.
+ * FetchOutcomeStream one fixed capture window at a time, and the
+ * timing walk consumes each window's streams as plain data.  Freed
+ * from interleaving with prediction, the BSA timing walk advances the
+ * streams by minimum position and fuses lanes of DIFFERENT prediction
+ * groups that commit the same block at the same position into one
+ * full-width op-major batch.  lockstepLastFetchStats() reports the
+ * batching shape, memo hit rates, and the per-phase wall-clock split
+ * of the latest run.
  *
  * The per-lane scheduling itself runs *op-major*: a prediction
  * group's member lanes are contiguous, and stepBatch() advances all
@@ -65,9 +64,7 @@
  * paths share one arithmetic.  The contract is enforced by
  * tests/test_lockstep.cc and the fuzz harness's `lockstep` oracle,
  * across every kernel implementation (BSISA_FORCE_SCALAR selects the
- * scalar kernels; BSISA_FORCE_LANE_MAJOR additionally forces the
- * pre-vectorization lane-at-a-time stepping, kept as the reference
- * and benchmark baseline).
+ * scalar kernels).
  */
 
 #ifndef BSISA_SIM_LOCKSTEP_HH
@@ -108,7 +105,7 @@ struct TraceCacheConfig;
  * every lane, laneStride(laneCount) elements apart, 64-byte aligned
  * (sim/machine.hh).  stepBatch() advances a contiguous lane range
  * op-major over these rows; step() advances one lane with the same
- * arithmetic in lane-major order.
+ * arithmetic one op at a time.
  */
 class LanePipelines
 {
@@ -150,7 +147,7 @@ class LanePipelines
      */
     void shareIcache(std::size_t leader, std::size_t follower);
 
-    /** Advance @p lane by its next fetch unit (lane-major loop). */
+    /** Advance @p lane alone by its next fetch unit. */
     void step(std::size_t lane, const TimingUnit &unit);
 
     /**
@@ -220,9 +217,8 @@ class LanePipelines
                                     std::uint64_t fetchCycle,
                                     std::uint64_t squashCutoff);
 
-    /** One lane's full step (fetch, per-op schedule, retire) in the
-     *  pre-batching lane-major order; the batch-of-one path and the
-     *  BSISA_FORCE_LANE_MAJOR reference baseline. */
+    /** One lane's full step (fetch, per-op schedule, retire): step()
+     *  and the batch-of-one path of stepBatch(). */
     void stepOneLane(std::size_t lane, const TimingUnit &unit,
                      const RedirectInfo &redirect);
 
@@ -297,11 +293,6 @@ class LanePipelines
     AlignedVec<std::uint64_t> scrEarliest;
     AlignedVec<std::uint64_t> scrUnitDone;
     std::vector<std::uint64_t> scrMiss;
-
-    /** BSISA_FORCE_LANE_MAJOR: route stepBatch through the per-lane
-     *  reference loop (PR 5's structure), for baselining and as a
-     *  differential oracle. */
-    bool forceLaneMajor = false;
 
     /** Shared dcache streams (see shareDcachePool); empty when the
      *  per-lane cache models run privately. */

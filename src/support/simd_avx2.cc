@@ -74,9 +74,9 @@ avx2StepOps(const StepOpsCtx &c)
         // dominant scalar search, and prediction-grouped batches
         // (typically 4 lanes) delegated constantly.  Re-tuned after
         // the bitmap allocator and the fused cross-group batches:
-        // Grid16's per-group reference path (4-lane batches) now
-        // measures faster through the vector kernel, and the fused
-        // path's full-width chunks never hit this branch at all.
+        // 4-lane group-width batches measured faster through the
+        // vector kernel, and full-width fused chunks never hit this
+        // branch at all.
         simdScalarStepOps(c);
         return;
     }

@@ -35,6 +35,7 @@
 #include "sim/bsa_source.hh"
 #include "sim/conv_source.hh"
 #include "sim/decoded.hh"
+#include "sim/fetch_outcome.hh"
 #include "sim/pipeline.hh"
 #include "sim/trace_store.hh"
 #include "workloads/specmix.hh"
@@ -258,7 +259,9 @@ TEST(Decoded, LockstepSteadyStateIsAllocationFree)
     // all lanes, and its per-event path must stay allocation-free: a
     // 4x-longer replay of the same batch performs exactly as many
     // heap allocations as a short one (all setup), i.e. zero
-    // allocations per event per lane.
+    // allocations per event per lane.  The long replay spans several
+    // fetch-outcome capture windows, so starting a window must not
+    // allocate either.
     const auto suite = specint95Suite();
     const Module m = generateWorkload(suite[0].params);
 
@@ -268,6 +271,7 @@ TEST(Decoded, LockstepSteadyStateIsAllocationFree)
     const ExecTrace short_trace = captureTrace(m, short_lim);
     const ExecTrace long_trace = captureTrace(m, long_lim);
     ASSERT_GT(long_trace.eventCount, short_trace.eventCount);
+    ASSERT_GT(long_trace.eventCount, 2 * fetchCaptureWindow);
 
     std::vector<MachineConfig> grid(4);
     grid[1].issueWidth = 8;
