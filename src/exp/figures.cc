@@ -8,10 +8,14 @@
  * grid order, so the rendered tables are byte-identical for any worker
  * count.  Where the grid sweeps timing configs over a fixed (module,
  * limits), one functional trace is captured per benchmark and replayed
- * into every point (sim/trace.hh).
+ * into every point (sim/trace.hh).  The modules themselves come from
+ * one immutable per-process suite (suiteModule), so the suite is
+ * generated and hashed once per process, not once per driver call.
  */
 
 #include "exp/figures.hh"
+
+#include <mutex>
 
 #include "arch/instr_class.hh"
 #include "codegen/layout.hh"
@@ -54,52 +58,69 @@ outcomeOf(const SpecBenchmark &bench, const PairResult &r)
     return benchOutcomeOf(bench.params.name, r);
 }
 
-/** Generate the whole suite's modules into index-stable slots. */
-std::vector<Module>
-generateSuiteModules(const std::vector<SpecBenchmark> &suite)
+/** One benchmark's process-lifetime slot behind suiteModule(). */
+struct SuiteSlot
 {
-    std::vector<Module> modules(suite.size());
-    parallelFor(suite.size(), [&](std::size_t i) {
-        modules[i] = generateWorkload(suite[i].params);
-    });
-    return modules;
+    std::once_flag moduleOnce;
+    std::once_flag digestOnce;
+    Module module;
+    std::uint64_t digest = 0;
+};
+
+SuiteSlot &
+suiteSlot(std::size_t i)
+{
+    static std::vector<SuiteSlot> slots(specint95Suite().size());
+    return slots.at(i);
 }
 
-/** Hash each benchmark's compiled module exactly once per suite —
- *  the trace store's content keys.  Skipped (all zero) when no store
- *  is configured, since nothing would consume the digests. */
-std::vector<std::uint64_t>
-suiteDigests(const std::vector<Module> &modules)
+/** Acquire benchmark @p i's functional trace under @p limits: served
+ *  from the trace store when warm, captured live otherwise.  The
+ *  module is hashed only when a store is configured. */
+ExecTrace
+captureSuiteTrace(std::size_t i, Interp::Limits limits)
 {
-    std::vector<std::uint64_t> digests(modules.size(), 0);
-    if (TraceStore::fromEnv().enabled()) {
-        parallelFor(modules.size(), [&](std::size_t i) {
-            digests[i] = moduleDigest(modules[i]);
-        });
-    }
-    return digests;
+    const std::uint64_t digest =
+        TraceStore::fromEnv().enabled() ? suiteModuleDigest(i) : 0;
+    return captureOrLoadTrace(suiteModule(i), digest, limits);
 }
 
-/** Acquire one functional trace per benchmark at @p budgetDiv of the
- *  scaled budget (the ablations run at 1/4 budget): served from the
- *  trace store when warm, captured live otherwise. */
+/** One functional trace per benchmark at @p budgetDiv of the scaled
+ *  budget (the ablations run at 1/4 budget); the parallel fan-out
+ *  also generates any suite module not built yet. */
 std::vector<ExecTrace>
 captureSuiteTraces(const std::vector<SpecBenchmark> &suite,
-                   const std::vector<Module> &modules,
                    std::uint64_t budgetDiv)
 {
-    const std::vector<std::uint64_t> digests = suiteDigests(modules);
     std::vector<ExecTrace> traces(suite.size());
     parallelFor(suite.size(), [&](std::size_t i) {
         RunConfig config = baseConfig(suite[i]);
         config.limits.maxOps /= budgetDiv;
-        traces[i] =
-            captureOrLoadTrace(modules[i], digests[i], config.limits);
+        traces[i] = captureSuiteTrace(i, config.limits);
     });
     return traces;
 }
 
 } // namespace
+
+const Module &
+suiteModule(std::size_t i)
+{
+    SuiteSlot &slot = suiteSlot(i);
+    std::call_once(slot.moduleOnce, [&] {
+        slot.module = generateWorkload(specint95Suite()[i].params);
+    });
+    return slot.module;
+}
+
+std::uint64_t
+suiteModuleDigest(std::size_t i)
+{
+    SuiteSlot &slot = suiteSlot(i);
+    std::call_once(slot.digestOnce,
+                   [&] { slot.digest = moduleDigest(suiteModule(i)); });
+    return slot.digest;
+}
 
 BenchOutcome
 benchOutcomeOf(const std::string &name, const PairResult &r)
@@ -214,12 +235,11 @@ printTable2(std::ostream &os)
     const auto suite = specint95Suite();
     std::vector<BenchOutcome> outcomes(suite.size());
     parallelFor(suite.size(), [&](std::size_t i) {
-        const Module m = generateWorkload(suite[i].params);
         Interp::Limits limits;
         limits.maxOps = suite[i].scaledBudget(divisor);
         // The measured count is a property of the committed stream, so
         // a warm trace store answers it without executing anything.
-        const ExecTrace trace = captureOrLoadTrace(m, limits);
+        const ExecTrace trace = captureSuiteTrace(i, limits);
         outcomes[i].name = suite[i].params.name;
         outcomes[i].dynOps = trace.dynOps;
     });
@@ -236,14 +256,12 @@ std::vector<BenchOutcome>
 runCycleComparison(std::ostream &os, bool perfectPrediction)
 {
     const auto suite = specint95Suite();
-    const std::vector<Module> modules = generateSuiteModules(suite);
-    const std::vector<ExecTrace> traces =
-        captureSuiteTraces(suite, modules, 1);
+    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 1);
 
     PairSweep sweep;
     std::vector<std::size_t> pointOf(suite.size());
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const std::size_t b = sweep.addBenchmark(modules[i],
+        const std::size_t b = sweep.addBenchmark(suiteModule(i),
                                                  traces[i]);
         RunConfig config = baseConfig(suite[i]);
         config.machine.perfectPrediction = perfectPrediction;
@@ -266,14 +284,12 @@ std::vector<BenchOutcome>
 runBlockSizeComparison(std::ostream &os)
 {
     const auto suite = specint95Suite();
-    const std::vector<Module> modules = generateSuiteModules(suite);
-    const std::vector<ExecTrace> traces =
-        captureSuiteTraces(suite, modules, 1);
+    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 1);
 
     PairSweep sweep;
     std::vector<std::size_t> pointOf(suite.size());
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const std::size_t b = sweep.addBenchmark(modules[i],
+        const std::size_t b = sweep.addBenchmark(suiteModule(i),
                                                  traces[i]);
         pointOf[i] = sweep.addPoint(b, baseConfig(suite[i]));
     }
@@ -312,10 +328,10 @@ runIcacheSweep(std::ostream &os, bool blockStructured)
     std::vector<std::uint64_t> baseCycles(suite.size());
     std::vector<std::uint64_t> cycles(suite.size() * nsizes);
     parallelFor(suite.size(), [&](std::size_t bi) {
-        const Module m = generateWorkload(suite[bi].params);
+        const Module &m = suiteModule(bi);
         RunConfig ideal = baseConfig(suite[bi]);
         ideal.machine.icache.perfect = true;
-        const ExecTrace trace = captureOrLoadTrace(m, ideal.limits);
+        const ExecTrace trace = captureSuiteTrace(bi, ideal.limits);
 
         std::vector<MachineConfig> machines;
         machines.reserve(1 + nsizes);
@@ -384,10 +400,8 @@ runLimitsAblation(std::ostream &os)
         {8, 2},  {24, 2}, {32, 2}};
     const std::size_t nconfigs = std::size(configs);
     const auto suite = specint95Suite();
-    const std::vector<Module> modules = generateSuiteModules(suite);
     // The unsplit-module configs all share one trace per benchmark.
-    const std::vector<ExecTrace> traces =
-        captureSuiteTraces(suite, modules, 4);
+    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 4);
 
     // Unsplit-module configs register with the sweep planner: per
     // benchmark the (identical) conventional runs collapse into one
@@ -398,7 +412,7 @@ runLimitsAblation(std::ostream &os)
     PairSweep sweep;
     std::vector<std::size_t> benchId(suite.size());
     for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        benchId[bi] = sweep.addBenchmark(modules[bi], traces[bi]);
+        benchId[bi] = sweep.addBenchmark(suiteModule(bi), traces[bi]);
 
     std::vector<PairResult> results(nconfigs * suite.size());
     std::vector<std::ptrdiff_t> pointOf(results.size(), -1);
@@ -433,7 +447,7 @@ runLimitsAblation(std::ostream &os)
         config.limits.maxOps /= 4;
         config.enlarge.maxOps = max_ops;
         config.enlarge.maxFaults = max_faults;
-        Module m = modules[bi];
+        Module m = suiteModule(bi);
         splitOversizedBlocks(m, max_ops);
         results[idx] = runPair(m, config);
     });
@@ -473,9 +487,7 @@ runProfileAblation(std::ostream &os)
     const double thresholds[] = {0.0, 0.6, 0.75, 0.9, 0.99};
     const std::size_t nthresh = std::size(thresholds);
     const auto suite = specint95Suite();
-    const std::vector<Module> modules = generateSuiteModules(suite);
-    const std::vector<ExecTrace> traces =
-        captureSuiteTraces(suite, modules, 4);
+    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 4);
 
     // Each threshold enlarges differently (BSA runs stay singleton),
     // but every benchmark's five identical conventional runs share
@@ -483,7 +495,7 @@ runProfileAblation(std::ostream &os)
     PairSweep sweep;
     std::vector<std::size_t> benchId(suite.size());
     for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        benchId[bi] = sweep.addBenchmark(modules[bi], traces[bi]);
+        benchId[bi] = sweep.addBenchmark(suiteModule(bi), traces[bi]);
 
     std::vector<std::size_t> pointOf(nthresh * suite.size());
     for (std::size_t idx = 0; idx < pointOf.size(); ++idx) {
@@ -532,9 +544,7 @@ runPredictorAblation(std::ostream &os)
         {4, 10}, {8, 12}, {12, 14}, {16, 16}};
     const std::size_t ngeom = std::size(configs);
     const auto suite = specint95Suite();
-    const std::vector<Module> modules = generateSuiteModules(suite);
-    const std::vector<ExecTrace> traces =
-        captureSuiteTraces(suite, modules, 4);
+    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 4);
 
     // Only the predictor geometry varies, so per benchmark the whole
     // grid collapses to two lockstep walks: one advancing every
@@ -543,7 +553,7 @@ runPredictorAblation(std::ostream &os)
     PairSweep geomSweep;
     std::vector<std::size_t> geomBench(suite.size());
     for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        geomBench[bi] = geomSweep.addBenchmark(modules[bi],
+        geomBench[bi] = geomSweep.addBenchmark(suiteModule(bi),
                                                traces[bi]);
     std::vector<std::size_t> geomPoint(ngeom * suite.size());
     for (std::size_t idx = 0; idx < geomPoint.size(); ++idx) {
@@ -592,7 +602,7 @@ runPredictorAblation(std::ostream &os)
     PairSweep schemeSweep;
     std::vector<std::size_t> schemeBench(suite.size());
     for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        schemeBench[bi] = schemeSweep.addBenchmark(modules[bi],
+        schemeBench[bi] = schemeSweep.addBenchmark(suiteModule(bi),
                                                    traces[bi]);
     std::vector<std::size_t> schemePoint(nschemes * suite.size());
     for (std::size_t idx = 0; idx < schemePoint.size(); ++idx) {

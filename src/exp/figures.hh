@@ -14,6 +14,8 @@
 #ifndef BSISA_EXP_FIGURES_HH
 #define BSISA_EXP_FIGURES_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -47,6 +49,20 @@ struct BenchOutcome
 
 /** Scale divisor from BSISA_SCALE (default specScaleDivisor). */
 std::uint64_t scaleDivisor();
+
+/**
+ * The compiled module of specint95Suite()[@p i], shared by every
+ * figure driver and tool in the process: generated on first use
+ * (once per benchmark, even when parallelFor workers race for it)
+ * and immutable for the rest of the process.  Generation depends on
+ * no env var, so one slot per benchmark serves any BSISA_SCALE.
+ */
+const Module &suiteModule(std::size_t i);
+
+/** moduleDigest(suiteModule(@p i)), hashed on first use.  Callers
+ *  that only feed the trace store should skip it when the store is
+ *  disabled, since nothing else consumes the digest. */
+std::uint64_t suiteModuleDigest(std::size_t i);
 
 /** Fold one benchmark's PairResult into a BenchOutcome (the figure
  *  drivers' metric extraction, shared with the sweep service so

@@ -508,16 +508,13 @@ printTraceStoreListing(std::ostream &os, const std::string &dir)
     if (entries.empty())
         return;
 
-    // Map module digests back to benchmark names by regenerating the
-    // suite (the store only records digests — content addressing cuts
-    // both ways).
+    // Map module digests back to benchmark names through the suite's
+    // digests (the store only records digests — content addressing
+    // cuts both ways).
     const auto suite = specint95Suite();
     std::vector<std::uint64_t> digests(suite.size());
-    std::vector<Module> modules(suite.size());
-    parallelFor(suite.size(), [&](std::size_t i) {
-        modules[i] = generateWorkload(suite[i].params);
-        digests[i] = moduleDigest(modules[i]);
-    });
+    parallelFor(suite.size(),
+                [&](std::size_t i) { digests[i] = suiteModuleDigest(i); });
 
     Table t({"key", "benchmark", "max ops", "events", "bytes"});
     std::uint64_t totalBytes = 0;

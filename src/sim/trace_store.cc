@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -207,12 +209,57 @@ writeEntryFile(const std::string &dir, const std::string &path,
     return true;
 }
 
+/** Write-only stream buffer that feeds every byte written through it
+ *  into an FNV-1a hasher, so a serialization can be hashed without
+ *  materialising its text. */
+class DigestStreambuf : public std::streambuf
+{
+  public:
+    DigestStreambuf() { setp(buf, buf + sizeof(buf)); }
+    DigestStreambuf(const DigestStreambuf &) = delete;
+    DigestStreambuf &operator=(const DigestStreambuf &) = delete;
+
+    std::uint64_t
+    value()
+    {
+        drain();
+        return hasher.value();
+    }
+
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        drain();
+        if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+            *pptr() = traits_type::to_char_type(ch);
+            pbump(1);
+        }
+        return traits_type::not_eof(ch);
+    }
+
+  private:
+    void
+    drain()
+    {
+        hasher.bytes(pbase(), std::size_t(pptr() - pbase()));
+        setp(buf, buf + sizeof(buf));
+    }
+
+    char buf[4096];
+    Fnv1a64 hasher;
+};
+
 } // namespace
 
 std::uint64_t
 moduleDigest(const Module &module)
 {
-    return fnv1a64(moduleToText(module));
+    // Same bytes as fnv1a64(moduleToText(module)), streamed.
+    DigestStreambuf sink;
+    std::ostream os(&sink);
+    serializeModule(os, module);
+    return sink.value();
 }
 
 std::string

@@ -7,14 +7,24 @@
  *
  * These use BSISA_SCALE to shrink budgets so the whole suite runs in
  * seconds; the shapes are stable at this scale.
+ *
+ * The SuiteCache tests come first so that, in a default run, their
+ * parallel access is the process's first touch of the shared suite.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "exp/figures.hh"
+#include "ir/textform.hh"
+#include "sim/trace_store.hh"
+#include "support/parallel.hh"
+#include "workloads/synth.hh"
 
 using namespace bsisa;
 
@@ -55,7 +65,90 @@ find(const std::vector<BenchOutcome> &outcomes, const std::string &name)
     throw std::runtime_error("missing benchmark " + name);
 }
 
+/** Scoped env override (restores the prior value on destruction). */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name(name)
+    {
+        if (const char *old = ::getenv(name)) {
+            hadOld = true;
+            oldValue = old;
+        }
+        ::setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (hadOld)
+            ::setenv(name, oldValue.c_str(), 1);
+        else
+            ::unsetenv(name);
+    }
+
+  private:
+    const char *name;
+    bool hadOld = false;
+    std::string oldValue;
+};
+
+/** The trace-store content keys of the suite (moduleDigest).  Store
+ *  file names, result-store unit keys and the CI cache key all derive
+ *  from these, so a change here is a deliberate format event. */
+const std::pair<const char *, std::uint64_t> pinnedSuiteDigests[] = {
+    {"compress", 0x69f779c133636d90ull}, {"gcc", 0x28aa4c889b5b4413ull},
+    {"go", 0x06c9a213d1421401ull},       {"ijpeg", 0xdac31462b810f9f5ull},
+    {"li", 0x2f846fd411314802ull},       {"m88ksim", 0xe5f170940a2d7cd2ull},
+    {"perl", 0x62bd2e833c4b9fb2ull},     {"vortex", 0x09357d325784cc1bull},
+};
+
 } // namespace
+
+TEST(SuiteCache, RacingFirstAccessMatchesFreshGeneration)
+{
+    const auto suite = specint95Suite();
+    const std::size_t n = suite.size();
+    // Four claims per benchmark, one index per claim, so several
+    // workers reach each slot together.
+    std::vector<const Module *> seen(4 * n);
+    {
+        ScopedEnv jobs("BSISA_JOBS", "4");
+        parallelForChunked(seen.size(), 1, [&](std::size_t k) {
+            seen[k] = &suiteModule(k % n);
+        });
+    }
+    for (std::size_t k = 0; k < seen.size(); ++k)
+        EXPECT_EQ(seen[k], seen[k % n]) << k;
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(moduleToText(*seen[i]),
+                  moduleToText(generateWorkload(suite[i].params)))
+            << suite[i].params.name;
+    }
+}
+
+TEST(SuiteCache, ModuleAddressIsStable)
+{
+    const std::size_t n = specint95Suite().size();
+    for (std::size_t i = 0; i < n; ++i) {
+        const Module *first = &suiteModule(i);
+        EXPECT_EQ(suiteModuleDigest(i), suiteModuleDigest(i));
+        EXPECT_EQ(&suiteModule(i), first);
+    }
+    EXPECT_THROW(suiteModule(n), std::out_of_range);
+}
+
+TEST(SuiteCache, DigestsArePinned)
+{
+    const auto suite = specint95Suite();
+    ASSERT_EQ(suite.size(), std::size(pinnedSuiteDigests));
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const auto [name, digest] = pinnedSuiteDigests[i];
+        ASSERT_EQ(suite[i].params.name, name);
+        EXPECT_EQ(moduleDigest(generateWorkload(suite[i].params)), digest)
+            << name;
+        EXPECT_EQ(suiteModuleDigest(i), digest) << name;
+    }
+}
 
 TEST_F(ExpFixture, ScaleDivisorFromEnv)
 {
@@ -204,4 +297,18 @@ TEST_F(ExpFixture, Figures6And7IcacheShape)
         EXPECT_LT(row(conv, small).relativeIncrease[0], 0.05);
         EXPECT_LT(row(bsa, small).relativeIncrease[0], 0.08);
     }
+}
+
+TEST_F(ExpFixture, DriverOrderDoesNotChangeOutput)
+{
+    // perfbench permutes driver order per seed; the shared suite must
+    // make every driver's text independent of what ran before it.
+    std::ostringstream sweepFirst, cycleSecond;
+    runIcacheSweep(sweepFirst, false);
+    runCycleComparison(cycleSecond, false);
+    std::ostringstream cycleFirst, sweepSecond;
+    runCycleComparison(cycleFirst, false);
+    runIcacheSweep(sweepSecond, false);
+    EXPECT_EQ(sweepFirst.str(), sweepSecond.str());
+    EXPECT_EQ(cycleFirst.str(), cycleSecond.str());
 }

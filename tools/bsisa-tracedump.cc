@@ -33,6 +33,7 @@
 #include "exp/service.hh"
 #include "sim/trace_store.hh"
 #include "support/digest.hh"
+#include "support/parallel.hh"
 #include "workloads/specmix.hh"
 
 using namespace bsisa;
@@ -124,10 +125,12 @@ printSuiteKey()
     const std::uint64_t divisor = scaleDivisor();
     Fnv1a64 h;
     h.u64(divisor).u64(interpVersion).u64(traceStoreFormatVersion);
-    for (const auto &bench : suite) {
-        const Module m = generateWorkload(bench.params);
-        h.u64(moduleDigest(m));
-        h.u64(bench.scaledBudget(divisor));
+    std::vector<std::uint64_t> digests(suite.size());
+    parallelFor(suite.size(),
+                [&](std::size_t i) { digests[i] = suiteModuleDigest(i); });
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        h.u64(digests[i]);
+        h.u64(suite[i].scaledBudget(divisor));
     }
     std::printf("%016" PRIx64 "\n", h.value());
     return 0;
