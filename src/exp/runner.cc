@@ -103,11 +103,13 @@ runTraceCache(const Module &module, const MachineConfig &machine,
 
 // The batch entry points hand multi-config grids to the lockstep
 // drivers, which dedup effectively identical configs, group lanes by
-// predictor identity, and (by default) run the decoupled
-// fetch-outcome pre-pass so timing lanes from every group step as
-// fused full-width batches (sim/lockstep.hh).  A single config goes
-// through the singleton replay instead: the lockstep layout and
-// stream capture only pay for themselves with multiple lanes.
+// predictor identity, and run the decoupled fetch-outcome pre-pass so
+// timing lanes from every group step as fused full-width batches
+// (sim/lockstep.hh).  A single config goes through the singleton
+// replay instead, which runs the same fetch walk without the batch
+// layout: on the paper-figures suite a one-lane lockstep run measured
+// 30.2 Mop/s (BSA) and 45.2 Mop/s (conv) against 32.5 and 47.3 for
+// the singleton (4-vCPU x86-64, best of 5).
 //
 // Out-of-order lanes are the second grouping axis: the OoO backend
 // reorders consumption and keeps private rename/ROB/LSQ state, so it

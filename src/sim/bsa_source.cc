@@ -1,6 +1,6 @@
 /**
  * @file
- * Block-structured fetch source implementation.
+ * Block-structured fetch walk and fetch source implementation.
  */
 
 #include "sim/bsa_source.hh"
@@ -12,27 +12,119 @@
 namespace bsisa
 {
 
-BsaFetchSource::BsaFetchSource(const BsaModule &bsa_mod,
-                               const MachineConfig &config,
-                               const ExecTrace &execTrace,
-                               const DecodedProgram &decodedProgram)
-    : bsa(bsa_mod), module(*bsa_mod.src), decoded(decodedProgram),
-      trace(execTrace), perfect(config.perfectPrediction),
-      predictor(config.predictor)
+namespace
 {
+
+/** Index of @p block within @p trie's emitted list. */
+unsigned
+variantIndex(const HeadTrie &trie, AtomicBlockId block)
+{
+    for (unsigned v = 0; v < trie.emitted.size(); ++v)
+        if (trie.nodes[trie.emitted[v]].block == block)
+            return v;
+    panic("block is not a variant of this trie");
+}
+
+} // namespace
+
+// ----------------------------------------------------- BsaTranslation
+
+BsaTranslation::BsaTranslation(const BsaModule &bsaModule,
+                               const DecodedProgram &decodedProgram,
+                               const ExecTrace &execTrace)
+    : bsa(bsaModule), decoded(decodedProgram), trace(execTrace),
+      memo(std::min(execTrace.eventCount,
+                    fetchCaptureWindow + lookahead))
+{
+    BSISA_ASSERT(execTrace.eventCount <= 0xffffffffull &&
+                     execTrace.memAddrCount <= 0xffffffffull,
+                 "FetchOutcomeRecord fields are 32-bit");
+    blockAux.resize(bsa.blocks.size());
+    for (std::size_t b = 0; b < bsa.blocks.size(); ++b) {
+        const AtomicBlock &blk = bsa.blocks[b];
+        const Operation &term = blk.terminator();
+        BlockAux &aux = blockAux[b];
+        switch (term.op) {
+          case Opcode::Trap:
+            aux.takenTrie = bsa.findTrie(blk.func, term.target0);
+            aux.notTakenTrie = bsa.findTrie(blk.func, term.target1);
+            aux.notTakenSlotBase =
+                aux.takenTrie ? static_cast<unsigned>(
+                                    aux.takenTrie->emitted.size())
+                              : 0;
+            break;
+          case Opcode::Jmp:
+            // An intra-function jump: the successor head is
+            // term.target0 in the block's own function.
+            aux.takenTrie = bsa.findTrie(blk.func, term.target0);
+            break;
+          case Opcode::Call:
+            aux.takenTrie = bsa.findTrie(term.callee, 0);
+            break;
+          default:
+            break;  // Ret/IJmp targets are dynamic; Halt has none
+        }
+    }
+}
+
+void
+BsaTranslation::startWindow(std::size_t begin)
+{
+    if (begin == base)
+        return;
+    // The previous window's walkers stopped at most lookahead events
+    // past its end, so only the entries from here on can be touched
+    // again: keep them, clear the rest.
+    BSISA_ASSERT(begin > base && begin <= base + memo.size());
+    const std::size_t keep = base + memo.size() - begin;
+    std::copy(memo.end() - std::ptrdiff_t(keep), memo.end(),
+              memo.begin());
+    std::fill(memo.begin() + std::ptrdiff_t(keep), memo.end(),
+              PosMemo{});
+    base = begin;
+}
+
+const BsaTranslation::PosMemo &
+BsaTranslation::memoAt(std::size_t pos)
+{
+    ++memoLookups;
+    BSISA_ASSERT(pos - base < memo.size(), "outside the memo window");
+    PosMemo &pm = memo[pos - base];
+    if (pm.computed)
+        return pm;
+    ++memoComputes;
+
+    const TraceEvent *evs = trace.events + pos;
+    pm.trie = &bsa.trie(evs[0].func, evs[0].block);
+    const int node = maximalVariant(pos);
+    pm.smax = pm.trie->nodes[node].block;
+    pm.varIdx = variantIndex(*pm.trie, pm.smax);
+    pm.compatMax =
+        compatibleAt(pos, pm.smax, evs[0].func, evs[0].block);
+
+    // The maximal commit's event consumption and address span: events
+    // slice the trace pool in stream order (ExecTrace invariant), so
+    // the whole unit is a single zero-copy span into the pool.
+    const std::size_t consume = std::min<std::size_t>(
+        bsa.blocks[pm.smax].bbs.size(), availAt(pos));
+    pm.consume = static_cast<std::uint8_t>(consume);
+    std::uint32_t total = 0;
+    for (std::size_t i = 0; i < consume; ++i)
+        total += evs[i].memCount;
+    pm.memCount = total;
+    pm.computed = true;
+    return pm;
 }
 
 int
-BsaFetchSource::maximalVariant(FuncId func, BlockId head,
-                               unsigned &eventsUsed) const
+BsaTranslation::maximalVariant(std::size_t pos) const
 {
-    const HeadTrie &trie = bsa.trie(func, head);
-    const Function &fn = module.functions[func];
-    const std::size_t size = windowSize();
+    const std::size_t size = availAt(pos);
+    const TraceEvent *evs = trace.events + pos;
+    const HeadTrie &trie = bsa.trie(evs[0].func, evs[0].block);
+    const Function &fn = bsa.src->functions[evs[0].func];
     int node = 0;
     unsigned i = 0;
-    BSISA_ASSERT(size > 0 && event(0).block == head &&
-                 event(0).func == func);
 
     for (;;) {
         const TrieNode &tn = trie.nodes[node];
@@ -41,7 +133,7 @@ BsaFetchSource::maximalVariant(FuncId func, BlockId head,
         if (term.op == Opcode::Jmp) {
             child = tn.childThru;
         } else if (term.op == Opcode::Trap && i < size) {
-            child = event(i).taken ? tn.childTaken : tn.childNotTaken;
+            child = evs[i].taken ? tn.childTaken : tn.childNotTaken;
         }
         if (child == -1 || i + 1 >= size) {
             // Stop here; if the walk was cut short by a truncated
@@ -55,9 +147,6 @@ BsaFetchSource::maximalVariant(FuncId func, BlockId head,
                                                  : cur.childTaken;
                 BSISA_ASSERT(stop != -1);
             }
-            const AtomicBlock &blk = bsa.blocks[trie.nodes[stop].block];
-            eventsUsed = static_cast<unsigned>(
-                std::min<std::size_t>(blk.bbs.size(), size));
             return stop;
         }
         node = child;
@@ -66,59 +155,75 @@ BsaFetchSource::maximalVariant(FuncId func, BlockId head,
 }
 
 bool
-BsaFetchSource::compatible(AtomicBlockId block, FuncId func,
-                           BlockId head) const
+BsaTranslation::compatibleAt(std::size_t pos, AtomicBlockId block,
+                             FuncId func, BlockId head) const
 {
     if (block == invalidId)
         return false;
     const AtomicBlock &blk = bsa.blocks[block];
     if (blk.func != func || blk.bbs.front() != head)
         return false;
-    if (blk.bbs.size() > windowSize())
+    if (blk.bbs.size() > availAt(pos))
         return false;
+    const TraceEvent *evs = trace.events + pos;
     for (std::size_t i = 0; i < blk.bbs.size(); ++i) {
-        const TraceEvent &ev = event(i);
-        if (ev.func != func || ev.block != blk.bbs[i])
+        const TraceEvent &e = evs[i];
+        if (e.func != func || e.block != blk.bbs[i])
             return false;
         if (i + 1 < blk.bbs.size() &&
-            (ev.nextFunc != func || ev.nextBlock != blk.bbs[i + 1])) {
+            (e.nextFunc != func || e.nextBlock != blk.bbs[i + 1])) {
             return false;
         }
     }
     return true;
 }
 
-unsigned
-BsaFetchSource::variantIndex(const HeadTrie &trie, AtomicBlockId block)
+void
+BsaTranslation::buildUnit(const FetchOutcomeRecord &rec,
+                          TimingUnit &unit) const
 {
-    for (unsigned v = 0; v < trie.emitted.size(); ++v)
-        if (trie.nodes[trie.emitted[v]].block == block)
-            return v;
-    panic("block is not a variant of this trie");
+    const AtomicBlock &blk = bsa.blocks[rec.committed];
+    const DecodedUnit &du = decoded.unit(rec.committed);
+    unit.pc = blk.addr;
+    unit.bytes = du.sizeBytes;
+    unit.ops = decoded.ops(du);
+    unit.opCount = du.opCount;
+    unit.memAddrs = trace.memAddrs + rec.memOffset;
+    unit.memCount = rec.memCount;
+    unit.redirect = RedirectInfo{};
+}
+
+// ----------------------------------------------------- BsaFetchWalker
+
+BsaFetchWalker::BsaFetchWalker(BsaTranslation &translation,
+                               const MachineConfig &config)
+    : tr(&translation), perfect(config.perfectPrediction),
+      predictor(config.predictor)
+{
 }
 
 void
-BsaFetchSource::predictSuccessor(AtomicBlockId committed,
+BsaFetchWalker::predictSuccessor(AtomicBlockId committed,
                                  const TraceEvent &lastEvent)
 {
+    const BsaModule &bsa = tr->bsa;
+    const DecodedProgram &decoded = tr->decoded;
     const AtomicBlock &blk = bsa.blocks[committed];
     const DecodedUnit &du = decoded.unit(committed);
     pendingRedirect = RedirectInfo{};
     predictedNext = invalidId;
 
-    const std::size_t size = windowSize();
+    const std::size_t size = tr->availAt(pos);
     if (lastEvent.exit == ExitKind::Halt || size == 0)
         return;
 
     const FuncId next_func = lastEvent.nextFunc;
     const BlockId next_head = lastEvent.nextBlock;
-    BSISA_ASSERT(event(0).func == next_func &&
-                 event(0).block == next_head);
+    const TraceEvent *evs = tr->trace.events + pos;
+    BSISA_ASSERT(evs[0].func == next_func && evs[0].block == next_head);
 
-    const HeadTrie &next_trie = bsa.trie(next_func, next_head);
-    unsigned used = 0;
-    const int max_node = maximalVariant(next_func, next_head, used);
-    const AtomicBlockId s_max = next_trie.nodes[max_node].block;
+    const BsaTranslation::PosMemo &pm = tr->memoAt(pos);
+    const AtomicBlockId s_max = pm.smax;
 
     if (perfect) {
         predictedNext = s_max;
@@ -127,93 +232,66 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
 
     const std::uint64_t pc = blk.addr;
     const Operation &term = blk.terminator();
+    const BsaTranslation::BlockAux &aux = tr->blockAux[committed];
 
     // Canonical successor slot layout: taken-side variants first.
-    auto side_variants = [&](BlockId target) -> const HeadTrie * {
-        return bsa.findTrie(blk.func, target);
-    };
     auto slot_of = [&](bool taken_side, unsigned variant) -> unsigned {
         unsigned slot = variant;
-        if (term.op == Opcode::Trap && !taken_side) {
-            const HeadTrie *t0 = side_variants(term.target0);
-            slot += t0 ? static_cast<unsigned>(t0->emitted.size()) : 0;
-        }
+        if (term.op == Opcode::Trap && !taken_side)
+            slot += aux.notTakenSlotBase;
         return slot & (btbSuccessorSlots - 1);
     };
 
     // ----------------------------------------------------- predict
-    // One combined const probe (PHT + BTB view) serves the whole
-    // predict phase; it stays valid until install() below.
+    // One combined PHT+BTB probe serves the whole predict section
+    // (the capture pre-pass runs this per fetch step, so halving the
+    // table traffic matters); the view stays valid until install()
+    // below — popReturn only touches the return stack.
     AtomicBlockId candidate = invalidId;
     const BlockPredictor::Probe pr = predictor.probe(pc);
     const BlockPredictor::Prediction &pred = pr.pred;
+    const HeadTrie *trie = nullptr;
     switch (term.op) {
-      case Opcode::Trap: {
-        const BlockId target =
-            pred.trapTaken ? term.target0 : term.target1;
-        if (const HeadTrie *trie = side_variants(target)) {
-            const unsigned nvar =
-                static_cast<unsigned>(trie->emitted.size());
-            const unsigned variant = std::min(pred.variantBits,
-                                              nvar - 1);
-            const AtomicBlockId structural =
-                trie->nodes[trie->emitted[variant]].block;
-            const unsigned slot = slot_of(pred.trapTaken, variant);
-            if (pr.btb.successor(slot) == structural)
-                candidate = structural;
-            else if (pr.btb.lastSucc != ~0ull)
-                candidate =
-                    static_cast<AtomicBlockId>(pr.btb.lastSucc);
-        }
+      case Opcode::Trap:
+        trie = pred.trapTaken ? aux.takenTrie : aux.notTakenTrie;
         break;
-      }
       case Opcode::Jmp:
       case Opcode::Call:
+        trie = aux.takenTrie;
+        break;
       case Opcode::Ret: {
-        FuncId hf = next_func;
-        BlockId hb = next_head;
-        if (term.op == Opcode::Ret) {
-            // The return address stack provides the head.
-            const std::uint64_t token = predictor.popReturn();
-            if (token == ~0ull)
-                break;
-            hf = static_cast<FuncId>(token >> 32);
-            hb = static_cast<BlockId>(token & 0xffffffff);
-        } else if (term.op == Opcode::Call) {
-            hf = term.callee;
-            hb = 0;
-        } else {
-            hb = term.target0;
-        }
-        if (const HeadTrie *trie = bsa.findTrie(hf, hb)) {
-            const unsigned nvar =
-                static_cast<unsigned>(trie->emitted.size());
-            const unsigned variant = std::min(pred.variantBits,
-                                              nvar - 1);
-            const AtomicBlockId structural =
-                trie->nodes[trie->emitted[variant]].block;
-            const unsigned slot = variant & (btbSuccessorSlots - 1);
-            if (pr.btb.successor(slot) == structural)
-                candidate = structural;
-            else if (pr.btb.lastSucc != ~0ull)
-                candidate =
-                    static_cast<AtomicBlockId>(pr.btb.lastSucc);
+        // The return address stack provides the head.
+        const std::uint64_t token = predictor.popReturn();
+        if (token != ~0ull) {
+            trie = bsa.findTrie(
+                static_cast<FuncId>(token >> 32),
+                static_cast<BlockId>(token & 0xffffffff));
         }
         break;
       }
-      case Opcode::IJmp: {
+      case Opcode::IJmp:
         if (pr.btb.lastSucc != ~0ull)
             candidate = static_cast<AtomicBlockId>(pr.btb.lastSucc);
         break;
-      }
       default:
         break;
+    }
+    if (trie) {
+        const unsigned nvar = static_cast<unsigned>(trie->emitted.size());
+        const unsigned variant = std::min(pred.variantBits, nvar - 1);
+        const AtomicBlockId structural =
+            trie->nodes[trie->emitted[variant]].block;
+        if (pr.btb.successor(slot_of(pred.trapTaken, variant)) ==
+            structural)
+            candidate = structural;
+        else if (pr.btb.lastSucc != ~0ull)
+            candidate = static_cast<AtomicBlockId>(pr.btb.lastSucc);
     }
     if (term.op == Opcode::Call)
         predictor.pushReturn(blockToken(blk.func, term.target0));
 
     // ------------------------------------------------------- train
-    const unsigned actual_variant = variantIndex(next_trie, s_max);
+    const unsigned actual_variant = pm.varIdx;
     BlockPredictor::Prediction actual;
     actual.trapTaken =
         term.op == Opcode::Trap ? lastEvent.taken : false;
@@ -229,10 +307,16 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
     if (counted)
         ++nPredictions;
 
-    if (candidate != invalidId &&
-        compatible(candidate, next_func, next_head)) {
-        predictedNext = candidate;  // commits (possibly shallow)
-        return;
+    if (candidate != invalidId) {
+        const bool compat =
+            candidate == s_max
+                ? pm.compatMax
+                : tr->compatibleAt(pos, candidate, next_func,
+                                   next_head);
+        if (compat) {
+            predictedNext = candidate;  // commits (possibly shallow)
+            return;
+        }
     }
 
     // Misprediction.
@@ -286,7 +370,7 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
                 static_cast<unsigned>(std::countr_zero(m));
             if (i >= size)
                 break;  // truncated stream at the program tail
-            const bool actual_dir = event(i).taken;
+            const bool actual_dir = evs[i].taken;
             const bool merged_dir = (wdu.dirMask >> dir_idx) & 1;
             if (actual_dir != merged_dir) {
                 diverged = true;
@@ -323,52 +407,95 @@ BsaFetchSource::predictSuccessor(AtomicBlockId committed,
         }
     }
     pendingRedirect.extraHops = hops > 0 ? hops - 1 : 0;
-    // The cascade-final compatible block; next() falls back to the
-    // maximal variant if the stream was truncated underneath us.
+    // The cascade-final compatible block; captureStep falls back to
+    // the maximal variant if the stream was truncated underneath us.
     predictedNext = wrong_id;
+}
+
+void
+BsaFetchWalker::captureStep(FetchOutcomeStream &out)
+{
+    const BsaTranslation::PosMemo &pm = tr->memoAt(pos);
+    const TraceEvent *evs = tr->trace.events + pos;
+
+    // A predicted maximal commit needs no re-check: either way the
+    // commit is s_max.  Only shallower (or wrong-head) predictions
+    // pay for a stream-compatibility walk.
+    AtomicBlockId committed = pm.smax;
+    if (predictedNext != invalidId && predictedNext != pm.smax &&
+        tr->compatibleAt(pos, predictedNext, evs[0].func,
+                         evs[0].block)) {
+        committed = predictedNext;
+    }
+
+    FetchOutcomeRecord rec;
+    rec.pos = static_cast<std::uint32_t>(pos);
+    rec.committed = committed;
+
+    // Record the block's memory span: one slice of the trace pool
+    // starting at the head event (ExecTrace span adjacency).
+    std::size_t consume = pm.consume;
+    std::uint32_t total = pm.memCount;
+    if (committed != pm.smax) {
+        consume = std::min<std::size_t>(
+            tr->bsa.blocks[committed].bbs.size(), tr->availAt(pos));
+        total = 0;
+        for (std::size_t i = 0; i < consume; ++i)
+            total += evs[i].memCount;
+    }
+    rec.memOffset = static_cast<std::uint32_t>(evs[0].memBegin);
+    rec.memCount = total;
+
+    // The redirect recorded by the PREVIOUS step's prediction applies
+    // to this unit's fetch; store it sparsely against this step.
+    if (pendingRedirect.mispredicted) {
+        out.redirectStep.push_back(
+            static_cast<std::uint32_t>(out.steps.size()));
+        out.redirects.push_back(pendingRedirect);
+    }
+    out.steps.push_back(rec);
+    ++nFetchSteps;
+
+    const TraceEvent &last = evs[consume - 1];
+    pos += consume;
+    predictSuccessor(committed, last);
+}
+
+// ----------------------------------------------------- BsaFetchSource
+
+BsaFetchSource::BsaFetchSource(const BsaModule &bsa,
+                               const MachineConfig &config,
+                               const ExecTrace &trace,
+                               const DecodedProgram &decoded)
+    : translation(bsa, decoded, trace), walker(translation, config)
+{
+    // Exact window bounds keep next() allocation-free.
+    stream.reserveWindow(trace.eventCount, true,
+                         !config.perfectPrediction);
 }
 
 bool
 BsaFetchSource::next(TimingUnit &unit)
 {
-    if (pos >= trace.eventCount)
-        return false;
-
-    const FuncId func = event(0).func;
-    const BlockId head = event(0).block;
-
-    AtomicBlockId committed;
-    if (predictedNext != invalidId &&
-        compatible(predictedNext, func, head)) {
-        committed = predictedNext;
-    } else {
-        unsigned used = 0;
-        const int node = maximalVariant(func, head, used);
-        committed = bsa.trie(func, head).nodes[node].block;
+    if (nextStep == stream.steps.size()) {
+        const std::size_t eventCount = translation.trace.eventCount;
+        if (walker.pos >= eventCount)
+            return false;
+        // Capture the next window of the walk.
+        translation.startWindow(windowEnd);
+        windowEnd = std::min(eventCount, windowEnd + fetchCaptureWindow);
+        stream.clear();
+        nextStep = 0;
+        nextRedirect = 0;
+        while (walker.pos < windowEnd)
+            walker.captureStep(stream);
     }
 
-    const AtomicBlock &blk = bsa.blocks[committed];
-    const DecodedUnit &du = decoded.unit(committed);
-    unit.pc = blk.addr;
-    unit.bytes = du.sizeBytes;
-    unit.ops = decoded.ops(du);
-    unit.opCount = du.opCount;
-    unit.redirect = pendingRedirect;
-
-    // Consume the block's events; their address spans are adjacent in
-    // the trace pool (ExecTrace invariant), so the block's addresses
-    // are one zero-copy slice.
-    const std::size_t consume =
-        std::min<std::size_t>(blk.bbs.size(), windowSize());
-    std::uint32_t total = 0;
-    for (std::size_t i = 0; i < consume; ++i)
-        total += event(i).memCount;
-    unit.memAddrs = trace.memAddrs + event(0).memBegin;
-    unit.memCount = total;
-
-    const TraceEvent &last = event(consume - 1);
-    pos += consume;
-    predictSuccessor(committed, last);
+    translation.buildUnit(stream.steps[nextStep], unit);
+    if (nextRedirect < stream.redirectStep.size() &&
+        stream.redirectStep[nextRedirect] == nextStep)
+        unit.redirect = stream.redirects[nextRedirect++];
+    ++nextStep;
     return true;
 }
 

@@ -30,12 +30,16 @@
  * events: every group records the steps starting inside the window,
  * the timing walk consumes them, and the streams are cleared (keeping
  * their capacity) before the next window.  Stream memory is therefore
- * bounded by groups x window whatever the trace length.
+ * bounded by groups x window whatever the trace length.  The single-
+ * config BsaFetchSource reads the same records from one stream, so
+ * the BSA fetch walk (sim/bsa_source.hh) has exactly one
+ * implementation.
  */
 
 #ifndef BSISA_SIM_FETCH_OUTCOME_HH
 #define BSISA_SIM_FETCH_OUTCOME_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -45,12 +49,7 @@
 namespace bsisa
 {
 
-/**
- * Trace events per capture window.  A window's records and redirects
- * are at most one per event, so reserving min(fetchCaptureWindow,
- * eventCount) entries per group is an exact bound and the capture
- * walk never allocates.
- */
+/** Trace events per capture window (see reserveWindow below). */
 constexpr std::size_t fetchCaptureWindow = std::size_t(1) << 12;
 
 /**
@@ -78,6 +77,23 @@ struct FetchOutcomeStream
     std::vector<FetchOutcomeRecord> steps;
     std::vector<RedirectInfo> redirects;      //!< mispredicts only
     std::vector<std::uint32_t> redirectStep;  //!< parallel step index
+
+    /** Reserve one window's exact bound — at most one step and one
+     *  redirect per trace event — so a capture walk never allocates.
+     *  Conventional streams store no steps; oracle predictors never
+     *  redirect. */
+    void
+    reserveWindow(std::size_t eventCount, bool withSteps,
+                  bool withRedirects)
+    {
+        const std::size_t window = std::min(fetchCaptureWindow, eventCount);
+        if (withSteps)
+            steps.reserve(window);
+        if (withRedirects) {
+            redirects.reserve(window);
+            redirectStep.reserve(window);
+        }
+    }
 
     /** Drop the window's contents, keeping the capacity. */
     void

@@ -24,12 +24,13 @@
  *   - block-structured: the maximal-variant trie walk, its variant
  *     index and stream compatibility, the consumed event count, and
  *     the unit's pooled address span all depend only on the stream
- *     position — one memo entry captures them for every group; a
- *     group's predictor may commit a shallower compatible variant, in
- *     which case that group commits its own (rare) shallow unit and
- *     its cursor drifts until it re-meets the others at a head
- *     boundary.  The whole fetch side runs as a pre-pass too
- *     (LockstepBsa::captureStep), recording one FetchOutcomeRecord
+ *     position — one memo entry of the shared BsaTranslation
+ *     (sim/bsa_source.hh) captures them for every group; a group's
+ *     predictor may commit a shallower compatible variant, in which
+ *     case that group commits its own (rare) shallow unit and its
+ *     cursor drifts until it re-meets the others at a head boundary.
+ *     The whole fetch side runs as a pre-pass too (one
+ *     BsaFetchWalker per group), recording one FetchOutcomeRecord
  *     per fetch step into each group's FetchOutcomeStream, one capture
  *     window at a time; the timing walk then advances the window's
  *     streams by MINIMUM POSITION, so lanes of
@@ -60,10 +61,8 @@
 #include "sim/lockstep.hh"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
-#include "predict/blockpred.hh"
 #include "sim/bsa_source.hh"
 #include "sim/conv_source.hh"
 #include "sim/fetch_outcome.hh"
@@ -86,6 +85,13 @@ secondsBetween(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
+}
+
+bool
+sameCacheConfig(const CacheConfig &a, const CacheConfig &b)
+{
+    return a.sizeBytes == b.sizeBytes && a.assoc == b.assoc &&
+           a.lineBytes == b.lineBytes && a.perfect == b.perfect;
 }
 
 } // namespace
@@ -147,11 +153,8 @@ LanePipelines::shareIcache(std::size_t leader, std::size_t follower)
     BSISA_ASSERT(leader < follower,
                  "leader must step before its follower: batches step "
                  "lanes in ascending order");
-    const CacheConfig &a = configs[leader].icache;
-    const CacheConfig &b = configs[follower].icache;
-    BSISA_ASSERT(a.sizeBytes == b.sizeBytes && a.assoc == b.assoc &&
-                     a.lineBytes == b.lineBytes &&
-                     a.perfect == b.perfect,
+    BSISA_ASSERT(sameCacheConfig(configs[leader].icache,
+                                 configs[follower].icache),
                  "icache sharing requires identical geometry");
     icacheLeaderOf[follower] = static_cast<std::int32_t>(leader);
 }
@@ -172,11 +175,7 @@ LanePipelines::shareDcachePool(const std::uint64_t *addrs,
         const CacheConfig &cfg = configs[l].dcache;
         std::int32_t stream = -1;
         for (std::size_t s = 0; s < owner.size(); ++s) {
-            const CacheConfig &other = configs[owner[s]].dcache;
-            if (cfg.sizeBytes == other.sizeBytes &&
-                cfg.assoc == other.assoc &&
-                cfg.lineBytes == other.lineBytes &&
-                cfg.perfect == other.perfect) {
+            if (sameCacheConfig(cfg, configs[owner[s]].dcache)) {
                 stream = static_cast<std::int32_t>(s);
                 break;
             }
@@ -638,13 +637,6 @@ namespace
 {
 
 bool
-sameCacheConfig(const CacheConfig &a, const CacheConfig &b)
-{
-    return a.sizeBytes == b.sizeBytes && a.assoc == b.assoc &&
-           a.lineBytes == b.lineBytes && a.perfect == b.perfect;
-}
-
-bool
 samePredictorConfig(const PredictorConfig &a, const PredictorConfig &b)
 {
     return a.scheme == b.scheme && a.historyBits == b.historyBits &&
@@ -841,19 +833,12 @@ lockstepConventional(const Module &module, const ConvLayout &layout,
     // The predictors run in a decoupled pre-pass (captureOutcomes)
     // recording each group's sparse redirect stream over one capture
     // window, and the timing walk consumes the window's outcomes by
-    // cursor — no predictor work interleaves with the kernel loop.  A
-    // window holds at most one redirect per event, so the exact
-    // reservations below keep the capture allocation-free (oracle
-    // predictors never redirect).
-    const std::size_t window =
-        std::min(fetchCaptureWindow, trace.eventCount);
+    // cursor — no predictor work interleaves with the kernel loop.
     std::vector<FetchOutcomeStream> streams(ngroups);
     for (std::size_t g = 0; g < ngroups; ++g) {
-        if (!grouped.ordered[grouped.groups[g].front()]
-                 .perfectPrediction) {
-            streams[g].redirects.reserve(window);
-            streams[g].redirectStep.reserve(window);
-        }
+        streams[g].reserveWindow(
+            trace.eventCount, false,
+            !grouped.ordered[grouped.groups[g].front()].perfectPrediction);
     }
     std::vector<std::size_t> rcur(ngroups);
     std::vector<RedirectInfo> laneRedirects(n);
@@ -936,30 +921,19 @@ namespace
 {
 
 /**
- * The shared-translation BSA lockstep walk.
+ * The shared-translation BSA lockstep walk: N BsaFetchWalkers, one
+ * per prediction group, over one BsaTranslation (sim/bsa_source.hh),
+ * so the config-independent translation of each stream position is
+ * computed once for every group.  The caller lays each group's lanes
+ * out contiguously (groupLanes), so a group steps as one op-major
+ * batch.
  *
- * Transcribes BsaFetchSource: a group's lookahead is the same window
- * [pos, pos + min(64, remaining)) of the shared event array, so the
- * truncated-tail semantics are reproduced exactly while the whole
- * config-independent translation at a stream position — a pure
- * function of that position — is computed once and memoised for every group (PosMemo), and the
- * per-block successor-trie lookups the predictor path needs are
- * hoisted out of the hash tables into one flat table (BlockAux) at
- * construction.  Prediction itself is stream-driven — the predictor
- * trains on committed outcomes, never on timing — so the whole fetch
- * side runs once per prediction group and only the member lanes'
- * pipelines are per config; the caller lays each group's lanes out
- * contiguously (groupLanes), so a group steps as one op-major batch.
- *
- * The fetch and timing sides are decoupled: captureStep runs one
- * group's predictor/fetch walk one unit forward, appending a
- * FetchOutcomeRecord (and sparse redirect) to the group's stream.
  * run() works in capture windows of fetchCaptureWindow events: every
- * group captures the steps that start in the window, then timingWalk
- * consumes the recorded streams by minimum position so groups whose
- * streams coincide at a position — committing the same block — FUSE
- * into one full-width stepBatch with per-lane redirects gathered from
- * the streams.
+ * group's walker captures the steps that start in the window into the
+ * group's FetchOutcomeStream, then timingWalk consumes the recorded
+ * streams by minimum position so groups whose streams coincide at a
+ * position — committing the same block — FUSE into one full-width
+ * stepBatch with per-lane redirects gathered from the streams.
  */
 class LockstepBsa
 {
@@ -968,13 +942,9 @@ class LockstepBsa
                 const DecodedProgram &decodedProgram,
                 const std::vector<MachineConfig> &machineConfigs,
                 const ExecTrace &execTrace)
-        : bsa(bsaModule), module(*bsaModule.src),
-          decoded(decodedProgram), machines(machineConfigs),
-          trace(execTrace), memo(execTrace.eventCount)
+        : machines(machineConfigs), trace(execTrace),
+          translation(bsaModule, decodedProgram, execTrace)
     {
-        BSISA_ASSERT(execTrace.eventCount <= 0xffffffffull &&
-                         execTrace.memAddrCount <= 0xffffffffull,
-                     "FetchOutcomeRecord fields are 32-bit");
         for (const auto &members : predictionGroups(machines)) {
             // stepBatch consumes contiguous lane ranges; the driver
             // below hands us group-contiguous configs (groupLanes).
@@ -982,588 +952,56 @@ class LockstepBsa
                 BSISA_ASSERT(members[i] == members[i - 1] + 1,
                              "prediction groups must be contiguous");
             }
-            groups.emplace_back(machines[members.front()], members);
+            groups.emplace_back(translation, machines[members.front()],
+                                members);
         }
-        // A window holds at most one step (and one redirect) per
-        // trace event, so these exact bounds keep the capture walk
-        // allocation-free: the lockstep steady state performs a
-        // length-independent number of heap allocations
-        // (tests/test_decoded.cc).  Oracle groups never redirect.
-        const std::size_t window =
-            std::min(fetchCaptureWindow, trace.eventCount);
+        // Exact window bounds keep the capture walk allocation-free:
+        // the lockstep steady state performs a length-independent
+        // number of heap allocations (tests/test_decoded.cc).
         for (Group &group : groups) {
-            group.stream.steps.reserve(window);
-            if (!group.perfect) {
-                group.stream.redirects.reserve(window);
-                group.stream.redirectStep.reserve(window);
-            }
+            group.stream.reserveWindow(
+                trace.eventCount, true,
+                !machines[group.lanes.front()].perfectPrediction);
         }
         laneRedirects.resize(machines.size());
         atPos.reserve(groups.size());
-        buildBlockAux();
     }
 
     std::vector<SimResult> run();
 
   private:
-    static constexpr std::size_t lookahead = BsaFetchSource::lookahead;
-
-    /** One prediction group: the shared fetch-side state of every
-     *  lane whose prediction evolution is identical. */
+    /** One prediction group: the shared fetch side of every lane whose
+     *  prediction evolution is identical. */
     struct Group
     {
-        Group(const MachineConfig &config,
+        Group(BsaTranslation &translation, const MachineConfig &config,
               std::vector<std::size_t> members)
-            : perfect(config.perfectPrediction),
-              predictor(config.predictor), lanes(std::move(members))
+            : walker(translation, config), lanes(std::move(members))
         {
         }
 
-        bool perfect;
-        BlockPredictor predictor;
+        BsaFetchWalker walker;
         std::vector<std::size_t> lanes;  //!< member lane indices
-        std::size_t pos = 0;  //!< next unconsumed event
-        AtomicBlockId predictedNext = invalidId;
-        RedirectInfo pendingRedirect;
-        /** The group's fetch outcomes in the current capture window
-         *  (see captureStep), and the timing walk's cursors into
-         *  them. */
+        /** The group's fetch outcomes in the current capture window,
+         *  and the timing walk's cursors into them. */
         FetchOutcomeStream stream;
         std::size_t nextStep = 0;
         std::size_t nextRedirect = 0;
-
-        std::uint64_t nPredictions = 0;
-        std::uint64_t nTrapMiss = 0;
-        std::uint64_t nFaultMiss = 0;
-        std::uint64_t nCascadeHops = 0;
-        std::uint64_t nFetchSteps = 0;  //!< records captured in total
     };
-
-    /**
-     * The config-independent translation of one stream position,
-     * computed lazily on first touch and shared by every lane whose
-     * cursor passes the position.
-     */
-    struct PosMemo
-    {
-        const HeadTrie *trie = nullptr;  //!< head trie at the position
-        AtomicBlockId smax = invalidId;  //!< maximal-variant block
-        std::uint32_t varIdx = 0;        //!< smax's canonical variant
-        std::uint32_t memCount = 0;      //!< pooled span length (smax)
-        std::uint8_t consume = 0;        //!< events smax consumes
-        bool compatMax = false; //!< smax passes the stream-compat check
-        bool computed = false;
-    };
-
-    /** Successor tries of one atomic block's terminator, hoisted out
-     *  of the per-(func, head) hash maps.  For Trap terminators
-     *  takenTrie/notTakenTrie are the two direction targets and
-     *  notTakenSlotBase is the taken side's variant count (the
-     *  canonical successor-slot layout puts taken-side variants
-     *  first); for Jmp/Call, takenTrie is the sole decodable target. */
-    struct BlockAux
-    {
-        const HeadTrie *takenTrie = nullptr;
-        const HeadTrie *notTakenTrie = nullptr;
-        unsigned notTakenSlotBase = 0;
-    };
-
-    /** Ring-equivalent window size at stream position @p pos. */
-    std::size_t
-    availAt(std::size_t pos) const
-    {
-        return std::min<std::size_t>(lookahead,
-                                     trace.eventCount - pos);
-    }
-
-    const TraceEvent &
-    ev(const Group &group, std::size_t i) const
-    {
-        return trace.events[group.pos + i];
-    }
-
-    void buildBlockAux();
-    const PosMemo &memoAt(std::size_t pos);
-    int maximalVariantUncached(std::size_t pos) const;
-    bool compatibleAt(std::size_t pos, AtomicBlockId block,
-                      FuncId func, BlockId head) const;
-    static unsigned variantIndex(const HeadTrie &trie,
-                                 AtomicBlockId block);
-    void predictSuccessor(Group &group, AtomicBlockId committed,
-                          const TraceEvent &lastEvent);
-
-    /** Advance @p group's fetch side one unit: choose the commit,
-     *  record its FetchOutcomeRecord (and sparse redirect) into the
-     *  group's stream, consume the events, train the predictor.
-     *  Requires group.pos < trace.eventCount. */
-    void captureStep(Group &group);
-
-    /** Reconstruct the TimingUnit described by @p rec (redirect left
-     *  cleared; the drivers gather redirects per lane). */
-    void buildUnit(const FetchOutcomeRecord &rec,
-                   TimingUnit &unit) const;
 
     /** Consume every group's captured window by minimum position,
      *  fusing coincident groups into full-width batches. */
     void timingWalk(LanePipelines &pipes);
 
-    const BsaModule &bsa;
-    const Module &module;
-    const DecodedProgram &decoded;
     const std::vector<MachineConfig> &machines;
     const ExecTrace &trace;
+    BsaTranslation translation;
     std::vector<Group> groups;
     /** timingWalk scratch: per-lane redirect rows, and the groups
      *  whose next record sits at the current minimum position. */
     std::vector<RedirectInfo> laneRedirects;
     std::vector<std::size_t> atPos;
-
-    /** Shared per-position translation memo (lazily filled). */
-    std::vector<PosMemo> memo;
-    std::uint64_t memoLookups = 0;   //!< memoAt calls
-    std::uint64_t memoComputes = 0;  //!< calls that filled an entry
-    /** Per-atomic-block successor tries, indexed by AtomicBlockId. */
-    std::vector<BlockAux> blockAux;
 };
-
-void
-LockstepBsa::buildBlockAux()
-{
-    blockAux.resize(bsa.blocks.size());
-    for (std::size_t b = 0; b < bsa.blocks.size(); ++b) {
-        const AtomicBlock &blk = bsa.blocks[b];
-        const Operation &term = blk.terminator();
-        BlockAux &aux = blockAux[b];
-        switch (term.op) {
-          case Opcode::Trap:
-            aux.takenTrie = bsa.findTrie(blk.func, term.target0);
-            aux.notTakenTrie = bsa.findTrie(blk.func, term.target1);
-            aux.notTakenSlotBase =
-                aux.takenTrie ? static_cast<unsigned>(
-                                    aux.takenTrie->emitted.size())
-                              : 0;
-            break;
-          case Opcode::Jmp:
-            // An intra-function jump: the successor head is
-            // term.target0 in the block's own function.
-            aux.takenTrie = bsa.findTrie(blk.func, term.target0);
-            break;
-          case Opcode::Call:
-            aux.takenTrie = bsa.findTrie(term.callee, 0);
-            break;
-          default:
-            break;  // Ret/IJmp targets are dynamic; Halt has none
-        }
-    }
-}
-
-const LockstepBsa::PosMemo &
-LockstepBsa::memoAt(std::size_t pos)
-{
-    ++memoLookups;
-    PosMemo &pm = memo[pos];
-    if (pm.computed)
-        return pm;
-    ++memoComputes;
-
-    const TraceEvent *evs = trace.events + pos;
-    const std::size_t size = availAt(pos);
-    pm.trie = &bsa.trie(evs[0].func, evs[0].block);
-    const int node = maximalVariantUncached(pos);
-    pm.smax = pm.trie->nodes[node].block;
-    pm.varIdx = variantIndex(*pm.trie, pm.smax);
-    pm.compatMax =
-        compatibleAt(pos, pm.smax, evs[0].func, evs[0].block);
-
-    // The maximal commit's event consumption and address span: events
-    // slice the trace pool in stream order (ExecTrace invariant), so
-    // the whole unit is a single zero-copy span into the pool.
-    const AtomicBlock &blk = bsa.blocks[pm.smax];
-    const std::size_t consume =
-        std::min<std::size_t>(blk.bbs.size(), size);
-    pm.consume = static_cast<std::uint8_t>(consume);
-    std::uint32_t total = 0;
-    for (std::size_t i = 0; i < consume; ++i)
-        total += evs[i].memCount;
-    pm.memCount = total;
-    pm.computed = true;
-    return pm;
-}
-
-int
-LockstepBsa::maximalVariantUncached(std::size_t pos) const
-{
-    const std::size_t size =
-        std::min<std::size_t>(lookahead, trace.eventCount - pos);
-    const TraceEvent *evs = trace.events + pos;
-    const FuncId func = evs[0].func;
-    const BlockId head = evs[0].block;
-    const HeadTrie &trie = bsa.trie(func, head);
-    const Function &fn = module.functions[func];
-    int node = 0;
-    unsigned i = 0;
-
-    for (;;) {
-        const TrieNode &tn = trie.nodes[node];
-        const Operation &term = fn.blocks[tn.bb].terminator();
-        int child = -1;
-        if (term.op == Opcode::Jmp) {
-            child = tn.childThru;
-        } else if (term.op == Opcode::Trap && i < size) {
-            child = evs[i].taken ? tn.childTaken : tn.childNotTaken;
-        }
-        if (child == -1 || i + 1 >= size) {
-            // Stop here; if the walk was cut short by a truncated
-            // event stream the node may be pass-through, so fall to
-            // its default emitted descendant.
-            int stop = node;
-            while (trie.nodes[stop].block == invalidId) {
-                const TrieNode &cur = trie.nodes[stop];
-                stop = cur.childThru != -1        ? cur.childThru
-                       : cur.childNotTaken != -1 ? cur.childNotTaken
-                                                 : cur.childTaken;
-                BSISA_ASSERT(stop != -1);
-            }
-            return stop;
-        }
-        node = child;
-        ++i;
-    }
-}
-
-bool
-LockstepBsa::compatibleAt(std::size_t pos, AtomicBlockId block,
-                          FuncId func, BlockId head) const
-{
-    if (block == invalidId)
-        return false;
-    const AtomicBlock &blk = bsa.blocks[block];
-    if (blk.func != func || blk.bbs.front() != head)
-        return false;
-    if (blk.bbs.size() > availAt(pos))
-        return false;
-    const TraceEvent *evs = trace.events + pos;
-    for (std::size_t i = 0; i < blk.bbs.size(); ++i) {
-        const TraceEvent &e = evs[i];
-        if (e.func != func || e.block != blk.bbs[i])
-            return false;
-        if (i + 1 < blk.bbs.size() &&
-            (e.nextFunc != func || e.nextBlock != blk.bbs[i + 1])) {
-            return false;
-        }
-    }
-    return true;
-}
-
-unsigned
-LockstepBsa::variantIndex(const HeadTrie &trie, AtomicBlockId block)
-{
-    for (unsigned v = 0; v < trie.emitted.size(); ++v)
-        if (trie.nodes[trie.emitted[v]].block == block)
-            return v;
-    panic("block is not a variant of this trie");
-}
-
-void
-LockstepBsa::predictSuccessor(Group &group, AtomicBlockId committed,
-                              const TraceEvent &lastEvent)
-{
-    const AtomicBlock &blk = bsa.blocks[committed];
-    const DecodedUnit &du = decoded.unit(committed);
-    group.pendingRedirect = RedirectInfo{};
-    group.predictedNext = invalidId;
-
-    if (lastEvent.exit == ExitKind::Halt || availAt(group.pos) == 0)
-        return;
-
-    const FuncId next_func = lastEvent.nextFunc;
-    const BlockId next_head = lastEvent.nextBlock;
-    BSISA_ASSERT(ev(group, 0).func == next_func &&
-                 ev(group, 0).block == next_head);
-
-    const PosMemo &pm = memoAt(group.pos);
-    const AtomicBlockId s_max = pm.smax;
-
-    if (group.perfect) {
-        group.predictedNext = s_max;
-        return;
-    }
-
-    BlockPredictor &predictor = group.predictor;
-    const std::uint64_t pc = blk.addr;
-    const Operation &term = blk.terminator();
-    const BlockAux &aux = blockAux[committed];
-
-    // Canonical successor slot layout: taken-side variants first.
-    auto slot_of = [&](bool taken_side, unsigned variant) -> unsigned {
-        unsigned slot = variant;
-        if (term.op == Opcode::Trap && !taken_side)
-            slot += aux.notTakenSlotBase;
-        return slot & (btbSuccessorSlots - 1);
-    };
-
-    // ----------------------------------------------------- predict
-    // One combined PHT+BTB probe serves the whole predict section
-    // (the capture pre-pass runs this per fetch step, so halving the
-    // table traffic matters); the view stays valid until install()
-    // below — popReturn only touches the return stack.
-    AtomicBlockId candidate = invalidId;
-    const BlockPredictor::Probe pr = predictor.probe(pc);
-    const BlockPredictor::Prediction &pred = pr.pred;
-    switch (term.op) {
-      case Opcode::Trap: {
-        const HeadTrie *trie =
-            pred.trapTaken ? aux.takenTrie : aux.notTakenTrie;
-        if (trie) {
-            const unsigned nvar =
-                static_cast<unsigned>(trie->emitted.size());
-            const unsigned variant = std::min(pred.variantBits,
-                                              nvar - 1);
-            const AtomicBlockId structural =
-                trie->nodes[trie->emitted[variant]].block;
-            const unsigned slot = slot_of(pred.trapTaken, variant);
-            if (pr.btb.successor(slot) == structural)
-                candidate = structural;
-            else if (pr.btb.lastSucc != ~0ull)
-                candidate =
-                    static_cast<AtomicBlockId>(pr.btb.lastSucc);
-        }
-        break;
-      }
-      case Opcode::Jmp:
-      case Opcode::Call:
-      case Opcode::Ret: {
-        const HeadTrie *trie = aux.takenTrie;
-        if (term.op == Opcode::Ret) {
-            // The return address stack provides the head.
-            const std::uint64_t token = predictor.popReturn();
-            if (token == ~0ull)
-                break;
-            trie = bsa.findTrie(
-                static_cast<FuncId>(token >> 32),
-                static_cast<BlockId>(token & 0xffffffff));
-        }
-        if (trie) {
-            const unsigned nvar =
-                static_cast<unsigned>(trie->emitted.size());
-            const unsigned variant = std::min(pred.variantBits,
-                                              nvar - 1);
-            const AtomicBlockId structural =
-                trie->nodes[trie->emitted[variant]].block;
-            const unsigned slot = variant & (btbSuccessorSlots - 1);
-            if (pr.btb.successor(slot) == structural)
-                candidate = structural;
-            else if (pr.btb.lastSucc != ~0ull)
-                candidate =
-                    static_cast<AtomicBlockId>(pr.btb.lastSucc);
-        }
-        break;
-      }
-      case Opcode::IJmp: {
-        if (pr.btb.lastSucc != ~0ull)
-            candidate = static_cast<AtomicBlockId>(pr.btb.lastSucc);
-        break;
-      }
-      default:
-        break;
-    }
-    if (term.op == Opcode::Call)
-        predictor.pushReturn(blockToken(blk.func, term.target0));
-
-    // ------------------------------------------------------- train
-    const unsigned actual_variant = pm.varIdx;
-    BlockPredictor::Prediction actual;
-    actual.trapTaken =
-        term.op == Opcode::Trap ? lastEvent.taken : false;
-    actual.variantBits = actual_variant;
-    unsigned succ_index = actual_variant;
-    if (term.op == Opcode::Trap)
-        succ_index = slot_of(lastEvent.taken, actual_variant);
-    predictor.update(pc, actual, blk.succBits, succ_index);
-    predictor.install(pc, succ_index & (btbSuccessorSlots - 1), s_max);
-
-    // ---------------------------------------------------- classify
-    bool counted = blk.succBits > 0 || term.op == Opcode::IJmp;
-    if (counted)
-        ++group.nPredictions;
-
-    if (candidate != invalidId) {
-        const bool compat =
-            candidate == s_max
-                ? pm.compatMax
-                : compatibleAt(group.pos, candidate, next_func,
-                               next_head);
-        if (compat) {
-            // Commits (possibly shallow).
-            group.predictedNext = candidate;
-            return;
-        }
-    }
-
-    // Misprediction.
-    if (!counted)
-        ++group.nPredictions;  // cold-BTB misses on single-succ blocks
-    group.pendingRedirect.mispredicted = true;
-    const bool same_head =
-        candidate != invalidId &&
-        bsa.blocks[candidate].func == next_func &&
-        bsa.blocks[candidate].bbs.front() == next_head;
-
-    if (!same_head) {
-        // Wrong head (trap direction / indirect target / cold BTB):
-        // resolved by this block's terminator.
-        ++group.nTrapMiss;
-        group.pendingRedirect.resolveInWrongBlock = false;
-        group.pendingRedirect.resolveOpIdx = du.opCount - 1;
-        if (candidate != invalidId) {
-            const AtomicBlock &wrong = bsa.blocks[candidate];
-            const DecodedUnit &wdu = decoded.unit(candidate);
-            group.pendingRedirect.wrongOps = decoded.ops(wdu);
-            group.pendingRedirect.wrongOpCount = wdu.opCount;
-            group.pendingRedirect.wrongPc = wrong.addr;
-            group.pendingRedirect.wrongBytes = wdu.sizeBytes;
-        }
-        group.predictedNext = s_max;
-        return;
-    }
-
-    // Same head, wrong variant: a fault inside the wrong block fires.
-    ++group.nFaultMiss;
-    group.pendingRedirect.isFault = true;
-    group.pendingRedirect.resolveInWrongBlock = true;
-
-    // Walk the fault-target cascade until a compatible block.
-    AtomicBlockId wrong_id = candidate;
-    unsigned hops = 0;
-    for (;;) {
-        const DecodedUnit &wdu = decoded.unit(wrong_id);
-        const DecodedFault *wfaults = decoded.faults(wdu);
-        // Find the first divergent merge edge by comparing the
-        // decoded direction mask with the actual stream; thru edges
-        // cannot diverge, so trapMask walks only the fault edges.
-        bool diverged = false;
-        unsigned resolve_op = wdu.opCount - 1;
-        AtomicBlockId fault_target = invalidId;
-        unsigned dir_idx = 0;
-        for (std::uint64_t m = wdu.trapMask; m;
-             m &= m - 1, ++dir_idx) {
-            const unsigned i =
-                static_cast<unsigned>(std::countr_zero(m));
-            if (i >= availAt(group.pos))
-                break;  // truncated stream at the program tail
-            const bool actual_dir = ev(group, i).taken;
-            const bool merged_dir = (wdu.dirMask >> dir_idx) & 1;
-            if (actual_dir != merged_dir) {
-                diverged = true;
-                resolve_op = wfaults[dir_idx].opIdx;
-                fault_target = wfaults[dir_idx].target;
-                break;
-            }
-        }
-        if (!diverged) {
-            if (hops == 0) {
-                // No divergent fault exists (possible only when the
-                // event stream is truncated at the program tail):
-                // resolve at the previous terminator instead.
-                group.pendingRedirect.resolveInWrongBlock = false;
-                group.pendingRedirect.resolveOpIdx = du.opCount - 1;
-            }
-            // The cascade landed on a compatible block.
-            break;
-        }
-        if (hops == 0) {
-            // The first wrong block is the one the pipeline issues.
-            group.pendingRedirect.resolveOpIdx = resolve_op;
-            group.pendingRedirect.wrongOps = decoded.ops(wdu);
-            group.pendingRedirect.wrongOpCount = wdu.opCount;
-            group.pendingRedirect.wrongPc = bsa.blocks[wrong_id].addr;
-            group.pendingRedirect.wrongBytes = wdu.sizeBytes;
-        }
-        ++hops;
-        ++group.nCascadeHops;
-        wrong_id = fault_target;
-        if (hops > 8) {
-            wrong_id = s_max;
-            break;
-        }
-    }
-    group.pendingRedirect.extraHops = hops > 0 ? hops - 1 : 0;
-    // The cascade-final compatible block; produceUnit falls back to
-    // the maximal variant if the stream was truncated underneath us.
-    group.predictedNext = wrong_id;
-}
-
-void
-LockstepBsa::captureStep(Group &group)
-{
-    const PosMemo &pm = memoAt(group.pos);
-    const TraceEvent &e0 = ev(group, 0);
-
-    // A predicted maximal commit needs no re-check: either way the
-    // commit is s_max.  Only shallower (or wrong-head) predictions
-    // pay for a stream-compatibility walk.
-    AtomicBlockId committed;
-    if (group.predictedNext != invalidId &&
-        group.predictedNext != pm.smax &&
-        compatibleAt(group.pos, group.predictedNext, e0.func,
-                     e0.block)) {
-        committed = group.predictedNext;
-    } else {
-        committed = pm.smax;
-    }
-
-    FetchOutcomeStream &st = group.stream;
-    FetchOutcomeRecord rec;
-    rec.pos = static_cast<std::uint32_t>(group.pos);
-    rec.committed = committed;
-
-    // Record the block's memory span: one slice of the trace pool
-    // starting at the head event (ExecTrace span adjacency).
-    std::size_t consume;
-    std::uint32_t total;
-    if (committed == pm.smax) {
-        consume = pm.consume;
-        total = pm.memCount;
-    } else {
-        const AtomicBlock &blk = bsa.blocks[committed];
-        consume = std::min<std::size_t>(blk.bbs.size(),
-                                        availAt(group.pos));
-        total = 0;
-        for (std::size_t i = 0; i < consume; ++i)
-            total += ev(group, i).memCount;
-    }
-    rec.memOffset = static_cast<std::uint32_t>(e0.memBegin);
-    rec.memCount = total;
-
-    // The redirect recorded by the PREVIOUS step's prediction applies
-    // to this unit's fetch; store it sparsely against this step.
-    if (group.pendingRedirect.mispredicted) {
-        st.redirectStep.push_back(
-            static_cast<std::uint32_t>(st.steps.size()));
-        st.redirects.push_back(group.pendingRedirect);
-    }
-    st.steps.push_back(rec);
-    ++group.nFetchSteps;
-
-    const TraceEvent &last = ev(group, consume - 1);
-    group.pos += consume;
-    predictSuccessor(group, committed, last);
-}
-
-void
-LockstepBsa::buildUnit(const FetchOutcomeRecord &rec,
-                       TimingUnit &unit) const
-{
-    const AtomicBlock &blk = bsa.blocks[rec.committed];
-    const DecodedUnit &du = decoded.unit(rec.committed);
-    unit.pc = blk.addr;
-    unit.bytes = du.sizeBytes;
-    unit.ops = decoded.ops(du);
-    unit.opCount = du.opCount;
-    unit.memAddrs = trace.memAddrs + rec.memOffset;
-    unit.memCount = rec.memCount;
-    unit.redirect = RedirectInfo{};
-}
 
 void
 LockstepBsa::timingWalk(LanePipelines &pipes)
@@ -1600,7 +1038,7 @@ LockstepBsa::timingWalk(LanePipelines &pipes)
             const Group &leader = groups[atPos[i]];  // partition leader
             const FetchOutcomeRecord lead =
                 leader.stream.steps[leader.nextStep];
-            buildUnit(lead, unit);
+            translation.buildUnit(lead, unit);
             std::size_t runFirst = 0;
             std::size_t runCount = 0;
             auto flush = [&]() {
@@ -1673,12 +1111,13 @@ LockstepBsa::run()
         const std::size_t end =
             std::min(trace.eventCount, begin + fetchCaptureWindow);
         const auto t0 = Clock::now();
+        translation.startWindow(begin);
         for (Group &group : groups) {
             group.stream.clear();
             group.nextStep = 0;
             group.nextRedirect = 0;
-            while (group.pos < end)
-                captureStep(group);
+            while (group.walker.pos < end)
+                group.walker.captureStep(group.stream);
         }
         const auto t1 = Clock::now();
         timingWalk(pipes);
@@ -1688,19 +1127,20 @@ LockstepBsa::run()
     }
 
     for (const Group &group : groups)
-        fs.fetchSteps += group.nFetchSteps;
-    fs.memoLookups = memoLookups;
-    fs.memoComputes = memoComputes;
+        fs.fetchSteps += group.walker.nFetchSteps;
+    fs.memoLookups = translation.memoLookups;
+    fs.memoComputes = translation.memoComputes;
 
     std::vector<SimResult> out(n);
     for (const Group &group : groups) {
+        const BsaFetchWalker &w = group.walker;
         for (const std::size_t l : group.lanes) {
             out[l] = pipes.takeResult(l);
-            out[l].predictions = group.nPredictions;
-            out[l].mispredicts = group.nTrapMiss + group.nFaultMiss;
-            out[l].trapMispredicts = group.nTrapMiss;
-            out[l].faultMispredicts = group.nFaultMiss;
-            out[l].cascadeHops = group.nCascadeHops;
+            out[l].predictions = w.nPredictions;
+            out[l].mispredicts = w.nTrapMiss + w.nFaultMiss;
+            out[l].trapMispredicts = w.nTrapMiss;
+            out[l].faultMispredicts = w.nFaultMiss;
+            out[l].cascadeHops = w.nCascadeHops;
         }
     }
     return out;

@@ -56,7 +56,8 @@
  * Bit-exactness contract: every lockstep driver produces SimResults
  * bit-identical to running the same configs one at a time through
  * simulatePipeline over a fetch source replaying the same trace (the
- * singleton path).
+ * singleton path; for the BSA it runs the same fetch walk, pinned
+ * independently by tests/test_bsa_source.cc).
  * simulatePipeline itself is implemented as a one-lane LanePipelines
  * walk, and the op-major batched walk performs the same per-lane
  * arithmetic in the same per-lane order (lanes never interact, so the

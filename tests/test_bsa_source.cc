@@ -8,14 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "codegen/layout.hh"
 #include "core/enlarge.hh"
 #include "frontend/compile.hh"
 #include "sim/bsa_source.hh"
+#include "sim/fetch_outcome.hh"
 #include "sim/interp.hh"
+#include "sim/ooo/ooo.hh"
+#include "sim/pipeline.hh"
 #include "support/rng.hh"
+#include "workloads/specmix.hh"
 #include "workloads/synth.hh"
 
 using namespace bsisa;
@@ -46,6 +53,7 @@ const char *kBranchy = R"(
 struct TestRig
 {
     Module module;
+    Interp::Limits limits;
     BsaModule bsa;
     DecodedProgram decoded;
     ExecTrace trace;
@@ -56,78 +64,126 @@ struct TestRig
         Rng rng(data_seed);
         for (auto &word : module.data)
             word = rng.nextBelow(8);
+        build();
+    }
+
+    TestRig(Module m, Interp::Limits lim)
+        : module(std::move(m)), limits(lim)
+    {
+        build();
+    }
+
+  private:
+    void
+    build()
+    {
         bsa = enlargeModule(module, EnlargeConfig{});
         layoutBsaModule(bsa);
         decoded = DecodedProgram::forBsa(bsa);
-        trace = captureTrace(module, Interp::Limits{});
+        trace = captureTrace(module, limits);
     }
 };
+
+/** Block budget of the trace that spans several fetch-outcome capture
+ *  windows and ends in a ragged one. */
+constexpr std::uint64_t kLongBlocks = 3 * fetchCaptureWindow + 777;
+
+/** Block budget of the trace shorter than the BSA lookahead. */
+constexpr std::uint64_t kShortBlocks = 40;
+
+/** Suite benchmark @p bench, cut at @p maxBlocks committed blocks. */
+std::unique_ptr<TestRig>
+suiteRig(std::size_t bench, std::uint64_t maxBlocks)
+{
+    const auto suite = specint95Suite();
+    Interp::Limits limits;
+    limits.maxBlocks = maxBlocks;
+    return std::make_unique<TestRig>(
+        generateWorkload(suite[bench].params), limits);
+}
+
+/** The branchy kernel, plus a suite trace longer than three capture
+ *  windows, so the reader refills across window boundaries. */
+std::vector<std::unique_ptr<TestRig>>
+tilingRigs()
+{
+    std::vector<std::unique_ptr<TestRig>> rigs;
+    rigs.push_back(std::make_unique<TestRig>(kBranchy));
+    rigs.push_back(suiteRig(0, kLongBlocks));
+    return rigs;
+}
 
 } // namespace
 
 TEST(BsaSource, TilesTheBasicBlockStreamExactly)
 {
-    TestRig setup(kBranchy);
-    Interp::Limits limits;
+    for (const auto &rig : tilingRigs()) {
+        const TestRig &setup = *rig;
+        SCOPED_TRACE("events=" + std::to_string(setup.trace.eventCount));
 
-    // Ground truth: the committed basic-block sequence.
-    std::vector<std::pair<FuncId, BlockId>> bbs;
-    {
-        Interp interp(setup.module, limits);
-        BlockEvent ev;
-        while (interp.step(ev))
-            bbs.emplace_back(ev.func, ev.block);
-    }
-
-    MachineConfig machine;
-    BsaFetchSource source(setup.bsa, machine, setup.trace,
-                          setup.decoded);
-    TimingUnit unit;
-    std::size_t cursor = 0;
-    std::uint64_t total_ops = 0;
-    while (source.next(unit)) {
-        // Identify the committed block by address.
-        const AtomicBlock *blk = nullptr;
-        for (const auto &b : setup.bsa.blocks)
-            if (b.addr == unit.pc)
-                blk = &b;
-        ASSERT_NE(blk, nullptr);
-        // Its constituent bbs must match the stream at the cursor.
-        for (BlockId bb : blk->bbs) {
-            ASSERT_LT(cursor, bbs.size());
-            EXPECT_EQ(bbs[cursor].first, blk->func);
-            EXPECT_EQ(bbs[cursor].second, bb);
-            ++cursor;
+        // Ground truth: the committed basic-block sequence.
+        std::vector<std::pair<FuncId, BlockId>> bbs;
+        {
+            Interp interp(setup.module, setup.limits);
+            BlockEvent ev;
+            while (interp.step(ev))
+                bbs.emplace_back(ev.func, ev.block);
         }
-        total_ops += unit.opCount;
+
+        // Identify committed blocks by address.
+        std::map<std::uint64_t, const AtomicBlock *> byAddr;
+        for (const auto &b : setup.bsa.blocks)
+            byAddr[b.addr] = &b;
+
+        MachineConfig machine;
+        BsaFetchSource source(setup.bsa, machine, setup.trace,
+                              setup.decoded);
+        TimingUnit unit;
+        std::size_t cursor = 0;
+        std::uint64_t total_ops = 0;
+        while (source.next(unit)) {
+            const auto it = byAddr.find(unit.pc);
+            ASSERT_NE(it, byAddr.end());
+            const AtomicBlock *blk = it->second;
+            // Its constituent bbs must match the stream at the cursor.
+            for (BlockId bb : blk->bbs) {
+                ASSERT_LT(cursor, bbs.size());
+                EXPECT_EQ(bbs[cursor].first, blk->func);
+                EXPECT_EQ(bbs[cursor].second, bb);
+                ++cursor;
+            }
+            total_ops += unit.opCount;
+        }
+        EXPECT_EQ(cursor, bbs.size());  // no gaps, no overlap
+        EXPECT_GT(total_ops, 0u);
     }
-    EXPECT_EQ(cursor, bbs.size());  // no gaps, no overlap
-    EXPECT_GT(total_ops, 0u);
 }
 
 TEST(BsaSource, MemAddrsMatchFunctionalExecution)
 {
-    TestRig setup(kBranchy);
-    Interp::Limits limits;
+    for (const auto &rig : tilingRigs()) {
+        const TestRig &setup = *rig;
+        SCOPED_TRACE("events=" + std::to_string(setup.trace.eventCount));
 
-    std::vector<std::uint64_t> want;
-    {
-        Interp interp(setup.module, limits);
-        BlockEvent ev;
-        while (interp.step(ev))
-            want.insert(want.end(), ev.memAddrs,
-                        ev.memAddrs + ev.memCount);
+        std::vector<std::uint64_t> want;
+        {
+            Interp interp(setup.module, setup.limits);
+            BlockEvent ev;
+            while (interp.step(ev))
+                want.insert(want.end(), ev.memAddrs,
+                            ev.memAddrs + ev.memCount);
+        }
+
+        MachineConfig machine;
+        BsaFetchSource source(setup.bsa, machine, setup.trace,
+                              setup.decoded);
+        TimingUnit unit;
+        std::vector<std::uint64_t> got;
+        while (source.next(unit))
+            got.insert(got.end(), unit.memAddrs,
+                       unit.memAddrs + unit.memCount);
+        EXPECT_EQ(got, want);
     }
-
-    MachineConfig machine;
-    BsaFetchSource source(setup.bsa, machine, setup.trace,
-                          setup.decoded);
-    TimingUnit unit;
-    std::vector<std::uint64_t> got;
-    while (source.next(unit))
-        got.insert(got.end(), unit.memAddrs,
-                   unit.memAddrs + unit.memCount);
-    EXPECT_EQ(got, want);
 }
 
 TEST(BsaSource, PerfectPredictionNeverMispredicts)
@@ -254,4 +310,316 @@ TEST(BsaSource, ShallowCommitsArePossibleButBounded)
     const double oracle_avg = run_avg(true);
     EXPECT_LE(real_avg, oracle_avg + 0.01);
     EXPECT_GT(real_avg, oracle_avg * 0.7);
+}
+
+namespace
+{
+
+struct Input
+{
+    std::string name;
+    std::unique_ptr<TestRig> rig;
+};
+
+/** Every suite benchmark at its test budget, a trace shorter than the
+ *  lookahead (every fetch sees a truncated window) and one spanning
+ *  more than three capture windows with a ragged last one. */
+std::vector<Input>
+walkInputs()
+{
+    std::vector<Input> inputs;
+    const auto suite = specint95Suite();
+    for (std::size_t b = 0; b < suite.size(); ++b) {
+        Interp::Limits limits;
+        limits.maxOps = suite[b].scaledBudget(4000);
+        inputs.push_back(
+            {suite[b].params.name,
+             std::make_unique<TestRig>(
+                 generateWorkload(suite[b].params), limits)});
+    }
+    inputs.push_back({"short", suiteRig(0, kShortBlocks)});
+    inputs.push_back({"long", suiteRig(0, kLongBlocks)});
+    EXPECT_LT(inputs[suite.size()].rig->trace.eventCount,
+              BsaFetchSource::lookahead);
+    EXPECT_GT(inputs[suite.size() + 1].rig->trace.eventCount,
+              3 * fetchCaptureWindow);
+    return inputs;
+}
+
+/** One pinned row: a BSA fetch walk's identity and its counters. */
+struct PinnedWalk
+{
+    const char *input;
+    const char *config;
+    std::uint64_t digest;
+    std::uint64_t predictions;
+    std::uint64_t mispredicts;
+    std::uint64_t trapMispredicts;
+    std::uint64_t faultMispredicts;
+    std::uint64_t cascadeHops;
+    std::uint64_t cycles;
+};
+
+/**
+ * Expected values of the BSA fetch walk, recorded from the singleton
+ * replay before the walk was shared with the lockstep pre-pass.  The
+ * lockstep tests and the fuzzer's `lockstep` oracle compare batches
+ * against BsaFetchSource, which now runs the same walk; this table is
+ * the independent reference both sides are held to.
+ */
+const PinnedWalk kPinnedWalks[] = {
+    {"compress", "default", 13363670369418128637ull,
+     1364, 124, 109, 15, 15, 5276},
+    {"compress", "perfect", 1899899588781600194ull,
+     0, 0, 0, 0, 0, 4638},
+    {"compress", "small", 13024557583841458930ull,
+     1533, 464, 461, 3, 3, 6536},
+    {"gcc", "default", 17229496551525083200ull,
+     3165, 1675, 1554, 121, 155, 23512},
+    {"gcc", "perfect", 11908635117844929768ull,
+     0, 0, 0, 0, 0, 10869},
+    {"gcc", "small", 5248208279272957448ull,
+     3508, 2617, 2518, 99, 131, 29756},
+    {"go", "default", 16753419023780007319ull,
+     2609, 1343, 1242, 101, 123, 19567},
+    {"go", "perfect", 17153683727374593137ull,
+     0, 0, 0, 0, 0, 9020},
+    {"go", "small", 6580911079420420580ull,
+     2849, 2122, 2015, 107, 129, 25258},
+    {"ijpeg", "default", 10464682739586207786ull,
+     2384, 211, 171, 40, 40, 7163},
+    {"ijpeg", "perfect", 15883154674824857789ull,
+     0, 0, 0, 0, 0, 5647},
+    {"ijpeg", "small", 18204078049975956849ull,
+     2613, 850, 811, 39, 39, 11802},
+    {"li", "default", 4861504717029825852ull,
+     4126, 833, 531, 302, 326, 16037},
+    {"li", "perfect", 8379760055814926524ull,
+     0, 0, 0, 0, 0, 9817},
+    {"li", "small", 14480624494125904920ull,
+     4456, 2335, 2045, 290, 361, 25520},
+    {"m88ksim", "default", 15333500320845692520ull,
+     1703, 219, 130, 89, 111, 6304},
+    {"m88ksim", "perfect", 14427642137597316106ull,
+     0, 0, 0, 0, 0, 4942},
+    {"m88ksim", "small", 12995170087781539782ull,
+     1869, 734, 665, 69, 92, 9629},
+    {"perl", "default", 18060630269084175379ull,
+     1493, 325, 273, 52, 59, 6918},
+    {"perl", "perfect", 12933690521685686621ull,
+     0, 0, 0, 0, 0, 4525},
+    {"perl", "small", 15190025858004398483ull,
+     1880, 1290, 1232, 58, 64, 13271},
+    {"vortex", "default", 1568195807683026537ull,
+     4156, 815, 700, 115, 147, 15973},
+    {"vortex", "perfect", 604315597945463839ull,
+     0, 0, 0, 0, 0, 11194},
+    {"vortex", "small", 11413678920480705682ull,
+     4687, 2103, 1914, 189, 225, 24430},
+    {"short", "default", 14461218048787491651ull,
+     21, 9, 8, 1, 1, 152},
+    {"short", "perfect", 14461218048787491651ull,
+     0, 0, 0, 0, 0, 99},
+    {"short", "small", 14461218048787491651ull,
+     21, 9, 8, 1, 1, 152},
+    {"long", "default", 5927756942960574750ull,
+     5581, 293, 235, 58, 59, 19045},
+    {"long", "perfect", 10124624058879942851ull,
+     0, 0, 0, 0, 0, 17669},
+    {"long", "small", 13833117909793270895ull,
+     6300, 1757, 1740, 17, 17, 24791},
+};
+
+} // namespace
+
+TEST(BsaSource, PinnedWalkAcrossSuiteAndWindows)
+{
+    const std::vector<Input> inputs = walkInputs();
+
+    std::vector<std::pair<std::string, MachineConfig>> configs(3);
+    configs[0].first = "default";
+    configs[1].first = "perfect";
+    configs[1].second.perfectPrediction = true;
+    configs[2].first = "small";
+    configs[2].second.predictor.historyBits = 2;
+    configs[2].second.predictor.btbEntries = 16;
+
+    std::size_t row = 0;
+    std::uint64_t faultRows = 0, hopRows = 0;
+    for (const Input &in : inputs) {
+        const TestRig &setup = *in.rig;
+        for (const auto &[cfgName, machine] : configs) {
+            SCOPED_TRACE(in.name + "/" + cfgName);
+            BsaFetchSource walk(setup.bsa, machine, setup.trace,
+                                setup.decoded);
+            PinnedWalk got{};
+            got.digest = fetchStreamDigest(walk);
+            got.predictions = walk.predictions();
+            got.mispredicts = walk.mispredicts();
+            got.trapMispredicts = walk.trapMispredicts();
+            got.faultMispredicts = walk.faultMispredicts();
+            got.cascadeHops = walk.cascadeHops();
+            BsaFetchSource timed(setup.bsa, machine, setup.trace,
+                                 setup.decoded);
+            got.cycles = simulatePipeline(timed, machine).cycles;
+            faultRows += got.faultMispredicts > 0;
+            hopRows += got.cascadeHops > 0;
+
+            const std::string actual =
+                "    {\"" + in.name + "\", \"" + cfgName + "\", " +
+                std::to_string(got.digest) + "ull, " +
+                std::to_string(got.predictions) + ", " +
+                std::to_string(got.mispredicts) + ", " +
+                std::to_string(got.trapMispredicts) + ", " +
+                std::to_string(got.faultMispredicts) + ", " +
+                std::to_string(got.cascadeHops) + ", " +
+                std::to_string(got.cycles) + "},";
+            ASSERT_LT(row, std::size(kPinnedWalks)) << actual;
+            const PinnedWalk &want = kPinnedWalks[row++];
+            ASSERT_EQ(in.name, want.input);
+            ASSERT_EQ(cfgName, want.config);
+            EXPECT_EQ(got.digest, want.digest) << actual;
+            EXPECT_EQ(got.predictions, want.predictions) << actual;
+            EXPECT_EQ(got.mispredicts, want.mispredicts) << actual;
+            EXPECT_EQ(got.trapMispredicts, want.trapMispredicts)
+                << actual;
+            EXPECT_EQ(got.faultMispredicts, want.faultMispredicts)
+                << actual;
+            EXPECT_EQ(got.cascadeHops, want.cascadeHops) << actual;
+            EXPECT_EQ(got.cycles, want.cycles) << actual;
+        }
+    }
+    EXPECT_EQ(row, std::size(kPinnedWalks));
+    // The table exercises both mispredict kinds and the fault cascade.
+    EXPECT_GT(faultRows, 0u);
+    EXPECT_GT(hopRows, 0u);
+}
+
+namespace
+{
+
+/** Reference stream-compatibility check: @p block's basic blocks are
+ *  the events from @p pos, linked edge by edge, inside @p avail. */
+bool
+fitsStream(const BsaModule &bsa, const ExecTrace &trace,
+           std::size_t pos, std::size_t avail, AtomicBlockId block)
+{
+    const AtomicBlock &blk = bsa.blocks[block];
+    if (blk.bbs.size() > avail)
+        return false;
+    for (std::size_t i = 0; i < blk.bbs.size(); ++i) {
+        const TraceEvent &e = trace.events[pos + i];
+        if (e.func != blk.func || e.block != blk.bbs[i])
+            return false;
+        if (i + 1 < blk.bbs.size() &&
+            (e.nextFunc != blk.func || e.nextBlock != blk.bbs[i + 1]))
+            return false;
+    }
+    return true;
+}
+
+/** Reference direction-aware check: the trie path to @p node follows
+ *  the events from @p pos, inside @p avail — the same basic blocks,
+ *  and every fault edge in the direction the stream took. */
+bool
+followsStream(const HeadTrie &trie, const ExecTrace &trace,
+              std::size_t pos, std::size_t avail, int node)
+{
+    std::vector<int> path;
+    for (int n = node; n != -1; n = trie.nodes[n].parent)
+        path.insert(path.begin(), n);
+    if (path.size() > avail)
+        return false;
+    for (std::size_t i = 0; i < path.size(); ++i) {
+        const TraceEvent &e = trace.events[pos + i];
+        const TrieNode &tn = trie.nodes[path[i]];
+        if (e.block != tn.bb)
+            return false;
+        if (i + 1 < path.size() &&
+            ((path[i + 1] == tn.childTaken && !e.taken) ||
+             (path[i + 1] == tn.childNotTaken && e.taken)))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+/** The position memo against its specification, with no fetch walk:
+ *  every position of every input where a unit can start (an
+ *  enlargement head) is translated, window by window.  Each window
+ *  also touches the lookahead positions past its end, as a walker's
+ *  last successor predictions do; those entries must carry over, so
+ *  every head is computed exactly once. */
+TEST(BsaSource, MemoMatchesSpecificationAtEveryPosition)
+{
+    for (const Input &in : walkInputs()) {
+        SCOPED_TRACE(in.name);
+        const TestRig &setup = *in.rig;
+        const ExecTrace &trace = setup.trace;
+        BsaTranslation tr(setup.bsa, setup.decoded, trace);
+        std::uint64_t heads = 0;
+        for (std::size_t begin = 0; begin < trace.eventCount;
+             begin += fetchCaptureWindow) {
+            tr.startWindow(begin);
+            const std::size_t end = std::min(
+                trace.eventCount,
+                begin + fetchCaptureWindow + BsaTranslation::lookahead);
+            for (std::size_t pos = begin; pos < end; ++pos) {
+                const TraceEvent &head = trace.events[pos];
+                const HeadTrie *found =
+                    setup.bsa.findTrie(head.func, head.block);
+                if (!found)
+                    continue;
+                heads += pos < begin + fetchCaptureWindow;
+                const HeadTrie &trie = *found;
+                const BsaTranslation::PosMemo &pm = tr.memoAt(pos);
+                const std::size_t avail = std::min<std::size_t>(
+                    BsaTranslation::lookahead, trace.eventCount - pos);
+                const AtomicBlock &smax = setup.bsa.blocks[pm.smax];
+                ASSERT_EQ(pm.trie, &trie) << "pos " << pos;
+
+                // varIdx is smax's place in the canonical variants.
+                ASSERT_LT(pm.varIdx, trie.emitted.size());
+                EXPECT_EQ(trie.nodes[trie.emitted[pm.varIdx]].block,
+                          pm.smax)
+                    << "pos " << pos;
+
+                // Maximal: compatible whenever it fits, and no variant
+                // on the stream's path covers more basic blocks.
+                // (Stream compatibility compares basic blocks only, so
+                // at a trap whose two targets coincide a variant merged
+                // across the other direction also passes it; such a
+                // variant is not on the path the maximal walk follows.)
+                const bool fits =
+                    fitsStream(setup.bsa, trace, pos, avail, pm.smax);
+                EXPECT_EQ(pm.compatMax, fits) << "pos " << pos;
+                if (smax.bbs.size() <= avail) {
+                    EXPECT_TRUE(fits) << "pos " << pos;
+                    EXPECT_TRUE(followsStream(trie, trace, pos, avail,
+                                              trie.emitted[pm.varIdx]))
+                        << "pos " << pos;
+                }
+                for (const int node : trie.emitted) {
+                    if (followsStream(trie, trace, pos, avail, node)) {
+                        const AtomicBlockId v = trie.nodes[node].block;
+                        EXPECT_LE(setup.bsa.blocks[v].bbs.size(),
+                                  smax.bbs.size())
+                            << "pos " << pos << " variant " << v;
+                    }
+                }
+
+                // Consumption and the address span of the commit.
+                const std::size_t consume =
+                    std::min<std::size_t>(smax.bbs.size(), avail);
+                EXPECT_EQ(pm.consume, consume) << "pos " << pos;
+                std::uint32_t mem = 0;
+                for (std::size_t i = 0; i < consume; ++i)
+                    mem += trace.events[pos + i].memCount;
+                EXPECT_EQ(pm.memCount, mem) << "pos " << pos;
+            }
+        }
+        EXPECT_GT(heads, 0u);
+        EXPECT_EQ(tr.memoComputes, heads);
+    }
 }

@@ -407,43 +407,65 @@ TEST(Lockstep, FetchStatsReportFusionAndMemoReuse)
     const std::vector<MachineConfig> grid = grid16();
     const auto suite = specint95Suite();
     const Module m = generateWorkload(suite[0].params);
-    const ExecTrace trace = captureTrace(m, testLimits(suite[0]));
     BsaModule bsa = enlargeModule(m, EnlargeConfig{}, nullptr, nullptr);
     layoutBsaModule(bsa);
 
-    runBlockStructuredBatch(bsa, grid, trace);
-    {
-        const LockstepFetchStats &fs = lockstepLastFetchStats();
-        EXPECT_TRUE(fs.fused);
-        EXPECT_EQ(fs.groups, 3u);
-        EXPECT_EQ(fs.lanes, 12u);
-        // The fusion satellite: cross-group batches must exceed the
-        // four-lane width a prediction group caps out at.
-        EXPECT_GT(fs.maxBatchLanes, 4u);
-        EXPECT_GT(fs.fetchSteps, 0u);
-        // Memo hit rate: predictSuccessor and captureStep both probe
-        // the per-position decode memo, so lookups run about twice
-        // the computes (each position is filled at most once).
-        EXPECT_GT(fs.memoComputes, 0u);
-        EXPECT_GT(fs.memoLookups, fs.memoComputes);
-        EXPECT_GE(fs.memoLookups + fs.groups, 2 * fs.memoComputes);
-        EXPECT_GT(fs.timingBatches, 0u);
-        EXPECT_GT(fs.timingLaneSteps, fs.fetchSteps);
-        // Mean batch width beyond the widest group: most steps fuse
-        // across groups.
-        EXPECT_GT(fs.timingLaneSteps, 4 * fs.timingBatches);
-    }
+    // The long trace spans more than three capture windows, so the
+    // memo must carry its tail across window boundaries for the exact
+    // one-group count at the end to hold.
+    Interp::Limits longLimits;
+    longLimits.maxBlocks = 3 * fetchCaptureWindow + 777;
+    for (const Interp::Limits &limits :
+         {testLimits(suite[0]), longLimits}) {
+        SCOPED_TRACE("maxBlocks=" + std::to_string(limits.maxBlocks));
+        const ExecTrace trace = captureTrace(m, limits);
 
-    runConventionalBatch(m, grid, trace);
-    {
-        const LockstepFetchStats &fs = lockstepLastFetchStats();
-        EXPECT_TRUE(fs.fused);
-        EXPECT_EQ(fs.groups, 3u);
-        EXPECT_EQ(fs.lanes, 12u);
-        // Conventional units are the trace events themselves: the
-        // pre-pass walks each group's predictor once per event.
-        EXPECT_EQ(fs.fetchSteps, trace.eventCount * fs.groups);
-        EXPECT_EQ(fs.maxBatchLanes, 12u);
+        runBlockStructuredBatch(bsa, grid, trace);
+        {
+            const LockstepFetchStats &fs = lockstepLastFetchStats();
+            EXPECT_TRUE(fs.fused);
+            EXPECT_EQ(fs.groups, 3u);
+            EXPECT_EQ(fs.lanes, 12u);
+            // The fusion satellite: cross-group batches must exceed
+            // the four-lane width a prediction group caps out at.
+            EXPECT_GT(fs.maxBatchLanes, 4u);
+            EXPECT_GT(fs.fetchSteps, 0u);
+            // Memo hit rate: predictSuccessor and captureStep both
+            // probe the per-position decode memo, so lookups run
+            // about twice the computes (each position is filled at
+            // most once).
+            EXPECT_GT(fs.memoComputes, 0u);
+            EXPECT_GT(fs.memoLookups, fs.memoComputes);
+            EXPECT_GE(fs.memoLookups + fs.groups, 2 * fs.memoComputes);
+            EXPECT_GT(fs.timingBatches, 0u);
+            EXPECT_GT(fs.timingLaneSteps, fs.fetchSteps);
+            // Mean batch width beyond the widest group: most steps
+            // fuse across groups.
+            EXPECT_GT(fs.timingLaneSteps, 4 * fs.timingBatches);
+        }
+
+        runConventionalBatch(m, grid, trace);
+        {
+            const LockstepFetchStats &fs = lockstepLastFetchStats();
+            EXPECT_TRUE(fs.fused);
+            EXPECT_EQ(fs.groups, 3u);
+            EXPECT_EQ(fs.lanes, 12u);
+            // Conventional units are the trace events themselves: the
+            // pre-pass walks each group's predictor once per event.
+            EXPECT_EQ(fs.fetchSteps, trace.eventCount * fs.groups);
+            EXPECT_EQ(fs.maxBatchLanes, 12u);
+        }
+
+        // One prediction group touches only the positions it commits
+        // at, so it computes each exactly once, window after window.
+        std::vector<MachineConfig> oneGroup(2);
+        oneGroup[1].issueWidth = 2 * oneGroup[0].issueWidth;
+        runBlockStructuredBatch(bsa, oneGroup, trace);
+        {
+            const LockstepFetchStats &fs = lockstepLastFetchStats();
+            EXPECT_EQ(fs.groups, 1u);
+            EXPECT_EQ(fs.memoComputes, fs.fetchSteps);
+        }
     }
 }
 
