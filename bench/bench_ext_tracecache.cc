@@ -46,16 +46,14 @@ report()
 
         const SimResult conv = runConventional(m, machine, trace);
 
-        // Both trace-cache sizes advance in one lockstep walk.
         TraceCacheConfig tc64;
         tc64.entries = 64;
         TraceCacheConfig tc256;
         tc256.entries = 256;
-        const std::vector<TraceCacheResult> tcResults =
-            runTraceCacheBatch(m, {machine, machine}, {tc64, tc256},
-                               trace);
-        const TraceCacheResult &small = tcResults[0];
-        const TraceCacheResult &big = tcResults[1];
+        const TraceCacheResult small =
+            runTraceCache(m, machine, tc64, trace);
+        const TraceCacheResult big =
+            runTraceCache(m, machine, tc256, trace);
 
         RunConfig config;
         config.limits = limits;

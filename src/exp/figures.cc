@@ -3,18 +3,23 @@
  * Figure-driver implementation.
  *
  * Every driver is a grid of independent simulation points (benchmark x
- * machine config).  The points are computed into pre-sized result
- * slots by parallelFor() (BSISA_JOBS workers) and printed serially in
- * grid order, so the rendered tables are byte-identical for any worker
- * count.  Where the grid sweeps timing configs over a fixed (module,
- * limits), one functional trace is captured per benchmark and replayed
- * into every point (sim/trace.hh).  The modules themselves come from
- * one immutable per-process suite (suiteModule), so the suite is
- * generated and hashed once per process, not once per driver call.
+ * machine config).  The pair grids (Fig. 3-5 and the ablations) go
+ * through one helper, runSuiteGrid: it captures one functional trace
+ * per benchmark (sim/trace.hh) and simulates every point through one
+ * PairSweep, whose batches replay that trace once per shared walk.
+ * The icache sweeps (Fig. 6/7) run one batch per benchmark on a
+ * single machine.  Points are computed into pre-sized result slots by
+ * parallelFor() (BSISA_JOBS workers) and printed serially in grid
+ * order, so the rendered tables are byte-identical for any worker
+ * count.  The modules themselves come from one immutable per-process
+ * suite (suiteModule), so the suite is generated and hashed once per
+ * process, not once per driver call.
  */
 
 #include "exp/figures.hh"
 
+#include <algorithm>
+#include <functional>
 #include <mutex>
 
 #include "arch/instr_class.hh"
@@ -52,12 +57,6 @@ baseConfig(const SpecBenchmark &bench)
     return config;
 }
 
-BenchOutcome
-outcomeOf(const SpecBenchmark &bench, const PairResult &r)
-{
-    return benchOutcomeOf(bench.params.name, r);
-}
-
 /** One benchmark's process-lifetime slot behind suiteModule(). */
 struct SuiteSlot
 {
@@ -85,20 +84,93 @@ captureSuiteTrace(std::size_t i, Interp::Limits limits)
     return captureOrLoadTrace(suiteModule(i), digest, limits);
 }
 
-/** One functional trace per benchmark at @p budgetDiv of the scaled
- *  budget (the ablations run at 1/4 budget); the parallel fan-out
- *  also generates any suite module not built yet. */
-std::vector<ExecTrace>
-captureSuiteTraces(const std::vector<SpecBenchmark> &suite,
-                   std::uint64_t budgetDiv)
+/** The suite generator splits basic blocks at 16 ops
+ *  (workloads/synth.cc). */
+constexpr unsigned suiteBlockOps = 16;
+
+/**
+ * Simulate a (config x benchmark) grid over the suite through one
+ * PairSweep and return its results config-major: entry
+ * ci * suite.size() + bi is configOf(ci, bi) on benchmark bi.  Every
+ * benchmark replays one functional trace at 1/@p budgetDiv of its
+ * scaled budget (the ablations run at 1/4), so configOf's limits are
+ * ignored.  A point whose enlargement is narrower than the suite's
+ * blocks runs on a copy of the module re-split to that width: its
+ * committed stream differs, so each (width, benchmark) copy joins the
+ * sweep as an extra benchmark with its own trace.  The parallel
+ * captures also generate any suite module not built yet.
+ */
+std::vector<PairResult>
+runSuiteGrid(std::uint64_t budgetDiv, std::size_t nconfigs,
+             const std::function<RunConfig(std::size_t, std::size_t)>
+                 &configOf)
 {
-    std::vector<ExecTrace> traces(suite.size());
-    parallelFor(suite.size(), [&](std::size_t i) {
-        RunConfig config = baseConfig(suite[i]);
-        config.limits.maxOps /= budgetDiv;
-        traces[i] = captureSuiteTrace(i, config.limits);
+    const auto suite = specint95Suite();
+    const std::size_t n = suite.size();
+    std::vector<RunConfig> configs;
+    configs.reserve(nconfigs * n);
+    // One re-split copy per distinct (width, benchmark); copy k is
+    // sweep benchmark n + k.
+    std::vector<std::pair<unsigned, std::size_t>> splits;
+    std::vector<std::size_t> benchOf;  // per point: sweep benchmark
+    for (std::size_t ci = 0; ci < nconfigs; ++ci) {
+        for (std::size_t bi = 0; bi < n; ++bi) {
+            configs.push_back(configOf(ci, bi));
+            const unsigned width = configs.back().enlarge.maxOps;
+            if (width >= suiteBlockOps) {
+                benchOf.push_back(bi);
+                continue;
+            }
+            const std::pair<unsigned, std::size_t> key{width, bi};
+            const auto it = std::find(splits.begin(), splits.end(), key);
+            benchOf.push_back(n + std::size_t(it - splits.begin()));
+            if (it == splits.end())
+                splits.push_back(key);
+        }
+    }
+
+    std::vector<Module> splitModules(splits.size());
+    std::vector<ExecTrace> traces(n + splits.size());
+    parallelFor(traces.size(), [&](std::size_t b) {
+        const std::size_t bi = b < n ? b : splits[b - n].second;
+        Interp::Limits limits = baseConfig(suite[bi]).limits;
+        limits.maxOps /= budgetDiv;
+        if (b < n) {
+            traces[b] = captureSuiteTrace(b, limits);
+            return;
+        }
+        Module &m = splitModules[b - n];
+        m = suiteModule(bi);
+        splitOversizedBlocks(m, splits[b - n].first);
+        traces[b] = captureOrLoadTrace(m, limits);
     });
-    return traces;
+
+    PairSweep sweep;
+    for (std::size_t b = 0; b < traces.size(); ++b)
+        sweep.addBenchmark(b < n ? suiteModule(b) : splitModules[b - n],
+                           traces[b]);
+    for (std::size_t idx = 0; idx < configs.size(); ++idx)
+        sweep.addPoint(benchOf[idx], configs[idx]);
+    return sweep.run();
+}
+
+/** Fig. 3-5's grid: every benchmark once on baseConfig, with
+ *  @p perfectPrediction for Fig. 4. */
+std::vector<BenchOutcome>
+suiteOutcomes(bool perfectPrediction)
+{
+    const auto suite = specint95Suite();
+    const std::vector<PairResult> results =
+        runSuiteGrid(1, 1, [&](std::size_t, std::size_t bi) {
+            RunConfig config = baseConfig(suite[bi]);
+            config.machine.perfectPrediction = perfectPrediction;
+            return config;
+        });
+    std::vector<BenchOutcome> outcomes;
+    for (std::size_t bi = 0; bi < suite.size(); ++bi)
+        outcomes.push_back(
+            benchOutcomeOf(suite[bi].params.name, results[bi]));
+    return outcomes;
 }
 
 } // namespace
@@ -255,27 +327,8 @@ printTable2(std::ostream &os)
 std::vector<BenchOutcome>
 runCycleComparison(std::ostream &os, bool perfectPrediction)
 {
-    const auto suite = specint95Suite();
-    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 1);
-
-    PairSweep sweep;
-    std::vector<std::size_t> pointOf(suite.size());
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        const std::size_t b = sweep.addBenchmark(suiteModule(i),
-                                                 traces[i]);
-        RunConfig config = baseConfig(suite[i]);
-        config.machine.perfectPrediction = perfectPrediction;
-        pointOf[i] = sweep.addPoint(b, config);
-    }
-    sweep.plan();
-    parallelFor(sweep.batchCount(),
-                [&](std::size_t b) { sweep.runBatch(b); });
-
-    std::vector<BenchOutcome> outcomes(suite.size());
-    for (std::size_t i = 0; i < suite.size(); ++i)
-        outcomes[i] =
-            outcomeOf(suite[i], sweep.results()[pointOf[i]]);
-
+    const std::vector<BenchOutcome> outcomes =
+        suiteOutcomes(perfectPrediction);
     renderCycleComparison(os, outcomes, perfectPrediction);
     return outcomes;
 }
@@ -283,25 +336,7 @@ runCycleComparison(std::ostream &os, bool perfectPrediction)
 std::vector<BenchOutcome>
 runBlockSizeComparison(std::ostream &os)
 {
-    const auto suite = specint95Suite();
-    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 1);
-
-    PairSweep sweep;
-    std::vector<std::size_t> pointOf(suite.size());
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        const std::size_t b = sweep.addBenchmark(suiteModule(i),
-                                                 traces[i]);
-        pointOf[i] = sweep.addPoint(b, baseConfig(suite[i]));
-    }
-    sweep.plan();
-    parallelFor(sweep.batchCount(),
-                [&](std::size_t b) { sweep.runBatch(b); });
-
-    std::vector<BenchOutcome> outcomes(suite.size());
-    for (std::size_t i = 0; i < suite.size(); ++i)
-        outcomes[i] =
-            outcomeOf(suite[i], sweep.results()[pointOf[i]]);
-
+    const std::vector<BenchOutcome> outcomes = suiteOutcomes(false);
     renderBlockSizeComparison(os, outcomes);
     return outcomes;
 }
@@ -400,60 +435,17 @@ runLimitsAblation(std::ostream &os)
         {8, 2},  {24, 2}, {32, 2}};
     const std::size_t nconfigs = std::size(configs);
     const auto suite = specint95Suite();
-    // The unsplit-module configs all share one trace per benchmark.
-    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 4);
-
-    // Unsplit-module configs register with the sweep planner: per
-    // benchmark the (identical) conventional runs collapse into one
-    // lockstep walk while each distinct enlargement keeps its own BSA
-    // run.  Narrow widths need a re-split copy (whose committed
-    // stream differs — fresh capture), so they stay on the
-    // standalone path as extra parallel tasks.
-    PairSweep sweep;
-    std::vector<std::size_t> benchId(suite.size());
-    for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        benchId[bi] = sweep.addBenchmark(suiteModule(bi), traces[bi]);
-
-    std::vector<PairResult> results(nconfigs * suite.size());
-    std::vector<std::ptrdiff_t> pointOf(results.size(), -1);
-    std::vector<std::size_t> resplit;
-    for (std::size_t idx = 0; idx < results.size(); ++idx) {
-        const std::size_t ci = idx / suite.size();
-        const std::size_t bi = idx % suite.size();
-        const auto [max_ops, max_faults] = configs[ci];
-        RunConfig config = baseConfig(suite[bi]);
-        config.limits.maxOps /= 4;  // ablations use 1/4 budget
-        config.enlarge.maxOps = max_ops;
-        config.enlarge.maxFaults = max_faults;
-        if (max_ops < 16)
-            resplit.push_back(idx);
-        else
-            pointOf[idx] = std::ptrdiff_t(
-                sweep.addPoint(benchId[bi], config));
-    }
-    sweep.plan();
-
-    parallelFor(sweep.batchCount() + resplit.size(),
-                [&](std::size_t task) {
-        if (task < sweep.batchCount()) {
-            sweep.runBatch(task);
-            return;
-        }
-        const std::size_t idx = resplit[task - sweep.batchCount()];
-        const std::size_t ci = idx / suite.size();
-        const std::size_t bi = idx % suite.size();
-        const auto [max_ops, max_faults] = configs[ci];
-        RunConfig config = baseConfig(suite[bi]);
-        config.limits.maxOps /= 4;
-        config.enlarge.maxOps = max_ops;
-        config.enlarge.maxFaults = max_faults;
-        Module m = suiteModule(bi);
-        splitOversizedBlocks(m, max_ops);
-        results[idx] = runPair(m, config);
-    });
-    for (std::size_t idx = 0; idx < results.size(); ++idx)
-        if (pointOf[idx] >= 0)
-            results[idx] = sweep.results()[std::size_t(pointOf[idx])];
+    // Per benchmark the (identical) conventional runs of the unsplit
+    // configs collapse into one lockstep walk, while each distinct
+    // enlargement keeps its own BSA run; the narrow width runs on a
+    // re-split module (see runSuiteGrid).
+    const std::vector<PairResult> results =
+        runSuiteGrid(4, nconfigs, [&](std::size_t ci, std::size_t bi) {
+            RunConfig config = baseConfig(suite[bi]);
+            config.enlarge.maxOps = configs[ci].first;
+            config.enlarge.maxFaults = configs[ci].second;
+            return config;
+        });
 
     for (std::size_t ci = 0; ci < nconfigs; ++ci) {
         double total_red = 0.0, total_blk = 0.0, total_exp = 0.0;
@@ -487,32 +479,15 @@ runProfileAblation(std::ostream &os)
     const double thresholds[] = {0.0, 0.6, 0.75, 0.9, 0.99};
     const std::size_t nthresh = std::size(thresholds);
     const auto suite = specint95Suite();
-    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 4);
-
     // Each threshold enlarges differently (BSA runs stay singleton),
     // but every benchmark's five identical conventional runs share
     // one lockstep walk.
-    PairSweep sweep;
-    std::vector<std::size_t> benchId(suite.size());
-    for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        benchId[bi] = sweep.addBenchmark(suiteModule(bi), traces[bi]);
-
-    std::vector<std::size_t> pointOf(nthresh * suite.size());
-    for (std::size_t idx = 0; idx < pointOf.size(); ++idx) {
-        const std::size_t ti = idx / suite.size();
-        const std::size_t bi = idx % suite.size();
-        RunConfig config = baseConfig(suite[bi]);
-        config.limits.maxOps /= 4;  // ablations use 1/4 budget
-        config.minMergeBias = thresholds[ti];
-        pointOf[idx] = sweep.addPoint(benchId[bi], config);
-    }
-    sweep.plan();
-    parallelFor(sweep.batchCount(),
-                [&](std::size_t b) { sweep.runBatch(b); });
-
-    std::vector<PairResult> results(nthresh * suite.size());
-    for (std::size_t idx = 0; idx < results.size(); ++idx)
-        results[idx] = sweep.results()[pointOf[idx]];
+    const std::vector<PairResult> results =
+        runSuiteGrid(4, nthresh, [&](std::size_t ti, std::size_t bi) {
+            RunConfig config = baseConfig(suite[bi]);
+            config.minMergeBias = thresholds[ti];
+            return config;
+        });
 
     for (std::size_t ti = 0; ti < nthresh; ++ti) {
         double total_red = 0.0, total_exp = 0.0, total_miss = 0.0;
@@ -544,34 +519,17 @@ runPredictorAblation(std::ostream &os)
         {4, 10}, {8, 12}, {12, 14}, {16, 16}};
     const std::size_t ngeom = std::size(configs);
     const auto suite = specint95Suite();
-    const std::vector<ExecTrace> traces = captureSuiteTraces(suite, 4);
-
     // Only the predictor geometry varies, so per benchmark the whole
     // grid collapses to two lockstep walks: one advancing every
     // conventional lane, one advancing every BSA lane (the module
     // enlarges once per benchmark).
-    PairSweep geomSweep;
-    std::vector<std::size_t> geomBench(suite.size());
-    for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        geomBench[bi] = geomSweep.addBenchmark(suiteModule(bi),
-                                               traces[bi]);
-    std::vector<std::size_t> geomPoint(ngeom * suite.size());
-    for (std::size_t idx = 0; idx < geomPoint.size(); ++idx) {
-        const std::size_t ci = idx / suite.size();
-        const std::size_t bi = idx % suite.size();
-        RunConfig config = baseConfig(suite[bi]);
-        config.limits.maxOps /= 4;  // ablations use 1/4 budget
-        config.machine.predictor.historyBits = configs[ci].first;
-        config.machine.predictor.phtBits = configs[ci].second;
-        geomPoint[idx] = geomSweep.addPoint(geomBench[bi], config);
-    }
-    geomSweep.plan();
-    parallelFor(geomSweep.batchCount(),
-                [&](std::size_t b) { geomSweep.runBatch(b); });
-
-    std::vector<PairResult> geomResults(ngeom * suite.size());
-    for (std::size_t idx = 0; idx < geomResults.size(); ++idx)
-        geomResults[idx] = geomSweep.results()[geomPoint[idx]];
+    const std::vector<PairResult> geomResults =
+        runSuiteGrid(4, ngeom, [&](std::size_t ci, std::size_t bi) {
+            RunConfig config = baseConfig(suite[bi]);
+            config.machine.predictor.historyBits = configs[ci].first;
+            config.machine.predictor.phtBits = configs[ci].second;
+            return config;
+        });
 
     for (std::size_t ci = 0; ci < ngeom; ++ci) {
         double conv_acc = 0.0, bsa_acc = 0.0, total_red = 0.0;
@@ -599,28 +557,12 @@ runPredictorAblation(std::ostream &os)
         PredictorScheme::PAg, PredictorScheme::PAs};
     const std::size_t nschemes = std::size(schemes);
 
-    PairSweep schemeSweep;
-    std::vector<std::size_t> schemeBench(suite.size());
-    for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        schemeBench[bi] = schemeSweep.addBenchmark(suiteModule(bi),
-                                                   traces[bi]);
-    std::vector<std::size_t> schemePoint(nschemes * suite.size());
-    for (std::size_t idx = 0; idx < schemePoint.size(); ++idx) {
-        const std::size_t ci = idx / suite.size();
-        const std::size_t bi = idx % suite.size();
-        RunConfig config = baseConfig(suite[bi]);
-        config.limits.maxOps /= 4;
-        config.machine.predictor.scheme = schemes[ci];
-        schemePoint[idx] = schemeSweep.addPoint(schemeBench[bi],
-                                                config);
-    }
-    schemeSweep.plan();
-    parallelFor(schemeSweep.batchCount(),
-                [&](std::size_t b) { schemeSweep.runBatch(b); });
-
-    std::vector<PairResult> schemeResults(nschemes * suite.size());
-    for (std::size_t idx = 0; idx < schemeResults.size(); ++idx)
-        schemeResults[idx] = schemeSweep.results()[schemePoint[idx]];
+    const std::vector<PairResult> schemeResults =
+        runSuiteGrid(4, nschemes, [&](std::size_t ci, std::size_t bi) {
+            RunConfig config = baseConfig(suite[bi]);
+            config.machine.predictor.scheme = schemes[ci];
+            return config;
+        });
 
     for (std::size_t ci = 0; ci < nschemes; ++ci) {
         double conv_acc = 0.0, bsa_acc = 0.0, total_red = 0.0;

@@ -5,6 +5,8 @@
 
 #include "exp/runner.hh"
 
+#include <algorithm>
+
 #include "codegen/layout.hh"
 #include "sim/bsa_source.hh"
 #include "sim/conv_source.hh"
@@ -13,8 +15,8 @@
 #include "sim/pipeline.hh"
 #include "sim/tc_source.hh"
 #include "sim/trace_store.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
+#include "support/parallel.hh"
 
 namespace bsisa
 {
@@ -32,13 +34,38 @@ simulateModel(FetchSource &source, const MachineConfig &machine)
                : simulatePipeline(source, machine);
 }
 
-bool
-anyOoo(const std::vector<MachineConfig> &machines)
+/**
+ * The timing-model partition behind both batch entry points.  The
+ * out-of-order backend reorders consumption and keeps private
+ * rename/ROB/LSQ state, so each OoO lane walks its own replay through
+ * @p single; a lone abstract lane takes the same singleton replay,
+ * and two or more abstract lanes share one @p lockstep walk.  The
+ * callers build the layout and DecodedProgram once for every lane.
+ */
+template <typename Single, typename Lockstep>
+std::vector<SimResult>
+partitionByModel(const std::vector<MachineConfig> &machines,
+                 Single &&single, Lockstep &&lockstep)
 {
-    for (const MachineConfig &m : machines)
-        if (m.timingModel == TimingModel::Ooo)
-            return true;
-    return false;
+    std::vector<SimResult> out(machines.size());
+    std::vector<MachineConfig> abstractLanes;
+    std::vector<std::size_t> abstractIdx;
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        if (machines[i].timingModel == TimingModel::Ooo) {
+            out[i] = single(machines[i]);
+        } else {
+            abstractIdx.push_back(i);
+            abstractLanes.push_back(machines[i]);
+        }
+    }
+    if (abstractLanes.size() == 1) {
+        out[abstractIdx[0]] = single(abstractLanes[0]);
+    } else if (!abstractLanes.empty()) {
+        const std::vector<SimResult> sims = lockstep(abstractLanes);
+        for (std::size_t i = 0; i < abstractIdx.size(); ++i)
+            out[abstractIdx[i]] = sims[i];
+    }
+    return out;
 }
 
 } // namespace
@@ -55,10 +82,7 @@ SimResult
 runConventional(const Module &module, const MachineConfig &machine,
                 const ExecTrace &trace)
 {
-    const ConvLayout layout(module);
-    const DecodedProgram decoded = DecodedProgram::forModule(module);
-    ConvFetchSource source(module, layout, machine, trace, decoded);
-    return simulateModel(source, machine);
+    return runConventionalBatch(module, {machine}, trace)[0];
 }
 
 SimResult
@@ -73,9 +97,7 @@ SimResult
 runBlockStructured(const BsaModule &bsa, const MachineConfig &machine,
                    const ExecTrace &trace)
 {
-    const DecodedProgram decoded = DecodedProgram::forBsa(bsa);
-    BsaFetchSource source(bsa, machine, trace, decoded);
-    return simulateModel(source, machine);
+    return runBlockStructuredBatch(bsa, {machine}, trace)[0];
 }
 
 TraceCacheResult
@@ -105,59 +127,30 @@ runTraceCache(const Module &module, const MachineConfig &machine,
 // drivers, which dedup effectively identical configs, group lanes by
 // predictor identity, and run the decoupled fetch-outcome pre-pass so
 // timing lanes from every group step as fused full-width batches
-// (sim/lockstep.hh).  A single config goes through the singleton
-// replay instead, which runs the same fetch walk without the batch
-// layout: on the paper-figures suite a one-lane lockstep run measured
-// 30.2 Mop/s (BSA) and 45.2 Mop/s (conv) against 32.5 and 47.3 for
-// the singleton (4-vCPU x86-64, best of 5).
-//
-// Out-of-order lanes are the second grouping axis: the OoO backend
-// reorders consumption and keeps private rename/ROB/LSQ state, so it
-// cannot share a lockstep walk.  A batch is partitioned by timing
-// model — abstract lanes keep the lockstep path, each OoO lane walks
-// its own replay — with the layout and DecodedProgram still built
-// once and shared by every lane of the batch.
+// (sim/lockstep.hh).  A single abstract lane goes through the
+// singleton replay instead, which runs the same fetch walk without
+// the batch layout: on the paper-figures suite a one-lane lockstep
+// run measured 30.2 Mop/s (BSA) and 45.2 Mop/s (conv) against 32.5
+// and 47.3 for the singleton (4-vCPU x86-64, best of 5).
 
 std::vector<SimResult>
 runConventionalBatch(const Module &module,
                      const std::vector<MachineConfig> &machines,
                      const ExecTrace &trace)
 {
-    if (machines.empty())
-        return {};
-    if (machines.size() == 1)
-        return {runConventional(module, machines[0], trace)};
     const ConvLayout layout(module);
     const DecodedProgram decoded = DecodedProgram::forModule(module);
-    if (!anyOoo(machines))
-        return lockstepConventional(module, layout, decoded, machines,
-                                    trace);
-
-    std::vector<SimResult> out(machines.size());
-    std::vector<MachineConfig> abstractLanes;
-    std::vector<std::size_t> abstractIdx;
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-        if (machines[i].timingModel == TimingModel::Ooo) {
-            ConvFetchSource source(module, layout, machines[i], trace,
+    return partitionByModel(
+        machines,
+        [&](const MachineConfig &machine) {
+            ConvFetchSource source(module, layout, machine, trace,
                                    decoded);
-            out[i] = simulateOoO(source, machines[i]);
-        } else {
-            abstractIdx.push_back(i);
-            abstractLanes.push_back(machines[i]);
-        }
-    }
-    if (abstractLanes.size() == 1) {
-        ConvFetchSource source(module, layout, abstractLanes[0], trace,
-                               decoded);
-        out[abstractIdx[0]] =
-            simulatePipeline(source, abstractLanes[0]);
-    } else if (!abstractLanes.empty()) {
-        const std::vector<SimResult> sims = lockstepConventional(
-            module, layout, decoded, abstractLanes, trace);
-        for (std::size_t i = 0; i < abstractIdx.size(); ++i)
-            out[abstractIdx[i]] = sims[i];
-    }
-    return out;
+            return simulateModel(source, machine);
+        },
+        [&](const std::vector<MachineConfig> &lanes) {
+            return lockstepConventional(module, layout, decoded, lanes,
+                                        trace);
+        });
 }
 
 std::vector<SimResult>
@@ -165,89 +158,16 @@ runBlockStructuredBatch(const BsaModule &bsa,
                         const std::vector<MachineConfig> &machines,
                         const ExecTrace &trace)
 {
-    if (machines.empty())
-        return {};
-    if (machines.size() == 1)
-        return {runBlockStructured(bsa, machines[0], trace)};
     const DecodedProgram decoded = DecodedProgram::forBsa(bsa);
-    if (!anyOoo(machines))
-        return lockstepBlockStructured(bsa, decoded, machines, trace);
-
-    std::vector<SimResult> out(machines.size());
-    std::vector<MachineConfig> abstractLanes;
-    std::vector<std::size_t> abstractIdx;
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-        if (machines[i].timingModel == TimingModel::Ooo) {
-            BsaFetchSource source(bsa, machines[i], trace, decoded);
-            out[i] = simulateOoO(source, machines[i]);
-        } else {
-            abstractIdx.push_back(i);
-            abstractLanes.push_back(machines[i]);
-        }
-    }
-    if (abstractLanes.size() == 1) {
-        BsaFetchSource source(bsa, abstractLanes[0], trace, decoded);
-        out[abstractIdx[0]] =
-            simulatePipeline(source, abstractLanes[0]);
-    } else if (!abstractLanes.empty()) {
-        const std::vector<SimResult> sims =
-            lockstepBlockStructured(bsa, decoded, abstractLanes, trace);
-        for (std::size_t i = 0; i < abstractIdx.size(); ++i)
-            out[abstractIdx[i]] = sims[i];
-    }
-    return out;
-}
-
-std::vector<TraceCacheResult>
-runTraceCacheBatch(const Module &module,
-                   const std::vector<MachineConfig> &machines,
-                   const std::vector<TraceCacheConfig> &tcConfigs,
-                   const ExecTrace &trace)
-{
-    BSISA_ASSERT(machines.size() == tcConfigs.size());
-    if (machines.empty())
-        return {};
-    if (machines.size() == 1)
-        return {runTraceCache(module, machines[0], tcConfigs[0],
-                              trace)};
-    const ConvLayout layout(module);
-    const DecodedProgram decoded = DecodedProgram::forModule(module);
-    if (!anyOoo(machines))
-        return lockstepTraceCache(module, layout, decoded, machines,
-                                  tcConfigs, trace);
-
-    std::vector<TraceCacheResult> out(machines.size());
-    std::vector<MachineConfig> abstractLanes;
-    std::vector<TraceCacheConfig> abstractTc;
-    std::vector<std::size_t> abstractIdx;
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-        if (machines[i].timingModel == TimingModel::Ooo) {
-            TraceCacheFetchSource source(module, layout, machines[i],
-                                         tcConfigs[i], trace, decoded);
-            out[i].sim = simulateOoO(source, machines[i]);
-            out[i].traceHits = source.traceHits();
-            out[i].traceMisses = source.traceMisses();
-        } else {
-            abstractIdx.push_back(i);
-            abstractLanes.push_back(machines[i]);
-            abstractTc.push_back(tcConfigs[i]);
-        }
-    }
-    if (abstractLanes.size() == 1) {
-        TraceCacheFetchSource source(module, layout, abstractLanes[0],
-                                     abstractTc[0], trace, decoded);
-        out[abstractIdx[0]].sim =
-            simulatePipeline(source, abstractLanes[0]);
-        out[abstractIdx[0]].traceHits = source.traceHits();
-        out[abstractIdx[0]].traceMisses = source.traceMisses();
-    } else if (!abstractLanes.empty()) {
-        const std::vector<TraceCacheResult> sims =
-            lockstepTraceCache(module, layout, decoded, abstractLanes,
-                               abstractTc, trace);
-        for (std::size_t i = 0; i < abstractIdx.size(); ++i)
-            out[abstractIdx[i]] = sims[i];
-    }
-    return out;
+    return partitionByModel(
+        machines,
+        [&](const MachineConfig &machine) {
+            BsaFetchSource source(bsa, machine, trace, decoded);
+            return simulateModel(source, machine);
+        },
+        [&](const std::vector<MachineConfig> &lanes) {
+            return lockstepBlockStructured(bsa, decoded, lanes, trace);
+        });
 }
 
 namespace
@@ -298,77 +218,43 @@ PairSweep::plan()
 {
     BSISA_ASSERT(!planned);
     planned = true;
+    // Timing model is a grouping axis of both machines: out-of-order
+    // lanes each walk a private replay, so an abstract batch never
+    // serializes its lockstep lanes behind them.  The conventional
+    // machine is independent of the enlargement parameters, so any
+    // such config mix shares one walk; block-structured lanes must
+    // also share one BsaModule.
     for (std::size_t b = 0; b < benches.size(); ++b) {
-        const std::vector<std::size_t> &ids = benches[b].pointIds;
-        if (ids.empty())
-            continue;
-        // All conventional points of a benchmark share one walk: the
-        // conventional machine is independent of the enlargement
-        // parameters, so any config mix is a valid batch.  Timing
-        // model is a grouping axis too — abstract lanes go to one
-        // lockstep batch, out-of-order lanes (which each walk a
-        // private replay) to another, so a mixed grid neither
-        // serializes the lockstep lanes behind OoO walks nor
-        // re-partitions inside the batch entry points.
-        std::vector<std::size_t> abstractIds;
-        std::vector<std::size_t> oooIds;
-        for (std::size_t idx : ids)
-            (pointConfig[idx].machine.timingModel == TimingModel::Ooo
-                 ? oooIds
-                 : abstractIds)
-                .push_back(idx);
-        if (!abstractIds.empty())
-            batches.push_back(Batch{false, b, abstractIds});
-        if (!oooIds.empty())
-            batches.push_back(Batch{false, b, oooIds});
-        // Block-structured points group by enlargement identity (the
-        // lanes must share one BsaModule) and by timing model.
-        std::vector<std::size_t> groups;  // batch indices, this bench
-        for (std::size_t idx : ids) {
-            bool placed = false;
-            for (std::size_t g : groups) {
-                const RunConfig &head =
-                    pointConfig[batches[g].pointIds.front()];
-                if (sameEnlargement(head, pointConfig[idx]) &&
-                    head.machine.timingModel ==
-                        pointConfig[idx].machine.timingModel) {
-                    batches[g].pointIds.push_back(idx);
-                    placed = true;
-                    break;
-                }
-            }
-            if (!placed) {
-                groups.push_back(batches.size());
-                batches.push_back(Batch{true, b, {idx}});
+        for (const bool blockStructured : {false, true}) {
+            const std::size_t first = batches.size();
+            for (std::size_t idx : benches[b].pointIds) {
+                const RunConfig &config = pointConfig[idx];
+                const auto fits = [&](const Batch &bt) {
+                    const RunConfig &head =
+                        pointConfig[bt.pointIds.front()];
+                    return head.machine.timingModel ==
+                               config.machine.timingModel &&
+                           (!blockStructured ||
+                            sameEnlargement(head, config));
+                };
+                const auto it = std::find_if(
+                    batches.begin() + std::ptrdiff_t(first),
+                    batches.end(), fits);
+                if (it != batches.end())
+                    it->pointIds.push_back(idx);
+                else
+                    batches.push_back(Batch{blockStructured, b, {idx}});
             }
         }
     }
+}
 
-    // BSISA_BATCH_MAX caps the lockstep batch width: wider batches
-    // amortize more trace-walk work but cost more memory per walk
-    // (pools are laid out register-major across every lane of a
-    // batch) and coarsen BSISA_JOBS parallelism.  0 / unset leaves
-    // batches unbounded.  Splitting after grouping keeps the grouping
-    // rules intact — every chunk is still a valid batch, and lanes
-    // never interact, so results are identical at any cap.
-    const std::uint64_t cap = envU64("BSISA_BATCH_MAX", 0);
-    if (cap > 0) {
-        std::vector<Batch> split;
-        for (const Batch &bt : batches) {
-            for (std::size_t at = 0; at < bt.pointIds.size();
-                 at += cap) {
-                const std::size_t end = std::min<std::size_t>(
-                    at + cap, bt.pointIds.size());
-                split.push_back(
-                    Batch{bt.blockStructured, bt.bench,
-                          {bt.pointIds.begin() +
-                               static_cast<std::ptrdiff_t>(at),
-                           bt.pointIds.begin() +
-                               static_cast<std::ptrdiff_t>(end)}});
-            }
-        }
-        batches.swap(split);
-    }
+const std::vector<PairResult> &
+PairSweep::run()
+{
+    plan();
+    parallelFor(batches.size(), [&](std::size_t b) { runBatch(b); });
+    return points;
 }
 
 void
@@ -436,28 +322,9 @@ PairResult
 runPair(const Module &module, const RunConfig &config,
         const ExecTrace &trace)
 {
-    PairResult result;
-
-    const ConvLayout conv_layout(module);
-    result.convCodeBytes = conv_layout.totalBytes();
-    result.conv = runConventional(module, config.machine, trace);
-
-    EnlargeConfig enlarge_cfg = config.enlarge;
-    ProfileData profile;
-    const ProfileData *profile_ptr = nullptr;
-    if (config.minMergeBias > 0.0) {
-        profile = profileFromTrace(trace);
-        profile_ptr = &profile;
-        enlarge_cfg.minMergeBias = config.minMergeBias;
-    }
-    BsaModule bsa =
-        enlargeModule(module, enlarge_cfg, profile_ptr, &result.enlarge);
-    result.bsaCodeBytes = layoutBsaModule(bsa);
-    result.bsa = runBlockStructured(bsa, config.machine, trace);
-
-    // Conventional dynamic op count (Table 2's metric).
-    result.dynOps = trace.dynOps;
-    return result;
+    PairSweep sweep;
+    sweep.addPoint(sweep.addBenchmark(module, trace), config);
+    return sweep.run()[0];
 }
 
 } // namespace bsisa

@@ -82,8 +82,7 @@ SimResult runBlockStructured(const BsaModule &bsa,
 PairResult runPair(const Module &module, const RunConfig &config);
 
 /** Full pair reusing an already-captured trace of (module,
- *  config.limits) — the sweep drivers capture once per benchmark and
- *  fan config points out from the same trace. */
+ *  config.limits): a one-point PairSweep. */
 PairResult runPair(const Module &module, const RunConfig &config,
                    const ExecTrace &trace);
 
@@ -91,9 +90,11 @@ PairResult runPair(const Module &module, const RunConfig &config,
  * Batched conventional simulation: one lockstep walk replays @p trace
  * once and advances every config in @p machines per event
  * (sim/lockstep.hh), sharing one ConvLayout and one DecodedProgram
- * across all lanes.  A single-config batch falls back to the
- * per-config replay path.  Results are bit-identical to running each
- * config through runConventional() independently.
+ * across all lanes.  Lanes partition by timing model: each
+ * out-of-order lane and a lone abstract lane walk their own replay,
+ * two or more abstract lanes share the lockstep walk.  Results are
+ * bit-identical to running each config through runConventional()
+ * independently.
  */
 std::vector<SimResult> runConventionalBatch(
     const Module &module, const std::vector<MachineConfig> &machines,
@@ -106,29 +107,24 @@ std::vector<SimResult> runBlockStructuredBatch(
     const ExecTrace &trace);
 
 /**
- * Planner for (benchmark x config) pair grids: groups the registered
- * points by (benchmark, fetch model), runs each same-model group as
- * one lockstep batch over a single trace replay, and falls back to
- * the per-config path for singleton groups.  Conventional points of a
- * benchmark always share one walk; block-structured points only share
- * when their enlargement parameters match (the lanes must share one
- * BsaModule).  Each point's RunConfig::limits is ignored — the
- * registered trace is the committed stream.
+ * The one driver of (benchmark x config) pair grids: the figure
+ * drivers' grids, the sweep service's chunks and runPair register
+ * their points here and call run().  The planner groups the points
+ * into batches, each of which is one runConventionalBatch or
+ * runBlockStructuredBatch call over a single trace replay:
  *
- * The BSISA_BATCH_MAX environment variable (read in plan()) caps the
- * number of lanes per lockstep batch: oversized groups are split into
- * consecutive chunks of at most that many points after grouping, so
- * every chunk still satisfies the sharing rules and per-point results
- * are identical at any cap.  Use it to bound per-walk memory (pools
- * are sized by batch width) or to create more batches for BSISA_JOBS
- * to fan across; 0 or unset leaves batch width unbounded.
+ *   - conventional points form one batch per (benchmark, timing
+ *     model): the conventional machine is independent of the
+ *     enlargement parameters, so any config mix shares a walk;
+ *   - block-structured points form one batch per (benchmark,
+ *     enlargement, timing model): the lanes must share one BsaModule,
+ *     enlarged and laid out once per batch.
  *
- * Usage: addBenchmark() / addPoint() / plan(), then execute every
- * batch in [0, batchCount()) — typically one parallelFor, so
- * BSISA_JOBS fans across (benchmark x batch) rather than
- * (benchmark x config) — and read results() by point index.  Distinct
- * batches touch disjoint PairResult fields, so runBatch() is
- * thread-safe across distinct batch indices.
+ * Each point's RunConfig::limits is ignored — the registered trace is
+ * the committed stream.  run() fans the batches across parallelFor
+ * (BSISA_JOBS workers over benchmark x batch, not benchmark x config);
+ * distinct batches touch disjoint PairResult fields, so the results
+ * are identical for any worker count.
  */
 class PairSweep
 {
@@ -138,18 +134,15 @@ class PairSweep
     std::size_t addBenchmark(const Module &module,
                              const ExecTrace &trace);
 
-    /** Add one grid point; returns its index into results(). */
+    /** Add one grid point; returns its index into the results. */
     std::size_t addPoint(std::size_t bench, const RunConfig &config);
 
-    /** Group the points into batches; call once after registration. */
-    void plan();
+    /** Plan and simulate every point (once, after registration);
+     *  returns the results by point index. */
+    const std::vector<PairResult> &run();
 
+    /** Batches the plan formed; 0 before run(). */
     std::size_t batchCount() const { return batches.size(); }
-
-    /** Execute one batch (thread-safe across distinct indices). */
-    void runBatch(std::size_t batch);
-
-    const std::vector<PairResult> &results() const { return points; }
 
   private:
     struct Bench
@@ -165,6 +158,12 @@ class PairSweep
         std::size_t bench;
         std::vector<std::size_t> pointIds;
     };
+
+    /** Group the points into batches. */
+    void plan();
+
+    /** Execute one batch (thread-safe across distinct indices). */
+    void runBatch(std::size_t batch);
 
     std::vector<Bench> benches;
     std::vector<std::size_t> pointBench;
@@ -192,14 +191,6 @@ TraceCacheResult runTraceCache(const Module &module,
                                const MachineConfig &machine,
                                const TraceCacheConfig &tcConfig,
                                const ExecTrace &trace);
-
-/** Batched trace-cache simulation: lane i pairs machines[i] with
- *  tcConfigs[i] (the vectors must be the same length); same contract
- *  as runConventionalBatch. */
-std::vector<TraceCacheResult> runTraceCacheBatch(
-    const Module &module, const std::vector<MachineConfig> &machines,
-    const std::vector<TraceCacheConfig> &tcConfigs,
-    const ExecTrace &trace);
 
 } // namespace bsisa
 

@@ -265,22 +265,15 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
             PairSweep sweep;
             const std::size_t bh =
                 sweep.addBenchmark(plan.modules[b], traces[b]);
-            std::vector<std::size_t> pointOf(pending.size());
-            for (std::size_t i = 0; i < pending.size(); ++i)
-                pointOf[i] = sweep.addPoint(
-                    bh, plan.units[pending[i]].config);
-            sweep.plan();
-            parallelFor(sweep.batchCount(),
-                        [&](std::size_t batch) {
-                            sweep.runBatch(batch);
-                        });
+            for (std::size_t u : pending)
+                sweep.addPoint(bh, plan.units[u].config);
+            const std::vector<PairResult> &results = sweep.run();
 
             for (std::size_t i = 0; i < pending.size(); ++i) {
                 const WorkUnit &unit = plan.units[pending[i]];
                 if (!store.append(makeResultRecord(
                         unit.key, unit.moduleDigest,
-                        unit.configDigest,
-                        sweep.results()[pointOf[i]]))) {
+                        unit.configDigest, results[i]))) {
                     // The store went unwritable mid-run (disk full,
                     // directory removed).  Abort rather than spin:
                     // unpersisted units stay pending forever from

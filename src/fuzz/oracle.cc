@@ -674,27 +674,6 @@ checkLockstep(const Module &module, const ExecTrace &trace,
         }
     }
 
-    // Trace-cache machine: two cache geometries per machine config.
-    std::vector<MachineConfig> tcMachines{grid[0], grid[0], grid[3]};
-    TraceCacheConfig small;
-    small.entries = 16;
-    std::vector<TraceCacheConfig> tcConfigs{TraceCacheConfig{}, small,
-                                            TraceCacheConfig{}};
-    std::vector<TraceCacheResult> tcSeq(tcMachines.size());
-    for (std::size_t i = 0; i < tcMachines.size(); ++i)
-        tcSeq[i] =
-            runTraceCache(module, tcMachines[i], tcConfigs[i], trace);
-    const std::vector<TraceCacheResult> tcBatch =
-        runTraceCacheBatch(module, tcMachines, tcConfigs, trace);
-    for (std::size_t i = 0; i < tcMachines.size(); ++i) {
-        if (!sameSim(tcSeq[i].sim, tcBatch[i].sim) ||
-            tcSeq[i].traceHits != tcBatch[i].traceHits ||
-            tcSeq[i].traceMisses != tcBatch[i].traceMisses) {
-            return fail("lockstep",
-                        "tcache lane " + std::to_string(i) +
-                            " differs from independent replay");
-        }
-    }
     return {};
 }
 

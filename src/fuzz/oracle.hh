@@ -23,9 +23,9 @@
  *             grid fanned across BSISA_JOBS worker counts is
  *             byte-identical to the serial run.
  *   lockstep — batched multi-config simulation (sim/lockstep.hh) is
- *             bit-identical to independent per-config replay on all
- *             three machines, for full batches, partial batches, and
- *             odd lane orders.
+ *             bit-identical to independent per-config replay on the
+ *             conventional and block-structured machines, for full
+ *             batches, partial batches, and odd lane orders.
  *   ooo     — the out-of-order backend (sim/ooo) commits the same
  *             architectural stream as the interpreter: committed-op
  *             counts match the functional execution, the commit-order

@@ -66,7 +66,6 @@
 #include "sim/bsa_source.hh"
 #include "sim/conv_source.hh"
 #include "sim/fetch_outcome.hh"
-#include "sim/tc_source.hh"
 #include "support/logging.hh"
 #include "support/simd_dispatch.hh"
 
@@ -1165,57 +1164,6 @@ lockstepBlockStructured(const BsaModule &bsa,
     std::vector<SimResult> out(machines.size());
     for (std::size_t i = 0; i < machines.size(); ++i)
         out[i] = laneOut[grouped.posOf[uniqueOf[i]]];
-    return out;
-}
-
-// -------------------------------------------------------- trace cache
-
-std::vector<TraceCacheResult>
-lockstepTraceCache(const Module &module, const ConvLayout &layout,
-                   const DecodedProgram &decoded,
-                   const std::vector<MachineConfig> &machines,
-                   const std::vector<TraceCacheConfig> &tcConfigs,
-                   const ExecTrace &trace)
-{
-    BSISA_ASSERT(machines.size() == tcConfigs.size());
-    const std::size_t n = machines.size();
-    std::vector<TraceCacheResult> out(n);
-    if (n == 0)
-        return out;
-
-    LanePipelines pipes(machines.data(), n);
-    std::vector<std::unique_ptr<TraceCacheFetchSource>> sources;
-    sources.reserve(n);
-    for (std::size_t l = 0; l < n; ++l) {
-        sources.push_back(std::make_unique<TraceCacheFetchSource>(
-            module, layout, machines[l], tcConfigs[l], trace,
-            decoded));
-    }
-
-    // Trace-cache unit boundaries depend on per-config cache
-    // contents, so lanes round-robin one unit per turn over the
-    // shared read-only decode and trace.
-    std::vector<bool> alive(n, true);
-    TimingUnit unit;
-    for (std::size_t remaining = n; remaining > 0;) {
-        for (std::size_t l = 0; l < n; ++l) {
-            if (!alive[l])
-                continue;
-            if (sources[l]->next(unit)) {
-                pipes.step(l, unit);
-            } else {
-                alive[l] = false;
-                --remaining;
-            }
-        }
-    }
-
-    for (std::size_t l = 0; l < n; ++l) {
-        out[l].sim = pipes.takeResult(l);
-        fillSourceStats(out[l].sim, *sources[l]);
-        out[l].traceHits = sources[l]->traceHits();
-        out[l].traceMisses = sources[l]->traceMisses();
-    }
     return out;
 }
 

@@ -26,6 +26,14 @@
  * config-dependent work (prediction state, cache models, scheduling)
  * runs per lane.
  *
+ * There are two drivers, one per fetch model whose units are
+ * config-independent: the conventional and the block-structured
+ * machine.  Callers reach them through exp/runner.hh's batch entry
+ * points, and grids through PairSweep.  The trace-cache machine has
+ * none: its unit boundaries depend on each config's cache contents,
+ * so lanes would share nothing but the read-only inputs, and each
+ * config runs its own runTraceCache replay.
+ *
  * The fetch and timing sides are further DECOUPLED (sim/
  * fetch_outcome.hh): each prediction group's predictor/fetch walk
  * runs exactly once over the trace in a pre-pass, recording compact
@@ -72,7 +80,6 @@
 #define BSISA_SIM_LOCKSTEP_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -87,8 +94,6 @@
 
 namespace bsisa
 {
-
-struct TraceCacheConfig;
 
 /**
  * Structure-of-arrays pipeline state for N config lanes.
@@ -358,19 +363,6 @@ lockstepBlockStructured(const BsaModule &bsa,
                         const DecodedProgram &decoded,
                         const std::vector<MachineConfig> &machines,
                         const ExecTrace &trace);
-
-/**
- * Trace-cache machine: N lanes round-robin over one shared stream and
- * decoded program.  Trace-cache unit boundaries depend on per-config
- * cache contents, so lanes advance one unit each per round (shared
- * read-only state, per-lane everything else).
- */
-std::vector<TraceCacheResult>
-lockstepTraceCache(const Module &module, const ConvLayout &layout,
-                   const DecodedProgram &decoded,
-                   const std::vector<MachineConfig> &machines,
-                   const std::vector<TraceCacheConfig> &tcConfigs,
-                   const ExecTrace &trace);
 
 /** Copy the fetch-side statistics of @p source into @p result. */
 void fillSourceStats(SimResult &result, const FetchSource &source);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <sstream>
@@ -22,7 +23,9 @@
 
 #include "exp/figures.hh"
 #include "ir/textform.hh"
+#include "sim/tc_source.hh"
 #include "sim/trace_store.hh"
+#include "support/digest.hh"
 #include "support/parallel.hh"
 #include "workloads/synth.hh"
 
@@ -311,4 +314,97 @@ TEST_F(ExpFixture, DriverOrderDoesNotChangeOutput)
     runIcacheSweep(sweepSecond, false);
     EXPECT_EQ(sweepFirst.str(), sweepSecond.str());
     EXPECT_EQ(cycleFirst.str(), cycleSecond.str());
+}
+
+// ---------------------------------------------------------------------
+// Pinned outputs of the drivers no CI step runs: the three ablations'
+// rendered text and the trace-cache extension's per-benchmark numbers,
+// at BSISA_SCALE=6000 on the abstract timing model.  A change to how
+// these grids are planned or batched must leave every value unchanged;
+// a change that moves one is a deliberate model event.
+
+namespace
+{
+
+std::string
+hex16(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+} // namespace
+
+TEST(PinnedOutputs, AblationRenders)
+{
+    ScopedEnv scale("BSISA_SCALE", "6000");
+    ScopedEnv model("BSISA_TIMING_MODEL", "abstract");
+    const struct
+    {
+        const char *name;
+        void (*driver)(std::ostream &);
+        std::uint64_t digest;  //!< fnv1a64 of the rendered text
+    } pins[] = {
+        {"limits", runLimitsAblation, 0xbc35a3ebb8fe3673ull},
+        {"profile", runProfileAblation, 0xced2b27882d6eceaull},
+        {"predictor", runPredictorAblation, 0x6fcc60d6b165cbb0ull},
+    };
+    for (const auto &pin : pins) {
+        std::ostringstream os;
+        pin.driver(os);
+        EXPECT_EQ(hex16(fnv1a64(os.str())), hex16(pin.digest))
+            << pin.name << " ablation now renders:\n"
+            << os.str();
+    }
+}
+
+TEST(PinnedOutputs, TraceCacheAcrossSuite)
+{
+    ScopedEnv scale("BSISA_SCALE", "6000");
+    // Per benchmark: {cycles, trace hits, trace misses} with a 64-entry
+    // and a 256-entry trace cache, at bench_ext_tracecache's budget.
+    struct Run
+    {
+        std::uint64_t cycles, hits, misses;
+    };
+    const struct
+    {
+        const char *name;
+        Run tc64, tc256;
+    } pins[] = {
+        {"compress", {2152, 315, 482}, {2152, 315, 482}},
+        {"gcc", {9134, 218, 1649}, {9107, 252, 1586}},
+        {"go", {6678, 195, 1278}, {6650, 232, 1203}},
+        {"ijpeg", {2811, 550, 968}, {2806, 554, 959}},
+        {"li", {7543, 791, 1143}, {7534, 800, 1121}},
+        {"m88ksim", {2918, 365, 739}, {2918, 365, 739}},
+        {"perl", {1993, 301, 455}, {1981, 314, 426}},
+        {"vortex", {8239, 632, 1753}, {8224, 670, 1670}},
+    };
+    const auto suite = specint95Suite();
+    ASSERT_EQ(suite.size(), std::size(pins));
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        ASSERT_EQ(suite[i].params.name, pins[i].name);
+        Interp::Limits limits;
+        limits.maxOps = suite[i].paperInstructions / (scaleDivisor() * 2);
+        const ExecTrace trace = captureTrace(suiteModule(i), limits);
+        auto run = [&](unsigned entries) {
+            TraceCacheConfig tc;
+            tc.entries = entries;
+            const TraceCacheResult r = runTraceCache(
+                suiteModule(i), MachineConfig{}, tc, trace);
+            return Run{r.sim.cycles, r.traceHits, r.traceMisses};
+        };
+        const Run tc64 = run(64);
+        const Run tc256 = run(256);
+        const auto text = [](const Run &r) {
+            return "{" + std::to_string(r.cycles) + ", " +
+                   std::to_string(r.hits) + ", " +
+                   std::to_string(r.misses) + "}";
+        };
+        EXPECT_EQ(text(tc64), text(pins[i].tc64)) << pins[i].name;
+        EXPECT_EQ(text(tc256), text(pins[i].tc256)) << pins[i].name;
+    }
 }

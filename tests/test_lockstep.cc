@@ -6,9 +6,10 @@
  * The contract under test is bit-equality: a batched walk that
  * advances N machine configs per trace event must produce exactly the
  * SimResult of running each config through the sequential per-config
- * replay, for every fetch model, every batch size (including odd
- * splits and the singleton fallback), and any BSISA_JOBS fan-out of a
- * sweep's batches.
+ * replay, for both batched machines (conventional and
+ * block-structured), every batch size (including odd splits and the
+ * singleton fallback), and any BSISA_JOBS fan-out of a sweep's
+ * batches.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/trace_cache.hh"
 #include "codegen/layout.hh"
 #include "core/enlarge.hh"
 #include "exp/runner.hh"
@@ -26,7 +26,6 @@
 #include "sim/bsa_source.hh"
 #include "sim/fetch_outcome.hh"
 #include "sim/trace.hh"
-#include "support/parallel.hh"
 #include "support/simd_dispatch.hh"
 #include "workloads/specmix.hh"
 
@@ -178,26 +177,6 @@ TEST(Lockstep, BatchMatchesSequentialAcrossSuite)
             expectSameSim(runBlockStructured(bsa, grid[i], trace),
                           bsaBatch[i]);
         }
-
-        // Trace-cache machine: alternate two cache geometries over
-        // the same sixteen machine configs.
-        TraceCacheConfig tcSmall;
-        tcSmall.entries = 16;
-        std::vector<TraceCacheConfig> tcConfigs;
-        for (std::size_t i = 0; i < grid.size(); ++i)
-            tcConfigs.push_back((i & 1) ? tcSmall
-                                        : TraceCacheConfig{});
-        const std::vector<TraceCacheResult> tcBatch =
-            runTraceCacheBatch(m, grid, tcConfigs, trace);
-        ASSERT_EQ(tcBatch.size(), grid.size());
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            SCOPED_TRACE("tcache lane " + std::to_string(i));
-            const TraceCacheResult seq =
-                runTraceCache(m, grid[i], tcConfigs[i], trace);
-            expectSameSim(seq.sim, tcBatch[i].sim);
-            EXPECT_EQ(seq.traceHits, tcBatch[i].traceHits);
-            EXPECT_EQ(seq.traceMisses, tcBatch[i].traceMisses);
-        }
     }
 }
 
@@ -309,36 +288,41 @@ TEST(Lockstep, PairSweepGroupsByModelAndEnlargement)
     const Module m = generateWorkload(suite[0].params);
     const ExecTrace trace = captureTrace(m, testLimits(suite[0]));
 
-    PairSweep sweep;
-    const std::size_t b = sweep.addBenchmark(m, trace);
+    std::vector<RunConfig> configs;
     RunConfig shared;
-    sweep.addPoint(b, shared);
+    configs.push_back(shared);
     RunConfig wider = shared;
     wider.machine.issueWidth = 8;
-    sweep.addPoint(b, wider);  // same enlargement: shares the walk
+    configs.push_back(wider);  // same enlargement: shares the walk
     RunConfig narrow = shared;
     narrow.enlarge.maxFaults = 1;
-    sweep.addPoint(b, narrow);  // distinct enlargement: own group
-    sweep.plan();
+    configs.push_back(narrow);  // distinct enlargement: own group
+    RunConfig ooo = shared;
+    ooo.machine.timingModel = TimingModel::Ooo;
+    configs.push_back(ooo);  // same enlargement, other timing model
 
-    // One conventional batch (all three points) + two BSA groups.
-    EXPECT_EQ(sweep.batchCount(), 3u);
-    for (std::size_t i = 0; i < sweep.batchCount(); ++i)
-        sweep.runBatch(i);
+    PairSweep sweep;
+    const std::size_t b = sweep.addBenchmark(m, trace);
+    for (const RunConfig &config : configs)
+        sweep.addPoint(b, config);
+    const std::vector<PairResult> &results = sweep.run();
 
-    const PairResult seqShared = runPair(m, shared, trace);
-    const PairResult seqWider = runPair(m, wider, trace);
-    const PairResult seqNarrow = runPair(m, narrow, trace);
-    expectSameSim(seqShared.conv, sweep.results()[0].conv);
-    expectSameSim(seqShared.bsa, sweep.results()[0].bsa);
-    expectSameSim(seqWider.conv, sweep.results()[1].conv);
-    expectSameSim(seqWider.bsa, sweep.results()[1].bsa);
-    expectSameSim(seqNarrow.conv, sweep.results()[2].conv);
-    expectSameSim(seqNarrow.bsa, sweep.results()[2].bsa);
-    EXPECT_EQ(seqNarrow.bsaCodeBytes, sweep.results()[2].bsaCodeBytes);
-    EXPECT_EQ(seqShared.convCodeBytes,
-              sweep.results()[0].convCodeBytes);
-    EXPECT_EQ(seqShared.dynOps, sweep.results()[0].dynOps);
+    // Conventional: one abstract batch (three points) + one OoO
+    // batch.  Block-structured: the shared enlargement's abstract
+    // pair, the narrow enlargement, and the OoO point.
+    EXPECT_EQ(sweep.batchCount(), 5u);
+    ASSERT_EQ(results.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        const PairResult seq = runPair(m, configs[i], trace);
+        expectSameSim(seq.conv, results[i].conv);
+        expectSameSim(seq.bsa, results[i].bsa);
+        EXPECT_EQ(seq.convCodeBytes, results[i].convCodeBytes);
+        EXPECT_EQ(seq.bsaCodeBytes, results[i].bsaCodeBytes);
+        EXPECT_EQ(seq.dynOps, results[i].dynOps);
+    }
+    // The OoO point is a different machine, not a relabelled lane.
+    EXPECT_NE(results[3].conv.cycles, results[0].conv.cycles);
 }
 
 /** Thirty-three mutually divergent configs, so prefix batches cover
@@ -594,52 +578,6 @@ TEST(Lockstep, FuzzCorpusReplayMatchesUnderBothKernels)
     }
 }
 
-TEST(Lockstep, PairSweepHonorsBatchMaxCap)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    const ExecTrace trace = captureTrace(m, testLimits(suite[0]));
-
-    std::vector<RunConfig> configs;
-    for (const unsigned hist : {4u, 6u, 8u, 12u, 16u}) {
-        RunConfig config;
-        config.machine.predictor.historyBits = hist;
-        configs.push_back(config);
-    }
-
-    std::vector<PairResult> uncapped;
-    {
-        PairSweep sweep;
-        const std::size_t b = sweep.addBenchmark(m, trace);
-        for (const RunConfig &config : configs)
-            sweep.addPoint(b, config);
-        sweep.plan();
-        // One conventional batch + one BSA group.
-        EXPECT_EQ(sweep.batchCount(), 2u);
-        for (std::size_t i = 0; i < sweep.batchCount(); ++i)
-            sweep.runBatch(i);
-        uncapped = sweep.results();
-    }
-
-    ScopedEnv cap("BSISA_BATCH_MAX", "2");
-    PairSweep sweep;
-    const std::size_t b = sweep.addBenchmark(m, trace);
-    for (const RunConfig &config : configs)
-        sweep.addPoint(b, config);
-    sweep.plan();
-    // Five points split into ceil(5/2) = 3 chunks per model.
-    EXPECT_EQ(sweep.batchCount(), 6u);
-    for (std::size_t i = 0; i < sweep.batchCount(); ++i)
-        sweep.runBatch(i);
-
-    ASSERT_EQ(sweep.results().size(), uncapped.size());
-    for (std::size_t i = 0; i < uncapped.size(); ++i) {
-        SCOPED_TRACE("point " + std::to_string(i));
-        expectSameSim(uncapped[i].conv, sweep.results()[i].conv);
-        expectSameSim(uncapped[i].bsa, sweep.results()[i].bsa);
-    }
-}
-
 TEST(Lockstep, SweepIsDeterministicAcrossJobs)
 {
     const auto suite = specint95Suite();
@@ -663,10 +601,7 @@ TEST(Lockstep, SweepIsDeterministicAcrossJobs)
                 sweep.addPoint(b, config);
             }
         }
-        sweep.plan();
-        parallelFor(sweep.batchCount(),
-                    [&](std::size_t bi) { sweep.runBatch(bi); });
-        return sweep.results();
+        return sweep.run();
     };
 
     const std::vector<PairResult> serial = runSweep("1");
