@@ -4,26 +4,35 @@
  *
  * Every driver is a grid of independent simulation points (benchmark x
  * machine config).  The pair grids (Fig. 3-5 and the ablations) go
- * through one helper, runSuiteGrid: it captures one functional trace
- * per benchmark (sim/trace.hh) and simulates every point through one
- * PairSweep, whose batches replay that trace once per shared walk.
- * The icache sweeps (Fig. 6/7) run one batch per benchmark on a
- * single machine.  Points are computed into pre-sized result slots by
- * parallelFor() (BSISA_JOBS workers) and printed serially in grid
- * order, so the rendered tables are byte-identical for any worker
- * count.  The modules themselves come from one immutable per-process
- * suite (suiteModule), so the suite is generated and hashed once per
- * process, not once per driver call.
+ * through one helper, runSuiteGrid, which simulates every point not
+ * yet in the process's result memo through one PairSweep, whose
+ * batches replay one functional trace (sim/trace.hh) per benchmark
+ * once per shared walk.  The icache sweeps (Fig. 6/7) run one batch
+ * per benchmark on a single machine.  Points are computed into
+ * pre-sized result slots by parallelFor() (BSISA_JOBS workers) and
+ * printed serially in grid order, so the rendered tables are
+ * byte-identical for any worker count.
+ *
+ * Drivers in one process share work through per-benchmark,
+ * immutable memos (SuiteSlot): the compiled module and its digest
+ * (suiteModule), the suite traces by op budget (captureSuiteTrace),
+ * and the pair results by config digest (runSuiteGrid).  So Table 2
+ * and Fig. 3-7 in one process load each trace once, and Fig. 5 after
+ * Fig. 3 simulates nothing.  A memoized value is computed exactly as
+ * an uncached call would compute it, so no driver's output depends
+ * on what ran before it.
  */
 
 #include "exp/figures.hh"
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <mutex>
 
 #include "arch/instr_class.hh"
 #include "codegen/layout.hh"
+#include "exp/plan.hh"
 #include "sim/trace_store.hh"
 #include "support/env.hh"
 #include "support/parallel.hh"
@@ -57,13 +66,34 @@ baseConfig(const SpecBenchmark &bench)
     return config;
 }
 
-/** One benchmark's process-lifetime slot behind suiteModule(). */
+/** One memoized suite trace (see captureSuiteTrace). */
+struct SuiteTrace
+{
+    std::once_flag once;
+    ExecTrace trace;
+};
+
+/**
+ * One benchmark's process-lifetime slot: its module and digest
+ * (suiteModule, suiteModuleDigest), its traces (captureSuiteTrace)
+ * and its pair results (runSuiteGrid).  Each entry is filled once
+ * and never changes after that; std::map nodes never move, so a
+ * reference to an entry stays valid while the maps grow.
+ */
 struct SuiteSlot
 {
     std::once_flag moduleOnce;
     std::once_flag digestOnce;
     Module module;
     std::uint64_t digest = 0;
+    /** Guards the structure of traces and results. */
+    std::mutex mutex;
+    /** Keyed by (limits.maxOps, limits.maxBlocks). */
+    std::map<std::pair<std::uint64_t, std::uint64_t>, SuiteTrace>
+        traces;
+    /** Keyed by runConfigDigest of the point's config, its limits
+     *  set to the limits of the trace it replayed. */
+    std::map<std::uint64_t, PairResult> results;
 };
 
 SuiteSlot &
@@ -73,15 +103,25 @@ suiteSlot(std::size_t i)
     return slots.at(i);
 }
 
-/** Acquire benchmark @p i's functional trace under @p limits: served
- *  from the trace store when warm, captured live otherwise.  The
- *  module is hashed only when a store is configured. */
-ExecTrace
+/** Benchmark @p i's functional trace under @p limits, acquired once
+ *  per process: served from the trace store when warm, captured live
+ *  otherwise.  The module is hashed only when a store is
+ *  configured. */
+const ExecTrace &
 captureSuiteTrace(std::size_t i, Interp::Limits limits)
 {
-    const std::uint64_t digest =
-        TraceStore::fromEnv().enabled() ? suiteModuleDigest(i) : 0;
-    return captureOrLoadTrace(suiteModule(i), digest, limits);
+    SuiteSlot &slot = suiteSlot(i);
+    SuiteTrace *entry;
+    {
+        std::lock_guard<std::mutex> lock(slot.mutex);
+        entry = &slot.traces[{limits.maxOps, limits.maxBlocks}];
+    }
+    std::call_once(entry->once, [&] {
+        const std::uint64_t digest =
+            TraceStore::fromEnv().enabled() ? suiteModuleDigest(i) : 0;
+        entry->trace = captureOrLoadTrace(suiteModule(i), digest, limits);
+    });
+    return entry->trace;
 }
 
 /** The suite generator splits basic blocks at 16 ops
@@ -89,16 +129,22 @@ captureSuiteTrace(std::size_t i, Interp::Limits limits)
 constexpr unsigned suiteBlockOps = 16;
 
 /**
- * Simulate a (config x benchmark) grid over the suite through one
- * PairSweep and return its results config-major: entry
- * ci * suite.size() + bi is configOf(ci, bi) on benchmark bi.  Every
- * benchmark replays one functional trace at 1/@p budgetDiv of its
- * scaled budget (the ablations run at 1/4), so configOf's limits are
- * ignored.  A point whose enlargement is narrower than the suite's
- * blocks runs on a copy of the module re-split to that width: its
- * committed stream differs, so each (width, benchmark) copy joins the
- * sweep as an extra benchmark with its own trace.  The parallel
- * captures also generate any suite module not built yet.
+ * Simulate a (config x benchmark) grid over the suite and return its
+ * results config-major: entry ci * suite.size() + bi is
+ * configOf(ci, bi) on benchmark bi.  Every benchmark replays one
+ * functional trace at 1/@p budgetDiv of its scaled budget (the
+ * ablations run at 1/4), so configOf's limits are ignored.
+ *
+ * A point already in benchmark bi's result memo is served from it;
+ * the rest run through one PairSweep and join the memo.  The memo key
+ * is runConfigDigest of the config with its limits set to the
+ * replayed trace's, so it covers BSISA_SCALE, BSISA_TIMING_MODEL and
+ * the enlargement width, which also picks the module below.  Only a
+ * benchmark with a missing point acquires a trace.  A point whose
+ * enlargement is narrower than the suite's blocks runs on a copy of
+ * the module re-split to that width: its committed stream differs,
+ * so each (width, benchmark) copy joins the sweep as an extra
+ * benchmark with its own trace, which is not memoized.
  */
 std::vector<PairResult>
 runSuiteGrid(std::uint64_t budgetDiv, std::size_t nconfigs,
@@ -107,51 +153,82 @@ runSuiteGrid(std::uint64_t budgetDiv, std::size_t nconfigs,
 {
     const auto suite = specint95Suite();
     const std::size_t n = suite.size();
-    std::vector<RunConfig> configs;
-    configs.reserve(nconfigs * n);
-    // One re-split copy per distinct (width, benchmark); copy k is
-    // sweep benchmark n + k.
-    std::vector<std::pair<unsigned, std::size_t>> splits;
-    std::vector<std::size_t> benchOf;  // per point: sweep benchmark
-    for (std::size_t ci = 0; ci < nconfigs; ++ci) {
-        for (std::size_t bi = 0; bi < n; ++bi) {
-            configs.push_back(configOf(ci, bi));
-            const unsigned width = configs.back().enlarge.maxOps;
-            if (width >= suiteBlockOps) {
-                benchOf.push_back(bi);
-                continue;
-            }
-            const std::pair<unsigned, std::size_t> key{width, bi};
-            const auto it = std::find(splits.begin(), splits.end(), key);
-            benchOf.push_back(n + std::size_t(it - splits.begin()));
-            if (it == splits.end())
-                splits.push_back(key);
-        }
+    std::vector<Interp::Limits> limits(n);
+    for (std::size_t bi = 0; bi < n; ++bi) {
+        limits[bi] = baseConfig(suite[bi]).limits;
+        limits[bi].maxOps /= budgetDiv;
     }
 
-    std::vector<Module> splitModules(splits.size());
-    std::vector<ExecTrace> traces(n + splits.size());
-    parallelFor(traces.size(), [&](std::size_t b) {
-        const std::size_t bi = b < n ? b : splits[b - n].second;
-        Interp::Limits limits = baseConfig(suite[bi]).limits;
-        limits.maxOps /= budgetDiv;
-        if (b < n) {
-            traces[b] = captureSuiteTrace(b, limits);
+    std::vector<PairResult> results(nconfigs * n);
+    std::vector<std::size_t> missing;  // grid indices
+    std::vector<RunConfig> configs;    // per missing point
+    std::vector<std::uint64_t> keys;   // per missing point
+    for (std::size_t idx = 0; idx < results.size(); ++idx) {
+        const std::size_t bi = idx % n;
+        RunConfig config = configOf(idx / n, bi);
+        config.limits = limits[bi];
+        const std::uint64_t key = runConfigDigest(config);
+        SuiteSlot &slot = suiteSlot(bi);
+        std::lock_guard<std::mutex> lock(slot.mutex);
+        const auto it = slot.results.find(key);
+        if (it != slot.results.end()) {
+            results[idx] = it->second;
+            continue;
+        }
+        missing.push_back(idx);
+        configs.push_back(config);
+        keys.push_back(key);
+    }
+
+    // Sweep benchmarks as (re-split width, suite index), width 0 for
+    // the suite module itself.
+    std::vector<std::pair<unsigned, std::size_t>> benches;
+    std::vector<std::size_t> benchOf;  // per missing point
+    for (std::size_t k = 0; k < missing.size(); ++k) {
+        const unsigned width = configs[k].enlarge.maxOps;
+        const std::pair<unsigned, std::size_t> bench{
+            width < suiteBlockOps ? width : 0, missing[k] % n};
+        const auto it = std::find(benches.begin(), benches.end(), bench);
+        benchOf.push_back(std::size_t(it - benches.begin()));
+        if (it == benches.end())
+            benches.push_back(bench);
+    }
+
+    std::vector<Module> splitModules(benches.size());
+    std::vector<ExecTrace> splitTraces(benches.size());
+    std::vector<const ExecTrace *> traces(benches.size());
+    parallelFor(benches.size(), [&](std::size_t b) {
+        const auto [width, bi] = benches[b];
+        if (width == 0) {
+            traces[b] = &captureSuiteTrace(bi, limits[bi]);
             return;
         }
-        Module &m = splitModules[b - n];
+        Module &m = splitModules[b];
         m = suiteModule(bi);
-        splitOversizedBlocks(m, splits[b - n].first);
-        traces[b] = captureOrLoadTrace(m, limits);
+        splitOversizedBlocks(m, width);
+        splitTraces[b] = captureOrLoadTrace(m, limits[bi]);
+        traces[b] = &splitTraces[b];
     });
 
     PairSweep sweep;
-    for (std::size_t b = 0; b < traces.size(); ++b)
-        sweep.addBenchmark(b < n ? suiteModule(b) : splitModules[b - n],
-                           traces[b]);
-    for (std::size_t idx = 0; idx < configs.size(); ++idx)
-        sweep.addPoint(benchOf[idx], configs[idx]);
-    return sweep.run();
+    for (std::size_t b = 0; b < benches.size(); ++b) {
+        const auto [width, bi] = benches[b];
+        sweep.addBenchmark(width ? splitModules[b] : suiteModule(bi),
+                           *traces[b]);
+    }
+    for (std::size_t k = 0; k < missing.size(); ++k)
+        sweep.addPoint(benchOf[k], configs[k]);
+    const std::vector<PairResult> &fresh = sweep.run();
+
+    for (std::size_t k = 0; k < missing.size(); ++k) {
+        results[missing[k]] = fresh[k];
+        // A racing call may have stored the same point first; both
+        // results are bit-identical, and the first one stays.
+        SuiteSlot &slot = suiteSlot(missing[k] % n);
+        std::lock_guard<std::mutex> lock(slot.mutex);
+        slot.results.emplace(keys[k], fresh[k]);
+    }
+    return results;
 }
 
 /** Fig. 3-5's grid: every benchmark once on baseConfig, with
@@ -311,7 +388,7 @@ printTable2(std::ostream &os)
         limits.maxOps = suite[i].scaledBudget(divisor);
         // The measured count is a property of the committed stream, so
         // a warm trace store answers it without executing anything.
-        const ExecTrace trace = captureSuiteTrace(i, limits);
+        const ExecTrace &trace = captureSuiteTrace(i, limits);
         outcomes[i].name = suite[i].params.name;
         outcomes[i].dynOps = trace.dynOps;
     });
@@ -366,7 +443,7 @@ runIcacheSweep(std::ostream &os, bool blockStructured)
         const Module &m = suiteModule(bi);
         RunConfig ideal = baseConfig(suite[bi]);
         ideal.machine.icache.perfect = true;
-        const ExecTrace trace = captureSuiteTrace(bi, ideal.limits);
+        const ExecTrace &trace = captureSuiteTrace(bi, ideal.limits);
 
         std::vector<MachineConfig> machines;
         machines.reserve(1 + nsizes);

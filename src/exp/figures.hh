@@ -9,6 +9,11 @@
  *
  * The dynamic-op budget is Table-2's instruction counts divided by
  * the BSISA_SCALE env var (default specScaleDivisor).
+ *
+ * Drivers called in one process share work: the suite's modules,
+ * functional traces and pair results are computed once per process
+ * and kept, immutable, for later calls (DESIGN.md decision 19).  A
+ * driver's output never depends on which drivers ran before it.
  */
 
 #ifndef BSISA_EXP_FIGURES_HH

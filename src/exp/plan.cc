@@ -31,16 +31,46 @@ doubleBits(double v)
     return bits;
 }
 
+/** Converts to any field type: T{AnyField{}...} compiles for up to
+ *  as many initialisers as aggregate T has fields. */
+struct AnyField
+{
+    template <typename T> operator T() const;
+};
+
+template <typename T, typename... Fields>
+constexpr std::size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+// Tripwire for runConfigDigest: adding a field to any struct it
+// hashes fails the build here.  Extend the digest (and
+// SweepPlan_.ConfigDigestIsFieldSensitive), then update the count.
+static_assert(fieldCount<RunConfig>() == 4);
+static_assert(fieldCount<MachineConfig>() == 12);
+static_assert(fieldCount<CacheConfig>() == 4);
+static_assert(fieldCount<PredictorConfig>() == 7);
+static_assert(fieldCount<OooParams>() == 5);
+static_assert(fieldCount<EnlargeConfig>() == 7);
+static_assert(fieldCount<Interp::Limits>() == 2);
+
 } // namespace
 
 std::uint64_t
 runConfigDigest(const RunConfig &c)
 {
     // Every field, fixed order, fixed width.  Adding a RunConfig
-    // field without extending this list would silently alias configs;
-    // test_sweep's per-field sensitivity check guards the common
-    // fields, and new fields must be appended *at the end* (order is
-    // part of the digest's identity).
+    // field without extending this list would silently alias configs,
+    // and the pair-result memo of the figure drivers would serve one
+    // config's figure for another; the static_asserts above and
+    // test_sweep's per-field sensitivity check guard every field, and
+    // new fields must be appended *at the end* (order is part of the
+    // digest's identity).
     return Fnv1a64()
         .u64(c.machine.issueWidth)
         .u64(c.machine.windowOps)

@@ -10,17 +10,25 @@
  *
  * The SuiteCache tests come first so that, in a default run, their
  * parallel access is the process's first touch of the shared suite.
+ * The SuiteMemo tests check the drivers' per-process trace and result
+ * memos: warm-store traffic, keying and racing first use.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "child_process.hh"
 #include "exp/figures.hh"
 #include "ir/textform.hh"
 #include "sim/tc_source.hh"
@@ -304,16 +312,220 @@ TEST_F(ExpFixture, Figures6And7IcacheShape)
 
 TEST_F(ExpFixture, DriverOrderDoesNotChangeOutput)
 {
-    // perfbench permutes driver order per seed; the shared suite must
-    // make every driver's text independent of what ran before it.
-    std::ostringstream sweepFirst, cycleSecond;
-    runIcacheSweep(sweepFirst, false);
-    runCycleComparison(cycleSecond, false);
-    std::ostringstream cycleFirst, sweepSecond;
-    runCycleComparison(cycleFirst, false);
-    runIcacheSweep(sweepSecond, false);
-    EXPECT_EQ(sweepFirst.str(), sweepSecond.str());
-    EXPECT_EQ(cycleFirst.str(), cycleSecond.str());
+    // perfbench permutes driver order per seed; the shared suite and
+    // memos must make every driver's text independent of what ran
+    // before it.  Each order runs in its own process, since in one
+    // process the second order would only read the first's memos.  A
+    // forked child inherits this process's memos, so the children run
+    // at a scale no other test uses: their memos start empty.  Each
+    // child also reports how many suite traces its first driver
+    // obtained (interpreter runs plus warm store loads); 8 means none
+    // came from an inherited memo.
+    ScopedEnv scale("BSISA_SCALE", "7000");
+    const auto order = [](bool sweepFirst) {
+        return bsisatest::runInChild([sweepFirst] {
+            const std::uint64_t interp0 = interpInvocations();
+            const std::uint64_t warm0 = TraceStore::stats().warmLoads;
+            std::ostringstream sweep, cycle;
+            if (sweepFirst)
+                runIcacheSweep(sweep, false);
+            else
+                runCycleComparison(cycle, false);
+            const std::uint64_t traces =
+                interpInvocations() - interp0 +
+                TraceStore::stats().warmLoads - warm0;
+            if (sweepFirst)
+                runCycleComparison(cycle, false);
+            else
+                runIcacheSweep(sweep, false);
+            return std::vector<std::string>{sweep.str(), cycle.str(),
+                                            std::to_string(traces)};
+        });
+    };
+    const auto sweepThenCycle = order(true);
+    const auto cycleThenSweep = order(false);
+    ASSERT_EQ(sweepThenCycle.size(), 3u);
+    ASSERT_EQ(cycleThenSweep.size(), 3u);
+    EXPECT_EQ(sweepThenCycle[2], "8");
+    EXPECT_EQ(cycleThenSweep[2], "8");
+    EXPECT_FALSE(sweepThenCycle[0].empty());
+    EXPECT_EQ(sweepThenCycle[0], cycleThenSweep[0]);
+    EXPECT_EQ(sweepThenCycle[1], cycleThenSweep[1]);
+}
+
+// ---------------------------------------------------------------------
+// The per-process memos of the figure drivers (suite traces and pair
+// results, exp/figures.cc) at BSISA_SCALE=6000.  Every run whose
+// output or store traffic is compared happens in a forked child, so
+// it starts from this process's memos, which hold no 6000-scale
+// Fig. 3-7 entry: no test in this file runs one outside a child.
+
+namespace
+{
+
+/** Table 2 and Fig. 3-7, in the order bench_paper_figures runs
+ *  them. */
+const struct
+{
+    const char *name;
+    void (*run)(std::ostream &);
+} paperDrivers[] = {
+    {"table2", [](std::ostream &os) { printTable2(os); }},
+    {"fig3", [](std::ostream &os) { runCycleComparison(os, false); }},
+    {"fig4", [](std::ostream &os) { runCycleComparison(os, true); }},
+    {"fig5", [](std::ostream &os) { runBlockSizeComparison(os); }},
+    {"fig6", [](std::ostream &os) { runIcacheSweep(os, false); }},
+    {"fig7", [](std::ostream &os) { runIcacheSweep(os, true); }},
+};
+constexpr std::size_t nPaperDrivers = std::size(paperDrivers);
+
+/** Driver @p k's text, from a fresh child process. */
+std::string
+aloneInChild(std::size_t k)
+{
+    const auto out = bsisatest::runInChild([k] {
+        std::ostringstream os;
+        paperDrivers[k].run(os);
+        return std::vector<std::string>{os.str()};
+    });
+    return out.empty() ? std::string() : out[0];
+}
+
+/** Scratch trace-store directory, removed on destruction. */
+struct ScratchStore
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("bsisa-test-suite-memo-" + std::to_string(::getpid())))
+            .string();
+
+    ScratchStore() { std::filesystem::remove_all(dir); }
+
+    ~ScratchStore()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+};
+
+} // namespace
+
+TEST(SuiteMemo, WarmDriversLoadEachTraceOnceInAnyOrder)
+{
+    ScopedEnv scale("BSISA_SCALE", "6000");
+    ScopedEnv model("BSISA_TIMING_MODEL", "abstract");
+    const ScratchStore store;
+    ScopedEnv traceDir("BSISA_TRACE_DIR", store.dir.c_str());
+    // Fill the store (one cold capture per benchmark), then run every
+    // driver alone, each in a fresh process on the warm store.
+    aloneInChild(0);
+    std::vector<std::string> alone;
+    for (std::size_t k = 0; k < nPaperDrivers; ++k)
+        alone.push_back(aloneInChild(k));
+
+    const std::vector<std::size_t> orders[] = {{0, 1, 2, 3, 4, 5},
+                                               {5, 3, 1, 4, 0, 2}};
+    for (const std::vector<std::size_t> &order : orders) {
+        const auto out = bsisatest::runInChild([&order] {
+            const TraceStoreStats before = TraceStore::stats();
+            const std::uint64_t interp0 = interpInvocations();
+            std::vector<std::string> texts(nPaperDrivers + 1);
+            for (std::size_t k : order) {
+                std::ostringstream os;
+                paperDrivers[k].run(os);
+                texts[k] = os.str();
+            }
+            const TraceStoreStats after = TraceStore::stats();
+            texts.back() =
+                "warm=" +
+                std::to_string(after.warmLoads - before.warmLoads) +
+                " cold=" +
+                std::to_string(after.coldCaptures -
+                               before.coldCaptures) +
+                " fallback=" +
+                std::to_string(after.fallbacks - before.fallbacks) +
+                " interp=" +
+                std::to_string(interpInvocations() - interp0);
+            return texts;
+        });
+        ASSERT_EQ(out.size(), nPaperDrivers + 1);
+        EXPECT_EQ(out.back(), "warm=8 cold=0 fallback=0 interp=0")
+            << "order starting " << paperDrivers[order[0]].name;
+        for (std::size_t k = 0; k < nPaperDrivers; ++k) {
+            EXPECT_FALSE(alone[k].empty()) << paperDrivers[k].name;
+            EXPECT_EQ(out[k], alone[k])
+                << paperDrivers[k].name << " in the order starting "
+                << paperDrivers[order[0]].name;
+        }
+    }
+}
+
+TEST(SuiteMemo, ScaleAndTimingModelKeepSeparateEntries)
+{
+    const std::pair<const char *, const char *> runs[] = {
+        {"6000", "abstract"},
+        {"3000", "abstract"},
+        {"6000", "ooo"},
+        {"3000", "ooo"}};
+    const auto fig3 = [](const std::pair<const char *, const char *> &r) {
+        ScopedEnv scale("BSISA_SCALE", r.first);
+        ScopedEnv model("BSISA_TIMING_MODEL", r.second);
+        std::ostringstream os;
+        runCycleComparison(os, false);
+        return os.str();
+    };
+    const auto together = bsisatest::runInChild([&] {
+        std::vector<std::string> out;
+        for (const auto &r : runs)
+            out.push_back(fig3(r));
+        return out;
+    });
+    ASSERT_EQ(together.size(), std::size(runs));
+    for (std::size_t i = 0; i < std::size(runs); ++i) {
+        const auto fresh = bsisatest::runInChild(
+            [&] { return std::vector<std::string>{fig3(runs[i])}; });
+        ASSERT_EQ(fresh.size(), 1u);
+        EXPECT_EQ(together[i], fresh[0])
+            << "BSISA_SCALE=" << runs[i].first
+            << " BSISA_TIMING_MODEL=" << runs[i].second;
+    }
+    // The four runs are distinct figures, so none could have been
+    // served another's entries.
+    EXPECT_EQ(std::set<std::string>(together.begin(), together.end())
+                  .size(),
+              std::size(runs));
+}
+
+TEST(SuiteMemo, RacingDriversMatchSerialRuns)
+{
+    ScopedEnv scale("BSISA_SCALE", "6000");
+    ScopedEnv model("BSISA_TIMING_MODEL", "abstract");
+    // Four threads race on the first use of the same traces and pair
+    // results: Fig. 3 and Fig. 5 share all 16 simulations.
+    const auto raced = bsisatest::runInChild([] {
+        std::vector<std::string> out(4);
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < out.size(); ++t) {
+            threads.emplace_back([&out, t] {
+                std::ostringstream os;
+                if (t % 2)
+                    runBlockSizeComparison(os);
+                else
+                    runCycleComparison(os, false);
+                out[t] = os.str();
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+        return out;
+    });
+    const std::string fig3 = aloneInChild(1);
+    const std::string fig5 = aloneInChild(3);
+    ASSERT_EQ(raced.size(), 4u);
+    EXPECT_EQ(raced[0], fig3);
+    EXPECT_EQ(raced[1], fig5);
+    EXPECT_EQ(raced[2], fig3);
+    EXPECT_EQ(raced[3], fig5);
 }
 
 // ---------------------------------------------------------------------

@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "child_process.hh"
 #include "exp/figures.hh"
 #include "support/parallel.hh"
 
@@ -163,31 +165,23 @@ TEST(Parallel, FigureDriversDeterministicAcrossJobCounts)
     // The satellite requirement: figure drivers render byte-identical
     // tables with BSISA_JOBS=1 and BSISA_JOBS=8.  Run the cheapest
     // drivers that exercise every parallel pattern: a per-benchmark
-    // fan-out (figure 3) and a trace-reusing grid (figure 6).
+    // fan-out (figure 3) and a trace-reusing grid (figure 6).  Each
+    // leg runs in its own process, since a second leg in one process
+    // would read the first leg's memoized traces and results.
     ScopedEnv scale("BSISA_SCALE", "6000");
-
-    std::string serial_fig3, serial_fig6;
-    {
-        ScopedEnv jobs("BSISA_JOBS", "1");
-        std::ostringstream os3, os6;
-        runCycleComparison(os3, false);
-        runIcacheSweep(os6, false);
-        serial_fig3 = os3.str();
-        serial_fig6 = os6.str();
-    }
-
-    std::string parallel_fig3, parallel_fig6;
-    {
-        ScopedEnv jobs("BSISA_JOBS", "8");
-        std::ostringstream os3, os6;
-        runCycleComparison(os3, false);
-        runIcacheSweep(os6, false);
-        parallel_fig3 = os3.str();
-        parallel_fig6 = os6.str();
-    }
-
-    EXPECT_EQ(serial_fig3, parallel_fig3);
-    EXPECT_EQ(serial_fig6, parallel_fig6);
-    EXPECT_FALSE(serial_fig3.empty());
-    EXPECT_FALSE(serial_fig6.empty());
+    const auto leg = [](const char *jobs) {
+        return bsisatest::runInChild([jobs] {
+            ScopedEnv env("BSISA_JOBS", jobs);
+            std::ostringstream os3, os6;
+            runCycleComparison(os3, false);
+            runIcacheSweep(os6, false);
+            return std::vector<std::string>{os3.str(), os6.str()};
+        });
+    };
+    const std::vector<std::string> serial = leg("1");
+    const std::vector<std::string> parallel = leg("8");
+    ASSERT_EQ(serial.size(), 2u);
+    EXPECT_EQ(serial, parallel);
+    EXPECT_FALSE(serial[0].empty());
+    EXPECT_FALSE(serial[1].empty());
 }

@@ -34,6 +34,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -305,9 +307,9 @@ TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
         EXPECT_NE(runConfigDigest(mutated), baseDigest) << key;
     }
 
-    // The timing-model axis and the OoO structure sizes it gates are
-    // part of the identity: a sweep comparing backends must never
-    // alias its points onto one stored result.
+    // The timing-model axis is part of the identity: a sweep
+    // comparing backends must never alias its points onto one stored
+    // result.
     {
         RunConfig mutated;
         std::string error;
@@ -316,18 +318,62 @@ TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
             << error;
         EXPECT_NE(runConfigDigest(mutated), baseDigest);
     }
-    for (auto field : {&OooParams::robOps, &OooParams::physRegs,
-                       &OooParams::rsPerClass, &OooParams::lsqEntries,
-                       &OooParams::commitWidth}) {
-        RunConfig mutated;
-        mutated.machine.ooo.*field += 1;
-        EXPECT_NE(runConfigDigest(mutated), baseDigest);
-    }
 
-    // The trace budget is part of the identity too.
-    RunConfig budget;
-    budget.limits.maxOps += 1;
-    EXPECT_NE(runConfigDigest(budget), baseDigest);
+    // Every field, mutated directly (spec keys reach only some), moves
+    // the digest, and no two single-field mutations collide.  The
+    // figure drivers serve memoized results by this digest, so a
+    // missing field would silently change a figure; plan.cc's
+    // static_asserts fail the build when a field is added.
+    using Mutation = void (*)(RunConfig &);
+    const Mutation mutations[] = {
+        [](RunConfig &c) { c.machine.issueWidth += 1; },
+        [](RunConfig &c) { c.machine.windowOps += 1; },
+        [](RunConfig &c) { c.machine.windowUnits += 1; },
+        [](RunConfig &c) { c.machine.frontendDepth += 1; },
+        [](RunConfig &c) { c.machine.redirectPenalty += 1; },
+        [](RunConfig &c) { c.machine.l2Latency += 1; },
+        [](RunConfig &c) { c.machine.icache.sizeBytes *= 2; },
+        [](RunConfig &c) { c.machine.icache.assoc *= 2; },
+        [](RunConfig &c) { c.machine.icache.lineBytes *= 2; },
+        [](RunConfig &c) { c.machine.icache.perfect = true; },
+        [](RunConfig &c) { c.machine.dcache.sizeBytes *= 2; },
+        [](RunConfig &c) { c.machine.dcache.assoc *= 2; },
+        [](RunConfig &c) { c.machine.dcache.lineBytes *= 2; },
+        [](RunConfig &c) { c.machine.dcache.perfect = true; },
+        [](RunConfig &c) {
+            c.machine.predictor.scheme = PredictorScheme::PAs;
+        },
+        [](RunConfig &c) { c.machine.predictor.historyBits += 1; },
+        [](RunConfig &c) { c.machine.predictor.phtBits += 1; },
+        [](RunConfig &c) { c.machine.predictor.historyEntries *= 2; },
+        [](RunConfig &c) { c.machine.predictor.btbEntries *= 2; },
+        [](RunConfig &c) { c.machine.predictor.btbAssoc *= 2; },
+        [](RunConfig &c) { c.machine.predictor.perfect = true; },
+        [](RunConfig &c) { c.machine.perfectPrediction = true; },
+        [](RunConfig &c) { c.machine.timingModel = TimingModel::Ooo; },
+        [](RunConfig &c) { c.machine.ooo.robOps += 1; },
+        [](RunConfig &c) { c.machine.ooo.physRegs += 1; },
+        [](RunConfig &c) { c.machine.ooo.rsPerClass += 1; },
+        [](RunConfig &c) { c.machine.ooo.lsqEntries += 1; },
+        [](RunConfig &c) { c.machine.ooo.commitWidth += 1; },
+        [](RunConfig &c) { c.enlarge.maxOps += 1; },
+        [](RunConfig &c) { c.enlarge.maxFaults += 1; },
+        [](RunConfig &c) { c.enlarge.mergeAcrossBackEdges = true; },
+        [](RunConfig &c) { c.enlarge.enlargeLibraryFunctions = true; },
+        [](RunConfig &c) { c.enlarge.enabled = false; },
+        [](RunConfig &c) { c.enlarge.maxVariantsPerHead += 1; },
+        [](RunConfig &c) { c.enlarge.minMergeBias = 0.75; },
+        [](RunConfig &c) { c.limits.maxOps += 1; },
+        [](RunConfig &c) { c.limits.maxBlocks += 1; },
+        [](RunConfig &c) { c.minMergeBias = 0.75; },
+    };
+    std::set<std::uint64_t> digests{baseDigest};
+    for (std::size_t m = 0; m < std::size(mutations); ++m) {
+        RunConfig mutated;
+        mutations[m](mutated);
+        EXPECT_TRUE(digests.insert(runConfigDigest(mutated)).second)
+            << "mutation " << m << " aliases another config";
+    }
 }
 
 TEST(SweepPlan_, GridExpansionOrderAndCollapse)
