@@ -13,79 +13,10 @@
 
 #include "bench_common.hh"
 #include "exp/figures.hh"
-#include "sim/trace_store.hh"
-#include "support/table.hh"
-
-using namespace bsisa;
-
-namespace
-{
-
-void
-report()
-{
-    const std::uint64_t divisor = scaleDivisor() * 4;
-    std::cout << "Ablation: enlargement termination conditions 4 "
-                 "(loop iterations) and 5 (library code).\n\n";
-
-    struct Setup
-    {
-        const char *name;
-        bool mergeBackEdges;
-        bool enlargeLibrary;
-    };
-    const Setup setups[] = {
-        {"paper (both conditions on)", false, false},
-        {"merge across back edges", true, false},
-        {"enlarge library code", false, true},
-        {"both lifted", true, true},
-    };
-
-    const auto suite = specint95Suite();
-    std::vector<Module> modules;
-    for (const auto &bench : suite)
-        modules.push_back(generateWorkload(bench.params));
-
-    // All four setups reuse one committed stream per benchmark: the
-    // enlargement config changes the timing machine, not the program.
-    std::vector<ExecTrace> traces(suite.size());
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        Interp::Limits limits;
-        limits.maxOps = suite[i].paperInstructions / divisor;
-        traces[i] = captureOrLoadTrace(modules[i], limits);
-    }
-
-    Table t({"configuration", "avg reduction", "avg BSA block",
-             "avg code expansion"});
-    for (const Setup &setup : setups) {
-        double red = 0.0, blk = 0.0, exp = 0.0;
-        for (std::size_t i = 0; i < suite.size(); ++i) {
-            RunConfig config;
-            config.limits.maxOps =
-                suite[i].paperInstructions / divisor;
-            config.enlarge.mergeAcrossBackEdges = setup.mergeBackEdges;
-            config.enlarge.enlargeLibraryFunctions =
-                setup.enlargeLibrary;
-            const PairResult r = runPair(modules[i], config, traces[i]);
-            red += r.reduction();
-            blk += r.bsa.avgBlockSize();
-            exp += r.enlarge.expansion();
-        }
-        const double n = double(suite.size());
-        t.addRow({setup.name, Table::fmt(100.0 * red / n, 1) + "%",
-                  Table::fmt(blk / n, 2), Table::fmt(exp / n, 2)});
-    }
-    t.print(std::cout);
-    std::cout << "\n(Condition 3 — calls/returns/indirect jumps — is "
-                 "structural: the merge\nmachinery has no way to "
-                 "combine across a window switch, matching the "
-                 "paper.)\n";
-}
-
-} // namespace
 
 int
 main()
 {
-    return bsisabench::benchMain(report);
+    return bsisabench::benchMain(
+        [] { bsisa::runConditionsAblation(std::cout); });
 }

@@ -13,61 +13,10 @@
 
 #include "bench_common.hh"
 #include "exp/figures.hh"
-#include "support/table.hh"
-
-using namespace bsisa;
-
-namespace
-{
-
-void
-report()
-{
-    const std::uint64_t divisor = scaleDivisor() * 2;
-    std::cout << "Extension: small-leaf inlining before block "
-                 "enlargement (section 6).\n\n";
-    Table t({"Benchmark", "blk (plain)", "blk (inline)",
-             "red% (plain)", "red% (inline)", "code x (inline)"});
-    double base_sum = 0.0, inline_sum = 0.0;
-    for (const auto &bench : specint95Suite()) {
-        RunConfig config;
-        config.limits.maxOps = bench.paperInstructions / divisor;
-
-        const Module plain = generateWorkload(bench.params);
-        const PairResult rp = runPair(plain, config);
-
-        WorkloadParams inlined_params = bench.params;
-        inlined_params.inlineSmallCalls = true;
-        const Module inlined = generateWorkload(inlined_params);
-        const PairResult ri = runPair(inlined, config);
-
-        base_sum += rp.reduction();
-        inline_sum += ri.reduction();
-        t.addRow({bench.params.name,
-                  Table::fmt(rp.bsa.avgBlockSize(), 2),
-                  Table::fmt(ri.bsa.avgBlockSize(), 2),
-                  Table::fmt(100.0 * rp.reduction(), 1),
-                  Table::fmt(100.0 * ri.reduction(), 1),
-                  Table::fmt(
-                      double(ri.bsaCodeBytes) /
-                          double(std::max<std::uint64_t>(
-                              1, ri.convCodeBytes)),
-                      2)});
-    }
-    t.addRow({"average", "", "", Table::fmt(100.0 * base_sum / 8, 1),
-              Table::fmt(100.0 * inline_sum / 8, 1), ""});
-    t.print(std::cout);
-    std::cout << "\nInlining removes call/return boundaries "
-                 "(enlargement condition 3), letting\natomic blocks "
-                 "grow through former call sites at the cost of still "
-                 "more code\nduplication — the paper's predicted "
-                 "trade-off.\n";
-}
-
-} // namespace
 
 int
 main()
 {
-    return bsisabench::benchMain(report);
+    return bsisabench::benchMain(
+        [] { bsisa::runInlineExtension(std::cout); });
 }

@@ -3,24 +3,26 @@
  * Figure-driver implementation.
  *
  * Every driver is a grid of independent simulation points (benchmark x
- * machine config).  The pair grids (Fig. 3-5 and the ablations) go
- * through one helper, runSuiteGrid, which simulates every point not
- * yet in the process's result memo through one PairSweep, whose
- * batches replay one functional trace (sim/trace.hh) per benchmark
- * once per shared walk.  The icache sweeps (Fig. 6/7) run one batch
- * per benchmark on a single machine.  Points are computed into
- * pre-sized result slots by parallelFor() (BSISA_JOBS workers) and
- * printed serially in grid order, so the rendered tables are
- * byte-identical for any worker count.
+ * machine config).  This file is the only place that turns a suite
+ * benchmark into a module, a trace and a pair result: every pair grid
+ * (Fig. 3-7, the ablations and the extensions) goes through one
+ * helper, runSuiteGrid, which simulates every point not yet in the
+ * process's result memo through one PairSweep, whose batches replay
+ * one functional trace (sim/trace.hh) per benchmark once per shared
+ * walk.  Points are computed into pre-sized result slots by
+ * parallelFor() (BSISA_JOBS workers) and printed serially in grid
+ * order, so the rendered tables are byte-identical for any worker
+ * count.
  *
  * Drivers in one process share work through per-benchmark,
  * immutable memos (SuiteSlot): the compiled module and its digest
  * (suiteModule), the suite traces by op budget (captureSuiteTrace),
  * and the pair results by config digest (runSuiteGrid).  So Table 2
- * and Fig. 3-7 in one process load each trace once, and Fig. 5 after
- * Fig. 3 simulates nothing.  A memoized value is computed exactly as
- * an uncached call would compute it, so no driver's output depends
- * on what ran before it.
+ * and Fig. 3-7 in one process load each trace once, Fig. 5 after
+ * Fig. 3 simulates nothing, and Fig. 6 and Fig. 7 share one grid
+ * whose 64 KB column is Fig. 3's base point.  A memoized value is computed
+ * exactly as an uncached call would compute it, so no driver's
+ * output depends on what ran before it.
  */
 
 #include "exp/figures.hh"
@@ -31,7 +33,8 @@
 #include <mutex>
 
 #include "arch/instr_class.hh"
-#include "codegen/layout.hh"
+#include "arch/operation.hh"
+#include "cache/trace_cache.hh"
 #include "exp/plan.hh"
 #include "sim/trace_store.hh"
 #include "support/env.hh"
@@ -60,10 +63,20 @@ baseConfig(const SpecBenchmark &bench)
     // BSISA_TIMING_MODEL=ooo re-runs every figure driver on the
     // out-of-order backend (sim/ooo); traces are model-independent,
     // so both models replay the same store entries.  Routing the
-    // knob through here covers Fig. 3-7 and the ablations at once.
+    // knob through here covers every driver at once.
     if (envString("BSISA_TIMING_MODEL", "abstract") == "ooo")
         config.machine.timingModel = TimingModel::Ooo;
     return config;
+}
+
+/** @p bench's functional-run limits at 1/@p budgetDiv of its scaled
+ *  budget. */
+Interp::Limits
+suiteLimits(const SpecBenchmark &bench, std::uint64_t budgetDiv)
+{
+    Interp::Limits limits = baseConfig(bench).limits;
+    limits.maxOps /= budgetDiv;
+    return limits;
 }
 
 /** One memoized suite trace (see captureSuiteTrace). */
@@ -133,7 +146,8 @@ constexpr unsigned suiteBlockOps = 16;
  * results config-major: entry ci * suite.size() + bi is
  * configOf(ci, bi) on benchmark bi.  Every benchmark replays one
  * functional trace at 1/@p budgetDiv of its scaled budget (the
- * ablations run at 1/4), so configOf's limits are ignored.
+ * ablations and the workload report run at 1/4, the extensions at
+ * 1/2), so configOf's limits are ignored.
  *
  * A point already in benchmark bi's result memo is served from it;
  * the rest run through one PairSweep and join the memo.  The memo key
@@ -154,10 +168,8 @@ runSuiteGrid(std::uint64_t budgetDiv, std::size_t nconfigs,
     const auto suite = specint95Suite();
     const std::size_t n = suite.size();
     std::vector<Interp::Limits> limits(n);
-    for (std::size_t bi = 0; bi < n; ++bi) {
-        limits[bi] = baseConfig(suite[bi]).limits;
-        limits[bi].maxOps /= budgetDiv;
-    }
+    for (std::size_t bi = 0; bi < n; ++bi)
+        limits[bi] = suiteLimits(suite[bi], budgetDiv);
 
     std::vector<PairResult> results(nconfigs * n);
     std::vector<std::size_t> missing;  // grid indices
@@ -430,42 +442,26 @@ runIcacheSweep(std::ostream &os, bool blockStructured)
                  "time with a perfect icache.\n")
        << "\n";
 
+    // Config 0 is the perfect-icache baseline and config 1 + si the
+    // icacheSizesKB[si] icache.  Both machines run every point, so
+    // Fig. 6 and Fig. 7 share one grid, and the 64 KB column is
+    // Fig. 3's base point.
     const auto suite = specint95Suite();
-
-    // One functional trace per benchmark serves the perfect-icache
-    // baseline and every swept size, and all four configs advance in
-    // a single lockstep walk of that trace; BSISA_JOBS fans across
-    // benchmarks (one batch each).
     const std::size_t nsizes = icacheSizesKB.size();
-    std::vector<std::uint64_t> baseCycles(suite.size());
-    std::vector<std::uint64_t> cycles(suite.size() * nsizes);
-    parallelFor(suite.size(), [&](std::size_t bi) {
-        const Module &m = suiteModule(bi);
-        RunConfig ideal = baseConfig(suite[bi]);
-        ideal.machine.icache.perfect = true;
-        const ExecTrace &trace = captureSuiteTrace(bi, ideal.limits);
-
-        std::vector<MachineConfig> machines;
-        machines.reserve(1 + nsizes);
-        machines.push_back(ideal.machine);
-        for (unsigned kb : icacheSizesKB) {
+    const std::vector<PairResult> results =
+        runSuiteGrid(1, 1 + nsizes, [&](std::size_t ci, std::size_t bi) {
             RunConfig config = baseConfig(suite[bi]);
-            config.machine.icache.sizeBytes = kb * 1024;
-            machines.push_back(config.machine);
-        }
-
-        std::vector<SimResult> sims;
-        if (blockStructured) {
-            BsaModule bsa = enlargeModule(m, ideal.enlarge);
-            layoutBsaModule(bsa);
-            sims = runBlockStructuredBatch(bsa, machines, trace);
-        } else {
-            sims = runConventionalBatch(m, machines, trace);
-        }
-        baseCycles[bi] = sims[0].cycles;
-        for (std::size_t si = 0; si < nsizes; ++si)
-            cycles[bi * nsizes + si] = sims[1 + si].cycles;
-    });
+            if (ci == 0)
+                config.machine.icache.perfect = true;
+            else
+                config.machine.icache.sizeBytes =
+                    icacheSizesKB[ci - 1] * 1024;
+            return config;
+        });
+    const auto cycles = [&](std::size_t ci, std::size_t bi) {
+        const PairResult &r = results[ci * suite.size() + bi];
+        return blockStructured ? r.bsa.cycles : r.conv.cycles;
+    };
 
     std::vector<IcacheSweepRow> rows;
     std::vector<std::string> headers{"Benchmark"};
@@ -479,18 +475,15 @@ runIcacheSweep(std::ostream &os, bool blockStructured)
         IcacheSweepRow row;
         row.name = suite[bi].params.name;
         std::vector<std::string> cells{row.name};
-        std::vector<double> values;
         for (std::size_t si = 0; si < nsizes; ++si) {
             const double increase =
-                double(cycles[bi * nsizes + si]) /
-                    double(baseCycles[bi]) -
+                double(cycles(1 + si, bi)) / double(cycles(0, bi)) -
                 1.0;
             row.relativeIncrease.push_back(increase);
             cells.push_back(Table::fmt(increase, 3));
-            values.push_back(increase);
         }
         t.addRow(cells);
-        chart.addGroup(row.name, values);
+        chart.addGroup(row.name, row.relativeIncrease);
         rows.push_back(row);
     }
     t.print(os);
@@ -656,6 +649,216 @@ runPredictorAblation(std::ostream &os)
                    Table::fmt(100.0 * total_red / n, 1) + "%"});
     }
     ts.print(os);
+}
+
+void
+runConditionsAblation(std::ostream &os)
+{
+    os << "Ablation: enlargement termination conditions 4 "
+          "(loop iterations) and 5 (library code).\n\n";
+    const struct
+    {
+        const char *name;
+        bool mergeBackEdges;
+        bool enlargeLibrary;
+    } setups[] = {
+        {"paper (both conditions on)", false, false},
+        {"merge across back edges", true, false},
+        {"enlarge library code", false, true},
+        {"both lifted", true, true},
+    };
+    const std::size_t nsetups = std::size(setups);
+    const auto suite = specint95Suite();
+    // The setups change only the enlargement, so every benchmark's
+    // four conventional points share one lockstep walk; the paper
+    // setup is the ablations' shared base point.
+    const std::vector<PairResult> results =
+        runSuiteGrid(4, nsetups, [&](std::size_t ci, std::size_t bi) {
+            RunConfig config = baseConfig(suite[bi]);
+            config.enlarge.mergeAcrossBackEdges =
+                setups[ci].mergeBackEdges;
+            config.enlarge.enlargeLibraryFunctions =
+                setups[ci].enlargeLibrary;
+            return config;
+        });
+
+    Table t({"configuration", "avg reduction", "avg BSA block",
+             "avg code expansion"});
+    for (std::size_t ci = 0; ci < nsetups; ++ci) {
+        double red = 0.0, blk = 0.0, exp = 0.0;
+        for (std::size_t bi = 0; bi < suite.size(); ++bi) {
+            const PairResult &r = results[ci * suite.size() + bi];
+            red += r.reduction();
+            blk += r.bsa.avgBlockSize();
+            exp += r.enlarge.expansion();
+        }
+        const double n = double(suite.size());
+        t.addRow({setups[ci].name, Table::fmt(100.0 * red / n, 1) + "%",
+                  Table::fmt(blk / n, 2), Table::fmt(exp / n, 2)});
+    }
+    t.print(os);
+    os << "\n(Condition 3 — calls/returns/indirect jumps — is "
+          "structural: the merge\nmachinery has no way to combine "
+          "across a window switch, matching the paper.)\n";
+}
+
+void
+runWorkloadReport(std::ostream &os)
+{
+    os << "Synthetic workload characterization (dynamic properties at "
+          "1/4 scale budget).\n\n";
+    const auto suite = specint95Suite();
+    // The conventional half of the ablations' shared base point
+    // supplies the branch accuracy and dcache miss rate.
+    const std::vector<PairResult> results =
+        runSuiteGrid(4, 1, [&](std::size_t, std::size_t bi) {
+            return baseConfig(suite[bi]);
+        });
+
+    Table t({"Benchmark", "code KB", "funcs", "dyn block", "call+ret%",
+             "lib%", "branch acc", "dcache miss%"});
+    for (std::size_t bi = 0; bi < suite.size(); ++bi) {
+        const Module &m = suiteModule(bi);
+        const ExecTrace &trace =
+            captureSuiteTrace(bi, suiteLimits(suite[bi], 4));
+        std::uint64_t blocks = 0, ops = 0, callret = 0, lib_blocks = 0;
+        for (std::size_t i = 0; i < trace.eventCount; ++i) {
+            const TraceEvent &ev = trace.events[i];
+            const Function &fn = m.functions[ev.func];
+            ++blocks;
+            ops += fn.blocks[ev.block].ops.size();
+            callret += ev.exit == ExitKind::Call ||
+                       ev.exit == ExitKind::Ret;
+            lib_blocks += fn.isLibrary;
+        }
+        const PairResult &r = results[bi];
+        t.addRow({suite[bi].params.name,
+                  Table::fmt(m.numOps() * opBytes / 1024.0, 1),
+                  Table::fmt(std::uint64_t(m.functions.size())),
+                  Table::fmt(double(ops) / double(blocks), 2),
+                  Table::fmt(100.0 * double(callret) / double(blocks),
+                             1),
+                  Table::fmt(100.0 * double(lib_blocks) /
+                                 double(blocks),
+                             1),
+                  Table::fmt(100.0 * r.conv.branchAccuracy(), 1) + "%",
+                  Table::fmt(100.0 * r.conv.dcache.missRate(), 2)});
+    }
+    t.print(os);
+    os << "\nIntended character (see src/workloads/specmix.cc):\n"
+          "  - gcc/go/vortex: large code, small blocks, weaker "
+          "prediction (gcc/go)\n"
+          "  - compress/li: tiny code; li call-dominated, compress "
+          "loop/data-dominated\n"
+          "  - ijpeg/m88ksim: predictable, larger blocks (ijpeg) / "
+          "dispatch loops (m88ksim)\n";
+}
+
+void
+runTraceCacheComparison(std::ostream &os)
+{
+    os << "Extension: block-structured ISA vs conventional + trace "
+          "cache\n(64KB icache; trace cache: up to 3 blocks / 16 ops "
+          "per trace).\n\n";
+    const auto suite = specint95Suite();
+    const std::size_t n = suite.size();
+    const std::vector<PairResult> pairs =
+        runSuiteGrid(2, 1, [&](std::size_t, std::size_t bi) {
+            return baseConfig(suite[bi]);
+        });
+    // Both trace-cache sizes replay the pair's trace on the pair's
+    // machine, so the pair's conventional result is their baseline.
+    const unsigned tcEntries[] = {64, 256};
+    const std::size_t ntc = std::size(tcEntries);
+    std::vector<TraceCacheResult> tc(n * ntc);
+    parallelFor(tc.size(), [&](std::size_t k) {
+        const std::size_t bi = k / ntc;
+        const ExecTrace &trace =
+            captureSuiteTrace(bi, suiteLimits(suite[bi], 2));
+        TraceCacheConfig config;
+        config.entries = tcEntries[k % ntc];
+        tc[k] = runTraceCache(suiteModule(bi),
+                              baseConfig(suite[bi]).machine, config,
+                              trace);
+    });
+
+    Table t({"Benchmark", "conv", "conv+TC(64)", "conv+TC(256)", "BSA",
+             "TC(256) hit%", "best"});
+    for (std::size_t bi = 0; bi < n; ++bi) {
+        const PairResult &pair = pairs[bi];
+        const TraceCacheResult &small = tc[bi * ntc];
+        const TraceCacheResult &big = tc[bi * ntc + 1];
+        const std::uint64_t best = std::min(
+            {small.sim.cycles, big.sim.cycles, pair.bsa.cycles});
+        t.addRow({suite[bi].params.name, Table::fmtSep(pair.conv.cycles),
+                  Table::fmtSep(small.sim.cycles),
+                  Table::fmtSep(big.sim.cycles),
+                  Table::fmtSep(pair.bsa.cycles),
+                  Table::fmt(100.0 * big.hitRate(), 1),
+                  best == pair.bsa.cycles ? "BSA" : "trace cache"});
+    }
+    t.print(os);
+    os << "\nBoth techniques combine blocks; the trace cache avoids "
+          "code expansion but only\nhelps on paths it has already seen "
+          "and that fit its capacity, while block\nenlargement bakes "
+          "every combination into the executable (paper, section "
+          "3).\n";
+}
+
+void
+runInlineExtension(std::ostream &os)
+{
+    os << "Extension: small-leaf inlining before block enlargement "
+          "(section 6).\n\n";
+    const auto suite = specint95Suite();
+    const std::size_t n = suite.size();
+    const auto configOf = [&](std::size_t, std::size_t bi) {
+        return baseConfig(suite[bi]);
+    };
+    const std::vector<PairResult> plain = runSuiteGrid(2, 1, configOf);
+
+    // An inlined module commits a different stream, so each joins the
+    // sweep as its own benchmark with its own trace (not memoized).
+    std::vector<Module> modules(n);
+    std::vector<ExecTrace> traces(n);
+    parallelFor(n, [&](std::size_t bi) {
+        WorkloadParams params = suite[bi].params;
+        params.inlineSmallCalls = true;
+        modules[bi] = generateWorkload(params);
+        traces[bi] =
+            captureOrLoadTrace(modules[bi], suiteLimits(suite[bi], 2));
+    });
+    PairSweep sweep;
+    for (std::size_t bi = 0; bi < n; ++bi)
+        sweep.addPoint(sweep.addBenchmark(modules[bi], traces[bi]),
+                       configOf(0, bi));
+    const std::vector<PairResult> &inlined = sweep.run();
+
+    Table t({"Benchmark", "blk (plain)", "blk (inline)", "red% (plain)",
+             "red% (inline)", "code x (inline)"});
+    double base_sum = 0.0, inline_sum = 0.0;
+    for (std::size_t bi = 0; bi < n; ++bi) {
+        const PairResult &rp = plain[bi];
+        const PairResult &ri = inlined[bi];
+        base_sum += rp.reduction();
+        inline_sum += ri.reduction();
+        t.addRow({suite[bi].params.name,
+                  Table::fmt(rp.bsa.avgBlockSize(), 2),
+                  Table::fmt(ri.bsa.avgBlockSize(), 2),
+                  Table::fmt(100.0 * rp.reduction(), 1),
+                  Table::fmt(100.0 * ri.reduction(), 1),
+                  Table::fmt(double(ri.bsaCodeBytes) /
+                                 double(std::max<std::uint64_t>(
+                                     1, ri.convCodeBytes)),
+                             2)});
+    }
+    t.addRow({"average", "", "", Table::fmt(100.0 * base_sum / n, 1),
+              Table::fmt(100.0 * inline_sum / n, 1), ""});
+    t.print(os);
+    os << "\nInlining removes call/return boundaries (enlargement "
+          "condition 3), letting\natomic blocks grow through former "
+          "call sites at the cost of still more code\nduplication "
+          "— the paper's predicted trade-off.\n";
 }
 
 } // namespace bsisa

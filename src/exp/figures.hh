@@ -3,9 +3,11 @@
  * Per-figure experiment drivers.
  *
  * Each function regenerates one of the paper's tables or figures (or
- * one of DESIGN.md's ablations) over the synthetic SPECint95 suite and
- * renders it as text; the bench/ binaries are thin wrappers.  The
- * drivers also return their numbers so tests can assert the shapes.
+ * one of DESIGN.md's ablations and extensions) over the synthetic
+ * SPECint95 suite and renders it as text; the bench/ binaries, except
+ * the throughput benchmarks bench_sim_throughput and bench_ooo, are
+ * one-line wrappers.  The figure drivers also return their numbers so
+ * tests can assert the shapes.
  *
  * The dynamic-op budget is Table-2's instruction counts divided by
  * the BSISA_SCALE env var (default specScaleDivisor).
@@ -102,7 +104,8 @@ std::vector<BenchOutcome> runBlockSizeComparison(std::ostream &os);
 
 /** Figures 6/7: relative execution-time increase over a perfect
  *  icache for 16/32/64 KB icaches; one row per benchmark, one column
- *  per size.  @p blockStructured selects the machine. */
+ *  per size.  @p blockStructured selects the machine; both figures
+ *  come from one grid that simulates both machines. */
 struct IcacheSweepRow
 {
     std::string name;
@@ -121,6 +124,22 @@ void runProfileAblation(std::ostream &os);
 
 /** Ablation: predictor geometry sweep. */
 void runPredictorAblation(std::ostream &os);
+
+/** Ablation: enlargement termination conditions 4 (loop iterations)
+ *  and 5 (library code) lifted, one at a time and together. */
+void runConditionsAblation(std::ostream &os);
+
+/** The synthetic suite's dynamic character: code footprint, block
+ *  size, call and library shares, branch accuracy, dcache misses
+ *  (the evidence for DESIGN.md's workload substitution). */
+void runWorkloadReport(std::ostream &os);
+
+/** Extension: the block-structured ISA vs a conventional machine
+ *  with a 64- or 256-entry trace cache (the paper's section 3). */
+void runTraceCacheComparison(std::ostream &os);
+
+/** Extension: small-leaf inlining before enlargement (section 6). */
+void runInlineExtension(std::ostream &os);
 
 } // namespace bsisa
 

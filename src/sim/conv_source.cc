@@ -132,13 +132,7 @@ ConvFetchSource::next(TimingUnit &unit)
         return false;
     const TraceEvent &e = trace.events[pos++];
 
-    unit.pc = layout.addrOf(e.func, e.block);
-    unit.bytes = layout.bytesOf(e.func, e.block);
-    const DecodedUnit &du = decoded.unit(e.func, e.block);
-    unit.ops = decoded.ops(du);
-    unit.opCount = du.opCount;
-    unit.memAddrs = trace.memAddrs + e.memBegin;
-    unit.memCount = e.memCount;
+    convUnitOf(layout, decoded, trace, e, unit);
     unit.redirect = pred.pending();
 
     // Predict this unit's successor; the result describes how the

@@ -79,6 +79,26 @@ class ConvPredictor
     std::uint64_t nMispredicts = 0;
 };
 
+/**
+ * The conventional machine's fetch unit for trace event @p e: its
+ * basic block, as laid out and decoded, and its memory span.  Shared
+ * by ConvFetchSource and the lockstep walk (sim/lockstep.cc); the
+ * redirect is left to the caller.
+ */
+inline void
+convUnitOf(const ConvLayout &layout, const DecodedProgram &decoded,
+           const ExecTrace &trace, const TraceEvent &e,
+           TimingUnit &unit)
+{
+    unit.pc = layout.addrOf(e.func, e.block);
+    unit.bytes = layout.bytesOf(e.func, e.block);
+    const DecodedUnit &du = decoded.unit(e.func, e.block);
+    unit.ops = decoded.ops(du);
+    unit.opCount = du.opCount;
+    unit.memAddrs = trace.memAddrs + e.memBegin;
+    unit.memCount = e.memCount;
+}
+
 class ConvFetchSource : public FetchSource
 {
   public:

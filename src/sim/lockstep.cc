@@ -856,14 +856,7 @@ lockstepConventional(const Module &module, const ConvLayout &layout,
 
         std::fill(rcur.begin(), rcur.end(), 0);
         for (std::size_t pos = begin; pos < end; ++pos) {
-            const TraceEvent &e = trace.events[pos];
-            unit.pc = layout.addrOf(e.func, e.block);
-            unit.bytes = layout.bytesOf(e.func, e.block);
-            const DecodedUnit &du = decoded.unit(e.func, e.block);
-            unit.ops = decoded.ops(du);
-            unit.opCount = du.opCount;
-            unit.memAddrs = trace.memAddrs + e.memBegin;
-            unit.memCount = e.memCount;
+            convUnitOf(layout, decoded, trace, trace.events[pos], unit);
             // Most events redirect no group at all; those step with
             // the unit's default (clear) redirect and skip the
             // per-lane gather entirely.

@@ -529,11 +529,12 @@ TEST(SuiteMemo, RacingDriversMatchSerialRuns)
 }
 
 // ---------------------------------------------------------------------
-// Pinned outputs of the drivers no CI step runs: the three ablations'
-// rendered text and the trace-cache extension's per-benchmark numbers,
-// at BSISA_SCALE=6000 on the abstract timing model.  A change to how
-// these grids are planned or batched must leave every value unchanged;
-// a change that moves one is a deliberate model event.
+// Pinned outputs of the drivers no CI step runs: the four ablations',
+// the workload report's and the two extensions' rendered text, and the
+// trace-cache extension's per-benchmark numbers, at BSISA_SCALE=6000
+// on the abstract timing model.  A change to how these grids are
+// planned or batched must leave every value unchanged; a change that
+// moves one is a deliberate model event.
 
 namespace
 {
@@ -562,12 +563,16 @@ TEST(PinnedOutputs, AblationRenders)
         {"limits", runLimitsAblation, 0xbc35a3ebb8fe3673ull},
         {"profile", runProfileAblation, 0xced2b27882d6eceaull},
         {"predictor", runPredictorAblation, 0x6fcc60d6b165cbb0ull},
+        {"conditions", runConditionsAblation, 0x56398db0cf17a057ull},
+        {"workload report", runWorkloadReport, 0x681c5d797897c581ull},
+        {"trace cache", runTraceCacheComparison, 0x6e5c5b6a41fbd770ull},
+        {"inline", runInlineExtension, 0x0e11f0e1b93b38f3ull},
     };
     for (const auto &pin : pins) {
         std::ostringstream os;
         pin.driver(os);
         EXPECT_EQ(hex16(fnv1a64(os.str())), hex16(pin.digest))
-            << pin.name << " ablation now renders:\n"
+            << pin.name << " now renders:\n"
             << os.str();
     }
 }
