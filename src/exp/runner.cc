@@ -129,9 +129,10 @@ runTraceCache(const Module &module, const MachineConfig &machine,
 // timing lanes from every group step as fused full-width batches
 // (sim/lockstep.hh).  A single abstract lane goes through the
 // singleton replay instead, which runs the same fetch walk without
-// the batch layout: on the paper-figures suite a one-lane lockstep
-// run measured 30.2 Mop/s (BSA) and 45.2 Mop/s (conv) against 32.5
-// and 47.3 for the singleton (4-vCPU x86-64, best of 5).
+// the batch layout: on the paper-figures suite at the default scale
+// a one-lane lockstep run measured 32.0 Mop/s (BSA) and 41.1 Mop/s
+// (conv) against 33.4 and 46.5 for the singleton (4-vCPU Xeon, one
+// pinned core, best of 5 per benchmark, bit-equal results).
 
 std::vector<SimResult>
 runConventionalBatch(const Module &module,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Block-structured fetch walk and fetch source implementation.
+ * Block-structured fetch walk implementation.
  */
 
 #include "sim/bsa_source.hh"
@@ -36,9 +36,6 @@ BsaTranslation::BsaTranslation(const BsaModule &bsaModule,
       memo(std::min(execTrace.eventCount,
                     fetchCaptureWindow + lookahead))
 {
-    BSISA_ASSERT(execTrace.eventCount <= 0xffffffffull &&
-                     execTrace.memAddrCount <= 0xffffffffull,
-                 "FetchOutcomeRecord fields are 32-bit");
     blockAux.resize(bsa.blocks.size());
     for (std::size_t b = 0; b < bsa.blocks.size(); ++b) {
         const AtomicBlock &blk = bsa.blocks[b];
@@ -459,44 +456,6 @@ BsaFetchWalker::captureStep(FetchOutcomeStream &out)
     const TraceEvent &last = evs[consume - 1];
     pos += consume;
     predictSuccessor(committed, last);
-}
-
-// ----------------------------------------------------- BsaFetchSource
-
-BsaFetchSource::BsaFetchSource(const BsaModule &bsa,
-                               const MachineConfig &config,
-                               const ExecTrace &trace,
-                               const DecodedProgram &decoded)
-    : translation(bsa, decoded, trace), walker(translation, config)
-{
-    // Exact window bounds keep next() allocation-free.
-    stream.reserveWindow(trace.eventCount, true,
-                         !config.perfectPrediction);
-}
-
-bool
-BsaFetchSource::next(TimingUnit &unit)
-{
-    if (nextStep == stream.steps.size()) {
-        const std::size_t eventCount = translation.trace.eventCount;
-        if (walker.pos >= eventCount)
-            return false;
-        // Capture the next window of the walk.
-        translation.startWindow(windowEnd);
-        windowEnd = std::min(eventCount, windowEnd + fetchCaptureWindow);
-        stream.clear();
-        nextStep = 0;
-        nextRedirect = 0;
-        while (walker.pos < windowEnd)
-            walker.captureStep(stream);
-    }
-
-    translation.buildUnit(stream.steps[nextStep], unit);
-    if (nextRedirect < stream.redirectStep.size() &&
-        stream.redirectStep[nextRedirect] == nextStep)
-        unit.redirect = stream.redirects[nextRedirect++];
-    ++nextStep;
-    return true;
 }
 
 } // namespace bsisa

@@ -29,8 +29,8 @@
  *     it one unit, appending the unit's FetchOutcomeRecord (and sparse
  *     redirect) to a FetchOutcomeStream (sim/fetch_outcome.hh).
  *
- * BsaFetchSource is the one-walker reader: it captures one window of
- * records at a time and serves next() from them.
+ * BsaFetchSource is the one-walker reader over it (WalkFetchSource,
+ * sim/fetch_outcome.hh).
  */
 
 #ifndef BSISA_SIM_BSA_SOURCE_HH
@@ -151,9 +151,11 @@ class BsaTranslation
  * predictor trains on committed outcomes, never on timing — so one
  * walker serves every lane of a prediction group.
  */
-class BsaFetchWalker
+class BsaFetchWalker : public FetchWalkCounters
 {
   public:
+    using Translation = BsaTranslation;
+
     BsaFetchWalker(BsaTranslation &translation,
                    const MachineConfig &config);
 
@@ -164,12 +166,6 @@ class BsaFetchWalker
     void captureStep(FetchOutcomeStream &out);
 
     std::size_t pos = 0;  //!< first unconsumed trace event
-
-    std::uint64_t nPredictions = 0;
-    std::uint64_t nTrapMiss = 0;
-    std::uint64_t nFaultMiss = 0;
-    std::uint64_t nCascadeHops = 0;
-    std::uint64_t nFetchSteps = 0;  //!< records captured in total
 
   private:
     /** Predict the successor of the just-committed block and set up
@@ -189,7 +185,7 @@ class BsaFetchWalker
     RedirectInfo pendingRedirect;
 };
 
-class BsaFetchSource : public FetchSource
+class BsaFetchSource : public WalkFetchSource<BsaFetchWalker>
 {
   public:
     /** Replay @p trace of bsa.src.  @p decoded is
@@ -197,46 +193,12 @@ class BsaFetchSource : public FetchSource
      *  shares one copy. */
     BsaFetchSource(const BsaModule &bsa, const MachineConfig &config,
                    const ExecTrace &trace,
-                   const DecodedProgram &decoded);
-
-    /** The walker points at this object's translation. */
-    BsaFetchSource(const BsaFetchSource &) = delete;
-    BsaFetchSource &operator=(const BsaFetchSource &) = delete;
+                   const DecodedProgram &decoded)
+        : WalkFetchSource(config, bsa, decoded, trace)
+    {
+    }
 
     static constexpr std::size_t lookahead = BsaTranslation::lookahead;
-
-    bool next(TimingUnit &unit) override;
-
-    std::uint64_t predictions() const override
-    {
-        return walker.nPredictions;
-    }
-    std::uint64_t mispredicts() const override
-    {
-        return walker.nTrapMiss + walker.nFaultMiss;
-    }
-    std::uint64_t trapMispredicts() const override
-    {
-        return walker.nTrapMiss;
-    }
-    std::uint64_t faultMispredicts() const override
-    {
-        return walker.nFaultMiss;
-    }
-    std::uint64_t cascadeHops() const override
-    {
-        return walker.nCascadeHops;
-    }
-
-  private:
-    BsaTranslation translation;
-    BsaFetchWalker walker;
-    /** The current window's records, and the read cursors. */
-    FetchOutcomeStream stream;
-    std::size_t nextStep = 0;
-    std::size_t nextRedirect = 0;
-    /** End of the last captured window. */
-    std::size_t windowEnd = 0;
 };
 
 } // namespace bsisa

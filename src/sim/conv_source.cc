@@ -1,33 +1,25 @@
 /**
  * @file
- * Conventional fetch source implementation.
+ * Conventional fetch walk implementation.
  */
 
 #include "sim/conv_source.hh"
 
-#include "support/logging.hh"
-
 namespace bsisa
 {
 
-ConvFetchSource::ConvFetchSource(const Module &mod,
-                                 const ConvLayout &lay,
-                                 const MachineConfig &config,
-                                 const ExecTrace &execTrace,
-                                 const DecodedProgram &decodedProgram)
-    : layout(lay), decoded(decodedProgram), trace(execTrace),
-      pred(mod, lay, decodedProgram, config)
-{
-}
-
 void
-ConvPredictor::predictSuccessor(FuncId func, BlockId block,
-                                ExitKind exit, bool taken,
-                                FuncId nextFunc, BlockId nextBlock)
+ConvFetchWalker::predictSuccessor(const TraceEvent &e)
 {
     pendingRedirect = RedirectInfo{};
     if (perfect)
         return;
+
+    const Module &module = tr->module;
+    const ConvLayout &layout = tr->layout;
+    const DecodedProgram &decoded = tr->decoded;
+    const FuncId func = e.func;
+    const BlockId block = e.block;
 
     const Function &fn = module.functions[func];
     const std::uint64_t pc = layout.addrOf(func, block);
@@ -35,13 +27,13 @@ ConvPredictor::predictSuccessor(FuncId func, BlockId block,
     const unsigned last_op_idx =
         decoded.unit(func, block).opCount - 1;
 
-    switch (exit) {
+    switch (e.exit) {
       case ExitKind::Trap: {
         ++nPredictions;
         const bool predicted = predictor.predictTaken(pc);
-        predictor.update(pc, taken);
-        if (predicted != taken) {
-            ++nMispredicts;
+        predictor.update(pc, e.taken);
+        if (predicted != e.taken) {
+            ++nTrapMiss;
             pendingRedirect.mispredicted = true;
             pendingRedirect.resolveInWrongBlock = false;
             pendingRedirect.resolveOpIdx = last_op_idx;
@@ -59,11 +51,11 @@ ConvPredictor::predictSuccessor(FuncId func, BlockId block,
       }
       case ExitKind::IJump: {
         ++nPredictions;
-        const std::uint64_t actual = blockToken(nextFunc, nextBlock);
+        const std::uint64_t actual = blockToken(e.nextFunc, e.nextBlock);
         const std::uint64_t predicted = predictor.predictTarget(pc);
         predictor.updateTarget(pc, actual);
         if (predicted != actual) {
-            ++nMispredicts;
+            ++nTrapMiss;
             pendingRedirect.mispredicted = true;
             pendingRedirect.resolveOpIdx = last_op_idx;
             if (predicted != ~0ull) {
@@ -89,10 +81,10 @@ ConvPredictor::predictSuccessor(FuncId func, BlockId block,
         break;
       case ExitKind::Ret: {
         ++nPredictions;
-        const std::uint64_t actual = blockToken(nextFunc, nextBlock);
+        const std::uint64_t actual = blockToken(e.nextFunc, e.nextBlock);
         const std::uint64_t predicted = predictor.popReturn();
         if (predicted != actual) {
-            ++nMispredicts;
+            ++nTrapMiss;
             pendingRedirect.mispredicted = true;
             pendingRedirect.resolveOpIdx = last_op_idx;
         }
@@ -105,41 +97,24 @@ ConvPredictor::predictSuccessor(FuncId func, BlockId block,
 }
 
 void
-ConvPredictor::captureOutcomes(const ExecTrace &trace, std::size_t begin,
-                               std::size_t end, FetchOutcomeStream &out)
+ConvFetchWalker::captureStep(FetchOutcomeStream &out)
 {
-    // The timing walk compares redirect steps against truncated
-    // positions, so the stream length must fit the 32-bit step
-    // indices (the BSA driver asserts the same bound).
-    BSISA_ASSERT(trace.eventCount <= 0xffffffffull,
-                 "redirect step indices are 32-bit");
-    for (std::size_t pos = begin; pos < end; ++pos) {
-        const TraceEvent &e = trace.events[pos];
-        if (pendingRedirect.mispredicted) {
-            out.redirects.push_back(pendingRedirect);
-            out.redirectStep.push_back(
-                static_cast<std::uint32_t>(pos));
-        }
-        predictSuccessor(e.func, e.block, e.exit, e.taken, e.nextFunc,
-                         e.nextBlock);
+    const TraceEvent &e = tr->trace.events[pos];
+    // The redirect recorded by the PREVIOUS event's prediction applies
+    // to this unit's fetch; store it sparsely against this step.
+    if (pendingRedirect.mispredicted) {
+        out.redirectStep.push_back(
+            static_cast<std::uint32_t>(out.steps.size()));
+        out.redirects.push_back(pendingRedirect);
     }
-}
-
-bool
-ConvFetchSource::next(TimingUnit &unit)
-{
-    if (pos >= trace.eventCount)
-        return false;
-    const TraceEvent &e = trace.events[pos++];
-
-    convUnitOf(layout, decoded, trace, e, unit);
-    unit.redirect = pred.pending();
-
-    // Predict this unit's successor; the result describes how the
-    // NEXT unit gets fetched.
-    pred.predictSuccessor(e.func, e.block, e.exit, e.taken, e.nextFunc,
-                          e.nextBlock);
-    return true;
+    // Every group commits the event's block at this position, so
+    // coincident groups fuse into one batch.
+    out.steps.push_back({static_cast<std::uint32_t>(pos), e.block,
+                         static_cast<std::uint32_t>(e.memBegin),
+                         e.memCount});
+    ++nFetchSteps;
+    ++pos;
+    predictSuccessor(e);
 }
 
 } // namespace bsisa

@@ -1,8 +1,19 @@
 /**
  * @file
- * Fetch source for the conventional machine: one basic block per
- * cycle, a classic two-level adaptive predictor for trap directions,
- * BTB-predicted indirect jumps, and a return address stack.
+ * The conventional machine's fetch walk and the fetch source that
+ * reads it: one basic block per cycle, a classic two-level adaptive
+ * predictor for trap directions, BTB-predicted indirect jumps, and a
+ * return address stack.
+ *
+ * The walk has the same two halves as the block-structured one
+ * (sim/bsa_source.hh), so the lockstep engine and WalkFetchSource
+ * (sim/fetch_outcome.hh) run both machines the same way:
+ *
+ *   - ConvTranslation, one per (Module, trace): the read-only inputs.
+ *     The units are the trace events themselves, so there is nothing
+ *     to memoise and startWindow() does nothing;
+ *   - ConvFetchWalker, one per predictor identity: the predictor, BTB
+ *     and return stack, the stream cursor and the pending redirect.
  */
 
 #ifndef BSISA_SIM_CONV_SOURCE_HH
@@ -18,120 +29,84 @@
 namespace bsisa
 {
 
+/** The config-independent inputs of the conventional fetch walk,
+ *  shared by every walker over one trace. */
+struct ConvTranslation
+{
+    /** No position memo: these stay zero. */
+    static constexpr std::uint64_t memoLookups = 0;
+    static constexpr std::uint64_t memoComputes = 0;
+
+    void startWindow(std::size_t) {}
+
+    /** The fetch unit of the event at @p rec.pos: its basic block, as
+     *  laid out and decoded, and its memory span; redirect cleared. */
+    void
+    buildUnit(const FetchOutcomeRecord &rec, TimingUnit &unit) const
+    {
+        const TraceEvent &e = trace.events[rec.pos];
+        unit.pc = layout.addrOf(e.func, e.block);
+        unit.bytes = layout.bytesOf(e.func, e.block);
+        const DecodedUnit &du = decoded.unit(e.func, e.block);
+        unit.ops = decoded.ops(du);
+        unit.opCount = du.opCount;
+        unit.memAddrs = trace.memAddrs + rec.memOffset;
+        unit.memCount = rec.memCount;
+        unit.redirect = RedirectInfo{};
+    }
+
+    const Module &module;
+    const ConvLayout &layout;
+    const DecodedProgram &decoded;
+    const ExecTrace &trace;
+};
+
 /**
- * The conventional machine's prediction state for one config: the
- * two-level trap predictor, BTB, and return stack, plus the redirect
- * info describing how the *next* unit gets fetched.
- *
- * Factored out of ConvFetchSource so the lockstep batch driver
- * (sim/lockstep.cc) can walk the shared trace once and advance one
- * ConvPredictor per lane — the only config-dependent piece of the
- * conventional fetch path.
+ * The fetch side of one predictor identity: the two-level trap
+ * predictor, BTB and return stack, the stream cursor, and the redirect
+ * the last prediction left for the next unit.
  */
-class ConvPredictor
+class ConvFetchWalker : public FetchWalkCounters
 {
   public:
-    ConvPredictor(const Module &module, const ConvLayout &layout,
-                  const DecodedProgram &decoded,
-                  const MachineConfig &config)
-        : module(module), layout(layout), decoded(decoded),
-          perfect(config.perfectPrediction),
+    using Translation = ConvTranslation;
+
+    ConvFetchWalker(const ConvTranslation &translation,
+                    const MachineConfig &config)
+        : tr(&translation), perfect(config.perfectPrediction),
           predictor(config.predictor)
     {
     }
 
-    /** Predict the successor of the event just emitted, training the
-     *  predictor and filling pending() for the NEXT unit. */
-    void predictSuccessor(FuncId func, BlockId block, ExitKind exit,
-                          bool taken, FuncId nextFunc,
-                          BlockId nextBlock);
+    /** Advance one event: append its record (and the redirect the
+     *  previous prediction left, if any) to @p out and predict its
+     *  successor.  Requires pos < trace.eventCount. */
+    void captureStep(FetchOutcomeStream &out);
 
-    /**
-     * Decoupled fetch-outcome pre-pass: run this predictor over trace
-     * positions [@p begin, @p end) in one sweep, appending the sparse
-     * redirect outcomes to @p out (redirects[i] applies to the unit
-     * fetched at trace position redirectStep[i]).  The conventional
-     * machine's units ARE the trace events, so no per-step records
-     * are stored — a timing walk reconstructs each unit from the
-     * event and gathers its lane's redirect by cursor.  Same call
-     * sequence as ConvFetchSource (pending() read before
-     * predictSuccessor() per event), so consecutive windows leave the
-     * trained predictor state and the statistics bit-identical to a
-     * singleton replay.
-     */
-    void captureOutcomes(const ExecTrace &trace, std::size_t begin,
-                         std::size_t end, FetchOutcomeStream &out);
-
-    /** Redirect info for the unit about to be fetched. */
-    const RedirectInfo &pending() const { return pendingRedirect; }
-
-    std::uint64_t predictions() const { return nPredictions; }
-    std::uint64_t mispredicts() const { return nMispredicts; }
+    std::size_t pos = 0;  //!< next trace event (one unit per event)
 
   private:
-    const Module &module;
-    const ConvLayout &layout;
-    const DecodedProgram &decoded;
+    /** Predict the successor of event @p e, training the predictor
+     *  and filling pendingRedirect for the next unit. */
+    void predictSuccessor(const TraceEvent &e);
+
+    const ConvTranslation *tr;
     bool perfect;
     TwoLevelPredictor predictor;
     RedirectInfo pendingRedirect;
-    std::uint64_t nPredictions = 0;
-    std::uint64_t nMispredicts = 0;
 };
 
-/**
- * The conventional machine's fetch unit for trace event @p e: its
- * basic block, as laid out and decoded, and its memory span.  Shared
- * by ConvFetchSource and the lockstep walk (sim/lockstep.cc); the
- * redirect is left to the caller.
- */
-inline void
-convUnitOf(const ConvLayout &layout, const DecodedProgram &decoded,
-           const ExecTrace &trace, const TraceEvent &e,
-           TimingUnit &unit)
-{
-    unit.pc = layout.addrOf(e.func, e.block);
-    unit.bytes = layout.bytesOf(e.func, e.block);
-    const DecodedUnit &du = decoded.unit(e.func, e.block);
-    unit.ops = decoded.ops(du);
-    unit.opCount = du.opCount;
-    unit.memAddrs = trace.memAddrs + e.memBegin;
-    unit.memCount = e.memCount;
-}
-
-class ConvFetchSource : public FetchSource
+class ConvFetchSource : public WalkFetchSource<ConvFetchWalker>
 {
   public:
     /** Replay @p trace.  @p decoded is DecodedProgram::forModule of
      *  @p module, owned by the caller so a batch shares one copy. */
     ConvFetchSource(const Module &module, const ConvLayout &layout,
                     const MachineConfig &config, const ExecTrace &trace,
-                    const DecodedProgram &decoded);
-
-    bool next(TimingUnit &unit) override;
-
-    std::uint64_t predictions() const override
+                    const DecodedProgram &decoded)
+        : WalkFetchSource(config, module, layout, decoded, trace)
     {
-        return pred.predictions();
     }
-    std::uint64_t mispredicts() const override
-    {
-        return pred.mispredicts();
-    }
-    std::uint64_t trapMispredicts() const override
-    {
-        return pred.mispredicts();
-    }
-    std::uint64_t faultMispredicts() const override { return 0; }
-    std::uint64_t cascadeHops() const override { return 0; }
-
-  private:
-    const ConvLayout &layout;
-    const DecodedProgram &decoded;
-    const ExecTrace &trace;
-    ConvPredictor pred;
-    /** Next trace event to emit (one unit per event). */
-    std::size_t pos = 0;
 };
 
 } // namespace bsisa

@@ -1,39 +1,47 @@
 /**
  * @file
- * Decoupled fetch-outcome streams for the lockstep sweep engine.
+ * Fetch walkers, their decoupled fetch-outcome streams, and the
+ * one-walker fetch source.
  *
  * Prediction is purely stream-driven: predictors train on committed
  * outcomes, never on timing, so a prediction group's entire fetch side
- * — which block commits at each stream position, whether the fetch was
+ * — which unit commits at each stream position, whether the fetch was
  * redirected, and where the unit's committed memory addresses live —
- * is a pure function of (predictor identity, stream position).  The
- * lockstep drivers exploit this by running the predictor/fetch side of
- * each distinct predictor configuration exactly ONCE over the trace in
- * a pre-pass, recording one compact FetchOutcomeRecord per fetch step
- * into a FetchOutcomeStream, and then driving the timing lanes off the
- * recorded outcomes as plain data.  Because the timing phase no longer
- * interleaves with prediction, lanes from *different* prediction
- * groups whose streams coincide at a position can step as one
- * full-width op-major batch — the per-lane redirect rows are gathered
- * from the groups' streams instead of queried live (the exact analogue
- * of the shared committed-order dcache stream of PR 5).
+ * is a pure function of (predictor identity, stream position).  Each
+ * machine therefore has one fetch walker (ConvFetchWalker,
+ * BsaFetchWalker): the predictor state of one identity, a stream
+ * cursor and the pending redirect, whose captureStep() advances one
+ * unit and appends one compact FetchOutcomeRecord to a
+ * FetchOutcomeStream.  The lockstep engine (sim/lockstep.hh) runs one
+ * walker per prediction group in a pre-pass and drives the timing
+ * lanes off the recorded outcomes as plain data, so lanes from
+ * *different* prediction groups whose streams coincide at a position
+ * can step as one full-width op-major batch, the per-lane redirect
+ * rows gathered from the groups' streams.  WalkFetchSource, below,
+ * runs one walker and serves next() from its records, so each
+ * machine's fetch walk has exactly one implementation.
+ *
+ * A walker type W provides:
+ *   - W::Translation, the read-only state shared by every walker over
+ *     one trace: its `trace`, startWindow(begin), buildUnit(record,
+ *     unit) and the memoLookups / memoComputes counters;
+ *   - a W(Translation &, const MachineConfig &) constructor;
+ *   - `pos`, the first unconsumed trace event, captureStep(stream),
+ *     and the FetchWalkCounters.
  *
  * Records are indexed by fetch step; redirects are sparse (mispredicts
  * only) and stored side-by-side with the step index they attach to, so
  * a clean-running group costs 16 bytes per fetch step and nothing per
  * redirect.  RedirectInfo's wrong-path pointers reference the shared
- * DecodedProgram, which outlives the engine, so storing them is safe;
+ * DecodedProgram, which outlives the walk, so storing them is safe;
  * a unit's committed addresses are one slice of the trace's address
  * pool (the ExecTrace span-adjacency invariant), stored as an offset.
  *
- * The drivers capture in fixed windows of fetchCaptureWindow trace
- * events: every group records the steps starting inside the window,
- * the timing walk consumes them, and the streams are cleared (keeping
+ * Both readers capture in fixed windows of fetchCaptureWindow trace
+ * events: every walker records the steps starting inside the window,
+ * the reader consumes them, and the streams are cleared (keeping
  * their capacity) before the next window.  Stream memory is therefore
- * bounded by groups x window whatever the trace length.  The single-
- * config BsaFetchSource reads the same records from one stream, so
- * the BSA fetch walk (sim/bsa_source.hh) has exactly one
- * implementation.
+ * bounded by groups x window whatever the trace length.
  */
 
 #ifndef BSISA_SIM_FETCH_OUTCOME_HH
@@ -45,6 +53,9 @@
 #include <vector>
 
 #include "sim/fetch_source.hh"
+#include "sim/machine.hh"
+#include "sim/trace.hh"
+#include "support/logging.hh"
 
 namespace bsisa
 {
@@ -54,15 +65,16 @@ constexpr std::size_t fetchCaptureWindow = std::size_t(1) << 12;
 
 /**
  * One fetch step of a prediction group: the committed unit identity
- * and its memory span.  `committed` is an AtomicBlockId for the
- * block-structured driver; the conventional driver's units are the
- * trace events themselves, so it stores no per-step records at all
- * (only the sparse redirects below).
+ * and its memory span.  `committed` is walker-defined: the atomic
+ * block on the block-structured machine, the event's basic block on
+ * the conventional one.  Records of different groups at one position
+ * with equal `committed` describe the same unit, so the lockstep walk
+ * fuses them into one batch.
  */
 struct FetchOutcomeRecord
 {
     std::uint32_t pos;        //!< stream position the unit starts at
-    std::uint32_t committed;  //!< committed block id (driver-defined)
+    std::uint32_t committed;  //!< committed unit id (walker-defined)
     std::uint32_t memOffset;  //!< span start in the trace pool
     std::uint32_t memCount;   //!< span length
 };
@@ -80,15 +92,17 @@ struct FetchOutcomeStream
 
     /** Reserve one window's exact bound — at most one step and one
      *  redirect per trace event — so a capture walk never allocates.
-     *  Conventional streams store no steps; oracle predictors never
-     *  redirect. */
+     *  Oracle predictors never redirect.  Records narrow positions
+     *  and pool offsets to 32 bits, so @p trace must fit them. */
     void
-    reserveWindow(std::size_t eventCount, bool withSteps,
-                  bool withRedirects)
+    reserveWindow(const ExecTrace &trace, bool withRedirects)
     {
-        const std::size_t window = std::min(fetchCaptureWindow, eventCount);
-        if (withSteps)
-            steps.reserve(window);
+        BSISA_ASSERT(trace.eventCount <= 0xffffffffull &&
+                         trace.memAddrCount <= 0xffffffffull,
+                     "FetchOutcomeRecord fields are 32-bit");
+        const std::size_t window =
+            std::min(fetchCaptureWindow, trace.eventCount);
+        steps.reserve(window);
         if (withRedirects) {
             redirects.reserve(window);
             redirectStep.reserve(window);
@@ -105,14 +119,114 @@ struct FetchOutcomeStream
     }
 };
 
+/** The prediction statistics every fetch walker keeps. */
+struct FetchWalkCounters
+{
+    std::uint64_t nPredictions = 0;
+    /** Mispredicts resolved by the previous unit's terminator. */
+    std::uint64_t nTrapMiss = 0;
+    /** Mispredicts resolved by a fault in the wrong block (BSA). */
+    std::uint64_t nFaultMiss = 0;
+    /** Wrong blocks walked in fault-target cascades (BSA). */
+    std::uint64_t nCascadeHops = 0;
+    std::uint64_t nFetchSteps = 0;  //!< records captured in total
+};
+
+/**
+ * The one-walker reader: a fetch source that runs a single walker,
+ * captures one window of its records at a time and serves next()
+ * from them.  The singleton, OoO and fuzz paths replay a config this
+ * way, through the same walk the lockstep engine runs per group.
+ */
+template <class Walker>
+class WalkFetchSource : public FetchSource
+{
+  public:
+    using Translation = typename Walker::Translation;
+
+    /** @p args construct the translation. */
+    template <class... Args>
+    explicit WalkFetchSource(const MachineConfig &config,
+                             const Args &...args)
+        : translation{args...}, walker(translation, config)
+    {
+        // Exact window bounds keep next() allocation-free.
+        stream.reserveWindow(translation.trace,
+                             !config.perfectPrediction);
+    }
+
+    /** The walker points at this object's translation. */
+    WalkFetchSource(const WalkFetchSource &) = delete;
+    WalkFetchSource &operator=(const WalkFetchSource &) = delete;
+
+    bool
+    next(TimingUnit &unit) override
+    {
+        if (nextStep == stream.steps.size()) {
+            const std::size_t eventCount = translation.trace.eventCount;
+            if (walker.pos >= eventCount)
+                return false;
+            // Capture the next window of the walk.
+            translation.startWindow(windowEnd);
+            windowEnd =
+                std::min(eventCount, windowEnd + fetchCaptureWindow);
+            stream.clear();
+            nextStep = 0;
+            nextRedirect = 0;
+            while (walker.pos < windowEnd)
+                walker.captureStep(stream);
+        }
+
+        translation.buildUnit(stream.steps[nextStep], unit);
+        if (nextRedirect < stream.redirectStep.size() &&
+            stream.redirectStep[nextRedirect] == nextStep)
+            unit.redirect = stream.redirects[nextRedirect++];
+        ++nextStep;
+        return true;
+    }
+
+    std::uint64_t predictions() const override
+    {
+        return walker.nPredictions;
+    }
+    std::uint64_t mispredicts() const override
+    {
+        return walker.nTrapMiss + walker.nFaultMiss;
+    }
+    std::uint64_t trapMispredicts() const override
+    {
+        return walker.nTrapMiss;
+    }
+    std::uint64_t faultMispredicts() const override
+    {
+        return walker.nFaultMiss;
+    }
+    std::uint64_t cascadeHops() const override
+    {
+        return walker.nCascadeHops;
+    }
+
+  private:
+    Translation translation;
+    Walker walker;
+    /** The current window's records, and the read cursors. */
+    FetchOutcomeStream stream;
+    std::size_t nextStep = 0;
+    std::size_t nextRedirect = 0;
+    /** End of the last captured window. */
+    std::size_t windowEnd = 0;
+};
+
 /**
  * Instrumentation of the most recent lockstep run on this thread
- * (filled by lockstepConventional / lockstepBlockStructured): group
- * and batching shape, memoization effectiveness, and the wall-clock
- * split between the fetch pre-pass and the timing kernel (summed over
- * the capture windows).  Intended for tests (memo hit-rate and
- * batch-width asserts), the bench harnesses and perfbench's traced
- * run; not part of any result contract.
+ * (filled by the engine behind lockstepConventional and
+ * lockstepBlockStructured): group and batching shape, memoization
+ * effectiveness (zero on the conventional machine, which has no
+ * position memo), and the wall-clock split between the fetch pre-pass
+ * and the timing walk (summed over the capture windows).  Intended
+ * for tests (memo hit-rate and batch-width asserts), the bench
+ * harnesses and perfbench's traced run; not part of any result
+ * contract.
  */
 struct LockstepFetchStats
 {
@@ -124,9 +238,9 @@ struct LockstepFetchStats
     std::uint64_t maxBatchLanes = 0;    //!< widest batch issued
     std::uint64_t memoLookups = 0;   //!< per-position memo queries
     std::uint64_t memoComputes = 0;  //!< queries that had to compute
-    /** Cross-group fused walk ran.  Always true for both replay
-     *  drivers (it is their only walk); kept because perfbench's
-     *  sim.lockstep.fused_ratio reads it. */
+    /** Cross-group fused walk ran.  Always true (it is the engine's
+     *  only walk); kept because perfbench's sim.lockstep.fused_ratio
+     *  reads it. */
     bool fused = false;
     double fetchSeconds = 0.0;       //!< pre-pass wall clock
     double timingSeconds = 0.0;      //!< timing-walk wall clock

@@ -3,10 +3,10 @@
  * The interface between the ISA-specific fetch/prediction logic and
  * the shared cycle-level pipeline core.
  *
- * A FetchSource walks the committed execution (driven by the
- * functional interpreter) one fetch unit at a time — a basic block on
- * the conventional machine, an atomic block on the block-structured
- * machine — performing branch/successor prediction as it goes.  Each
+ * A FetchSource replays the committed execution (an ExecTrace) one
+ * fetch unit at a time — a basic block on the conventional machine,
+ * an atomic block on the block-structured machine — performing
+ * branch/successor prediction as it goes.  Each
  * emitted TimingUnit carries the unit's pre-decoded static code, its
  * dynamic memory addresses, and a description of how the unit came to
  * be fetched (cleanly, or after a resolved misprediction, including

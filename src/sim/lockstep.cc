@@ -9,18 +9,25 @@
  * opMajorChunk() performs the same per-lane operations in the same
  * per-lane order — only the cross-lane interleaving differs, and
  * lanes never interact, so the one-lane and op-major paths are
- * bit-identical by construction.  The lockstep drivers
- * differ only in how much of the fetch translation they compute once
- * per stream position instead of once per (position, config):
+ * bit-identical by construction.
+ *
+ * One engine (LockstepEngine below) drives both machines, as a
+ * template over the machine's fetch walker (sim/fetch_outcome.hh).  It
+ * runs one walker per prediction group over a shared translation in a
+ * pre-pass, one capture window at a time, recording one
+ * FetchOutcomeRecord per fetch step into each group's
+ * FetchOutcomeStream, and the timing walk then advances the window's
+ * streams by MINIMUM POSITION, so lanes of different prediction
+ * groups that commit the same unit at the same position fuse into one
+ * full-width op-major batch (per-lane redirects gathered from the
+ * streams).  The machines differ only in what their translation
+ * computes once per stream position instead of once per
+ * (position, config):
  *
  *   - conventional: unit boundaries are config-independent (one basic
- *     block per event), so the driver decodes each event into a unit
- *     exactly once and advances every lane over it while it is hot;
- *     one ConvPredictor runs per prediction group, not per lane —
- *     and runs in a decoupled pre-pass (ConvPredictor::
- *     captureOutcomes) that records each group's sparse redirect
- *     stream over a capture window before any timing work on it, so
- *     the timing walk is a pure data-consumer loop;
+ *     block per event), so every group commits the event's block at
+ *     every position and the whole machine population steps as one
+ *     batch per event;
  *   - block-structured: the maximal-variant trie walk, its variant
  *     index and stream compatibility, the consumed event count, and
  *     the unit's pooled address span all depend only on the stream
@@ -29,26 +36,15 @@
  *     predictor may commit a shallower compatible variant, in which
  *     case that group commits its own (rare) shallow unit and its
  *     cursor drifts until it re-meets the others at a head boundary.
- *     The whole fetch side runs as a pre-pass too (one
- *     BsaFetchWalker per group), recording one FetchOutcomeRecord
- *     per fetch step into each group's FetchOutcomeStream, one capture
- *     window at a time; the timing walk then advances the window's
- *     streams by MINIMUM POSITION, so lanes of
- *     different prediction groups whose streams coincide at a
- *     position fuse into one full-width op-major batch (per-lane
- *     redirects gathered from the streams);
- *   - trace cache: unit boundaries depend on per-config cache
- *     contents, so lanes round-robin one unit each (sharing only the
- *     read-only decode and trace).
  *
- * Two further layers of sharing apply to both replay drivers.
+ * Two further layers of sharing apply to both machines.
  * Prediction is purely stream-driven (predictors train on committed
  * outcomes, never on timing), so lanes with identical predictor
  * geometry — and all oracle-prediction lanes, which never touch a
- * predictor — form prediction groups that share one predictor state
- * and one redirect stream.  Both replay drivers lay each group's
- * member lanes out contiguously (groupLanes below), so a group
- * advances as one op-major stepBatch over register-major lane rows.
+ * predictor — form prediction groups that share one walker and one
+ * redirect stream.  The engine lays each group's member lanes out
+ * contiguously (groupLanes below), so a group advances as one
+ * op-major stepBatch over register-major lane rows.
  * And because wrong-path loads never touch the dcache, the
  * committed-order dcache hit/miss stream is a pure function of
  * (trace, dcache geometry): LanePipelines precomputes it once per
@@ -778,168 +774,38 @@ shareGroupIcaches(LanePipelines &pipes,
     }
 }
 
-} // namespace
-
-// ----------------------------------------------------- conventional
-
-std::vector<SimResult>
-lockstepConventional(const Module &module, const ConvLayout &layout,
-                     const DecodedProgram &decoded,
-                     const std::vector<MachineConfig> &machines,
-                     const ExecTrace &trace)
-{
-    const std::size_t total = machines.size();
-    std::vector<SimResult> out(total);
-    if (total == 0)
-        return out;
-
-    std::vector<std::size_t> uniqueOf;
-    const std::vector<MachineConfig> unique =
-        dedupConfigs(machines, uniqueOf);
-    const GroupedLanes grouped = groupLanes(unique);
-    const std::size_t n = grouped.ordered.size();
-
-    LanePipelines pipes(grouped.ordered.data(), n);
-    pipes.shareDcachePool(trace.memAddrs, trace.memAddrCount);
-
-    // Prediction is purely stream-driven, so one ConvPredictor serves
-    // every lane of a prediction group.
-    std::vector<ConvPredictor> preds;
-    preds.reserve(grouped.groups.size());
-    for (const auto &group : grouped.groups) {
-        preds.emplace_back(module, layout, decoded,
-                           grouped.ordered[group.front()]);
-        shareGroupIcaches(pipes, grouped.ordered, group);
-    }
-
-    const std::size_t ngroups = grouped.groups.size();
-    LockstepFetchStats &fs = lockstepFetchStatsSlot();
-    fs = LockstepFetchStats{};
-    fs.groups = ngroups;
-    fs.lanes = n;
-    fs.fused = true;
-    fs.fetchSteps = trace.eventCount * ngroups;
-
-    // One basic block per event on every lane: walk the trace once,
-    // decode each event into a unit once, and advance every lane over
-    // the hot unit.  Only the redirect differs per group — it is the
-    // group predictor's verdict on the previous event — so the whole
-    // machine population advances as ONE op-major batch per event,
-    // with each lane taking its group's redirect (prediction never
-    // reads pipeline state, so collecting every group's verdict
-    // before stepping is order-equivalent to interleaving).
-    //
-    // The predictors run in a decoupled pre-pass (captureOutcomes)
-    // recording each group's sparse redirect stream over one capture
-    // window, and the timing walk consumes the window's outcomes by
-    // cursor — no predictor work interleaves with the kernel loop.
-    std::vector<FetchOutcomeStream> streams(ngroups);
-    for (std::size_t g = 0; g < ngroups; ++g) {
-        streams[g].reserveWindow(
-            trace.eventCount, false,
-            !grouped.ordered[grouped.groups[g].front()].perfectPrediction);
-    }
-    std::vector<std::size_t> rcur(ngroups);
-    std::vector<RedirectInfo> laneRedirects(n);
-    TimingUnit unit;
-    using Clock = std::chrono::steady_clock;
-    for (std::size_t begin = 0; begin < trace.eventCount;
-         begin += fetchCaptureWindow) {
-        const std::size_t end =
-            std::min(trace.eventCount, begin + fetchCaptureWindow);
-        const auto t0 = Clock::now();
-        for (std::size_t g = 0; g < ngroups; ++g) {
-            streams[g].clear();
-            preds[g].captureOutcomes(trace, begin, end, streams[g]);
-        }
-        const auto t1 = Clock::now();
-
-        std::fill(rcur.begin(), rcur.end(), 0);
-        for (std::size_t pos = begin; pos < end; ++pos) {
-            convUnitOf(layout, decoded, trace, trace.events[pos], unit);
-            // Most events redirect no group at all; those step with
-            // the unit's default (clear) redirect and skip the
-            // per-lane gather entirely.
-            bool any = false;
-            for (std::size_t g = 0; g < ngroups; ++g) {
-                const FetchOutcomeStream &st = streams[g];
-                if (rcur[g] < st.redirectStep.size() &&
-                    st.redirectStep[rcur[g]] ==
-                        static_cast<std::uint32_t>(pos)) {
-                    any = true;
-                    break;
-                }
-            }
-            if (any) {
-                for (std::size_t g = 0; g < ngroups; ++g) {
-                    RedirectInfo rd{};
-                    const FetchOutcomeStream &st = streams[g];
-                    if (rcur[g] < st.redirectStep.size() &&
-                        st.redirectStep[rcur[g]] ==
-                            static_cast<std::uint32_t>(pos))
-                        rd = st.redirects[rcur[g]++];
-                    for (const std::size_t l : grouped.groups[g])
-                        laneRedirects[l] = rd;
-                }
-                pipes.stepBatch(0, n, unit, laneRedirects.data());
-            } else {
-                pipes.stepBatch(0, n, unit);
-            }
-        }
-        const auto t2 = Clock::now();
-        fs.fetchSeconds += secondsBetween(t0, t1);
-        fs.timingSeconds += secondsBetween(t1, t2);
-    }
-
-    std::vector<SimResult> laneOut(n);
-    for (std::size_t g = 0; g < grouped.groups.size(); ++g) {
-        for (const std::size_t l : grouped.groups[g]) {
-            laneOut[l] = pipes.takeResult(l);
-            laneOut[l].predictions = preds[g].predictions();
-            laneOut[l].mispredicts = preds[g].mispredicts();
-            laneOut[l].trapMispredicts = preds[g].mispredicts();
-            laneOut[l].faultMispredicts = 0;
-            laneOut[l].cascadeHops = 0;
-        }
-    }
-    for (std::size_t i = 0; i < total; ++i)
-        out[i] = laneOut[grouped.posOf[uniqueOf[i]]];
-    return out;
-}
-
-// ------------------------------------------------- block-structured
-
-namespace
-{
+// ------------------------------------------------------------ engine
 
 /**
- * The shared-translation BSA lockstep walk: N BsaFetchWalkers, one
- * per prediction group, over one BsaTranslation (sim/bsa_source.hh),
- * so the config-independent translation of each stream position is
- * computed once for every group.  The caller lays each group's lanes
- * out contiguously (groupLanes), so a group steps as one op-major
- * batch.
+ * The lockstep engine, one instantiation per machine: N fetch walkers
+ * (sim/fetch_outcome.hh), one per prediction group, over one shared
+ * translation, so the config-independent translation of each stream
+ * position is computed once for every group.  The caller lays each
+ * group's lanes out contiguously (groupLanes), so a group steps as one
+ * op-major batch.
  *
  * run() works in capture windows of fetchCaptureWindow events: every
  * group's walker captures the steps that start in the window into the
  * group's FetchOutcomeStream, then timingWalk consumes the recorded
  * streams by minimum position so groups whose streams coincide at a
- * position — committing the same block — FUSE into one full-width
+ * position — committing the same unit — FUSE into one full-width
  * stepBatch with per-lane redirects gathered from the streams.
  */
-class LockstepBsa
+template <class Walker>
+class LockstepEngine
 {
   public:
-    LockstepBsa(const BsaModule &bsaModule,
-                const DecodedProgram &decodedProgram,
-                const std::vector<MachineConfig> &machineConfigs,
-                const ExecTrace &execTrace)
-        : machines(machineConfigs), trace(execTrace),
-          translation(bsaModule, decodedProgram, execTrace)
+    using Translation = typename Walker::Translation;
+
+    /** @p args construct the translation. */
+    template <class... Args>
+    explicit LockstepEngine(const std::vector<MachineConfig> &machineConfigs,
+                            const Args &...args)
+        : machines(machineConfigs), translation{args...}
     {
         for (const auto &members : predictionGroups(machines)) {
-            // stepBatch consumes contiguous lane ranges; the driver
-            // below hands us group-contiguous configs (groupLanes).
+            // stepBatch consumes contiguous lane ranges; the caller
+            // hands us group-contiguous configs (groupLanes).
             for (std::size_t i = 1; i < members.size(); ++i) {
                 BSISA_ASSERT(members[i] == members[i - 1] + 1,
                              "prediction groups must be contiguous");
@@ -952,7 +818,7 @@ class LockstepBsa
         // number of heap allocations (tests/test_decoded.cc).
         for (Group &group : groups) {
             group.stream.reserveWindow(
-                trace.eventCount, true,
+                translation.trace,
                 !machines[group.lanes.front()].perfectPrediction);
         }
         laneRedirects.resize(machines.size());
@@ -966,13 +832,13 @@ class LockstepBsa
      *  prediction evolution is identical. */
     struct Group
     {
-        Group(BsaTranslation &translation, const MachineConfig &config,
+        Group(Translation &translation, const MachineConfig &config,
               std::vector<std::size_t> members)
             : walker(translation, config), lanes(std::move(members))
         {
         }
 
-        BsaFetchWalker walker;
+        Walker walker;
         std::vector<std::size_t> lanes;  //!< member lane indices
         /** The group's fetch outcomes in the current capture window,
          *  and the timing walk's cursors into them. */
@@ -986,21 +852,22 @@ class LockstepBsa
     void timingWalk(LanePipelines &pipes);
 
     const std::vector<MachineConfig> &machines;
-    const ExecTrace &trace;
-    BsaTranslation translation;
+    Translation translation;
     std::vector<Group> groups;
-    /** timingWalk scratch: per-lane redirect rows, and the groups
-     *  whose next record sits at the current minimum position. */
+    /** timingWalk scratch: per-lane redirect rows (all clear between
+     *  batches), and the groups whose next record sits at the current
+     *  minimum position. */
     std::vector<RedirectInfo> laneRedirects;
     std::vector<std::size_t> atPos;
 };
 
+template <class Walker>
 void
-LockstepBsa::timingWalk(LanePipelines &pipes)
+LockstepEngine<Walker>::timingWalk(LanePipelines &pipes)
 {
     // The timing walk consumes the streams as plain data by MINIMUM
     // POSITION: at each round the groups whose next record sits at the
-    // minimum stream position are partitioned by committed block, and
+    // minimum stream position are partitioned by committed unit, and
     // each partition — adjacent groups form one contiguous lane run —
     // steps as one full-width batch with per-lane redirects gathered
     // from the streams.  Lanes never interact and each lane still sees
@@ -1009,21 +876,22 @@ LockstepBsa::timingWalk(LanePipelines &pipes)
     constexpr std::size_t consumedMark = ~std::size_t(0);
     TimingUnit unit{};
     for (;;) {
-        std::uint64_t minPos = ~std::uint64_t(0);
-        for (const Group &group : groups) {
-            if (group.nextStep < group.stream.steps.size())
-                minPos = std::min<std::uint64_t>(
-                    minPos, group.stream.steps[group.nextStep].pos);
-        }
-        if (minPos == ~std::uint64_t(0))
-            break;
+        std::uint32_t minPos = ~std::uint32_t(0);
         atPos.clear();
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const Group &group = groups[g];
-            if (group.nextStep < group.stream.steps.size() &&
-                group.stream.steps[group.nextStep].pos == minPos)
+            if (group.nextStep == group.stream.steps.size())
+                continue;
+            const std::uint32_t pos = group.stream.steps[group.nextStep].pos;
+            if (pos < minPos) {
+                minPos = pos;
+                atPos.clear();
+            }
+            if (pos == minPos)
                 atPos.push_back(g);
         }
+        if (atPos.empty())
+            break;
         for (std::size_t i = 0; i < atPos.size(); ++i) {
             if (atPos[i] == consumedMark)
                 continue;
@@ -1033,12 +901,23 @@ LockstepBsa::timingWalk(LanePipelines &pipes)
             translation.buildUnit(lead, unit);
             std::size_t runFirst = 0;
             std::size_t runCount = 0;
+            bool runRedirected = false;
+            // Most runs redirect no lane at all; those step with the
+            // unit's clear redirect and skip the per-lane rows.
             auto flush = [&]() {
                 if (runCount == 0)
                     return;
-                pipes.stepBatch(runFirst, runCount, unit,
-                                laneRedirects.data() + runFirst);
+                if (runRedirected) {
+                    pipes.stepBatch(runFirst, runCount, unit,
+                                    laneRedirects.data() + runFirst);
+                    std::fill_n(laneRedirects.begin() +
+                                    std::ptrdiff_t(runFirst),
+                                runCount, RedirectInfo{});
+                } else {
+                    pipes.stepBatch(runFirst, runCount, unit);
+                }
                 runCount = 0;
+                runRedirected = false;
             };
             for (std::size_t j = i; j < atPos.size(); ++j) {
                 if (atPos[j] == consumedMark)
@@ -1048,15 +927,9 @@ LockstepBsa::timingWalk(LanePipelines &pipes)
                 const FetchOutcomeRecord &r = st.steps[grp.nextStep];
                 if (r.committed != lead.committed)
                     continue;
-                // Same position, same block: the span content is
+                // Same position, same unit: the span content is
                 // identical whichever group's storage backs it.
                 BSISA_ASSERT(r.memCount == lead.memCount);
-                RedirectInfo rd{};
-                if (grp.nextRedirect < st.redirectStep.size() &&
-                    st.redirectStep[grp.nextRedirect] == grp.nextStep)
-                    rd = st.redirects[grp.nextRedirect++];
-                for (const std::size_t lane : grp.lanes)
-                    laneRedirects[lane] = rd;
                 const std::size_t laneFirst = grp.lanes.front();
                 if (runCount > 0 &&
                     laneFirst == runFirst + runCount) {
@@ -1066,6 +939,13 @@ LockstepBsa::timingWalk(LanePipelines &pipes)
                     runFirst = laneFirst;
                     runCount = grp.lanes.size();
                 }
+                if (grp.nextRedirect < st.redirectStep.size() &&
+                    st.redirectStep[grp.nextRedirect] == grp.nextStep) {
+                    const RedirectInfo &rd = st.redirects[grp.nextRedirect++];
+                    for (const std::size_t lane : grp.lanes)
+                        laneRedirects[lane] = rd;
+                    runRedirected = true;
+                }
                 ++grp.nextStep;
                 atPos[j] = consumedMark;
             }
@@ -1074,9 +954,11 @@ LockstepBsa::timingWalk(LanePipelines &pipes)
     }
 }
 
+template <class Walker>
 std::vector<SimResult>
-LockstepBsa::run()
+LockstepEngine<Walker>::run()
 {
+    const ExecTrace &trace = translation.trace;
     const std::size_t n = machines.size();
     LanePipelines pipes(machines.data(), n);
     pipes.shareDcachePool(trace.memAddrs, trace.memAddrCount);
@@ -1090,13 +972,13 @@ LockstepBsa::run()
     fs.fused = true;
 
     // Capture window by window.  Every group records the steps that
-    // start before the window's end — the first group to reach a
-    // position fills its memo entry, the rest read it hot — and then
-    // the timing walk consumes them.  A record at position p lands in
-    // the window that contains p, so the timing walk sees, window
-    // after window, exactly the minimum-position order of one capture
-    // over the whole trace: results and every counter are independent
-    // of the window size.
+    // start before the window's end — on the BSA the first group to
+    // reach a position fills its memo entry, the rest read it hot —
+    // and then the timing walk consumes them.  A record at position p
+    // lands in the window that contains p, so the timing walk sees,
+    // window after window, exactly the minimum-position order of one
+    // capture over the whole trace: results and every counter are
+    // independent of the window size.
     using Clock = std::chrono::steady_clock;
     for (std::size_t begin = 0; begin < trace.eventCount;
          begin += fetchCaptureWindow) {
@@ -1125,7 +1007,7 @@ LockstepBsa::run()
 
     std::vector<SimResult> out(n);
     for (const Group &group : groups) {
-        const BsaFetchWalker &w = group.walker;
+        const FetchWalkCounters &w = group.walker;
         for (const std::size_t l : group.lanes) {
             out[l] = pipes.takeResult(l);
             out[l].predictions = w.nPredictions;
@@ -1138,13 +1020,14 @@ LockstepBsa::run()
     return out;
 }
 
-} // namespace
-
+/** Run @p machines through one LockstepEngine<Walker> over the
+ *  translation built from @p args: effectively identical configs
+ *  collapse to one lane, lanes are laid out group-contiguously, and
+ *  the lane results map back to input order. */
+template <class Walker, class... Args>
 std::vector<SimResult>
-lockstepBlockStructured(const BsaModule &bsa,
-                        const DecodedProgram &decoded,
-                        const std::vector<MachineConfig> &machines,
-                        const ExecTrace &trace)
+runLockstep(const std::vector<MachineConfig> &machines,
+            const Args &...args)
 {
     if (machines.empty())
         return {};
@@ -1152,12 +1035,33 @@ lockstepBlockStructured(const BsaModule &bsa,
     const std::vector<MachineConfig> unique =
         dedupConfigs(machines, uniqueOf);
     const GroupedLanes grouped = groupLanes(unique);
-    LockstepBsa engine(bsa, decoded, grouped.ordered, trace);
+    LockstepEngine<Walker> engine(grouped.ordered, args...);
     const std::vector<SimResult> laneOut = engine.run();
     std::vector<SimResult> out(machines.size());
     for (std::size_t i = 0; i < machines.size(); ++i)
         out[i] = laneOut[grouped.posOf[uniqueOf[i]]];
     return out;
+}
+
+} // namespace
+
+std::vector<SimResult>
+lockstepConventional(const Module &module, const ConvLayout &layout,
+                     const DecodedProgram &decoded,
+                     const std::vector<MachineConfig> &machines,
+                     const ExecTrace &trace)
+{
+    return runLockstep<ConvFetchWalker>(machines, module, layout, decoded,
+                                        trace);
+}
+
+std::vector<SimResult>
+lockstepBlockStructured(const BsaModule &bsa,
+                        const DecodedProgram &decoded,
+                        const std::vector<MachineConfig> &machines,
+                        const ExecTrace &trace)
+{
+    return runLockstep<BsaFetchWalker>(machines, bsa, decoded, trace);
 }
 
 } // namespace bsisa

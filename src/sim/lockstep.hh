@@ -18,34 +18,35 @@
  *     the multi-megabyte trace and the decoded-op pools through the
  *     host caches again, even though the bytes are identical.
  *
- * A lockstep batch fixes both.  The drivers walk the trace once,
- * compute each position's translation once (unit boundaries, decoded
+ * A lockstep batch fixes both.  The engine walks the trace once,
+ * computes each position's translation once (unit boundaries, decoded
  * slices, address spans, and — for the BSA — the maximal-variant trie
- * walk, memoised per position), and advance every config lane over the
+ * walk, memoised per position), and advances every config lane over the
  * still-hot unit before moving to the next event; only the genuinely
  * config-dependent work (prediction state, cache models, scheduling)
  * runs per lane.
  *
- * There are two drivers, one per fetch model whose units are
- * config-independent: the conventional and the block-structured
- * machine.  Callers reach them through exp/runner.hh's batch entry
- * points, and grids through PairSweep.  The trace-cache machine has
- * none: its unit boundaries depend on each config's cache contents,
- * so lanes would share nothing but the read-only inputs, and each
- * config runs its own runTraceCache replay.
+ * One engine serves both machines whose units are config-independent,
+ * the conventional and the block-structured; the two entry points
+ * below differ only in the fetch walker they instantiate it with.
+ * Callers reach them through exp/runner.hh's batch entry points, and
+ * grids through PairSweep.  The trace-cache machine has none: its unit
+ * boundaries depend on each config's cache contents, so lanes would
+ * share nothing but the read-only inputs, and each config runs its own
+ * runTraceCache replay.
  *
  * The fetch and timing sides are further DECOUPLED (sim/
- * fetch_outcome.hh): each prediction group's predictor/fetch walk
- * runs exactly once over the trace in a pre-pass, recording compact
+ * fetch_outcome.hh): each prediction group's fetch walker runs
+ * exactly once over the trace in a pre-pass, recording compact
  * per-step outcome records (and sparse redirects) into a
  * FetchOutcomeStream one fixed capture window at a time, and the
  * timing walk consumes each window's streams as plain data.  Freed
- * from interleaving with prediction, the BSA timing walk advances the
- * streams by minimum position and fuses lanes of DIFFERENT prediction
- * groups that commit the same block at the same position into one
- * full-width op-major batch.  lockstepLastFetchStats() reports the
- * batching shape, memo hit rates, and the per-phase wall-clock split
- * of the latest run.
+ * from interleaving with prediction, it advances the streams by
+ * minimum position and fuses lanes of DIFFERENT prediction groups
+ * that commit the same unit at the same position into one full-width
+ * op-major batch.  lockstepLastFetchStats() reports the batching
+ * shape, memo hit rates, and the per-phase wall-clock split of the
+ * latest run.
  *
  * The per-lane scheduling itself runs *op-major*: a prediction
  * group's member lanes are contiguous, and stepBatch() advances all
@@ -61,16 +62,16 @@
  * BsaModule and its tries, the mmap-ed trace address pool) is shared
  * by reference across every lane, never duplicated per config.
  *
- * Bit-exactness contract: every lockstep driver produces SimResults
+ * Bit-exactness contract: the engine produces SimResults
  * bit-identical to running the same configs one at a time through
- * simulatePipeline over a fetch source replaying the same trace (the
- * singleton path; for the BSA it runs the same fetch walk, pinned
- * independently by tests/test_bsa_source.cc).
- * simulatePipeline itself is implemented as a one-lane LanePipelines
- * walk, and the op-major batched walk performs the same per-lane
- * arithmetic in the same per-lane order (lanes never interact, so the
- * cross-lane interleaving is free), so the sequential and batched
- * paths share one arithmetic.  The contract is enforced by
+ * simulatePipeline over the machine's fetch source.  Both sides run
+ * the same fetch walk (the singleton reads one walker's records
+ * through WalkFetchSource), which tests/test_bsa_source.cc pins
+ * independently for both machines.  simulatePipeline itself is a
+ * one-lane LanePipelines walk, and the op-major batched walk performs
+ * the same per-lane arithmetic in the same per-lane order (lanes never
+ * interact, so the cross-lane interleaving is free), so the sequential
+ * and batched paths share one arithmetic.  The contract is enforced by
  * tests/test_lockstep.cc and the fuzz harness's `lockstep` oracle,
  * across every kernel implementation (BSISA_FORCE_SCALAR selects the
  * scalar kernels).
@@ -325,16 +326,16 @@ class LanePipelines
  * Conventional machine: advance one lane per @p machines entry over
  * one shared replayed stream.  The committed fetch units of the
  * conventional machine are config-independent (one basic block per
- * event), so the driver walks the trace once, builds each unit once,
- * and advances every lane over it while it is hot.  Prediction is
- * purely stream-driven, so lanes whose prediction state is identical
- * (same predictor geometry, or oracle prediction — which ignores the
- * predictor entirely) share one ConvPredictor per group; each group's
- * lanes are laid out contiguously and advanced as one op-major
- * stepBatch; the committed-order dcache stream is shared per distinct
- * dcache geometry; icaches echo within a group; and effectively
- * identical configs collapse to one lane whose result is replicated.
- * Only per-lane pipeline state remains per config.
+ * event), so every position's unit is built once and every lane
+ * advances over it while it is hot.  Lanes whose prediction state is
+ * identical (same predictor geometry, or oracle prediction — which
+ * ignores the predictor entirely) share one ConvFetchWalker per group;
+ * each group's lanes are laid out contiguously, and all groups step
+ * as one op-major stepBatch per event; the committed-order dcache
+ * stream is shared per distinct dcache geometry; icaches echo within a
+ * group; and effectively identical configs collapse to one lane whose
+ * result is replicated.  Only per-lane pipeline state remains per
+ * config.
  */
 std::vector<SimResult>
 lockstepConventional(const Module &module, const ConvLayout &layout,

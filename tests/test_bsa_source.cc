@@ -3,7 +3,8 @@
  * Direct tests of the block-structured fetch source: the committed
  * atomic-block stream must tile the basic-block stream exactly, carry
  * the right memory addresses, classify mispredictions correctly, and
- * behave deterministically.
+ * behave deterministically.  The pinned-walk table also holds the
+ * conventional machine's walk, which runs through the same reader.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +18,12 @@
 #include "core/enlarge.hh"
 #include "frontend/compile.hh"
 #include "sim/bsa_source.hh"
+#include "sim/conv_source.hh"
 #include "sim/fetch_outcome.hh"
 #include "sim/interp.hh"
 #include "sim/ooo/ooo.hh"
 #include "sim/pipeline.hh"
+#include "support/digest.hh"
 #include "support/rng.hh"
 #include "workloads/specmix.hh"
 #include "workloads/synth.hh"
@@ -346,12 +349,14 @@ walkInputs()
     return inputs;
 }
 
-/** One pinned row: a BSA fetch walk's identity and its counters. */
+/** One pinned row: a fetch walk's identity and its counters. */
 struct PinnedWalk
 {
+    const char *machine;
     const char *input;
     const char *config;
-    std::uint64_t digest;
+    std::uint64_t digest;          //!< fetchStreamDigest of the units
+    std::uint64_t redirectDigest;  //!< the units' redirect fields
     std::uint64_t predictions;
     std::uint64_t mispredicts;
     std::uint64_t trapMispredicts;
@@ -360,74 +365,214 @@ struct PinnedWalk
     std::uint64_t cycles;
 };
 
+/** Digest of every unit's redirect: whether it was mispredicted and,
+ *  if so, where it resolves and which wrong block it issued. */
+std::uint64_t
+redirectDigest(FetchSource &source)
+{
+    Fnv1a64 digest;
+    TimingUnit unit;
+    while (source.next(unit)) {
+        const RedirectInfo &rd = unit.redirect;
+        digest.u64(rd.mispredicted);
+        if (!rd.mispredicted)
+            continue;
+        digest.u64(rd.resolveInWrongBlock).u64(rd.resolveOpIdx);
+        digest.u64(rd.wrongPc).u64(rd.wrongOpCount).u64(rd.wrongBytes);
+        digest.u64(rd.extraHops).u64(rd.isFault);
+    }
+    return digest.value();
+}
+
 /**
- * Expected values of the BSA fetch walk, recorded from the singleton
- * replay before the walk was shared with the lockstep pre-pass.  The
- * lockstep tests and the fuzzer's `lockstep` oracle compare batches
- * against BsaFetchSource, which now runs the same walk; this table is
- * the independent reference both sides are held to.
+ * Expected values of both machines' fetch walks, recorded from the
+ * singleton replays before each walk was shared with the lockstep
+ * pre-pass.  The lockstep tests and the fuzzer's `lockstep` oracle
+ * compare batches against BsaFetchSource and ConvFetchSource, which
+ * run the same walks; this table is the independent reference both
+ * sides are held to.
  */
 const PinnedWalk kPinnedWalks[] = {
-    {"compress", "default", 13363670369418128637ull,
+    {"bsa", "compress", "default",
+     13363670369418128637ull, 4564511350103456729ull,
      1364, 124, 109, 15, 15, 5276},
-    {"compress", "perfect", 1899899588781600194ull,
+    {"bsa", "compress", "perfect",
+     1899899588781600194ull, 17660679698167577125ull,
      0, 0, 0, 0, 0, 4638},
-    {"compress", "small", 13024557583841458930ull,
+    {"bsa", "compress", "small",
+     13024557583841458930ull, 4794070105502006120ull,
      1533, 464, 461, 3, 3, 6536},
-    {"gcc", "default", 17229496551525083200ull,
+    {"bsa", "gcc", "default",
+     17229496551525083200ull, 6124801177302087037ull,
      3165, 1675, 1554, 121, 155, 23512},
-    {"gcc", "perfect", 11908635117844929768ull,
+    {"bsa", "gcc", "perfect",
+     11908635117844929768ull, 6714677361656979749ull,
      0, 0, 0, 0, 0, 10869},
-    {"gcc", "small", 5248208279272957448ull,
+    {"bsa", "gcc", "small",
+     5248208279272957448ull, 15681632675017458695ull,
      3508, 2617, 2518, 99, 131, 29756},
-    {"go", "default", 16753419023780007319ull,
+    {"bsa", "go", "default",
+     16753419023780007319ull, 18076838525284457100ull,
      2609, 1343, 1242, 101, 123, 19567},
-    {"go", "perfect", 17153683727374593137ull,
+    {"bsa", "go", "perfect",
+     17153683727374593137ull, 15578049629665852421ull,
      0, 0, 0, 0, 0, 9020},
-    {"go", "small", 6580911079420420580ull,
+    {"bsa", "go", "small",
+     6580911079420420580ull, 15445023164050858708ull,
      2849, 2122, 2015, 107, 129, 25258},
-    {"ijpeg", "default", 10464682739586207786ull,
+    {"bsa", "ijpeg", "default",
+     10464682739586207786ull, 17371668288211882883ull,
      2384, 211, 171, 40, 40, 7163},
-    {"ijpeg", "perfect", 15883154674824857789ull,
+    {"bsa", "ijpeg", "perfect",
+     15883154674824857789ull, 1487381460707657349ull,
      0, 0, 0, 0, 0, 5647},
-    {"ijpeg", "small", 18204078049975956849ull,
+    {"bsa", "ijpeg", "small",
+     18204078049975956849ull, 11658741693358198845ull,
      2613, 850, 811, 39, 39, 11802},
-    {"li", "default", 4861504717029825852ull,
+    {"bsa", "li", "default",
+     4861504717029825852ull, 12162584878568587792ull,
      4126, 833, 531, 302, 326, 16037},
-    {"li", "perfect", 8379760055814926524ull,
+    {"bsa", "li", "perfect",
+     8379760055814926524ull, 8916859284542201445ull,
      0, 0, 0, 0, 0, 9817},
-    {"li", "small", 14480624494125904920ull,
+    {"bsa", "li", "small",
+     14480624494125904920ull, 1005369406374978991ull,
      4456, 2335, 2045, 290, 361, 25520},
-    {"m88ksim", "default", 15333500320845692520ull,
+    {"bsa", "m88ksim", "default",
+     15333500320845692520ull, 7243184061435925923ull,
      1703, 219, 130, 89, 111, 6304},
-    {"m88ksim", "perfect", 14427642137597316106ull,
+    {"bsa", "m88ksim", "perfect",
+     14427642137597316106ull, 990983689893835653ull,
      0, 0, 0, 0, 0, 4942},
-    {"m88ksim", "small", 12995170087781539782ull,
+    {"bsa", "m88ksim", "small",
+     12995170087781539782ull, 2216931729375156402ull,
      1869, 734, 665, 69, 92, 9629},
-    {"perl", "default", 18060630269084175379ull,
+    {"bsa", "perl", "default",
+     18060630269084175379ull, 14848109076962588723ull,
      1493, 325, 273, 52, 59, 6918},
-    {"perl", "perfect", 12933690521685686621ull,
+    {"bsa", "perl", "perfect",
+     12933690521685686621ull, 17052650832136614245ull,
      0, 0, 0, 0, 0, 4525},
-    {"perl", "small", 15190025858004398483ull,
+    {"bsa", "perl", "small",
+     15190025858004398483ull, 4958788362087768221ull,
      1880, 1290, 1232, 58, 64, 13271},
-    {"vortex", "default", 1568195807683026537ull,
+    {"bsa", "vortex", "default",
+     1568195807683026537ull, 5926700488359746522ull,
      4156, 815, 700, 115, 147, 15973},
-    {"vortex", "perfect", 604315597945463839ull,
+    {"bsa", "vortex", "perfect",
+     604315597945463839ull, 12869836361504213605ull,
      0, 0, 0, 0, 0, 11194},
-    {"vortex", "small", 11413678920480705682ull,
+    {"bsa", "vortex", "small",
+     11413678920480705682ull, 4582492502894775963ull,
      4687, 2103, 1914, 189, 225, 24430},
-    {"short", "default", 14461218048787491651ull,
+    {"bsa", "short", "default",
+     14461218048787491651ull, 5808568177596346952ull,
      21, 9, 8, 1, 1, 152},
-    {"short", "perfect", 14461218048787491651ull,
+    {"bsa", "short", "perfect",
+     14461218048787491651ull, 6959814250160810821ull,
      0, 0, 0, 0, 0, 99},
-    {"short", "small", 14461218048787491651ull,
+    {"bsa", "short", "small",
+     14461218048787491651ull, 5808568177596346952ull,
      21, 9, 8, 1, 1, 152},
-    {"long", "default", 5927756942960574750ull,
+    {"bsa", "long", "default",
+     5927756942960574750ull, 5347843549451878426ull,
      5581, 293, 235, 58, 59, 19045},
-    {"long", "perfect", 10124624058879942851ull,
+    {"bsa", "long", "perfect",
+     10124624058879942851ull, 9489208220165772357ull,
      0, 0, 0, 0, 0, 17669},
-    {"long", "small", 13833117909793270895ull,
+    {"bsa", "long", "small",
+     13833117909793270895ull, 9727204138930879263ull,
      6300, 1757, 1740, 17, 17, 24791},
+    {"conv", "compress", "default",
+     3355789228624058664ull, 2923440001375112684ull,
+     1658, 195, 195, 0, 0, 6304},
+    {"conv", "compress", "perfect",
+     3355789228624058664ull, 1401814156021147685ull,
+     0, 0, 0, 0, 0, 5246},
+    {"conv", "compress", "small",
+     3355789228624058664ull, 6783221343259643560ull,
+     1658, 166, 166, 0, 0, 6017},
+    {"conv", "gcc", "default",
+     17478479277018092156ull, 17067450302896218511ull,
+     3618, 1631, 1631, 0, 0, 24383},
+    {"conv", "gcc", "perfect",
+     17478479277018092156ull, 4789530233326910821ull,
+     0, 0, 0, 0, 0, 12401},
+    {"conv", "gcc", "small",
+     17478479277018092156ull, 15511486973796318282ull,
+     3618, 1200, 1200, 0, 0, 20749},
+    {"conv", "go", "default",
+     14189414351115891110ull, 4671712593868994711ull,
+     2994, 1326, 1326, 0, 0, 19760},
+    {"conv", "go", "perfect",
+     14189414351115891110ull, 13363349604406708325ull,
+     0, 0, 0, 0, 0, 10479},
+    {"conv", "go", "small",
+     14189414351115891110ull, 4553916714303702820ull,
+     2994, 1017, 1017, 0, 0, 17132},
+    {"conv", "ijpeg", "default",
+     7063918717928329047ull, 16376952070386162256ull,
+     2390, 142, 142, 0, 0, 7906},
+    {"conv", "ijpeg", "perfect",
+     7063918717928329047ull, 2862067741605270885ull,
+     0, 0, 0, 0, 0, 6979},
+    {"conv", "ijpeg", "small",
+     7063918717928329047ull, 7226476550000650265ull,
+     2390, 272, 272, 0, 0, 8653},
+    {"conv", "li", "default",
+     17523703096439534198ull, 16455680193681549912ull,
+     4750, 1049, 1049, 0, 0, 20541},
+    {"conv", "li", "perfect",
+     17523703096439534198ull, 14258830482314363685ull,
+     0, 0, 0, 0, 0, 12456},
+    {"conv", "li", "small",
+     17523703096439534198ull, 7612193342704426399ull,
+     4750, 791, 791, 0, 0, 17671},
+    {"conv", "m88ksim", "default",
+     2170999658413689561ull, 6235740852854240343ull,
+     1891, 225, 225, 0, 0, 6943},
+    {"conv", "m88ksim", "perfect",
+     2170999658413689561ull, 12810557592819451141ull,
+     0, 0, 0, 0, 0, 5610},
+    {"conv", "m88ksim", "small",
+     2170999658413689561ull, 8597522526724781256ull,
+     1891, 285, 285, 0, 0, 7194},
+    {"conv", "perl", "default",
+     8136620840114081432ull, 1040641457206211724ull,
+     1863, 374, 374, 0, 0, 8029},
+    {"conv", "perl", "perfect",
+     8136620840114081432ull, 16109306354445152837ull,
+     0, 0, 0, 0, 0, 5254},
+    {"conv", "perl", "small",
+     8136620840114081432ull, 13009980039457826468ull,
+     1863, 277, 277, 0, 0, 7078},
+    {"conv", "vortex", "default",
+     381641752370258825ull, 6673979740203926897ull,
+     4796, 750, 750, 0, 0, 18173},
+    {"conv", "vortex", "perfect",
+     381641752370258825ull, 15328346891420579973ull,
+     0, 0, 0, 0, 0, 13267},
+    {"conv", "vortex", "small",
+     381641752370258825ull, 14698607582250325965ull,
+     4796, 693, 693, 0, 0, 17088},
+    {"conv", "short", "default",
+     17488226532326948006ull, 1136302020263270225ull,
+     20, 16, 16, 0, 0, 204},
+    {"conv", "short", "perfect",
+     17488226532326948006ull, 17320409490924411941ull,
+     0, 0, 0, 0, 0, 110},
+    {"conv", "short", "small",
+     17488226532326948006ull, 2367942810918238403ull,
+     20, 7, 7, 0, 0, 129},
+    {"conv", "long", "default",
+     12813965320366365239ull, 14720717564263562601ull,
+     6205, 561, 561, 0, 0, 24193},
+    {"conv", "long", "perfect",
+     12813965320366365239ull, 14950846157111402181ull,
+     0, 0, 0, 0, 0, 21043},
+    {"conv", "long", "small",
+     12813965320366365239ull, 9423573459440312555ull,
+     6205, 591, 591, 0, 0, 23852},
 };
 
 } // namespace
@@ -446,47 +591,65 @@ TEST(BsaSource, PinnedWalkAcrossSuiteAndWindows)
 
     std::size_t row = 0;
     std::uint64_t faultRows = 0, hopRows = 0;
-    for (const Input &in : inputs) {
-        const TestRig &setup = *in.rig;
-        for (const auto &[cfgName, machine] : configs) {
-            SCOPED_TRACE(in.name + "/" + cfgName);
-            BsaFetchSource walk(setup.bsa, machine, setup.trace,
-                                setup.decoded);
-            PinnedWalk got{};
-            got.digest = fetchStreamDigest(walk);
-            got.predictions = walk.predictions();
-            got.mispredicts = walk.mispredicts();
-            got.trapMispredicts = walk.trapMispredicts();
-            got.faultMispredicts = walk.faultMispredicts();
-            got.cascadeHops = walk.cascadeHops();
-            BsaFetchSource timed(setup.bsa, machine, setup.trace,
-                                 setup.decoded);
-            got.cycles = simulatePipeline(timed, machine).cycles;
-            faultRows += got.faultMispredicts > 0;
-            hopRows += got.cascadeHops > 0;
+    for (const std::string machineName : {"bsa", "conv"}) {
+        for (const Input &in : inputs) {
+            const TestRig &setup = *in.rig;
+            const ConvLayout layout(setup.module);
+            const DecodedProgram convDecoded =
+                DecodedProgram::forModule(setup.module);
+            auto source = [&](const MachineConfig &machine)
+                -> std::unique_ptr<FetchSource> {
+                if (machineName == "conv")
+                    return std::make_unique<ConvFetchSource>(
+                        setup.module, layout, machine, setup.trace,
+                        convDecoded);
+                return std::make_unique<BsaFetchSource>(
+                    setup.bsa, machine, setup.trace, setup.decoded);
+            };
+            for (const auto &[cfgName, machine] : configs) {
+                SCOPED_TRACE(machineName + "/" + in.name + "/" + cfgName);
+                const std::unique_ptr<FetchSource> walk = source(machine);
+                PinnedWalk got{};
+                got.digest = fetchStreamDigest(*walk);
+                got.redirectDigest = redirectDigest(*source(machine));
+                got.predictions = walk->predictions();
+                got.mispredicts = walk->mispredicts();
+                got.trapMispredicts = walk->trapMispredicts();
+                got.faultMispredicts = walk->faultMispredicts();
+                got.cascadeHops = walk->cascadeHops();
+                got.cycles =
+                    simulatePipeline(*source(machine), machine).cycles;
+                faultRows += got.faultMispredicts > 0;
+                hopRows += got.cascadeHops > 0;
 
-            const std::string actual =
-                "    {\"" + in.name + "\", \"" + cfgName + "\", " +
-                std::to_string(got.digest) + "ull, " +
-                std::to_string(got.predictions) + ", " +
-                std::to_string(got.mispredicts) + ", " +
-                std::to_string(got.trapMispredicts) + ", " +
-                std::to_string(got.faultMispredicts) + ", " +
-                std::to_string(got.cascadeHops) + ", " +
-                std::to_string(got.cycles) + "},";
-            ASSERT_LT(row, std::size(kPinnedWalks)) << actual;
-            const PinnedWalk &want = kPinnedWalks[row++];
-            ASSERT_EQ(in.name, want.input);
-            ASSERT_EQ(cfgName, want.config);
-            EXPECT_EQ(got.digest, want.digest) << actual;
-            EXPECT_EQ(got.predictions, want.predictions) << actual;
-            EXPECT_EQ(got.mispredicts, want.mispredicts) << actual;
-            EXPECT_EQ(got.trapMispredicts, want.trapMispredicts)
-                << actual;
-            EXPECT_EQ(got.faultMispredicts, want.faultMispredicts)
-                << actual;
-            EXPECT_EQ(got.cascadeHops, want.cascadeHops) << actual;
-            EXPECT_EQ(got.cycles, want.cycles) << actual;
+                const std::string actual =
+                    "    {\"" + machineName + "\", \"" + in.name +
+                    "\", \"" + cfgName + "\",\n     " +
+                    std::to_string(got.digest) + "ull, " +
+                    std::to_string(got.redirectDigest) + "ull,\n     " +
+                    std::to_string(got.predictions) + ", " +
+                    std::to_string(got.mispredicts) + ", " +
+                    std::to_string(got.trapMispredicts) + ", " +
+                    std::to_string(got.faultMispredicts) + ", " +
+                    std::to_string(got.cascadeHops) + ", " +
+                    std::to_string(got.cycles) + "},";
+                ASSERT_LT(row, std::size(kPinnedWalks)) << actual;
+                const PinnedWalk &want = kPinnedWalks[row++];
+                ASSERT_EQ(machineName, want.machine);
+                ASSERT_EQ(in.name, want.input);
+                ASSERT_EQ(cfgName, want.config);
+                EXPECT_EQ(got.digest, want.digest) << actual;
+                EXPECT_EQ(got.redirectDigest, want.redirectDigest)
+                    << actual;
+                EXPECT_EQ(got.predictions, want.predictions) << actual;
+                EXPECT_EQ(got.mispredicts, want.mispredicts) << actual;
+                EXPECT_EQ(got.trapMispredicts, want.trapMispredicts)
+                    << actual;
+                EXPECT_EQ(got.faultMispredicts, want.faultMispredicts)
+                    << actual;
+                EXPECT_EQ(got.cascadeHops, want.cascadeHops) << actual;
+                EXPECT_EQ(got.cycles, want.cycles) << actual;
+            }
         }
     }
     EXPECT_EQ(row, std::size(kPinnedWalks));
