@@ -26,6 +26,8 @@ struct CacheConfig
     bool perfect = false;  //!< always hits (infinite cache)
 
     std::uint32_t numSets() const;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Access statistics. */
@@ -39,6 +41,8 @@ struct CacheStats
     {
         return accesses ? double(misses) / double(accesses) : 0.0;
     }
+
+    bool operator==(const CacheStats &) const = default;
 };
 
 class Cache

@@ -50,6 +50,8 @@ struct EnlargeConfig
     /** Profile-guided merging: only merge a trap whose taken-bias
      *  max(p, 1-p) is at least this (0 disables the filter). */
     double minMergeBias = 0.0;
+
+    bool operator==(const EnlargeConfig &) const = default;
 };
 
 /** Aggregate statistics of an enlargement run. */

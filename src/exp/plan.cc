@@ -54,7 +54,7 @@ fieldCount()
 static_assert(fieldCount<RunConfig>() == 4);
 static_assert(fieldCount<MachineConfig>() == 12);
 static_assert(fieldCount<CacheConfig>() == 4);
-static_assert(fieldCount<PredictorConfig>() == 7);
+static_assert(fieldCount<PredictorConfig>() == 6);
 static_assert(fieldCount<OooParams>() == 5);
 static_assert(fieldCount<EnlargeConfig>() == 7);
 static_assert(fieldCount<Interp::Limits>() == 2);
@@ -70,7 +70,8 @@ runConfigDigest(const RunConfig &c)
     // config's figure for another; the static_asserts above and
     // test_sweep's per-field sensitivity check guard every field, and
     // new fields must be appended *at the end* (order is part of the
-    // digest's identity).
+    // digest's identity).  A removed field leaves a constant in its
+    // slot, so no stored unit key moves.
     return Fnv1a64()
         .u64(c.machine.issueWidth)
         .u64(c.machine.windowOps)
@@ -92,7 +93,7 @@ runConfigDigest(const RunConfig &c)
         .u64(c.machine.predictor.historyEntries)
         .u64(c.machine.predictor.btbEntries)
         .u64(c.machine.predictor.btbAssoc)
-        .u64(c.machine.predictor.perfect ? 1 : 0)
+        .u64(0)  // retired: PredictorConfig::perfect
         .u64(c.machine.perfectPrediction ? 1 : 0)
         .u64(c.enlarge.maxOps)
         .u64(c.enlarge.maxFaults)

@@ -15,10 +15,6 @@
 #include <sstream>
 #include <type_traits>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "sim/interp.hh"
 #include "support/digest.hh"
 #include "support/lockfile.hh"
@@ -64,17 +60,6 @@ constexpr std::uint32_t resultFrameMagic = 0x30434552;  // "REC0"
 
 std::atomic<bool> warnedDuplicate{false};
 std::atomic<bool> warnedWrite{false};
-std::atomic<std::uint64_t> tempSeq{0};
-
-std::uint64_t
-processTag()
-{
-#if defined(__unix__) || defined(__APPLE__)
-    return std::uint64_t(::getpid());
-#else
-    return 0;
-#endif
-}
 
 constexpr char snapshotName[] = "snapshot.bsr";
 
@@ -131,29 +116,6 @@ readWholeFile(const std::string &path, std::string &out)
     std::ostringstream buf;
     buf << in.rdbuf();
     out = buf.str();
-    return true;
-}
-
-/** Atomically publish @p bytes as @p path (temp + rename). */
-bool
-publishFile(const std::string &path, const std::string &bytes)
-{
-    const std::string temp =
-        path + ".tmp-" + std::to_string(processTag()) + "-" +
-        std::to_string(
-            tempSeq.fetch_add(1, std::memory_order_relaxed));
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out || !out.write(bytes.data(),
-                               std::streamsize(bytes.size()))) {
-            std::remove(temp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0) {
-        std::remove(temp.c_str());
-        return false;
-    }
     return true;
 }
 
@@ -302,9 +264,9 @@ ResultStore::append(const ResultRecord &record)
         // random salt so re-executed pids and non-unix builds (pid
         // tag 0) never collide on a shared directory.
         std::random_device rd;
-        shardPath = dir + "/shard-" + std::to_string(processTag()) +
-                    "-" + std::to_string(std::uint64_t(rd()) << 32 |
-                                         rd()) +
+        shardPath = dir + "/shard-" +
+                    std::to_string(currentProcessId()) + "-" +
+                    std::to_string(std::uint64_t(rd()) << 32 | rd()) +
                     ".bsr";
         shard.open(shardPath, std::ios::binary | std::ios::trunc);
         std::string header;
@@ -367,7 +329,7 @@ ResultStore::compact()
         // shard was closed above, and a dead writer's shard is fully
         // merged, so both are safe to unlink.
         const std::uint64_t writer = shardWriterPid(path);
-        if (writer != 0 && writer != processTag() &&
+        if (writer != 0 && writer != currentProcessId() &&
             processAlive(writer)) {
             kept.push_back(path);
             continue;

@@ -171,29 +171,6 @@ runBlockStructuredBatch(const BsaModule &bsa,
         });
 }
 
-namespace
-{
-
-/** Block-structured lanes may only share a walk when they would
- *  enlarge to the same BsaModule. */
-bool
-sameEnlargement(const RunConfig &a, const RunConfig &b)
-{
-    return a.enlarge.maxOps == b.enlarge.maxOps &&
-           a.enlarge.maxFaults == b.enlarge.maxFaults &&
-           a.enlarge.mergeAcrossBackEdges ==
-               b.enlarge.mergeAcrossBackEdges &&
-           a.enlarge.enlargeLibraryFunctions ==
-               b.enlarge.enlargeLibraryFunctions &&
-           a.enlarge.enabled == b.enlarge.enabled &&
-           a.enlarge.maxVariantsPerHead ==
-               b.enlarge.maxVariantsPerHead &&
-           a.enlarge.minMergeBias == b.enlarge.minMergeBias &&
-           a.minMergeBias == b.minMergeBias;
-}
-
-} // namespace
-
 std::size_t
 PairSweep::addBenchmark(const Module &module, const ExecTrace &trace)
 {
@@ -224,7 +201,7 @@ PairSweep::plan()
     // serializes its lockstep lanes behind them.  The conventional
     // machine is independent of the enlargement parameters, so any
     // such config mix shares one walk; block-structured lanes must
-    // also share one BsaModule.
+    // also share one BsaModule (equal enlargement parameters).
     for (std::size_t b = 0; b < benches.size(); ++b) {
         for (const bool blockStructured : {false, true}) {
             const std::size_t first = batches.size();
@@ -236,7 +213,8 @@ PairSweep::plan()
                     return head.machine.timingModel ==
                                config.machine.timingModel &&
                            (!blockStructured ||
-                            sameEnlargement(head, config));
+                            (head.enlarge == config.enlarge &&
+                             head.minMergeBias == config.minMergeBias));
                 };
                 const auto it = std::find_if(
                     batches.begin() + std::ptrdiff_t(first),

@@ -29,6 +29,8 @@ struct RunConfig
     /** Collect a profile first and filter merges by bias (section-6
      *  extension); 0 disables. */
     double minMergeBias = 0.0;
+
+    bool operator==(const RunConfig &) const = default;
 };
 
 /** Results for one benchmark under one configuration. */

@@ -40,15 +40,6 @@ namespace
 {
 
 std::string
-hex16(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
 planMarkerPath(const std::string &storeDir, std::uint64_t specDigest)
 {
     return storeDir + "/plan-" + hex16(specDigest) + ".plan";
@@ -60,33 +51,10 @@ leasePath(const std::string &storeDir, std::uint64_t chunkKey)
     return storeDir + "/lease-" + hex16(chunkKey) + ".lease";
 }
 
-/** Atomically publish @p bytes as @p path (temp + rename; same
- *  discipline as the trace and results stores). */
-bool
-publishTextFile(const std::string &path, const std::string &bytes)
-{
-#if BSISA_HAVE_FORK
-    const std::uint64_t pid = std::uint64_t(::getpid());
-#else
-    const std::uint64_t pid = 0;
-#endif
-    const std::string temp = path + ".tmp-" + std::to_string(pid);
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out || !out.write(bytes.data(),
-                               std::streamsize(bytes.size()))) {
-            std::remove(temp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0) {
-        std::remove(temp.c_str());
-        return false;
-    }
-    return true;
-}
-
-/** The completion marker: "units N" then one hex unit key per line. */
+/** The completion marker: "units N" then one hex unit key per line.
+ *  A marker that does not hold exactly N keys (truncated, oversized,
+ *  or declaring a count it does not hold) reads as absent.  Nothing
+ *  is sized from N, so a corrupt count cannot exhaust memory. */
 bool
 readPlanMarker(const std::string &path,
                std::vector<std::uint64_t> &keys)
@@ -97,14 +65,10 @@ readPlanMarker(const std::string &path,
     if (!in || !(in >> tag >> count) || tag != "units")
         return false;
     keys.clear();
-    keys.reserve(count);
     std::string hex;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!(in >> hex))
-            return false;
+    while (in >> hex)
         keys.push_back(std::strtoull(hex.c_str(), nullptr, 16));
-    }
-    return true;
+    return keys.size() == count;
 }
 
 void
@@ -114,7 +78,7 @@ writePlanMarker(const std::string &path, const SweepPlan &plan)
     os << "units " << plan.units.size() << "\n";
     for (const WorkUnit &unit : plan.units)
         os << hex16(unit.key) << "\n";
-    publishTextFile(path, os.str());
+    publishFile(path, os.str());
 }
 
 /** Probe that @p dir accepts file creation.  A worker whose store is
@@ -124,13 +88,8 @@ writePlanMarker(const std::string &path, const SweepPlan &plan)
 bool
 storeWritable(const std::string &dir)
 {
-#if BSISA_HAVE_FORK
-    const std::uint64_t pid = std::uint64_t(::getpid());
-#else
-    const std::uint64_t pid = 0;
-#endif
     const std::string probe =
-        dir + "/.probe-" + std::to_string(pid);
+        dir + "/.probe-" + std::to_string(currentProcessId());
     {
         std::ofstream out(probe, std::ios::binary | std::ios::trunc);
         if (!out)
@@ -303,8 +262,9 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
         store.refresh();
     }
 
-    std::error_code ec;
-    if (!std::filesystem::exists(markerPath, ec))
+    // A missing or unreadable marker is (re)written; a peer's valid
+    // one is left alone.
+    if (!readPlanMarker(markerPath, markerKeys))
         writePlanMarker(markerPath, plan);
     return outcome;
 }

@@ -457,10 +457,6 @@ const ConfigKeyDef configKeys[] = {
      [](RunConfig &c, const KeyValue &v) {
          c.machine.predictor.phtBits = unsigned(v.u);
      }},
-    {"predictor_perfect", KeyKind::Bool,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.predictor.perfect = v.b;
-     }},
     {"predictor_scheme", KeyKind::Scheme,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.predictor.scheme = v.scheme;

@@ -11,8 +11,6 @@
 
 #include "fuzz/oracle.hh"
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +29,7 @@
 #include "sim/ooo/ooo.hh"
 #include "sim/trace.hh"
 #include "sim/trace_store.hh"
+#include "support/lockfile.hh"
 #include "support/parallel.hh"
 
 namespace bsisa
@@ -188,7 +187,8 @@ checkInterp(const Module &module, const ExecTrace &trace,
     namespace fs = std::filesystem;
     fs::path dir = options.scratchDir.empty()
                        ? fs::temp_directory_path() /
-                             ("bsisa-fuzz-" + std::to_string(getpid()))
+                             ("bsisa-fuzz-" +
+                              std::to_string(currentProcessId()))
                        : fs::path(options.scratchDir);
     std::error_code ec;
     fs::create_directories(dir, ec);
@@ -430,28 +430,6 @@ checkEnlarge(const Module &module, const ExecTrace &trace,
 
 // --------------------------------------------------- models oracle
 
-bool
-sameSim(const SimResult &a, const SimResult &b)
-{
-    return a.cycles == b.cycles && a.retiredOps == b.retiredOps &&
-           a.retiredUnits == b.retiredUnits &&
-           a.wrongPathOps == b.wrongPathOps &&
-           a.predictions == b.predictions &&
-           a.mispredicts == b.mispredicts &&
-           a.trapMispredicts == b.trapMispredicts &&
-           a.faultMispredicts == b.faultMispredicts &&
-           a.cascadeHops == b.cascadeHops &&
-           a.stallRedirect == b.stallRedirect &&
-           a.stallWindow == b.stallWindow &&
-           a.stallIcache == b.stallIcache &&
-           a.peakWindowUnits == b.peakWindowUnits &&
-           a.peakWindowOps == b.peakWindowOps &&
-           a.icache.accesses == b.icache.accesses &&
-           a.icache.misses == b.icache.misses &&
-           a.dcache.accesses == b.dcache.accesses &&
-           a.dcache.misses == b.dcache.misses;
-}
-
 /** The invariants every SimResult must satisfy, any machine. */
 OracleResult
 checkSimInvariants(const SimResult &r, const MachineConfig &machine,
@@ -499,10 +477,9 @@ checkModels(const Module &module, const ExecTrace &trace,
     if (conv.retiredUnits != trace.eventCount)
         return fail("models", "conv retired-unit count diverged from "
                               "the committed block stream");
-    if (!sameSim(conv, runConventional(module, machine, trace)))
+    if (conv != runConventional(module, machine, trace))
         return fail("models", "conv rerun on the same trace differs");
-    if (!sameSim(conv, runConventional(module, machine,
-                                       options.limits)))
+    if (conv != runConventional(module, machine, options.limits))
         return fail("models", "conv live interpretation differs from "
                               "trace replay");
 
@@ -519,7 +496,7 @@ checkModels(const Module &module, const ExecTrace &trace,
     if (bs.retiredUnits > trace.eventCount)
         return fail("models", "bsa retired more units than the "
                               "conventional block stream");
-    if (!sameSim(bs, runBlockStructured(bsa, machine, trace)))
+    if (bs != runBlockStructured(bsa, machine, trace))
         return fail("models", "bsa rerun on the same trace differs");
 
     // Trace-cache machine.
@@ -569,7 +546,7 @@ checkModels(const Module &module, const ExecTrace &trace,
     else
         unsetenv("BSISA_JOBS");
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (!sameSim(serial[i], fanned[i])) {
+        if (serial[i] != fanned[i]) {
             return fail("models",
                         "grid point " + std::to_string(i) +
                             " differs between BSISA_JOBS=1 and =3");
@@ -630,7 +607,7 @@ checkLockstep(const Module &module, const ExecTrace &trace,
     const std::vector<SimResult> batched =
         runConventionalBatch(module, grid, trace);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!sameSim(seq[i], batched[i])) {
+        if (seq[i] != batched[i]) {
             return fail("lockstep",
                         "conv lane " + std::to_string(i) +
                             " differs from independent replay");
@@ -641,7 +618,7 @@ checkLockstep(const Module &module, const ExecTrace &trace,
     const std::vector<SimResult> oddBatch =
         runConventionalBatch(module, odd, trace);
     for (std::size_t i = 0; i < odd.size(); ++i) {
-        if (!sameSim(seq[i], oddBatch[i])) {
+        if (seq[i] != oddBatch[i]) {
             return fail("lockstep",
                         "conv partial-batch lane " +
                             std::to_string(i) + " differs");
@@ -656,7 +633,7 @@ checkLockstep(const Module &module, const ExecTrace &trace,
     const std::vector<SimResult> bbatch =
         runBlockStructuredBatch(bsa, grid, trace);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!sameSim(bseq[i], bbatch[i])) {
+        if (bseq[i] != bbatch[i]) {
             return fail("lockstep",
                         "bsa lane " + std::to_string(i) +
                             " differs from independent replay");
@@ -667,7 +644,7 @@ checkLockstep(const Module &module, const ExecTrace &trace,
     const std::vector<SimResult> rbatch =
         runBlockStructuredBatch(bsa, rev, trace);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!sameSim(bseq[grid.size() - 1 - i], rbatch[i])) {
+        if (bseq[grid.size() - 1 - i] != rbatch[i]) {
             return fail("lockstep",
                         "bsa reversed lane " + std::to_string(i) +
                             " differs from independent replay");
@@ -763,12 +740,12 @@ checkOoo(const Module &module, const ExecTrace &trace,
     {
         OooTelemetry again;
         ConvFetchSource source(module, layout, oooM, trace, decoded);
-        if (!sameSim(conv, simulateOoO(source, oooM, &again)) ||
+        if (conv != simulateOoO(source, oooM, &again) ||
             again.commitDigest != tel.commitDigest)
             return fail("ooo", "conv rerun on the same trace differs");
     }
     // The runner must dispatch timing_model=ooo to this backend.
-    if (!sameSim(conv, runConventional(module, oooM, trace)))
+    if (conv != runConventional(module, oooM, trace))
         return fail("ooo", "runner dispatch differs from direct "
                            "simulateOoO");
     // Same committed stream as the abstract model; only the cycle
@@ -801,7 +778,7 @@ checkOoo(const Module &module, const ExecTrace &trace,
             return fail("ooo", "bsa commit-order digest differs from "
                                "the emit-time fetch-stream digest");
     }
-    if (!sameSim(bs, runBlockStructured(bsa, oooM, trace)))
+    if (bs != runBlockStructured(bsa, oooM, trace))
         return fail("ooo", "bsa rerun on the same trace differs");
 
     // Trace-cache machine through the runner dispatch.
@@ -811,8 +788,7 @@ checkOoo(const Module &module, const ExecTrace &trace,
     if (tc.sim.retiredOps != trace.dynOps)
         return fail("ooo", "tcache committed-op count diverged from "
                            "the functional execution");
-    if (!sameSim(tc.sim,
-                 runTraceCache(module, oooM, tcConfig, trace).sim))
+    if (tc.sim != runTraceCache(module, oooM, tcConfig, trace).sim)
         return fail("ooo", "tcache rerun on the same trace differs");
 
     // A mixed abstract/ooo grid through the batch entry points must
@@ -830,7 +806,7 @@ checkOoo(const Module &module, const ExecTrace &trace,
     const std::vector<SimResult> batch =
         runConventionalBatch(module, mixed, trace);
     for (std::size_t i = 0; i < mixed.size(); ++i) {
-        if (!sameSim(seq[i], batch[i])) {
+        if (seq[i] != batch[i]) {
             return fail("ooo", "mixed conv batch lane " +
                                    std::to_string(i) +
                                    " differs from per-config run");
@@ -842,7 +818,7 @@ checkOoo(const Module &module, const ExecTrace &trace,
     const std::vector<SimResult> bbatch =
         runBlockStructuredBatch(bsa, mixed, trace);
     for (std::size_t i = 0; i < mixed.size(); ++i) {
-        if (!sameSim(bseq[i], bbatch[i])) {
+        if (bseq[i] != bbatch[i]) {
             return fail("ooo", "mixed bsa batch lane " +
                                    std::to_string(i) +
                                    " differs from per-config run");

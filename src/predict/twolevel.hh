@@ -42,7 +42,8 @@ struct PredictorConfig
     unsigned historyEntries = 1024;
     unsigned btbEntries = 2048;
     unsigned btbAssoc = 4;
-    bool perfect = false;       //!< oracle mode
+
+    bool operator==(const PredictorConfig &) const = default;
 };
 
 /** Scheme name for reports. */

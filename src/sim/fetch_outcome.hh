@@ -119,19 +119,6 @@ struct FetchOutcomeStream
     }
 };
 
-/** The prediction statistics every fetch walker keeps. */
-struct FetchWalkCounters
-{
-    std::uint64_t nPredictions = 0;
-    /** Mispredicts resolved by the previous unit's terminator. */
-    std::uint64_t nTrapMiss = 0;
-    /** Mispredicts resolved by a fault in the wrong block (BSA). */
-    std::uint64_t nFaultMiss = 0;
-    /** Wrong blocks walked in fault-target cascades (BSA). */
-    std::uint64_t nCascadeHops = 0;
-    std::uint64_t nFetchSteps = 0;  //!< records captured in total
-};
-
 /**
  * The one-walker reader: a fetch source that runs a single walker,
  * captures one window of its records at a time and serves next()
@@ -185,26 +172,7 @@ class WalkFetchSource : public FetchSource
         return true;
     }
 
-    std::uint64_t predictions() const override
-    {
-        return walker.nPredictions;
-    }
-    std::uint64_t mispredicts() const override
-    {
-        return walker.nTrapMiss + walker.nFaultMiss;
-    }
-    std::uint64_t trapMispredicts() const override
-    {
-        return walker.nTrapMiss;
-    }
-    std::uint64_t faultMispredicts() const override
-    {
-        return walker.nFaultMiss;
-    }
-    std::uint64_t cascadeHops() const override
-    {
-        return walker.nCascadeHops;
-    }
+    FetchWalkCounters counters() const override { return walker; }
 
   private:
     Translation translation;

@@ -75,6 +75,19 @@ struct TimingUnit
     RedirectInfo redirect;
 };
 
+/** The prediction statistics every fetch source keeps. */
+struct FetchWalkCounters
+{
+    std::uint64_t nPredictions = 0;
+    /** Mispredicts resolved by the previous unit's terminator. */
+    std::uint64_t nTrapMiss = 0;
+    /** Mispredicts resolved by a fault in the wrong block (BSA). */
+    std::uint64_t nFaultMiss = 0;
+    /** Wrong blocks walked in fault-target cascades (BSA). */
+    std::uint64_t nCascadeHops = 0;
+    std::uint64_t nFetchSteps = 0;  //!< records captured in total
+};
+
 class FetchSource
 {
   public:
@@ -83,12 +96,8 @@ class FetchSource
     /** Produce the next committed unit; false at end of program. */
     virtual bool next(TimingUnit &unit) = 0;
 
-    /** Successor predictions made so far. */
-    virtual std::uint64_t predictions() const = 0;
-    virtual std::uint64_t mispredicts() const = 0;
-    virtual std::uint64_t trapMispredicts() const = 0;
-    virtual std::uint64_t faultMispredicts() const = 0;
-    virtual std::uint64_t cascadeHops() const = 0;
+    /** Prediction statistics of the units produced so far. */
+    virtual FetchWalkCounters counters() const = 0;
 };
 
 } // namespace bsisa

@@ -82,6 +82,8 @@ class Interp
     {
         std::uint64_t maxOps = 1ull << 62;
         std::uint64_t maxBlocks = 1ull << 62;
+
+        bool operator==(const Limits &) const = default;
     };
 
     Interp(const Module &module, Limits limits);

@@ -82,13 +82,6 @@ secondsBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-bool
-sameCacheConfig(const CacheConfig &a, const CacheConfig &b)
-{
-    return a.sizeBytes == b.sizeBytes && a.assoc == b.assoc &&
-           a.lineBytes == b.lineBytes && a.perfect == b.perfect;
-}
-
 } // namespace
 
 const LockstepFetchStats &
@@ -148,8 +141,7 @@ LanePipelines::shareIcache(std::size_t leader, std::size_t follower)
     BSISA_ASSERT(leader < follower,
                  "leader must step before its follower: batches step "
                  "lanes in ascending order");
-    BSISA_ASSERT(sameCacheConfig(configs[leader].icache,
-                                 configs[follower].icache),
+    BSISA_ASSERT(configs[leader].icache == configs[follower].icache,
                  "icache sharing requires identical geometry");
     icacheLeaderOf[follower] = static_cast<std::int32_t>(leader);
 }
@@ -170,7 +162,7 @@ LanePipelines::shareDcachePool(const std::uint64_t *addrs,
         const CacheConfig &cfg = configs[l].dcache;
         std::int32_t stream = -1;
         for (std::size_t s = 0; s < owner.size(); ++s) {
-            if (sameCacheConfig(cfg, configs[owner[s]].dcache)) {
+            if (cfg == configs[owner[s]].dcache) {
                 stream = static_cast<std::int32_t>(s);
                 break;
             }
@@ -617,29 +609,19 @@ LanePipelines::takeResult(std::size_t lane) const
 }
 
 void
-fillSourceStats(SimResult &result, const FetchSource &source)
+fillSourceStats(SimResult &result, const FetchWalkCounters &counters)
 {
-    result.predictions = source.predictions();
-    result.mispredicts = source.mispredicts();
-    result.trapMispredicts = source.trapMispredicts();
-    result.faultMispredicts = source.faultMispredicts();
-    result.cascadeHops = source.cascadeHops();
+    result.predictions = counters.nPredictions;
+    result.mispredicts = counters.nTrapMiss + counters.nFaultMiss;
+    result.trapMispredicts = counters.nTrapMiss;
+    result.faultMispredicts = counters.nFaultMiss;
+    result.cascadeHops = counters.nCascadeHops;
 }
 
 // ------------------------------------------- config structure probes
 
 namespace
 {
-
-bool
-samePredictorConfig(const PredictorConfig &a, const PredictorConfig &b)
-{
-    return a.scheme == b.scheme && a.historyBits == b.historyBits &&
-           a.phtBits == b.phtBits &&
-           a.historyEntries == b.historyEntries &&
-           a.btbEntries == b.btbEntries && a.btbAssoc == b.btbAssoc &&
-           a.perfect == b.perfect;
-}
 
 /** Same prediction *state* evolution: identical predictor geometry,
  *  or both oracle (perfect prediction never touches the predictor, so
@@ -649,26 +631,22 @@ samePredictionState(const MachineConfig &a, const MachineConfig &b)
 {
     if (a.perfectPrediction != b.perfectPrediction)
         return false;
-    return a.perfectPrediction ||
-           samePredictorConfig(a.predictor, b.predictor);
+    return a.perfectPrediction || a.predictor == b.predictor;
 }
 
 /** Effectively identical machines produce bit-identical SimResults on
  *  the same stream, so a sweep grid that contains them (oracle rows
  *  swept over predictor geometry do this by construction) needs only
- *  one lane per equivalence class. */
+ *  one lane per equivalence class: the same prediction state, and
+ *  equal in every field the abstract pipeline reads. */
 bool
-sameEffectiveConfig(const MachineConfig &a, const MachineConfig &b)
+sameEffectiveConfig(MachineConfig a, MachineConfig b)
 {
-    return a.issueWidth == b.issueWidth &&
-           a.windowOps == b.windowOps &&
-           a.windowUnits == b.windowUnits &&
-           a.frontendDepth == b.frontendDepth &&
-           a.redirectPenalty == b.redirectPenalty &&
-           a.l2Latency == b.l2Latency &&
-           sameCacheConfig(a.icache, b.icache) &&
-           sameCacheConfig(a.dcache, b.dcache) &&
-           samePredictionState(a, b);
+    if (!samePredictionState(a, b))
+        return false;
+    b.predictor = a.predictor;
+    b.ooo = a.ooo;
+    return a == b;
 }
 
 /** Collapse @p machines to its effective-config equivalence classes;
@@ -765,8 +743,7 @@ shareGroupIcaches(LanePipelines &pipes,
 {
     for (std::size_t i = 1; i < group.size(); ++i) {
         for (std::size_t j = 0; j < i; ++j) {
-            if (sameCacheConfig(configs[group[i]].icache,
-                                configs[group[j]].icache)) {
+            if (configs[group[i]].icache == configs[group[j]].icache) {
                 pipes.shareIcache(group[j], group[i]);
                 break;
             }
@@ -1007,14 +984,9 @@ LockstepEngine<Walker>::run()
 
     std::vector<SimResult> out(n);
     for (const Group &group : groups) {
-        const FetchWalkCounters &w = group.walker;
         for (const std::size_t l : group.lanes) {
             out[l] = pipes.takeResult(l);
-            out[l].predictions = w.nPredictions;
-            out[l].mispredicts = w.nTrapMiss + w.nFaultMiss;
-            out[l].trapMispredicts = w.nTrapMiss;
-            out[l].faultMispredicts = w.nFaultMiss;
-            out[l].cascadeHops = w.nCascadeHops;
+            fillSourceStats(out[l], group.walker);
         }
     }
     return out;

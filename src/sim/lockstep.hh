@@ -365,8 +365,11 @@ lockstepBlockStructured(const BsaModule &bsa,
                         const std::vector<MachineConfig> &machines,
                         const ExecTrace &trace);
 
-/** Copy the fetch-side statistics of @p source into @p result. */
-void fillSourceStats(SimResult &result, const FetchSource &source);
+/** Copy fetch-side prediction statistics into @p result: the one
+ *  mapping from FetchWalkCounters to SimResult fields, shared by the
+ *  singleton, OoO and lockstep paths. */
+void fillSourceStats(SimResult &result,
+                     const FetchWalkCounters &counters);
 
 } // namespace bsisa
 

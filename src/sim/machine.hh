@@ -87,6 +87,8 @@ struct OooParams
 
     /** Operations committed per cycle from the ROB head. */
     unsigned commitWidth = 16;
+
+    bool operator==(const OooParams &) const = default;
 };
 
 struct MachineConfig
@@ -122,6 +124,8 @@ struct MachineConfig
     TimingModel timingModel = TimingModel::Abstract;
 
     OooParams ooo;
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /** Aggregate result of one timing simulation. */
@@ -169,6 +173,8 @@ struct SimResult
                    ? 1.0 - double(mispredicts) / double(predictions)
                    : 1.0;
     }
+
+    bool operator==(const SimResult &) const = default;
 };
 
 /** SimResult of the trace-cache-augmented machine, plus the trace

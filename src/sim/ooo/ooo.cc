@@ -505,7 +505,7 @@ simulateOoO(FetchSource &source, const MachineConfig &config,
         engine.step(unit);
 
     SimResult result = engine.finish();
-    fillSourceStats(result, source);
+    fillSourceStats(result, source.counters());
     return result;
 }
 

@@ -33,7 +33,7 @@ simulatePipeline(FetchSource &source, const MachineConfig &config)
         lane.step(0, unit);
 
     SimResult result = lane.takeResult(0);
-    fillSourceStats(result, source);
+    fillSourceStats(result, source.counters());
     return result;
 }
 

@@ -28,7 +28,7 @@ TraceCacheFetchSource::predictTrap(const TraceEvent &ev)
     const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
     if (perfect)
         return ev.taken;
-    ++nPredictions;
+    ++counts.nPredictions;
     const bool predicted = predictor.predictTaken(pc);
     predictor.update(pc, ev.taken);
     return predicted;
@@ -47,10 +47,10 @@ TraceCacheFetchSource::handleExit(const TraceEvent &ev)
       case ExitKind::Ret: {
         if (perfect)
             break;
-        ++nPredictions;
+        ++counts.nPredictions;
         const std::uint64_t actual = blockToken(ev.nextFunc, ev.nextBlock);
         if (predictor.popReturn() != actual) {
-            ++nMispredicts;
+            ++counts.nTrapMiss;
             pendingRedirect.mispredicted = true;
         }
         break;
@@ -58,12 +58,12 @@ TraceCacheFetchSource::handleExit(const TraceEvent &ev)
       case ExitKind::IJump: {
         if (perfect)
             break;
-        ++nPredictions;
+        ++counts.nPredictions;
         const std::uint64_t actual = blockToken(ev.nextFunc, ev.nextBlock);
         const std::uint64_t predicted = predictor.predictTarget(pc);
         predictor.updateTarget(pc, actual);
         if (predicted != actual) {
-            ++nMispredicts;
+            ++counts.nTrapMiss;
             pendingRedirect.mispredicted = true;
         }
         break;
@@ -203,7 +203,7 @@ TraceCacheFetchSource::next(TimingUnit &unit)
             if (trap_idx < predictedDirs.size()) {
                 predicted = predictedDirs[trap_idx];
                 if (!perfect) {
-                    ++nPredictions;
+                    ++counts.nPredictions;
                     predictor.update(
                         layout.addrOf(ev.func, ev.block), ev.taken);
                 }
@@ -212,7 +212,7 @@ TraceCacheFetchSource::next(TimingUnit &unit)
             }
             ++trap_idx;
             if (predicted != ev.taken) {
-                ++nMispredicts;
+                ++counts.nTrapMiss;
                 pendingRedirect.mispredicted = true;
                 pendingRedirect.resolveOpIdx =
                     static_cast<unsigned>(emitOps.size() - 1);

@@ -41,14 +41,7 @@ class TraceCacheFetchSource : public FetchSource
 
     bool next(TimingUnit &unit) override;
 
-    std::uint64_t predictions() const override { return nPredictions; }
-    std::uint64_t mispredicts() const override { return nMispredicts; }
-    std::uint64_t trapMispredicts() const override
-    {
-        return nMispredicts;
-    }
-    std::uint64_t faultMispredicts() const override { return 0; }
-    std::uint64_t cascadeHops() const override { return 0; }
+    FetchWalkCounters counters() const override { return counts; }
 
     /** Trace-cache hit/miss statistics. */
     std::uint64_t traceHits() const { return cache.hits(); }
@@ -81,8 +74,9 @@ class TraceCacheFetchSource : public FetchSource
     /** Direction predictions along the upcoming path, reused. */
     std::vector<bool> predictedDirs;
 
-    std::uint64_t nPredictions = 0;
-    std::uint64_t nMispredicts = 0;
+    /** Every mispredict resolves at a terminator, so all count as
+     *  trap mispredicts. */
+    FetchWalkCounters counts;
 
     /** Predict the direction of the trap ending @p ev's block; counts
      *  and trains.  Returns predicted direction. */

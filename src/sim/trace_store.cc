@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +31,7 @@
 #include "ir/textform.hh"
 #include "support/digest.hh"
 #include "support/env.hh"
+#include "support/lockfile.hh"
 #include "support/logging.hh"
 #include "support/varint.hh"
 
@@ -54,7 +54,6 @@ std::atomic<std::uint64_t> statCold{0};
 std::atomic<std::uint64_t> statFallback{0};
 std::atomic<bool> warnedReject{false};
 std::atomic<bool> warnedWrite{false};
-std::atomic<std::uint64_t> tempSeq{0};
 
 /** A read-only file mapping; ExecTrace::backing keeps it alive. */
 class MappedFile
@@ -177,38 +176,6 @@ decodeEvents(const std::uint8_t *p, const std::uint8_t *end,
     return p == end && pool == addrCount;
 }
 
-/** Atomically publish @p bytes as @p path (temp file + rename). */
-bool
-writeEntryFile(const std::string &dir, const std::string &path,
-               const std::vector<std::uint8_t> &bytes)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::uint64_t seq =
-        tempSeq.fetch_add(1, std::memory_order_relaxed);
-#if BSISA_HAVE_MMAP
-    const std::uint64_t pid = std::uint64_t(::getpid());
-#else
-    const std::uint64_t pid = 0;
-#endif
-    const std::string temp = path + ".tmp-" + std::to_string(pid) +
-                             "-" + std::to_string(seq);
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out ||
-            !out.write(reinterpret_cast<const char *>(bytes.data()),
-                       std::streamsize(bytes.size()))) {
-            std::remove(temp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0) {
-        std::remove(temp.c_str());
-        return false;
-    }
-    return true;
-}
-
 /** Write-only stream buffer that feeds every byte written through it
  *  into an FNV-1a hasher, so a serialization can be hashed without
  *  materialising its text. */
@@ -272,10 +239,7 @@ TraceKey::fileName() const
                                 .u64(interpVersion)
                                 .u64(traceStoreFormatVersion)
                                 .value();
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return std::string(buf) + ".bstrace";
+    return hex16(h) + ".bstrace";
 }
 
 const char *
@@ -484,7 +448,11 @@ TraceStore::load(const Module &module, std::uint64_t digest,
     }
 
     ExecTrace trace = captureTrace(module, limits);
-    if (!writeEntryFile(dir, path, encodeTrace(trace, key)) &&
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    const std::vector<std::uint8_t> bytes = encodeTrace(trace, key);
+    if (!publishFile(path, {reinterpret_cast<const char *>(bytes.data()),
+                            bytes.size()}) &&
         !warnedWrite.exchange(true))
         warn("trace store: cannot write ", path,
              " (directory missing or not writable); captures will not "

@@ -1,7 +1,7 @@
 /**
  * @file
  * Advisory file-lease implementation (exclusive create + pid-based
- * stale-lease breaking).
+ * stale-lease breaking) and the stores' atomic file publish.
  */
 
 #include "support/lockfile.hh"
@@ -30,16 +30,16 @@ namespace
 
 std::atomic<std::uint64_t> uniqueSeq{0};
 
-#if BSISA_HAVE_LEASES
-
+/** `<path><tag><pid>-<seq>`: unique across processes and threads. */
 std::string
 uniqueSibling(const std::string &path, const char *tag)
 {
-    return path + tag + std::to_string(std::uint64_t(::getpid())) +
-           "-" +
+    return path + tag + std::to_string(currentProcessId()) + "-" +
            std::to_string(
                uniqueSeq.fetch_add(1, std::memory_order_relaxed));
 }
+
+#if BSISA_HAVE_LEASES
 
 /**
  * One exclusive-create attempt.  The "pid <pid>\n" line is written to
@@ -61,7 +61,7 @@ createExclusive(const std::string &path)
     char buf[48];
     const int len = std::snprintf(
         buf, sizeof(buf), "pid %llu\n",
-        static_cast<unsigned long long>(::getpid()));
+        static_cast<unsigned long long>(currentProcessId()));
     const bool wrote = ::write(fd, buf, std::size_t(len)) == len;
     ::close(fd);
     if (!wrote) {
@@ -95,6 +95,44 @@ malformedLeaseExpired(const std::string &path)
 #endif // BSISA_HAVE_LEASES
 
 } // namespace
+
+std::uint64_t
+currentProcessId()
+{
+#if BSISA_HAVE_LEASES
+    return std::uint64_t(::getpid());
+#else
+    return 0;
+#endif
+}
+
+std::string
+hex16(std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+bool
+publishFile(const std::string &path, std::string_view bytes)
+{
+    const std::string temp = uniqueSibling(path, ".tmp-");
+    {
+        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+        if (!out || !out.write(bytes.data(),
+                               std::streamsize(bytes.size()))) {
+            std::remove(temp.c_str());
+            return false;
+        }
+    }
+    if (std::rename(temp.c_str(), path.c_str()) != 0) {
+        std::remove(temp.c_str());
+        return false;
+    }
+    return true;
+}
 
 std::uint64_t
 leaseHolderPid(const std::string &path)

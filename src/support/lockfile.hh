@@ -1,6 +1,8 @@
 /**
  * @file
- * Advisory file leases for the multi-process sweep service.
+ * Advisory file leases for the multi-process sweep service, and the
+ * atomic temp-file-then-rename publish the trace store, the results
+ * store and the plan markers share.
  *
  * A lease is a lock *hint*, not a correctness mechanism: sweep work
  * units are idempotent and their publishes are atomic renames, so two
@@ -34,6 +36,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace bsisa
 {
@@ -81,6 +84,21 @@ class FileLease
 /** Read the holder pid recorded in a lease file; 0 when absent or
  *  malformed (tests, `bsisa-sweep status`). */
 std::uint64_t leaseHolderPid(const std::string &path);
+
+/** This process's id, or 0 on platforms without one.  Tags temp,
+ *  shard and lease files so concurrent writers never collide. */
+std::uint64_t currentProcessId();
+
+/** @p v as 16 lower-case hex digits (store file names, unit keys). */
+std::string hex16(std::uint64_t v);
+
+/**
+ * Atomically publish @p bytes as @p path: write a pid-tagged sibling
+ * temp file, then rename it over @p path, so a reader sees the old
+ * file or the complete new one, never a partial write.  False (and
+ * no temp left behind) on failure.
+ */
+bool publishFile(const std::string &path, std::string_view bytes);
 
 /** True when @p pid names a live process on this host.  Conservative:
  *  unknown (e.g. EPERM) counts as alive, so leases are only broken on

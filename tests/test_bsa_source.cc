@@ -21,6 +21,7 @@
 #include "sim/conv_source.hh"
 #include "sim/fetch_outcome.hh"
 #include "sim/interp.hh"
+#include "sim/lockstep.hh"
 #include "sim/ooo/ooo.hh"
 #include "sim/pipeline.hh"
 #include "support/digest.hh"
@@ -199,7 +200,8 @@ TEST(BsaSource, PerfectPredictionNeverMispredicts)
     TimingUnit unit;
     while (source.next(unit))
         EXPECT_FALSE(unit.redirect.mispredicted);
-    EXPECT_EQ(source.mispredicts(), 0u);
+    EXPECT_EQ(source.counters().nTrapMiss, 0u);
+    EXPECT_EQ(source.counters().nFaultMiss, 0u);
 }
 
 TEST(BsaSource, RealPredictorMispredictsAndClassifies)
@@ -230,13 +232,14 @@ TEST(BsaSource, RealPredictorMispredictsAndClassifies)
             ++trap_units;
         }
     }
-    EXPECT_EQ(source.mispredicts(),
-              source.trapMispredicts() + source.faultMispredicts());
+    SimResult stats;
+    fillSourceStats(stats, source.counters());
+    EXPECT_EQ(stats.mispredicts,
+              stats.trapMispredicts + stats.faultMispredicts);
     EXPECT_GT(trap_units, 0u);
-    EXPECT_EQ(source.trapMispredicts(), trap_units);
-    EXPECT_EQ(source.faultMispredicts(), fault_units);
-    const double acc =
-        1.0 - double(source.mispredicts()) / double(source.predictions());
+    EXPECT_EQ(stats.trapMispredicts, trap_units);
+    EXPECT_EQ(stats.faultMispredicts, fault_units);
+    const double acc = stats.branchAccuracy();
     EXPECT_GT(acc, 0.5);
     EXPECT_LT(acc, 1.0);
 }
@@ -612,11 +615,13 @@ TEST(BsaSource, PinnedWalkAcrossSuiteAndWindows)
                 PinnedWalk got{};
                 got.digest = fetchStreamDigest(*walk);
                 got.redirectDigest = redirectDigest(*source(machine));
-                got.predictions = walk->predictions();
-                got.mispredicts = walk->mispredicts();
-                got.trapMispredicts = walk->trapMispredicts();
-                got.faultMispredicts = walk->faultMispredicts();
-                got.cascadeHops = walk->cascadeHops();
+                SimResult counted;
+                fillSourceStats(counted, walk->counters());
+                got.predictions = counted.predictions;
+                got.mispredicts = counted.mispredicts;
+                got.trapMispredicts = counted.trapMispredicts;
+                got.faultMispredicts = counted.faultMispredicts;
+                got.cascadeHops = counted.cascadeHops;
                 got.cycles =
                     simulatePipeline(*source(machine), machine).cycles;
                 faultRows += got.faultMispredicts > 0;

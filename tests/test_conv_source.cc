@@ -110,7 +110,8 @@ TEST(ConvSource, RedirectsPointAtThePreviousTerminator)
         prev_ops = unit.opCount;
     }
     EXPECT_GT(mispredicted_units, 0u);
-    EXPECT_EQ(mispredicted_units, source.mispredicts());
+    EXPECT_EQ(mispredicted_units, source.counters().nTrapMiss);
+    EXPECT_EQ(source.counters().nFaultMiss, 0u);
 }
 
 TEST(ConvSource, IndirectJumpsArePredictedByLastTarget)

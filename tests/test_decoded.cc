@@ -38,6 +38,7 @@
 #include "sim/fetch_outcome.hh"
 #include "sim/pipeline.hh"
 #include "sim/trace_store.hh"
+#include "sim_result_print.hh"
 #include "workloads/specmix.hh"
 
 namespace
@@ -79,34 +80,6 @@ testLimits(const SpecBenchmark &bench)
     Interp::Limits limits;
     limits.maxOps = bench.scaledBudget(4000);
     return limits;
-}
-
-void
-expectSameCacheStats(const CacheStats &a, const CacheStats &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.misses, b.misses);
-}
-
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.retiredOps, b.retiredOps);
-    EXPECT_EQ(a.retiredUnits, b.retiredUnits);
-    EXPECT_EQ(a.wrongPathOps, b.wrongPathOps);
-    EXPECT_EQ(a.predictions, b.predictions);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.trapMispredicts, b.trapMispredicts);
-    EXPECT_EQ(a.faultMispredicts, b.faultMispredicts);
-    EXPECT_EQ(a.cascadeHops, b.cascadeHops);
-    EXPECT_EQ(a.stallRedirect, b.stallRedirect);
-    EXPECT_EQ(a.stallWindow, b.stallWindow);
-    EXPECT_EQ(a.stallIcache, b.stallIcache);
-    EXPECT_EQ(a.peakWindowUnits, b.peakWindowUnits);
-    EXPECT_EQ(a.peakWindowOps, b.peakWindowOps);
-    expectSameCacheStats(a.icache, b.icache);
-    expectSameCacheStats(a.dcache, b.dcache);
 }
 
 /** Check one decoded op against the Operation it caches. */
@@ -191,21 +164,21 @@ TEST(Decoded, ReplayMatchesInterpOnAllBenchmarks)
         const ExecTrace trace = captureTrace(m, limits);
         MachineConfig machine;
 
-        expectSameSim(runConventional(m, machine, limits),
-                      runConventional(m, machine, trace));
+        EXPECT_EQ(runConventional(m, machine, limits),
+                  runConventional(m, machine, trace));
 
         BsaModule bsa =
             enlargeModule(m, EnlargeConfig{}, nullptr, nullptr);
         layoutBsaModule(bsa);
-        expectSameSim(runBlockStructured(bsa, machine, limits),
-                      runBlockStructured(bsa, machine, trace));
+        EXPECT_EQ(runBlockStructured(bsa, machine, limits),
+                  runBlockStructured(bsa, machine, trace));
 
         const TraceCacheConfig tc;
         const TraceCacheResult live =
             runTraceCache(m, machine, tc, limits);
         const TraceCacheResult replay =
             runTraceCache(m, machine, tc, trace);
-        expectSameSim(live.sim, replay.sim);
+        EXPECT_EQ(live.sim, replay.sim);
         EXPECT_EQ(live.traceHits, replay.traceHits);
         EXPECT_EQ(live.traceMisses, replay.traceMisses);
     }

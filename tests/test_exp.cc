@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
@@ -34,6 +33,7 @@
 #include "sim/tc_source.hh"
 #include "sim/trace_store.hh"
 #include "support/digest.hh"
+#include "support/lockfile.hh"
 #include "support/parallel.hh"
 #include "workloads/synth.hh"
 
@@ -535,20 +535,6 @@ TEST(SuiteMemo, RacingDriversMatchSerialRuns)
 // on the abstract timing model.  A change to how these grids are
 // planned or batched must leave every value unchanged; a change that
 // moves one is a deliberate model event.
-
-namespace
-{
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-} // namespace
 
 TEST(PinnedOutputs, AblationRenders)
 {

@@ -26,6 +26,7 @@
 #include "sim/bsa_source.hh"
 #include "sim/fetch_outcome.hh"
 #include "sim/trace.hh"
+#include "sim_result_print.hh"
 #include "support/simd_dispatch.hh"
 #include "workloads/specmix.hh"
 
@@ -40,34 +41,6 @@ testLimits(const SpecBenchmark &bench)
     Interp::Limits limits;
     limits.maxOps = bench.scaledBudget(4000);
     return limits;
-}
-
-void
-expectSameCacheStats(const CacheStats &a, const CacheStats &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.misses, b.misses);
-}
-
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.retiredOps, b.retiredOps);
-    EXPECT_EQ(a.retiredUnits, b.retiredUnits);
-    EXPECT_EQ(a.wrongPathOps, b.wrongPathOps);
-    EXPECT_EQ(a.predictions, b.predictions);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.trapMispredicts, b.trapMispredicts);
-    EXPECT_EQ(a.faultMispredicts, b.faultMispredicts);
-    EXPECT_EQ(a.cascadeHops, b.cascadeHops);
-    EXPECT_EQ(a.stallRedirect, b.stallRedirect);
-    EXPECT_EQ(a.stallWindow, b.stallWindow);
-    EXPECT_EQ(a.stallIcache, b.stallIcache);
-    EXPECT_EQ(a.peakWindowUnits, b.peakWindowUnits);
-    EXPECT_EQ(a.peakWindowOps, b.peakWindowOps);
-    expectSameCacheStats(a.icache, b.icache);
-    expectSameCacheStats(a.dcache, b.dcache);
 }
 
 /** Sixteen configs disagreeing on issue width, predictor geometry,
@@ -161,8 +134,7 @@ TEST(Lockstep, BatchMatchesSequentialAcrossSuite)
         ASSERT_EQ(convBatch.size(), grid.size());
         for (std::size_t i = 0; i < grid.size(); ++i) {
             SCOPED_TRACE("conv lane " + std::to_string(i));
-            expectSameSim(runConventional(m, grid[i], trace),
-                          convBatch[i]);
+            EXPECT_EQ(runConventional(m, grid[i], trace), convBatch[i]);
         }
 
         // Block-structured machine.
@@ -174,8 +146,7 @@ TEST(Lockstep, BatchMatchesSequentialAcrossSuite)
         ASSERT_EQ(bsaBatch.size(), grid.size());
         for (std::size_t i = 0; i < grid.size(); ++i) {
             SCOPED_TRACE("bsa lane " + std::to_string(i));
-            expectSameSim(runBlockStructured(bsa, grid[i], trace),
-                          bsaBatch[i]);
+            EXPECT_EQ(runBlockStructured(bsa, grid[i], trace), bsaBatch[i]);
         }
     }
 }
@@ -211,8 +182,8 @@ TEST(Lockstep, OddBatchSizesMatchFullBatch)
                 runBlockStructuredBatch(bsa, sub, trace);
             for (std::size_t i = 0; i < n; ++i) {
                 SCOPED_TRACE("lane " + std::to_string(base + i));
-                expectSameSim(convFull[base + i], convSub[i]);
-                expectSameSim(bsaFull[base + i], bsaSub[i]);
+                EXPECT_EQ(convFull[base + i], convSub[i]);
+                EXPECT_EQ(bsaFull[base + i], bsaSub[i]);
             }
         }
     }
@@ -275,10 +246,8 @@ TEST(Lockstep, SharedStateGridsMatchSingletons)
     ASSERT_EQ(bsaBatch.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         SCOPED_TRACE("lane " + std::to_string(i));
-        expectSameSim(runConventional(m, grid[i], trace),
-                      convBatch[i]);
-        expectSameSim(runBlockStructured(bsa, grid[i], trace),
-                      bsaBatch[i]);
+        EXPECT_EQ(runConventional(m, grid[i], trace), convBatch[i]);
+        EXPECT_EQ(runBlockStructured(bsa, grid[i], trace), bsaBatch[i]);
     }
 }
 
@@ -315,8 +284,8 @@ TEST(Lockstep, PairSweepGroupsByModelAndEnlargement)
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
         const PairResult seq = runPair(m, configs[i], trace);
-        expectSameSim(seq.conv, results[i].conv);
-        expectSameSim(seq.bsa, results[i].bsa);
+        EXPECT_EQ(seq.conv, results[i].conv);
+        EXPECT_EQ(seq.bsa, results[i].bsa);
         EXPECT_EQ(seq.convCodeBytes, results[i].convCodeBytes);
         EXPECT_EQ(seq.bsaCodeBytes, results[i].bsaCodeBytes);
         EXPECT_EQ(seq.dynOps, results[i].dynOps);
@@ -373,8 +342,8 @@ TEST(Lockstep, EveryLaneCountOneThroughThirtyThree)
         ASSERT_EQ(bsa2.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
             SCOPED_TRACE("lane " + std::to_string(i));
-            expectSameSim(convSeq[i], conv[i]);
-            expectSameSim(bsaSeq[i], bsa2[i]);
+            EXPECT_EQ(convSeq[i], conv[i]);
+            EXPECT_EQ(bsaSeq[i], bsa2[i]);
         }
     }
 }
@@ -484,10 +453,8 @@ TEST(Lockstep, ScalarMatchesSingletonsAndSimdMatchesScalar)
 
     for (std::size_t i = 0; i < grid.size(); ++i) {
         SCOPED_TRACE("lane " + std::to_string(i));
-        expectSameSim(runConventional(m, grid[i], trace),
-                      convScalar[i]);
-        expectSameSim(runBlockStructured(bsa, grid[i], trace),
-                      bsaScalar[i]);
+        EXPECT_EQ(runConventional(m, grid[i], trace), convScalar[i]);
+        EXPECT_EQ(runBlockStructured(bsa, grid[i], trace), bsaScalar[i]);
     }
 
     // BSISA_FORCE_SCALAR must pin the scalar kernel through the
@@ -508,8 +475,8 @@ TEST(Lockstep, ScalarMatchesSingletonsAndSimdMatchesScalar)
         runBlockStructuredBatch(bsa, grid, trace);
     for (std::size_t i = 0; i < grid.size(); ++i) {
         SCOPED_TRACE("lane " + std::to_string(i));
-        expectSameSim(convScalar[i], convSimd[i]);
-        expectSameSim(bsaScalar[i], bsaSimd[i]);
+        EXPECT_EQ(convScalar[i], convSimd[i]);
+        EXPECT_EQ(bsaScalar[i], bsaSimd[i]);
     }
 }
 
@@ -571,8 +538,8 @@ TEST(Lockstep, FuzzCorpusReplayMatchesUnderBothKernels)
                 runBlockStructuredBatch(bsa, grid, trace);
             for (std::size_t i = 0; i < grid.size(); ++i) {
                 SCOPED_TRACE("lane " + std::to_string(i));
-                expectSameSim(convSeq[i], conv[i]);
-                expectSameSim(bsaSeq[i], bsaBatch[i]);
+                EXPECT_EQ(convSeq[i], conv[i]);
+                EXPECT_EQ(bsaSeq[i], bsaBatch[i]);
             }
         }
     }
@@ -609,7 +576,7 @@ TEST(Lockstep, SweepIsDeterministicAcrossJobs)
     ASSERT_EQ(serial.size(), fanned.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
-        expectSameSim(serial[i].conv, fanned[i].conv);
-        expectSameSim(serial[i].bsa, fanned[i].bsa);
+        EXPECT_EQ(serial[i].conv, fanned[i].conv);
+        EXPECT_EQ(serial[i].bsa, fanned[i].bsa);
     }
 }

@@ -22,6 +22,7 @@
 #include "sim/ooo/ooo.hh"
 #include "sim/ooo/rat.hh"
 #include "sim/trace.hh"
+#include "sim_result_print.hh"
 #include "support/parallel.hh"
 #include "support/rng.hh"
 
@@ -61,25 +62,6 @@ workloadModule()
     return m;
 }
 
-bool
-simEq(const SimResult &a, const SimResult &b)
-{
-    return a.cycles == b.cycles && a.retiredOps == b.retiredOps &&
-           a.retiredUnits == b.retiredUnits &&
-           a.wrongPathOps == b.wrongPathOps &&
-           a.predictions == b.predictions &&
-           a.mispredicts == b.mispredicts &&
-           a.stallRedirect == b.stallRedirect &&
-           a.stallWindow == b.stallWindow &&
-           a.stallIcache == b.stallIcache &&
-           a.peakWindowUnits == b.peakWindowUnits &&
-           a.peakWindowOps == b.peakWindowOps &&
-           a.icache.accesses == b.icache.accesses &&
-           a.icache.misses == b.icache.misses &&
-           a.dcache.accesses == b.dcache.accesses &&
-           a.dcache.misses == b.dcache.misses;
-}
-
 /** Fixed-stream fetch source for directed engine tests.  The decoded
  *  ops and address arrays live in the test and outlive the source. */
 class VecSource : public FetchSource
@@ -97,11 +79,7 @@ class VecSource : public FetchSource
     }
     void rewind() { at = 0; }
 
-    std::uint64_t predictions() const override { return 0; }
-    std::uint64_t mispredicts() const override { return 0; }
-    std::uint64_t trapMispredicts() const override { return 0; }
-    std::uint64_t faultMispredicts() const override { return 0; }
-    std::uint64_t cascadeHops() const override { return 0; }
+    FetchWalkCounters counters() const override { return {}; }
 
   private:
     std::size_t at = 0;
@@ -450,8 +428,8 @@ TEST(Ooo, DeterministicAcrossRerunsAndJobsFanning)
         unsetenv("BSISA_JOBS");
 
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(simEq(serial[i], fanned[i])) << "point " << i;
-        EXPECT_TRUE(simEq(serial[i], again[i])) << "point " << i;
+        EXPECT_EQ(serial[i], fanned[i]) << "point " << i;
+        EXPECT_EQ(serial[i], again[i]) << "point " << i;
     }
 }
 
@@ -475,7 +453,7 @@ TEST(Ooo, MixedModelBatchMatchesPerConfigRuns)
         runConventionalBatch(module, mixed, trace);
     ASSERT_EQ(batch.size(), mixed.size());
     for (std::size_t i = 0; i < mixed.size(); ++i)
-        EXPECT_TRUE(simEq(seq[i], batch[i])) << "lane " << i;
+        EXPECT_EQ(seq[i], batch[i]) << "lane " << i;
 
     // The backend must actually reorder: same committed stream, a
     // different cycle count than the abstract window model.

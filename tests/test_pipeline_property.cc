@@ -26,6 +26,7 @@
 #include "sim/bsa_interp.hh"
 #include "sim/interp.hh"
 #include "sim/trace.hh"
+#include "sim_result_print.hh"
 #include "support/rng.hh"
 
 using namespace bsisa;
@@ -191,19 +192,8 @@ TEST(FullPipelineProperty, TimingResultsAreBitIdenticalAcrossPaths)
         const std::vector<SimResult> batch = runConventionalBatch(
             m, std::vector<MachineConfig>{machine, narrow}, trace);
 
-        for (const SimResult *other : {&rerun, &batch[0]}) {
-            EXPECT_EQ(solo.cycles, other->cycles);
-            EXPECT_EQ(solo.retiredOps, other->retiredOps);
-            EXPECT_EQ(solo.retiredUnits, other->retiredUnits);
-            EXPECT_EQ(solo.wrongPathOps, other->wrongPathOps);
-            EXPECT_EQ(solo.stallRedirect, other->stallRedirect);
-            EXPECT_EQ(solo.stallWindow, other->stallWindow);
-            EXPECT_EQ(solo.stallIcache, other->stallIcache);
-            EXPECT_EQ(solo.peakWindowUnits, other->peakWindowUnits);
-            EXPECT_EQ(solo.peakWindowOps, other->peakWindowOps);
-            EXPECT_EQ(solo.icache.misses, other->icache.misses);
-            EXPECT_EQ(solo.dcache.misses, other->dcache.misses);
-        }
+        EXPECT_EQ(solo, rerun);
+        EXPECT_EQ(solo, batch[0]);
     }
 }
 

@@ -13,7 +13,6 @@
 #include "support/env.hh"
 #include "support/rng.hh"
 #include "support/sat_counter.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 #include "support/varint.hh"
 
@@ -199,18 +198,6 @@ TEST(BarChart, RendersAllSeries)
     EXPECT_NE(s.find("go"), std::string::npos);
     EXPECT_NE(s.find("conv"), std::string::npos);
     EXPECT_NE(s.find("bsa"), std::string::npos);
-}
-
-TEST(Stats, SetAddGet)
-{
-    StatSet stats;
-    stats.set("cycles", 100, "total cycles");
-    stats.add("cycles", 5);
-    stats.add("misses", 2);
-    EXPECT_DOUBLE_EQ(stats.get("cycles"), 105);
-    EXPECT_DOUBLE_EQ(stats.get("misses"), 2);
-    EXPECT_TRUE(stats.has("cycles"));
-    EXPECT_FALSE(stats.has("nothing"));
 }
 
 TEST(Env, DefaultsAndParses)

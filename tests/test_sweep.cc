@@ -304,6 +304,7 @@ TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
                        : "5");
         ASSERT_TRUE(applyConfigKey(mutated, key, value, error))
             << key << ": " << error;
+        EXPECT_NE(mutated, base) << key;
         EXPECT_NE(runConfigDigest(mutated), baseDigest) << key;
     }
 
@@ -320,10 +321,10 @@ TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
     }
 
     // Every field, mutated directly (spec keys reach only some), moves
-    // the digest, and no two single-field mutations collide.  The
-    // figure drivers serve memoized results by this digest, so a
-    // missing field would silently change a figure; plan.cc's
-    // static_asserts fail the build when a field is added.
+    // both operator== and the digest, and no two single-field
+    // mutations collide.  The figure drivers serve memoized results by
+    // this digest, so a missing field would silently change a figure;
+    // plan.cc's static_asserts fail the build when a field is added.
     using Mutation = void (*)(RunConfig &);
     const Mutation mutations[] = {
         [](RunConfig &c) { c.machine.issueWidth += 1; },
@@ -348,7 +349,6 @@ TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
         [](RunConfig &c) { c.machine.predictor.historyEntries *= 2; },
         [](RunConfig &c) { c.machine.predictor.btbEntries *= 2; },
         [](RunConfig &c) { c.machine.predictor.btbAssoc *= 2; },
-        [](RunConfig &c) { c.machine.predictor.perfect = true; },
         [](RunConfig &c) { c.machine.perfectPrediction = true; },
         [](RunConfig &c) { c.machine.timingModel = TimingModel::Ooo; },
         [](RunConfig &c) { c.machine.ooo.robOps += 1; },
@@ -371,9 +371,40 @@ TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
     for (std::size_t m = 0; m < std::size(mutations); ++m) {
         RunConfig mutated;
         mutations[m](mutated);
+        EXPECT_NE(mutated, base) << "mutation " << m;
         EXPECT_TRUE(digests.insert(runConfigDigest(mutated)).second)
             << "mutation " << m << " aliases another config";
     }
+}
+
+// Config digests recorded before PredictorConfig::perfect was
+// removed: its retired slot hashes a constant, so every stored unit
+// key (module digest x config digest) keeps its value.
+TEST(SweepPlan_, ConfigDigestIsPinned)
+{
+    RunConfig oracle;
+    oracle.machine.perfectPrediction = true;
+    oracle.machine.predictor.historyBits = 8;
+    RunConfig ooo;
+    ooo.machine.timingModel = TimingModel::Ooo;
+    ooo.machine.icache.sizeBytes = 16 * 1024;
+    ooo.machine.ooo.robOps = 96;
+    RunConfig enlarged;
+    enlarged.enlarge.maxOps = 32;
+    enlarged.enlarge.maxFaults = 4;
+    enlarged.minMergeBias = 0.75;
+    enlarged.limits.maxOps = 100000;
+    RunConfig pas;
+    pas.machine.predictor.scheme = PredictorScheme::PAs;
+    pas.machine.predictor.btbEntries = 512;
+    pas.machine.dcache.perfect = true;
+    pas.machine.issueWidth = 8;
+
+    EXPECT_EQ(runConfigDigest(RunConfig{}), 0x99b4513bf8f696f5ull);
+    EXPECT_EQ(runConfigDigest(oracle), 0x79fdca6e102014f0ull);
+    EXPECT_EQ(runConfigDigest(ooo), 0xfffe552c4dd1f255ull);
+    EXPECT_EQ(runConfigDigest(enlarged), 0xd9793db5ddfa3f99ull);
+    EXPECT_EQ(runConfigDigest(pas), 0x2f1e707472e7cf54ull);
 }
 
 TEST(SweepPlan_, GridExpansionOrderAndCollapse)

@@ -43,6 +43,7 @@
 #include <unistd.h>
 
 #include "exp/result_store.hh"
+#include "exp/service.hh"
 
 using namespace bsisa;
 
@@ -237,4 +238,50 @@ TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
     const std::string snapB = readFileBytes(clean + "/snapshot.bsr");
     ASSERT_FALSE(snapA.empty());
     EXPECT_EQ(snapA, snapB);
+}
+
+// A corrupt plan marker (a count the file does not hold, or a
+// truncated key list) reads as absent: `status` skips it, and a worker
+// rebuilds the plan, finds every unit stored and rewrites the marker.
+// Nothing is sized from the declared count, so a huge one cannot
+// abort either of them.
+TEST_F(SweepServiceTest, CorruptPlanMarkerReadsAsAbsent)
+{
+    const std::string store = root + "/store";
+    const pid_t first = spawnWorker(store, nullptr, root + "/first.err");
+    ASSERT_GT(first, 0);
+    ASSERT_EQ(reapWorker(first, root + "/first.err").executed, 8u);
+
+    std::string marker;
+    for (const auto &de : std::filesystem::directory_iterator(store))
+        if (de.path().extension() == ".plan")
+            marker = de.path().string();
+    ASSERT_FALSE(marker.empty());
+    const std::string valid = readFileBytes(marker);
+    const std::string truncated =
+        valid.substr(0, valid.find('\n', valid.find('\n') + 1) + 1);
+
+    for (const std::string &bad :
+         {std::string("units 18446744073709551615\n"),
+          std::string("units 4000000000000\n"), truncated}) {
+        SCOPED_TRACE(bad);
+        std::ofstream(marker, std::ios::binary | std::ios::trunc) << bad;
+
+        std::ostringstream status;
+        printSweepStatus(status, store);
+        EXPECT_EQ(status.str().find("plan: "), std::string::npos)
+            << status.str();
+
+        const pid_t again =
+            spawnWorker(store, nullptr, root + "/again.err");
+        ASSERT_GT(again, 0);
+        const WorkerReport report =
+            reapWorker(again, root + "/again.err");
+        EXPECT_FALSE(report.signaled);
+        EXPECT_EQ(report.exitStatus, 0);
+        EXPECT_EQ(report.units, 8u);
+        EXPECT_EQ(report.warm, 8u);
+        EXPECT_EQ(report.executed, 0u);
+        EXPECT_EQ(readFileBytes(marker), valid);
+    }
 }

@@ -18,6 +18,7 @@
 #include "core/profile.hh"
 #include "exp/runner.hh"
 #include "sim/trace.hh"
+#include "sim_result_print.hh"
 #include "workloads/specmix.hh"
 
 using namespace bsisa;
@@ -33,34 +34,6 @@ testLimits(const SpecBenchmark &bench)
     Interp::Limits limits;
     limits.maxOps = bench.scaledBudget(4000);
     return limits;
-}
-
-void
-expectSameCacheStats(const CacheStats &a, const CacheStats &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.misses, b.misses);
-}
-
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.retiredOps, b.retiredOps);
-    EXPECT_EQ(a.retiredUnits, b.retiredUnits);
-    EXPECT_EQ(a.wrongPathOps, b.wrongPathOps);
-    EXPECT_EQ(a.predictions, b.predictions);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.trapMispredicts, b.trapMispredicts);
-    EXPECT_EQ(a.faultMispredicts, b.faultMispredicts);
-    EXPECT_EQ(a.cascadeHops, b.cascadeHops);
-    EXPECT_EQ(a.stallRedirect, b.stallRedirect);
-    EXPECT_EQ(a.stallWindow, b.stallWindow);
-    EXPECT_EQ(a.stallIcache, b.stallIcache);
-    EXPECT_EQ(a.peakWindowUnits, b.peakWindowUnits);
-    EXPECT_EQ(a.peakWindowOps, b.peakWindowOps);
-    expectSameCacheStats(a.icache, b.icache);
-    expectSameCacheStats(a.dcache, b.dcache);
 }
 
 /** The seed's runPair: a private functional execution per consumer. */
@@ -176,8 +149,8 @@ TEST(Trace, ConvReplayBitIdentical)
         const Interp::Limits limits = testLimits(bench);
         const MachineConfig machine;
         const ExecTrace trace = captureTrace(m, limits);
-        expectSameSim(runConventional(m, machine, limits),
-                      runConventional(m, machine, trace));
+        EXPECT_EQ(runConventional(m, machine, limits),
+                  runConventional(m, machine, trace));
     }
 }
 
@@ -192,8 +165,8 @@ TEST(Trace, BsaReplayBitIdentical)
         BsaModule bsa = enlargeModule(m, EnlargeConfig{});
         layoutBsaModule(bsa);
         const ExecTrace trace = captureTrace(m, limits);
-        expectSameSim(runBlockStructured(bsa, machine, limits),
-                      runBlockStructured(bsa, machine, trace));
+        EXPECT_EQ(runBlockStructured(bsa, machine, limits),
+                  runBlockStructured(bsa, machine, trace));
     }
 }
 
@@ -209,7 +182,7 @@ TEST(Trace, TraceCacheReplayBitIdentical)
         runTraceCache(m, machine, tc, limits);
     const TraceCacheResult replayed =
         runTraceCache(m, machine, tc, trace);
-    expectSameSim(direct.sim, replayed.sim);
+    EXPECT_EQ(direct.sim, replayed.sim);
     EXPECT_EQ(direct.traceHits, replayed.traceHits);
     EXPECT_EQ(direct.traceMisses, replayed.traceMisses);
 }
@@ -224,8 +197,8 @@ TEST(Trace, RunPairMatchesSeedDirectPath)
         config.limits = testLimits(bench);
         const PairResult via_replay = runPair(m, config);
         const PairResult direct = runPairDirect(m, config);
-        expectSameSim(via_replay.conv, direct.conv);
-        expectSameSim(via_replay.bsa, direct.bsa);
+        EXPECT_EQ(via_replay.conv, direct.conv);
+        EXPECT_EQ(via_replay.bsa, direct.bsa);
         EXPECT_EQ(via_replay.convCodeBytes, direct.convCodeBytes);
         EXPECT_EQ(via_replay.bsaCodeBytes, direct.bsaCodeBytes);
         EXPECT_EQ(via_replay.dynOps, direct.dynOps);
@@ -241,8 +214,8 @@ TEST(Trace, RunPairWithProfileMatchesSeedDirectPath)
     config.minMergeBias = 0.75;
     const PairResult via_replay = runPair(m, config);
     const PairResult direct = runPairDirect(m, config);
-    expectSameSim(via_replay.conv, direct.conv);
-    expectSameSim(via_replay.bsa, direct.bsa);
+    EXPECT_EQ(via_replay.conv, direct.conv);
+    EXPECT_EQ(via_replay.bsa, direct.bsa);
     EXPECT_EQ(via_replay.bsaCodeBytes, direct.bsaCodeBytes);
 }
 
@@ -260,7 +233,7 @@ TEST(Trace, OnePairSharedAcrossConfigsMatchesFreshCaptures)
         point.machine.icache.sizeBytes = kb * 1024;
         const PairResult shared = runPair(m, point, trace);
         const PairResult fresh = runPair(m, point);
-        expectSameSim(shared.conv, fresh.conv);
-        expectSameSim(shared.bsa, fresh.bsa);
+        EXPECT_EQ(shared.conv, fresh.conv);
+        EXPECT_EQ(shared.bsa, fresh.bsa);
     }
 }

@@ -37,6 +37,7 @@
 #include "exp/runner.hh"
 #include "sim/interp.hh"
 #include "sim/trace_store.hh"
+#include "sim_result_print.hh"
 #include "support/digest.hh"
 #include "workloads/specmix.hh"
 
@@ -98,26 +99,6 @@ expectAdjacentSpans(const ExecTrace &t)
     EXPECT_EQ(next, t.memAddrCount);
 }
 
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.retiredOps, b.retiredOps);
-    EXPECT_EQ(a.retiredUnits, b.retiredUnits);
-    EXPECT_EQ(a.wrongPathOps, b.wrongPathOps);
-    EXPECT_EQ(a.predictions, b.predictions);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.stallRedirect, b.stallRedirect);
-    EXPECT_EQ(a.stallWindow, b.stallWindow);
-    EXPECT_EQ(a.stallIcache, b.stallIcache);
-    EXPECT_EQ(a.peakWindowUnits, b.peakWindowUnits);
-    EXPECT_EQ(a.peakWindowOps, b.peakWindowOps);
-    EXPECT_EQ(a.icache.accesses, b.icache.accesses);
-    EXPECT_EQ(a.icache.misses, b.icache.misses);
-    EXPECT_EQ(a.dcache.accesses, b.dcache.accesses);
-    EXPECT_EQ(a.dcache.misses, b.dcache.misses);
-}
-
 class TraceStoreTest : public ::testing::Test
 {
   protected:
@@ -167,8 +148,8 @@ TEST_F(TraceStoreTest, RoundTripBitIdenticalOnAllBenchmarks)
         expectSameTrace(live, mapped);
 
         const MachineConfig machine;
-        expectSameSim(runConventional(m, machine, live),
-                      runConventional(m, machine, mapped));
+        EXPECT_EQ(runConventional(m, machine, live),
+                  runConventional(m, machine, mapped));
     }
 }
 
@@ -294,7 +275,7 @@ TEST_F(TraceStoreTest, CorruptionMatrixFallsBackAndRepairs)
         EXPECT_EQ(TraceStore::stats().fallbacks, 1u);
         EXPECT_FALSE(recovered.mapped());
         expectSameTrace(baseline, recovered);
-        expectSameSim(want, runConventional(m, machine, recovered));
+        EXPECT_EQ(want, runConventional(m, machine, recovered));
 
         // The bad entry was atomically rewritten: it opens clean now.
         ExecTrace repaired;

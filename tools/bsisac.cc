@@ -22,9 +22,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codegen/layout.hh"
@@ -35,7 +37,6 @@
 #include "ir/textform.hh"
 #include "ir/verifier.hh"
 #include "sim/interp.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 
 using namespace bsisa;
@@ -241,34 +242,34 @@ cmdSim(const Args &args)
               << "%\n";
 
     if (args.has("--stats")) {
-        StatSet stats;
-        stats.set("conv.cycles", double(r.conv.cycles));
-        stats.set("conv.retired_ops", double(r.conv.retiredOps));
-        stats.set("conv.mispredicts", double(r.conv.mispredicts));
-        stats.set("conv.wrong_path_ops", double(r.conv.wrongPathOps));
-        stats.set("conv.icache_misses", double(r.conv.icache.misses));
-        stats.set("conv.dcache_misses", double(r.conv.dcache.misses));
-        stats.set("bsa.cycles", double(r.bsa.cycles));
-        stats.set("bsa.retired_ops", double(r.bsa.retiredOps));
-        stats.set("bsa.trap_mispredicts",
-                  double(r.bsa.trapMispredicts));
-        stats.set("bsa.fault_mispredicts",
-                  double(r.bsa.faultMispredicts));
-        stats.set("bsa.cascade_hops", double(r.bsa.cascadeHops));
-        stats.set("bsa.wrong_path_ops", double(r.bsa.wrongPathOps));
-        stats.set("bsa.icache_misses", double(r.bsa.icache.misses));
-        stats.set("bsa.dcache_misses", double(r.bsa.dcache.misses));
-        stats.set("conv.stall_redirect", double(r.conv.stallRedirect));
-        stats.set("conv.stall_window", double(r.conv.stallWindow));
-        stats.set("conv.stall_icache", double(r.conv.stallIcache));
-        stats.set("bsa.stall_redirect", double(r.bsa.stallRedirect));
-        stats.set("bsa.stall_window", double(r.bsa.stallWindow));
-        stats.set("bsa.stall_icache", double(r.bsa.stallIcache));
-        stats.set("enlarge.atomic_blocks",
-                  double(r.enlarge.atomicBlocks));
-        stats.set("enlarge.expansion", r.enlarge.expansion());
+        const std::pair<const char *, double> stats[] = {
+            {"conv.cycles", double(r.conv.cycles)},
+            {"conv.retired_ops", double(r.conv.retiredOps)},
+            {"conv.mispredicts", double(r.conv.mispredicts)},
+            {"conv.wrong_path_ops", double(r.conv.wrongPathOps)},
+            {"conv.icache_misses", double(r.conv.icache.misses)},
+            {"conv.dcache_misses", double(r.conv.dcache.misses)},
+            {"bsa.cycles", double(r.bsa.cycles)},
+            {"bsa.retired_ops", double(r.bsa.retiredOps)},
+            {"bsa.trap_mispredicts", double(r.bsa.trapMispredicts)},
+            {"bsa.fault_mispredicts", double(r.bsa.faultMispredicts)},
+            {"bsa.cascade_hops", double(r.bsa.cascadeHops)},
+            {"bsa.wrong_path_ops", double(r.bsa.wrongPathOps)},
+            {"bsa.icache_misses", double(r.bsa.icache.misses)},
+            {"bsa.dcache_misses", double(r.bsa.dcache.misses)},
+            {"conv.stall_redirect", double(r.conv.stallRedirect)},
+            {"conv.stall_window", double(r.conv.stallWindow)},
+            {"conv.stall_icache", double(r.conv.stallIcache)},
+            {"bsa.stall_redirect", double(r.bsa.stallRedirect)},
+            {"bsa.stall_window", double(r.bsa.stallWindow)},
+            {"bsa.stall_icache", double(r.bsa.stallIcache)},
+            {"enlarge.atomic_blocks", double(r.enlarge.atomicBlocks)},
+            {"enlarge.expansion", r.enlarge.expansion()},
+        };
         std::cout << "\n";
-        stats.dump(std::cout);
+        for (const auto &[name, value] : stats)
+            std::cout << std::left << std::setw(40) << name << " "
+                      << std::setw(16) << value << "\n";
     }
     return 0;
 }
