@@ -64,6 +64,8 @@ struct EnlargeStats
     std::size_t thruMerges = 0;    //!< jumps deleted
     std::size_t heads = 0;
 
+    bool operator==(const EnlargeStats &) const = default;
+
     double
     expansion() const
     {

@@ -6,6 +6,7 @@
 #include "exp/runner.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "codegen/layout.hh"
 #include "sim/bsa_source.hh"
@@ -232,7 +233,22 @@ const std::vector<PairResult> &
 PairSweep::run()
 {
     plan();
-    parallelFor(batches.size(), [&](std::size_t b) { runBatch(b); });
+    // Longest batch first, by lanes x trace events (stable on ties),
+    // claimed one at a time: the largest walks start at once instead
+    // of trailing the rest.  Each batch writes only its own points'
+    // slots, so the order cannot move a result.
+    const auto cost = [&](std::size_t b) {
+        return std::uint64_t(batches[b].pointIds.size()) *
+               benches[batches[b].bench].trace->eventCount;
+    };
+    std::vector<std::size_t> order(batches.size());
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t x, std::size_t y) {
+                         return cost(x) > cost(y);
+                     });
+    parallelForChunked(order.size(), 1,
+                       [&](std::size_t i) { runBatch(order[i]); });
     return points;
 }
 

@@ -43,6 +43,8 @@ struct PairResult
     std::uint64_t bsaCodeBytes = 0;
     std::uint64_t dynOps = 0;  //!< conventional dynamic op count
 
+    bool operator==(const PairResult &) const = default;
+
     /** Execution-time reduction of BSA relative to conventional. */
     double
     reduction() const
@@ -123,10 +125,13 @@ std::vector<SimResult> runBlockStructuredBatch(
  *     enlarged and laid out once per batch.
  *
  * Each point's RunConfig::limits is ignored — the registered trace is
- * the committed stream.  run() fans the batches across parallelFor
- * (BSISA_JOBS workers over benchmark x batch, not benchmark x config);
- * distinct batches touch disjoint PairResult fields, so the results
- * are identical for any worker count.
+ * the committed stream.  run() fans the batches across BSISA_JOBS
+ * workers (over benchmark x batch, not benchmark x config), claiming
+ * one batch at a time, longest first: batches are ordered by lanes x
+ * trace events, largest first, ties in plan order, so the longest
+ * walks never start last.  Distinct batches touch disjoint PairResult
+ * fields, so the results are identical for any worker count and any
+ * claim order.
  */
 class PairSweep
 {

@@ -168,21 +168,100 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
 
     // One functional trace per benchmark, acquired on first need —
     // through the BSISA_TRACE_DIR store when configured, so
-    // concurrent workers share warm captures.
+    // concurrent workers share warm captures — and dropped once no
+    // later chunk of the scan belongs to its benchmark.  A round
+    // acquires its traces in parallel, so each flag is a whole byte:
+    // std::vector<bool> packs flags into shared words.
     std::vector<ExecTrace> traces(plan.benches.size());
-    std::vector<bool> haveTrace(plan.benches.size(), false);
+    std::vector<char> haveTrace(plan.benches.size(), 0);
     const auto ensureTrace = [&](std::size_t b) {
         if (haveTrace[b])
             return;
         traces[b] = captureOrLoadTrace(plan.modules[b],
                                        plan.benches[b].moduleDigest,
                                        plan.benches[b].limits);
-        haveTrace[b] = true;
+        haveTrace[b] = 1;
+    };
+    // Chunks are benchmark-major; a trace is dropped once the scan
+    // has passed its benchmark's last chunk.
+    std::vector<std::size_t> lastChunk(plan.benches.size(), 0);
+    for (std::size_t c = 0; c < plan.chunks.size(); ++c)
+        lastChunk[plan.units[plan.chunks[c].front()].bench] = c;
+    const auto dropTracesThrough = [&](std::size_t scanned) {
+        for (std::size_t b = 0; b < traces.size(); ++b) {
+            if (haveTrace[b] && lastChunk[b] <= scanned) {
+                traces[b] = ExecTrace();
+                haveTrace[b] = 0;
+            }
+        }
     };
 
+    struct LeasedChunk
+    {
+        FileLease lease;
+        std::vector<std::size_t> pending;  //!< unit indices
+    };
+    // Simulate a round of leased chunks as one PairSweep — its
+    // missing traces acquired in one parallelFor, lockstep batching by
+    // the planner's usual grouping rules — then publish the records in
+    // lease order, releasing each chunk's lease right after its last
+    // record.  False when a record could not be persisted.
+    const auto runRound = [&](std::vector<LeasedChunk> &round) {
+        std::vector<std::size_t> benches;  // distinct, lease order
+        for (const LeasedChunk &chunk : round) {
+            const std::size_t b = plan.units[chunk.pending.front()].bench;
+            if (std::find(benches.begin(), benches.end(), b) ==
+                benches.end())
+                benches.push_back(b);
+        }
+        parallelFor(benches.size(),
+                    [&](std::size_t i) { ensureTrace(benches[i]); });
+
+        PairSweep sweep;
+        std::vector<std::size_t> handle(plan.benches.size());
+        for (std::size_t b : benches)
+            handle[b] = sweep.addBenchmark(plan.modules[b], traces[b]);
+        for (const LeasedChunk &chunk : round)
+            for (std::size_t u : chunk.pending)
+                sweep.addPoint(handle[plan.units[u].bench],
+                               plan.units[u].config);
+        const std::vector<PairResult> &results = sweep.run();
+
+        std::size_t point = 0;
+        for (LeasedChunk &chunk : round) {
+            for (std::size_t u : chunk.pending) {
+                const WorkUnit &unit = plan.units[u];
+                if (!store.append(makeResultRecord(
+                        unit.key, unit.moduleDigest,
+                        unit.configDigest, results[point++]))) {
+                    // The store went unwritable mid-run (disk full,
+                    // directory removed).  Abort rather than spin:
+                    // unpersisted units stay pending forever from
+                    // this process's point of view.
+                    if (opts.log)
+                        *opts.log << "sweep-worker: failed to "
+                                     "persist unit "
+                                  << hex16(unit.key)
+                                  << "; aborting\n";
+                    return false;
+                }
+                ++outcome.executed;
+                maybeStall(outcome.executed, opts.log);
+            }
+            chunk.lease.release();
+        }
+        round.clear();
+        return true;
+    };
+
+    // A round holds up to BSISA_JOBS chunks with pending units, so at
+    // one job a worker leases, simulates, publishes and releases one
+    // chunk at a time.
+    const std::size_t roundChunks = parallelJobs();
     for (;;) {
         bool progress = false;
         bool anyPending = false;
+        std::vector<LeasedChunk> round;
         for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
             std::vector<std::size_t> pending;
             for (std::size_t u : plan.chunks[c])
@@ -211,44 +290,20 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
                                        plan.units[u].key);
                                }),
                 pending.end());
-            if (pending.empty()) {
-                progress = true;
-                continue;
-            }
-
-            // Simulate the chunk's pending units as one PairSweep:
-            // one benchmark, one trace replay, lockstep batching by
-            // the planner's usual grouping rules.
-            const std::size_t b = plan.units[pending.front()].bench;
-            ensureTrace(b);
-            PairSweep sweep;
-            const std::size_t bh =
-                sweep.addBenchmark(plan.modules[b], traces[b]);
-            for (std::size_t u : pending)
-                sweep.addPoint(bh, plan.units[u].config);
-            const std::vector<PairResult> &results = sweep.run();
-
-            for (std::size_t i = 0; i < pending.size(); ++i) {
-                const WorkUnit &unit = plan.units[pending[i]];
-                if (!store.append(makeResultRecord(
-                        unit.key, unit.moduleDigest,
-                        unit.configDigest, results[i]))) {
-                    // The store went unwritable mid-run (disk full,
-                    // directory removed).  Abort rather than spin:
-                    // unpersisted units stay pending forever from
-                    // this process's point of view.
-                    if (opts.log)
-                        *opts.log << "sweep-worker: failed to "
-                                     "persist unit "
-                                  << hex16(unit.key)
-                                  << "; aborting\n";
-                    return outcome;
-                }
-                ++outcome.executed;
-                maybeStall(outcome.executed, opts.log);
-            }
             progress = true;
+            if (pending.empty())
+                continue;
+
+            round.push_back({std::move(lease), std::move(pending)});
+            if (round.size() == roundChunks) {
+                if (!runRound(round))
+                    return outcome;
+                dropTracesThrough(c);
+            }
         }
+        if (!round.empty() && !runRound(round))
+            return outcome;
+        dropTracesThrough(plan.chunks.size());
         if (!anyPending) {
             outcome.complete = true;
             break;

@@ -8,9 +8,19 @@
  *   worker       runSweepWorker() — builds the plan, then repeatedly
  *                passes over the lease chunks: skip chunks whose
  *                units are all stored (warm), skip chunks leased by a
- *                live peer, otherwise lease, simulate the pending
- *                units through PairSweep, and publish one record per
- *                unit.  Exits when every unit of the plan is stored.
+ *                live peer, otherwise lease the chunk into the current
+ *                round.  A round holds up to BSISA_JOBS chunks with
+ *                pending units (one at one job); when it is full, or
+ *                the pass ends, the worker acquires the round's
+ *                missing traces in one parallelFor, simulates every
+ *                pending unit of the round as one PairSweep, and
+ *                publishes one record per unit in lease order,
+ *                releasing each chunk's lease right after its last
+ *                record.  Chunks are benchmark-major, so a trace is
+ *                dropped once the pass has passed its benchmark's
+ *                last chunk (and re-acquired should a dead peer's
+ *                chunk come back).  Exits when every unit of the plan
+ *                is stored.
  *   coordinator  runSweepCoordinator() — spawns N worker processes
  *                on the same spec + store, waits for them, runs one
  *                in-process worker pass as the completeness check

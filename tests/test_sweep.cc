@@ -18,9 +18,12 @@
  *             pid-with-create publication, and the malformed-lease
  *             grace window.
  *   worker  — an in-process end-to-end run whose stored PairResults
- *             are bit-identical to monolithic runPair, and a
+ *             are bit-identical to monolithic runPair, a
  *             store-rendered figure byte-identical to the monolithic
- *             driver's output.
+ *             driver's output, a compacted store and a trace count
+ *             that do not depend on BSISA_JOBS (the round size), and
+ *             PairSweep results that do not depend on its batch
+ *             order.
  *
  * The process-level crash-resume property (SIGKILL mid-grid) lives in
  * test_sweep_service.cc, which drives the real bsisa-sweep binary.
@@ -43,11 +46,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "child_process.hh"
 #include "exp/figures.hh"
 #include "exp/plan.hh"
 #include "exp/result_store.hh"
+#include "exp/runner.hh"
 #include "exp/service.hh"
 #include "exp/spec.hh"
+#include "sim/trace_store.hh"
 #include "support/lockfile.hh"
 
 using namespace bsisa;
@@ -830,4 +836,135 @@ TEST_F(WorkerFixture, StoreRenderedFigureMatchesMonolithicDriver)
     std::ostringstream monolithic;
     runCycleComparison(monolithic, false);
     EXPECT_EQ(fromStore.str(), monolithic.str());
+}
+
+namespace
+{
+
+/** @p bytes as hex digits (runInChild's strings hold no NUL byte). */
+std::string
+hexBytes(const std::string &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (unsigned char c : bytes) {
+        out += digits[c >> 4];
+        out += digits[c & 15];
+    }
+    return out;
+}
+
+} // namespace
+
+// A worker leases up to BSISA_JOBS chunks per round, loads the round's
+// traces in parallel and drops a trace once the scan has passed its
+// benchmark's last chunk.  Here one chunk is one unit, so at four jobs
+// the rounds are chunks 0-3, 4-7 and 8: go's chunks straddle the
+// first two rounds and keep its trace loaded between them.  The
+// compacted snapshot must equal the one-job worker's byte for byte,
+// and each leg acquires each benchmark's trace exactly once (a cold
+// capture into the leg's own trace store).  Each leg is a process of
+// its own: the trace store's counters are process-wide.
+TEST_F(WorkerFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
+{
+    const SweepSpec spec = mustParse(
+        "name: rounds\n"
+        "scale: 2000\n"
+        "benchmarks: [compress, go, li]\n"
+        "chunk_units: 1\n"
+        "axes:\n"
+        "  icache_kb: [16, 32, 64]\n");
+    const auto leg = [&](const char *jobs) {
+        return bsisatest::runInChild([&, jobs] {
+            const std::string legDir = dir + "/jobs" + jobs;
+            ::setenv("BSISA_JOBS", jobs, 1);
+            ::setenv("BSISA_TRACE_DIR", (legDir + "/traces").c_str(), 1);
+            TraceStore::resetStats();
+            SweepWorkerOptions opts;
+            opts.storeDir = legDir + "/results";
+            const SweepWorkerOutcome outcome = runSweepWorker(spec, opts);
+            ResultStore store(opts.storeDir);
+            const bool compacted = store.compact();
+            const TraceStoreStats stats = TraceStore::stats();
+            return std::vector<std::string>{
+                std::to_string(outcome.complete) + " " +
+                    std::to_string(outcome.executed) + " " +
+                    std::to_string(compacted),
+                std::to_string(stats.coldCaptures) + " " +
+                    std::to_string(stats.warmLoads),
+                hexBytes(readFileBytes(opts.storeDir + "/snapshot.bsr"))};
+        });
+    };
+    const std::vector<std::string> serial = leg("1");
+    const std::vector<std::string> rounds = leg("4");
+    ASSERT_EQ(serial.size(), 3u);
+    ASSERT_EQ(rounds.size(), 3u);
+    for (const auto *out : {&serial, &rounds}) {
+        EXPECT_EQ((*out)[0], "1 9 1");  // complete, 9 units, compacted
+        EXPECT_EQ((*out)[1], "3 0");    // 3 cold captures, no reloads
+    }
+    EXPECT_FALSE(serial[2].empty());
+    EXPECT_EQ(serial[2], rounds[2]);
+}
+
+// PairSweep runs its batches longest first (lanes x trace events), so
+// batches of very different sizes start out of plan order; the results
+// must not depend on it, nor on the worker count, and must equal
+// one-point sweeps of each config.
+TEST_F(WorkerFixture, PairSweepResultsIgnoreBatchOrderAndJobs)
+{
+    SweepPlan plan;
+    std::string error;
+    ASSERT_TRUE(buildPlan(mustParse("name: batches\n"
+                                    "scale: 2000\n"
+                                    "benchmarks: [compress, go, vortex]\n"),
+                          0, plan, error))
+        << error;
+    std::vector<ExecTrace> traces;
+    for (std::size_t b = 0; b < plan.benches.size(); ++b)
+        traces.push_back(
+            captureTrace(plan.modules[b], plan.benches[b].limits));
+
+    // compress: one 4-lane batch per machine; go: a lone point;
+    // vortex: one 2-lane conventional batch and two one-lane
+    // block-structured batches (distinct enlargements).
+    std::vector<std::pair<std::size_t, RunConfig>> points;
+    for (unsigned kb : {16u, 32u, 64u, 128u}) {
+        RunConfig config = plan.units[plan.pointUnit[0]].config;
+        config.machine.icache.sizeBytes = kb * 1024;
+        points.emplace_back(0, config);
+    }
+    points.emplace_back(1, plan.units[plan.pointUnit[1]].config);
+    for (unsigned faults : {1u, 2u}) {
+        RunConfig config = plan.units[plan.pointUnit[2]].config;
+        config.enlarge.maxFaults = faults;
+        points.emplace_back(2, config);
+    }
+
+    const auto sweepAt = [&](const char *jobs, std::size_t &batches) {
+        ::setenv("BSISA_JOBS", jobs, 1);
+        PairSweep sweep;
+        for (std::size_t b = 0; b < plan.benches.size(); ++b)
+            sweep.addBenchmark(plan.modules[b], traces[b]);
+        for (const auto &[bench, config] : points)
+            sweep.addPoint(bench, config);
+        const std::vector<PairResult> results = sweep.run();
+        batches = sweep.batchCount();
+        ::unsetenv("BSISA_JOBS");
+        return results;
+    };
+    std::size_t serialBatches = 0, parallelBatches = 0;
+    const std::vector<PairResult> serial = sweepAt("1", serialBatches);
+    const std::vector<PairResult> parallel =
+        sweepAt("4", parallelBatches);
+    EXPECT_EQ(serialBatches, 7u);
+    EXPECT_EQ(parallelBatches, 7u);
+    ASSERT_EQ(serial.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_TRUE(serial[i] == parallel[i]);
+        const auto &[bench, config] = points[i];
+        EXPECT_TRUE(serial[i] ==
+                    runPair(plan.modules[bench], config, traces[bench]));
+    }
 }

@@ -22,6 +22,12 @@
  *
  * Traces are shared through one BSISA_TRACE_DIR so the resumed and
  * reference runs replay the same captures (and run fast).
+ *
+ * The test runs at BSISA_JOBS=1 and at BSISA_JOBS=4.  A worker leases
+ * a round of up to BSISA_JOBS chunks and holds each chunk's lease
+ * until that chunk's last record is on disk, so the parked worker
+ * holds one lease at one job and, in this 4-chunk spec, the three
+ * leases of its round's unfinished chunks at four.
  */
 
 #include <gtest/gtest.h>
@@ -91,10 +97,12 @@ class SweepServiceTest : public ::testing::Test
         std::filesystem::remove_all(root, ec);
     }
 
-    /** Spawn `bsisa-sweep worker` on @p storeDir; stderr to a file. */
+    /** Spawn `bsisa-sweep worker` on @p storeDir, at BSISA_JOBS=@p jobs
+     *  when given; stderr to a file. */
     pid_t
     spawnWorker(const std::string &storeDir, const char *stallAfter,
-                const std::string &errPath)
+                const std::string &errPath,
+                const char *jobs = nullptr)
     {
         const pid_t pid = ::fork();
         if (pid != 0)
@@ -107,6 +115,8 @@ class SweepServiceTest : public ::testing::Test
             ::close(err);
         }
         ::setenv("BSISA_TRACE_DIR", (root + "/traces").c_str(), 1);
+        if (jobs)
+            ::setenv("BSISA_JOBS", jobs, 1);
         if (stallAfter)
             ::setenv("BSISA_SWEEP_STALL_AFTER", stallAfter, 1);
         else
@@ -158,6 +168,9 @@ class SweepServiceTest : public ::testing::Test
         return false;
     }
 
+    void sigkillResumesWithoutRework(const char *jobs,
+                                     std::size_t leasesHeld);
+
     std::string root;
     std::string specPath;
 };
@@ -173,15 +186,19 @@ readFileBytes(const std::string &path)
 
 } // namespace
 
-TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
+/** The crash-resume property with every worker at BSISA_JOBS=@p jobs;
+ *  the parked worker holds @p leasesHeld leases when it dies. */
+void
+SweepServiceTest::sigkillResumesWithoutRework(const char *jobs,
+                                              std::size_t leasesHeld)
 {
     const std::string crashed = root + "/store-crashed";
     const std::string clean = root + "/store-clean";
 
     // Phase 1: park a worker right after its third published record,
-    // then SIGKILL it — lease held, shard mid-write, pid now dead.
+    // then SIGKILL it — leases held, shard mid-write, pid now dead.
     const pid_t stalled =
-        spawnWorker(crashed, "3", root + "/stalled.err");
+        spawnWorker(crashed, "3", root + "/stalled.err", jobs);
     ASSERT_GT(stalled, 0);
     ASSERT_TRUE(waitForRecords(crashed, 3))
         << "stalled worker never reached its checkpoint";
@@ -193,20 +210,20 @@ TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
     {
         ResultStore probe(crashed);
         EXPECT_EQ(probe.refresh().records, 3u);
-        // The dead worker's lease is still on disk.
+        // The dead worker's leases are still on disk.
         std::size_t leases = 0;
         for (const auto &de :
              std::filesystem::directory_iterator(crashed))
             if (de.path().extension() == ".lease")
                 ++leases;
-        EXPECT_EQ(leases, 1u);
+        EXPECT_EQ(leases, leasesHeld);
     }
 
-    // Phase 2: a fresh worker resumes — breaks the stale lease,
+    // Phase 2: a fresh worker resumes — breaks the stale leases,
     // counts the three stored units as warm, executes exactly the
     // other five, and completes.
     const pid_t resumed =
-        spawnWorker(crashed, nullptr, root + "/resumed.err");
+        spawnWorker(crashed, nullptr, root + "/resumed.err", jobs);
     ASSERT_GT(resumed, 0);
     const WorkerReport report =
         reapWorker(resumed, root + "/resumed.err");
@@ -218,7 +235,7 @@ TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
 
     // Phase 3: an uninterrupted reference run in a clean store.
     const pid_t reference =
-        spawnWorker(clean, nullptr, root + "/clean.err");
+        spawnWorker(clean, nullptr, root + "/clean.err", jobs);
     ASSERT_GT(reference, 0);
     const WorkerReport cleanReport =
         reapWorker(reference, root + "/clean.err");
@@ -238,6 +255,21 @@ TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
     const std::string snapB = readFileBytes(clean + "/snapshot.bsr");
     ASSERT_FALSE(snapA.empty());
     EXPECT_EQ(snapA, snapB);
+}
+
+// One job: a round is one chunk, so the parked worker holds exactly
+// the lease of the chunk it was publishing.
+TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
+{
+    sigkillResumesWithoutRework("1", 1);
+}
+
+// Four jobs: the round is all four chunks.  The first chunk's two
+// records are published and its lease released; the parked worker
+// holds the leases of the other three.
+TEST_F(SweepServiceTest, SigkillMidRoundResumesWithoutRework)
+{
+    sigkillResumesWithoutRework("4", 3);
 }
 
 // A corrupt plan marker (a count the file does not hold, or a

@@ -7,7 +7,9 @@
  *                   [--trace-dir DIR]
  *       Coordinate a full sweep: spawn N worker processes (children
  *       of this one), resume anything they leave behind, verify
- *       completeness, compact the store.
+ *       completeness, compact the store.  N and K are plain decimal
+ *       counts (N at most 256); anything else prints the usage and
+ *       exits 2 before any process starts.
  *   bsisa-sweep worker <spec> --store DIR [--chunk K] [--trace-dir D]
  *       Run one worker against an existing store.  Independently
  *       launched workers pointed at the same store cooperate through
@@ -29,6 +31,7 @@
  * binaries).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -46,6 +49,9 @@ using namespace bsisa;
 namespace
 {
 
+/** The most worker processes `run` spawns. */
+constexpr std::uint64_t maxWorkers = 256;
+
 int
 usage()
 {
@@ -53,12 +59,14 @@ usage()
         stderr,
         "usage: bsisa-sweep run <spec> --store DIR [--workers N] "
         "[--chunk K] [--trace-dir DIR]\n"
+        "         (N and K are decimal counts, N at most %llu)\n"
         "       bsisa-sweep worker <spec> --store DIR [--chunk K] "
         "[--trace-dir DIR]\n"
         "       bsisa-sweep plan <spec>\n"
         "       bsisa-sweep render <spec> --store DIR\n"
         "       bsisa-sweep status --store DIR [--trace-dir DIR]\n"
-        "       bsisa-sweep compact --store DIR\n");
+        "       bsisa-sweep compact --store DIR\n",
+        static_cast<unsigned long long>(maxWorkers));
     return 2;
 }
 
@@ -71,6 +79,27 @@ struct Cli
     std::uint64_t chunk = 0;
     unsigned workers = 1;
 };
+
+/** Parse @p text as an unsigned decimal at most @p max: digits only,
+ *  so an empty, signed or trailing-garbage value is rejected rather
+ *  than read as a prefix (strtoull reads "-1" as 2^64-1, "4x" as 4
+ *  and "abc" as 0). */
+bool
+parseCount(const char *text, std::uint64_t max, std::uint64_t &out)
+{
+    if (*text == '\0')
+        return false;
+    out = 0;
+    for (const char *p = text; *p; ++p) {
+        if (*p < '0' || *p > '9')
+            return false;
+        const unsigned digit = unsigned(*p - '0');
+        if (out > (max - digit) / 10)
+            return false;
+        out = out * 10 + digit;
+    }
+    return true;
+}
 
 bool
 parseCli(int argc, char **argv, Cli &cli)
@@ -91,13 +120,13 @@ parseCli(int argc, char **argv, Cli &cli)
         } else if (arg == "--chunk") {
             if (++i >= argc)
                 return false;
-            cli.chunk = std::strtoull(argv[i], nullptr, 10);
-        } else if (arg == "--workers") {
-            if (++i >= argc)
+            if (!parseCount(argv[i], UINT64_MAX, cli.chunk))
                 return false;
-            cli.workers = unsigned(std::strtoul(argv[i], nullptr, 10));
-            if (cli.workers == 0)
-                cli.workers = 1;
+        } else if (arg == "--workers") {
+            std::uint64_t workers = 0;
+            if (++i >= argc || !parseCount(argv[i], maxWorkers, workers))
+                return false;
+            cli.workers = workers ? unsigned(workers) : 1;
         } else if (!arg.empty() && arg[0] == '-') {
             return false;
         } else if (cli.specPath.empty()) {
