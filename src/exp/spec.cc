@@ -26,6 +26,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "arch/reg.hh"
 #include "support/digest.hh"
 #include "workloads/specmix.hh"
 
@@ -356,7 +357,17 @@ struct ConfigKeyDef
     const char *name;
     KeyKind kind;
     void (*set)(RunConfig &, const KeyValue &);
+    /** Accepted range of a U64 value: a value the simulator cannot
+     *  run is rejected here, before any plan or worker exists. */
+    std::uint64_t min = 0;
+    std::uint64_t max = ~0ull;
 };
+
+/** The OoO rename map pins one physical register per architectural
+ *  slot plus the dump slot and needs at least one spare; its indices
+ *  are uint16_t (sim/ooo/rat.hh). */
+constexpr std::uint64_t minPhysRegs = numArchRegs + 2;
+constexpr std::uint64_t maxPhysRegs = 65536;
 
 // Sorted by name (configKeyNames leans on it; binary search does not,
 // a linear scan over ~30 entries is fine).
@@ -372,7 +383,8 @@ const ConfigKeyDef configKeys[] = {
     {"commit_width", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.ooo.commitWidth = unsigned(v.u);
-     }},
+     },
+     1},
     {"dcache_assoc", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.dcache.assoc = std::uint32_t(v.u);
@@ -434,7 +446,8 @@ const ConfigKeyDef configKeys[] = {
     {"lsq_entries", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.ooo.lsqEntries = unsigned(v.u);
-     }},
+     },
+     1},
     {"max_variants_per_head", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.enlarge.maxVariantsPerHead = unsigned(v.u);
@@ -452,7 +465,8 @@ const ConfigKeyDef configKeys[] = {
     {"phys_regs", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.ooo.physRegs = unsigned(v.u);
-     }},
+     },
+     minPhysRegs, maxPhysRegs},
     {"pht_bits", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.predictor.phtBits = unsigned(v.u);
@@ -468,11 +482,13 @@ const ConfigKeyDef configKeys[] = {
     {"rob_ops", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.ooo.robOps = unsigned(v.u);
-     }},
+     },
+     1},
     {"rs_per_class", KeyKind::U64,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.ooo.rsPerClass = unsigned(v.u);
-     }},
+     },
+     1},
     {"timing_model", KeyKind::Model,
      [](RunConfig &c, const KeyValue &v) {
          c.machine.timingModel = v.model;
@@ -520,6 +536,15 @@ parseKeyValue(const ConfigKeyDef &def, const std::string &value,
             error = std::string(def.name) +
                     ": expected an unsigned integer, got '" + value +
                     "'";
+            return false;
+        }
+        if (out.u < def.min || out.u > def.max) {
+            error = std::string(def.name) + ": expected " +
+                    (def.max == ~0ull
+                         ? "at least " + std::to_string(def.min)
+                         : "an integer in [" + std::to_string(def.min) +
+                               ", " + std::to_string(def.max) + "]") +
+                    ", got '" + value + "'";
             return false;
         }
         return true;

@@ -25,6 +25,20 @@
  * The queue retains its own copy of each address: TimingUnit address
  * slices are only stable until the next fetch, and the whole point of
  * this structure is comparing addresses across fetches.
+ *
+ * Entries leave only from the head, so two indices over the queued
+ * stores keep a load's lookups off the loads around them:
+ *
+ *   stores   — (seq, ring slot) of every queued store in program
+ *              order; the conflict search walks it youngest-first.
+ *   addrGate — a monotone max-queue of (seq, addrReady): each store
+ *              drops the older entries it dominates, so the front
+ *              holds the latest address-ready cycle of the queue and
+ *              the alias gate is one read.
+ *
+ * Both are trimmed at the front whenever the head advances.  Every
+ * store enters and leaves each index once, so a load's gate costs
+ * O(1) and its search O(queued stores), not O(queue).
  */
 
 #ifndef BSISA_SIM_OOO_LSQ_HH
@@ -54,7 +68,6 @@ class LoadStoreQueue
         std::uint64_t dataReady = 0;  //!< store data available
         std::uint64_t commit = commitPending;
         std::uint64_t seq = 0;     //!< global program-order number
-        bool isStore = false;
     };
 
     enum class ConflictKind
@@ -72,51 +85,56 @@ class LoadStoreQueue
         std::uint64_t storeSeq = 0;   //!< conflicting store's seq
     };
 
-    explicit LoadStoreQueue(unsigned entries) : cap(entries)
+    explicit LoadStoreQueue(unsigned entries)
+        : cap(entries), ring(entries), stores(entries), addrGate(entries)
     {
         BSISA_ASSERT(entries >= 1);
-        ring.resize(cap + 1);
     }
 
-    std::size_t size() const
-    {
-        return tail >= head ? tail - head : tail + ring.size() - head;
-    }
+    std::size_t size() const { return ring.size(); }
 
-    bool full() const { return size() >= cap; }
+    bool full() const { return ring.size() >= cap; }
 
     /** Oldest entry's commit cycle, or commitPending if the oldest
      *  entry belongs to a unit still being scheduled. */
     std::uint64_t oldestCommit() const
     {
-        BSISA_ASSERT(head != tail, "oldestCommit on empty queue");
-        return ring[head].commit;
+        BSISA_ASSERT(!ring.empty(), "oldestCommit on empty queue");
+        return ring.front().commit;
     }
 
     /** Drop committed entries whose commit cycle is <= @p cycle. */
     void drainCommitted(std::uint64_t cycle)
     {
-        while (head != tail && ring[head].commit != commitPending &&
-               ring[head].commit <= cycle)
-            head = next(head);
+        while (!ring.empty() && ring.front().commit != commitPending &&
+               ring.front().commit <= cycle)
+            ring.popFront();
+        trimStoreIndices();
     }
 
     /** Drop the oldest entry unconditionally (capacity reclaim). */
     void popOldest()
     {
-        BSISA_ASSERT(head != tail, "popOldest on empty queue");
-        head = next(head);
+        BSISA_ASSERT(!ring.empty(), "popOldest on empty queue");
+        ring.popFront();
+        trimStoreIndices();
     }
 
     std::uint64_t pushStore(std::uint64_t addr, std::uint64_t addrReady,
                             std::uint64_t dataReady)
     {
-        return push(addr, addrReady, dataReady, true);
+        const std::size_t slot = push(addr, addrReady, dataReady);
+        const std::uint64_t seq = ring.at(slot).seq;
+        stores.pushBack(StoreRef{seq, slot});
+        while (!addrGate.empty() && addrGate.back().addrReady <= addrReady)
+            addrGate.popBack();
+        addrGate.pushBack(GateEntry{seq, addrReady});
+        return seq;
     }
 
     std::uint64_t pushLoad(std::uint64_t addr, std::uint64_t addrReady)
     {
-        return push(addr, addrReady, addrReady, false);
+        return ring.at(push(addr, addrReady, addrReady)).seq;
     }
 
     /**
@@ -126,27 +144,21 @@ class LoadStoreQueue
      */
     std::uint64_t olderStoreAddrReady() const
     {
-        std::uint64_t gate = 0;
-        for (std::size_t i = head; i != tail; i = next(i))
-            if (ring[i].isStore && ring[i].addrReady > gate)
-                gate = ring[i].addrReady;
-        return gate;
+        return addrGate.empty() ? 0 : addrGate.front().addrReady;
     }
 
     /**
      * Classify the youngest older store conflicting with a load of
      * @p addr.  All queued entries are older than the load about to
-     * be pushed, so the walk runs youngest-first from the tail; the
-     * returned storeSeq lets callers verify no forward ever crosses
-     * program order.
+     * be pushed, so the walk runs youngest-first over the store
+     * index; the returned storeSeq lets callers verify no forward
+     * ever crosses program order.
      */
     Conflict searchOlderStores(std::uint64_t addr) const
     {
-        for (std::size_t i = tail; i != head;) {
-            i = prev(i);
-            const Entry &e = ring[i];
-            if (!e.isStore)
-                continue;
+        for (std::size_t i = stores.end(); i != stores.begin();) {
+            i = stores.prev(i);
+            const Entry &e = ring.at(stores.at(i).slot);
             const std::uint64_t lo = e.addr < addr ? e.addr : addr;
             const std::uint64_t hi = e.addr < addr ? addr : e.addr;
             if (hi - lo >= accessBytes)
@@ -174,55 +186,110 @@ class LoadStoreQueue
      *  grow along the ring. */
     void stampCommit(std::uint64_t fromSeq, std::uint64_t cycle)
     {
-        for (std::size_t i = tail; i != head;) {
-            i = prev(i);
-            if (ring[i].seq < fromSeq)
+        for (std::size_t i = ring.end(); i != ring.begin();) {
+            i = ring.prev(i);
+            Entry &e = ring.at(i);
+            if (e.seq < fromSeq)
                 break;
-            BSISA_ASSERT(ring[i].commit == commitPending);
-            ring[i].commit = cycle;
+            BSISA_ASSERT(e.commit == commitPending);
+            e.commit = cycle;
         }
     }
 
     /** Sequence number the next pushed entry will receive. */
     std::uint64_t nextSeq() const { return nextSeqNum; }
 
-    /** Squash every entry with seq >= @p fromSeq (wrong path). */
-    void squashFrom(std::uint64_t fromSeq)
-    {
-        while (tail != head && ring[prev(tail)].seq >= fromSeq)
-            tail = prev(tail);
-    }
-
   private:
-    std::size_t next(std::size_t i) const
+    /** Fixed-capacity FIFO over a vector: push at the back, pop at
+     *  either end, walk slots with next()/prev() from begin() or
+     *  end().  One slot stays unused so begin() == end() only when
+     *  empty. */
+    template <typename T>
+    class Ring
     {
-        return i + 1 == ring.size() ? 0 : i + 1;
-    }
+      public:
+        explicit Ring(std::size_t capacity) : buf(capacity + 1) {}
 
-    std::size_t prev(std::size_t i) const
+        bool empty() const { return head == tail; }
+
+        std::size_t size() const
+        {
+            return tail >= head ? tail - head : tail + buf.size() - head;
+        }
+
+        std::size_t begin() const { return head; }
+        std::size_t end() const { return tail; }
+
+        std::size_t next(std::size_t i) const
+        {
+            return i + 1 == buf.size() ? 0 : i + 1;
+        }
+
+        std::size_t prev(std::size_t i) const
+        {
+            return (i == 0 ? buf.size() : i) - 1;
+        }
+
+        T &at(std::size_t slot) { return buf[slot]; }
+        const T &at(std::size_t slot) const { return buf[slot]; }
+        const T &front() const { return buf[head]; }
+        const T &back() const { return buf[prev(tail)]; }
+
+        /** Append @p v; returns its slot, stable until it is
+         *  popped. */
+        std::size_t pushBack(const T &v)
+        {
+            const std::size_t slot = tail;
+            buf[slot] = v;
+            tail = next(tail);
+            BSISA_ASSERT(tail != head, "ring overflow");
+            return slot;
+        }
+
+        void popFront() { head = next(head); }
+        void popBack() { tail = prev(tail); }
+
+      private:
+        std::vector<T> buf;
+        std::size_t head = 0;
+        std::size_t tail = 0;
+    };
+
+    struct StoreRef
     {
-        return (i == 0 ? ring.size() : i) - 1;
-    }
+        std::uint64_t seq;
+        std::size_t slot;  //!< the store's slot in ring
+    };
 
-    std::uint64_t push(std::uint64_t addr, std::uint64_t addrReady,
-                       std::uint64_t dataReady, bool isStore)
+    struct GateEntry
+    {
+        std::uint64_t seq;
+        std::uint64_t addrReady;
+    };
+
+    std::size_t push(std::uint64_t addr, std::uint64_t addrReady,
+                     std::uint64_t dataReady)
     {
         BSISA_ASSERT(!full(), "LSQ overflow");
-        Entry &e = ring[tail];
-        e.addr = addr;
-        e.addrReady = addrReady;
-        e.dataReady = dataReady;
-        e.commit = commitPending;
-        e.seq = nextSeqNum++;
-        e.isStore = isStore;
-        tail = next(tail);
-        return e.seq;
+        return ring.pushBack(
+            Entry{addr, addrReady, dataReady, commitPending, nextSeqNum++});
+    }
+
+    /** Drop index entries of stores that have left the queue. */
+    void trimStoreIndices()
+    {
+        const std::uint64_t oldest =
+            ring.empty() ? nextSeqNum : ring.front().seq;
+        while (!stores.empty() && stores.front().seq < oldest)
+            stores.popFront();
+        while (!addrGate.empty() && addrGate.front().seq < oldest)
+            addrGate.popFront();
     }
 
     unsigned cap;
-    std::vector<Entry> ring;
-    std::size_t head = 0;
-    std::size_t tail = 0;
+    Ring<Entry> ring;
+    Ring<StoreRef> stores;      //!< queued stores, program order
+    Ring<GateEntry> addrGate;   //!< addrReady strictly decreasing
     std::uint64_t nextSeqNum = 0;
 };
 

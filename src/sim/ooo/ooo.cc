@@ -19,7 +19,11 @@
  * physical register the cycle after the mapping that evicted it
  * commits).  That keeps the model deterministic by construction —
  * identical (trace, config) pairs produce bit-identical results on
- * any build — and costs O(ops) like the abstract model.
+ * any build.  It is one pass, but an op's cost depends on the
+ * geometry: picking a reservation station is O(log rsPerClass) (a
+ * min-heap per class, sim/ooo/rs.hh), a load's address gate is O(1)
+ * and its conflict search walks only the queued stores
+ * (sim/ooo/lsq.hh).
  *
  * Two conventions keep the dcache stream well-defined: accesses are
  * performed in program order at scheduling time (commit-time store
@@ -35,6 +39,7 @@
 #include "sim/lockstep.hh"
 #include "sim/ooo/lsq.hh"
 #include "sim/ooo/rat.hh"
+#include "sim/ooo/rs.hh"
 #include "sim/pipeline.hh"
 #include "support/digest.hh"
 #include "support/logging.hh"
@@ -108,7 +113,7 @@ class OooEngine
         physReady.assign(cfg.ooo.physRegs, 0);
         for (unsigned c = 0; c < oooNumClasses; ++c) {
             fu.emplace_back(fuWidth(c, cfg.issueWidth));
-            rs[c].assign(cfg.ooo.rsPerClass, 0);
+            rs.emplace_back(cfg.ooo.rsPerClass);
         }
         rob.resize(std::size_t(cfg.ooo.robOps) + 1);
     }
@@ -123,18 +128,6 @@ class OooEngine
                                     unsigned mustRunIdx,
                                     std::uint64_t fetchCycle,
                                     std::uint64_t squashCutoff);
-
-    /** First reservation station of @p cls free, by earliest
-     *  busy-until then lowest index — a deterministic tie-break. */
-    std::size_t pickRs(unsigned cls) const
-    {
-        const std::vector<std::uint64_t> &v = rs[cls];
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < v.size(); ++i)
-            if (v[i] < v[best])
-                best = i;
-        return best;
-    }
 
     std::size_t robNext(std::size_t i) const
     {
@@ -165,7 +158,7 @@ class OooEngine
     std::vector<std::uint64_t> physReady;
     LoadStoreQueue lsq;
     std::vector<IssueSlots> fu;
-    std::vector<std::uint64_t> rs[oooNumClasses];
+    std::vector<ReservationStations> rs;
 
     std::vector<RobUnit> rob;
     std::size_t robHead = 0;
@@ -202,9 +195,8 @@ OooEngine::scheduleWrongPath(const DecodedOp *ops, std::uint32_t n,
         const unsigned cls = classify(op);
         const std::uint64_t s1 = physReady[rat.lookup(op.src1)];
         const std::uint64_t s2 = physReady[rat.lookup(op.src2)];
-        const std::size_t slot = pickRs(cls);
-        std::uint64_t dispatch =
-            std::max({earliest, lastDispatch, rs[cls][slot]});
+        std::uint64_t dispatch = std::max(
+            {earliest, lastDispatch, rs[cls].earliestFree()});
         const std::uint64_t ready0 = std::max({dispatch, s1, s2});
         if (i > mustRunIdx && ready0 > squashCutoff)
             continue;  // squashed before it could issue
@@ -220,7 +212,7 @@ OooEngine::scheduleWrongPath(const DecodedOp *ops, std::uint32_t n,
                 continue;
             const std::uint64_t start =
                 fu[cls].allocate(std::max(ready0, dispatch));
-            rs[cls][slot] = start + 1;
+            rs[cls].occupyEarliest(start + 1);
             ++res.wrongPathOps;
             resolve = start + op.latency;
             continue;
@@ -238,7 +230,7 @@ OooEngine::scheduleWrongPath(const DecodedOp *ops, std::uint32_t n,
         // any committed-path op could observe them.
         const std::uint64_t done = start + op.latency;
         physReady[alloc.phys] = done;
-        rs[cls][slot] = start + 1;
+        rs[cls].occupyEarliest(start + 1);
         if (i > mustRunIdx && start > squashCutoff)
             continue;  // issued past the squash: uncounted
         ++res.wrongPathOps;
@@ -348,9 +340,8 @@ OooEngine::step(const TimingUnit &unit)
 
         // In-order dispatch: a reservation station of the class, an
         // LSQ entry for memory ops, and a free physical register.
-        const std::size_t slot = pickRs(cls);
-        std::uint64_t dispatch =
-            std::max({renameBase, lastDispatch, rs[cls][slot]});
+        std::uint64_t dispatch = std::max(
+            {renameBase, lastDispatch, rs[cls].earliestFree()});
 
         if (op.flags & opIsMem) {
             while (lsq.full()) {
@@ -436,7 +427,7 @@ OooEngine::step(const TimingUnit &unit)
 
         const std::uint64_t done = start + latency;
         physReady[alloc.phys] = done;
-        rs[cls][slot] = start + 1;
+        rs[cls].occupyEarliest(start + 1);
         prevDone[i] = done;
         unitDone = std::max(unitDone, done);
     }

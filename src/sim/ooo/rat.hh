@@ -114,7 +114,7 @@ class RegAliasTable
     }
 
     /** Snapshot the map ahead of wrong-path renaming.  Single-level:
-     *  a second checkpoint before restore()/discard() is a bug. */
+     *  a second checkpoint before restore() is a bug. */
     Checkpoint checkpoint()
     {
         BSISA_ASSERT(!journalActive, "checkpoint already outstanding");
@@ -139,14 +139,6 @@ class RegAliasTable
             map[r] = cp.map[r];
         for (std::size_t i = cp.journalBase; i < journal.size(); ++i)
             release(journal[i].phys, squashCycle + 1);
-        journal.resize(cp.journalBase);
-        journalActive = false;
-    }
-
-    /** Keep the speculative renames (the path turned out right). */
-    void discard(const Checkpoint &cp)
-    {
-        BSISA_ASSERT(journalActive, "discard without checkpoint");
         journal.resize(cp.journalBase);
         journalActive = false;
     }

@@ -1,15 +1,22 @@
 /**
  * @file
  * Tests for the out-of-order backend (sim/ooo): RAT checkpoint
- * round-trips under random squash points, LSQ forwarding and
- * partial-overlap classification, directed engine regressions on
- * synthetic fetch streams, the commit-order digest contract, and
- * determinism under BSISA_JOBS fanning.
+ * round-trips under random squash points, the reservation-station
+ * heap and the LSQ's store indices against brute-force scans, LSQ
+ * forwarding and partial-overlap classification, directed engine
+ * regressions on synthetic fetch streams, the commit-order digest
+ * contract, determinism under BSISA_JOBS fanning, and every suite
+ * benchmark's results pinned at two geometries.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
+#include <iterator>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "codegen/layout.hh"
@@ -21,10 +28,13 @@
 #include "sim/ooo/lsq.hh"
 #include "sim/ooo/ooo.hh"
 #include "sim/ooo/rat.hh"
+#include "sim/ooo/rs.hh"
 #include "sim/trace.hh"
 #include "sim_result_print.hh"
 #include "support/parallel.hh"
 #include "support/rng.hh"
+#include "workloads/specmix.hh"
+#include "workloads/synth.hh"
 
 using namespace bsisa;
 
@@ -256,6 +266,134 @@ TEST(Lsq, OlderStoreAddressesGateLoads)
     EXPECT_EQ(lsq.olderStoreAddrReady(), 31u);
 }
 
+TEST(Lsq, StoreIndicesMatchBruteForceAcrossRingWraps)
+{
+    // A mirror of the queue, scanned in full for every answer.
+    struct Ref
+    {
+        std::uint64_t addr, addrReady, dataReady, commit, seq;
+        bool isStore;
+    };
+    auto bruteGate = [](const std::deque<Ref> &q) {
+        std::uint64_t gate = 0;
+        for (const Ref &e : q)
+            if (e.isStore)
+                gate = std::max(gate, e.addrReady);
+        return gate;
+    };
+    auto bruteSearch = [](const std::deque<Ref> &q, std::uint64_t addr) {
+        LoadStoreQueue::Conflict c;
+        for (auto it = q.rbegin(); it != q.rend(); ++it) {
+            const std::uint64_t d =
+                it->addr > addr ? it->addr - addr : addr - it->addr;
+            if (!it->isStore || d >= LoadStoreQueue::accessBytes)
+                continue;
+            c.storeSeq = it->seq;
+            if (it->addr == addr) {
+                c.kind = LoadStoreQueue::ConflictKind::Forward;
+                c.dataReady = it->dataReady;
+            } else {
+                c.kind = LoadStoreQueue::ConflictKind::Overlap;
+                c.drain = it->commit != LoadStoreQueue::commitPending
+                              ? it->commit
+                              : it->dataReady;
+            }
+            break;
+        }
+        return c;
+    };
+
+    Rng rng(2024);
+    for (const unsigned cap : {1u, 4u, 7u}) {
+        LoadStoreQueue lsq(cap);
+        std::deque<Ref> ref;
+        std::uint64_t seq = 0, unitBase = 0, commit = 0;
+        std::uint64_t pushes = 0;
+        for (int step = 0; step < 20000; ++step) {
+            SCOPED_TRACE("cap " + std::to_string(cap) + " step " +
+                         std::to_string(step));
+            const unsigned op = unsigned(rng.nextBelow(10));
+            if (op < 5 && !lsq.full()) {
+                // Addresses on a 4-byte grid: exact matches, partial
+                // overlaps and disjoint pairs all occur.
+                const std::uint64_t addr = 1000 + 4 * rng.nextBelow(6);
+                const std::uint64_t ready = rng.nextBelow(200);
+                const bool isStore = rng.nextBelow(2);
+                const std::uint64_t data = ready + rng.nextBelow(3);
+                const std::uint64_t got =
+                    isStore ? lsq.pushStore(addr, ready, data)
+                            : lsq.pushLoad(addr, ready);
+                ASSERT_EQ(got, seq);
+                ref.push_back({addr, ready, isStore ? data : ready,
+                               LoadStoreQueue::commitPending, seq++,
+                               isStore});
+                ++pushes;
+            } else if (op < 7) {
+                // The unit being scheduled commits.
+                commit += rng.nextBelow(4);
+                lsq.stampCommit(unitBase, commit);
+                for (Ref &e : ref)
+                    if (e.seq >= unitBase)
+                        e.commit = commit;
+                unitBase = seq;
+            } else if (op < 9) {
+                const std::uint64_t cycle =
+                    commit >= 3 ? commit - 3 + rng.nextBelow(5) : 0;
+                lsq.drainCommitted(cycle);
+                while (!ref.empty() &&
+                       ref.front().commit !=
+                           LoadStoreQueue::commitPending &&
+                       ref.front().commit <= cycle)
+                    ref.pop_front();
+            } else if (!ref.empty()) {
+                lsq.popOldest();
+                ref.pop_front();
+            }
+
+            ASSERT_EQ(lsq.size(), ref.size());
+            if (!ref.empty()) {
+                ASSERT_EQ(lsq.oldestCommit(), ref.front().commit);
+            }
+            ASSERT_EQ(lsq.olderStoreAddrReady(), bruteGate(ref));
+            for (std::uint64_t addr = 992; addr <= 1032; addr += 2) {
+                const LoadStoreQueue::Conflict got =
+                    lsq.searchOlderStores(addr);
+                const LoadStoreQueue::Conflict want =
+                    bruteSearch(ref, addr);
+                ASSERT_EQ(got.kind, want.kind) << "addr " << addr;
+                ASSERT_EQ(got.dataReady, want.dataReady);
+                ASSERT_EQ(got.drain, want.drain);
+                ASSERT_EQ(got.storeSeq, want.storeSeq);
+            }
+        }
+        // The ring (cap + 1 slots) wrapped many times over.
+        EXPECT_GT(pushes, 100u * (cap + 1));
+    }
+}
+
+// ---------------------------------------------- reservation stations
+
+TEST(Rs, HeapTopMatchesLinearArgminOverRandomTakes)
+{
+    Rng rng(99);
+    for (const unsigned entries : {1u, 2u, 3u, 5u, 24u, 64u}) {
+        ReservationStations rs(entries);
+        std::vector<std::uint64_t> ref(entries, 0);
+        for (int step = 0; step < 5000; ++step) {
+            // The linear scan the engine used to run per op.
+            const auto best = std::min_element(ref.begin(), ref.end());
+            ASSERT_EQ(rs.earliestFree(), *best)
+                << entries << " stations, step " << step;
+            // Mostly near the top (ties are common), sometimes far.
+            const std::uint64_t until =
+                *best + (rng.nextBelow(8) == 0 ? rng.nextBelow(500)
+                                               : rng.nextBelow(4));
+            rs.occupyEarliest(until);
+            *best = until;
+        }
+    }
+}
+
 // ---------------------------------------------------- OoO engine
 
 TEST(Ooo, ForwardingAndPartialOverlapOnSyntheticStream)
@@ -459,4 +597,263 @@ TEST(Ooo, MixedModelBatchMatchesPerConfigRuns)
     // different cycle count than the abstract window model.
     EXPECT_EQ(seq[0].retiredOps, seq[1].retiredOps);
     EXPECT_NE(seq[0].cycles, seq[1].cycles);
+}
+
+// ------------------------------------------- pinned suite outputs
+
+namespace
+{
+
+/** One pinned row: an OoO run's cycles, stall counters, wrong-path
+ *  ops and every OooTelemetry field. */
+struct PinnedOoo
+{
+    const char *machine;
+    const char *bench;
+    const char *geometry;
+    std::uint64_t cycles;
+    std::uint64_t stallRedirect;
+    std::uint64_t stallWindow;
+    std::uint64_t stallIcache;
+    std::uint64_t wrongPathOps;
+    // OooTelemetry, in declaration order.
+    std::uint64_t commitDigest;
+    std::uint64_t forwardedLoads;
+    std::uint64_t overlapStallLoads;
+    std::uint64_t checkpointsTaken;
+    std::uint64_t checkpointsRestored;
+    std::uint64_t renameStallCycles;
+    std::uint64_t peakRobOps;
+    std::uint64_t peakRobUnits;
+    std::uint64_t peakLsq;
+    std::uint64_t robOverflows;
+    std::uint64_t commitOrderViolations;
+    std::uint64_t youngerForwards;
+};
+
+static_assert(sizeof(OooTelemetry) == 12 * sizeof(std::uint64_t),
+              "a new OooTelemetry field needs a column in kPinnedOoo");
+
+/** A row as its initializer in kPinnedOoo, so a mismatch prints the
+ *  line to paste. */
+std::string
+pinnedRowText(const PinnedOoo &r)
+{
+    std::ostringstream os;
+    os << "{\"" << r.machine << "\", \"" << r.bench << "\", \""
+       << r.geometry << "\",\n     " << r.cycles << ", "
+       << r.stallRedirect << ", " << r.stallWindow << ", "
+       << r.stallIcache << ", " << r.wrongPathOps << ",\n     "
+       << r.commitDigest << "ull, " << r.forwardedLoads << ", "
+       << r.overlapStallLoads << ", " << r.checkpointsTaken << ", "
+       << r.checkpointsRestored << ", " << r.renameStallCycles
+       << ",\n     " << r.peakRobOps << ", " << r.peakRobUnits << ", "
+       << r.peakLsq << ", " << r.robOverflows << ", "
+       << r.commitOrderViolations << ", " << r.youngerForwards << "},";
+    return os.str();
+}
+
+/**
+ * Expected OoO results of every suite benchmark on both machines at
+ * 1/2000 of its Table-2 budget, under the default geometry and a tiny
+ * one (2 stations per class, 4 LSQ entries, 40 physical registers, a
+ * 16-op ROB committing 2 per cycle) that reaches the LSQ's capacity
+ * reclaim and rename starvation.  Any change to the engine's
+ * structures must reproduce every row bit for bit.
+ */
+const PinnedOoo kPinnedOoo[] = {
+    {"conv", "compress", "default",
+     19635, 8934, 3781, 174, 1738,
+     3719380931163717079ull, 2777, 0, 332, 332, 6528,
+     192, 28, 30, 0, 0, 0},
+    {"conv", "compress", "tiny",
+     92743, 5506, 80398, 174, 1025,
+     3719380931163717079ull, 479, 0, 332, 332, 12961,
+     16, 5, 3, 0, 0, 0},
+    {"bsa", "compress", "default",
+     18345, 5250, 7188, 378, 697,
+     16078470328008759298ull, 3008, 0, 102, 102, 9066,
+     192, 23, 30, 0, 0, 0},
+    {"bsa", "compress", "tiny",
+     93347, 3005, 84518, 378, 360,
+     16078470328008759298ull, 479, 0, 102, 102, 3433,
+     16, 6, 3, 0, 0, 0},
+    {"conv", "gcc", "default",
+     40052, 19994, 3394, 3354, 8139,
+     16266610886918237482ull, 566, 0, 1888, 1888, 3165,
+     192, 37, 33, 0, 0, 0},
+    {"conv", "gcc", "tiny",
+     124450, 29744, 78080, 3354, 4086,
+     16266610886918237482ull, 82, 0, 1888, 1888, 29370,
+     16, 7, 4, 0, 0, 0},
+    {"bsa", "gcc", "default",
+     39317, 20553, 4026, 7104, 4513,
+     14276910917922446796ull, 538, 0, 619, 619, 1352,
+     192, 26, 48, 0, 0, 0},
+    {"bsa", "gcc", "tiny",
+     132956, 30022, 88232, 7104, 2261,
+     14276910917922446796ull, 71, 0, 619, 619, 4286,
+     16, 4, 4, 0, 0, 0},
+    {"conv", "go", "default",
+     36539, 20506, 1253, 3942, 9261,
+     7848318737998112393ull, 634, 0, 2024, 2024, 1386,
+     192, 42, 32, 0, 0, 0},
+    {"conv", "go", "tiny",
+     104821, 31050, 59019, 3942, 4528,
+     7848318737998112393ull, 76, 0, 2024, 2024, 24017,
+     16, 8, 4, 0, 0, 0},
+    {"bsa", "go", "default",
+     37219, 19660, 2150, 8622, 4102,
+     4867519734519188257ull, 673, 0, 514, 514, 741,
+     192, 30, 48, 0, 0, 0},
+    {"bsa", "go", "tiny",
+     110904, 31027, 64502, 8622, 1907,
+     4867519734519188257ull, 72, 0, 514, 514, 8521,
+     16, 4, 4, 0, 0, 0},
+    {"conv", "ijpeg", "default",
+     41425, 5695, 22580, 300, 1843,
+     16921275960548170340ull, 3118, 0, 317, 317, 11012,
+     192, 31, 48, 0, 0, 0},
+    {"conv", "ijpeg", "tiny",
+     160971, 4563, 143284, 300, 840,
+     16921275960548170340ull, 154, 0, 317, 317, 10644,
+     16, 5, 4, 0, 0, 0},
+    {"bsa", "ijpeg", "default",
+     41955, 9470, 21563, 756, 2637,
+     4281608987414829635ull, 3192, 0, 274, 274, 4160,
+     192, 27, 48, 0, 0, 0},
+    {"bsa", "ijpeg", "tiny",
+     161167, 6510, 143764, 756, 962,
+     4281608987414829635ull, 155, 0, 274, 274, 3951,
+     16, 4, 4, 0, 0, 0},
+    {"conv", "li", "default",
+     43386, 23092, 1889, 294, 6809,
+     15730470159098666733ull, 835, 0, 1581, 1581, 3627,
+     192, 56, 24, 0, 0, 0},
+    {"conv", "li", "tiny",
+     148455, 21950, 108093, 294, 3733,
+     15730470159098666733ull, 0, 0, 1581, 1581, 32001,
+     16, 8, 2, 0, 0, 0},
+    {"bsa", "li", "default",
+     38921, 23891, 3256, 720, 8876,
+     13010969483884524022ull, 811, 0, 1204, 1204, 9615,
+     192, 28, 24, 0, 0, 0},
+    {"bsa", "li", "tiny",
+     156244, 24396, 120088, 720, 4347,
+     13010969483884524022ull, 8, 0, 1204, 1204, 16464,
+     16, 4, 2, 0, 0, 0},
+    {"conv", "m88ksim", "default",
+     19277, 5186, 4802, 204, 1179,
+     17025224661552522716ull, 52, 0, 271, 271, 20354,
+     192, 33, 23, 0, 0, 0},
+    {"conv", "m88ksim", "tiny",
+     96303, 3491, 83540, 204, 595,
+     17025224661552522716ull, 0, 0, 271, 271, 10318,
+     16, 4, 2, 0, 0, 0},
+    {"bsa", "m88ksim", "default",
+     19319, 7939, 3633, 594, 2043,
+     14423744807142896427ull, 16, 0, 194, 194, 15769,
+     192, 27, 23, 0, 0, 0},
+    {"bsa", "m88ksim", "tiny",
+     98869, 5163, 85979, 594, 1159,
+     14423744807142896427ull, 0, 0, 194, 194, 1050,
+     16, 4, 2, 0, 0, 0},
+    {"conv", "perl", "default",
+     17744, 6292, 4442, 600, 1897,
+     2471884882833797344ull, 428, 0, 483, 483, 7562,
+     192, 38, 22, 0, 0, 0},
+    {"conv", "perl", "tiny",
+     62352, 7942, 47396, 600, 1100,
+     2471884882833797344ull, 5, 0, 483, 483, 14831,
+     16, 6, 3, 0, 0, 0},
+    {"bsa", "perl", "default",
+     16956, 6106, 5253, 1326, 1277,
+     4381646525416506178ull, 431, 0, 141, 141, 6932,
+     192, 29, 21, 0, 0, 0},
+    {"bsa", "perl", "tiny",
+     65622, 6610, 53411, 1326, 720,
+     4381646525416506178ull, 6, 0, 141, 141, 4456,
+     16, 4, 3, 0, 0, 0},
+    {"conv", "vortex", "default",
+     41517, 16479, 4088, 882, 5834,
+     5785220490948570187ull, 1052, 0, 1246, 1246, 9911,
+     192, 41, 24, 0, 0, 0},
+    {"conv", "vortex", "tiny",
+     181190, 19765, 140494, 882, 3119,
+     5785220490948570187ull, 7, 0, 1246, 1246, 44878,
+     16, 8, 3, 0, 0, 0},
+    {"bsa", "vortex", "default",
+     39309, 19837, 4034, 2112, 5730,
+     3242355815951977379ull, 1077, 0, 734, 734, 4059,
+     192, 33, 24, 0, 0, 0},
+    {"bsa", "vortex", "tiny",
+     190388, 20802, 154170, 2112, 2941,
+     3242355815951977379ull, 7, 0, 734, 734, 15243,
+     16, 4, 3, 0, 0, 0},
+};
+
+} // namespace
+
+TEST(Ooo, PinnedAcrossSuiteAndGeometries)
+{
+    MachineConfig base;
+    base.timingModel = TimingModel::Ooo;
+    MachineConfig tiny = base;
+    tiny.ooo.rsPerClass = 2;
+    tiny.ooo.lsqEntries = 4;
+    tiny.ooo.physRegs = 40;
+    tiny.ooo.robOps = 16;
+    tiny.ooo.commitWidth = 2;
+    const std::pair<const char *, MachineConfig> geometries[] = {
+        {"default", base}, {"tiny", tiny}};
+
+    const auto suite = specint95Suite();
+    std::size_t row = 0;
+    for (const SpecBenchmark &bench : suite) {
+        const Module module = generateWorkload(bench.params);
+        Interp::Limits limits;
+        limits.maxOps = bench.scaledBudget(2000);
+        const ExecTrace trace = captureTrace(module, limits);
+        const ConvLayout layout(module);
+        const DecodedProgram convDecoded =
+            DecodedProgram::forModule(module);
+        BsaModule bsa = enlargeModule(module, EnlargeConfig{});
+        layoutBsaModule(bsa);
+        const DecodedProgram bsaDecoded = DecodedProgram::forBsa(bsa);
+
+        for (const char *machineName : {"conv", "bsa"}) {
+            for (const auto &[geometry, machine] : geometries) {
+                const bool conv = machineName == std::string("conv");
+                OooTelemetry t;
+                SimResult r;
+                if (conv) {
+                    ConvFetchSource source(module, layout, machine,
+                                           trace, convDecoded);
+                    r = simulateOoO(source, machine, &t);
+                    EXPECT_EQ(r.retiredOps, trace.dynOps);
+                } else {
+                    BsaFetchSource source(bsa, machine, trace,
+                                          bsaDecoded);
+                    r = simulateOoO(source, machine, &t);
+                }
+                const PinnedOoo got{
+                    machineName, bench.params.name.c_str(), geometry,
+                    r.cycles, r.stallRedirect, r.stallWindow,
+                    r.stallIcache, r.wrongPathOps, t.commitDigest,
+                    t.forwardedLoads, t.overlapStallLoads,
+                    t.checkpointsTaken, t.checkpointsRestored,
+                    t.renameStallCycles, t.peakRobOps, t.peakRobUnits,
+                    t.peakLsq, t.robOverflows,
+                    t.commitOrderViolations, t.youngerForwards};
+                if (row < std::size(kPinnedOoo))
+                    EXPECT_EQ(pinnedRowText(got),
+                              pinnedRowText(kPinnedOoo[row]));
+                else
+                    ADD_FAILURE() << "unpinned row:\n"
+                                  << pinnedRowText(got);
+                ++row;
+            }
+        }
+    }
+    EXPECT_EQ(row, std::size(kPinnedOoo));
 }

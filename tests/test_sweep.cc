@@ -234,6 +234,30 @@ TEST(SweepSpec_, RejectsBadInput)
                "axes: {icache_kb: [16, 64]}\n");
 }
 
+TEST(SweepSpec_, RejectsOooGeometryTheEngineCannotRun)
+{
+    const std::string head = "name: x\nbenchmarks: [go]\n";
+    const std::pair<std::string, std::string> bad[] = {
+        {"rs_per_class", "0"}, {"commit_width", "0"}, {"rob_ops", "0"},
+        {"lsq_entries", "0"},  {"phys_regs", "20"},   {"phys_regs", "33"},
+        {"phys_regs", "65537"}};
+    for (const auto &[key, value] : bad) {
+        const std::string kv = key + ": " + value;
+        for (const std::string &where :
+             {"base: {timing_model: ooo, " + kv + "}\n",
+              "axes: {" + key + ": [64, " + value + "]}\n",
+              "points:\n  - {" + kv + "}\n"}) {
+            const std::string error = parseError(head + where);
+            EXPECT_NE(error.find(key + ": expected "), std::string::npos)
+                << where << " -> " << error;
+        }
+    }
+    // The bounds themselves are runnable geometry.
+    mustParse(head + "base: {rs_per_class: 1, commit_width: 1, "
+                     "rob_ops: 1, lsq_entries: 1, phys_regs: 34}\n");
+    mustParse(head + "base: {phys_regs: 65536}\n");
+}
+
 TEST(SweepSpec_, ConfigKeysReachTheirFields)
 {
     RunConfig config;
