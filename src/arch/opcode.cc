@@ -110,68 +110,4 @@ opcodeName(Opcode op)
     panic("bad opcode");
 }
 
-bool
-isTerminator(Opcode op)
-{
-    switch (op) {
-      case Opcode::Jmp:
-      case Opcode::Trap:
-      case Opcode::Call:
-      case Opcode::IJmp:
-      case Opcode::Ret:
-      case Opcode::Halt:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-hasDest(Opcode op)
-{
-    switch (op) {
-      case Opcode::Nop:
-      case Opcode::St:
-      case Opcode::Jmp:
-      case Opcode::Trap:
-      case Opcode::Fault:
-      case Opcode::Call:
-      case Opcode::IJmp:
-      case Opcode::Ret:
-      case Opcode::Halt:
-        return false;
-      default:
-        return true;
-    }
-}
-
-unsigned
-numSources(Opcode op)
-{
-    switch (op) {
-      case Opcode::Nop:
-      case Opcode::MovI:
-      case Opcode::Jmp:
-      case Opcode::Call:
-      case Opcode::Ret:
-      case Opcode::Halt:
-        return 0;
-      case Opcode::Mov:
-      case Opcode::AddI:
-      case Opcode::AndI:
-      case Opcode::CmpEqI:
-      case Opcode::CmpLtI:
-      case Opcode::ShlI:
-      case Opcode::ShrI:
-      case Opcode::FCvt:
-      case Opcode::Ld:
-      case Opcode::Trap:
-      case Opcode::Fault:
-      case Opcode::IJmp:
-        return 1;
-      default:
-        return 2;
-    }
-}
-
 } // namespace bsisa

@@ -78,13 +78,71 @@ const char *opcodeName(Opcode op);
 
 /** True iff the opcode may appear only as a block terminator.  Fault
  *  is not a terminator: it sits in the interior of enlarged blocks. */
-bool isTerminator(Opcode op);
+constexpr bool
+isTerminator(Opcode op)
+{
+    switch (op) {
+      case Opcode::Jmp:
+      case Opcode::Trap:
+      case Opcode::Call:
+      case Opcode::IJmp:
+      case Opcode::Ret:
+      case Opcode::Halt:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True iff the opcode writes a destination register. */
-bool hasDest(Opcode op);
+constexpr bool
+hasDest(Opcode op)
+{
+    switch (op) {
+      case Opcode::Nop:
+      case Opcode::St:
+      case Opcode::Jmp:
+      case Opcode::Trap:
+      case Opcode::Fault:
+      case Opcode::Call:
+      case Opcode::IJmp:
+      case Opcode::Ret:
+      case Opcode::Halt:
+        return false;
+      default:
+        return true;
+    }
+}
 
 /** Number of register sources read (0, 1, or 2). */
-unsigned numSources(Opcode op);
+constexpr unsigned
+numSources(Opcode op)
+{
+    switch (op) {
+      case Opcode::Nop:
+      case Opcode::MovI:
+      case Opcode::Jmp:
+      case Opcode::Call:
+      case Opcode::Ret:
+      case Opcode::Halt:
+        return 0;
+      case Opcode::Mov:
+      case Opcode::AddI:
+      case Opcode::AndI:
+      case Opcode::CmpEqI:
+      case Opcode::CmpLtI:
+      case Opcode::ShlI:
+      case Opcode::ShrI:
+      case Opcode::FCvt:
+      case Opcode::Ld:
+      case Opcode::Trap:
+      case Opcode::Fault:
+      case Opcode::IJmp:
+        return 1;
+      default:
+        return 2;
+    }
+}
 
 } // namespace bsisa
 

@@ -5,25 +5,23 @@
 
 #include "arch/operation.hh"
 
-#include <sstream>
 
 namespace bsisa
 {
 
-std::string
-Operation::toString() const
+void
+writeOperation(TextWriter &os, const Operation &o)
 {
-    std::ostringstream os;
-    os << opcodeName(op);
-    switch (op) {
+    os << opcodeName(o.op);
+    switch (o.op) {
       case Opcode::Nop:
         break;
       case Opcode::MovI:
-        os << " r" << dst << ", " << imm;
+        os << " r" << o.dst << ", " << o.imm;
         break;
       case Opcode::Mov:
       case Opcode::FCvt:
-        os << " r" << dst << ", r" << src1;
+        os << " r" << o.dst << ", r" << o.src1;
         break;
       case Opcode::AddI:
       case Opcode::AndI:
@@ -31,40 +29,47 @@ Operation::toString() const
       case Opcode::CmpLtI:
       case Opcode::ShlI:
       case Opcode::ShrI:
-        os << " r" << dst << ", r" << src1 << ", " << imm;
+        os << " r" << o.dst << ", r" << o.src1 << ", " << o.imm;
         break;
       case Opcode::Ld:
-        os << " r" << dst << ", [r" << src1 << " + " << imm << "]";
+        os << " r" << o.dst << ", [r" << o.src1 << " + " << o.imm << "]";
         break;
       case Opcode::St:
-        os << " [r" << src1 << " + " << imm << "], r" << src2;
+        os << " [r" << o.src1 << " + " << o.imm << "], r" << o.src2;
         break;
       case Opcode::Jmp:
-        os << " B" << target0;
+        os << " B" << o.target0;
         break;
       case Opcode::Trap:
-        os << " r" << src1 << ", B" << target0 << ", B" << target1
-           << " (succBits " << unsigned(succBits) << ")";
+        os << " r" << o.src1 << ", B" << o.target0 << ", B" << o.target1
+           << " (succBits " << unsigned(o.succBits) << ")";
         break;
       case Opcode::Fault:
-        os << " r" << src1 << ", AB" << target0;
-        if (imm != 0)
+        os << " r" << o.src1 << ", AB" << o.target0;
+        if (o.imm != 0)
             os << ", inv";  // fires when the condition is FALSE
         break;
       case Opcode::Call:
-        os << " f" << callee << ", cont B" << target0;
+        os << " f" << o.callee << ", cont B" << o.target0;
         break;
       case Opcode::IJmp:
-        os << " r" << src1 << ", table " << imm;
+        os << " r" << o.src1 << ", table " << o.imm;
         break;
       case Opcode::Ret:
       case Opcode::Halt:
         break;
       default:
-        os << " r" << dst << ", r" << src1 << ", r" << src2;
+        os << " r" << o.dst << ", r" << o.src1 << ", r" << o.src2;
         break;
     }
-    return os.str();
+}
+
+std::string
+Operation::toString() const
+{
+    TextWriter os;
+    writeOperation(os, *this);
+    return std::move(os).str();
 }
 
 Operation

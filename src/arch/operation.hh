@@ -13,6 +13,7 @@
 
 #include "arch/opcode.hh"
 #include "arch/reg.hh"
+#include "support/text_writer.hh"
 
 namespace bsisa
 {
@@ -67,6 +68,10 @@ struct Operation
     /** One-line textual form (for dumps and tests). */
     std::string toString() const;
 };
+
+/** Append @p op's one-line textual form (Operation::toString's
+ *  text; the textual IR's operation syntax). */
+void writeOperation(TextWriter &out, const Operation &op);
 
 // Factory helpers keep construction sites short and readable.
 Operation makeNop();

@@ -54,6 +54,8 @@ parseOracleMask(const std::string &spec)
             mask |= oracleLockstep;
         else if (part == "ooo")
             mask |= oracleOoo;
+        else if (part == "compile")
+            mask |= oracleCompile;
         else if (part == "all")
             mask |= oracleAll;
         else
@@ -849,6 +851,44 @@ checkOoo(const Module &module, const ExecTrace &trace,
     return {};
 }
 
+// -------------------------------------------------- compile oracle
+
+/** Op budget multiple the unoptimized build gets: it keeps the copies,
+ *  constants and recomputations the optimizer removes. */
+constexpr std::uint64_t unoptimizedBudgetScale = 8;
+
+OracleResult
+checkCompile(const std::string &source, const Golden &golden,
+             const OracleOptions &options)
+{
+    CompileOptions plain;
+    plain.optimize = false;
+    plain.allocate = false;
+    const CompileResult compiled = compileBlockC(source, plain);
+    if (!compiled.ok) {
+        return fail("compile", "unoptimized build did not compile: " +
+                                   compiled.errors);
+    }
+    Interp::Limits limits = options.limits;
+    limits.maxOps *= unoptimizedBudgetScale;
+    const Golden plain_run = runGolden(compiled.module, limits);
+    if (!plain_run.halted) {
+        return fail("compile", "unoptimized build did not halt within " +
+                                   std::to_string(limits.maxOps) +
+                                   " ops");
+    }
+    if (plain_run.exit != golden.exit) {
+        return fail("compile", "exit value " + std::to_string(golden.exit) +
+                                   " differs from the unoptimized " +
+                                   std::to_string(plain_run.exit));
+    }
+    if (plain_run.dataChecksum != golden.dataChecksum) {
+        return fail("compile", "data segment differs from the "
+                               "unoptimized build's");
+    }
+    return {};
+}
+
 } // namespace
 
 OracleResult
@@ -892,6 +932,11 @@ checkProgram(const std::string &source, unsigned mask,
     }
     if (mask & oracleOoo) {
         r = checkOoo(module, trace, options);
+        if (!r.ok)
+            return r;
+    }
+    if (mask & oracleCompile) {
+        r = checkCompile(source, golden, options);
         if (!r.ok)
             return r;
     }

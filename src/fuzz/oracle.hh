@@ -35,6 +35,11 @@
  *             from a younger store), results are deterministic across
  *             reruns, and a mixed abstract/ooo batch equals the
  *             per-config path.
+ *   compile — the optimizer and register allocator preserve
+ *             semantics: the program compiled with
+ *             CompileOptions::optimize and allocate off halts with
+ *             the same exit value and data segment (the stack is left
+ *             out: spill slots legitimately change it).
  *
  * A bug can be injected deliberately (fault-injection testing of the
  * harness itself): the enlarged module is mutated after enlargement
@@ -62,12 +67,13 @@ enum OracleMask : unsigned
     oracleModels = 1u << 2,
     oracleLockstep = 1u << 3,
     oracleOoo = 1u << 4,
+    oracleCompile = 1u << 5,
     oracleAll = oracleInterp | oracleEnlarge | oracleModels |
-                oracleLockstep | oracleOoo,
+                oracleLockstep | oracleOoo | oracleCompile,
 };
 
-/** Parse "interp|enlarge|models|lockstep|ooo|all" (comma-separated
- *  allowed); returns 0 on an unrecognized name. */
+/** Parse "interp|enlarge|models|lockstep|ooo|compile|all"
+ *  (comma-separated allowed); returns 0 on an unrecognized name. */
 unsigned parseOracleMask(const std::string &spec);
 
 /** Deliberate defects for harness self-tests (--inject). */
@@ -105,7 +111,7 @@ struct OracleOptions
 struct OracleResult
 {
     bool ok = true;
-    /** Which oracle failed ("interp", "enlarge", "models"), or
+    /** Which oracle failed ("interp", "enlarge", "models", ...), or
      *  "frontend" when the program did not compile.  The shrinker
      *  keys on this name, so a reproducer can never degrade from a
      *  semantic divergence into a mere compile error. */

@@ -7,50 +7,14 @@
 
 #include <algorithm>
 
-#include "support/logging.hh"
-
 namespace bsisa
 {
 
 std::vector<BlockId>
 blockSuccessors(const Function &func, BlockId block)
 {
-    BSISA_ASSERT(block < func.blocks.size());
-    const Block &b = func.blocks[block];
-    BSISA_ASSERT(b.sealed(), "block ", block, " of ", func.name,
-                 " lacks a terminator");
-    const Operation &t = b.terminator();
-
     std::vector<BlockId> succs;
-    switch (t.op) {
-      case Opcode::Jmp:
-        succs.push_back(t.target0);
-        break;
-      case Opcode::Trap:
-        succs.push_back(t.target0);
-        if (t.target1 != t.target0)
-            succs.push_back(t.target1);
-        break;
-      case Opcode::Call:
-        succs.push_back(t.target0);
-        break;
-      case Opcode::IJmp: {
-        BSISA_ASSERT(static_cast<std::size_t>(t.imm) <
-                     func.jumpTables.size());
-        for (BlockId target : func.jumpTables[t.imm]) {
-            if (std::find(succs.begin(), succs.end(), target) ==
-                succs.end()) {
-                succs.push_back(target);
-            }
-        }
-        break;
-      }
-      case Opcode::Ret:
-      case Opcode::Halt:
-        break;
-      default:
-        panic("non-terminator ", opcodeName(t.op), " ends block");
-    }
+    forEachSuccessor(func, block, [&](BlockId s) { succs.push_back(s); });
     return succs;
 }
 
@@ -59,8 +23,8 @@ blockPredecessors(const Function &func)
 {
     std::vector<std::vector<BlockId>> preds(func.blocks.size());
     for (BlockId b = 0; b < func.blocks.size(); ++b)
-        for (BlockId s : blockSuccessors(func, b))
-            preds[s].push_back(b);
+        forEachSuccessor(func, b,
+                         [&](BlockId s) { preds[s].push_back(b); });
     return preds;
 }
 
@@ -72,9 +36,10 @@ postOrderVisit(const Function &func, BlockId block,
                std::vector<bool> &seen, std::vector<BlockId> &order)
 {
     seen[block] = true;
-    for (BlockId s : blockSuccessors(func, block))
+    forEachSuccessor(func, block, [&](BlockId s) {
         if (!seen[s])
             postOrderVisit(func, s, seen, order);
+    });
     order.push_back(block);
 }
 

@@ -61,9 +61,10 @@ DomInfo::DomInfo(const Function &func)
     for (BlockId b = 0; b < func.blocks.size(); ++b) {
         if (!reachable(b))
             continue;
-        for (BlockId s : blockSuccessors(func, b))
+        forEachSuccessor(func, b, [&](BlockId s) {
             if (dominates(s, b))
                 loopHeaders[s] = true;
+        });
     }
 }
 

@@ -6,8 +6,10 @@
 #include "ir/textform.hh"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "support/logging.hh"
 
@@ -15,30 +17,33 @@ namespace bsisa
 {
 
 void
-serializeModule(std::ostream &os, const Module &module)
+writeModule(TextWriter &os, const Module &module)
 {
-    os << "module main=f" << module.mainFunc << "\n";
-    os << "data " << module.data.size() << "\n";
+    os << "module main=f" << module.mainFunc << '\n';
+    os << "data " << module.data.size() << '\n';
     for (std::size_t i = 0; i < module.data.size(); ++i)
         if (module.data[i] != 0)
-            os << i << " " << module.data[i] << "\n";
+            os << i << ' ' << module.data[i] << '\n';
     os << "end\n";
     for (const Function &fn : module.functions) {
         os << "func " << fn.name << " id=" << fn.id
            << " library=" << (fn.isLibrary ? 1 : 0)
            << " vregs=" << fn.numVirtualRegs
-           << " frame=" << fn.frameSize << "\n";
+           << " frame=" << fn.frameSize << '\n';
         for (const Block &blk : fn.blocks) {
             os << "block\n";
-            for (const Operation &op : blk.ops)
-                os << "  " << op.toString() << "\n";
+            for (const Operation &op : blk.ops) {
+                os << "  ";
+                writeOperation(os, op);
+                os << '\n';
+            }
             os << "endblock\n";
         }
         for (const auto &table : fn.jumpTables) {
             os << "table";
             for (BlockId target : table)
                 os << " B" << target;
-            os << "\n";
+            os << '\n';
         }
         os << "endfunc\n";
     }
@@ -47,13 +52,17 @@ serializeModule(std::ostream &os, const Module &module)
 std::string
 moduleToText(const Module &module)
 {
-    std::ostringstream os;
-    serializeModule(os, module);
-    return os.str();
+    TextWriter os;
+    writeModule(os, module);
+    return std::move(os).str();
 }
 
 namespace
 {
+
+/** Largest vregs= a function header may give: the interpreter sizes
+ *  every frame by it (8 bytes a register). */
+constexpr RegNum maxTextVirtualRegs = 1u << 20;
 
 /** Tokenizer for operation lines: splits on spaces, commas, and
  *  brackets, keeping bracket/paren tokens out entirely. */
@@ -78,43 +87,50 @@ opTokens(const std::string &line)
     return tokens;
 }
 
+/**
+ * Parse all of @p tok as a decimal number that fits T: no sign an
+ * unsigned field cannot hold, no leading '+' or space, no trailing
+ * characters, no wrap or saturation.  Every number of the text form
+ * goes through here; @p out is written only on success.
+ */
+template <typename T>
 bool
-parseReg(const std::string &tok, RegNum &out)
+parseNumber(std::string_view tok, T &out)
 {
-    if (tok.size() < 2 || tok[0] != 'r')
+    T v;
+    const char *end = tok.data() + tok.size();
+    const auto [p, ec] = std::from_chars(tok.data(), end, v);
+    if (tok.empty() || ec != std::errc() || p != end)
         return false;
-    char *end = nullptr;
-    out = static_cast<RegNum>(
-        std::strtoul(tok.c_str() + 1, &end, 10));
-    return end && *end == '\0';
+    out = v;
+    return true;
+}
+
+/** Parse @p prefix followed by a number. */
+template <typename T>
+bool
+parsePrefixed(std::string_view tok, std::string_view prefix, T &out)
+{
+    return tok.substr(0, prefix.size()) == prefix &&
+           parseNumber(tok.substr(prefix.size()), out);
 }
 
 bool
-parseImm(const std::string &tok, std::int64_t &out)
+parseReg(std::string_view tok, RegNum &out)
 {
-    if (tok.empty())
-        return false;
-    char *end = nullptr;
-    out = static_cast<std::int64_t>(
-        std::strtoll(tok.c_str(), &end, 10));
-    return end && *end == '\0';
+    return parsePrefixed(tok, "r", out);
 }
 
 bool
-parsePrefixed(const std::string &tok, char prefix, std::uint32_t &out)
+parseImm(std::string_view tok, std::int64_t &out)
 {
-    if (tok.size() < 2 || tok[0] != prefix)
-        return false;
-    char *end = nullptr;
-    out = static_cast<std::uint32_t>(
-        std::strtoul(tok.c_str() + 1, &end, 10));
-    return end && *end == '\0';
+    return parseNumber(tok, out);
 }
 
 bool
-parseBlockRef(const std::string &tok, std::uint32_t &out)
+parseBlockRef(std::string_view tok, std::uint32_t &out)
 {
-    return parsePrefixed(tok, 'B', out);
+    return parsePrefixed(tok, "B", out);
 }
 
 const std::map<std::string, Opcode> &
@@ -214,18 +230,16 @@ parseOperationText(const std::string &line, Operation &out,
             tokens[4] != "succBits") {
             return fail("trap operands");
         }
-        std::int64_t bits;
-        if (!parseImm(tokens[5], bits) || bits < 0 || bits > 3)
+        if (!parseNumber(tokens[5], out.succBits) || out.succBits > 3)
             return fail("trap succBits");
-        out.succBits = static_cast<std::uint8_t>(bits);
         return true;
       }
       case Opcode::Fault: {
         std::uint32_t target;
         const bool inverted = tokens.size() == 4 && tokens[3] == "inv";
         if ((tokens.size() != 3 && !inverted) ||
-            !parseReg(tokens[1], out.src1) || tokens[2][0] != 'A' ||
-            !parsePrefixed(tokens[2].substr(1), 'B', target)) {
+            !parseReg(tokens[1], out.src1) ||
+            !parsePrefixed(tokens[2], "AB", target)) {
             return fail("fault operands");
         }
         out.target0 = target;
@@ -235,7 +249,7 @@ parseOperationText(const std::string &line, Operation &out,
       case Opcode::Call: {
         // call fN, cont BN
         std::uint32_t callee;
-        if (tokens.size() != 4 || !parsePrefixed(tokens[1], 'f', callee)
+        if (tokens.size() != 4 || !parsePrefixed(tokens[1], "f", callee)
             || tokens[2] != "cont" ||
             !parseBlockRef(tokens[3], out.target0)) {
             return fail("call operands");
@@ -243,13 +257,16 @@ parseOperationText(const std::string &line, Operation &out,
         out.callee = callee;
         return true;
       }
-      case Opcode::IJmp:
+      case Opcode::IJmp: {
         // ijmp rS, table T
+        std::uint32_t table;
         if (tokens.size() != 4 || !parseReg(tokens[1], out.src1) ||
-            tokens[2] != "table" || !parseImm(tokens[3], out.imm)) {
+            tokens[2] != "table" || !parseNumber(tokens[3], table)) {
             return fail("ijmp operands");
         }
+        out.imm = table;
         return true;
+      }
       default:
         // Plain three-register form.
         if (tokens.size() != 4 || !parseReg(tokens[1], out.dst) ||
@@ -276,11 +293,12 @@ parseModuleText(const std::string &text)
     auto next_line = [&](std::string &out) {
         while (std::getline(is, out)) {
             ++line_no;
-            // Trim leading whitespace and skip blanks/comments.
-            std::size_t start = out.find_first_not_of(" \t");
+            // Trim surrounding whitespace and skip blanks/comments.
+            const std::size_t start = out.find_first_not_of(" \t\r");
             if (start == std::string::npos)
                 continue;
-            out = out.substr(start);
+            out = out.substr(start, out.find_last_not_of(" \t\r") + 1 -
+                                        start);
             if (out[0] == '#')
                 continue;
             return true;
@@ -288,25 +306,30 @@ parseModuleText(const std::string &text)
         return false;
     };
 
-    if (!next_line(line) || line.rfind("module main=f", 0) != 0)
+    if (!next_line(line) ||
+        !parsePrefixed(line, "module main=f", result.module.mainFunc))
         return fail("expected 'module main=fN'");
-    result.module.mainFunc = static_cast<FuncId>(
-        std::strtoul(line.c_str() + 13, nullptr, 10));
 
-    if (!next_line(line) || line.rfind("data ", 0) != 0)
+    std::size_t words;
+    if (!next_line(line) || !parsePrefixed(line, "data ", words))
         return fail("expected 'data N'");
-    const std::size_t words =
-        std::strtoull(line.c_str() + 5, nullptr, 10);
+    // The data segment must end below the stack.
+    if (words > (Module::stackBase - Module::dataBase) / 8)
+        return fail("data segment of " + std::to_string(words) +
+                    " words reaches the stack");
     result.module.allocData(words);
     for (;;) {
         if (!next_line(line))
             return fail("unterminated data section");
         if (line == "end")
             break;
-        std::istringstream ls(line);
+        const std::size_t space = line.find(' ');
         std::size_t index;
         std::uint64_t value;
-        if (!(ls >> index >> value) || index >= words)
+        if (space == std::string::npos ||
+            !parseNumber(std::string_view(line).substr(0, space), index) ||
+            index >= words ||
+            !parseNumber(std::string_view(line).substr(space + 1), value))
             return fail("bad data entry '" + line + "'");
         result.module.data[index] = value;
     }
@@ -315,23 +338,27 @@ parseModuleText(const std::string &text)
         if (line.rfind("func ", 0) != 0)
             return fail("expected 'func', got '" + line + "'");
         std::istringstream ls(line.substr(5));
-        std::string name, id_kv, lib_kv, vregs_kv, frame_kv;
-        if (!(ls >> name >> id_kv >> lib_kv >> vregs_kv >> frame_kv))
+        std::string name, id_kv, lib_kv, vregs_kv, frame_kv, extra;
+        if (!(ls >> name >> id_kv >> lib_kv >> vregs_kv >> frame_kv) ||
+            ls >> extra)
             return fail("bad func header");
         Function &fn = result.module.addFunction(name);
-        auto kv = [&](const std::string &s,
-                      const char *key) -> std::int64_t {
-            const std::string prefix = std::string(key) + "=";
-            if (s.rfind(prefix, 0) != 0)
-                return -1;
-            return std::strtoll(s.c_str() + prefix.size(), nullptr, 10);
-        };
-        if (kv(id_kv, "id") != fn.id)
+        FuncId id;
+        unsigned library;
+        if (!parsePrefixed(id_kv, "id=", id) || id != fn.id)
             return fail("function id mismatch (must be sequential)");
-        fn.isLibrary = kv(lib_kv, "library") == 1;
-        fn.numVirtualRegs =
-            static_cast<RegNum>(kv(vregs_kv, "vregs"));
-        fn.frameSize = static_cast<std::uint32_t>(kv(frame_kv, "frame"));
+        if (!parsePrefixed(lib_kv, "library=", library) || library > 1)
+            return fail("bad '" + lib_kv + "' (expected 0 or 1)");
+        fn.isLibrary = library == 1;
+        // The interpreter sizes every frame by vregs.
+        if (!parsePrefixed(vregs_kv, "vregs=", fn.numVirtualRegs) ||
+            fn.numVirtualRegs < numArchRegs ||
+            fn.numVirtualRegs > maxTextVirtualRegs)
+            return fail("bad '" + vregs_kv + "' (expected " +
+                        std::to_string(numArchRegs) + ".." +
+                        std::to_string(maxTextVirtualRegs) + ")");
+        if (!parsePrefixed(frame_kv, "frame=", fn.frameSize))
+            return fail("bad '" + frame_kv + "'");
 
         for (;;) {
             if (!next_line(line))

@@ -25,18 +25,20 @@
 #ifndef BSISA_IR_TEXTFORM_HH
 #define BSISA_IR_TEXTFORM_HH
 
-#include <ostream>
 #include <string>
 
 #include "ir/module.hh"
+#include "support/text_writer.hh"
 
 namespace bsisa
 {
 
-/** Serialize @p module completely (structure + data). */
-void serializeModule(std::ostream &os, const Module &module);
+/** Serialize @p module completely (structure + data).  The one text
+ *  serializer: moduleToText() writes it to a string, moduleDigest()
+ *  (sim/trace_store.hh) hashes the same bytes. */
+void writeModule(TextWriter &out, const Module &module);
 
-/** Convenience: serialize to a string. */
+/** The text form of @p module. */
 std::string moduleToText(const Module &module);
 
 /** Parse result of the assembler. */
@@ -47,7 +49,10 @@ struct ParseModuleResult
     std::string error;  //!< first problem, with a line number
 };
 
-/** Parse the text form back into a Module. */
+/** Parse the text form back into a Module.  Every number must fit
+ *  its field exactly (no wrap, saturation or trailing characters) and
+ *  the data segment must end below Module::stackBase; anything else is
+ *  an error naming the line. */
 ParseModuleResult parseModuleText(const std::string &text);
 
 /** Parse one operation in Operation::toString() syntax. */

@@ -9,7 +9,7 @@
  */
 
 #include <bit>
-#include <unordered_map>
+#include <vector>
 
 #include "opt/passes.hh"
 #include "regalloc/liveness.hh"
@@ -82,15 +82,28 @@ unsigned
 constantFold(Function &func)
 {
     unsigned folded = 0;
+    // Block-local constants: value[r] is r's value while known[r];
+    // registers made known are listed in touched and forgotten before
+    // the next block.
+    std::vector<std::uint64_t> value(func.numVirtualRegs);
+    std::vector<bool> known(func.numVirtualRegs, false);
+    std::vector<RegNum> touched;
+    auto set_constant = [&](RegNum r, std::uint64_t v) {
+        value[r] = v;
+        known[r] = true;
+        touched.push_back(r);
+    };
+
     for (Block &blk : func.blocks) {
-        std::unordered_map<RegNum, std::uint64_t> constants;
+        for (RegNum r : touched)
+            known[r] = false;
+        touched.clear();
         for (Operation &op : blk.ops) {
             // Fold the trap condition if known.
             if (op.op == Opcode::Trap) {
-                const auto it = constants.find(op.src1);
-                if (it != constants.end() && op.src1 != regZero) {
+                if (known[op.src1] && op.src1 != regZero) {
                     const BlockId target =
-                        it->second != 0 ? op.target0 : op.target1;
+                        value[op.src1] != 0 ? op.target0 : op.target1;
                     op = makeJmp(target);
                     ++folded;
                 }
@@ -101,7 +114,7 @@ constantFold(Function &func)
             }
 
             if (op.op == Opcode::MovI) {
-                constants[op.dst] = static_cast<std::uint64_t>(op.imm);
+                set_constant(op.dst, static_cast<std::uint64_t>(op.imm));
                 continue;
             }
 
@@ -112,9 +125,8 @@ constantFold(Function &func)
                 if (op.src1 == regZero) {
                     a = 0;
                     a_known = true;
-                } else if (const auto it = constants.find(op.src1);
-                           it != constants.end()) {
-                    a = it->second;
+                } else if (known[op.src1]) {
+                    a = value[op.src1];
                     a_known = true;
                 }
             }
@@ -122,9 +134,8 @@ constantFold(Function &func)
                 if (op.src2 == regZero) {
                     b = 0;
                     b_known = true;
-                } else if (const auto it = constants.find(op.src2);
-                           it != constants.end()) {
-                    b = it->second;
+                } else if (known[op.src2]) {
+                    b = value[op.src2];
                     b_known = true;
                 }
             }
@@ -133,7 +144,7 @@ constantFold(Function &func)
             if ((nsrc == 0 || a_known) && (nsrc < 2 || b_known) &&
                 op.op != Opcode::Ld && evalPure(op, a, b, result)) {
                 op = makeMovI(op.dst, static_cast<std::int64_t>(result));
-                constants[op.dst] = result;
+                set_constant(op.dst, result);
                 ++folded;
                 continue;
             }
@@ -163,7 +174,7 @@ constantFold(Function &func)
             }
 
             // The destination no longer holds a known constant.
-            constants.erase(op.dst);
+            known[op.dst] = false;
         }
     }
     return folded;

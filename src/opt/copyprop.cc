@@ -7,7 +7,7 @@
  * oldest still-valid source.
  */
 
-#include <unordered_map>
+#include <vector>
 
 #include "opt/passes.hh"
 #include "regalloc/liveness.hh"
@@ -19,22 +19,24 @@ unsigned
 copyPropagate(Function &func)
 {
     unsigned rewritten = 0;
+    // copy_of[r] = the register r currently mirrors (invalidId: none),
+    // valid while that source's version still equals src_ver[r]; a
+    // redefinition bumps the register's version, which retires every
+    // copy of it at once.  Registers a block defined are listed in
+    // touched and their copies dropped before the next block.
+    std::vector<RegNum> copy_of(func.numVirtualRegs, invalidId);
+    std::vector<unsigned> src_ver(func.numVirtualRegs, 0);
+    std::vector<unsigned> version(func.numVirtualRegs, 0);
+    std::vector<RegNum> touched;
+
     for (Block &blk : func.blocks) {
-        // copyOf[r] = the register r currently mirrors.
-        std::unordered_map<RegNum, RegNum> copy_of;
+        for (RegNum r : touched)
+            copy_of[r] = invalidId;
+        touched.clear();
 
         auto resolve = [&](RegNum r) {
-            const auto it = copy_of.find(r);
-            return it == copy_of.end() ? r : it->second;
-        };
-        auto invalidate = [&](RegNum r) {
-            copy_of.erase(r);
-            for (auto it = copy_of.begin(); it != copy_of.end();) {
-                if (it->second == r)
-                    it = copy_of.erase(it);
-                else
-                    ++it;
-            }
+            const RegNum src = copy_of[r];
+            return src != invalidId && version[src] == src_ver[r] ? src : r;
         };
 
         for (Operation &op : blk.ops) {
@@ -57,9 +59,13 @@ copyPropagate(Function &func)
             const RegNum def = opDef(op);
             if (def == invalidId)
                 continue;
-            invalidate(def);
-            if (op.op == Opcode::Mov && op.src1 != def)
+            ++version[def];
+            copy_of[def] = invalidId;
+            touched.push_back(def);
+            if (op.op == Opcode::Mov && op.src1 != def) {
                 copy_of[def] = op.src1;
+                src_ver[def] = version[op.src1];
+            }
         }
     }
     return rewritten;

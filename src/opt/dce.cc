@@ -35,38 +35,29 @@ deadCodeElim(Function &func)
 {
     const Liveness live = computeLiveness(func);
     unsigned removed = 0;
-    std::vector<RegNum> uses;
+    RegSet alive(func.numVirtualRegs);
 
     for (BlockId b = 0; b < func.blocks.size(); ++b) {
-        Block &blk = func.blocks[b];
-        RegSet alive = live.liveOut[b];
-        // Backward walk marking dead pure definitions.
-        std::vector<bool> dead(blk.ops.size(), false);
-        for (std::size_t i = blk.ops.size(); i-- > 0;) {
-            const Operation &op = blk.ops[i];
+        std::vector<Operation> &ops = func.blocks[b].ops;
+        alive.assign(live.liveOutRow(b));
+        // Backward walk dropping dead pure definitions; survivors are
+        // packed against the block's end, then slid to its front.
+        std::size_t kept_from = ops.size();
+        for (std::size_t i = ops.size(); i-- > 0;) {
+            const Operation &op = ops[i];
             const RegNum def = opDef(op);
-            const bool def_live = def != invalidId && alive.contains(def);
-            if (!hasSideEffects(op) && def != invalidId && !def_live) {
-                dead[i] = true;
-                continue;
-            }
-            if (def != invalidId)
+            if (def != invalidId) {
+                if (!hasSideEffects(op) && !alive.contains(def)) {
+                    ++removed;
+                    continue;
+                }
                 alive.erase(def);
-            uses.clear();
-            opUses(op, uses);
-            for (RegNum u : uses)
-                alive.insert(u);
+            }
+            forEachUse(op, [&](RegNum u) { alive.insert(u); });
+            if (--kept_from != i)
+                ops[kept_from] = op;
         }
-
-        std::vector<Operation> kept;
-        kept.reserve(blk.ops.size());
-        for (std::size_t i = 0; i < blk.ops.size(); ++i) {
-            if (dead[i])
-                ++removed;
-            else
-                kept.push_back(blk.ops[i]);
-        }
-        blk.ops = std::move(kept);
+        ops.erase(ops.begin(), ops.begin() + std::ptrdiff_t(kept_from));
     }
     return removed;
 }

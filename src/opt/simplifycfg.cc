@@ -82,42 +82,40 @@ simplifyCFG(Function &func)
 
     rewrite_targets([&](BlockId b) { return threadTarget(func, b); });
 
-    // 3. Merge single-predecessor straight-line successors.
-    bool merged_any = true;
-    while (merged_any) {
-        merged_any = false;
-        const auto preds = blockPredecessors(func);
-        for (BlockId b = 0; b < func.blocks.size(); ++b) {
-            Block &blk = func.blocks[b];
-            if (blk.ops.empty() || blk.terminator().op != Opcode::Jmp)
-                continue;
-            const BlockId succ = blk.terminator().target0;
-            if (succ == b || succ == 0)
-                continue;
-            if (preds[succ].size() != 1)
-                continue;
-            // Also refuse if succ appears in a jump table (the table
-            // edge is not reflected in single-pred splicing).
-            bool in_table = false;
-            for (const auto &table : func.jumpTables)
-                for (BlockId target : table)
-                    if (target == succ)
-                        in_table = true;
-            if (in_table)
-                continue;
-            // Splice.
-            blk.ops.pop_back();
-            Block &victim = func.blocks[succ];
-            blk.ops.insert(blk.ops.end(), victim.ops.begin(),
-                           victim.ops.end());
-            victim.ops.clear();
-            // Edge-free placeholder terminator: the block is now
-            // unreachable and must not re-enter the merge analysis.
-            victim.ops.push_back(makeRet());
-            ++stats.blocksMerged;
-            merged_any = true;
-            break;  // predecessor lists are stale; recompute
+    // 3. Merge single-predecessor straight-line successors, lowest
+    //    block first.  Splicing succ into b hands succ's out-edges to
+    //    b, so every predecessor count stays put except succ's, which
+    //    drops to zero; blocks before b were not mergeable and still
+    //    are not, so the scan resumes at b.
+    std::vector<unsigned> pred_count(func.blocks.size(), 0);
+    for (BlockId b = 0; b < func.blocks.size(); ++b)
+        forEachSuccessor(func, b, [&](BlockId s) { ++pred_count[s]; });
+    // A jump-table target is never spliced (the table edge is not
+    // reflected in single-pred splicing).
+    std::vector<bool> in_table(func.blocks.size(), false);
+    for (const auto &table : func.jumpTables)
+        for (BlockId target : table)
+            in_table[target] = true;
+    for (BlockId b = 0; b < func.blocks.size();) {
+        Block &blk = func.blocks[b];
+        const BlockId succ = blk.ops.empty() ||
+                                     blk.terminator().op != Opcode::Jmp
+                                 ? b
+                                 : blk.terminator().target0;
+        if (succ == b || succ == 0 || pred_count[succ] != 1 ||
+            in_table[succ]) {
+            ++b;
+            continue;
         }
+        blk.ops.pop_back();
+        Block &victim = func.blocks[succ];
+        blk.ops.insert(blk.ops.end(), victim.ops.begin(), victim.ops.end());
+        victim.ops.clear();
+        // Edge-free placeholder terminator: the block is now
+        // unreachable and must not re-enter the merge analysis.
+        victim.ops.push_back(makeRet());
+        pred_count[succ] = 0;
+        ++stats.blocksMerged;
     }
 
     // 4. Drop unreachable blocks and renumber.

@@ -6,9 +6,8 @@
 #include "regalloc/linearscan.hh"
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
-#include "ir/cfg.hh"
 #include "regalloc/liveness.hh"
 #include "support/logging.hh"
 
@@ -47,57 +46,53 @@ allocateRegisters(Function &func)
     // ---------------------------------------------------------------
     const Liveness live = computeLiveness(func);
 
-    // Linear position of each operation, blocks in layout order.
-    std::vector<std::uint32_t> block_start(func.blocks.size());
-    std::uint32_t pos = 0;
-    for (BlockId b = 0; b < func.blocks.size(); ++b) {
-        block_start[b] = pos;
-        pos += static_cast<std::uint32_t>(func.blocks[b].ops.size());
-    }
-    const std::uint32_t total_ops = pos;
-
-    std::map<RegNum, Interval> intervals;
+    // Intervals indexed by register; vreg stays invalidId for a
+    // register the function never mentions.
+    std::vector<Interval> intervals(func.numVirtualRegs);
+    unsigned seen = 0;
     auto extend = [&](RegNum r, std::uint32_t p) {
         if (r < firstVirtualReg)
             return;
         Interval &iv = intervals[r];
-        iv.vreg = r;
+        if (iv.vreg == invalidId) {
+            iv.vreg = r;
+            ++seen;
+        }
         iv.start = std::min(iv.start, p);
         iv.end = std::max(iv.end, p);
     };
+    // Extend every register of a live row to @p p.
+    auto extend_row = [&](const std::uint64_t *row, std::uint32_t p) {
+        for (std::size_t j = 0; j < live.rowWords(); ++j)
+            for (std::uint64_t w = row[j]; w != 0; w &= w - 1)
+                extend(RegNum(j * 64 + __builtin_ctzll(w)), p);
+    };
 
-    std::vector<RegNum> uses;
+    // Linear positions: blocks in layout order, one per operation.
+    std::uint32_t pos = 0;
     for (BlockId b = 0; b < func.blocks.size(); ++b) {
-        const std::uint32_t bs = block_start[b];
+        const std::uint32_t bs = pos;
         const std::uint32_t be =
             bs + static_cast<std::uint32_t>(func.blocks[b].ops.size()) - 1;
-        for (RegNum r = firstVirtualReg; r < func.numVirtualRegs; ++r) {
-            if (live.liveIn[b].contains(r))
-                extend(r, bs);
-            if (live.liveOut[b].contains(r))
-                extend(r, be);
-        }
-        std::uint32_t p = bs;
+        extend_row(live.liveInRow(b), bs);
+        extend_row(live.liveOutRow(b), be);
         for (const Operation &op : func.blocks[b].ops) {
-            uses.clear();
-            opUses(op, uses);
-            for (RegNum u : uses)
-                extend(u, p);
+            forEachUse(op, [&](RegNum u) { extend(u, pos); });
             if (const RegNum d = opDef(op); d != invalidId)
-                extend(d, p);
-            ++p;
+                extend(d, pos);
+            ++pos;
         }
     }
-    (void)total_ops;
-    stats.intervals = static_cast<unsigned>(intervals.size());
+    stats.intervals = seen;
 
     // ---------------------------------------------------------------
     // 2. Scan.
     // ---------------------------------------------------------------
     std::vector<Interval *> order;
-    order.reserve(intervals.size());
-    for (auto &[vreg, iv] : intervals)
-        order.push_back(&iv);
+    order.reserve(seen);
+    for (Interval &iv : intervals)
+        if (iv.vreg != invalidId)
+            order.push_back(&iv);
     std::sort(order.begin(), order.end(),
               [](const Interval *a, const Interval *b) {
                   return a->start != b->start ? a->start < b->start
@@ -160,15 +155,15 @@ allocateRegisters(Function &func)
     auto mapping = [&](RegNum r) -> const Interval * {
         if (r < firstVirtualReg)
             return nullptr;
-        const auto it = intervals.find(r);
-        BSISA_ASSERT(it != intervals.end(), "unmapped virtual register r",
-                     r, " in ", func.name);
-        return &it->second;
+        BSISA_ASSERT(r < intervals.size() &&
+                         intervals[r].vreg != invalidId,
+                     "unmapped virtual register r", r, " in ", func.name);
+        return &intervals[r];
     };
 
+    std::vector<Operation> out;  // one block's rewrite, reused
     for (Block &blk : func.blocks) {
-        std::vector<Operation> out;
-        out.reserve(blk.ops.size());
+        out.clear();
         for (Operation op : blk.ops) {
             const unsigned nsrc = numSources(op.op);
             const RegNum orig_src1 = op.src1;
@@ -221,7 +216,9 @@ allocateRegisters(Function &func)
             }
             out.push_back(op);
         }
-        blk.ops = std::move(out);
+        // Exact-size storage: the allocated module stays resident, so
+        // it should not keep the slack earlier passes grew.
+        blk.ops = std::vector<Operation>(out.begin(), out.end());
     }
 
     func.numVirtualRegs = numArchRegs;

@@ -10,85 +10,64 @@
 namespace bsisa
 {
 
-void
-opUses(const Operation &op, std::vector<RegNum> &uses)
-{
-    switch (op.op) {
-      case Opcode::Call:
-        // The callee's register window is initialized from every
-        // architectural register, so they are all live into a call.
-        for (RegNum r = 1; r < numArchRegs; ++r)
-            uses.push_back(r);
-        return;
-      case Opcode::Ret:
-        uses.push_back(regRet);
-        return;
-      case Opcode::Halt:
-        // Keep the program's exit value observable.
-        uses.push_back(regRet);
-        return;
-      default:
-        break;
-    }
-    const unsigned n = numSources(op.op);
-    if (n >= 1)
-        uses.push_back(op.src1);
-    if (n >= 2)
-        uses.push_back(op.src2);
-}
-
-RegNum
-opDef(const Operation &op)
-{
-    if (op.op == Opcode::Call)
-        return regRet;  // the returned value is written back
-    return hasDest(op.op) ? op.dst : invalidId;
-}
-
 Liveness
 computeLiveness(const Function &func)
 {
-    const RegNum universe = func.numVirtualRegs;
+    Liveness live;
     const std::size_t n = func.blocks.size();
+    const std::size_t w = (std::size_t(func.numVirtualRegs) + 63) / 64;
+    live.blocks = n;
+    live.words = w;
+    live.rows.assign(Liveness::numKinds * n * w, 0);
 
-    // Per-block gen (upward-exposed uses) and kill (defs).
-    std::vector<RegSet> gen(n, RegSet(universe));
-    std::vector<RegSet> kill(n, RegSet(universe));
-    std::vector<RegNum> uses;
+    // Per-block gen (upward-exposed uses) and kill (defs), and the
+    // successor lists, flattened: block b's successors are
+    // succs[succ_begin[b], succ_begin[b + 1]).
+    std::vector<std::uint32_t> succ_begin(n + 1);
+    std::vector<BlockId> succs;
+    succs.reserve(2 * n);
     for (std::size_t b = 0; b < n; ++b) {
+        std::uint64_t *gen = live.row(Liveness::gen, BlockId(b));
+        std::uint64_t *kill = live.row(Liveness::kill, BlockId(b));
         for (const Operation &op : func.blocks[b].ops) {
-            uses.clear();
-            opUses(op, uses);
-            for (RegNum u : uses)
-                if (u != regZero && !kill[b].contains(u))
-                    gen[b].insert(u);
+            forEachUse(op, [&](RegNum u) {
+                const std::uint64_t bit = 1ULL << (u & 63);
+                if (u != regZero && !(kill[u >> 6] & bit))
+                    gen[u >> 6] |= bit;
+            });
             const RegNum d = opDef(op);
             if (d != invalidId)
-                kill[b].insert(d);
+                kill[d >> 6] |= 1ULL << (d & 63);
         }
+        succ_begin[b] = std::uint32_t(succs.size());
+        forEachSuccessor(func, BlockId(b),
+                         [&](BlockId s) { succs.push_back(s); });
     }
+    succ_begin[n] = std::uint32_t(succs.size());
 
-    std::vector<std::vector<BlockId>> succs(n);
-    for (std::size_t b = 0; b < n; ++b)
-        succs[b] = blockSuccessors(func, static_cast<BlockId>(b));
-
-    Liveness live;
-    live.liveIn.assign(n, RegSet(universe));
-    live.liveOut.assign(n, RegSet(universe));
-
-    // Iterate to fixpoint (reverse order converges fast on reducible
-    // CFGs).
+    // Iterate to the least fixpoint (reverse order converges fast on
+    // reducible CFGs):  out = U in[succ],  in = gen | (out & ~kill).
+    // Both only grow across iterations.
     bool changed = true;
     while (changed) {
         changed = false;
         for (std::size_t i = n; i-- > 0;) {
-            const BlockId b = static_cast<BlockId>(i);
-            for (BlockId s : succs[b])
-                changed |= live.liveOut[b].unionWith(live.liveIn[s]);
-            // liveIn = gen | (liveOut - kill).  liveIn only grows
-            // across iterations, so assignment is monotone here.
-            changed |= live.liveIn[b].assignTransfer(
-                gen[b], live.liveOut[b], kill[b]);
+            const BlockId b = BlockId(i);
+            std::uint64_t *out = live.row(Liveness::out, b);
+            for (std::uint32_t k = succ_begin[b]; k < succ_begin[b + 1]; ++k) {
+                const std::uint64_t *in_s =
+                    live.row(Liveness::in, succs[k]);
+                for (std::size_t j = 0; j < w; ++j)
+                    out[j] |= in_s[j];
+            }
+            const std::uint64_t *gen = live.row(Liveness::gen, b);
+            const std::uint64_t *kill = live.row(Liveness::kill, b);
+            std::uint64_t *in = live.row(Liveness::in, b);
+            for (std::size_t j = 0; j < w; ++j) {
+                const std::uint64_t v = gen[j] | (out[j] & ~kill[j]);
+                changed |= v != in[j];
+                in[j] = v;
+            }
         }
     }
     return live;

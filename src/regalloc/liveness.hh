@@ -4,8 +4,11 @@
  *
  * Classic backward dataflow over the CFG producing live-in/live-out
  * bit sets per block.  Registers are the union of architectural and
- * virtual numbers; dense bitsets keep the analysis cheap even for
- * functions with thousands of virtual registers.
+ * virtual numbers.  The sets are rows of one word array (gen, kill,
+ * live-in and live-out for every block) and the CFG is one flat
+ * successor list, so an analysis costs a handful of allocations
+ * however many blocks and registers the function has; the optimizer
+ * runs it once per DCE round and the allocator once more.
  */
 
 #ifndef BSISA_REGALLOC_LIVENESS_HH
@@ -19,7 +22,7 @@
 namespace bsisa
 {
 
-/** Dense register set. */
+/** Dense register set (one row's worth of words, owned). */
 class RegSet
 {
   public:
@@ -46,35 +49,11 @@ class RegSet
         return (words[r >> 6] >> (r & 63)) & 1;
     }
 
-    /** this |= other; returns true if this changed. */
-    bool
-    unionWith(const RegSet &other)
+    /** Overwrite with the row @p row (same universe). */
+    void
+    assign(const std::uint64_t *row)
     {
-        bool changed = false;
-        for (std::size_t i = 0; i < words.size(); ++i) {
-            const std::uint64_t merged = words[i] | other.words[i];
-            if (merged != words[i]) {
-                words[i] = merged;
-                changed = true;
-            }
-        }
-        return changed;
-    }
-
-    /** this = gen | (out & ~kill); returns true if this changed. */
-    bool
-    assignTransfer(const RegSet &gen, const RegSet &out, const RegSet &kill)
-    {
-        bool changed = false;
-        for (std::size_t i = 0; i < words.size(); ++i) {
-            const std::uint64_t v =
-                gen.words[i] | (out.words[i] & ~kill.words[i]);
-            if (v != words[i]) {
-                words[i] = v;
-                changed = true;
-            }
-        }
-        return changed;
+        words.assign(row, row + words.size());
     }
 
     std::size_t
@@ -91,20 +70,81 @@ class RegSet
 };
 
 /**
- * Register uses of @p op appended to @p uses.  A Call conservatively
+ * Call @p f(r) for each register @p op reads.  A Call conservatively
  * reads every architectural register (the callee's window is copied
- * from them); a Ret reads the return-value register.
+ * from them); a Ret or Halt reads the return-value register.
  */
-void opUses(const Operation &op, std::vector<RegNum> &uses);
+template <typename F>
+inline void
+forEachUse(const Operation &op, F &&f)
+{
+    switch (op.op) {
+      case Opcode::Call:
+        for (RegNum r = 1; r < numArchRegs; ++r)
+            f(r);
+        return;
+      case Opcode::Ret:
+      case Opcode::Halt:
+        // Halt keeps the program's exit value observable.
+        f(regRet);
+        return;
+      default:
+        break;
+    }
+    const unsigned n = numSources(op.op);
+    if (n >= 1)
+        f(op.src1);
+    if (n >= 2)
+        f(op.src2);
+}
 
 /** Defined register of @p op, or invalidId. */
-RegNum opDef(const Operation &op);
-
-/** Liveness result: one live-in and live-out set per block. */
-struct Liveness
+inline RegNum
+opDef(const Operation &op)
 {
-    std::vector<RegSet> liveIn;
-    std::vector<RegSet> liveOut;
+    if (op.op == Opcode::Call)
+        return regRet;  // the returned value is written back
+    return hasDest(op.op) ? op.dst : invalidId;
+}
+
+/** Liveness result: one live-in and live-out row per block. */
+class Liveness
+{
+  public:
+    /** Words per row (covers func.numVirtualRegs registers). */
+    std::size_t rowWords() const { return words; }
+
+    const std::uint64_t *liveInRow(BlockId b) const { return row(in, b); }
+    const std::uint64_t *liveOutRow(BlockId b) const { return row(out, b); }
+
+    bool liveIn(BlockId b, RegNum r) const { return test(in, b, r); }
+    bool liveOut(BlockId b, RegNum r) const { return test(out, b, r); }
+
+  private:
+    friend Liveness computeLiveness(const Function &func);
+
+    /** Row kinds; rows of one kind are contiguous. */
+    enum Kind : unsigned { gen, kill, in, out, numKinds };
+
+    std::uint64_t *
+    row(Kind k, BlockId b)
+    {
+        return rows.data() + (std::size_t(k) * blocks + b) * words;
+    }
+    const std::uint64_t *
+    row(Kind k, BlockId b) const
+    {
+        return rows.data() + (std::size_t(k) * blocks + b) * words;
+    }
+    bool
+    test(Kind k, BlockId b, RegNum r) const
+    {
+        return (row(k, b)[r >> 6] >> (r & 63)) & 1;
+    }
+
+    std::size_t blocks = 0;
+    std::size_t words = 0;
+    std::vector<std::uint64_t> rows;
 };
 
 /** Compute liveness for @p func. */

@@ -14,8 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <ostream>
-#include <streambuf>
 #include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -176,57 +174,16 @@ decodeEvents(const std::uint8_t *p, const std::uint8_t *end,
     return p == end && pool == addrCount;
 }
 
-/** Write-only stream buffer that feeds every byte written through it
- *  into an FNV-1a hasher, so a serialization can be hashed without
- *  materialising its text. */
-class DigestStreambuf : public std::streambuf
-{
-  public:
-    DigestStreambuf() { setp(buf, buf + sizeof(buf)); }
-    DigestStreambuf(const DigestStreambuf &) = delete;
-    DigestStreambuf &operator=(const DigestStreambuf &) = delete;
-
-    std::uint64_t
-    value()
-    {
-        drain();
-        return hasher.value();
-    }
-
-  protected:
-    int_type
-    overflow(int_type ch) override
-    {
-        drain();
-        if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-            *pptr() = traits_type::to_char_type(ch);
-            pbump(1);
-        }
-        return traits_type::not_eof(ch);
-    }
-
-  private:
-    void
-    drain()
-    {
-        hasher.bytes(pbase(), std::size_t(pptr() - pbase()));
-        setp(buf, buf + sizeof(buf));
-    }
-
-    char buf[4096];
-    Fnv1a64 hasher;
-};
-
 } // namespace
 
 std::uint64_t
 moduleDigest(const Module &module)
 {
-    // Same bytes as fnv1a64(moduleToText(module)), streamed.
-    DigestStreambuf sink;
-    std::ostream os(&sink);
-    serializeModule(os, module);
-    return sink.value();
+    // Same bytes as fnv1a64(moduleToText(module)), never held whole.
+    Fnv1a64 hasher;
+    TextWriter out(hasher);
+    writeModule(out, module);
+    return out.digest();
 }
 
 std::string

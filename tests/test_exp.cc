@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "child_process.hh"
+#include "core/enlarge.hh"
 #include "exp/figures.hh"
 #include "ir/textform.hh"
 #include "sim/tc_source.hh"
@@ -113,6 +114,26 @@ const std::pair<const char *, std::uint64_t> pinnedSuiteDigests[] = {
     {"perl", 0x62bd2e833c4b9fb2ull},     {"vortex", 0x09357d325784cc1bull},
 };
 
+/** moduleDigest of each suite benchmark generated with small-leaf
+ *  inlining (the section-6 extension): bigger functions, more spills.
+ *  compress and ijpeg have no call the inliner takes, so theirs equal
+ *  the plain pins. */
+const std::pair<const char *, std::uint64_t> pinnedInlinedDigests[] = {
+    {"compress", 0x69f779c133636d90ull}, {"gcc", 0xc97298b420a28156ull},
+    {"go", 0x32ae23d92d826b9aull},       {"ijpeg", 0xdac31462b810f9f5ull},
+    {"li", 0x4f22cfea0b4ab431ull},       {"m88ksim", 0x44b3239f78bf3851ull},
+    {"perl", 0x999d3171fe68e85aull},     {"vortex", 0xf34ed7f37b677304ull},
+};
+
+/** moduleDigest of each suite module re-split to 8-op blocks, the
+ *  modules the limits ablation simulates at maxOps 8. */
+const std::pair<const char *, std::uint64_t> pinnedResplit8Digests[] = {
+    {"compress", 0x5643dfe54d994f3cull}, {"gcc", 0x9d92172ffba4b543ull},
+    {"go", 0x2fb62f7331418863ull},       {"ijpeg", 0x3c86ec042ce5900aull},
+    {"li", 0x6b8457845d471db6ull},       {"m88ksim", 0xf1dc9f65eccfd339ull},
+    {"perl", 0xacf01ed2ecbdc780ull},     {"vortex", 0xd3dfda9ef61d3507ull},
+};
+
 } // namespace
 
 TEST(SuiteCache, RacingFirstAccessMatchesFreshGeneration)
@@ -158,6 +179,32 @@ TEST(SuiteCache, DigestsArePinned)
         EXPECT_EQ(moduleDigest(generateWorkload(suite[i].params)), digest)
             << name;
         EXPECT_EQ(suiteModuleDigest(i), digest) << name;
+    }
+}
+
+TEST(SuiteCache, InlinedDigestsArePinned)
+{
+    const auto suite = specint95Suite();
+    ASSERT_EQ(suite.size(), std::size(pinnedInlinedDigests));
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const auto [name, digest] = pinnedInlinedDigests[i];
+        ASSERT_EQ(suite[i].params.name, name);
+        WorkloadParams params = suite[i].params;
+        params.inlineSmallCalls = true;
+        EXPECT_EQ(moduleDigest(generateWorkload(params)), digest) << name;
+    }
+}
+
+TEST(SuiteCache, Resplit8DigestsArePinned)
+{
+    const auto suite = specint95Suite();
+    ASSERT_EQ(suite.size(), std::size(pinnedResplit8Digests));
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const auto [name, digest] = pinnedResplit8Digests[i];
+        ASSERT_EQ(suite[i].params.name, name);
+        Module m = suiteModule(i);
+        splitOversizedBlocks(m, 8);
+        EXPECT_EQ(moduleDigest(m), digest) << name;
     }
 }
 

@@ -6,15 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "frontend/compile.hh"
+#include "fuzz/gen.hh"
+#include "ir/cfg.hh"
 #include "ir/verifier.hh"
 #include "opt/passes.hh"
 #include "regalloc/linearscan.hh"
 #include "regalloc/liveness.hh"
 #include "sim/interp.hh"
 #include "support/rng.hh"
+#include "workloads/specmix.hh"
+#include "workloads/synth.hh"
 
 using namespace bsisa;
 
@@ -45,11 +50,11 @@ TEST(RegSet, BasicOperations)
     s.erase(5);
     EXPECT_FALSE(s.contains(5));
 
-    RegSet t(128);
-    t.insert(64);
-    EXPECT_TRUE(s.unionWith(t));
-    EXPECT_FALSE(s.unionWith(t));  // second union is a no-op
+    const std::uint64_t row[2] = {0, 1};  // {r64}
+    s.assign(row);
     EXPECT_TRUE(s.contains(64));
+    EXPECT_FALSE(s.contains(127));
+    EXPECT_EQ(s.count(), 1u);
 }
 
 TEST(Liveness, StraightLine)
@@ -83,7 +88,7 @@ TEST(Liveness, StraightLine)
     ASSERT_NE(keep_reg, invalidId);
     unsigned live_blocks = 0;
     for (BlockId b = 0; b < f.blocks.size(); ++b)
-        live_blocks += live.liveIn[b].contains(keep_reg);
+        live_blocks += live.liveIn(b, keep_reg);
     EXPECT_GE(live_blocks, 2u);
 }
 
@@ -108,7 +113,134 @@ TEST(Liveness, DeadAfterLastUse)
     ASSERT_NE(early_reg, invalidId);
     // 'early' must not be live out of the loop blocks.
     const auto rpo_last = f.blocks.size() - 1;
-    EXPECT_FALSE(live.liveOut[rpo_last].contains(early_reg));
+    EXPECT_FALSE(live.liveOut(BlockId(rpo_last), early_reg));
+}
+
+namespace
+{
+
+/** Brute-force reference liveness: per-block std::set fixpoint,
+ *  straight from the dataflow equations. */
+struct ReferenceLiveness
+{
+    std::vector<std::set<RegNum>> in, out;
+};
+
+std::vector<RegNum>
+referenceUses(const Operation &op)
+{
+    switch (op.op) {
+      case Opcode::Call: {
+        std::vector<RegNum> all;
+        for (RegNum r = 1; r < numArchRegs; ++r)
+            all.push_back(r);
+        return all;
+      }
+      case Opcode::Ret:
+      case Opcode::Halt:
+        return {regRet};
+      default:
+        break;
+    }
+    const unsigned n = numSources(op.op);
+    if (n == 0)
+        return {};
+    if (n == 1)
+        return {op.src1};
+    return {op.src1, op.src2};
+}
+
+ReferenceLiveness
+referenceLiveness(const Function &f)
+{
+    const std::size_t n = f.blocks.size();
+    std::vector<std::set<RegNum>> gen(n), kill(n);
+    for (std::size_t b = 0; b < n; ++b) {
+        for (const Operation &op : f.blocks[b].ops) {
+            for (RegNum u : referenceUses(op))
+                if (u != regZero && !kill[b].count(u))
+                    gen[b].insert(u);
+            if (op.op == Opcode::Call)
+                kill[b].insert(regRet);
+            else if (hasDest(op.op))
+                kill[b].insert(op.dst);
+        }
+    }
+    ReferenceLiveness ref;
+    ref.in.resize(n);
+    ref.out.resize(n);
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (std::size_t b = 0; b < n; ++b) {
+            std::set<RegNum> out;
+            for (BlockId s : blockSuccessors(f, BlockId(b)))
+                out.insert(ref.in[s].begin(), ref.in[s].end());
+            std::set<RegNum> in = gen[b];
+            for (RegNum r : out)
+                if (!kill[b].count(r))
+                    in.insert(r);
+            if (in != ref.in[b] || out != ref.out[b]) {
+                ref.in[b] = std::move(in);
+                ref.out[b] = std::move(out);
+                changed = true;
+            }
+        }
+    }
+    return ref;
+}
+
+/** computeLiveness(f) equals the reference on every block and
+ *  register. */
+void
+expectReferenceLiveness(const Function &f, const std::string &what)
+{
+    const Liveness live = computeLiveness(f);
+    const ReferenceLiveness ref = referenceLiveness(f);
+    for (BlockId b = 0; b < f.blocks.size(); ++b) {
+        for (RegNum r = 0; r < f.numVirtualRegs; ++r) {
+            ASSERT_EQ(live.liveIn(b, r), ref.in[b].count(r) != 0)
+                << what << " " << f.name << " B" << b << " r" << r;
+            ASSERT_EQ(live.liveOut(b, r), ref.out[b].count(r) != 0)
+                << what << " " << f.name << " B" << b << " r" << r;
+        }
+    }
+}
+
+} // namespace
+
+TEST(Liveness, MatchesReferenceOnTheSuite)
+{
+    for (const SpecBenchmark &bench : specint95Suite()) {
+        const Module m = generateWorkload(bench.params);
+        for (const Function &f : m.functions)
+            expectReferenceLiveness(f, bench.params.name);
+    }
+}
+
+TEST(Liveness, MatchesReferenceOnFuzzPrograms)
+{
+    const auto &profiles = fuzz::genProfileNames();
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+        const std::string &profile = profiles[seed % profiles.size()];
+        const std::string source =
+            fuzz::generateProgram(seed, fuzz::genProfile(profile)).render();
+        const std::string what = profile + " seed " + std::to_string(seed);
+        // Virtual registers before and after the optimizer, and the
+        // allocated form.
+        CompileOptions raw;
+        raw.optimize = false;
+        raw.allocate = false;
+        raw.maxBlockOps = 0;
+        CompileOptions optimized = raw;
+        optimized.optimize = true;
+        for (const Module &m :
+             {compileBlockCOrDie(source, raw),
+              compileBlockCOrDie(source, optimized),
+              compileBlockCOrDie(source)}) {
+            for (const Function &f : m.functions)
+                expectReferenceLiveness(f, what);
+        }
+    }
 }
 
 TEST(LinearScan, NoVirtualRegistersRemain)

@@ -2,7 +2,7 @@
  * @file
  * bsisa-fuzz — differential fuzzing driver.
  *
- *   bsisa-fuzz [--seed N] [--runs N] [--oracle interp|enlarge|models|lockstep|ooo|all]
+ *   bsisa-fuzz [--seed N] [--runs N] [--oracle interp|enlarge|models|lockstep|ooo|compile|all]
  *              [--profile NAME] [--minimize] [--corpus DIR]
  *              [--inject skip-fault-suppression|flip-fault-polarity]
  *              [--max-ops N] [--max-failures N] [--expect-failure]
@@ -49,7 +49,8 @@ usage()
         "usage: bsisa-fuzz [options]\n"
         "  --seed N         first seed (default 1)\n"
         "  --runs N         number of programs (default 100)\n"
-        "  --oracle LIST    interp|enlarge|models|lockstep|ooo|all (default all)\n"
+        "  --oracle LIST    interp|enlarge|models|lockstep|ooo|compile|all\n"
+        "                   (default all)\n"
         "  --profile NAME   one generator profile (default: rotate";
     for (const std::string &name : genProfileNames())
         std::cerr << " " << name;

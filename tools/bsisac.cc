@@ -173,14 +173,14 @@ cmdCompile(const Args &args)
         return 1;
     const std::string out_path = args.get("-o", "");
     if (out_path.empty()) {
-        serializeModule(std::cout, module);
+        std::cout << moduleToText(module);
     } else {
         std::ofstream out(out_path);
         if (!out) {
             std::cerr << "bsisac: cannot write '" << out_path << "'\n";
             return 1;
         }
-        serializeModule(out, module);
+        out << moduleToText(module);
         std::cout << "wrote " << out_path << " ("
                   << module.numOps() << " ops, "
                   << module.functions.size() << " functions)\n";
