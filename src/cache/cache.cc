@@ -5,7 +5,6 @@
 
 #include "cache/cache.hh"
 
-#include "support/bitutil.hh"
 #include "support/logging.hh"
 
 namespace bsisa
@@ -18,19 +17,14 @@ CacheConfig::numSets() const
 }
 
 Cache::Cache(const CacheConfig &config)
-    : cfg(config)
+    : cfg(config), lineShift(floorLog2(config.lineBytes)),
+      lines(config.perfect ? 0 : config.sizeBytes >> lineShift,
+            config.assoc)
 {
     BSISA_ASSERT(isPowerOfTwo(cfg.lineBytes));
-    lineShift = floorLog2(cfg.lineBytes);
-    if (!cfg.perfect) {
-        const std::uint32_t sets = cfg.numSets();
-        BSISA_ASSERT(sets > 0 && isPowerOfTwo(sets),
-                     "cache sets must be a nonzero power of two");
-        setMask = sets - 1;
-        lines.resize(std::size_t(sets) * cfg.assoc);
-    } else {
-        setMask = 0;
-    }
+    BSISA_ASSERT(cfg.geometryFault() == SetGeometryFault::None,
+                 "cache lines must fill a power-of-two number of sets");
+    setMask = cfg.perfect ? 0 : cfg.numSets() - 1;
 }
 
 bool
@@ -40,29 +34,15 @@ Cache::accessLine(std::uint64_t lineAddr)
     if (cfg.perfect)
         return true;
 
-    const std::uint32_t set = lineAddr & setMask;
-    const std::uint64_t tag = lineAddr;  // full line addr as tag
-    Line *base = &lines[std::size_t(set) * cfg.assoc];
-
-    ++useClock;
-    Line *victim = base;
-    for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = useClock;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
+    // The full line address is the tag.
+    const auto way = lines.access(
+        lineAddr & setMask,
+        [lineAddr](std::uint64_t tag) { return tag == lineAddr; });
+    if (!way.hit) {
+        ++statistics.misses;
+        way.entry = lineAddr;
     }
-    ++statistics.misses;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock;
-    return false;
+    return way.hit;
 }
 
 unsigned
@@ -76,13 +56,6 @@ Cache::accessRange(std::uint64_t addr, std::uint32_t bytes)
     for (std::uint64_t line = first; line <= last; ++line)
         missing += !accessLine(line);
     return missing;
-}
-
-void
-Cache::flush()
-{
-    for (Line &line : lines)
-        line.valid = false;
 }
 
 } // namespace bsisa

@@ -12,7 +12,8 @@
 #define BSISA_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <vector>
+
+#include "cache/lru_set_array.hh"
 
 namespace bsisa
 {
@@ -26,6 +27,15 @@ struct CacheConfig
     bool perfect = false;  //!< always hits (infinite cache)
 
     std::uint32_t numSets() const;
+
+    /** The set-array geometry rule over this cache's lines; a
+     *  perfect cache builds no lines and always passes. */
+    SetGeometryFault
+    geometryFault() const
+    {
+        return perfect ? SetGeometryFault::None
+                       : setGeometryFault(sizeBytes / lineBytes, assoc);
+    }
 
     bool operator==(const CacheConfig &) const = default;
 };
@@ -66,20 +76,10 @@ class Cache
      */
     unsigned accessRange(std::uint64_t addr, std::uint32_t bytes);
 
-    /** Invalidate everything (keeps statistics). */
-    void flush();
-
     const CacheStats &stats() const { return statistics; }
     const CacheConfig &config() const { return cfg; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = ~0ull;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
     /** Probe by line number (addr >> lineShift); allocates on miss.
      *  Internal granularity shared by access() and accessRange(),
      *  which walks whole lines without re-deriving byte addresses. */
@@ -89,8 +89,7 @@ class Cache
     /** log2(lineBytes); valid in perfect mode too. */
     std::uint32_t lineShift;
     std::uint32_t setMask;
-    std::vector<Line> lines;  //!< sets * assoc, set-major
-    std::uint64_t useClock = 0;
+    LruSetArray<std::uint64_t> lines;  //!< line-address tags
     CacheStats statistics;
 };
 

@@ -5,15 +5,19 @@
 
 #include "cache/trace_cache.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace bsisa
 {
 
 TraceCache::TraceCache(const TraceCacheConfig &config)
-    : cfg(config), slots(config.entries)
+    : cfg(config), slots(config.entries, config.assoc)
 {
-    BSISA_ASSERT(cfg.entries % cfg.assoc == 0);
+    // Sets are found by modulo, so any nonzero set count works.
+    BSISA_ASSERT(setGeometryFault(cfg.entries, cfg.assoc, false) ==
+                 SetGeometryFault::None);
     BSISA_ASSERT(cfg.maxBlocks >= 1 && cfg.maxOps >= 1);
 }
 
@@ -29,50 +33,31 @@ const Trace *
 TraceCache::lookup(std::uint64_t start,
                    const std::vector<bool> &predictedDirs)
 {
-    Trace *base = &slots[setOf(start) * cfg.assoc];
-    ++clock;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Trace &trace = base[w];
-        if (!trace.valid || trace.start != start)
-            continue;
-        // The trace is usable when its interior directions agree with
-        // the predictions we have.
-        bool match = trace.dirs.size() <= predictedDirs.size();
-        for (std::size_t i = 0; match && i < trace.dirs.size(); ++i)
-            match = trace.dirs[i] == predictedDirs[i];
-        if (match) {
-            trace.lastUse = clock;
-            ++nHits;
-            return &trace;
-        }
+    // The trace is usable when its interior directions agree with
+    // the predictions we have.
+    const auto usable = [&](const Trace &t) {
+        return t.start == start &&
+               t.dirs.size() <= predictedDirs.size() &&
+               std::equal(t.dirs.begin(), t.dirs.end(),
+                          predictedDirs.begin());
+    };
+    if (!slots.find(setOf(start), usable)) {
+        ++nMisses;
+        return nullptr;
     }
-    ++nMisses;
-    return nullptr;
+    ++nHits;
+    // Accessing the same first match marks it most recently used.
+    return &slots.access(setOf(start), usable).entry;
 }
 
 void
 TraceCache::install(const Trace &trace)
 {
     BSISA_ASSERT(trace.valid && !trace.blocks.empty());
-    Trace *base = &slots[setOf(trace.start) * cfg.assoc];
-    ++clock;
-    Trace *victim = base;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Trace &slot = base[w];
-        // Replace an existing same-start same-dirs trace in place.
-        if (slot.valid && slot.start == trace.start &&
-            slot.dirs == trace.dirs) {
-            victim = &slot;
-            break;
-        }
-        if (!slot.valid) {
-            victim = &slot;
-        } else if (victim->valid && slot.lastUse < victim->lastUse) {
-            victim = &slot;
-        }
-    }
-    *victim = trace;
-    victim->lastUse = clock;
+    // An existing same-start same-dirs trace is replaced in place.
+    slots.access(setOf(trace.start), [&](const Trace &t) {
+        return t.start == trace.start && t.dirs == trace.dirs;
+    }).entry = trace;
 }
 
 } // namespace bsisa

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/lru_set_array.hh"
+
 namespace bsisa
 {
 
@@ -41,8 +43,7 @@ struct Trace
      *  unconditional interior edges contribute no bit). */
     std::vector<bool> dirs;
     unsigned ops = 0;
-    bool valid = false;
-    std::uint64_t lastUse = 0;
+    bool valid = false;  //!< holds a trace (the fill unit's flag)
 };
 
 class TraceCache
@@ -68,8 +69,7 @@ class TraceCache
 
   private:
     TraceCacheConfig cfg;
-    std::vector<Trace> slots;
-    std::uint64_t clock = 0;
+    LruSetArray<Trace> slots;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
 

@@ -132,43 +132,13 @@ expandGrid(const SweepSpec &spec, Interp::Limits limits,
     out.clear();
     RunConfig base;
     base.limits = limits;
-    for (const SpecAssign &assign : spec.base) {
-        if (!applyConfigKey(base, assign.first, assign.second, error))
-            return false;
-    }
-
-    if (!spec.axes.empty()) {
-        // Cross-product, first axis outermost (odometer order).
-        std::uint64_t count = 1;
-        for (const auto &axis : spec.axes)
-            count *= axis.second.size();
-        for (std::uint64_t n = 0; n < count; ++n) {
-            RunConfig config = base;
-            std::uint64_t rem = n;
-            for (std::size_t a = spec.axes.size(); a-- > 0;) {
-                const auto &axis = spec.axes[a];
-                const std::size_t pick = rem % axis.second.size();
-                rem /= axis.second.size();
-                if (!applyConfigKey(config, axis.first,
-                                    axis.second[pick], error))
-                    return false;
-            }
+    return forEachSpecConfig(
+        spec, base,
+        [&](const RunConfig &config) {
             out.push_back(config);
-        }
-    } else if (spec.points.empty()) {
-        out.push_back(base);
-    }
-
-    for (const auto &point : spec.points) {
-        RunConfig config = base;
-        for (const SpecAssign &assign : point) {
-            if (!applyConfigKey(config, assign.first, assign.second,
-                                error))
-                return false;
-        }
-        out.push_back(config);
-    }
-    return true;
+            return true;
+        },
+        error);
 }
 
 bool

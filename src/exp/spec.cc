@@ -27,6 +27,7 @@
 #include <sstream>
 
 #include "arch/reg.hh"
+#include "predict/tables.hh"
 #include "support/digest.hh"
 #include "workloads/specmix.hh"
 
@@ -624,6 +625,65 @@ renderKeyValue(const ConfigKeyDef &def, const KeyValue &v)
     return "";
 }
 
+/**
+ * The tables' geometry rule (cache/lru_set_array.hh,
+ * predict/tables.hh) over one expanded config, reported against the
+ * key that sets the field at fault.
+ */
+bool
+checkTableGeometry(const RunConfig &config, std::string &error)
+{
+    const auto fail = [&](const char *key, std::uint64_t got,
+                          const std::string &expected) {
+        error = std::string(key) + ": expected " + expected +
+                ", got '" + std::to_string(got) + "'";
+        return false;
+    };
+    const MachineConfig &m = config.machine;
+    const struct
+    {
+        const CacheConfig &cache;
+        const char *kbKey;
+        const char *assocKey;
+    } caches[] = {{m.icache, "icache_kb", "icache_assoc"},
+                  {m.dcache, "dcache_kb", "dcache_assoc"}};
+    for (const auto &[cache, kbKey, assocKey] : caches) {
+        switch (cache.geometryFault()) {
+          case SetGeometryFault::Ways:
+            return fail(assocKey, cache.assoc, "at least 1");
+          case SetGeometryFault::Sets:
+            return fail(kbKey, cache.sizeBytes / 1024,
+                        "a size that fills a power-of-two number of " +
+                            std::to_string(cache.assoc) + "-way sets of " +
+                            std::to_string(cache.lineBytes) +
+                            "-byte lines");
+          case SetGeometryFault::None:
+            break;
+        }
+    }
+    const PredictorConfig &p = m.predictor;
+    switch (predictorGeometryFault(p)) {
+      case PredictorGeometryFault::BtbWays:
+        return fail("btb_assoc", p.btbAssoc, "at least 1");
+      case PredictorGeometryFault::BtbSets:
+        return fail("btb_entries", p.btbEntries,
+                    "a count that fills a power-of-two number of " +
+                        std::to_string(p.btbAssoc) + "-way sets");
+      case PredictorGeometryFault::HistoryEntries:
+        return fail("history_entries", p.historyEntries,
+                    "a power of two");
+      case PredictorGeometryFault::HistoryBits:
+        return fail("history_bits", p.historyBits,
+                    "at most " + std::to_string(maxHistoryBits));
+      case PredictorGeometryFault::PhtBits:
+        return fail("pht_bits", p.phtBits,
+                    "at most " + std::to_string(maxPhtBits));
+      case PredictorGeometryFault::None:
+        break;
+    }
+    return true;
+}
+
 // ---------------------------------------------------------------
 // Interpretation of the node tree into a SweepSpec.
 
@@ -830,7 +890,13 @@ interpretSpec(const SpecNode &root, SweepSpec &spec, std::string &error)
                 std::to_string(spec.pointsPerBenchmark()) + ")";
         return false;
     }
-    return true;
+    // Every config of the grid must be one the tables can build.
+    return forEachSpecConfig(
+        spec, RunConfig{},
+        [&](const RunConfig &config) {
+            return checkTableGeometry(config, error);
+        },
+        error);
 }
 
 } // namespace
@@ -953,6 +1019,54 @@ applyConfigKey(RunConfig &config, const std::string &key,
     if (!parseKeyValue(*def, value, v, error))
         return false;
     def->set(config, v);
+    return true;
+}
+
+bool
+forEachSpecConfig(const SweepSpec &spec, const RunConfig &base,
+                  const std::function<bool(const RunConfig &)> &visit,
+                  std::string &error)
+{
+    RunConfig grid = base;
+    for (const SpecAssign &assign : spec.base) {
+        if (!applyConfigKey(grid, assign.first, assign.second, error))
+            return false;
+    }
+
+    if (!spec.axes.empty()) {
+        // Cross-product, first axis outermost (odometer order).
+        std::uint64_t count = 1;
+        for (const auto &axis : spec.axes)
+            count *= axis.second.size();
+        for (std::uint64_t n = 0; n < count; ++n) {
+            RunConfig config = grid;
+            std::uint64_t rem = n;
+            for (std::size_t a = spec.axes.size(); a-- > 0;) {
+                const auto &axis = spec.axes[a];
+                const std::size_t pick = rem % axis.second.size();
+                rem /= axis.second.size();
+                if (!applyConfigKey(config, axis.first,
+                                    axis.second[pick], error))
+                    return false;
+            }
+            if (!visit(config))
+                return false;
+        }
+    } else if (spec.points.empty()) {
+        if (!visit(grid))
+            return false;
+    }
+
+    for (const auto &point : spec.points) {
+        RunConfig config = grid;
+        for (const SpecAssign &assign : point) {
+            if (!applyConfigKey(config, assign.first, assign.second,
+                                error))
+                return false;
+        }
+        if (!visit(config))
+            return false;
+    }
     return true;
 }
 

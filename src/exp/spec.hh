@@ -22,6 +22,7 @@
 #define BSISA_EXP_SPEC_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,6 +106,17 @@ std::uint64_t specDigest(const SweepSpec &spec);
  */
 bool applyConfigKey(RunConfig &config, const std::string &key,
                     const std::string &value, std::string &error);
+
+/**
+ * Call @p visit on each config of @p spec's grid over @p base: the
+ * axis cross-product (first axis outermost), or @p base alone when
+ * there are neither axes nor points, then the explicit points.
+ * Stops at the first visit that returns false.  Also false, with
+ * @p error set, on a config-key error.
+ */
+bool forEachSpecConfig(const SweepSpec &spec, const RunConfig &base,
+                       const std::function<bool(const RunConfig &)> &visit,
+                       std::string &error);
 
 /** Normalize one assignment's value to its canonical spelling
  *  (numerics re-rendered, booleans to true/false, scheme names to

@@ -591,6 +591,15 @@ lockstepGrid()
     m.dcache.sizeBytes = 1024;
     m.frontendDepth = 6;
     grid.push_back(m);
+    // Tables small enough that every program evicts from the BTBs and
+    // the icache.
+    m = MachineConfig{};
+    m.predictor.scheme = PredictorScheme::GAg;
+    m.predictor.btbEntries = 8;
+    m.predictor.btbAssoc = 2;
+    m.icache.sizeBytes = 4 * 1024;
+    m.icache.assoc = 2;
+    grid.push_back(m);
     return grid;
 }
 

@@ -5,89 +5,26 @@
 
 #include "predict/blockpred.hh"
 
-#include "support/bitutil.hh"
 #include "support/logging.hh"
 
 namespace bsisa
 {
 
-namespace
-{
-
-bool
-usesPerAddressHistory(PredictorScheme scheme)
-{
-    return scheme == PredictorScheme::PAg ||
-           scheme == PredictorScheme::PAs;
-}
-
-bool
-usesAddressHashing(PredictorScheme scheme)
-{
-    return scheme == PredictorScheme::GAs ||
-           scheme == PredictorScheme::PAs;
-}
-
-} // namespace
-
 BlockPredictor::BlockPredictor(const PredictorConfig &config)
-    : cfg(config), historyMask(lowMask(config.historyBits)),
-      histories(usesPerAddressHistory(config.scheme)
-                    ? config.historyEntries
-                    : 1,
-                0),
-      pht(std::size_t(1) << config.phtBits), btb(config.btbEntries),
-      btbSetMask(config.btbEntries / config.btbAssoc - 1)
+    : cfg(checkedPredictorConfig(config)), history(config),
+      pht(std::size_t(1) << config.phtBits), btb(config)
 {
-    BSISA_ASSERT(isPowerOfTwo(cfg.btbEntries));
-    BSISA_ASSERT(cfg.btbEntries % cfg.btbAssoc == 0);
-    BSISA_ASSERT(isPowerOfTwo(cfg.btbEntries / cfg.btbAssoc));
-    BSISA_ASSERT(isPowerOfTwo(cfg.historyEntries));
-    ras.reserve(4096);
-}
-
-std::uint64_t &
-BlockPredictor::historyFor(std::uint64_t pc)
-{
-    if (histories.size() == 1)
-        return histories[0];
-    return histories[(pc >> 2) & (histories.size() - 1)];
-}
-
-std::uint64_t
-BlockPredictor::historyFor(std::uint64_t pc) const
-{
-    if (histories.size() == 1)
-        return histories[0];
-    return histories[(pc >> 2) & (histories.size() - 1)];
-}
-
-std::size_t
-BlockPredictor::phtIndex(std::uint64_t pc) const
-{
-    const std::uint64_t hist = historyFor(pc);
-    if (usesAddressHashing(cfg.scheme))
-        return ((pc >> 2) ^ hist) & lowMask(cfg.phtBits);
-    return hist & lowMask(cfg.phtBits);
-}
-
-BlockPredictor::Prediction
-BlockPredictor::predict(std::uint64_t pc) const
-{
-    const PhtEntry &entry = pht[phtIndex(pc)];
-    Prediction p;
-    p.trapTaken = entry.trap.predictTaken();
-    p.variantBits = (entry.variant1.predictTaken() ? 2u : 0u) |
-                    (entry.variant0.predictTaken() ? 1u : 0u);
-    return p;
 }
 
 BlockPredictor::Probe
 BlockPredictor::probe(std::uint64_t pc) const
 {
+    const PhtEntry &counters = pht[history.phtIndex(pc)];
     Probe r;
-    r.pred = predict(pc);
-    if (const BtbEntry *entry = lookup(pc)) {
+    r.pred.trapTaken = counters.trap.predictTaken();
+    r.pred.variantBits = (counters.variant1.predictTaken() ? 2u : 0u) |
+                         (counters.variant0.predictTaken() ? 1u : 0u);
+    if (const BtbEntry *entry = btb.find(pc)) {
         r.btb.succ = entry->succ.data();
         r.btb.lastSucc = entry->lastSucc;
         r.btb.knownMask = entry->knownMask;
@@ -99,76 +36,12 @@ void
 BlockPredictor::update(std::uint64_t pc, const Prediction &actual,
                        unsigned succBits, unsigned succIndex)
 {
-    PhtEntry &entry = pht[phtIndex(pc)];
+    PhtEntry &entry = pht[history.phtIndex(pc)];
     entry.trap.train(actual.trapTaken);
     entry.variant1.train((actual.variantBits & 2) != 0);
     entry.variant0.train((actual.variantBits & 1) != 0);
     // Shift in exactly succBits history bits (modification 3).
-    if (succBits > 0) {
-        std::uint64_t &hist = historyFor(pc);
-        hist = ((hist << succBits) | (succIndex & lowMask(succBits))) &
-               historyMask;
-    }
-}
-
-const BlockPredictor::BtbEntry *
-BlockPredictor::lookup(std::uint64_t pc) const
-{
-    const std::size_t set = (pc >> 2) & btbSetMask;
-    const BtbEntry *base = &btb[set * cfg.btbAssoc];
-    for (unsigned w = 0; w < cfg.btbAssoc; ++w)
-        if (base[w].valid && base[w].tag == pc)
-            return &base[w];
-    return nullptr;
-}
-
-BlockPredictor::BtbEntry &
-BlockPredictor::lookupOrAllocate(std::uint64_t pc)
-{
-    const std::size_t set = (pc >> 2) & btbSetMask;
-    BtbEntry *base = &btb[set * cfg.btbAssoc];
-    ++btbClock;
-    BtbEntry *victim = base;
-    for (unsigned w = 0; w < cfg.btbAssoc; ++w) {
-        BtbEntry &entry = base[w];
-        if (entry.valid && entry.tag == pc) {
-            entry.lastUse = btbClock;
-            return entry;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid && entry.lastUse < victim->lastUse) {
-            victim = &entry;
-        }
-    }
-    *victim = BtbEntry{};
-    victim->valid = true;
-    victim->tag = pc;
-    victim->lastUse = btbClock;
-    return *victim;
-}
-
-std::uint64_t
-BlockPredictor::successor(std::uint64_t pc, unsigned slot) const
-{
-    BSISA_ASSERT(slot < btbSuccessorSlots);
-    const BtbEntry *entry = lookup(pc);
-    if (!entry || !(entry->knownMask & (1u << slot)))
-        return ~0ull;
-    return entry->succ[slot];
-}
-
-std::uint64_t
-BlockPredictor::lastSuccessor(std::uint64_t pc) const
-{
-    const BtbEntry *entry = lookup(pc);
-    return entry ? entry->lastSucc : ~0ull;
-}
-
-bool
-BlockPredictor::hasEntry(std::uint64_t pc) const
-{
-    return lookup(pc) != nullptr;
+    history.shift(pc, succBits, succIndex);
 }
 
 void
@@ -176,27 +49,13 @@ BlockPredictor::install(std::uint64_t pc, unsigned slot,
                         std::uint64_t token)
 {
     BSISA_ASSERT(slot < btbSuccessorSlots);
-    BtbEntry &entry = lookupOrAllocate(pc);
+    const auto way = btb.access(pc);
+    BtbEntry &entry = way.entry;
+    if (!way.hit)
+        entry = BtbEntry{pc, {}, 0, ~0ull};
     entry.succ[slot] = token;
     entry.knownMask |= 1u << slot;
     entry.lastSucc = token;
-}
-
-void
-BlockPredictor::pushReturn(std::uint64_t token)
-{
-    if (ras.size() < 4096)
-        ras.push_back(token);
-}
-
-std::uint64_t
-BlockPredictor::popReturn()
-{
-    if (ras.empty())
-        return ~0ull;
-    const std::uint64_t token = ras.back();
-    ras.pop_back();
-    return token;
 }
 
 } // namespace bsisa

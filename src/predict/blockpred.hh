@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "predict/twolevel.hh"
+#include "predict/tables.hh"
 #include "support/sat_counter.hh"
 
 namespace bsisa
@@ -46,9 +46,6 @@ class BlockPredictor
         bool trapTaken = false;
         unsigned variantBits = 0;  //!< 2 bits selecting the variant
     };
-
-    /** Predict the successor-selection bits for the block at @p pc. */
-    Prediction predict(std::uint64_t pc) const;
 
     /**
      * Const view of one BTB entry's successor state, captured by
@@ -77,11 +74,8 @@ class BlockPredictor
     };
 
     /**
-     * Const-safe combined lookup: the 3-bit prediction plus the BTB
-     * entry view for @p pc in one PHT index and one BTB set probe.
-     * predict() + successor() + lastSuccessor() walk the same BTB set
-     * once per query; the capture pre-pass issues them back to back
-     * per fetch step, so the fused probe halves its table traffic.
+     * The fetch walk's one lookup: the 3-bit prediction plus the BTB
+     * entry view for @p pc, in one PHT index and one BTB set probe.
      */
     Probe probe(std::uint64_t pc) const;
 
@@ -98,63 +92,35 @@ class BlockPredictor
     void update(std::uint64_t pc, const Prediction &actual,
                 unsigned succBits, unsigned succIndex);
 
-    /**
-     * BTB successor lookup: the token stored in slot @p slot of the
-     * entry for @p pc, or ~0 when the entry or slot is unknown.
-     */
-    std::uint64_t successor(std::uint64_t pc, unsigned slot) const;
-
-    /** Most recently observed successor for @p pc (~0 if none). */
-    std::uint64_t lastSuccessor(std::uint64_t pc) const;
-
-    /** True iff a BTB entry exists for @p pc. */
-    bool hasEntry(std::uint64_t pc) const;
-
     /** Record the actual successor token in slot @p slot. */
     void install(std::uint64_t pc, unsigned slot, std::uint64_t token);
 
     /** Call/return stack for block-level return-head prediction. */
-    void pushReturn(std::uint64_t token);
-    std::uint64_t popReturn();
+    ReturnStack &returnStack() { return returns; }
 
     const PredictorConfig &config() const { return cfg; }
 
   private:
-    PredictorConfig cfg;
-    std::uint64_t historyMask;
-    /** One entry for global schemes, historyEntries for PA*. */
-    std::vector<std::uint64_t> histories;
-
-    std::uint64_t &historyFor(std::uint64_t pc);
-    std::uint64_t historyFor(std::uint64_t pc) const;
-
     struct PhtEntry
     {
         SatCounter trap{2, 1};
         SatCounter variant1{2, 0};
         SatCounter variant0{2, 0};
     };
-    std::vector<PhtEntry> pht;
 
     struct BtbEntry
     {
-        std::uint64_t tag = ~0ull;
+        std::uint64_t tag;
         std::array<std::uint64_t, btbSuccessorSlots> succ;
-        std::uint8_t knownMask = 0;
-        std::uint64_t lastSucc = ~0ull;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
+        std::uint8_t knownMask;
+        std::uint64_t lastSucc;
     };
-    std::vector<BtbEntry> btb;
-    /** btbEntries / btbAssoc - 1 (set count asserted power of two),
-     *  so set selection is a mask instead of a division. */
-    std::uint64_t btbSetMask;
-    std::uint64_t btbClock = 0;
-    std::vector<std::uint64_t> ras;
 
-    std::size_t phtIndex(std::uint64_t pc) const;
-    const BtbEntry *lookup(std::uint64_t pc) const;
-    BtbEntry &lookupOrAllocate(std::uint64_t pc);
+    PredictorConfig cfg;
+    HistoryTable history;
+    std::vector<PhtEntry> pht;
+    Btb<BtbEntry> btb;
+    ReturnStack returns;
 };
 
 } // namespace bsisa

@@ -5,178 +5,49 @@
 
 #include "predict/twolevel.hh"
 
-#include "support/bitutil.hh"
-#include "support/logging.hh"
-
 namespace bsisa
 {
 
-const char *
-predictorSchemeName(PredictorScheme scheme)
-{
-    switch (scheme) {
-      case PredictorScheme::GAg: return "GAg";
-      case PredictorScheme::GAs: return "GAs";
-      case PredictorScheme::PAg: return "PAg";
-      case PredictorScheme::PAs: return "PAs";
-    }
-    return "?";
-}
-
-namespace
-{
-
-bool
-usesPerAddressHistory(PredictorScheme scheme)
-{
-    return scheme == PredictorScheme::PAg ||
-           scheme == PredictorScheme::PAs;
-}
-
-bool
-usesAddressHashing(PredictorScheme scheme)
-{
-    return scheme == PredictorScheme::GAs ||
-           scheme == PredictorScheme::PAs;
-}
-
-} // namespace
-
 TwoLevelPredictor::TwoLevelPredictor(const PredictorConfig &config)
-    : cfg(config), historyMask(lowMask(config.historyBits)),
-      histories(usesPerAddressHistory(config.scheme)
-                    ? config.historyEntries
-                    : 1,
-                0),
+    : cfg(checkedPredictorConfig(config)), history(config),
       pht(std::size_t(1) << config.phtBits, SatCounter(2, 1)),
-      btb(config.btbEntries),
-      btbSetMask(config.btbEntries / config.btbAssoc - 1)
+      btb(config)
 {
-    BSISA_ASSERT(isPowerOfTwo(cfg.btbEntries));
-    BSISA_ASSERT(cfg.btbEntries % cfg.btbAssoc == 0);
-    BSISA_ASSERT(isPowerOfTwo(cfg.btbEntries / cfg.btbAssoc));
-    BSISA_ASSERT(isPowerOfTwo(cfg.historyEntries));
-    ras.reserve(4096);
-}
-
-std::uint64_t &
-TwoLevelPredictor::historyFor(std::uint64_t pc)
-{
-    if (histories.size() == 1)
-        return histories[0];
-    return histories[(pc >> 2) & (histories.size() - 1)];
-}
-
-std::uint64_t
-TwoLevelPredictor::historyFor(std::uint64_t pc) const
-{
-    if (histories.size() == 1)
-        return histories[0];
-    return histories[(pc >> 2) & (histories.size() - 1)];
-}
-
-std::size_t
-TwoLevelPredictor::phtIndex(std::uint64_t pc) const
-{
-    const std::uint64_t mask = lowMask(cfg.phtBits);
-    const std::uint64_t hist = historyFor(pc);
-    if (usesAddressHashing(cfg.scheme))
-        return ((pc >> 2) ^ hist) & mask;  // gshare-style
-    return hist & mask;
 }
 
 bool
 TwoLevelPredictor::predictTaken(std::uint64_t pc) const
 {
-    return pht[phtIndex(pc)].predictTaken();
+    return pht[history.phtIndex(pc)].predictTaken();
 }
 
 bool
 TwoLevelPredictor::predictTakenSpec(std::uint64_t pc,
                                     std::uint64_t &specHist) const
 {
-    const std::uint64_t mask = lowMask(cfg.phtBits);
-    const std::size_t idx = usesAddressHashing(cfg.scheme)
-                                ? ((pc >> 2) ^ specHist) & mask
-                                : specHist & mask;
-    const bool taken = pht[idx].predictTaken();
-    specHist = ((specHist << 1) | (taken ? 1 : 0)) & historyMask;
+    const bool taken = pht[history.phtIndex(pc, specHist)].predictTaken();
+    specHist = history.shifted(specHist, 1, taken);
     return taken;
-}
-
-bool
-TwoLevelPredictor::usesGlobalHistory() const
-{
-    return !usesPerAddressHistory(cfg.scheme);
 }
 
 void
 TwoLevelPredictor::update(std::uint64_t pc, bool taken)
 {
-    pht[phtIndex(pc)].train(taken);
-    std::uint64_t &hist = historyFor(pc);
-    hist = ((hist << 1) | (taken ? 1 : 0)) & historyMask;
-}
-
-const TwoLevelPredictor::BtbEntry *
-TwoLevelPredictor::btbLookup(std::uint64_t pc) const
-{
-    const std::size_t set = (pc >> 2) & btbSetMask;
-    const BtbEntry *base = &btb[set * cfg.btbAssoc];
-    for (unsigned w = 0; w < cfg.btbAssoc; ++w)
-        if (base[w].valid && base[w].tag == pc)
-            return &base[w];
-    return nullptr;
+    pht[history.phtIndex(pc)].train(taken);
+    history.shift(pc, 1, taken);
 }
 
 std::uint64_t
 TwoLevelPredictor::predictTarget(std::uint64_t pc) const
 {
-    const BtbEntry *entry = btbLookup(pc);
+    const BtbEntry *entry = btb.find(pc);
     return entry ? entry->target : ~0ull;
 }
 
 void
 TwoLevelPredictor::updateTarget(std::uint64_t pc, std::uint64_t target)
 {
-    const std::size_t set = (pc >> 2) & btbSetMask;
-    BtbEntry *base = &btb[set * cfg.btbAssoc];
-    ++btbClock;
-    BtbEntry *victim = base;
-    for (unsigned w = 0; w < cfg.btbAssoc; ++w) {
-        BtbEntry &entry = base[w];
-        if (entry.valid && entry.tag == pc) {
-            entry.target = target;
-            entry.lastUse = btbClock;
-            return;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid && entry.lastUse < victim->lastUse) {
-            victim = &entry;
-        }
-    }
-    victim->valid = true;
-    victim->tag = pc;
-    victim->target = target;
-    victim->lastUse = btbClock;
-}
-
-void
-TwoLevelPredictor::pushReturn(std::uint64_t token)
-{
-    if (ras.size() < 4096)
-        ras.push_back(token);
-}
-
-std::uint64_t
-TwoLevelPredictor::popReturn()
-{
-    if (ras.empty())
-        return ~0ull;
-    const std::uint64_t token = ras.back();
-    ras.pop_back();
-    return token;
+    btb.access(pc).entry = {pc, target};
 }
 
 } // namespace bsisa

@@ -243,7 +243,7 @@ BsaFetchWalker::predictSuccessor(AtomicBlockId committed,
     // One combined PHT+BTB probe serves the whole predict section
     // (the capture pre-pass runs this per fetch step, so halving the
     // table traffic matters); the view stays valid until install()
-    // below — popReturn only touches the return stack.
+    // below — the return stack is a separate table.
     AtomicBlockId candidate = invalidId;
     const BlockPredictor::Probe pr = predictor.probe(pc);
     const BlockPredictor::Prediction &pred = pr.pred;
@@ -258,7 +258,7 @@ BsaFetchWalker::predictSuccessor(AtomicBlockId committed,
         break;
       case Opcode::Ret: {
         // The return address stack provides the head.
-        const std::uint64_t token = predictor.popReturn();
+        const std::uint64_t token = predictor.returnStack().pop();
         if (token != ~0ull) {
             trie = bsa.findTrie(
                 static_cast<FuncId>(token >> 32),
@@ -285,7 +285,7 @@ BsaFetchWalker::predictSuccessor(AtomicBlockId committed,
             candidate = static_cast<AtomicBlockId>(pr.btb.lastSucc);
     }
     if (term.op == Opcode::Call)
-        predictor.pushReturn(blockToken(blk.func, term.target0));
+        predictor.returnStack().push(blockToken(blk.func, term.target0));
 
     // ------------------------------------------------------- train
     const unsigned actual_variant = pm.varIdx;

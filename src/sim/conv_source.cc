@@ -77,12 +77,12 @@ ConvFetchWalker::predictSuccessor(const TraceEvent &e)
       }
       case ExitKind::Call:
         // Push the continuation; the callee entry is decodable.
-        predictor.pushReturn(blockToken(func, term.target0));
+        predictor.returnStack().push(blockToken(func, term.target0));
         break;
       case ExitKind::Ret: {
         ++nPredictions;
         const std::uint64_t actual = blockToken(e.nextFunc, e.nextBlock);
-        const std::uint64_t predicted = predictor.popReturn();
+        const std::uint64_t predicted = predictor.returnStack().pop();
         if (predicted != actual) {
             ++nTrapMiss;
             pendingRedirect.mispredicted = true;

@@ -15,7 +15,7 @@
 #include <cstddef>
 
 #include "cache/cache.hh"
-#include "predict/twolevel.hh"
+#include "predict/tables.hh"
 
 namespace bsisa
 {

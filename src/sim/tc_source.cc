@@ -42,14 +42,14 @@ TraceCacheFetchSource::handleExit(const TraceEvent &ev)
     const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
     switch (ev.exit) {
       case ExitKind::Call:
-        predictor.pushReturn(blockToken(ev.func, term.target0));
+        predictor.returnStack().push(blockToken(ev.func, term.target0));
         break;
       case ExitKind::Ret: {
         if (perfect)
             break;
         ++counts.nPredictions;
         const std::uint64_t actual = blockToken(ev.nextFunc, ev.nextBlock);
-        if (predictor.popReturn() != actual) {
+        if (predictor.returnStack().pop() != actual) {
             ++counts.nTrapMiss;
             pendingRedirect.mispredicted = true;
         }

@@ -393,7 +393,8 @@ redirectDigest(FetchSource &source)
  * pre-pass.  The lockstep tests and the fuzzer's `lockstep` oracle
  * compare batches against BsaFetchSource and ConvFetchSource, which
  * run the same walks; this table is the independent reference both
- * sides are held to.
+ * sides are held to.  The gag, pag16, pas and btb-dm8 columns were
+ * recorded before the predictors and caches moved onto shared tables.
  */
 const PinnedWalk kPinnedWalks[] = {
     {"bsa", "compress", "default",
@@ -405,6 +406,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "compress", "small",
      13024557583841458930ull, 4794070105502006120ull,
      1533, 464, 461, 3, 3, 6536},
+    {"bsa", "compress", "gag",
+     12248789052195582736ull, 16680847815033077079ull,
+     1832, 601, 596, 5, 5, 7896},
+    {"bsa", "compress", "pag16",
+     11504832778500717033ull, 10118021474405488944ull,
+     1453, 238, 221, 17, 17, 5764},
+    {"bsa", "compress", "pas",
+     9880916801026603413ull, 5237916135167727740ull,
+     1367, 115, 111, 4, 4, 5238},
+    {"bsa", "compress", "btb-dm8",
+     7778265198753874574ull, 16961961805816590405ull,
+     1686, 747, 744, 3, 3, 8186},
     {"bsa", "gcc", "default",
      17229496551525083200ull, 6124801177302087037ull,
      3165, 1675, 1554, 121, 155, 23512},
@@ -414,6 +427,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "gcc", "small",
      5248208279272957448ull, 15681632675017458695ull,
      3508, 2617, 2518, 99, 131, 29756},
+    {"bsa", "gcc", "gag",
+     8819129736073151364ull, 15667405562876859288ull,
+     3216, 1790, 1648, 142, 175, 24362},
+    {"bsa", "gcc", "pag16",
+     25050110754756843ull, 9909475254006015297ull,
+     3188, 1765, 1637, 128, 164, 24158},
+    {"bsa", "gcc", "pas",
+     12468452230590333577ull, 9974781083314650354ull,
+     3164, 1712, 1582, 130, 163, 23888},
+    {"bsa", "gcc", "btb-dm8",
+     3125332547732496402ull, 12162693069829005951ull,
+     3615, 2928, 2838, 90, 119, 32045},
     {"bsa", "go", "default",
      16753419023780007319ull, 18076838525284457100ull,
      2609, 1343, 1242, 101, 123, 19567},
@@ -423,6 +448,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "go", "small",
      6580911079420420580ull, 15445023164050858708ull,
      2849, 2122, 2015, 107, 129, 25258},
+    {"bsa", "go", "gag",
+     9852666972440457620ull, 3985304127143727247ull,
+     2628, 1388, 1282, 106, 128, 19864},
+    {"bsa", "go", "pag16",
+     14545682523216993879ull, 5536393744281272685ull,
+     2613, 1394, 1275, 119, 141, 20006},
+    {"bsa", "go", "pas",
+     12986713589828568152ull, 13813717699004975963ull,
+     2599, 1380, 1269, 111, 133, 19887},
+    {"bsa", "go", "btb-dm8",
+     1555312805327655618ull, 6573794874877475143ull,
+     2914, 2392, 2297, 95, 116, 27049},
     {"bsa", "ijpeg", "default",
      10464682739586207786ull, 17371668288211882883ull,
      2384, 211, 171, 40, 40, 7163},
@@ -432,6 +469,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "ijpeg", "small",
      18204078049975956849ull, 11658741693358198845ull,
      2613, 850, 811, 39, 39, 11802},
+    {"bsa", "ijpeg", "gag",
+     716670374758572983ull, 1178624796638823864ull,
+     2538, 797, 770, 27, 27, 11273},
+    {"bsa", "ijpeg", "pag16",
+     936694492596546174ull, 2373520994692773276ull,
+     2456, 267, 243, 24, 24, 7506},
+    {"bsa", "ijpeg", "pas",
+     15369128218242589885ull, 16016935932857842377ull,
+     2403, 159, 145, 14, 14, 6742},
+    {"bsa", "ijpeg", "btb-dm8",
+     9900982754573323746ull, 14870634388932442513ull,
+     4269, 2694, 2670, 24, 24, 22973},
     {"bsa", "li", "default",
      4861504717029825852ull, 12162584878568587792ull,
      4126, 833, 531, 302, 326, 16037},
@@ -441,6 +490,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "li", "small",
      14480624494125904920ull, 1005369406374978991ull,
      4456, 2335, 2045, 290, 361, 25520},
+    {"bsa", "li", "gag",
+     8637460867086342396ull, 11236441047825817339ull,
+     4168, 1524, 1196, 328, 367, 20013},
+    {"bsa", "li", "pag16",
+     4480118786372286057ull, 7354395319488141563ull,
+     4162, 1224, 943, 281, 325, 19370},
+    {"bsa", "li", "pas",
+     14388939852099507320ull, 8565012592211007387ull,
+     4143, 716, 597, 119, 135, 15722},
+    {"bsa", "li", "btb-dm8",
+     14480624494125904920ull, 9387516789554148446ull,
+     4631, 2878, 2610, 268, 335, 29342},
     {"bsa", "m88ksim", "default",
      15333500320845692520ull, 7243184061435925923ull,
      1703, 219, 130, 89, 111, 6304},
@@ -450,6 +511,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "m88ksim", "small",
      12995170087781539782ull, 2216931729375156402ull,
      1869, 734, 665, 69, 92, 9629},
+    {"bsa", "m88ksim", "gag",
+     12995170087781539782ull, 12592709447220333150ull,
+     2442, 940, 867, 73, 96, 11038},
+    {"bsa", "m88ksim", "pag16",
+     5833089235701417542ull, 6470696667183723402ull,
+     1799, 308, 226, 82, 103, 6873},
+    {"bsa", "m88ksim", "pas",
+     12833553508742395854ull, 12334441561711801295ull,
+     1706, 157, 133, 24, 30, 6079},
+    {"bsa", "m88ksim", "btb-dm8",
+     8077646346284261902ull, 12698480857922452864ull,
+     2098, 1068, 1002, 66, 88, 11832},
     {"bsa", "perl", "default",
      18060630269084175379ull, 14848109076962588723ull,
      1493, 325, 273, 52, 59, 6918},
@@ -459,6 +532,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "perl", "small",
      15190025858004398483ull, 4958788362087768221ull,
      1880, 1290, 1232, 58, 64, 13271},
+    {"bsa", "perl", "gag",
+     15190025858004398483ull, 7676418199426579945ull,
+     1533, 379, 312, 67, 74, 7279},
+    {"bsa", "perl", "pag16",
+     15190025858004398483ull, 16791077335054597615ull,
+     1540, 410, 346, 64, 72, 7338},
+    {"bsa", "perl", "pas",
+     10972517869747688744ull, 1096218507102950376ull,
+     1492, 324, 279, 45, 53, 6866},
+    {"bsa", "perl", "btb-dm8",
+     2282789231494942907ull, 11366272044423605115ull,
+     1946, 1788, 1749, 39, 45, 17244},
     {"bsa", "vortex", "default",
      1568195807683026537ull, 5926700488359746522ull,
      4156, 815, 700, 115, 147, 15973},
@@ -468,6 +553,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "vortex", "small",
      11413678920480705682ull, 4582492502894775963ull,
      4687, 2103, 1914, 189, 225, 24430},
+    {"bsa", "vortex", "gag",
+     1448449677182550429ull, 2282554165840827606ull,
+     4280, 1615, 1474, 141, 180, 21160},
+    {"bsa", "vortex", "pag16",
+     9041401613153885650ull, 11368336228882325297ull,
+     4241, 1074, 897, 177, 214, 17388},
+    {"bsa", "vortex", "pas",
+     9334256290015345332ull, 16604015806563989292ull,
+     4179, 782, 656, 126, 158, 16202},
+    {"bsa", "vortex", "btb-dm8",
+     1893132308113235881ull, 7936098749105324133ull,
+     5328, 3919, 3789, 130, 162, 36955},
     {"bsa", "short", "default",
      14461218048787491651ull, 5808568177596346952ull,
      21, 9, 8, 1, 1, 152},
@@ -475,6 +572,18 @@ const PinnedWalk kPinnedWalks[] = {
      14461218048787491651ull, 6959814250160810821ull,
      0, 0, 0, 0, 0, 99},
     {"bsa", "short", "small",
+     14461218048787491651ull, 5808568177596346952ull,
+     21, 9, 8, 1, 1, 152},
+    {"bsa", "short", "gag",
+     14461218048787491651ull, 5808568177596346952ull,
+     21, 9, 8, 1, 1, 152},
+    {"bsa", "short", "pag16",
+     14461218048787491651ull, 5808568177596346952ull,
+     21, 9, 8, 1, 1, 152},
+    {"bsa", "short", "pas",
+     14461218048787491651ull, 5808568177596346952ull,
+     21, 9, 8, 1, 1, 152},
+    {"bsa", "short", "btb-dm8",
      14461218048787491651ull, 5808568177596346952ull,
      21, 9, 8, 1, 1, 152},
     {"bsa", "long", "default",
@@ -486,6 +595,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"bsa", "long", "small",
      13833117909793270895ull, 9727204138930879263ull,
      6300, 1757, 1740, 17, 17, 24791},
+    {"bsa", "long", "gag",
+     4845308254155414299ull, 13720765492394598635ull,
+     6889, 1733, 1699, 34, 35, 26833},
+    {"bsa", "long", "pag16",
+     6031921868398689255ull, 7409820640784649005ull,
+     5961, 778, 710, 68, 69, 20790},
+    {"bsa", "long", "pas",
+     16497654544289769218ull, 6961346315705835342ull,
+     5569, 232, 223, 9, 10, 18812},
+    {"bsa", "long", "btb-dm8",
+     14482629911223629074ull, 6004169935524841999ull,
+     6820, 2736, 2719, 17, 17, 29892},
     {"conv", "compress", "default",
      3355789228624058664ull, 2923440001375112684ull,
      1658, 195, 195, 0, 0, 6304},
@@ -495,6 +616,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "compress", "small",
      3355789228624058664ull, 6783221343259643560ull,
      1658, 166, 166, 0, 0, 6017},
+    {"conv", "compress", "gag",
+     3355789228624058664ull, 8499141700297065697ull,
+     1658, 202, 202, 0, 0, 6356},
+    {"conv", "compress", "pag16",
+     3355789228624058664ull, 4236042077772478752ull,
+     1658, 254, 254, 0, 0, 6656},
+    {"conv", "compress", "pas",
+     3355789228624058664ull, 17221896862120897924ull,
+     1658, 182, 182, 0, 0, 6093},
+    {"conv", "compress", "btb-dm8",
+     3355789228624058664ull, 2923440001375112684ull,
+     1658, 195, 195, 0, 0, 6304},
     {"conv", "gcc", "default",
      17478479277018092156ull, 17067450302896218511ull,
      3618, 1631, 1631, 0, 0, 24383},
@@ -504,6 +637,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "gcc", "small",
      17478479277018092156ull, 15511486973796318282ull,
      3618, 1200, 1200, 0, 0, 20749},
+    {"conv", "gcc", "gag",
+     17478479277018092156ull, 2714884823654839370ull,
+     3618, 1239, 1239, 0, 0, 21384},
+    {"conv", "gcc", "pag16",
+     17478479277018092156ull, 17290267636848274760ull,
+     3618, 1238, 1238, 0, 0, 21685},
+    {"conv", "gcc", "pas",
+     17478479277018092156ull, 14628894375080093032ull,
+     3618, 1941, 1941, 0, 0, 27008},
+    {"conv", "gcc", "btb-dm8",
+     17478479277018092156ull, 4525688286133704959ull,
+     3618, 1645, 1645, 0, 0, 24484},
     {"conv", "go", "default",
      14189414351115891110ull, 4671712593868994711ull,
      2994, 1326, 1326, 0, 0, 19760},
@@ -513,6 +658,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "go", "small",
      14189414351115891110ull, 4553916714303702820ull,
      2994, 1017, 1017, 0, 0, 17132},
+    {"conv", "go", "gag",
+     14189414351115891110ull, 9686517992379142260ull,
+     2994, 1067, 1067, 0, 0, 17912},
+    {"conv", "go", "pag16",
+     14189414351115891110ull, 9501035755632969277ull,
+     2994, 1031, 1031, 0, 0, 18022},
+    {"conv", "go", "pas",
+     14189414351115891110ull, 13393733208516563237ull,
+     2994, 1686, 1686, 0, 0, 22918},
+    {"conv", "go", "btb-dm8",
+     14189414351115891110ull, 10397704841027795960ull,
+     2994, 1327, 1327, 0, 0, 19767},
     {"conv", "ijpeg", "default",
      7063918717928329047ull, 16376952070386162256ull,
      2390, 142, 142, 0, 0, 7906},
@@ -522,6 +679,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "ijpeg", "small",
      7063918717928329047ull, 7226476550000650265ull,
      2390, 272, 272, 0, 0, 8653},
+    {"conv", "ijpeg", "gag",
+     7063918717928329047ull, 12297164683461329008ull,
+     2390, 163, 163, 0, 0, 8034},
+    {"conv", "ijpeg", "pag16",
+     7063918717928329047ull, 8956818745846349267ull,
+     2390, 191, 191, 0, 0, 8267},
+    {"conv", "ijpeg", "pas",
+     7063918717928329047ull, 5382195872275984899ull,
+     2390, 271, 271, 0, 0, 8923},
+    {"conv", "ijpeg", "btb-dm8",
+     7063918717928329047ull, 11641087147466334416ull,
+     2390, 170, 170, 0, 0, 8158},
     {"conv", "li", "default",
      17523703096439534198ull, 16455680193681549912ull,
      4750, 1049, 1049, 0, 0, 20541},
@@ -531,6 +700,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "li", "small",
      17523703096439534198ull, 7612193342704426399ull,
      4750, 791, 791, 0, 0, 17671},
+    {"conv", "li", "gag",
+     17523703096439534198ull, 3160584168205194949ull,
+     4750, 1023, 1023, 0, 0, 19845},
+    {"conv", "li", "pag16",
+     17523703096439534198ull, 4586833936131063740ull,
+     4750, 796, 796, 0, 0, 19178},
+    {"conv", "li", "pas",
+     17523703096439534198ull, 17814751969393039474ull,
+     4750, 831, 831, 0, 0, 20344},
+    {"conv", "li", "btb-dm8",
+     17523703096439534198ull, 16455680193681549912ull,
+     4750, 1049, 1049, 0, 0, 20541},
     {"conv", "m88ksim", "default",
      2170999658413689561ull, 6235740852854240343ull,
      1891, 225, 225, 0, 0, 6943},
@@ -540,6 +721,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "m88ksim", "small",
      2170999658413689561ull, 8597522526724781256ull,
      1891, 285, 285, 0, 0, 7194},
+    {"conv", "m88ksim", "gag",
+     2170999658413689561ull, 8694676613805096669ull,
+     1891, 176, 176, 0, 0, 6604},
+    {"conv", "m88ksim", "pag16",
+     2170999658413689561ull, 462262486097477585ull,
+     1891, 207, 207, 0, 0, 6916},
+    {"conv", "m88ksim", "pas",
+     2170999658413689561ull, 3496641561949749956ull,
+     1891, 297, 297, 0, 0, 7657},
+    {"conv", "m88ksim", "btb-dm8",
+     2170999658413689561ull, 6235740852854240343ull,
+     1891, 225, 225, 0, 0, 6943},
     {"conv", "perl", "default",
      8136620840114081432ull, 1040641457206211724ull,
      1863, 374, 374, 0, 0, 8029},
@@ -549,6 +742,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "perl", "small",
      8136620840114081432ull, 13009980039457826468ull,
      1863, 277, 277, 0, 0, 7078},
+    {"conv", "perl", "gag",
+     8136620840114081432ull, 6139311157858727326ull,
+     1863, 336, 336, 0, 0, 7729},
+    {"conv", "perl", "pag16",
+     8136620840114081432ull, 15340227995252558617ull,
+     1863, 364, 364, 0, 0, 8353},
+    {"conv", "perl", "pas",
+     8136620840114081432ull, 12868091557309084722ull,
+     1863, 615, 615, 0, 0, 10324},
+    {"conv", "perl", "btb-dm8",
+     8136620840114081432ull, 14217550052496152196ull,
+     1863, 376, 376, 0, 0, 8045},
     {"conv", "vortex", "default",
      381641752370258825ull, 6673979740203926897ull,
      4796, 750, 750, 0, 0, 18173},
@@ -558,6 +763,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "vortex", "small",
      381641752370258825ull, 14698607582250325965ull,
      4796, 693, 693, 0, 0, 17088},
+    {"conv", "vortex", "gag",
+     381641752370258825ull, 17527080689066519753ull,
+     4796, 729, 729, 0, 0, 17932},
+    {"conv", "vortex", "pag16",
+     381641752370258825ull, 16137171485956799435ull,
+     4796, 708, 708, 0, 0, 18108},
+    {"conv", "vortex", "pas",
+     381641752370258825ull, 4076336205201933232ull,
+     4796, 1258, 1258, 0, 0, 22544},
+    {"conv", "vortex", "btb-dm8",
+     381641752370258825ull, 14863619209706829313ull,
+     4796, 775, 775, 0, 0, 18389},
     {"conv", "short", "default",
      17488226532326948006ull, 1136302020263270225ull,
      20, 16, 16, 0, 0, 204},
@@ -567,6 +784,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "short", "small",
      17488226532326948006ull, 2367942810918238403ull,
      20, 7, 7, 0, 0, 129},
+    {"conv", "short", "gag",
+     17488226532326948006ull, 15849067733024567845ull,
+     20, 16, 16, 0, 0, 208},
+    {"conv", "short", "pag16",
+     17488226532326948006ull, 14332624329097687880ull,
+     20, 10, 10, 0, 0, 155},
+    {"conv", "short", "pas",
+     17488226532326948006ull, 7290458852186594662ull,
+     20, 17, 17, 0, 0, 225},
+    {"conv", "short", "btb-dm8",
+     17488226532326948006ull, 1136302020263270225ull,
+     20, 16, 16, 0, 0, 204},
     {"conv", "long", "default",
      12813965320366365239ull, 14720717564263562601ull,
      6205, 561, 561, 0, 0, 24193},
@@ -576,6 +805,18 @@ const PinnedWalk kPinnedWalks[] = {
     {"conv", "long", "small",
      12813965320366365239ull, 9423573459440312555ull,
      6205, 591, 591, 0, 0, 23852},
+    {"conv", "long", "gag",
+     12813965320366365239ull, 17633766829441905329ull,
+     6205, 641, 641, 0, 0, 24448},
+    {"conv", "long", "pag16",
+     12813965320366365239ull, 11682459526162633441ull,
+     6205, 694, 694, 0, 0, 24707},
+    {"conv", "long", "pas",
+     12813965320366365239ull, 12750567292244114053ull,
+     6205, 297, 297, 0, 0, 22676},
+    {"conv", "long", "btb-dm8",
+     12813965320366365239ull, 14720717564263562601ull,
+     6205, 561, 561, 0, 0, 24193},
 };
 
 } // namespace
@@ -584,13 +825,25 @@ TEST(BsaSource, PinnedWalkAcrossSuiteAndWindows)
 {
     const std::vector<Input> inputs = walkInputs();
 
-    std::vector<std::pair<std::string, MachineConfig>> configs(3);
+    // The last four columns reach the other history schemes and a
+    // direct-mapped BTB small enough to evict on every benchmark.
+    std::vector<std::pair<std::string, MachineConfig>> configs(7);
     configs[0].first = "default";
     configs[1].first = "perfect";
     configs[1].second.perfectPrediction = true;
     configs[2].first = "small";
     configs[2].second.predictor.historyBits = 2;
     configs[2].second.predictor.btbEntries = 16;
+    configs[3].first = "gag";
+    configs[3].second.predictor.scheme = PredictorScheme::GAg;
+    configs[4].first = "pag16";
+    configs[4].second.predictor.scheme = PredictorScheme::PAg;
+    configs[4].second.predictor.historyEntries = 16;
+    configs[5].first = "pas";
+    configs[5].second.predictor.scheme = PredictorScheme::PAs;
+    configs[6].first = "btb-dm8";
+    configs[6].second.predictor.btbEntries = 8;
+    configs[6].second.predictor.btbAssoc = 1;
 
     std::size_t row = 0;
     std::uint64_t faultRows = 0, hopRows = 0;

@@ -109,11 +109,11 @@ TEST(TwoLevel, BtbEvictsLru)
 TEST(TwoLevel, ReturnAddressStack)
 {
     TwoLevelPredictor p(smallConfig());
-    p.pushReturn(11);
-    p.pushReturn(22);
-    EXPECT_EQ(p.popReturn(), 22u);
-    EXPECT_EQ(p.popReturn(), 11u);
-    EXPECT_EQ(p.popReturn(), ~0ull);
+    p.returnStack().push(11);
+    p.returnStack().push(22);
+    EXPECT_EQ(p.returnStack().pop(), 22u);
+    EXPECT_EQ(p.returnStack().pop(), 11u);
+    EXPECT_EQ(p.returnStack().pop(), ~0ull);
 }
 
 TEST(BlockPred, LearnsThreeBitSelection)
@@ -125,7 +125,7 @@ TEST(BlockPred, LearnsThreeBitSelection)
     actual.variantBits = 2;
     for (int i = 0; i < 50; ++i)
         p.update(pc, actual, 3, 6);
-    const auto pred = p.predict(pc);
+    const auto pred = p.probe(pc).pred;
     EXPECT_TRUE(pred.trapTaken);
     EXPECT_EQ(pred.variantBits, 2u);
 }
@@ -134,15 +134,16 @@ TEST(BlockPred, BtbSlotsFillIncrementally)
 {
     BlockPredictor p(smallConfig());
     const std::uint64_t pc = 0x4000;
-    EXPECT_FALSE(p.hasEntry(pc));
-    EXPECT_EQ(p.successor(pc, 0), ~0ull);
+    EXPECT_EQ(p.probe(pc).btb.succ, nullptr);
+    EXPECT_EQ(p.probe(pc).btb.successor(0), ~0ull);
+    EXPECT_EQ(p.probe(pc).btb.lastSucc, ~0ull);
     p.install(pc, 0, 100);
-    EXPECT_TRUE(p.hasEntry(pc));
-    EXPECT_EQ(p.successor(pc, 0), 100u);
-    EXPECT_EQ(p.successor(pc, 3), ~0ull);  // not yet encountered
+    EXPECT_NE(p.probe(pc).btb.succ, nullptr);
+    EXPECT_EQ(p.probe(pc).btb.successor(0), 100u);
+    EXPECT_EQ(p.probe(pc).btb.successor(3), ~0ull);  // not yet seen
     p.install(pc, 3, 103);
-    EXPECT_EQ(p.successor(pc, 3), 103u);
-    EXPECT_EQ(p.lastSuccessor(pc), 103u);
+    EXPECT_EQ(p.probe(pc).btb.successor(3), 103u);
+    EXPECT_EQ(p.probe(pc).btb.lastSucc, 103u);
 }
 
 TEST(BlockPred, VariableHistoryShiftChangesIndexing)
@@ -166,7 +167,7 @@ TEST(BlockPred, VariableHistoryShiftChangesIndexing)
     unsigned correct = 0;
     for (int i = 0; i < 100; ++i) {
         const unsigned expect_bits = i & 1;
-        correct += narrow.predict(pc).variantBits == expect_bits;
+        correct += narrow.probe(pc).pred.variantBits == expect_bits;
         BlockPredictor::Prediction actual;
         actual.trapTaken = false;
         actual.variantBits = expect_bits;
@@ -198,7 +199,7 @@ TEST(BlockPred, ZeroShiftPreservesHistory)
     unsigned correct = 0;
     for (int i = 0; i < 100; ++i) {
         const bool expect_taken = (i & 1) != 0;
-        correct += p.predict(a).trapTaken == expect_taken;
+        correct += p.probe(a).pred.trapTaken == expect_taken;
         BlockPredictor::Prediction actual;
         actual.trapTaken = expect_taken;
         actual.variantBits = 0;
@@ -223,7 +224,7 @@ TEST(Schemes, NamesAndConstruction)
         (void)p.predictTaken(0x40);
         BlockPredictor b(cfg);
         b.update(0x40, BlockPredictor::Prediction{}, 1, 0);
-        (void)b.predict(0x40);
+        (void)b.probe(0x40);
     }
 }
 
@@ -280,7 +281,49 @@ TEST(Schemes, GAgSharesOnePhtRow)
 TEST(BlockPred, ReturnStack)
 {
     BlockPredictor p(smallConfig());
-    p.pushReturn(7);
-    EXPECT_EQ(p.popReturn(), 7u);
-    EXPECT_EQ(p.popReturn(), ~0ull);
+    p.returnStack().push(7);
+    EXPECT_EQ(p.returnStack().pop(), 7u);
+    EXPECT_EQ(p.returnStack().pop(), ~0ull);
+}
+
+TEST(ReturnStack_, DropsPushesPastItsCapBothPredictors)
+{
+    // 4097 pushes of tokens 1..4097 keep the first 4096: the first pop
+    // returns 4096 and the 4097th finds the stack empty.
+    const auto check = [](ReturnStack &ras) {
+        for (std::uint64_t token = 1; token <= 4097; ++token)
+            ras.push(token);
+        EXPECT_EQ(ras.pop(), 4096u);
+        for (int i = 2; i <= 4096; ++i)
+            ras.pop();
+        EXPECT_EQ(ras.pop(), ~0ull);
+    };
+    static_assert(ReturnStack::capacity == 4096);
+    TwoLevelPredictor conv(smallConfig());
+    check(conv.returnStack());
+    BlockPredictor block(smallConfig());
+    check(block.returnStack());
+}
+
+TEST(BlockPred, BtbEvictsLru)
+{
+    // The block BTB sits on the same LRU set array as the conventional
+    // one: the least recently installed of three same-set blocks goes.
+    PredictorConfig cfg = smallConfig();
+    cfg.btbEntries = 8;
+    cfg.btbAssoc = 2;  // 4 sets
+    BlockPredictor p(cfg);
+    const std::uint64_t a = 0x00, b = 0x10, c = 0x20;
+    p.install(a, 0, 1);
+    p.install(b, 0, 2);
+    p.install(a, 1, 3);  // a becomes most recently used
+    p.install(c, 0, 4);  // evicts b
+    EXPECT_EQ(p.probe(a).btb.successor(1), 3u);
+    EXPECT_EQ(p.probe(b).btb.succ, nullptr);
+    EXPECT_EQ(p.probe(c).btb.lastSucc, 4u);
+    // A probe is not a use: a stays the least recently used.
+    (void)p.probe(a);
+    p.install(b, 0, 5);  // evicts a
+    EXPECT_EQ(p.probe(a).btb.succ, nullptr);
+    EXPECT_NE(p.probe(c).btb.succ, nullptr);
 }

@@ -237,10 +237,16 @@ TEST(SweepSpec_, RejectsBadInput)
 TEST(SweepSpec_, RejectsOooGeometryTheEngineCannotRun)
 {
     const std::string head = "name: x\nbenchmarks: [go]\n";
+    // The OoO engine's bounds, then the cache and predictor tables'
+    // geometry rule, which spans keys and so is checked on every
+    // expanded config.
     const std::pair<std::string, std::string> bad[] = {
         {"rs_per_class", "0"}, {"commit_width", "0"}, {"rob_ops", "0"},
         {"lsq_entries", "0"},  {"phys_regs", "20"},   {"phys_regs", "33"},
-        {"phys_regs", "65537"}};
+        {"phys_regs", "65537"},
+        {"btb_assoc", "0"},    {"icache_assoc", "0"}, {"btb_entries", "3"},
+        {"history_entries", "3"}, {"icache_kb", "3"}, {"dcache_kb", "0"},
+        {"pht_bits", "64"},    {"pht_bits", "25"},   {"history_bits", "65"}};
     for (const auto &[key, value] : bad) {
         const std::string kv = key + ": " + value;
         for (const std::string &where :
@@ -256,6 +262,9 @@ TEST(SweepSpec_, RejectsOooGeometryTheEngineCannotRun)
     mustParse(head + "base: {rs_per_class: 1, commit_width: 1, "
                      "rob_ops: 1, lsq_entries: 1, phys_regs: 34}\n");
     mustParse(head + "base: {phys_regs: 65536}\n");
+    mustParse(head + "base: {btb_assoc: 1, btb_entries: 1, "
+                     "history_entries: 1, icache_kb: 1, icache_assoc: 1, "
+                     "dcache_kb: 1, pht_bits: 24, history_bits: 64}\n");
 }
 
 TEST(SweepSpec_, ConfigKeysReachTheirFields)
