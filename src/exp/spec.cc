@@ -30,6 +30,7 @@
 #include "predict/tables.hh"
 #include "support/digest.hh"
 #include "workloads/specmix.hh"
+#include "workloads/synth.hh"
 
 namespace bsisa
 {
@@ -626,12 +627,13 @@ renderKeyValue(const ConfigKeyDef &def, const KeyValue &v)
 }
 
 /**
- * The tables' geometry rule (cache/lru_set_array.hh,
- * predict/tables.hh) over one expanded config, reported against the
- * key that sets the field at fault.
+ * The geometry rules over one expanded config: the tables' rule
+ * (cache/lru_set_array.hh, predict/tables.hh) and the pipeline's
+ * issue width, window and block size.  Reported against the key that
+ * sets the field at fault.
  */
 bool
-checkTableGeometry(const RunConfig &config, std::string &error)
+checkGeometry(const RunConfig &config, std::string &error)
 {
     const auto fail = [&](const char *key, std::uint64_t got,
                           const std::string &expected) {
@@ -681,6 +683,24 @@ checkTableGeometry(const RunConfig &config, std::string &error)
       case PredictorGeometryFault::None:
         break;
     }
+    // The pipeline: a cycle's slot count is a uint8_t, an enlarged
+    // block cannot be smaller than the suite's basic blocks, and the
+    // window must hold the largest block fetch can deliver.
+    if (m.issueWidth < 1 || m.issueWidth > maxIssueWidth)
+        return fail("issue_width", m.issueWidth,
+                    "an integer in [1, " + std::to_string(maxIssueWidth) +
+                        "]");
+    if (m.windowUnits < 1)
+        return fail("window_units", m.windowUnits, "at least 1");
+    const unsigned maxOps = config.enlarge.maxOps;
+    if (maxOps < suiteBlockOps)
+        return fail("enlarge_max_ops", maxOps,
+                    "at least " + std::to_string(suiteBlockOps) +
+                        " (the suite's largest basic block)");
+    if (m.windowOps < maxOps)
+        return fail("window_ops", m.windowOps,
+                    "at least enlarge_max_ops (" +
+                        std::to_string(maxOps) + ")");
     return true;
 }
 
@@ -890,11 +910,12 @@ interpretSpec(const SpecNode &root, SweepSpec &spec, std::string &error)
                 std::to_string(spec.pointsPerBenchmark()) + ")";
         return false;
     }
-    // Every config of the grid must be one the tables can build.
+    // Every config of the grid must be one the tables can build and
+    // the pipeline can run.
     return forEachSpecConfig(
         spec, RunConfig{},
         [&](const RunConfig &config) {
-            return checkTableGeometry(config, error);
+            return checkGeometry(config, error);
         },
         error);
 }

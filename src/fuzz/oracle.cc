@@ -600,6 +600,11 @@ lockstepGrid()
     m.icache.sizeBytes = 4 * 1024;
     m.icache.assoc = 2;
     grid.push_back(m);
+    // One-wide issue fills every cycle it claims, so both the batch
+    // and the singleton claim walk past full cycles.
+    m = MachineConfig{};
+    m.issueWidth = 1;
+    grid.push_back(m);
     return grid;
 }
 

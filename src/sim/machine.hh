@@ -91,9 +91,14 @@ struct OooParams
     bool operator==(const OooParams &) const = default;
 };
 
+/** Widest issue a cycle's slot count can hold (IssueSlots keeps one
+ *  uint8_t per cycle). */
+constexpr unsigned maxIssueWidth = 255;
+
 struct MachineConfig
 {
-    /** Maximum operations issued per cycle and per fetch unit. */
+    /** Maximum operations issued per cycle and per fetch unit, in
+     *  [1, maxIssueWidth]. */
     unsigned issueWidth = 16;
 
     /** Window capacity in operations (32 blocks x 16 ops). */

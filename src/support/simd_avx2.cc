@@ -22,12 +22,13 @@
  * guarantees a row's tail never crosses into the next row.
  *
  * Narrow batches (fewer than 4 lanes — below one quad) delegate to
- * the scalar reference kernel.  The floor used to be 8, back when the
- * issue-slot search was a linear scan whose scalar cost dominated a
- * single quad's vector setup; the bitmap-based IssueSlots::allocate
- * and the vectorized operand-ready floor moved the crossover down to
- * one quad, and the fused cross-group batches (sim/lockstep.cc) make
- * sub-quad widths rare anyway.
+ * the scalar reference kernel.  Below one quad this kernel would run
+ * only scalar tail loops plus a floor pass that the scalar kernel
+ * folds into its claim loop.  Measured against the scalar kernel's
+ * unrolled 2- and 3-lane clones, it was no faster at 1 and 3 lanes
+ * and slower at 2; from 4 lanes up it wins (DESIGN.md decision 22).
+ * The fused cross-group batches (sim/lockstep.cc) make sub-quad
+ * widths rare anyway.
  */
 
 #include "support/simd_dispatch.hh"
@@ -68,15 +69,9 @@ BSISA_AVX2 void
 avx2StepOps(const StepOpsCtx &c)
 {
     if (c.n < 4) {
-        // Below one quad nothing vectorizes; the plain loop wins.
-        // The floor used to be 8: with the linear issue-slot scan a
-        // single quad couldn't amortize the vector setup around the
-        // dominant scalar search, and prediction-grouped batches
-        // (typically 4 lanes) delegated constantly.  Re-tuned after
-        // the bitmap allocator and the fused cross-group batches:
-        // 4-lane group-width batches measured faster through the
-        // vector kernel, and full-width fused chunks never hit this
-        // branch at all.
+        // Below one quad nothing vectorizes; the scalar kernel's
+        // unrolled clones win (see the file comment).  Full-width
+        // fused chunks never hit this branch at all.
         simdScalarStepOps(c);
         return;
     }
@@ -112,11 +107,9 @@ avx2StepOps(const StepOpsCtx &c)
         // SIMD-assisted multi-lane claim: the operand-ready floor
         // max(src1, src2, earliest) is a pure row-wide max, computed
         // vectorized into the scratch row; the claim loop then only
-        // walks the occupancy bitmap (IssueSlots::allocate, a ctz
-        // scan) per lane.  With the old linear slot scan the scalar
-        // claim dominated and folding the max into it measured
-        // faster; with the bitmap allocator the claim is short enough
-        // that the vector floor pass wins from one quad up.
+        // probes each lane's per-cycle count (IssueSlots::allocate),
+        // and nearly every claim takes its floor cycle on the first
+        // probe.
         std::size_t l = 0;
         for (; l + 4 <= n; l += 4) {
             const __m256i floor =

@@ -19,7 +19,7 @@ namespace
  *  runtime bound.  For the batch widths prediction-grouped sweeps
  *  produce constantly (one group = a handful of lanes), the
  *  constant-bound instantiation lets the compiler fully unroll the
- *  lane loop, so the four data-dependent issue-slot searches overlap
+ *  lane loop, so the four data-dependent issue-slot claims overlap
  *  instead of serializing behind loop control. */
 template <std::size_t StaticN>
 inline void

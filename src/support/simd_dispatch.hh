@@ -119,10 +119,8 @@ const SimdKernels *simdAvx2Kernels();
 
 /** The scalar reference kernel, callable directly: vector kernels
  *  delegate narrow batches (below one vector of lanes) to it, where
- *  vector setup costs more than it saves.  The floor was two vectors
- *  when the issue-slot search was a linear scan; the bitmap-based
- *  IssueSlots::allocate and the vectorized operand-ready floor moved
- *  the crossover down, and the fused cross-group batches
+ *  nothing vectorizes and its unrolled 2- to 4-lane clones measured
+ *  as fast or faster (simd_avx2.cc); the fused cross-group batches
  *  (sim/lockstep.cc) make sub-vector widths rare anyway. */
 void simdScalarStepOps(const StepOpsCtx &ctx);
 

@@ -492,7 +492,7 @@ generateWorkload(const WorkloadParams &params)
     }
     optimizeModule(module);
     allocateModule(module);
-    splitOversizedBlocks(module, 16);
+    splitOversizedBlocks(module, suiteBlockOps);
     verifyModuleOrDie(module, "after workload compilation");
     return module;
 }

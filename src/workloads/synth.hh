@@ -87,9 +87,14 @@ struct WorkloadParams
     bool inlineSmallCalls = false;
 };
 
+/** Largest basic block of a generated module, in ops: the generator
+ *  splits every longer block.  Enlargement never splits a basic
+ *  block, so its op cap (EnlargeConfig::maxOps) may not be smaller. */
+constexpr unsigned suiteBlockOps = 16;
+
 /**
- * Generate, optimize, register-allocate, and block-split a workload;
- * the returned module is ready for both machines.
+ * Generate, optimize, register-allocate, and block-split a workload
+ * (at suiteBlockOps); the returned module is ready for both machines.
  */
 Module generateWorkload(const WorkloadParams &params);
 

@@ -246,15 +246,18 @@ TEST(SweepSpec_, RejectsOooGeometryTheEngineCannotRun)
         {"phys_regs", "65537"},
         {"btb_assoc", "0"},    {"icache_assoc", "0"}, {"btb_entries", "3"},
         {"history_entries", "3"}, {"icache_kb", "3"}, {"dcache_kb", "0"},
-        {"pht_bits", "64"},    {"pht_bits", "25"},   {"history_bits", "65"}};
+        {"pht_bits", "64"},    {"pht_bits", "25"},   {"history_bits", "65"},
+        {"issue_width", "0"},  {"issue_width", "256"},
+        {"window_units", "0"}, {"window_ops", "4"},
+        {"enlarge_max_ops", "8"}};
     for (const auto &[key, value] : bad) {
         const std::string kv = key + ": " + value;
         for (const std::string &where :
              {"base: {timing_model: ooo, " + kv + "}\n",
-              "axes: {" + key + ": [64, " + value + "]}\n",
+              "axes:\n  " + key + ": [64, " + value + "]\n",
               "points:\n  - {" + kv + "}\n"}) {
             const std::string error = parseError(head + where);
-            EXPECT_NE(error.find(key + ": expected "), std::string::npos)
+            EXPECT_EQ(error.rfind(key + ": expected ", 0), 0u)
                 << where << " -> " << error;
         }
     }
@@ -265,6 +268,19 @@ TEST(SweepSpec_, RejectsOooGeometryTheEngineCannotRun)
     mustParse(head + "base: {btb_assoc: 1, btb_entries: 1, "
                      "history_entries: 1, icache_kb: 1, icache_assoc: 1, "
                      "dcache_kb: 1, pht_bits: 24, history_bits: 64}\n");
+    // A window smaller than the largest enlarged block, in either key.
+    for (const std::string &where :
+         {std::string("base: {window_ops: 20, enlarge_max_ops: 32}\n"),
+          std::string("base: {window_ops: 20}\n"
+                      "axes:\n  enlarge_max_ops: [16, 32]\n")}) {
+        const std::string error = parseError(head + where);
+        EXPECT_EQ(error.rfind("window_ops: expected ", 0), 0u)
+            << where << " -> " << error;
+    }
+    mustParse(head + "base: {issue_width: 1, window_units: 1, "
+                     "window_ops: 16, enlarge_max_ops: 16}\n");
+    mustParse(head + "base: {issue_width: 255, window_ops: 32, "
+                     "enlarge_max_ops: 32}\n");
 }
 
 TEST(SweepSpec_, ConfigKeysReachTheirFields)

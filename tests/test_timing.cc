@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "codegen/layout.hh"
 #include "exp/runner.hh"
 #include "frontend/compile.hh"
@@ -75,13 +79,12 @@ TEST(IssueSlots, RespectsWidth)
 
 TEST(IssueSlots, WindowBoundaryAliasingDoesNotSkipFreeCycles)
 {
-    // The occupancy word covering the window's last cycles also holds
-    // bits for wrapped early-window cycles (cycle + k - capacity).
-    // With base = 32 the window is [32, 4128) and its final cycles
-    // 4096..4127 share word 0 with the aliased early cycles 32..63.
-    // Fill both; the first free cycle is then exactly base + capacity
-    // (4128), and the allocator must claim it — not hop past it off
-    // the set aliased bits.
+    // The ring wraps: with base = 32 the window is [32, 4128), its
+    // final cycles 4096..4127 take slots 0..31, and the early cycles
+    // 32..63 the slots right after them.  Fill both; the first free
+    // cycle is then exactly base + capacity (4128), and the allocator
+    // must grow and claim it — not read a wrapped early cycle's count
+    // as its own.
     {
         IssueSlots slots(1);
         slots.advanceTo(32);
@@ -91,9 +94,8 @@ TEST(IssueSlots, WindowBoundaryAliasingDoesNotSkipFreeCycles)
             EXPECT_EQ(slots.allocate(4096), c);  // window tail
         EXPECT_EQ(slots.allocate(4096), 4128u);
     }
-    // Same shape with one aliased bit clear (early cycle 48 free):
-    // the countr_zero advance must not land on the aliased free bit
-    // either — it belongs to cycle 48, not to cycle 4144.
+    // Same shape with early cycle 48 free: its slot belongs to cycle
+    // 48, not to cycle 4144.
     {
         IssueSlots slots(1);
         slots.advanceTo(32);
@@ -107,6 +109,56 @@ TEST(IssueSlots, WindowBoundaryAliasingDoesNotSkipFreeCycles)
         EXPECT_EQ(slots.allocate(4096), 4128u);
         // And cycle 48 really is still free for a request behind it.
         EXPECT_EQ(slots.allocate(48), 48u);
+    }
+}
+
+TEST(IssueSlots_, MatchesReferenceOverRandomStreams)
+{
+    // A brute-force per-cycle count map: a claim takes the first
+    // cycle at or after max(floor, base) whose count is below width.
+    for (const unsigned width : {1u, 2u, 3u, 16u, 255u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE("width " + std::to_string(width) + " seed " +
+                         std::to_string(seed));
+            IssueSlots slots(width);
+            std::map<std::uint64_t, unsigned> ref;
+            std::uint64_t base = 0;
+            Rng rng(seed * 1000 + width);
+            for (int step = 0; step < 4000; ++step) {
+                const std::uint64_t pick = rng.nextBelow(100);
+                if (pick < 10) {
+                    // Forward by a few cycles, now and then by more
+                    // than the whole window.
+                    base += pick == 0 ? rng.nextBelow(20000)
+                                      : rng.nextBelow(40);
+                    slots.advanceTo(base);
+                    ref.erase(ref.begin(), ref.lower_bound(base));
+                    continue;
+                }
+                // Floors behind base, near it, and (forcing a grow)
+                // more than 4096 cycles ahead of it.
+                std::uint64_t floor;
+                if (pick < 15)
+                    floor = base - std::min<std::uint64_t>(
+                                       base, rng.nextBelow(8));
+                else if (pick < 18)
+                    floor = base + 4096 + rng.nextBelow(30000);
+                else
+                    floor = base + rng.nextBelow(64);
+                // Bursts at one floor fill whole cycles.
+                const std::uint64_t claims =
+                    1 + rng.nextBelow(pick < 40 ? 2 * width + 2 : 4);
+                for (std::uint64_t k = 0; k < claims; ++k) {
+                    std::uint64_t want = std::max(floor, base);
+                    while (ref[want] >= width)
+                        ++want;
+                    ++ref[want];
+                    ASSERT_EQ(slots.allocate(floor), want)
+                        << "step " << step << " floor " << floor
+                        << " base " << base;
+                }
+            }
+        }
     }
 }
 
