@@ -1,8 +1,9 @@
 /**
  * @file
  * Throughput of the out-of-order backend vs the abstract model, plus
- * the dispatch-seam no-regression numbers, written as BENCH_PR10.json
- * (path overridable via BSISA_BENCH_JSON_PR10; empty disables).
+ * the dispatch-seam no-regression numbers, written (the BENCH_PR10.json
+ * record) to the path in BSISA_BENCH_JSON_PR10; unset or empty writes
+ * nothing.
  *
  * Three measurements over the same captured traces (two benchmarks,
  * conventional machine):
@@ -153,7 +154,7 @@ driver()
                 fidelityRatio);
 
     const char *env = std::getenv("BSISA_BENCH_JSON_PR10");
-    const std::string path = env ? env : "BENCH_PR10.json";
+    const std::string path = env ? env : "";
     if (path.empty())
         return;
     std::FILE *f = std::fopen(path.c_str(), "w");

@@ -573,13 +573,13 @@ class TeeReporter : public benchmark::ConsoleReporter
     }
 };
 
-/** Write the recorded runs as BENCH_PR3.json (path overridable via
- *  BSISA_BENCH_JSON; empty string disables). */
+/** Write the recorded runs (the BENCH_PR3.json record) to the path in
+ *  BSISA_BENCH_JSON; unset or empty writes nothing. */
 void
 writeJson(const std::vector<TeeReporter::Entry> &entries)
 {
     const char *env = std::getenv("BSISA_BENCH_JSON");
-    const std::string path = env ? env : "BENCH_PR3.json";
+    const std::string path = env ? env : "";
     if (path.empty())
         return;
 
@@ -637,15 +637,15 @@ writeJson(const std::vector<TeeReporter::Entry> &entries)
     std::fclose(f);
 }
 
-/** Write the lockstep-vs-independent-replay grid numbers as
- *  BENCH_PR6.json (path overridable via BSISA_BENCH_JSON_PR6; empty
- *  string disables).  The speedup keys are real-time ratios of the
- *  same sixteen-config sweep run both ways on this machine. */
+/** Write the lockstep-vs-independent-replay grid numbers (the
+ *  BENCH_PR6.json record) to the path in BSISA_BENCH_JSON_PR6; unset
+ *  or empty writes nothing.  The speedup keys are real-time ratios of
+ *  the same sixteen-config sweep run both ways on this machine. */
 void
 writePr6Json(const std::vector<TeeReporter::Entry> &entries)
 {
     const char *env = std::getenv("BSISA_BENCH_JSON_PR6");
-    const std::string path = env ? env : "BENCH_PR6.json";
+    const std::string path = env ? env : "";
     if (path.empty())
         return;
 

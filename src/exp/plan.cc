@@ -1,13 +1,13 @@
 /**
  * @file
- * Plan builder: grid expansion, config digests, unit dedup, and
- * lease-chunk carving.
+ * Plan builder: grid expansion, unit dedup, and lease-chunk carving.
+ * runConfigDigest is defined in spec.cc, next to the config rows it
+ * walks.
  */
 
 #include "exp/plan.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 #include "exp/result_store.hh"
@@ -19,100 +19,6 @@
 
 namespace bsisa
 {
-
-namespace
-{
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-/** Converts to any field type: T{AnyField{}...} compiles for up to
- *  as many initialisers as aggregate T has fields. */
-struct AnyField
-{
-    template <typename T> operator T() const;
-};
-
-template <typename T, typename... Fields>
-constexpr std::size_t
-fieldCount()
-{
-    if constexpr (requires { T{Fields{}..., AnyField{}}; })
-        return fieldCount<T, Fields..., AnyField>();
-    else
-        return sizeof...(Fields);
-}
-
-// Tripwire for runConfigDigest: adding a field to any struct it
-// hashes fails the build here.  Extend the digest (and
-// SweepPlan_.ConfigDigestIsFieldSensitive), then update the count.
-static_assert(fieldCount<RunConfig>() == 4);
-static_assert(fieldCount<MachineConfig>() == 12);
-static_assert(fieldCount<CacheConfig>() == 4);
-static_assert(fieldCount<PredictorConfig>() == 6);
-static_assert(fieldCount<OooParams>() == 5);
-static_assert(fieldCount<EnlargeConfig>() == 7);
-static_assert(fieldCount<Interp::Limits>() == 2);
-
-} // namespace
-
-std::uint64_t
-runConfigDigest(const RunConfig &c)
-{
-    // Every field, fixed order, fixed width.  Adding a RunConfig
-    // field without extending this list would silently alias configs,
-    // and the pair-result memo of the figure drivers would serve one
-    // config's figure for another; the static_asserts above and
-    // test_sweep's per-field sensitivity check guard every field, and
-    // new fields must be appended *at the end* (order is part of the
-    // digest's identity).  A removed field leaves a constant in its
-    // slot, so no stored unit key moves.
-    return Fnv1a64()
-        .u64(c.machine.issueWidth)
-        .u64(c.machine.windowOps)
-        .u64(c.machine.windowUnits)
-        .u64(c.machine.frontendDepth)
-        .u64(c.machine.redirectPenalty)
-        .u64(c.machine.l2Latency)
-        .u64(c.machine.icache.sizeBytes)
-        .u64(c.machine.icache.assoc)
-        .u64(c.machine.icache.lineBytes)
-        .u64(c.machine.icache.perfect ? 1 : 0)
-        .u64(c.machine.dcache.sizeBytes)
-        .u64(c.machine.dcache.assoc)
-        .u64(c.machine.dcache.lineBytes)
-        .u64(c.machine.dcache.perfect ? 1 : 0)
-        .u64(std::uint64_t(c.machine.predictor.scheme))
-        .u64(c.machine.predictor.historyBits)
-        .u64(c.machine.predictor.phtBits)
-        .u64(c.machine.predictor.historyEntries)
-        .u64(c.machine.predictor.btbEntries)
-        .u64(c.machine.predictor.btbAssoc)
-        .u64(0)  // retired: PredictorConfig::perfect
-        .u64(c.machine.perfectPrediction ? 1 : 0)
-        .u64(c.enlarge.maxOps)
-        .u64(c.enlarge.maxFaults)
-        .u64(c.enlarge.mergeAcrossBackEdges ? 1 : 0)
-        .u64(c.enlarge.enlargeLibraryFunctions ? 1 : 0)
-        .u64(c.enlarge.enabled ? 1 : 0)
-        .u64(c.enlarge.maxVariantsPerHead)
-        .u64(doubleBits(c.enlarge.minMergeBias))
-        .u64(c.limits.maxOps)
-        .u64(c.limits.maxBlocks)
-        .u64(doubleBits(c.minMergeBias))
-        .u64(std::uint64_t(c.machine.timingModel))
-        .u64(c.machine.ooo.robOps)
-        .u64(c.machine.ooo.physRegs)
-        .u64(c.machine.ooo.rsPerClass)
-        .u64(c.machine.ooo.lsqEntries)
-        .u64(c.machine.ooo.commitWidth)
-        .value();
-}
 
 std::uint64_t
 workUnitKey(std::uint64_t moduleDigest, std::uint64_t configDigest)

@@ -34,9 +34,9 @@
 namespace bsisa
 {
 
-/** Stable digest of every RunConfig field (fixed order, fixed width;
- *  doubles hashed by bit pattern; Interp::Limits included — the
- *  budget changes the committed stream, hence the results). */
+/** Stable digest of every RunConfig field (configFields() slot order,
+ *  fixed width; doubles hashed by bit pattern; Interp::Limits included
+ *  — the budget changes the committed stream, hence the results). */
 std::uint64_t runConfigDigest(const RunConfig &config);
 
 /** The content address of one work unit. */

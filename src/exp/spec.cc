@@ -1,6 +1,8 @@
 /**
  * @file
- * Sweep-spec parser, config-key vocabulary, and canonicalisation.
+ * Sweep-spec parser, config-key vocabulary, canonicalisation, and
+ * the RunConfig digest: one row per RunConfig field (rows)
+ * drives key parsing, range checks, canonical spelling and the digest.
  *
  * The accepted grammar is the YAML subset the experiment specs need:
  *
@@ -18,15 +20,20 @@
 #include "exp/spec.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "arch/reg.hh"
+#include "exp/plan.hh"
 #include "predict/tables.hh"
 #include "support/digest.hh"
 #include "workloads/specmix.hh"
@@ -341,29 +348,79 @@ class BlockParser
 };
 
 // ---------------------------------------------------------------
-// Config-key vocabulary.
+// Config fields: one row per RunConfig field.
 
-enum class KeyKind { U64, Bool, Double, Scheme, Model };
-
-struct KeyValue
+/** Converts to any field type: T{AnyField{}...} compiles for up to
+ *  as many initialisers as aggregate T has fields. */
+struct AnyField
 {
-    std::uint64_t u = 0;
-    double d = 0.0;
-    bool b = false;
-    PredictorScheme scheme = PredictorScheme::GAs;
-    TimingModel model = TimingModel::Abstract;
+    template <typename T> operator T() const;
 };
 
-struct ConfigKeyDef
+template <typename T, typename... Fields>
+constexpr std::size_t
+fieldCount()
 {
-    const char *name;
-    KeyKind kind;
-    void (*set)(RunConfig &, const KeyValue &);
-    /** Accepted range of a U64 value: a value the simulator cannot
-     *  run is rejected here, before any plan or worker exists. */
-    std::uint64_t min = 0;
-    std::uint64_t max = ~0ull;
-};
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+// Tripwire for the rows below: adding a field to any struct the rows
+// cover fails the build here.  Append the field's row (and its
+// mutation in SweepPlan_.ConfigDigestIsFieldSensitive), then update
+// the count.
+static_assert(fieldCount<RunConfig>() == 4);
+static_assert(fieldCount<MachineConfig>() == 12);
+static_assert(fieldCount<CacheConfig>() == 4);
+static_assert(fieldCount<PredictorConfig>() == 6);
+static_assert(fieldCount<OooParams>() == 5);
+static_assert(fieldCount<EnlargeConfig>() == 7);
+static_assert(fieldCount<Interp::Limits>() == 2);
+
+template <typename T>
+constexpr ConfigKeyKind
+kindOf()
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return ConfigKeyKind::Bool;
+    else if constexpr (std::is_same_v<T, double>)
+        return ConfigKeyKind::Double;
+    else if constexpr (std::is_same_v<T, PredictorScheme>)
+        return ConfigKeyKind::Scheme;
+    else if constexpr (std::is_same_v<T, TimingModel>)
+        return ConfigKeyKind::Model;
+    else
+        return ConfigKeyKind::U64;
+}
+
+/** @p row, completed for the field that @p ref (config -> field
+ *  reference) reaches. */
+template <auto ref>
+constexpr ConfigField
+field(ConfigField row = {})
+{
+    using T =
+        std::remove_cvref_t<decltype(ref(std::declval<RunConfig &>()))>;
+    constexpr ConfigKeyKind kind = kindOf<T>();
+    row.kind = kind;
+    if constexpr (kind == ConfigKeyKind::U64)
+        row.fieldMax = std::numeric_limits<T>::max() / row.scale;
+    row.get = [](const RunConfig &c) -> std::uint64_t {
+        if constexpr (kind == ConfigKeyKind::Double)
+            return std::bit_cast<std::uint64_t>(ref(c));
+        else
+            return std::uint64_t(ref(c));
+    };
+    row.set = [](RunConfig &c, std::uint64_t v) {
+        if constexpr (kind == ConfigKeyKind::Double)
+            ref(c) = std::bit_cast<double>(v);
+        else
+            ref(c) = T(v);
+    };
+    return row;
+}
 
 /** The OoO rename map pins one physical register per architectural
  *  slot plus the dump slot and needs at least one spare; its indices
@@ -371,146 +428,107 @@ struct ConfigKeyDef
 constexpr std::uint64_t minPhysRegs = numArchRegs + 2;
 constexpr std::uint64_t maxPhysRegs = 65536;
 
-// Sorted by name (configKeyNames leans on it; binary search does not,
-// a linear scan over ~30 entries is fine).
-const ConfigKeyDef configKeys[] = {
-    {"btb_assoc", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.predictor.btbAssoc = unsigned(v.u);
-     }},
-    {"btb_entries", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.predictor.btbEntries = unsigned(v.u);
-     }},
-    {"commit_width", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.ooo.commitWidth = unsigned(v.u);
-     },
-     1},
-    {"dcache_assoc", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.dcache.assoc = std::uint32_t(v.u);
-     }},
-    {"dcache_kb", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.dcache.sizeBytes = std::uint32_t(v.u * 1024);
-     }},
-    {"dcache_perfect", KeyKind::Bool,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.dcache.perfect = v.b;
-     }},
-    {"enlarge_enabled", KeyKind::Bool,
-     [](RunConfig &c, const KeyValue &v) { c.enlarge.enabled = v.b; }},
-    {"enlarge_library_functions", KeyKind::Bool,
-     [](RunConfig &c, const KeyValue &v) {
-         c.enlarge.enlargeLibraryFunctions = v.b;
-     }},
-    {"enlarge_max_faults", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.enlarge.maxFaults = unsigned(v.u);
-     }},
-    {"enlarge_max_ops", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.enlarge.maxOps = unsigned(v.u);
-     }},
-    {"frontend_depth", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.frontendDepth = unsigned(v.u);
-     }},
-    {"history_bits", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.predictor.historyBits = unsigned(v.u);
-     }},
-    {"history_entries", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.predictor.historyEntries = unsigned(v.u);
-     }},
-    {"icache_assoc", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.icache.assoc = std::uint32_t(v.u);
-     }},
-    {"icache_kb", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.icache.sizeBytes = std::uint32_t(v.u * 1024);
-     }},
-    {"icache_perfect", KeyKind::Bool,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.icache.perfect = v.b;
-     }},
-    {"issue_width", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.issueWidth = unsigned(v.u);
-     }},
-    {"l2_latency", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.l2Latency = unsigned(v.u);
-     }},
-    {"lsq_entries", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.ooo.lsqEntries = unsigned(v.u);
-     },
-     1},
-    {"max_variants_per_head", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.enlarge.maxVariantsPerHead = unsigned(v.u);
-     }},
-    {"merge_across_back_edges", KeyKind::Bool,
-     [](RunConfig &c, const KeyValue &v) {
-         c.enlarge.mergeAcrossBackEdges = v.b;
-     }},
-    {"min_merge_bias", KeyKind::Double,
-     [](RunConfig &c, const KeyValue &v) { c.minMergeBias = v.d; }},
-    {"perfect_prediction", KeyKind::Bool,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.perfectPrediction = v.b;
-     }},
-    {"phys_regs", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.ooo.physRegs = unsigned(v.u);
-     },
-     minPhysRegs, maxPhysRegs},
-    {"pht_bits", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.predictor.phtBits = unsigned(v.u);
-     }},
-    {"predictor_scheme", KeyKind::Scheme,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.predictor.scheme = v.scheme;
-     }},
-    {"redirect_penalty", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.redirectPenalty = unsigned(v.u);
-     }},
-    {"rob_ops", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.ooo.robOps = unsigned(v.u);
-     },
-     1},
-    {"rs_per_class", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.ooo.rsPerClass = unsigned(v.u);
-     },
-     1},
-    {"timing_model", KeyKind::Model,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.timingModel = v.model;
-     }},
-    {"window_ops", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.windowOps = unsigned(v.u);
-     }},
-    {"window_units", KeyKind::U64,
-     [](RunConfig &c, const KeyValue &v) {
-         c.machine.windowUnits = unsigned(v.u);
-     }},
+/** splitOversizedBlocks' floor: a split block keeps one op and a
+ *  jump. */
+constexpr std::uint64_t minBlockOps = 2;
+
+/**
+ * Every RunConfig field in digest-slot order.  The order is part of
+ * every stored unit key: a new field's row goes at the end, and a
+ * removed field leaves a retired row in its slot.
+ */
+constexpr ConfigField rows[] = {
+    field<[](auto &c) -> auto & { return c.machine.issueWidth; }>(
+        {"issue_width", 1, maxIssueWidth}),
+    field<[](auto &c) -> auto & { return c.machine.windowOps; }>(
+        {"window_ops"}),
+    field<[](auto &c) -> auto & { return c.machine.windowUnits; }>(
+        {"window_units", 1}),
+    field<[](auto &c) -> auto & { return c.machine.frontendDepth; }>(
+        {"frontend_depth"}),
+    field<[](auto &c) -> auto & { return c.machine.redirectPenalty; }>(
+        {"redirect_penalty"}),
+    field<[](auto &c) -> auto & { return c.machine.l2Latency; }>(
+        {"l2_latency"}),
+    field<[](auto &c) -> auto & { return c.machine.icache.sizeBytes; }>(
+        {.key = "icache_kb", .scale = 1024}),
+    field<[](auto &c) -> auto & { return c.machine.icache.assoc; }>(
+        {"icache_assoc"}),
+    field<[](auto &c) -> auto & { return c.machine.icache.lineBytes; }>(),
+    field<[](auto &c) -> auto & { return c.machine.icache.perfect; }>(
+        {"icache_perfect"}),
+    field<[](auto &c) -> auto & { return c.machine.dcache.sizeBytes; }>(
+        {.key = "dcache_kb", .scale = 1024}),
+    field<[](auto &c) -> auto & { return c.machine.dcache.assoc; }>(
+        {"dcache_assoc"}),
+    field<[](auto &c) -> auto & { return c.machine.dcache.lineBytes; }>(),
+    field<[](auto &c) -> auto & { return c.machine.dcache.perfect; }>(
+        {"dcache_perfect"}),
+    field<[](auto &c) -> auto & { return c.machine.predictor.scheme; }>(
+        {"predictor_scheme"}),
+    field<[](auto &c) -> auto & {
+        return c.machine.predictor.historyBits;
+    }>({"history_bits"}),
+    field<[](auto &c) -> auto & { return c.machine.predictor.phtBits; }>(
+        {"pht_bits"}),
+    field<[](auto &c) -> auto & {
+        return c.machine.predictor.historyEntries;
+    }>({"history_entries"}),
+    field<[](auto &c) -> auto & {
+        return c.machine.predictor.btbEntries;
+    }>({"btb_entries"}),
+    field<[](auto &c) -> auto & {
+        return c.machine.predictor.btbAssoc;
+    }>({"btb_assoc"}),
+    // Retired (PredictorConfig::perfect): the slot hashes a constant,
+    // so no stored unit key moves.
+    {.get = [](const RunConfig &) -> std::uint64_t { return 0; }},
+    field<[](auto &c) -> auto & { return c.machine.perfectPrediction; }>(
+        {"perfect_prediction"}),
+    field<[](auto &c) -> auto & { return c.enlarge.maxOps; }>(
+        {"enlarge_max_ops", minBlockOps}),
+    field<[](auto &c) -> auto & { return c.enlarge.maxFaults; }>(
+        {"enlarge_max_faults"}),
+    field<[](auto &c) -> auto & {
+        return c.enlarge.mergeAcrossBackEdges;
+    }>({"merge_across_back_edges"}),
+    field<[](auto &c) -> auto & {
+        return c.enlarge.enlargeLibraryFunctions;
+    }>({"enlarge_library_functions"}),
+    field<[](auto &c) -> auto & { return c.enlarge.enabled; }>(
+        {"enlarge_enabled"}),
+    // Pruning stops at one variant, the head alone.
+    field<[](auto &c) -> auto & { return c.enlarge.maxVariantsPerHead; }>(
+        {"max_variants_per_head", 1}),
+    field<[](auto &c) -> auto & { return c.enlarge.minMergeBias; }>(),
+    field<[](auto &c) -> auto & { return c.limits.maxOps; }>(
+        {.key = "max_ops", .toolOnly = true}),
+    field<[](auto &c) -> auto & { return c.limits.maxBlocks; }>(),
+    field<[](auto &c) -> auto & { return c.minMergeBias; }>(
+        {"min_merge_bias"}),
+    field<[](auto &c) -> auto & { return c.machine.timingModel; }>(
+        {"timing_model"}),
+    field<[](auto &c) -> auto & { return c.machine.ooo.robOps; }>(
+        {"rob_ops", 1}),
+    field<[](auto &c) -> auto & { return c.machine.ooo.physRegs; }>(
+        {"phys_regs", minPhysRegs, maxPhysRegs}),
+    field<[](auto &c) -> auto & { return c.machine.ooo.rsPerClass; }>(
+        {"rs_per_class", 1}),
+    field<[](auto &c) -> auto & { return c.machine.ooo.lsqEntries; }>(
+        {"lsq_entries", 1}),
+    field<[](auto &c) -> auto & { return c.machine.ooo.commitWidth; }>(
+        {"commit_width", 1}),
 };
 
-const ConfigKeyDef *
-findKey(const std::string &name)
+// The 37 fields counted above plus the retired slot.
+static_assert(std::size(rows) == 38);
+
+const ConfigField *
+findField(const std::string &key)
 {
-    for (const ConfigKeyDef &def : configKeys)
-        if (name == def.name)
-            return &def;
+    for (const ConfigField &f : rows)
+        if (f.key && key == f.key)
+            return &f;
     return nullptr;
 }
 
@@ -528,179 +546,105 @@ parseU64(const std::string &s, std::uint64_t &out)
     return true;
 }
 
+/** Timing-model spellings, by ordinal. */
+constexpr const char *timingModelNames[] = {"abstract", "ooo"};
+
+/** Parse @p text as @p f's key value, into the field's encoding. */
 bool
-parseKeyValue(const ConfigKeyDef &def, const std::string &value,
-              KeyValue &out, std::string &error)
+parseFieldValue(const ConfigField &f, const std::string &text,
+                std::uint64_t &raw, std::string &error)
 {
-    switch (def.kind) {
-      case KeyKind::U64:
-        if (!parseU64(value, out.u)) {
-            error = std::string(def.name) +
-                    ": expected an unsigned integer, got '" + value +
-                    "'";
-            return false;
-        }
-        if (out.u < def.min || out.u > def.max) {
-            error = std::string(def.name) + ": expected " +
-                    (def.max == ~0ull
-                         ? "at least " + std::to_string(def.min)
-                         : "an integer in [" + std::to_string(def.min) +
-                               ", " + std::to_string(def.max) + "]") +
-                    ", got '" + value + "'";
-            return false;
-        }
-        return true;
-      case KeyKind::Bool:
-        if (value == "true") {
-            out.b = true;
-            return true;
-        }
-        if (value == "false") {
-            out.b = false;
-            return true;
-        }
-        error = std::string(def.name) +
-                ": expected true or false, got '" + value + "'";
+    const auto fail = [&](const std::string &expected) {
+        error = std::string(f.key) + ": expected " + expected +
+                ", got '" + text + "'";
         return false;
-      case KeyKind::Double: {
+    };
+    switch (f.kind) {
+      case ConfigKeyKind::U64: {
+        std::uint64_t v = 0;
+        if (!parseU64(text, v))
+            return fail("an unsigned integer");
+        if (v < f.min && f.max == ~0ull)
+            return fail("at least " + std::to_string(f.min));
+        if (v < f.min || v > f.upper())
+            return fail("an integer in [" + std::to_string(f.min) +
+                        ", " + std::to_string(f.upper()) + "]");
+        raw = v * f.scale;
+        return true;
+      }
+      case ConfigKeyKind::Bool:
+        if (text != "true" && text != "false")
+            return fail("true or false");
+        raw = text == "true";
+        return true;
+      case ConfigKeyKind::Double: {
+        // A NaN is not equal to itself, so neither is its config.
         errno = 0;
         char *end = nullptr;
-        out.d = std::strtod(value.c_str(), &end);
-        if (value.empty() || errno != 0 ||
-            end != value.c_str() + value.size()) {
-            error = std::string(def.name) +
-                    ": expected a number, got '" + value + "'";
-            return false;
-        }
+        const double v = std::strtod(text.c_str(), &end);
+        if (text.empty() || errno != 0 ||
+            end != text.c_str() + text.size() || !std::isfinite(v))
+            return fail("a finite number");
+        raw = std::bit_cast<std::uint64_t>(v);
         return true;
       }
-      case KeyKind::Scheme:
-        if (value == "GAg")
-            out.scheme = PredictorScheme::GAg;
-        else if (value == "GAs")
-            out.scheme = PredictorScheme::GAs;
-        else if (value == "PAg")
-            out.scheme = PredictorScheme::PAg;
-        else if (value == "PAs")
-            out.scheme = PredictorScheme::PAs;
-        else {
-            error = std::string(def.name) +
-                    ": expected GAg/GAs/PAg/PAs, got '" + value + "'";
-            return false;
+      case ConfigKeyKind::Scheme:
+        for (PredictorScheme s :
+             {PredictorScheme::GAg, PredictorScheme::GAs,
+              PredictorScheme::PAg, PredictorScheme::PAs}) {
+            if (text == predictorSchemeName(s)) {
+                raw = std::uint64_t(s);
+                return true;
+            }
         }
-        return true;
-      case KeyKind::Model:
-        if (value == "abstract")
-            out.model = TimingModel::Abstract;
-        else if (value == "ooo")
-            out.model = TimingModel::Ooo;
-        else {
-            error = std::string(def.name) +
-                    ": expected abstract or ooo, got '" + value + "'";
-            return false;
-        }
-        return true;
+        return fail("GAg/GAs/PAg/PAs");
+      case ConfigKeyKind::Model:
+        for (raw = 0; raw < std::size(timingModelNames); ++raw)
+            if (text == timingModelNames[raw])
+                return true;
+        return fail("abstract or ooo");
     }
-    error = "unreachable";
-    return false;
+    return fail("a known kind");
 }
 
+/** The canonical spelling of @p f's value in the field's encoding. */
 std::string
-renderKeyValue(const ConfigKeyDef &def, const KeyValue &v)
+renderFieldValue(const ConfigField &f, std::uint64_t raw)
 {
-    switch (def.kind) {
-      case KeyKind::U64:
-        return std::to_string(v.u);
-      case KeyKind::Bool:
-        return v.b ? "true" : "false";
-      case KeyKind::Double: {
+    switch (f.kind) {
+      case ConfigKeyKind::U64:
+        return std::to_string(raw / f.scale);
+      case ConfigKeyKind::Bool:
+        return raw ? "true" : "false";
+      case ConfigKeyKind::Double: {
         char buf[48];
-        std::snprintf(buf, sizeof(buf), "%.17g", v.d);
+        std::snprintf(buf, sizeof(buf), "%.17g",
+                      std::bit_cast<double>(raw));
         return buf;
       }
-      case KeyKind::Scheme:
-        return predictorSchemeName(v.scheme);
-      case KeyKind::Model:
-        return v.model == TimingModel::Ooo ? "ooo" : "abstract";
+      case ConfigKeyKind::Scheme:
+        return predictorSchemeName(PredictorScheme(raw));
+      case ConfigKeyKind::Model:
+        return timingModelNames[raw];
     }
     return "";
 }
 
-/**
- * The geometry rules over one expanded config: the tables' rule
- * (cache/lru_set_array.hh, predict/tables.hh) and the pipeline's
- * issue width, window and block size.  Reported against the key that
- * sets the field at fault.
- */
+/** Normalize one spec assignment's value to its canonical spelling;
+ *  false on a key spec files do not take or a bad value. */
 bool
-checkGeometry(const RunConfig &config, std::string &error)
+canonicalConfigValue(const std::string &key, const std::string &value,
+                     std::string &canonical, std::string &error)
 {
-    const auto fail = [&](const char *key, std::uint64_t got,
-                          const std::string &expected) {
-        error = std::string(key) + ": expected " + expected +
-                ", got '" + std::to_string(got) + "'";
+    const ConfigField *f = findField(key);
+    if (!f || f->toolOnly) {
+        error = "unknown config key '" + key + "'";
         return false;
-    };
-    const MachineConfig &m = config.machine;
-    const struct
-    {
-        const CacheConfig &cache;
-        const char *kbKey;
-        const char *assocKey;
-    } caches[] = {{m.icache, "icache_kb", "icache_assoc"},
-                  {m.dcache, "dcache_kb", "dcache_assoc"}};
-    for (const auto &[cache, kbKey, assocKey] : caches) {
-        switch (cache.geometryFault()) {
-          case SetGeometryFault::Ways:
-            return fail(assocKey, cache.assoc, "at least 1");
-          case SetGeometryFault::Sets:
-            return fail(kbKey, cache.sizeBytes / 1024,
-                        "a size that fills a power-of-two number of " +
-                            std::to_string(cache.assoc) + "-way sets of " +
-                            std::to_string(cache.lineBytes) +
-                            "-byte lines");
-          case SetGeometryFault::None:
-            break;
-        }
     }
-    const PredictorConfig &p = m.predictor;
-    switch (predictorGeometryFault(p)) {
-      case PredictorGeometryFault::BtbWays:
-        return fail("btb_assoc", p.btbAssoc, "at least 1");
-      case PredictorGeometryFault::BtbSets:
-        return fail("btb_entries", p.btbEntries,
-                    "a count that fills a power-of-two number of " +
-                        std::to_string(p.btbAssoc) + "-way sets");
-      case PredictorGeometryFault::HistoryEntries:
-        return fail("history_entries", p.historyEntries,
-                    "a power of two");
-      case PredictorGeometryFault::HistoryBits:
-        return fail("history_bits", p.historyBits,
-                    "at most " + std::to_string(maxHistoryBits));
-      case PredictorGeometryFault::PhtBits:
-        return fail("pht_bits", p.phtBits,
-                    "at most " + std::to_string(maxPhtBits));
-      case PredictorGeometryFault::None:
-        break;
-    }
-    // The pipeline: a cycle's slot count is a uint8_t, an enlarged
-    // block cannot be smaller than the suite's basic blocks, and the
-    // window must hold the largest block fetch can deliver.
-    if (m.issueWidth < 1 || m.issueWidth > maxIssueWidth)
-        return fail("issue_width", m.issueWidth,
-                    "an integer in [1, " + std::to_string(maxIssueWidth) +
-                        "]");
-    if (m.windowUnits < 1)
-        return fail("window_units", m.windowUnits, "at least 1");
-    const unsigned maxOps = config.enlarge.maxOps;
-    if (maxOps < suiteBlockOps)
-        return fail("enlarge_max_ops", maxOps,
-                    "at least " + std::to_string(suiteBlockOps) +
-                        " (the suite's largest basic block)");
-    if (m.windowOps < maxOps)
-        return fail("window_ops", m.windowOps,
-                    "at least enlarge_max_ops (" +
-                        std::to_string(maxOps) + ")");
+    std::uint64_t raw = 0;
+    if (!parseFieldValue(*f, value, raw, error))
+        return false;
+    canonical = renderFieldValue(*f, raw);
     return true;
 }
 
@@ -911,11 +855,19 @@ interpretSpec(const SpecNode &root, SweepSpec &spec, std::string &error)
         return false;
     }
     // Every config of the grid must be one the tables can build and
-    // the pipeline can run.
+    // the pipeline can run, over the suite's basic blocks, which
+    // enlargement never splits.
     return forEachSpecConfig(
         spec, RunConfig{},
         [&](const RunConfig &config) {
-            return checkGeometry(config, error);
+            if (config.enlarge.maxOps < suiteBlockOps) {
+                error = "enlarge_max_ops: expected at least " +
+                        std::to_string(suiteBlockOps) +
+                        " (the suite's largest basic block), got '" +
+                        std::to_string(config.enlarge.maxOps) + "'";
+                return false;
+            }
+            return checkConfigGeometry(config, error);
         },
         error);
 }
@@ -1027,19 +979,96 @@ specDigest(const SweepSpec &spec)
         .value();
 }
 
+std::span<const ConfigField>
+configFields()
+{
+    return rows;
+}
+
 bool
 applyConfigKey(RunConfig &config, const std::string &key,
                const std::string &value, std::string &error)
 {
-    const ConfigKeyDef *def = findKey(key);
-    if (!def) {
+    const ConfigField *f = findField(key);
+    if (!f) {
         error = "unknown config key '" + key + "'";
         return false;
     }
-    KeyValue v;
-    if (!parseKeyValue(*def, value, v, error))
+    std::uint64_t raw = 0;
+    if (!parseFieldValue(*f, value, raw, error))
         return false;
-    def->set(config, v);
+    f->set(config, raw);
+    return true;
+}
+
+std::uint64_t
+runConfigDigest(const RunConfig &config)
+{
+    // Every field in slot order, fixed width.  The figure drivers'
+    // pair-result memo and every stored unit key rest on it; the
+    // tripwires above fail the build while a field has no row.
+    Fnv1a64 h;
+    for (const ConfigField &f : rows)
+        h.u64(f.get(config));
+    return h.value();
+}
+
+bool
+checkConfigGeometry(const RunConfig &config, std::string &error)
+{
+    const auto fail = [&](const char *key, std::uint64_t got,
+                          const std::string &expected) {
+        error = std::string(key) + ": expected " + expected +
+                ", got '" + std::to_string(got) + "'";
+        return false;
+    };
+    const MachineConfig &m = config.machine;
+    const struct
+    {
+        const CacheConfig &cache;
+        const char *kbKey;
+        const char *assocKey;
+    } caches[] = {{m.icache, "icache_kb", "icache_assoc"},
+                  {m.dcache, "dcache_kb", "dcache_assoc"}};
+    for (const auto &[cache, kbKey, assocKey] : caches) {
+        switch (cache.geometryFault()) {
+          case SetGeometryFault::Ways:
+            return fail(assocKey, cache.assoc, "at least 1");
+          case SetGeometryFault::Sets:
+            return fail(kbKey, cache.sizeBytes / 1024,
+                        "a size that fills a power-of-two number of " +
+                            std::to_string(cache.assoc) + "-way sets of " +
+                            std::to_string(cache.lineBytes) +
+                            "-byte lines");
+          case SetGeometryFault::None:
+            break;
+        }
+    }
+    const PredictorConfig &p = m.predictor;
+    switch (predictorGeometryFault(p)) {
+      case PredictorGeometryFault::BtbWays:
+        return fail("btb_assoc", p.btbAssoc, "at least 1");
+      case PredictorGeometryFault::BtbSets:
+        return fail("btb_entries", p.btbEntries,
+                    "a count that fills a power-of-two number of " +
+                        std::to_string(p.btbAssoc) + "-way sets");
+      case PredictorGeometryFault::HistoryEntries:
+        return fail("history_entries", p.historyEntries,
+                    "a power of two");
+      case PredictorGeometryFault::HistoryBits:
+        return fail("history_bits", p.historyBits,
+                    "at most " + std::to_string(maxHistoryBits));
+      case PredictorGeometryFault::PhtBits:
+        return fail("pht_bits", p.phtBits,
+                    "at most " + std::to_string(maxPhtBits));
+      case PredictorGeometryFault::None:
+        break;
+    }
+    // The window must hold the largest block fetch can deliver.
+    if (m.windowOps < config.enlarge.maxOps)
+        return fail("window_ops", m.windowOps,
+                    "at least enlarge_max_ops (" +
+                        std::to_string(config.enlarge.maxOps) + ")");
     return true;
 }
 
@@ -1089,31 +1118,6 @@ forEachSpecConfig(const SweepSpec &spec, const RunConfig &base,
             return false;
     }
     return true;
-}
-
-bool
-canonicalConfigValue(const std::string &key, const std::string &value,
-                     std::string &canonical, std::string &error)
-{
-    const ConfigKeyDef *def = findKey(key);
-    if (!def) {
-        error = "unknown config key '" + key + "'";
-        return false;
-    }
-    KeyValue v;
-    if (!parseKeyValue(*def, value, v, error))
-        return false;
-    canonical = renderKeyValue(*def, v);
-    return true;
-}
-
-std::vector<std::string>
-configKeyNames()
-{
-    std::vector<std::string> names;
-    for (const ConfigKeyDef &def : configKeys)
-        names.push_back(def.name);
-    return names;
 }
 
 } // namespace bsisa

@@ -21,8 +21,10 @@
 #ifndef BSISA_EXP_SPEC_HH
 #define BSISA_EXP_SPEC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,14 +100,65 @@ std::string canonicalSpec(const SweepSpec &spec);
 /** Identity digest: canonical text + sweepSpecVersion. */
 std::uint64_t specDigest(const SweepSpec &spec);
 
+/** What a config key's value spells: an unsigned integer, true or
+ *  false, a number, a predictor scheme or a timing model. */
+enum class ConfigKeyKind
+{
+    U64,
+    Bool,
+    Double,
+    Scheme,
+    Model,
+};
+
+/**
+ * One RunConfig field: its config key, if any, and any bound tighter
+ * than the field's type; the rest follows from the type.  get and set
+ * carry the value as runConfigDigest hashes it: integers and enum
+ * ordinals as they are, booleans as 0 or 1, doubles by bit pattern.  A
+ * U64 key's value is the field divided by scale (a `_kb` key counts
+ * KiB of a byte field).
+ */
+struct ConfigField
+{
+    const char *key = nullptr;  //!< nullptr: no key, code sets the field
+    std::uint64_t min = 0;
+    std::uint64_t max = ~0ull;  //!< ~0: what the field holds
+    std::uint64_t scale = 1;
+    /** applyConfigKey takes the key, spec files do not (`max_ops`, the
+     *  trace budget: a spec's budget is its scale). */
+    bool toolOnly = false;
+
+    ConfigKeyKind kind = ConfigKeyKind::U64;
+    std::uint64_t fieldMax = ~0ull;  //!< the type's maximum, in key units
+    std::uint64_t (*get)(const RunConfig &) = nullptr;
+    void (*set)(RunConfig &, std::uint64_t) = nullptr;
+
+    /** The largest value the key accepts. */
+    std::uint64_t upper() const { return std::min(max, fieldMax); }
+};
+
+/** Every RunConfig field in digest-slot order, retired slots (no key,
+ *  a constant get) included. */
+std::span<const ConfigField> configFields();
+
 /**
  * Apply one config-key assignment to @p config.  Key names are the
- * spec-file vocabulary (issue_width, icache_kb, enlarge_max_ops,
- * predictor_scheme, ...); returns false with @p error set on an
- * unknown key or unparsable value.
+ * configFields() vocabulary (issue_width, icache_kb, enlarge_max_ops,
+ * predictor_scheme, ...); returns false with @p error set to
+ * "<key>: expected ..." on an unknown key, an unparsable value or one
+ * outside the key's range.
  */
 bool applyConfigKey(RunConfig &config, const std::string &key,
                     const std::string &value, std::string &error);
+
+/**
+ * The geometry rules that relate two or more fields of one config: the
+ * cache and predictor tables' rule (cache/lru_set_array.hh,
+ * predict/tables.hh) and window_ops >= enlarge_max_ops.  False with
+ * @p error set against the key of the field at fault.
+ */
+bool checkConfigGeometry(const RunConfig &config, std::string &error);
 
 /**
  * Call @p visit on each config of @p spec's grid over @p base: the
@@ -117,16 +170,6 @@ bool applyConfigKey(RunConfig &config, const std::string &key,
 bool forEachSpecConfig(const SweepSpec &spec, const RunConfig &base,
                        const std::function<bool(const RunConfig &)> &visit,
                        std::string &error);
-
-/** Normalize one assignment's value to its canonical spelling
- *  (numerics re-rendered, booleans to true/false, scheme names to
- *  their exact case); false on unknown key / bad value. */
-bool canonicalConfigValue(const std::string &key,
-                          const std::string &value,
-                          std::string &canonical, std::string &error);
-
-/** Every known config key, sorted (docs and error messages). */
-std::vector<std::string> configKeyNames();
 
 } // namespace bsisa
 

@@ -38,6 +38,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -228,6 +229,12 @@ TEST(SweepSpec_, RejectsBadInput)
                "base: {warp_factor: 9}\n");             // unknown key
     parseError("name: x\nbenchmarks: [go]\n"
                "base: {issue_width: fast}\n");          // bad value
+    EXPECT_EQ(parseError("name: x\nbenchmarks: [go]\n"
+                         "base: {max_ops: 5000}\n"),
+              "unknown config key 'max_ops'");  // tools only
+    EXPECT_EQ(parseError("name: x\nbenchmarks: [go]\naxes:\n"
+                         "  min_merge_bias: [0.5, nan]\n"),
+              "min_merge_bias: expected a finite number, got 'nan'");
     parseError("name: x\nbenchmarks: [go]\nscale: 0\n");
     // A figure needs exactly one point per benchmark.
     parseError("name: x\nbenchmarks: suite\nfigure: cycles\n"
@@ -249,7 +256,7 @@ TEST(SweepSpec_, RejectsOooGeometryTheEngineCannotRun)
         {"pht_bits", "64"},    {"pht_bits", "25"},   {"history_bits", "65"},
         {"issue_width", "0"},  {"issue_width", "256"},
         {"window_units", "0"}, {"window_ops", "4"},
-        {"enlarge_max_ops", "8"}};
+        {"enlarge_max_ops", "8"}, {"max_variants_per_head", "0"}};
     for (const auto &[key, value] : bad) {
         const std::string kv = key + ": " + value;
         for (const std::string &where :
@@ -310,6 +317,8 @@ TEST(SweepSpec_, ConfigKeysReachTheirFields)
     ASSERT_TRUE(applyConfigKey(config, "rs_per_class", "12", error));
     ASSERT_TRUE(applyConfigKey(config, "lsq_entries", "24", error));
     ASSERT_TRUE(applyConfigKey(config, "commit_width", "8", error));
+    ASSERT_TRUE(applyConfigKey(config, "max_ops", "5000", error));
+    EXPECT_EQ(config.limits.maxOps, 5000u);
     EXPECT_EQ(config.machine.ooo.robOps, 96u);
     EXPECT_EQ(config.machine.ooo.physRegs, 80u);
     EXPECT_EQ(config.machine.ooo.rsPerClass, 12u);
@@ -327,6 +336,50 @@ TEST(SweepSpec_, ConfigKeysReachTheirFields)
     EXPECT_FALSE(error.empty());
 }
 
+// Every value a key accepts fits its field: the largest reads back
+// unchanged and one more is out of range, so no key wraps a value past
+// its field (after the _kb scaling) into a small one.  Numbers must be
+// finite: a NaN config is not == to itself, so it never shares a batch.
+TEST(SweepSpec_, ConfigKeyRangesFitTheirFields)
+{
+    for (const ConfigField &row : configFields()) {
+        if (!row.key)
+            continue;
+        const std::string name = row.key;
+        RunConfig config;
+        std::string error;
+        if (row.kind == ConfigKeyKind::Double) {
+            for (const char *bad : {"nan", "-nan", "inf", "-inf", "1e999"})
+                EXPECT_FALSE(applyConfigKey(config, name, bad, error))
+                    << name << ": " << bad;
+            continue;
+        }
+        if (row.kind != ConfigKeyKind::U64)
+            continue;
+        ASSERT_TRUE(applyConfigKey(config, name,
+                                   std::to_string(row.upper()), error))
+            << error;
+        EXPECT_EQ(row.get(config), row.upper() * row.scale) << name;
+
+        // One past the bound, and one past what the field holds.
+        const std::uint64_t fieldMax =
+            name == "max_ops" ? ~0ull : ~std::uint32_t(0);
+        for (std::uint64_t over : {row.upper(), fieldMax / row.scale}) {
+            const std::string text =
+                over == ~0ull ? "18446744073709551616"
+                              : std::to_string(over + 1);
+            EXPECT_FALSE(applyConfigKey(config, name, text, error))
+                << name << ": " << text;
+            EXPECT_EQ(error.rfind(name + ": expected ", 0), 0u) << error;
+        }
+        if (row.min > 0) {
+            EXPECT_FALSE(applyConfigKey(
+                config, name, std::to_string(row.min - 1), error))
+                << name;
+        }
+    }
+}
+
 // ---------------------------------------------------------------- plan
 
 TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
@@ -335,51 +388,71 @@ TEST(SweepPlan_, ConfigDigestIsFieldSensitive)
     const std::uint64_t baseDigest = runConfigDigest(base);
     EXPECT_EQ(runConfigDigest(base), baseDigest);  // stable
 
-    const char *keys[] = {
-        "issue_width",     "window_ops",       "frontend_depth",
-        "redirect_penalty", "l2_latency",      "icache_kb",
-        "icache_assoc",    "dcache_kb",        "history_bits",
-        "pht_bits",        "btb_entries",      "perfect_prediction",
-        "icache_perfect",  "enlarge_max_ops",  "enlarge_max_faults",
-        "merge_across_back_edges",             "min_merge_bias",
-        "max_variants_per_head",
+    // One in-range value per key, each different from its default.  A
+    // new key fails here until it has one.
+    const std::map<std::string, std::string> values = {
+        {"issue_width", "8"},
+        {"window_ops", "256"},
+        {"window_units", "16"},
+        {"frontend_depth", "5"},
+        {"redirect_penalty", "5"},
+        {"l2_latency", "5"},
+        {"icache_kb", "16"},
+        {"icache_assoc", "2"},
+        {"icache_perfect", "true"},
+        {"dcache_kb", "32"},
+        {"dcache_assoc", "8"},
+        {"dcache_perfect", "true"},
+        {"predictor_scheme", "PAs"},
+        {"history_bits", "8"},
+        {"pht_bits", "12"},
+        {"history_entries", "512"},
+        {"btb_entries", "1024"},
+        {"btb_assoc", "2"},
+        {"perfect_prediction", "true"},
+        {"enlarge_max_ops", "32"},
+        {"enlarge_max_faults", "4"},
+        {"merge_across_back_edges", "true"},
+        {"enlarge_library_functions", "true"},
+        {"enlarge_enabled", "false"},
+        {"max_variants_per_head", "2"},
+        {"max_ops", "100000"},
+        {"min_merge_bias", "0.123"},
+        {"timing_model", "ooo"},
+        {"rob_ops", "96"},
+        {"phys_regs", "80"},
+        {"rs_per_class", "12"},
+        {"lsq_entries", "24"},
+        {"commit_width", "8"},
     };
-    for (const char *key : keys) {
-        RunConfig mutated;
-        std::string error;
-        // "5" differs from every numeric default in the vocabulary.
-        const std::string value =
-            std::string(key) == std::string("min_merge_bias")
-                ? "0.123"
-                : (std::string(key).find("perfect") !=
-                               std::string::npos ||
-                           std::string(key) ==
-                               "merge_across_back_edges"
-                       ? "true"
-                       : "5");
-        ASSERT_TRUE(applyConfigKey(mutated, key, value, error))
-            << key << ": " << error;
-        EXPECT_NE(mutated, base) << key;
-        EXPECT_NE(runConfigDigest(mutated), baseDigest) << key;
-    }
-
-    // The timing-model axis is part of the identity: a sweep
+    // Every key moves operator== and the digest and reaches a field no
+    // other key does.  The timing-model key is among them: a sweep
     // comparing backends must never alias its points onto one stored
     // result.
-    {
+    std::set<std::uint64_t> keyDigests{baseDigest};
+    std::size_t keys = 0;
+    for (const ConfigField &row : configFields()) {
+        if (!row.key)
+            continue;
+        ++keys;
+        const auto it = values.find(row.key);
+        ASSERT_NE(it, values.end()) << row.key << " has no test value";
         RunConfig mutated;
         std::string error;
-        ASSERT_TRUE(
-            applyConfigKey(mutated, "timing_model", "ooo", error))
-            << error;
-        EXPECT_NE(runConfigDigest(mutated), baseDigest);
+        ASSERT_TRUE(applyConfigKey(mutated, row.key, it->second, error))
+            << row.key << ": " << error;
+        EXPECT_NE(mutated, base) << row.key;
+        EXPECT_NE(row.get(mutated), row.get(base)) << row.key;
+        EXPECT_TRUE(keyDigests.insert(runConfigDigest(mutated)).second)
+            << row.key << " aliases the default or another key";
     }
+    EXPECT_EQ(keys, values.size());
 
     // Every field, mutated directly (spec keys reach only some), moves
     // both operator== and the digest, and no two single-field
     // mutations collide.  The figure drivers serve memoized results by
     // this digest, so a missing field would silently change a figure;
-    // plan.cc's static_asserts fail the build when a field is added.
+    // spec.cc's static_asserts fail the build when a field is added.
     using Mutation = void (*)(RunConfig &);
     const Mutation mutations[] = {
         [](RunConfig &c) { c.machine.issueWidth += 1; },

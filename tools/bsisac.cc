@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iomanip>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -32,6 +33,7 @@
 #include "codegen/layout.hh"
 #include "core/enlarge.hh"
 #include "exp/runner.hh"
+#include "exp/spec.hh"
 #include "frontend/compile.hh"
 #include "ir/printer.hh"
 #include "ir/textform.hh"
@@ -140,6 +142,8 @@ struct Args
     }
 };
 
+/** A switch (an option not in @p valueOptions) has the value
+ *  "true". */
 Args
 parseArgs(int argc, char **argv, int first,
           const std::vector<std::string> &valueOptions)
@@ -151,7 +155,7 @@ parseArgs(int argc, char **argv, int first,
             const bool takes_value =
                 std::find(valueOptions.begin(), valueOptions.end(),
                           arg) != valueOptions.end();
-            std::string value;
+            std::string value = takes_value ? "" : "true";
             if (takes_value && i + 1 < argc)
                 value = argv[++i];
             args.options.emplace_back(arg, value);
@@ -161,6 +165,38 @@ parseArgs(int argc, char **argv, int first,
     }
     return args;
 }
+
+/** An option that sets a config key, and the key's value when the
+ *  option is absent ("": the RunConfig default). */
+struct ConfigFlag
+{
+    const char *option;
+    const char *key;
+    const char *fallback = "";
+};
+
+/** Apply @p flags through the config-key rows and the geometry rules,
+ *  so a bad value is a "<key>: expected ..." error rather than an
+ *  exception or a panic. */
+bool
+applyFlags(const Args &args, std::initializer_list<ConfigFlag> flags,
+           RunConfig &config)
+{
+    std::string error;
+    for (const ConfigFlag &flag : flags) {
+        if ((args.has(flag.option) || *flag.fallback) &&
+            !applyConfigKey(config, flag.key,
+                            args.get(flag.option, flag.fallback), error))
+            break;
+    }
+    if (error.empty() && checkConfigGeometry(config, error))
+        return true;
+    std::cerr << "bsisac: " << error << "\n";
+    return false;
+}
+
+/** The op budget of `run` and `sim`. */
+constexpr ConfigFlag maxOpsFlag{"--max-ops", "max_ops", "1000000000"};
 
 int
 cmdCompile(const Args &args)
@@ -194,9 +230,10 @@ cmdRun(const Args &args)
     Module module;
     if (!loadModule(args.positional[0], CompileOptions{}, module))
         return 1;
-    Interp::Limits limits;
-    limits.maxOps = std::stoull(args.get("--max-ops", "1000000000"));
-    Interp interp(module, limits);
+    RunConfig config;
+    if (!applyFlags(args, {maxOpsFlag}, config))
+        return 1;
+    Interp interp(module, config.limits);
     interp.run();
     std::cout << "exit value: " << interp.exitValue() << "\n"
               << "dynamic ops: " << interp.dynOps() << "\n"
@@ -214,11 +251,12 @@ cmdSim(const Args &args)
         return 1;
 
     RunConfig config;
-    config.limits.maxOps =
-        std::stoull(args.get("--max-ops", "1000000000"));
-    config.machine.icache.sizeBytes =
-        std::stoul(args.get("--icache", "64")) * 1024;
-    config.machine.perfectPrediction = args.has("--perfect-bp");
+    if (!applyFlags(args,
+                    {maxOpsFlag,
+                     {"--icache", "icache_kb"},
+                     {"--perfect-bp", "perfect_prediction"}},
+                    config))
+        return 1;
 
     const PairResult r = runPair(module, config);
 
@@ -280,12 +318,16 @@ cmdEnlarge(const Args &args)
     Module module;
     if (!loadModule(args.positional[0], CompileOptions{}, module))
         return 1;
-    EnlargeConfig config;
-    config.maxOps = std::stoul(args.get("--max-ops-per-block", "16"));
-    config.maxFaults = std::stoul(args.get("--max-faults", "2"));
-    splitOversizedBlocks(module, config.maxOps);
+    RunConfig config;
+    if (!applyFlags(args,
+                    {{"--max-ops-per-block", "enlarge_max_ops"},
+                     {"--max-faults", "enlarge_max_faults"}},
+                    config))
+        return 1;
+    splitOversizedBlocks(module, config.enlarge.maxOps);
     EnlargeStats stats;
-    BsaModule bsa = enlargeModule(module, config, nullptr, &stats);
+    BsaModule bsa =
+        enlargeModule(module, config.enlarge, nullptr, &stats);
     layoutBsaModule(bsa);
     std::cout << "atomic blocks: " << stats.atomicBlocks
               << ", heads: " << stats.heads
