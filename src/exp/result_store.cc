@@ -11,14 +11,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <random>
-#include <sstream>
 #include <type_traits>
 
 #include "sim/interp.hh"
 #include "support/digest.hh"
 #include "support/lockfile.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
 
 namespace bsisa
 {
@@ -79,10 +80,14 @@ shardWriterPid(const std::string &path)
 {
     const std::string name =
         std::filesystem::path(path).filename().string();
-    unsigned long long pid = 0;
-    if (std::sscanf(name.c_str(), "shard-%llu-", &pid) != 1)
+    constexpr std::string_view prefix = "shard-";
+    if (!name.starts_with(prefix))
         return 0;
-    return pid;
+    const std::size_t end = name.find('-', prefix.size());
+    return end == std::string::npos
+               ? 0
+               : parsePid(std::string_view(name).substr(
+                     prefix.size(), end - prefix.size()));
 }
 
 void
@@ -105,18 +110,6 @@ appendFrame(std::string &out, const ResultRecord &record)
     out.append(reinterpret_cast<const char *>(&f), sizeof(f));
     out.append(reinterpret_cast<const char *>(&record),
                sizeof(record));
-}
-
-bool
-readWholeFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out = buf.str();
-    return true;
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "support/env.hh"
 #include "support/lockfile.hh"
 #include "support/parallel.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 #include "workloads/specmix.hh"
 
@@ -52,22 +53,26 @@ leasePath(const std::string &storeDir, std::uint64_t chunkKey)
 }
 
 /** The completion marker: "units N" then one hex unit key per line.
- *  A marker that does not hold exactly N keys (truncated, oversized,
- *  or declaring a count it does not hold) reads as absent.  Nothing
- *  is sized from N, so a corrupt count cannot exhaust memory. */
+ *  A marker with a malformed line, or without exactly N keys, reads
+ *  as absent.  Nothing is sized from N, so a corrupt count cannot
+ *  exhaust memory. */
 bool
 readPlanMarker(const std::string &path,
                std::vector<std::uint64_t> &keys)
 {
     std::ifstream in(path);
-    std::string tag;
+    std::string line;
     std::uint64_t count = 0;
-    if (!in || !(in >> tag >> count) || tag != "units")
+    if (!std::getline(in, line) || !line.starts_with("units ") ||
+        !parseNumber(std::string_view(line).substr(6), count))
         return false;
     keys.clear();
-    std::string hex;
-    while (in >> hex)
-        keys.push_back(std::strtoull(hex.c_str(), nullptr, 16));
+    while (std::getline(in, line)) {
+        std::uint64_t key = 0;
+        if (!parseNumber(line, key, 16))
+            return false;
+        keys.push_back(key);
+    }
     return keys.size() == count;
 }
 

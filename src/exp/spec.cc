@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -36,6 +35,7 @@
 #include "exp/plan.hh"
 #include "predict/tables.hh"
 #include "support/digest.hh"
+#include "support/parse.hh"
 #include "workloads/specmix.hh"
 #include "workloads/synth.hh"
 
@@ -532,20 +532,6 @@ findField(const std::string &key)
     return nullptr;
 }
 
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
 /** Timing-model spellings, by ordinal. */
 constexpr const char *timingModelNames[] = {"abstract", "ooo"};
 
@@ -562,7 +548,7 @@ parseFieldValue(const ConfigField &f, const std::string &text,
     switch (f.kind) {
       case ConfigKeyKind::U64: {
         std::uint64_t v = 0;
-        if (!parseU64(text, v))
+        if (!parseNumber(text, v))
             return fail("an unsigned integer");
         if (v < f.min && f.max == ~0ull)
             return fail("at least " + std::to_string(f.min));
@@ -705,25 +691,20 @@ interpretSpec(const SpecNode &root, SweepSpec &spec, std::string &error)
             spec.name = node.scalar;
         } else if (key == "scale" || key == "budget_div" ||
                    key == "chunk_units") {
-            std::uint64_t v = 0;
+            std::uint64_t &field = key == "scale"        ? spec.scale
+                                   : key == "budget_div" ? spec.budgetDiv
+                                                         : spec.chunkUnits;
             if (node.kind != SpecNode::Kind::Scalar ||
-                !parseU64(node.scalar, v)) {
+                !parseNumber(node.scalar, field)) {
                 error = key + ": expected an unsigned integer";
                 return false;
             }
-            if (key == "scale") {
-                // Scale is a divisor; an explicit zero is always a
-                // mistake (omit the key to get the default).
-                if (v == 0) {
-                    error = "scale must be >= 1";
-                    return false;
-                }
-                spec.scale = v;
+            // Scale is a divisor; an explicit zero is always a mistake
+            // (omit the key to get the default).
+            if (key == "scale" && field == 0) {
+                error = "scale must be >= 1";
+                return false;
             }
-            else if (key == "budget_div")
-                spec.budgetDiv = v;
-            else
-                spec.chunkUnits = v;
         } else if (key == "figure") {
             if (node.kind != SpecNode::Kind::Scalar ||
                 (node.scalar != "none" && node.scalar != "cycles" &&
@@ -909,14 +890,12 @@ bool
 parseSweepSpecFile(const std::string &path, SweepSpec &out,
                    std::string &error)
 {
-    std::ifstream in(path);
-    if (!in) {
+    std::string text;
+    if (!readWholeFile(path, text)) {
         error = "cannot open spec file: " + path;
         return false;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseSweepSpec(text.str(), out, error);
+    return parseSweepSpec(text, out, error);
 }
 
 std::string

@@ -9,8 +9,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "ir/module.hh"
+#include "support/parse.hh"
 
 namespace bsisa
 {
@@ -22,14 +25,9 @@ computeExpectation(const Module &module, Interp::Limits limits)
 {
     Interp interp(module, limits);
     interp.run();
-    Expectation e;
-    e.halted = interp.halted();
-    e.exit = interp.exitValue();
-    e.dataChecksum = interp.dataChecksum();
-    e.memChecksum = interp.memChecksum();
-    e.dynOps = interp.dynOps();
-    e.dynBlocks = interp.dynBlocks();
-    return e;
+    return {interp.halted(),       interp.exitValue(),
+            interp.dataChecksum(), interp.memChecksum(),
+            interp.dynOps(),       interp.dynBlocks()};
 }
 
 std::string
@@ -48,28 +46,24 @@ formatExpectation(const Expectation &e)
 bool
 parseExpectation(const std::string &text, Expectation &out)
 {
+    std::uint64_t halted = 0;
+    const std::pair<std::string_view, std::uint64_t *> fields[] = {
+        {"halted", &halted},
+        {"exit", &out.exit},
+        {"data_checksum", &out.dataChecksum},
+        {"mem_checksum", &out.memChecksum},
+        {"dyn_ops", &out.dynOps},
+        {"dyn_blocks", &out.dynBlocks},
+    };
+    // The lines formatExpectation writes, in its order, and no more.
     std::istringstream is(text);
-    std::string key;
-    std::uint64_t value;
-    unsigned seen = 0;
-    while (is >> key >> value) {
-        if (key == "halted")
-            out.halted = value != 0;
-        else if (key == "exit")
-            out.exit = value;
-        else if (key == "data_checksum")
-            out.dataChecksum = value;
-        else if (key == "mem_checksum")
-            out.memChecksum = value;
-        else if (key == "dyn_ops")
-            out.dynOps = value;
-        else if (key == "dyn_blocks")
-            out.dynBlocks = value;
-        else
+    std::string key, value;
+    for (const auto &[name, field] : fields)
+        if (!(is >> key >> value) || key != name ||
+            !parseNumber(value, *field))
             return false;
-        ++seen;
-    }
-    return seen == 6;
+    out.halted = halted != 0;
+    return !(is >> key);
 }
 
 bool
@@ -92,20 +86,11 @@ bool
 readCorpusEntry(const std::string &dir, const std::string &name,
                 std::string &source, Expectation &out)
 {
-    namespace fs = std::filesystem;
-    std::ifstream src(fs::path(dir) / (name + ".blockc"));
-    if (!src)
-        return false;
-    std::ostringstream ss;
-    ss << src.rdbuf();
-    source = ss.str();
-
-    std::ifstream exp(fs::path(dir) / (name + ".expect"));
-    if (!exp)
-        return false;
-    std::ostringstream es;
-    es << exp.rdbuf();
-    return parseExpectation(es.str(), out);
+    const std::string base = dir + "/" + name;
+    std::string expect;
+    return readWholeFile(base + ".blockc", source) &&
+           readWholeFile(base + ".expect", expect) &&
+           parseExpectation(expect, out);
 }
 
 std::vector<std::string>

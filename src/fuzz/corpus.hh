@@ -40,6 +40,8 @@ struct Expectation
     std::uint64_t memChecksum = 0;
     std::uint64_t dynOps = 0;
     std::uint64_t dynBlocks = 0;
+
+    bool operator==(const Expectation &) const = default;
 };
 
 /** Run the conventional interpreter and record the expectation. */

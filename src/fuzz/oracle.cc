@@ -22,6 +22,7 @@
 #include "core/enlarge.hh"
 #include "exp/runner.hh"
 #include "frontend/compile.hh"
+#include "fuzz/corpus.hh"
 #include "cache/trace_cache.hh"
 #include "sim/bsa_interp.hh"
 #include "sim/bsa_source.hh"
@@ -77,27 +78,6 @@ parseInjectedBug(const std::string &name)
 namespace
 {
 
-/** Architectural reference state from one conventional execution. */
-struct Golden
-{
-    bool halted = false;
-    std::uint64_t exit = 0;
-    std::uint64_t memChecksum = 0;
-    std::uint64_t dataChecksum = 0;
-    std::uint64_t dynOps = 0;
-    std::uint64_t dynBlocks = 0;
-};
-
-Golden
-runGolden(const Module &module, Interp::Limits limits)
-{
-    Interp interp(module, limits);
-    interp.run();
-    return {interp.halted(),    interp.exitValue(),
-            interp.memChecksum(), interp.dataChecksum(),
-            interp.dynOps(),    interp.dynBlocks()};
-}
-
 OracleResult
 fail(const char *oracle, const std::string &detail)
 {
@@ -132,7 +112,7 @@ applyInjectedBug(BsaModule &bsa, InjectedBug bug)
 
 OracleResult
 checkInterp(const Module &module, const ExecTrace &trace,
-            const Golden &golden, const OracleOptions &options)
+            const Expectation &golden, const OracleOptions &options)
 {
     // Live interpretation must produce the captured stream event for
     // event, including the committed-store address stream.
@@ -343,7 +323,7 @@ checkAllOrNothing(const BsaModule &bsa, std::uint64_t policySeed,
 
 OracleResult
 checkEnlarge(const Module &module, const ExecTrace &trace,
-             const Golden &golden, const OracleOptions &options)
+             const Expectation &golden, const OracleOptions &options)
 {
     const ProfileData profile = profileFromTrace(trace);
 
@@ -358,8 +338,8 @@ checkEnlarge(const Module &module, const ExecTrace &trace,
             splitOversizedBlocks(resplit, c.splitOps);
             m = &resplit;
         }
-        const Golden want = c.splitOps ? runGolden(*m, options.limits)
-                                       : golden;
+        const Expectation want =
+            c.splitOps ? computeExpectation(*m, options.limits) : golden;
         if (c.splitOps && (want.exit != golden.exit ||
                            want.memChecksum != golden.memChecksum ||
                            want.halted != golden.halted)) {
@@ -872,7 +852,7 @@ checkOoo(const Module &module, const ExecTrace &trace,
 constexpr std::uint64_t unoptimizedBudgetScale = 8;
 
 OracleResult
-checkCompile(const std::string &source, const Golden &golden,
+checkCompile(const std::string &source, const Expectation &golden,
              const OracleOptions &options)
 {
     CompileOptions plain;
@@ -885,7 +865,7 @@ checkCompile(const std::string &source, const Golden &golden,
     }
     Interp::Limits limits = options.limits;
     limits.maxOps *= unoptimizedBudgetScale;
-    const Golden plain_run = runGolden(compiled.module, limits);
+    const Expectation plain_run = computeExpectation(compiled.module, limits);
     if (!plain_run.halted) {
         return fail("compile", "unoptimized build did not halt within " +
                                    std::to_string(limits.maxOps) +
@@ -914,7 +894,7 @@ checkProgram(const std::string &source, unsigned mask,
         return fail("frontend", "compile error: " + compiled.errors);
     const Module &module = compiled.module;
 
-    const Golden golden = runGolden(module, options.limits);
+    const Expectation golden = computeExpectation(module, options.limits);
     if (!golden.halted) {
         return fail("interp",
                     "program did not halt within " +

@@ -6,12 +6,12 @@
 #include "ir/textform.hh"
 
 #include <cctype>
-#include <charconv>
 #include <map>
 #include <sstream>
 #include <string_view>
 
 #include "support/logging.hh"
+#include "support/parse.hh"
 
 namespace bsisa
 {
@@ -87,25 +87,6 @@ opTokens(const std::string &line)
     return tokens;
 }
 
-/**
- * Parse all of @p tok as a decimal number that fits T: no sign an
- * unsigned field cannot hold, no leading '+' or space, no trailing
- * characters, no wrap or saturation.  Every number of the text form
- * goes through here; @p out is written only on success.
- */
-template <typename T>
-bool
-parseNumber(std::string_view tok, T &out)
-{
-    T v;
-    const char *end = tok.data() + tok.size();
-    const auto [p, ec] = std::from_chars(tok.data(), end, v);
-    if (tok.empty() || ec != std::errc() || p != end)
-        return false;
-    out = v;
-    return true;
-}
-
 /** Parse @p prefix followed by a number. */
 template <typename T>
 bool
@@ -119,12 +100,6 @@ bool
 parseReg(std::string_view tok, RegNum &out)
 {
     return parsePrefixed(tok, "r", out);
-}
-
-bool
-parseImm(std::string_view tok, std::int64_t &out)
-{
-    return parseNumber(tok, out);
 }
 
 bool
@@ -179,7 +154,7 @@ parseOperationText(const std::string &line, Operation &out,
         return true;
       case Opcode::MovI:
         if (tokens.size() != 3 || !parseReg(tokens[1], out.dst) ||
-            !parseImm(tokens[2], out.imm)) {
+            !parseNumber(tokens[2], out.imm)) {
             return fail("movi operands");
         }
         return true;
@@ -198,7 +173,7 @@ parseOperationText(const std::string &line, Operation &out,
       case Opcode::ShrI:
         if (tokens.size() != 4 || !parseReg(tokens[1], out.dst) ||
             !parseReg(tokens[2], out.src1) ||
-            !parseImm(tokens[3], out.imm)) {
+            !parseNumber(tokens[3], out.imm)) {
             return fail("immediate operands");
         }
         return true;
@@ -206,14 +181,14 @@ parseOperationText(const std::string &line, Operation &out,
         // ld rD, [rB + imm]
         if (tokens.size() != 5 || !parseReg(tokens[1], out.dst) ||
             !parseReg(tokens[2], out.src1) || tokens[3] != "+" ||
-            !parseImm(tokens[4], out.imm)) {
+            !parseNumber(tokens[4], out.imm)) {
             return fail("load operands");
         }
         return true;
       case Opcode::St:
         // st [rB + imm], rV
         if (tokens.size() != 5 || !parseReg(tokens[1], out.src1) ||
-            tokens[2] != "+" || !parseImm(tokens[3], out.imm) ||
+            tokens[2] != "+" || !parseNumber(tokens[3], out.imm) ||
             !parseReg(tokens[4], out.src2)) {
             return fail("store operands");
         }

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "support/logging.hh"
+#include "support/parse.hh"
 
 namespace bsisa
 {
@@ -18,11 +19,10 @@ envU64(const char *name, std::uint64_t def)
     const char *raw = std::getenv(name);
     if (!raw || !*raw)
         return def;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(raw, &end, 0);
-    if (end == raw || *end != '\0')
+    std::uint64_t v = 0;
+    if (!parseNumber(std::string_view(raw), v))
         fatal("environment variable ", name, "='", raw,
-              "' is not an unsigned integer");
+              "' is not an unsigned decimal integer");
     return v;
 }
 

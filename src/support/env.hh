@@ -12,7 +12,8 @@
 namespace bsisa
 {
 
-/** Read an unsigned integer env var, returning @p def when unset. */
+/** Read an unsigned decimal env var, returning @p def when unset;
+ *  fatal when set to anything else (a sign, a base prefix, spaces). */
 std::uint64_t envU64(const char *name, std::uint64_t def);
 
 /** Read a string env var, returning @p def when unset. */

@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/parse.hh"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <signal.h>
@@ -135,14 +137,24 @@ publishFile(const std::string &path, std::string_view bytes)
 }
 
 std::uint64_t
+parsePid(std::string_view text)
+{
+#if BSISA_HAVE_LEASES
+    pid_t pid = 0;
+#else
+    int pid = 0;
+#endif
+    return parseNumber(text, pid) && pid > 0 ? std::uint64_t(pid) : 0;
+}
+
+std::uint64_t
 leaseHolderPid(const std::string &path)
 {
     std::ifstream in(path);
-    std::string tag;
-    std::uint64_t pid = 0;
-    if (!(in >> tag >> pid) || tag != "pid")
+    std::string line;
+    if (!std::getline(in, line) || !line.starts_with("pid "))
         return 0;
-    return pid;
+    return parsePid(std::string_view(line).substr(4));
 }
 
 bool

@@ -81,6 +81,10 @@ class FileLease
     std::string path_;  //!< empty when not held
 };
 
+/** @p text as a process id: a decimal in [1, the largest pid_t], or
+ *  0 when it is not one (a sign, a zero, a value a pid cannot hold). */
+std::uint64_t parsePid(std::string_view text);
+
 /** Read the holder pid recorded in a lease file; 0 when absent or
  *  malformed (tests, `bsisa-sweep status`). */
 std::uint64_t leaseHolderPid(const std::string &path);

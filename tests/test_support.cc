@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the support layer: RNG determinism and distributions,
- * saturating counters, bit utilities, tables, and the stats registry.
+ * saturating counters, bit utilities, tables, the stats registry, and
+ * the strict number and option parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/bitutil.hh"
 #include "support/digest.hh"
 #include "support/env.hh"
+#include "support/parse.hh"
 #include "support/rng.hh"
 #include "support/sat_counter.hh"
 #include "support/table.hh"
@@ -206,9 +211,96 @@ TEST(Env, DefaultsAndParses)
     EXPECT_EQ(envU64("BSISA_TEST_ENV", 7), 7u);
     ::setenv("BSISA_TEST_ENV", "123", 1);
     EXPECT_EQ(envU64("BSISA_TEST_ENV", 7), 123u);
-    ::setenv("BSISA_TEST_ENV", "0x10", 1);
-    EXPECT_EQ(envU64("BSISA_TEST_ENV", 7), 16u);
+    // Decimal only: a leading zero is not octal.
+    ::setenv("BSISA_TEST_ENV", "0100", 1);
+    EXPECT_EQ(envU64("BSISA_TEST_ENV", 7), 100u);
     ::unsetenv("BSISA_TEST_ENV");
+}
+
+TEST(Env, RejectsAnythingButADecimal)
+{
+    for (const char *bad : {"0x10", "-1", "+5", " 5", "5 ", "4x",
+                            "18446744073709551616"}) {
+        ::setenv("BSISA_TEST_ENV", bad, 1);
+        EXPECT_EXIT(envU64("BSISA_TEST_ENV", 7),
+                    ::testing::ExitedWithCode(1), "BSISA_TEST_ENV")
+            << bad;
+    }
+    ::unsetenv("BSISA_TEST_ENV");
+}
+
+TEST(ParseNumber, TakesTheWholeTokenOrNothing)
+{
+    std::uint32_t v = 9;
+    EXPECT_TRUE(parseNumber("4294967295", v));
+    EXPECT_EQ(v, 4294967295u);
+    for (const char *bad : {"", "4294967296", "-1", "+1", " 1", "1 ", "1x",
+                            "0x1"}) {
+        EXPECT_FALSE(parseNumber(bad, v)) << bad;
+        EXPECT_EQ(v, 4294967295u);
+    }
+    std::int64_t s = 0;
+    EXPECT_TRUE(parseNumber("-12", s));
+    EXPECT_EQ(s, -12);
+    std::uint64_t h = 0;
+    EXPECT_TRUE(parseNumber("00000000deadBEEF", h, 16));
+    EXPECT_EQ(h, 0xdeadbeefu);
+    EXPECT_FALSE(parseNumber("0xdeadbeef", h, 16));
+}
+
+namespace
+{
+
+constexpr OptionSpec testOptions[] = {{"--count", true}, {"--flag"}};
+
+/** Parse @p args against testOptions with at most one positional. */
+bool
+parseTestArgs(std::vector<const char *> args, CommandLine &out,
+              std::string &error)
+{
+    std::vector<char *> argv;
+    for (const char *arg : args)
+        argv.push_back(const_cast<char *>(arg));
+    return parseCommandLine(argv, testOptions, 1, out, error);
+}
+
+} // namespace
+
+TEST(CommandLine, ParsesDeclaredOptions)
+{
+    CommandLine cl;
+    std::string error;
+    ASSERT_TRUE(parseTestArgs({"in.bc", "--count", "-1", "--flag"}, cl,
+                              error));
+    ASSERT_EQ(cl.positional.size(), 1u);
+    EXPECT_EQ(cl.positional[0], "in.bc");
+    EXPECT_EQ(cl.get("--count"), "-1");  // a value is taken verbatim
+    EXPECT_EQ(cl.get("--flag"), "true");
+    EXPECT_EQ(cl.get("--other", "fallback"), "fallback");
+
+    unsigned count = 5;
+    EXPECT_FALSE(cl.number("--count", count, error));
+    EXPECT_EQ(error, "--count: expected an integer in [0, 4294967295], "
+                     "got '-1'");
+    EXPECT_EQ(count, 5u);
+    EXPECT_TRUE(cl.number("--absent", count, error));
+    EXPECT_EQ(count, 5u);
+}
+
+TEST(CommandLine, UsageErrorsNameTheArgument)
+{
+    const std::pair<std::vector<const char *>, const char *> cases[] = {
+        {{"--cout", "3"}, "unknown option '--cout'"},
+        {{"--count"}, "option '--count' needs a value"},
+        {{"--flag", "--flag"}, "option '--flag' given twice"},
+        {{"a.bc", "b.bc"}, "unexpected argument 'b.bc'"},
+    };
+    for (const auto &[args, want] : cases) {
+        CommandLine cl;
+        std::string error;
+        EXPECT_FALSE(parseTestArgs(args, cl, error));
+        EXPECT_EQ(error, want);
+    }
 }
 
 TEST(Env, EnvSet)

@@ -761,8 +761,12 @@ TEST_F(SweepDirTest, CompactionKeepsLiveWritersShards)
         "shard-" + std::to_string(::getppid()) + "-42.bsr";
     const std::string deadShard =
         "shard-" + std::to_string(deadChild) + "-43.bsr";
+    // A pid no process can have names no live writer: it once wrapped
+    // to pid_t -1, and kill(-1, 0) kept the shard forever.
+    const std::string wrappedShard = "shard-18446744073709551615-44.bsr";
     craftShard(3, liveShard);
     craftShard(4, deadShard);
+    craftShard(5, wrappedShard);
 
     ResultStore store(dir);
     ASSERT_TRUE(store.append(testRecord(1)));
@@ -770,10 +774,20 @@ TEST_F(SweepDirTest, CompactionKeepsLiveWritersShards)
 
     EXPECT_TRUE(std::filesystem::exists(dir + "/" + liveShard));
     EXPECT_FALSE(std::filesystem::exists(dir + "/" + deadShard));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + wrappedShard));
     ResultStore reader(dir);
-    EXPECT_EQ(reader.refresh().records, 3u);
-    for (std::uint64_t key : {1u, 3u, 4u})
+    EXPECT_EQ(reader.refresh().records, 4u);
+    for (std::uint64_t key : {1u, 3u, 4u, 5u})
         EXPECT_TRUE(reader.contains(key));
+}
+
+TEST(ParsePid, AcceptsOnlyWhatAPidCanHold)
+{
+    EXPECT_EQ(parsePid("1"), 1u);
+    EXPECT_EQ(parsePid("2147483647"), 2147483647u);
+    for (const char *bad : {"", "0", "-1", "+7", " 7", "7 ", "4294967297",
+                            "18446744073709551615", "0x10", "12a"})
+        EXPECT_EQ(parsePid(bad), 0u) << bad;
 }
 
 // --------------------------------------------------------------- lease

@@ -50,6 +50,7 @@
 
 #include "exp/result_store.hh"
 #include "exp/service.hh"
+#include "support/lockfile.hh"
 
 using namespace bsisa;
 
@@ -293,9 +294,15 @@ TEST_F(SweepServiceTest, CorruptPlanMarkerReadsAsAbsent)
     const std::string truncated =
         valid.substr(0, valid.find('\n', valid.find('\n') + 1) + 1);
 
+    // A '+' on the last key: once read as the same key, now a line
+    // that does not parse.
+    const std::size_t lastKey = valid.rfind('\n', valid.size() - 2) + 1;
+    const std::string signedKey =
+        valid.substr(0, lastKey) + "+" + valid.substr(lastKey);
+
     for (const std::string &bad :
          {std::string("units 18446744073709551615\n"),
-          std::string("units 4000000000000\n"), truncated}) {
+          std::string("units 4000000000000\n"), truncated, signedKey}) {
         SCOPED_TRACE(bad);
         std::ofstream(marker, std::ios::binary | std::ios::trunc) << bad;
 
@@ -315,5 +322,26 @@ TEST_F(SweepServiceTest, CorruptPlanMarkerReadsAsAbsent)
         EXPECT_EQ(report.warm, 8u);
         EXPECT_EQ(report.executed, 0u);
         EXPECT_EQ(readFileBytes(marker), valid);
+    }
+}
+
+// A lease whose pid line holds no pid a process can have is malformed:
+// honoured through the grace window, then stale.  Both values once
+// read as a pid the liveness probe (signal 0) finds alive: "-1" as
+// 2^64-1, which is pid_t -1 and so every process, and "4294967297" as
+// pid_t 1.  Each such lease parked every worker forever.
+TEST_F(SweepServiceTest, LeaseWithImpossiblePidGoesStale)
+{
+    const std::string path = root + "/chunk.lease";
+    for (const char *pid : {"-1", "4294967297"}) {
+        SCOPED_TRACE(pid);
+        std::ofstream(path) << "pid " << pid << "\n";
+        EXPECT_EQ(leaseHolderPid(path), 0u);
+        std::filesystem::last_write_time(
+            path, std::filesystem::file_time_type::clock::now() -
+                      std::chrono::seconds(30));
+        FileLease lease;
+        EXPECT_TRUE(lease.tryAcquire(path));
+        EXPECT_EQ(leaseHolderPid(path), std::uint64_t(::getpid()));
     }
 }

@@ -22,10 +22,11 @@
  *
  * Exit status: 0 when the run is clean, 1 on failures — inverted by
  * --expect-failure, which is how CI proves the harness catches a
- * deliberately injected enlargement bug.
+ * deliberately injected enlargement bug.  A bad option value (a count
+ * that is not a decimal in range, --runs 0, an unknown oracle) exits
+ * 1; an unknown, repeated or valueless option exits 2 after the usage.
  */
 
-#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "fuzz/gen.hh"
 #include "fuzz/harness.hh"
 #include "fuzz/oracle.hh"
+#include "support/parse.hh"
 
 using namespace bsisa;
 using namespace bsisa::fuzz;
@@ -42,8 +44,9 @@ using namespace bsisa::fuzz;
 namespace
 {
 
+/** Print the usage, then @p error when there is one; exit status 2. */
 int
-usage()
+usage(const std::string &error)
 {
     std::cerr <<
         "usage: bsisa-fuzz [options]\n"
@@ -63,49 +66,18 @@ usage()
         "  --expect-failure invert exit status (harness self-test)\n"
         "  --emit DIR       generate corpus entries into DIR\n"
         "  --replay DIR     replay corpus entries in DIR\n";
+    std::cerr << "bsisa-fuzz: " << error << "\n";
     return 2;
 }
 
-struct Args
-{
-    std::vector<std::pair<std::string, std::string>> options;
-
-    bool
-    has(const std::string &name) const
-    {
-        for (const auto &[key, value] : options)
-            if (key == name)
-                return true;
-        return false;
-    }
-
-    std::string
-    get(const std::string &name, const std::string &def) const
-    {
-        for (const auto &[key, value] : options)
-            if (key == name)
-                return value;
-        return def;
-    }
-
-    std::uint64_t
-    getU64(const std::string &name, std::uint64_t def) const
-    {
-        const std::string v = get(name, "");
-        return v.empty() ? def : std::stoull(v);
-    }
-};
-
 /** Corpus seeding: write (seed, profile) programs + sidecars. */
 int
-cmdEmit(const Args &args, const FuzzOptions &options,
-        const std::string &dir)
+cmdEmit(const FuzzOptions &options, const std::string &dir)
 {
     const std::vector<std::string> profiles =
         options.profile.empty()
             ? genProfileNames()
             : std::vector<std::string>{options.profile};
-    unsigned written = 0;
     for (unsigned i = 0; i < options.runs; ++i) {
         const std::uint64_t seed = options.seed + i;
         const std::string &profile = profiles[i % profiles.size()];
@@ -133,11 +105,9 @@ cmdEmit(const Args &args, const FuzzOptions &options,
                       << name << "\n";
             return 1;
         }
-        ++written;
     }
-    std::cout << "bsisa-fuzz: emitted " << written << " entries to "
+    std::cout << "bsisa-fuzz: emitted " << options.runs << " entries to "
               << dir << "\n";
-    (void)args;
     return 0;
 }
 
@@ -167,11 +137,7 @@ cmdReplay(const FuzzOptions &options, const std::string &dir)
         }
         const Expectation got =
             computeExpectation(compiled.module, options.oracle.limits);
-        if (got.halted != want.halted || got.exit != want.exit ||
-            got.dataChecksum != want.dataChecksum ||
-            got.memChecksum != want.memChecksum ||
-            got.dynOps != want.dynOps ||
-            got.dynBlocks != want.dynBlocks) {
+        if (got != want) {
             std::cerr << "bsisa-fuzz: " << name
                       << ": sidecar mismatch\n";
             ++failures;
@@ -190,71 +156,59 @@ cmdReplay(const FuzzOptions &options, const std::string &dir)
     return failures ? 1 : 0;
 }
 
+constexpr OptionSpec optionTable[] = {
+    {"--seed", true},      {"--runs", true},    {"--oracle", true},
+    {"--profile", true},   {"--minimize"},      {"--corpus", true},
+    {"--inject", true},    {"--max-ops", true}, {"--max-failures", true},
+    {"--expect-failure"},  {"--emit", true},    {"--replay", true},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::vector<std::string> valueOptions = {
-        "--seed", "--runs", "--oracle", "--profile", "--corpus",
-        "--inject", "--max-ops", "--max-failures", "--emit",
-        "--replay",
-    };
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0)
-            return usage();
-        const bool takesValue =
-            std::find(valueOptions.begin(), valueOptions.end(), arg) !=
-            valueOptions.end();
-        std::string value;
-        if (takesValue) {
-            if (i + 1 >= argc)
-                return usage();
-            value = argv[++i];
-        }
-        args.options.emplace_back(arg, value);
-    }
+    CommandLine args;
+    std::string error;
+    if (!parseCommandLine({argv + 1, argv + argc}, optionTable, 0, args,
+                          error))
+        return usage(error);
 
     FuzzOptions options;
-    options.seed = args.getU64("--seed", 1);
-    options.runs = unsigned(args.getU64("--runs", 100));
     options.minimize = args.has("--minimize");
-    options.profile = args.get("--profile", "");
+    options.profile = args.get("--profile");
     options.reproDir = args.get("--corpus", "fuzz-out");
-    options.maxFailures = unsigned(args.getU64("--max-failures", 1));
-    options.oracle.limits.maxOps =
-        args.getU64("--max-ops", 1ull << 20);
-
-    options.mask = parseOracleMask(args.get("--oracle", "all"));
-    if (!options.mask) {
-        std::cerr << "bsisa-fuzz: bad --oracle value\n";
-        return usage();
+    options.oracle.limits.maxOps = 1ull << 20;
+    if (!args.number("--seed", options.seed, error) ||
+        !args.number("--runs", options.runs, error, 1u) ||
+        !args.number("--max-failures", options.maxFailures, error) ||
+        !args.number("--max-ops", options.oracle.limits.maxOps, error)) {
+        std::cerr << "bsisa-fuzz: " << error << "\n";
+        return 1;
     }
-    const std::string inject = args.get("--inject", "");
+
+    const std::string oracle(args.get("--oracle", "all"));
+    options.mask = parseOracleMask(oracle);
+    if (!options.mask) {
+        std::cerr << "bsisa-fuzz: unknown --oracle '" << oracle << "'\n";
+        return 1;
+    }
+    const std::string inject(args.get("--inject"));
     if (!inject.empty()) {
         options.oracle.inject = parseInjectedBug(inject);
         if (options.oracle.inject == InjectedBug::None) {
             std::cerr << "bsisa-fuzz: unknown --inject '" << inject
                       << "'\n";
-            return usage();
+            return 1;
         }
     }
-    if (!options.profile.empty()) {
-        const auto &names = genProfileNames();
-        if (std::find(names.begin(), names.end(), options.profile) ==
-            names.end()) {
-            std::cerr << "bsisa-fuzz: unknown --profile '"
-                      << options.profile << "'\n";
-            return usage();
-        }
-    }
+    if (!options.profile.empty())
+        genProfile(options.profile);  // exits 1 on an unknown name
 
     if (args.has("--emit"))
-        return cmdEmit(args, options, args.get("--emit", ""));
+        return cmdEmit(options, std::string(args.get("--emit")));
     if (args.has("--replay"))
-        return cmdReplay(options, args.get("--replay", ""));
+        return cmdReplay(options, std::string(args.get("--replay")));
 
     const FuzzReport report = fuzzRun(options, std::cout);
     if (args.has("--expect-failure")) {

@@ -8,13 +8,12 @@
  *       Coordinate a full sweep: spawn N worker processes (children
  *       of this one), resume anything they leave behind, verify
  *       completeness, compact the store.  N and K are plain decimal
- *       counts (N at most 256); anything else prints the usage and
- *       exits 2 before any process starts.
+ *       counts (N at most 256).
  *   bsisa-sweep worker <spec> --store DIR [--chunk K] [--trace-dir D]
  *       Run one worker against an existing store.  Independently
  *       launched workers pointed at the same store cooperate through
  *       leases; this is also what `run` spawns.
- *   bsisa-sweep plan <spec>
+ *   bsisa-sweep plan <spec> [--chunk K]
  *       Print the plan: spec digest, units, chunks (no simulation).
  *   bsisa-sweep render <spec> --store DIR
  *       Render the spec's figure from stored results, byte-identical
@@ -24,6 +23,10 @@
  *       the trace-store listing when one is configured.
  *   bsisa-sweep compact --store DIR
  *       Fold all shards into a deterministic snapshot.
+ *
+ * Each subcommand takes only the options listed for it.  Any other
+ * option, a repeated or valueless one, a second spec or a bad count
+ * prints the usage and exits 2 before any process starts.
  *
  * Exit status: 0 on success; with BSISA_EXPECT_WARM set, `run` and
  * `worker` additionally fail if any live functional execution
@@ -35,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <string>
 
 #include "exp/plan.hh"
@@ -43,6 +47,7 @@
 #include "exp/spec.hh"
 #include "sim/interp.hh"
 #include "support/env.hh"
+#include "support/parse.hh"
 
 using namespace bsisa;
 
@@ -52,8 +57,9 @@ namespace
 /** The most worker processes `run` spawns. */
 constexpr std::uint64_t maxWorkers = 256;
 
+/** Print the usage, then @p error when there is one; exit status 2. */
 int
-usage()
+usage(const std::string &error = "")
 {
     std::fprintf(
         stderr,
@@ -62,96 +68,26 @@ usage()
         "         (N and K are decimal counts, N at most %llu)\n"
         "       bsisa-sweep worker <spec> --store DIR [--chunk K] "
         "[--trace-dir DIR]\n"
-        "       bsisa-sweep plan <spec>\n"
+        "       bsisa-sweep plan <spec> [--chunk K]\n"
         "       bsisa-sweep render <spec> --store DIR\n"
         "       bsisa-sweep status --store DIR [--trace-dir DIR]\n"
         "       bsisa-sweep compact --store DIR\n",
         static_cast<unsigned long long>(maxWorkers));
+    if (!error.empty())
+        std::fprintf(stderr, "bsisa-sweep: %s\n", error.c_str());
     return 2;
 }
 
+/** One subcommand's arguments, parsed, and its spec, loaded. */
 struct Cli
 {
-    std::string command;
+    SweepSpec spec;
     std::string specPath;
     std::string storeDir;
-    std::string traceDir;
     std::uint64_t chunk = 0;
-    unsigned workers = 1;
+    std::uint64_t workers = 1;
+    const char *selfExe = "";
 };
-
-/** Parse @p text as an unsigned decimal at most @p max: digits only,
- *  so an empty, signed or trailing-garbage value is rejected rather
- *  than read as a prefix (strtoull reads "-1" as 2^64-1, "4x" as 4
- *  and "abc" as 0). */
-bool
-parseCount(const char *text, std::uint64_t max, std::uint64_t &out)
-{
-    if (*text == '\0')
-        return false;
-    out = 0;
-    for (const char *p = text; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        const unsigned digit = unsigned(*p - '0');
-        if (out > (max - digit) / 10)
-            return false;
-        out = out * 10 + digit;
-    }
-    return true;
-}
-
-bool
-parseCli(int argc, char **argv, Cli &cli)
-{
-    if (argc < 2)
-        return false;
-    cli.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--store") {
-            if (++i >= argc)
-                return false;
-            cli.storeDir = argv[i];
-        } else if (arg == "--trace-dir") {
-            if (++i >= argc)
-                return false;
-            cli.traceDir = argv[i];
-        } else if (arg == "--chunk") {
-            if (++i >= argc)
-                return false;
-            if (!parseCount(argv[i], UINT64_MAX, cli.chunk))
-                return false;
-        } else if (arg == "--workers") {
-            std::uint64_t workers = 0;
-            if (++i >= argc || !parseCount(argv[i], maxWorkers, workers))
-                return false;
-            cli.workers = workers ? unsigned(workers) : 1;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return false;
-        } else if (cli.specPath.empty()) {
-            cli.specPath = arg;
-        } else {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-loadSpec(const Cli &cli, SweepSpec &spec)
-{
-    if (cli.specPath.empty()) {
-        std::fprintf(stderr, "error: missing spec file\n");
-        return false;
-    }
-    std::string error;
-    if (!parseSweepSpecFile(cli.specPath, spec, error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return false;
-    }
-    return true;
-}
 
 /** The BSISA_EXPECT_WARM contract (same as bench_common.hh): any
  *  live functional execution fails the process. */
@@ -172,16 +108,13 @@ enforceExpectWarm()
 int
 cmdPlan(const Cli &cli)
 {
-    SweepSpec spec;
-    if (!loadSpec(cli, spec))
-        return 1;
     SweepPlan plan;
     std::string error;
-    if (!buildPlan(spec, cli.chunk, plan, error)) {
+    if (!buildPlan(cli.spec, cli.chunk, plan, error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 1;
     }
-    std::printf("spec: %s\n", spec.name.c_str());
+    std::printf("spec: %s\n", cli.spec.name.c_str());
     std::printf("digest: %016llx\n",
                 static_cast<unsigned long long>(plan.specDigest));
     std::printf("benchmarks: %zu\n", plan.benches.size());
@@ -195,14 +128,11 @@ cmdPlan(const Cli &cli)
 int
 cmdWorker(const Cli &cli)
 {
-    SweepSpec spec;
-    if (!loadSpec(cli, spec))
-        return 1;
     SweepWorkerOptions opts;
     opts.storeDir = cli.storeDir;
     opts.chunkOverride = cli.chunk;
     opts.log = &std::cerr;
-    const SweepWorkerOutcome outcome = runSweepWorker(spec, opts);
+    const SweepWorkerOutcome outcome = runSweepWorker(cli.spec, opts);
     std::fprintf(stderr,
                  "sweep-worker: units=%zu executed=%zu warm=%zu "
                  "peer-skips=%zu\n",
@@ -214,18 +144,15 @@ cmdWorker(const Cli &cli)
 }
 
 int
-cmdRun(const Cli &cli, const char *argv0)
+cmdRun(const Cli &cli)
 {
-    SweepSpec spec;
-    if (!loadSpec(cli, spec))
-        return 1;
     SweepRunOptions opts;
     opts.storeDir = cli.storeDir;
     opts.chunkOverride = cli.chunk;
-    opts.workers = cli.workers;
-    opts.selfExe = argv0;
+    opts.workers = cli.workers ? unsigned(cli.workers) : 1;
+    opts.selfExe = cli.selfExe;
     opts.specPath = cli.specPath;
-    if (!runSweepCoordinator(spec, opts, std::cerr))
+    if (!runSweepCoordinator(cli.spec, opts, std::cerr))
         return 1;
     return enforceExpectWarm();
 }
@@ -233,68 +160,115 @@ cmdRun(const Cli &cli, const char *argv0)
 int
 cmdRender(const Cli &cli)
 {
-    SweepSpec spec;
-    if (!loadSpec(cli, spec))
-        return 1;
     std::string error;
-    if (!renderSweepFromStore(std::cout, spec, cli.storeDir, error)) {
+    if (!renderSweepFromStore(std::cout, cli.spec, cli.storeDir, error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 1;
     }
     return 0;
 }
 
+int
+cmdStatus(const Cli &cli)
+{
+    printSweepStatus(std::cout, cli.storeDir);
+    return 0;
+}
+
+int
+cmdCompact(const Cli &cli)
+{
+    ResultStore store(cli.storeDir);
+    if (!store.compact()) {
+        std::fprintf(stderr, "error: compaction failed\n");
+        return 1;
+    }
+    return 0;
+}
+
+constexpr OptionSpec runOptions[] = {
+    {"--store", true}, {"--workers", true}, {"--chunk", true},
+    {"--trace-dir", true}};
+constexpr OptionSpec workerOptions[] = {
+    {"--store", true}, {"--chunk", true}, {"--trace-dir", true}};
+constexpr OptionSpec planOptions[] = {{"--chunk", true}};
+constexpr OptionSpec storeOptions[] = {{"--store", true}};
+constexpr OptionSpec statusOptions[] = {
+    {"--store", true}, {"--trace-dir", true}};
+
+/** A subcommand: its name, its options, whether it reads a spec, and
+ *  its body. */
+struct Command
+{
+    std::string_view name;
+    std::span<const OptionSpec> options;
+    bool takesSpec;
+    int (*run)(const Cli &);
+};
+
+constexpr Command commands[] = {
+    {"run", runOptions, true, cmdRun},
+    {"worker", workerOptions, true, cmdWorker},
+    {"plan", planOptions, true, cmdPlan},
+    {"render", storeOptions, true, cmdRender},
+    {"status", statusOptions, false, cmdStatus},
+    {"compact", storeOptions, false, cmdCompact},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Cli cli;
-    if (!parseCli(argc, argv, cli))
+    if (argc < 2)
         return usage();
+    const std::string_view name = argv[1];
+    const Command *command = nullptr;
+    for (const Command &c : commands)
+        if (c.name == name)
+            command = &c;
+    if (!command)
+        return usage("unknown command '" + std::string(name) + "'");
+
+    CommandLine args;
+    Cli cli;
+    std::string error;
+    if (!parseCommandLine({argv + 2, argv + argc}, command->options,
+                          command->takesSpec ? 1 : 0, args, error) ||
+        !args.number("--chunk", cli.chunk, error) ||
+        !args.number("--workers", cli.workers, error, std::uint64_t(0),
+                     maxWorkers))
+        return usage(std::string(name) + ": " + error);
+    cli.storeDir = args.get("--store");
+    cli.selfExe = argv[0];
 
     // --trace-dir is a convenience for BSISA_TRACE_DIR: it applies to
     // this process and is inherited by spawned workers.
-    if (!cli.traceDir.empty()) {
+    const std::string traceDir(args.get("--trace-dir"));
+    if (!traceDir.empty()) {
 #if defined(__unix__) || defined(__APPLE__)
-        ::setenv("BSISA_TRACE_DIR", cli.traceDir.c_str(), 1);
+        ::setenv("BSISA_TRACE_DIR", traceDir.c_str(), 1);
 #else
         static std::string assign;
-        assign = "BSISA_TRACE_DIR=" + cli.traceDir;
+        assign = "BSISA_TRACE_DIR=" + traceDir;
         ::putenv(assign.data());
 #endif
     }
 
-    const bool needsStore = cli.command == "run" ||
-                            cli.command == "worker" ||
-                            cli.command == "render" ||
-                            cli.command == "status" ||
-                            cli.command == "compact";
-    if (needsStore && cli.storeDir.empty()) {
-        std::fprintf(stderr, "error: %s needs --store DIR\n",
-                     cli.command.c_str());
+    if (command->name != "plan" && cli.storeDir.empty()) {
+        std::fprintf(stderr, "error: %s needs --store DIR\n", argv[1]);
         return 2;
     }
-
-    if (cli.command == "plan")
-        return cmdPlan(cli);
-    if (cli.command == "worker")
-        return cmdWorker(cli);
-    if (cli.command == "run")
-        return cmdRun(cli, argv[0]);
-    if (cli.command == "render")
-        return cmdRender(cli);
-    if (cli.command == "status") {
-        printSweepStatus(std::cout, cli.storeDir);
-        return 0;
-    }
-    if (cli.command == "compact") {
-        ResultStore store(cli.storeDir);
-        if (!store.compact()) {
-            std::fprintf(stderr, "error: compaction failed\n");
+    if (command->takesSpec) {
+        if (args.positional.empty()) {
+            std::fprintf(stderr, "error: missing spec file\n");
             return 1;
         }
-        return 0;
+        cli.specPath = args.positional[0];
+        if (!parseSweepSpecFile(cli.specPath, cli.spec, error)) {
+            std::fprintf(stderr, "error: %s\n", error.c_str());
+            return 1;
+        }
     }
-    return usage();
+    return command->run(cli);
 }

@@ -14,6 +14,9 @@
  *                                        events, bytes); defaults to
  *                                        BSISA_TRACE_DIR
  *
+ * --suite-key and --list come first and take no option; a missing
+ * --list or --dir directory exits 1, any other misuse exits 2.
+ *
  * Verification re-runs the exact open path the simulator uses (mmap,
  * header + section checksums, event-stream decode), using the entry's
  * own header as the expected key, so a "ok" entry is by construction
@@ -22,10 +25,12 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
+#include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +39,7 @@
 #include "sim/trace_store.hh"
 #include "support/digest.hh"
 #include "support/parallel.hh"
+#include "support/parse.hh"
 #include "workloads/specmix.hh"
 
 using namespace bsisa;
@@ -41,27 +47,18 @@ using namespace bsisa;
 namespace
 {
 
+/** Print the usage, then @p error; exit status 2. */
 int
-usage()
+usage(const std::string &error)
 {
     std::fprintf(stderr,
                  "usage: bsisa-tracedump [--verify] <entry>...\n"
                  "       bsisa-tracedump [--verify] --dir <store-dir>\n"
                  "       bsisa-tracedump --suite-key\n"
-                 "       bsisa-tracedump --list [store-dir]\n");
+                 "       bsisa-tracedump --list [store-dir]\n"
+                 "bsisa-tracedump: %s\n",
+                 error.c_str());
     return 2;
-}
-
-/** Full open-path verification keyed by the entry's own header. */
-TraceOpenStatus
-verifyEntry(const std::string &path, const TraceFileHeader &h,
-            ExecTrace &out)
-{
-    TraceKey key;
-    key.moduleDigest = h.moduleDigest;
-    key.maxOps = h.maxOps;
-    key.maxBlocks = h.maxBlocks;
-    return openTraceFile(path, key, out);
 }
 
 int
@@ -73,7 +70,9 @@ dumpEntry(const std::string &path, bool quiet)
         return 1;
     }
     ExecTrace trace;
-    const TraceOpenStatus status = verifyEntry(path, h, trace);
+    // Full open-path verification keyed by the entry's own header.
+    const TraceOpenStatus status = openTraceFile(
+        path, TraceKey{h.moduleDigest, h.maxOps, h.maxBlocks}, trace);
     const bool ok = status == TraceOpenStatus::Ok;
     if (quiet) {
         if (!ok)
@@ -136,63 +135,61 @@ printSuiteKey()
     return 0;
 }
 
+constexpr OptionSpec dumpOptions[] = {{"--verify"}, {"--dir", true}};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool quiet = false;
+    // --suite-key and --list are modes that take no option, and --list
+    // one directory; any other first argument dumps entries.
+    const std::string_view mode = argc > 1 ? argv[1] : "";
+    const bool suiteKey = mode == "--suite-key";
+    const bool list = mode == "--list";
+    const bool dump = !suiteKey && !list;
+    CommandLine args;
+    std::string error;
+    if (!parseCommandLine({argv + (dump ? 1 : 2), argv + argc},
+                          dump ? dumpOptions : std::span<const OptionSpec>(),
+                          dump ? SIZE_MAX : list ? 1 : 0, args, error))
+        return usage(dump ? error : std::string(mode) + ": " + error);
+    if (suiteKey)
+        return printSuiteKey();
+
     std::vector<std::string> paths;
-    std::string dir;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--verify") {
-            quiet = true;
-        } else if (arg == "--suite-key") {
-            return printSuiteKey();
-        } else if (arg == "--list") {
-            // Shared with `bsisa-sweep status`: the same listing code
-            // renders both tools' view of a store directory.
-            const std::string listDir =
-                i + 1 < argc ? argv[++i]
-                             : TraceStore::fromEnv().directory();
-            if (listDir.empty()) {
-                std::fprintf(stderr,
-                             "--list needs a directory (argument or "
-                             "BSISA_TRACE_DIR)\n");
-                return 2;
-            }
-            std::ostringstream os;
-            printTraceStoreListing(os, listDir);
-            std::fputs(os.str().c_str(), stdout);
-            return 0;
-        } else if (arg == "--dir") {
-            if (++i >= argc)
-                return usage();
-            dir = argv[i];
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            paths.push_back(arg);
-        }
-    }
+    std::string dir(args.get("--dir"));
+    if (list)
+        dir = args.positional.empty() ? TraceStore::fromEnv().directory()
+                                      : args.positional[0];
+    else
+        paths = args.positional;
+    if (list && dir.empty())
+        return usage("--list needs a directory (argument or "
+                     "BSISA_TRACE_DIR)");
     if (!dir.empty()) {
         std::error_code ec;
-        for (const auto &entry :
-             std::filesystem::directory_iterator(dir, ec)) {
-            if (entry.path().extension() == ".bstrace")
-                paths.push_back(entry.path().string());
-        }
+        const std::filesystem::directory_iterator entries(dir, ec);
         if (ec) {
             std::fprintf(stderr, "%s: cannot list directory\n",
                          dir.c_str());
             return 1;
         }
+        if (list) {
+            // Shared with `bsisa-sweep status`: the same listing code
+            // renders both tools' view of a store directory.
+            printTraceStoreListing(std::cout, dir);
+            return 0;
+        }
+        for (const auto &entry : entries)
+            if (entry.path().extension() == ".bstrace")
+                paths.push_back(entry.path().string());
         std::sort(paths.begin(), paths.end());
     }
     if (paths.empty())
-        return usage();
+        return usage("no trace entries given");
 
+    const bool quiet = args.has("--verify");
     int bad = 0;
     for (std::size_t i = 0; i < paths.size(); ++i) {
         if (i && !quiet)

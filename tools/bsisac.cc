@@ -18,17 +18,18 @@
  *
  * Inputs ending in .ir are parsed as the textual IR (see
  * src/ir/textform.hh); anything else is treated as BlockC source.
+ * An option another subcommand takes, a repeated or valueless option
+ * and a second input are usage errors (exit 2); a flag value its
+ * config key rejects exits 1.
  */
 
-#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <initializer_list>
 #include <iostream>
-#include <sstream>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "codegen/layout.hh"
 #include "core/enlarge.hh"
@@ -39,6 +40,7 @@
 #include "ir/textform.hh"
 #include "ir/verifier.hh"
 #include "sim/interp.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 
 using namespace bsisa;
@@ -46,8 +48,9 @@ using namespace bsisa;
 namespace
 {
 
+/** Print the usage, then @p error when there is one; exit status 2. */
 int
-usage()
+usage(const std::string &error = "")
 {
     std::cerr <<
         "usage: bsisac <command> <input> [options]\n"
@@ -57,27 +60,9 @@ usage()
         " [--perfect-bp] [--stats]\n"
         "  enlarge <in.bc|in.ir> [--max-ops-per-block N]"
         " [--max-faults N]\n";
+    if (!error.empty())
+        std::cerr << "bsisac: " << error << "\n";
     return 2;
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
 }
 
 /** Load a module from BlockC source or textual IR. */
@@ -86,11 +71,11 @@ loadModule(const std::string &path, const CompileOptions &options,
            Module &out)
 {
     std::string text;
-    if (!readFile(path, text)) {
+    if (!readWholeFile(path, text)) {
         std::cerr << "bsisac: cannot read '" << path << "'\n";
         return false;
     }
-    if (endsWith(path, ".ir")) {
+    if (path.ends_with(".ir")) {
         ParseModuleResult parsed = parseModuleText(text);
         if (!parsed.ok) {
             std::cerr << "bsisac: " << path << ": " << parsed.error
@@ -117,55 +102,6 @@ loadModule(const std::string &path, const CompileOptions &options,
     return true;
 }
 
-/** Pull "--flag value" / "--flag" style options out of argv. */
-struct Args
-{
-    std::vector<std::string> positional;
-    std::vector<std::pair<std::string, std::string>> options;
-
-    bool
-    has(const std::string &name) const
-    {
-        for (const auto &[key, value] : options)
-            if (key == name)
-                return true;
-        return false;
-    }
-
-    std::string
-    get(const std::string &name, const std::string &def) const
-    {
-        for (const auto &[key, value] : options)
-            if (key == name)
-                return value;
-        return def;
-    }
-};
-
-/** A switch (an option not in @p valueOptions) has the value
- *  "true". */
-Args
-parseArgs(int argc, char **argv, int first,
-          const std::vector<std::string> &valueOptions)
-{
-    Args args;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) == 0 || arg == "-o") {
-            const bool takes_value =
-                std::find(valueOptions.begin(), valueOptions.end(),
-                          arg) != valueOptions.end();
-            std::string value = takes_value ? "" : "true";
-            if (takes_value && i + 1 < argc)
-                value = argv[++i];
-            args.options.emplace_back(arg, value);
-        } else {
-            args.positional.push_back(arg);
-        }
-    }
-    return args;
-}
-
 /** An option that sets a config key, and the key's value when the
  *  option is absent ("": the RunConfig default). */
 struct ConfigFlag
@@ -179,14 +115,15 @@ struct ConfigFlag
  *  so a bad value is a "<key>: expected ..." error rather than an
  *  exception or a panic. */
 bool
-applyFlags(const Args &args, std::initializer_list<ConfigFlag> flags,
+applyFlags(const CommandLine &args, std::initializer_list<ConfigFlag> flags,
            RunConfig &config)
 {
     std::string error;
     for (const ConfigFlag &flag : flags) {
         if ((args.has(flag.option) || *flag.fallback) &&
             !applyConfigKey(config, flag.key,
-                            args.get(flag.option, flag.fallback), error))
+                            std::string(args.get(flag.option, flag.fallback)),
+                            error))
             break;
     }
     if (error.empty() && checkConfigGeometry(config, error))
@@ -199,7 +136,7 @@ applyFlags(const Args &args, std::initializer_list<ConfigFlag> flags,
 constexpr ConfigFlag maxOpsFlag{"--max-ops", "max_ops", "1000000000"};
 
 int
-cmdCompile(const Args &args)
+cmdCompile(const CommandLine &args)
 {
     CompileOptions options;
     options.optimize = !args.has("--no-opt");
@@ -207,7 +144,7 @@ cmdCompile(const Args &args)
     Module module;
     if (!loadModule(args.positional[0], options, module))
         return 1;
-    const std::string out_path = args.get("-o", "");
+    const std::string out_path(args.get("-o"));
     if (out_path.empty()) {
         std::cout << moduleToText(module);
     } else {
@@ -225,7 +162,7 @@ cmdCompile(const Args &args)
 }
 
 int
-cmdRun(const Args &args)
+cmdRun(const CommandLine &args)
 {
     Module module;
     if (!loadModule(args.positional[0], CompileOptions{}, module))
@@ -244,7 +181,7 @@ cmdRun(const Args &args)
 }
 
 int
-cmdSim(const Args &args)
+cmdSim(const CommandLine &args)
 {
     Module module;
     if (!loadModule(args.positional[0], CompileOptions{}, module))
@@ -313,7 +250,7 @@ cmdSim(const Args &args)
 }
 
 int
-cmdEnlarge(const Args &args)
+cmdEnlarge(const CommandLine &args)
 {
     Module module;
     if (!loadModule(args.positional[0], CompileOptions{}, module))
@@ -346,28 +283,49 @@ cmdEnlarge(const Args &args)
     return 0;
 }
 
+constexpr OptionSpec compileOptions[] = {
+    {"-o", true}, {"--no-opt"}, {"--no-ra"}};
+constexpr OptionSpec runOptions[] = {{"--max-ops", true}};
+constexpr OptionSpec simOptions[] = {
+    {"--max-ops", true}, {"--icache", true}, {"--perfect-bp"},
+    {"--stats"}};
+constexpr OptionSpec enlargeOptions[] = {
+    {"--max-ops-per-block", true}, {"--max-faults", true}};
+
+/** A subcommand: its name, the options it takes, and its body. */
+struct Command
+{
+    std::string_view name;
+    std::span<const OptionSpec> options;
+    int (*run)(const CommandLine &);
+};
+
+constexpr Command commands[] = {
+    {"compile", compileOptions, cmdCompile},
+    {"run", runOptions, cmdRun},
+    {"sim", simOptions, cmdSim},
+    {"enlarge", enlargeOptions, cmdEnlarge},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 3)
+    if (argc < 2)
         return usage();
-    const std::string command = argv[1];
-    const Args args = parseArgs(
-        argc, argv, 2,
-        {"-o", "--max-ops", "--icache", "--max-ops-per-block",
-         "--max-faults"});
-    if (args.positional.empty())
-        return usage();
-
-    if (command == "compile")
-        return cmdCompile(args);
-    if (command == "run")
-        return cmdRun(args);
-    if (command == "sim")
-        return cmdSim(args);
-    if (command == "enlarge")
-        return cmdEnlarge(args);
-    return usage();
+    const std::string_view name = argv[1];
+    for (const Command &command : commands) {
+        if (command.name != name)
+            continue;
+        CommandLine args;
+        std::string error;
+        if (!parseCommandLine({argv + 2, argv + argc}, command.options,
+                              1, args, error))
+            return usage(std::string(name) + ": " + error);
+        if (args.positional.empty())
+            return usage(std::string(name) + ": missing input file");
+        return command.run(args);
+    }
+    return usage("unknown command '" + std::string(name) + "'");
 }
