@@ -234,12 +234,12 @@ BENCHMARK(BM_PairSweep_CaptureReplayParallel)
  * once per config, exactly as the figure drivers did before batching;
  * the lockstep path walks the trace once and advances all sixteen
  * machine lanes per event, sharing the config-independent translation
- * plus one predictor per identical-predictor group, one dcache
- * hit/miss stream per dcache geometry, and one icache model per
- * geometry within a group (effectively identical configs collapse to
- * a single lane).  Items/s is simulated operations per second summed
- * over the grid, so lockstep/independent is directly the sweep
- * speedup recorded in BENCH_PR6.json.
+ * plus one predictor per identical-predictor group and one dcache
+ * hit/miss stream per dcache geometry, while every lane runs its own
+ * icache (effectively identical configs collapse to a single lane).
+ * Items/s is simulated operations per second summed over the grid,
+ * so lockstep/independent is directly the sweep speedup recorded in
+ * BENCH_PR6.json.
  */
 std::vector<MachineConfig>
 benchGrid16()

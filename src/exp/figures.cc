@@ -36,6 +36,7 @@
 #include "arch/operation.hh"
 #include "cache/trace_cache.hh"
 #include "exp/plan.hh"
+#include "exp/spec.hh"
 #include "sim/trace_store.hh"
 #include "support/env.hh"
 #include "support/parallel.hh"
@@ -63,9 +64,14 @@ baseConfig(const SpecBenchmark &bench)
     // BSISA_TIMING_MODEL=ooo re-runs every figure driver on the
     // out-of-order backend (sim/ooo); traces are model-independent,
     // so both models replay the same store entries.  Routing the
-    // knob through here covers every driver at once.
-    if (envString("BSISA_TIMING_MODEL", "abstract") == "ooo")
-        config.machine.timingModel = TimingModel::Ooo;
+    // knob through here covers every driver at once, and parsing it
+    // through the timing_model row makes a misspelt model an error
+    // rather than a silent abstract run.
+    std::string error;
+    if (!applyConfigKey(config, "timing_model",
+                        envString("BSISA_TIMING_MODEL", "abstract"),
+                        error))
+        fatal("environment variable BSISA_TIMING_MODEL: ", error);
     return config;
 }
 

@@ -130,10 +130,13 @@ runTraceCache(const Module &module, const MachineConfig &machine,
 // timing lanes from every group step as fused full-width batches
 // (sim/lockstep.hh).  A single abstract lane goes through the
 // singleton replay instead, which runs the same fetch walk without
-// the batch layout: on the paper-figures suite at the default scale
-// a one-lane lockstep run measured 32.0 Mop/s (BSA) and 41.1 Mop/s
-// (conv) against 33.4 and 46.5 for the singleton (4-vCPU Xeon, one
-// pinned core, best of 5 per benchmark, bit-equal results).
+// the batch layout: over the eight suite benchmarks at the default
+// scale on the default machine, with traces, layouts and decoded
+// programs built beforehand, the singleton took a median 0.336 s
+// (conv) and 0.474 s (BSA) against 0.375 s and 0.498 s for a
+// one-lane lockstepConventional / lockstepBlockStructured run, and
+// was faster in 10 of 12 alternating repetitions on each machine
+// (4-vCPU Xeon, one pinned core, bit-equal results).
 
 std::vector<SimResult>
 runConventionalBatch(const Module &module,

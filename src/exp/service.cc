@@ -487,9 +487,17 @@ printSweepStatus(std::ostream &os, const std::string &storeDir)
     for (const std::string &path : leases) {
         const std::uint64_t pid = leaseHolderPid(path);
         os << "lease: "
-           << std::filesystem::path(path).filename().string()
-           << " holder pid " << pid << " ("
-           << (processAlive(pid) ? "alive" : "dead") << ")\n";
+           << std::filesystem::path(path).filename().string();
+        if (pid == 0) {
+            // No holder to probe: workers honour it for the grace
+            // period, then break it as stale.
+            os << " malformed (honoured until its "
+               << malformedLeaseGrace.count()
+               << " s grace period ends)\n";
+        } else {
+            os << " holder pid " << pid << " ("
+               << (processAlive(pid) ? "alive" : "dead") << ")\n";
+        }
     }
     for (const std::string &path : markers) {
         std::vector<std::uint64_t> keys;

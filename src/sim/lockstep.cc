@@ -127,23 +127,6 @@ LanePipelines::LanePipelines(const MachineConfig *cfgs,
     prevDone.assign(prevRows * stride, 0);
     scrEarliest.assign(chunkLanes, 0);
     scrUnitDone.assign(chunkLanes, 0);
-    icacheLeaderOf.assign(laneCount, -1);
-    icacheEcho.resize(laneCount);
-    stepSeq.assign(laneCount, 0);
-}
-
-void
-LanePipelines::shareIcache(std::size_t leader, std::size_t follower)
-{
-    BSISA_ASSERT(leader != follower);
-    BSISA_ASSERT(icacheLeaderOf[leader] < 0,
-                 "icache leader must not itself be a follower");
-    BSISA_ASSERT(leader < follower,
-                 "leader must step before its follower: batches step "
-                 "lanes in ascending order");
-    BSISA_ASSERT(configs[leader].icache == configs[follower].icache,
-                 "icache sharing requires identical geometry");
-    icacheLeaderOf[follower] = static_cast<std::int32_t>(leader);
 }
 
 void
@@ -153,7 +136,6 @@ LanePipelines::shareDcachePool(const std::uint64_t *addrs,
     dcachePool = addrs;
     dcachePoolCount = count;
     dcacheStreamOf.assign(configs.size(), -1);
-    dcacheCursor.assign(configs.size(), 0);
     dcacheStreams.clear();
 
     // One precomputed pool walk per distinct dcache geometry.
@@ -181,22 +163,17 @@ LanePipelines::shareDcachePool(const std::uint64_t *addrs,
 }
 
 void
-LanePipelines::privatizeDcache(std::size_t lane)
+LanePipelines::privatizeDcache(std::size_t lane, const TimingUnit &unit)
 {
     const std::int32_t ds = dcacheStreamOf[lane];
     BSISA_ASSERT(ds >= 0);
-    if (dcacheCursor[lane] == dcachePoolCount) {
-        // Pool fully consumed: adopt the stream's final state and
-        // statistics wholesale.
-        dcaches[lane] = dcacheStreams[ds].cache;
-    } else {
-        // The lane left the shared order early (possible only for
-        // unit shapes no current driver produces): replay its exact
-        // prefix so the fork point is still bit-identical.
-        dcaches[lane] = Cache(configs[lane].dcache);
-        for (std::size_t i = 0; i < dcacheCursor[lane]; ++i)
-            dcaches[lane].access(dcachePool[i]);
-    }
+    // Units tile the pool in stream order, so only the pool's last
+    // unit can hold mem ops past its span, and by then the lane has
+    // read every pool access: adopt the stream's final state and
+    // statistics wholesale.
+    BSISA_ASSERT(poolIndex(unit) + unit.memCount == dcachePoolCount,
+                 "a lane left its dcache stream before the pool's end");
+    dcaches[lane] = dcacheStreams[ds].cache;
     dcacheStreamOf[lane] = -1;
 }
 
@@ -252,99 +229,47 @@ std::uint64_t
 LanePipelines::fetchPhase(std::size_t lane, const TimingUnit &unit,
                           const RedirectInfo &redirect)
 {
-    BSISA_ASSERT(unit.ops && unit.opCount > 0);
     const MachineConfig &cfg = configs[lane];
     LaneState &st = lanes[lane];
-    SimResult &res = results[lane];
-    Cache &icache = icaches[lane];
-    const std::int32_t icl = icacheLeaderOf[lane];
-    ++stepSeq[lane];
-
-    std::uint64_t fetch = st.lastFetch + 1;
-    const std::uint64_t fetch_base = fetch;
-
-    if (redirect.mispredicted) {
-        std::uint64_t resolve;
-        if (redirect.resolveInWrongBlock) {
-            // A fault in the wrong block resolves the mispredict;
-            // its ops must be issued to find out.
-            BSISA_ASSERT(redirect.wrongOps);
-            // The wrong block was fetched in place of this one.
-            if (icl < 0)
-                icache.accessRange(redirect.wrongPc,
-                                   redirect.wrongBytes);
-            resolve = scheduleWrongPath(lane, redirect.wrongOps,
-                                        redirect.wrongOpCount,
-                                        redirect.resolveOpIdx, fetch,
-                                        ~0ull);
-        } else {
-            // The previous unit's terminator resolves it.
-            resolve =
-                st.prevCount == 0
-                    ? fetch
-                    : prevRow(redirect.resolveOpIdx)[lane];
-            if (redirect.wrongOps) {
-                if (icl < 0)
-                    icache.accessRange(redirect.wrongPc,
-                                       redirect.wrongBytes);
-                scheduleWrongPath(lane, redirect.wrongOps,
-                                  redirect.wrongOpCount, 0, fetch,
-                                  resolve);
-            }
-        }
-        std::uint64_t redirected = resolve + 1 + cfg.redirectPenalty;
-        redirected += std::uint64_t(redirect.extraHops) *
-                      (cfg.redirectPenalty + 1);
-        fetch = std::max(fetch, redirected);
-    }
-    res.stallRedirect += fetch - fetch_base;
-    const std::uint64_t fetch_after_redirect = fetch;
-
-    // Window occupancy: wait for room.
     Inflight *ring = inflightOf(lane);
     const std::uint32_t cap = inflightBase[lane + 1] -
                               inflightBase[lane];
-    auto ring_size = [&]() -> std::uint32_t {
-        return st.inflightTail >= st.inflightHead
-                   ? st.inflightTail - st.inflightHead
-                   : st.inflightTail + cap - st.inflightHead;
+
+    // Window occupancy: retire what has left by @p fetch, then wait
+    // for room.
+    auto wait_room = [&](std::uint64_t fetch) {
+        auto ring_size = [&]() -> std::uint32_t {
+            return st.inflightTail >= st.inflightHead
+                       ? st.inflightTail - st.inflightHead
+                       : st.inflightTail + cap - st.inflightHead;
+        };
+        while (st.inflightHead != st.inflightTail &&
+               ring[st.inflightHead].retire <= fetch) {
+            st.inflightOps -= ring[st.inflightHead].ops;
+            if (++st.inflightHead == cap)
+                st.inflightHead = 0;
+        }
+        while (ring_size() >= cfg.windowUnits ||
+               st.inflightOps + unit.opCount > cfg.windowOps) {
+            BSISA_ASSERT(st.inflightHead != st.inflightTail,
+                         "unit larger than the whole window");
+            fetch = std::max(fetch, ring[st.inflightHead].retire);
+            st.inflightOps -= ring[st.inflightHead].ops;
+            if (++st.inflightHead == cap)
+                st.inflightHead = 0;
+        }
+        return fetch;
     };
-    while (st.inflightHead != st.inflightTail &&
-           ring[st.inflightHead].retire <= fetch) {
-        st.inflightOps -= ring[st.inflightHead].ops;
-        if (++st.inflightHead == cap)
-            st.inflightHead = 0;
-    }
-    const unsigned unit_ops = unit.opCount;
-    while (ring_size() >= cfg.windowUnits ||
-           st.inflightOps + unit_ops > cfg.windowOps) {
-        BSISA_ASSERT(st.inflightHead != st.inflightTail,
-                     "unit larger than the whole window");
-        fetch = std::max(fetch, ring[st.inflightHead].retire);
-        st.inflightOps -= ring[st.inflightHead].ops;
-        if (++st.inflightHead == cap)
-            st.inflightHead = 0;
-    }
-
-    res.stallWindow += fetch - fetch_after_redirect;
-
-    // Instruction cache: any missing line stalls the fetch for one
-    // L2 round trip (lines fill in parallel from the perfect L2).
-    unsigned missing = 0;
-    if (icl >= 0) {
-        BSISA_ASSERT(icacheEcho[icl].seq == stepSeq[lane],
-                     "icache follower out of lockstep");
-        missing = icacheEcho[icl].unitMissing;
-    } else {
-        if (!unit.skipIcache)
-            missing = icache.accessRange(unit.pc, unit.bytes);
-        icacheEcho[lane].seq = stepSeq[lane];
-        icacheEcho[lane].unitMissing = missing;
-    }
-    if (missing > 0) {
-        fetch += cfg.l2Latency;
-        res.stallIcache += cfg.l2Latency;
-    }
+    const std::uint64_t fetch = frontEndFetch(
+        cfg, icaches[lane], results[lane], st.lastFetch,
+        st.prevCount != 0, unit, redirect,
+        [&](unsigned op) { return prevRow(op)[lane]; },
+        [&](const DecodedOp *ops, std::uint32_t n, unsigned mustRunIdx,
+            std::uint64_t fetchCycle, std::uint64_t squashCutoff) {
+            return scheduleWrongPath(lane, ops, n, mustRunIdx, fetchCycle,
+                                     squashCutoff);
+        },
+        wait_room);
 
     st.lastFetch = fetch;
     slots[lane].advanceTo(fetch);
@@ -421,10 +346,10 @@ LanePipelines::stepOneLane(std::size_t lane, const TimingUnit &unit,
                                         ? -1
                                         : dcacheStreamOf[lane];
             if (ds >= 0 && mem_idx < unit.memCount) {
-                hit = dcacheStreams[ds].hit[dcacheCursor[lane]++] != 0;
+                hit = dcacheStreams[ds].hit[poolIndex(unit) + mem_idx] != 0;
             } else {
                 if (ds >= 0)
-                    privatizeDcache(lane);
+                    privatizeDcache(lane, unit);
                 const std::uint64_t addr =
                     mem_idx < unit.memCount ? unit.memAddrs[mem_idx]
                                             : 0;
@@ -466,10 +391,10 @@ LanePipelines::memAccessMask(std::size_t first, std::size_t n,
             dcacheStreamOf.empty() ? -1 : dcacheStreamOf[lane];
         bool hit;
         if (ds >= 0 && in_pool) {
-            hit = dcacheStreams[ds].hit[dcacheCursor[lane]++] != 0;
+            hit = dcacheStreams[ds].hit[poolIndex(unit) + memIdx] != 0;
         } else {
             if (ds >= 0)
-                privatizeDcache(lane);
+                privatizeDcache(lane, unit);
             hit = dcaches[lane].access(addr);
         }
         miss |= std::uint64_t(!hit) << l;
@@ -486,8 +411,6 @@ LanePipelines::opMajorChunk(std::size_t first, std::size_t n,
     std::uint64_t *earliest = scrEarliest.data();
     std::uint64_t *unit_done = scrUnitDone.data();
 
-    // Fetch phases run in ascending lane order (icache followers echo
-    // their lower-indexed leader's outcome).
     for (std::size_t l = 0; l < n; ++l) {
         earliest[l] = fetchPhase(
             first + l, unit,
@@ -506,34 +429,27 @@ LanePipelines::opMajorChunk(std::size_t first, std::size_t n,
     if (scrMiss.size() < n_mem)
         scrMiss.resize(n_mem);
     if (n_mem > 0) {
-        // Batched lanes usually share one dcache stream at the same
-        // cursor (same geometry, same units consumed since
-        // construction), and mem op m of this unit reads stream byte
-        // cursor + m on every lane.  One byte read then serves the
-        // whole batch: broadcast miss to all lanes, advance every
-        // cursor by the unit's mem-op count.
+        // Batched lanes usually share one dcache stream (same
+        // geometry), and mem op m of this unit reads the stream at
+        // the unit's pool offset + m on every lane.  One byte read
+        // then serves the whole batch: broadcast miss to all lanes.
         bool uniform = n_mem <= unit.memCount &&
                        !dcacheStreamOf.empty();
         std::int32_t ds0 = -1;
         if (uniform) {
             ds0 = dcacheStreamOf[first];
             uniform = ds0 >= 0;
-            for (std::size_t l = 1; uniform && l < n; ++l) {
-                uniform = dcacheStreamOf[first + l] == ds0 &&
-                          dcacheCursor[first + l] ==
-                              dcacheCursor[first];
-            }
+            for (std::size_t l = 1; uniform && l < n; ++l)
+                uniform = dcacheStreamOf[first + l] == ds0;
         }
         if (uniform) {
             const std::uint64_t full =
                 n >= 64 ? ~std::uint64_t(0)
                         : (std::uint64_t(1) << n) - 1;
             const std::uint8_t *hit =
-                dcacheStreams[ds0].hit.data() + dcacheCursor[first];
+                dcacheStreams[ds0].hit.data() + poolIndex(unit);
             for (std::uint32_t m = 0; m < n_mem; ++m)
                 scrMiss[m] = hit[m] ? 0 : full;
-            for (std::size_t l = 0; l < n; ++l)
-                dcacheCursor[first + l] += n_mem;
         } else {
             for (std::uint32_t m = 0; m < n_mem; ++m)
                 scrMiss[m] = memAccessMask(first, n, unit, m);
@@ -575,8 +491,7 @@ LanePipelines::stepBatch(std::size_t first, std::size_t count,
         return;
     }
     // The per-op dcache miss mask is one word wide, so op-major
-    // passes advance at most chunkLanes lanes at a time.  Ascending
-    // chunk order keeps icache leaders ahead of their followers.
+    // passes advance at most chunkLanes lanes at a time.
     for (std::size_t base = 0; base < count; base += chunkLanes) {
         opMajorChunk(first + base,
                      std::min<std::size_t>(chunkLanes, count - base),
@@ -588,23 +503,13 @@ SimResult
 LanePipelines::takeResult(std::size_t lane) const
 {
     SimResult result = results[lane];
-    const std::int32_t icl = icacheLeaderOf[lane];
-    result.icache =
-        icaches[icl >= 0 ? std::size_t(icl) : lane].stats();
+    result.icache = icaches[lane].stats();
+    // A lane still on its shared stream has read the whole pool, so
+    // its statistics are the stream cache's.
     const std::int32_t ds =
         dcacheStreamOf.empty() ? -1 : dcacheStreamOf[lane];
-    if (ds >= 0) {
-        // Still on the shared stream: the lane's statistics are the
-        // outcome counts of the pool prefix it consumed.
-        const DcacheStream &stream = dcacheStreams[ds];
-        CacheStats stats;
-        stats.accesses = dcacheCursor[lane];
-        for (std::size_t i = 0; i < dcacheCursor[lane]; ++i)
-            stats.misses += stream.hit[i] ? 0 : 1;
-        result.dcache = stats;
-    } else {
-        result.dcache = dcaches[lane].stats();
-    }
+    result.dcache = ds >= 0 ? dcacheStreams[ds].cache.stats()
+                            : dcaches[lane].stats();
     return result;
 }
 
@@ -703,8 +608,8 @@ predictionGroups(const std::vector<MachineConfig> &machines)
  *
  * Lanes never interact inside LanePipelines, so relabelling them
  * cannot change any per-config result; within a group the members
- * keep their input order, so leader choices (predictor seed, icache
- * leader) are unchanged too.
+ * keep their input order, so the leader whose config seeds the
+ * group's walker is unchanged too.
  */
 struct GroupedLanes
 {
@@ -730,25 +635,6 @@ groupLanes(const std::vector<MachineConfig> &machines)
         g.groups.push_back(std::move(lanes));
     }
     return g;
-}
-
-/** Within one prediction group every lane fetches the same units and
- *  the same wrong paths in the same step order, so lanes sharing an
- *  icache geometry share one cache model: the group's first such lane
- *  leads, later ones echo its per-step outcome. */
-void
-shareGroupIcaches(LanePipelines &pipes,
-                  const std::vector<MachineConfig> &configs,
-                  const std::vector<std::size_t> &group)
-{
-    for (std::size_t i = 1; i < group.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (configs[group[i]].icache == configs[group[j]].icache) {
-                pipes.shareIcache(group[j], group[i]);
-                break;
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------ engine
@@ -939,8 +825,6 @@ LockstepEngine<Walker>::run()
     const std::size_t n = machines.size();
     LanePipelines pipes(machines.data(), n);
     pipes.shareDcachePool(trace.memAddrs, trace.memAddrCount);
-    for (const Group &group : groups)
-        shareGroupIcaches(pipes, machines, group.lanes);
 
     LockstepFetchStats &fs = lockstepFetchStatsSlot();
     fs = LockstepFetchStats{};

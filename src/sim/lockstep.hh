@@ -100,12 +100,13 @@ namespace bsisa
  * Structure-of-arrays pipeline state for N config lanes.
  *
  * Each lane is one complete machine — issue slots, register
- * scoreboard, instruction window, icache/dcache, wrong-path rename
- * scoreboard, cycle counters.  Lanes never interact: any interleaving
- * of step()/stepBatch() calls across lanes produces the same per-lane
- * results, so batch drivers are free to advance lanes event-by-event
- * (sharing each hot unit) while simulatePipeline drives a single lane
- * to completion.
+ * scoreboard, instruction window, its own icache and dcache (the
+ * dcache read from a shared stream until the pool's end, see
+ * shareDcachePool), wrong-path rename scoreboard, cycle counters.
+ * Lanes never interact: any interleaving of step()/stepBatch() calls
+ * across lanes produces the same per-lane results, so batch drivers
+ * are free to advance lanes event-by-event (sharing each hot unit)
+ * while simulatePipeline drives a single lane to completion.
  *
  * Scoreboard pools (register-ready, wrong-path ready/stamp, previous
  * unit completion times) are register-major: row r holds slot r of
@@ -130,29 +131,15 @@ class LanePipelines
      * of pool access #i is a pure function of the dcache geometry,
      * not of the lane.  Replay drivers pass the pool here and lanes
      * with identical dcache configs then share one precomputed
-     * hit/miss stream instead of running one cache model each.
-     * Accesses past the pool (ops of a final unit truncated by the op
-     * budget read address 0) and any out-of-order consumption fork
-     * the lane an exact private cache, so results stay bit-identical
-     * to the unshared path by construction.  Do not enable for
-     * sources that can revisit or reorder pool addresses.
+     * hit/miss stream instead of running one cache model each: mem
+     * op m of a unit reads the stream at its pool offset,
+     * (unit.memAddrs - addrs) + m.  Only ops past the pool's end (a
+     * final unit truncated by the op budget reads address 0) fork the
+     * lane a private cache, a copy of the stream's final state, so
+     * results stay bit-identical to the unshared path.  Units must
+     * slice this pool, and tile it in stream order.
      */
     void shareDcachePool(const std::uint64_t *addrs, std::size_t count);
-
-    /**
-     * Declare @p follower's icache access stream identical to
-     * @p leader's, so the follower reuses the leader's per-step
-     * icache outcome instead of running its own cache model.
-     *
-     * Valid only when both lanes see the same units and the same
-     * redirects in the same step order (same prediction group) and
-     * their icache geometries match, and the caller must step the
-     * leader before the follower in every round — both are asserted
-     * per step via lockstep sequence numbers.  stepBatch() steps
-     * lanes in ascending order, so a leader below its follower in the
-     * same batch range always satisfies the ordering.
-     */
-    void shareIcache(std::size_t leader, std::size_t follower);
 
     /** Advance @p lane alone by its next fetch unit. */
     void step(std::size_t lane, const TimingUnit &unit);
@@ -206,9 +193,9 @@ class LanePipelines
     static constexpr std::size_t chunkLanes = 64;
 
     // ------------------------------------------------- phase helpers
-    /** Fetch phase: redirect resolution (incl. wrong-path issue),
-     *  window-occupancy wait, icache access.  Returns the earliest
-     *  schedule cycle (fetch + frontendDepth). */
+    /** Fetch phase: the shared front end (frontEndFetch) over this
+     *  lane's window and scoreboards.  Returns the earliest schedule
+     *  cycle (fetch + frontendDepth). */
     std::uint64_t fetchPhase(std::size_t lane, const TimingUnit &unit,
                              const RedirectInfo &redirect);
 
@@ -216,7 +203,7 @@ class LanePipelines
     void retirePhase(std::size_t lane, std::uint32_t unitOps,
                      std::uint64_t unitDone);
 
-    /** Wrong-path scheduling (see pipeline.cc's model comment). */
+    /** Wrong-path scheduling: frontEndFetch's wrongPath step. */
     std::uint64_t scheduleWrongPath(std::size_t lane,
                                     const DecodedOp *ops,
                                     std::uint32_t n,
@@ -245,17 +232,24 @@ class LanePipelines
 
     /** One distinct dcache geometry's precomputed pool walk: the
      *  per-access hit/miss stream plus the cache's final state (the
-     *  seed for a lane's private tail fork). */
+     *  seed for a lane's private tail fork, and the statistics of a
+     *  lane that never forks). */
     struct DcacheStream
     {
         Cache cache;
         std::vector<std::uint8_t> hit;
     };
 
-    /** Leave the shared dcache stream: seed the lane's private cache
-     *  with the stream state at its cursor (final state when the pool
-     *  is fully consumed, an exact prefix replay otherwise). */
-    void privatizeDcache(std::size_t lane);
+    /** Leave the shared dcache stream past the pool's end, in
+     *  @p unit (the pool's last unit): the lane's private cache
+     *  starts from the stream's final state. */
+    void privatizeDcache(std::size_t lane, const TimingUnit &unit);
+
+    /** Pool offset of @p unit's address span (shared streams only). */
+    std::size_t poolIndex(const TimingUnit &unit) const
+    {
+        return std::size_t(unit.memAddrs - dcachePool);
+    }
 
     /** Row of scoreboard slot @p r: element @p lane is that lane's
      *  value (register-major layout, stride elements per row). */
@@ -305,21 +299,8 @@ class LanePipelines
      *  per-lane cache models run privately. */
     std::vector<DcacheStream> dcacheStreams;
     std::vector<std::int32_t> dcacheStreamOf;  //!< lane -> stream | -1
-    std::vector<std::size_t> dcacheCursor;     //!< per-lane pool index
     const std::uint64_t *dcachePool = nullptr;
     std::size_t dcachePoolCount = 0;
-
-    /** Icache echoing (see shareIcache).  Every lane records the
-     *  missing-line count of its latest unit fetch; followers read
-     *  their leader's record instead of accessing a cache. */
-    struct IcacheEcho
-    {
-        std::uint64_t seq = 0;       //!< step number of the record
-        unsigned unitMissing = 0;    //!< missing lines of that fetch
-    };
-    std::vector<std::int32_t> icacheLeaderOf;  //!< lane -> leader | -1
-    std::vector<IcacheEcho> icacheEcho;
-    std::vector<std::uint64_t> stepSeq;        //!< per-lane step count
 };
 
 /**
@@ -332,10 +313,10 @@ class LanePipelines
  * ignores the predictor entirely) share one ConvFetchWalker per group;
  * each group's lanes are laid out contiguously, and all groups step
  * as one op-major stepBatch per event; the committed-order dcache
- * stream is shared per distinct dcache geometry; icaches echo within a
- * group; and effectively identical configs collapse to one lane whose
- * result is replicated.  Only per-lane pipeline state remains per
- * config.
+ * stream is shared per distinct dcache geometry; and effectively
+ * identical configs collapse to one lane whose result is replicated.
+ * Only per-lane pipeline state, each lane's icache included, remains
+ * per config.
  */
 std::vector<SimResult>
 lockstepConventional(const Module &module, const ConvLayout &layout,

@@ -2,15 +2,14 @@
  * @file
  * The out-of-order engine.
  *
- * Frontend discipline is deliberately identical to the abstract model
- * (sim/lockstep.cc): one unit fetched per cycle, the same icache
- * accessRange/miss-stall arithmetic, the same redirect-resolution
- * formula (resolve + 1 + redirectPenalty, plus redirectPenalty + 1
- * per cascade hop), and wrong-path loads modelled as L1 hits.  Any
- * IPC difference between the two models is therefore attributable to
- * the backend: finite rename registers, per-class reservation
- * stations and functional units, LSQ ordering constraints, and the
- * ROB's capacity and commit bandwidth in place of the flat window.
+ * The front end is the abstract model's own: both fetch through
+ * frontEndFetch (sim/pipeline.hh) — one unit per cycle, the same
+ * redirect formula and icache stall — and model wrong-path loads as
+ * L1 hits.  Any IPC difference between the two models is therefore
+ * attributable to the backend: finite rename registers, per-class
+ * reservation stations and functional units, LSQ ordering
+ * constraints, and the ROB's capacity and commit bandwidth in place
+ * of the flat window.
  *
  * The engine is analytic rather than cycle-stepped: ops are processed
  * in program order and every structural constraint is expressed as a
@@ -246,63 +245,32 @@ OooEngine::scheduleWrongPath(const DecodedOp *ops, std::uint32_t n,
 std::uint64_t
 OooEngine::fetchPhase(const TimingUnit &unit)
 {
-    BSISA_ASSERT(unit.ops && unit.opCount > 0);
-    const RedirectInfo &redirect = unit.redirect;
-
-    std::uint64_t fetch = lastFetch + 1;
-    const std::uint64_t fetchBase = fetch;
-
-    if (redirect.mispredicted) {
-        std::uint64_t resolve;
-        if (redirect.resolveInWrongBlock) {
-            BSISA_ASSERT(redirect.wrongOps);
-            icache.accessRange(redirect.wrongPc, redirect.wrongBytes);
-            resolve = scheduleWrongPath(redirect.wrongOps,
-                                        redirect.wrongOpCount,
-                                        redirect.resolveOpIdx, fetch,
-                                        ~0ull);
-        } else {
-            resolve = prevCount == 0
-                          ? fetch
-                          : prevDone[redirect.resolveOpIdx];
-            if (redirect.wrongOps) {
-                icache.accessRange(redirect.wrongPc,
-                                   redirect.wrongBytes);
-                scheduleWrongPath(redirect.wrongOps,
-                                  redirect.wrongOpCount, 0, fetch,
-                                  resolve);
-            }
+    // ROB occupancy: drain units that have committed by @p fetch,
+    // then wait for room.  A unit larger than the whole ROB
+    // degenerates to sole occupancy (the capacity loop stops at an
+    // empty ROB).
+    auto wait_room = [&](std::uint64_t fetch) {
+        while (robHead != robTail && rob[robHead].commitEnd <= fetch)
+            popRobHead();
+        while (robOpsOcc + unit.opCount > cfg.ooo.robOps &&
+               robHead != robTail) {
+            fetch = std::max(fetch, rob[robHead].commitEnd);
+            popRobHead();
         }
-        std::uint64_t redirected = resolve + 1 + cfg.redirectPenalty;
-        redirected += std::uint64_t(redirect.extraHops) *
-                      (cfg.redirectPenalty + 1);
-        fetch = std::max(fetch, redirected);
-    }
-    res.stallRedirect += fetch - fetchBase;
-    const std::uint64_t fetchAfterRedirect = fetch;
-
-    // ROB occupancy: drain units that have committed by now, then
-    // wait for room.  A unit larger than the whole ROB degenerates to
-    // sole occupancy (the capacity loop stops at an empty ROB).
-    while (robHead != robTail && rob[robHead].commitEnd <= fetch)
-        popRobHead();
-    while (robOpsOcc + unit.opCount > cfg.ooo.robOps &&
-           robHead != robTail) {
-        fetch = std::max(fetch, rob[robHead].commitEnd);
-        popRobHead();
-    }
-    res.stallWindow += fetch - fetchAfterRedirect;
-    if (robOpsOcc + unit.opCount > cfg.ooo.robOps &&
-        robHead != robTail)
-        ++tel.robOverflows;
-
-    unsigned missing = 0;
-    if (!unit.skipIcache)
-        missing = icache.accessRange(unit.pc, unit.bytes);
-    if (missing > 0) {
-        fetch += cfg.l2Latency;
-        res.stallIcache += cfg.l2Latency;
-    }
+        if (robOpsOcc + unit.opCount > cfg.ooo.robOps &&
+            robHead != robTail)
+            ++tel.robOverflows;
+        return fetch;
+    };
+    const std::uint64_t fetch = frontEndFetch(
+        cfg, icache, res, lastFetch, prevCount != 0, unit,
+        unit.redirect, [&](unsigned op) { return prevDone[op]; },
+        [&](const DecodedOp *ops, std::uint32_t n, unsigned mustRunIdx,
+            std::uint64_t fetchCycle, std::uint64_t squashCutoff) {
+            return scheduleWrongPath(ops, n, mustRunIdx, fetchCycle,
+                                     squashCutoff);
+        },
+        wait_room);
 
     lastFetch = fetch;
     for (unsigned c = 0; c < oooNumClasses; ++c)

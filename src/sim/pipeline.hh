@@ -33,6 +33,76 @@ SimResult simulatePipeline(FetchSource &source,
                            const MachineConfig &config);
 
 /**
+ * The front end both timing models fetch through (LanePipelines and
+ * the out-of-order engine): one unit per cycle after the previous
+ * fetch, the redirect of a mispredict, the wait for room in the
+ * window or ROB, and the icache stall, each charged to its stall
+ * counter in @p res.  The model-specific steps are callables:
+ *
+ *   - prevDone(i): completion cycle of op i of the previous unit,
+ *     called only when @p havePrev (a unit has been scheduled);
+ *   - wrongPath(ops, n, mustRunIdx, fetch, squashCutoff): issue the
+ *     wrongly fetched block, squashing ops past mustRunIdx that
+ *     could not issue by squashCutoff, and return the completion
+ *     cycle of op mustRunIdx;
+ *   - waitRoom(fetch): the first cycle >= fetch at which the window
+ *     or ROB has room for the unit.
+ *
+ * Returns the cycle the unit leaves fetch.
+ */
+template <class PrevDone, class WrongPath, class WaitRoom>
+BSISA_ALWAYS_INLINE std::uint64_t
+frontEndFetch(const MachineConfig &cfg, Cache &icache, SimResult &res,
+              std::uint64_t lastFetch, bool havePrev,
+              const TimingUnit &unit, const RedirectInfo &redirect,
+              PrevDone &&prevDone, WrongPath &&wrongPath,
+              WaitRoom &&waitRoom)
+{
+    BSISA_ASSERT(unit.ops && unit.opCount > 0);
+    std::uint64_t fetch = lastFetch + 1;
+    const std::uint64_t fetchBase = fetch;
+
+    if (redirect.mispredicted) {
+        std::uint64_t resolve;
+        if (redirect.resolveInWrongBlock) {
+            // A fault in the wrong block resolves the mispredict;
+            // its ops must be issued to find out.
+            BSISA_ASSERT(redirect.wrongOps);
+            // The wrong block was fetched in place of this one.
+            icache.accessRange(redirect.wrongPc, redirect.wrongBytes);
+            resolve = wrongPath(redirect.wrongOps, redirect.wrongOpCount,
+                                redirect.resolveOpIdx, fetch, ~0ull);
+        } else {
+            // The previous unit's terminator resolves it.
+            resolve = havePrev ? prevDone(redirect.resolveOpIdx) : fetch;
+            if (redirect.wrongOps) {
+                icache.accessRange(redirect.wrongPc, redirect.wrongBytes);
+                wrongPath(redirect.wrongOps, redirect.wrongOpCount, 0u,
+                          fetch, resolve);
+            }
+        }
+        // Each fault-cascade hop costs one more redirect.
+        std::uint64_t redirected = resolve + 1 + cfg.redirectPenalty;
+        redirected += std::uint64_t(redirect.extraHops) *
+                      (cfg.redirectPenalty + 1);
+        fetch = std::max(fetch, redirected);
+    }
+    res.stallRedirect += fetch - fetchBase;
+
+    const std::uint64_t afterRedirect = fetch;
+    fetch = waitRoom(fetch);
+    res.stallWindow += fetch - afterRedirect;
+
+    // Instruction cache: any missing line stalls the fetch for one
+    // L2 round trip (lines fill in parallel from the perfect L2).
+    if (!unit.skipIcache && icache.accessRange(unit.pc, unit.bytes) > 0) {
+        fetch += cfg.l2Latency;
+        res.stallIcache += cfg.l2Latency;
+    }
+    return fetch;
+}
+
+/**
  * Per-cycle issue-slot bookkeeping over a sliding window of future
  * cycles (exposed for unit testing).
  *

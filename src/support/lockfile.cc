@@ -85,13 +85,12 @@ createExclusive(const std::string &path)
 bool
 malformedLeaseExpired(const std::string &path)
 {
-    constexpr auto grace = std::chrono::seconds(5);
     std::error_code ec;
     const auto stamp = std::filesystem::last_write_time(path, ec);
     if (ec)
         return false;  // vanished: the next acquire attempt decides
     return std::filesystem::file_time_type::clock::now() - stamp >
-           grace;
+           malformedLeaseGrace;
 }
 
 #endif // BSISA_HAVE_LEASES

@@ -34,6 +34,7 @@
 #ifndef BSISA_SUPPORT_LOCKFILE_HH
 #define BSISA_SUPPORT_LOCKFILE_HH
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -88,6 +89,10 @@ std::uint64_t parsePid(std::string_view text);
 /** Read the holder pid recorded in a lease file; 0 when absent or
  *  malformed (tests, `bsisa-sweep status`). */
 std::uint64_t leaseHolderPid(const std::string &path);
+
+/** How long after its last write a malformed lease (no parseable
+ *  holder pid) is honoured before it is broken as stale. */
+inline constexpr std::chrono::seconds malformedLeaseGrace{5};
 
 /** This process's id, or 0 on platforms without one.  Tags temp,
  *  shard and lease files so concurrent writers never collide. */

@@ -193,7 +193,7 @@ TEST(Lockstep, OddBatchSizesMatchFullBatch)
  *  literal duplicate configs (collapsed to one lane), perfect-
  *  prediction lanes whose dead predictor geometry differs
  *  (canonicalised into one prediction group), same-predictor lanes
- *  differing only in caches or width (one fetch side, echoed icache),
+ *  differing only in caches or width (one fetch side, one icache each),
  *  and several distinct dcache geometries (multiple shared
  *  committed-order dcache streams).  Each lane must still be
  *  bit-identical to its own sequential singleton run. */
@@ -225,7 +225,8 @@ TEST(Lockstep, SharedStateGridsMatchSingletons)
     }
     {
         // Same predictor, different width/caches: one prediction
-        // group; the two icache geometries split into leader+echo.
+        // group whose lanes each run their own icache over the same
+        // fetch stream, in two geometries.
         MachineConfig w = base;
         w.issueWidth = 8;
         grid.push_back(w);
@@ -249,6 +250,44 @@ TEST(Lockstep, SharedStateGridsMatchSingletons)
         EXPECT_EQ(runConventional(m, grid[i], trace), convBatch[i]);
         EXPECT_EQ(runBlockStructured(bsa, grid[i], trace), bsaBatch[i]);
     }
+}
+
+/** Two identical configs collapse to one lane, which steps every unit
+ *  as a batch of one on the shared dcache stream.  Where the op budget
+ *  cuts a trace inside the block-structured machine's last atomic
+ *  block, that block's memory ops past the cut run past the address
+ *  pool (they read address 0), so the lone lane must fork a private
+ *  dcache at the pool's end and still match the singleton replay,
+ *  whose one cache saw every access. */
+TEST(Lockstep, LoneLaneForksDcacheAtPoolEnd)
+{
+    const MachineConfig base;
+    const std::vector<MachineConfig> twins = {base, base};
+    std::size_t pastPool = 0;
+    for (const SpecBenchmark &bench : specint95Suite()) {
+        SCOPED_TRACE(bench.params.name);
+        const Module m = generateWorkload(bench.params);
+        const ExecTrace trace = captureTrace(m, testLimits(bench));
+        BsaModule bsa =
+            enlargeModule(m, EnlargeConfig{}, nullptr, nullptr);
+        layoutBsaModule(bsa);
+
+        const SimResult conv = runConventional(m, base, trace);
+        const SimResult blockStructured =
+            runBlockStructured(bsa, base, trace);
+        for (const SimResult &lane : runConventionalBatch(m, twins, trace))
+            EXPECT_EQ(conv, lane);
+        for (const SimResult &lane :
+             runBlockStructuredBatch(bsa, twins, trace))
+            EXPECT_EQ(blockStructured, lane);
+        EXPECT_EQ(lockstepLastFetchStats().lanes, 1u);
+        EXPECT_EQ(lockstepLastFetchStats().maxBatchLanes, 1u);
+        if (blockStructured.dcache.accesses > trace.memAddrCount)
+            ++pastPool;
+    }
+    // At least one budget must cut an atomic block this way, or the
+    // fork goes unexercised.
+    EXPECT_GT(pastPool, 0u);
 }
 
 TEST(Lockstep, PairSweepGroupsByModelAndEnlargement)

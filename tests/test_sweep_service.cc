@@ -345,3 +345,23 @@ TEST_F(SweepServiceTest, LeaseWithImpossiblePidGoesStale)
         EXPECT_EQ(leaseHolderPid(path), std::uint64_t(::getpid()));
     }
 }
+
+// `status` names a lease without a holder pid as malformed and says
+// how long workers honour it; it once printed such a lease as held by
+// a live pid 0.
+TEST_F(SweepServiceTest, StatusReportsMalformedLease)
+{
+    const std::string store = root + "/store";
+    std::filesystem::create_directories(store);
+    std::ofstream(store + "/chunk.lease") << "garbage\n";
+
+    std::ostringstream status;
+    printSweepStatus(status, store);
+    EXPECT_NE(status.str().find(
+                  "lease: chunk.lease malformed (honoured until its 5 s "
+                  "grace period ends)\n"),
+              std::string::npos)
+        << status.str();
+    EXPECT_EQ(status.str().find("holder pid"), std::string::npos)
+        << status.str();
+}
