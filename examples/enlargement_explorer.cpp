@@ -4,9 +4,10 @@
  * does to a function, reproducing the paper's figure-1 walk-through.
  *
  * Compiles a small function with an if/else diamond, prints its
- * conventional control-flow graph, runs enlargement, and dumps every
- * atomic block with its constituent basic blocks, fault operations
- * (with polarity and targets), and successor metadata.
+ * conventional control-flow graph in the IR text form, runs
+ * enlargement, and dumps every atomic block with its constituent
+ * basic blocks, fault operations (with polarity and targets), and
+ * successor metadata.
  */
 
 #include <iostream>
@@ -14,7 +15,7 @@
 #include "codegen/layout.hh"
 #include "core/enlarge.hh"
 #include "frontend/compile.hh"
-#include "ir/printer.hh"
+#include "ir/textform.hh"
 
 using namespace bsisa;
 
@@ -75,7 +76,7 @@ main()
     const Module module = compileBlockCOrDie(kProgram);
 
     std::cout << "==== conventional control-flow graph ====\n";
-    printFunction(std::cout, module.functions[module.mainFunc]);
+    std::cout << moduleToText(module);
 
     EnlargeStats stats;
     BsaModule bsa = enlargeModule(module, EnlargeConfig{}, nullptr,

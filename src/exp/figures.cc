@@ -143,10 +143,6 @@ captureSuiteTrace(std::size_t i, Interp::Limits limits)
     return entry->trace;
 }
 
-/** The suite generator splits basic blocks at 16 ops
- *  (workloads/synth.cc). */
-constexpr unsigned suiteBlockOps = 16;
-
 /**
  * Simulate a (config x benchmark) grid over the suite and return its
  * results config-major: entry ci * suite.size() + bi is

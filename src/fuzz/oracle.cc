@@ -440,6 +440,26 @@ checkSimInvariants(const SimResult &r, const MachineConfig &machine,
     return {};
 }
 
+/** A trace cache that never hits is the conventional machine: with
+ *  one block per trace nothing is ever installed, so the run must
+ *  equal @p conv, the conventional run of @p machine on @p trace. */
+OracleResult
+checkNeverHitTraceCache(const char *oracle, const Module &module,
+                        const MachineConfig &machine,
+                        const ExecTrace &trace, const SimResult &conv)
+{
+    TraceCacheConfig never;
+    never.maxBlocks = 1;
+    const TraceCacheResult tc =
+        runTraceCache(module, machine, never, trace);
+    if (tc.traceHits != 0)
+        return fail(oracle, "one-block trace cache hit");
+    if (tc.sim != conv)
+        return fail(oracle, "one-block trace cache differs from the "
+                            "conventional machine");
+    return {};
+}
+
 OracleResult
 checkModels(const Module &module, const ExecTrace &trace,
             const OracleOptions &options)
@@ -491,6 +511,10 @@ checkModels(const Module &module, const ExecTrace &trace,
     if (tc.sim.retiredOps != trace.dynOps)
         return fail("models", "tcache retired-op count diverged from "
                               "the functional execution");
+    if (const OracleResult n = checkNeverHitTraceCache(
+            "models", module, machine, trace, conv);
+        !n.ok)
+        return n;
 
     if (!options.checkParallel)
         return {};
@@ -786,6 +810,10 @@ checkOoo(const Module &module, const ExecTrace &trace,
                            "the functional execution");
     if (tc.sim != runTraceCache(module, oooM, tcConfig, trace).sim)
         return fail("ooo", "tcache rerun on the same trace differs");
+    if (const OracleResult n =
+            checkNeverHitTraceCache("ooo", module, oooM, trace, conv);
+        !n.ok)
+        return n;
 
     // A mixed abstract/ooo grid through the batch entry points must
     // equal the per-config path (the lane partition in exp/runner.cc

@@ -9,7 +9,9 @@ namespace bsisa
 {
 
 void
-ConvFetchWalker::predictSuccessor(const TraceEvent &e)
+ConvFetchWalker::predictSuccessor(const TraceEvent &e,
+                                  std::optional<bool> trapDir,
+                                  unsigned opBase)
 {
     pendingRedirect = RedirectInfo{};
     if (perfect)
@@ -25,12 +27,13 @@ ConvFetchWalker::predictSuccessor(const TraceEvent &e)
     const std::uint64_t pc = layout.addrOf(func, block);
     const Operation &term = fn.blocks[block].terminator();
     const unsigned last_op_idx =
-        decoded.unit(func, block).opCount - 1;
+        opBase + decoded.unit(func, block).opCount - 1;
 
     switch (e.exit) {
       case ExitKind::Trap: {
         ++nPredictions;
-        const bool predicted = predictor.predictTaken(pc);
+        const bool predicted =
+            trapDir ? *trapDir : predictor.predictTaken(pc);
         predictor.update(pc, e.taken);
         if (predicted != e.taken) {
             ++nTrapMiss;

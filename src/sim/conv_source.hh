@@ -14,10 +14,14 @@
  *     to memoise and startWindow() does nothing;
  *   - ConvFetchWalker, one per predictor identity: the predictor, BTB
  *     and return stack, the stream cursor and the pending redirect.
+ *     The trace-cache source (sim/tc_source.hh) drives one through
+ *     predictSuccessor(), one committed block at a time.
  */
 
 #ifndef BSISA_SIM_CONV_SOURCE_HH
 #define BSISA_SIM_CONV_SOURCE_HH
+
+#include <optional>
 
 #include "codegen/layout.hh"
 #include "predict/twolevel.hh"
@@ -83,17 +87,33 @@ class ConvFetchWalker : public FetchWalkCounters
      *  successor.  Requires pos < trace.eventCount. */
     void captureStep(FetchOutcomeStream &out);
 
+    /**
+     * Predict the successor of event @p e: the one conventional
+     * prediction step.  Trains the predictor, counts, and fills
+     * pendingRedirect for the next unit.  A trap direction the caller
+     * has already predicted (a trace cache's lookahead) comes in
+     * @p trapDir, so the fetch decision and its validation use one
+     * prediction; @p opBase counts the ops fetched ahead of e's block
+     * in its unit and offsets the redirect's resolveOpIdx.
+     */
+    void predictSuccessor(const TraceEvent &e,
+                          std::optional<bool> trapDir = std::nullopt,
+                          unsigned opBase = 0);
+
+    bool perfectPrediction() const { return perfect; }
+    const TwoLevelPredictor &directionPredictor() const
+    {
+        return predictor;
+    }
+
     std::size_t pos = 0;  //!< next trace event (one unit per event)
+    /** Left by the last prediction for the next unit's fetch. */
+    RedirectInfo pendingRedirect;
 
   private:
-    /** Predict the successor of event @p e, training the predictor
-     *  and filling pendingRedirect for the next unit. */
-    void predictSuccessor(const TraceEvent &e);
-
     const ConvTranslation *tr;
     bool perfect;
     TwoLevelPredictor predictor;
-    RedirectInfo pendingRedirect;
 };
 
 class ConvFetchSource : public WalkFetchSource<ConvFetchWalker>

@@ -13,71 +13,19 @@ namespace bsisa
 {
 
 TraceCacheFetchSource::TraceCacheFetchSource(
-    const Module &mod, const ConvLayout &lay,
+    const Module &module, const ConvLayout &layout,
     const MachineConfig &config, const TraceCacheConfig &tcConfig,
-    const ExecTrace &execTrace, const DecodedProgram &decodedProgram)
-    : module(mod), layout(lay), decoded(decodedProgram),
-      trace(execTrace), perfect(config.perfectPrediction),
-      predictor(config.predictor), cache(tcConfig)
+    const ExecTrace &trace, const DecodedProgram &decoded)
+    : translation{module, layout, decoded, trace},
+      walker(translation, config), cache(tcConfig)
 {
-}
-
-bool
-TraceCacheFetchSource::predictTrap(const TraceEvent &ev)
-{
-    const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
-    if (perfect)
-        return ev.taken;
-    ++counts.nPredictions;
-    const bool predicted = predictor.predictTaken(pc);
-    predictor.update(pc, ev.taken);
-    return predicted;
-}
-
-void
-TraceCacheFetchSource::handleExit(const TraceEvent &ev)
-{
-    const Function &fn = module.functions[ev.func];
-    const Operation &term = fn.blocks[ev.block].terminator();
-    const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
-    switch (ev.exit) {
-      case ExitKind::Call:
-        predictor.returnStack().push(blockToken(ev.func, term.target0));
-        break;
-      case ExitKind::Ret: {
-        if (perfect)
-            break;
-        ++counts.nPredictions;
-        const std::uint64_t actual = blockToken(ev.nextFunc, ev.nextBlock);
-        if (predictor.returnStack().pop() != actual) {
-            ++counts.nTrapMiss;
-            pendingRedirect.mispredicted = true;
-        }
-        break;
-      }
-      case ExitKind::IJump: {
-        if (perfect)
-            break;
-        ++counts.nPredictions;
-        const std::uint64_t actual = blockToken(ev.nextFunc, ev.nextBlock);
-        const std::uint64_t predicted = predictor.predictTarget(pc);
-        predictor.updateTarget(pc, actual);
-        if (predicted != actual) {
-            ++counts.nTrapMiss;
-            pendingRedirect.mispredicted = true;
-        }
-        break;
-      }
-      default:
-        break;
-    }
 }
 
 void
 TraceCacheFetchSource::fillWith(const TraceEvent &ev)
 {
     const unsigned block_ops =
-        decoded.unit(ev.func, ev.block).opCount;
+        translation.decoded.unit(ev.func, ev.block).opCount;
 
     if (fill.valid &&
         (fill.blocks.size() >= cache.config().maxBlocks ||
@@ -121,26 +69,31 @@ TraceCacheFetchSource::flushFill()
 bool
 TraceCacheFetchSource::next(TimingUnit &unit)
 {
-    if (pos >= trace.eventCount)
+    const ExecTrace &trace = translation.trace;
+    const ConvLayout &layout = translation.layout;
+    const DecodedProgram &decoded = translation.decoded;
+    if (walker.pos >= trace.eventCount)
         return false;
 
-    const TraceEvent &head = trace.events[pos];
+    const TraceEvent &head = trace.events[walker.pos];
     const std::uint64_t start = blockToken(head.func, head.block);
 
     // Gather direction predictions along the upcoming path (the trace
     // cache needs multiple predictions per cycle; this is one of its
     // acknowledged hardware costs).
     predictedDirs.clear();
+    const bool perfect = walker.perfectPrediction();
+    const TwoLevelPredictor &predictor = walker.directionPredictor();
     std::uint64_t spec_hist =
         predictor.speculativeHistory(layout.addrOf(head.func,
                                                    head.block));
     const std::size_t window =
-        std::min(lookahead, trace.eventCount - pos);
+        std::min(lookahead, trace.eventCount - walker.pos);
     for (std::size_t i = 0;
          i < window &&
          predictedDirs.size() + 1 < cache.config().maxBlocks * 2;
          ++i) {
-        const TraceEvent &ev = trace.events[pos + i];
+        const TraceEvent &ev = trace.events[walker.pos + i];
         if (ev.exit == ExitKind::Trap) {
             const std::uint64_t pc = layout.addrOf(ev.func, ev.block);
             bool dir;
@@ -162,32 +115,31 @@ TraceCacheFetchSource::next(TimingUnit &unit)
     const Trace *tc = cache.lookup(start, predictedDirs);
     const std::size_t planned = tc ? tc->blocks.size() : std::size_t(1);
 
-    unit.redirect = pendingRedirect;
-    pendingRedirect = RedirectInfo{};
+    unit.redirect = walker.pendingRedirect;
 
-    // Commit planned blocks while they match the actual stream; a
-    // wrong direction prediction truncates the unit at the offending
-    // trap (earlier blocks commit; the rest of the trace is squashed).
-    // The committed events' address spans are adjacent in the trace
-    // pool (ExecTrace invariant), so the unit's addresses are one
-    // zero-copy slice starting at the head's span.
+    // Commit planned blocks while they match the actual stream, each
+    // predicted by the conventional walker.  A wrong direction
+    // prediction truncates the unit at the offending trap (earlier
+    // blocks commit; the rest of the trace is squashed); calls,
+    // returns, indirect jumps and halt end it.  The committed events'
+    // address spans are adjacent in the trace pool (ExecTrace
+    // invariant), so the unit's addresses are one zero-copy slice
+    // starting at the head's span.
     unit.memAddrs = trace.memAddrs + head.memBegin;
     unit.memCount = 0;
     emitOps.clear();
     std::size_t committed = 0;
     std::size_t trap_idx = 0;  // index into predictedDirs
-    bool stop = false;
-    while (committed < planned && !stop) {
-        const TraceEvent &ev = trace.events[pos];
-        const Function &fn = module.functions[ev.func];
-        const Block &blk = fn.blocks[ev.block];
+    while (committed < planned && walker.pos < trace.eventCount) {
+        const TraceEvent &ev = trace.events[walker.pos];
         if (tc && tc->blocks[committed] != blockToken(ev.func,
                                                       ev.block)) {
             // Should not happen: divergence is caught at the trap
             // below.  Defensive: leave the event unconsumed and stop.
             break;
         }
-        ++pos;
+        ++walker.pos;
+        const auto op_base = static_cast<unsigned>(emitOps.size());
         const DecodedUnit &bdu = decoded.unit(ev.func, ev.block);
         const DecodedOp *bops = decoded.ops(bdu);
         emitOps.insert(emitOps.end(), bops, bops + bdu.opCount);
@@ -195,51 +147,18 @@ TraceCacheFetchSource::next(TimingUnit &unit)
         ++committed;
         fillWith(ev);
 
-        switch (ev.exit) {
-          case ExitKind::Trap: {
-            // Use the SAME prediction the trace lookup consumed so the
-            // fetch decision and its validation cannot disagree.
-            bool predicted;
-            if (trap_idx < predictedDirs.size()) {
-                predicted = predictedDirs[trap_idx];
-                if (!perfect) {
-                    ++counts.nPredictions;
-                    predictor.update(
-                        layout.addrOf(ev.func, ev.block), ev.taken);
-                }
-            } else {
-                predicted = predictTrap(ev);
-            }
+        // Validate a trap with the SAME prediction the trace lookup
+        // consumed so the fetch decision and its validation cannot
+        // disagree.
+        std::optional<bool> dir;
+        if (ev.exit == ExitKind::Trap) {
+            if (trap_idx < predictedDirs.size())
+                dir = predictedDirs[trap_idx];
             ++trap_idx;
-            if (predicted != ev.taken) {
-                ++counts.nTrapMiss;
-                pendingRedirect.mispredicted = true;
-                pendingRedirect.resolveOpIdx =
-                    static_cast<unsigned>(emitOps.size() - 1);
-                const Operation &term = blk.terminator();
-                const BlockId wrong =
-                    predicted ? term.target0 : term.target1;
-                const DecodedUnit &wdu = decoded.unit(ev.func, wrong);
-                pendingRedirect.wrongOps = decoded.ops(wdu);
-                pendingRedirect.wrongOpCount = wdu.opCount;
-                pendingRedirect.wrongPc = layout.addrOf(ev.func, wrong);
-                pendingRedirect.wrongBytes =
-                    layout.bytesOf(ev.func, wrong);
-                stop = true;  // the rest of the trace is wrong-path
-            }
-            break;
-          }
-          case ExitKind::Jump:
-            break;
-          default:
-            handleExit(ev);
-            if (ev.exit == ExitKind::Ret || ev.exit == ExitKind::IJump)
-                pendingRedirect.resolveOpIdx =
-                    static_cast<unsigned>(emitOps.size() - 1);
-            stop = true;
-            break;
         }
-        if (pos >= trace.eventCount)
+        walker.predictSuccessor(ev, dir, op_base);
+        if (walker.pendingRedirect.mispredicted ||
+            (ev.exit != ExitKind::Trap && ev.exit != ExitKind::Jump))
             break;
     }
 

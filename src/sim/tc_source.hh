@@ -4,13 +4,19 @@
  * CACHE — the paper's closest competitor (section 3) and suggested
  * complement (section 6).
  *
- * The core fetch unit supplies one basic block per cycle from the
- * icache; the trace cache supplies a whole multi-block trace in one
- * cycle when the predicted path matches a recorded trace.  Traces are
- * built at RETIREMENT from the committed stream (run-time combining,
- * in contrast to the block-structured ISA's compile-time combining:
- * no ISA change, no code expansion, but bounded by the trace cache's
- * own capacity).
+ * The machine is the conventional fetch walker (sim/conv_source.hh)
+ * plus a trace cache: one ConvFetchWalker predicts, trains, counts
+ * and redirects every committed block, exactly as on the plain
+ * machine, and this source adds only what the trace cache needs — a
+ * multi-block direction lookahead, the cache lookup, the fill unit
+ * and the concatenated ops of a hit.  The core fetch unit supplies one
+ * basic block per cycle from the icache; the trace cache supplies a
+ * whole multi-block trace in one cycle when the predicted path matches
+ * a recorded trace.  Traces are built at RETIREMENT from the committed
+ * stream (run-time combining, in contrast to the block-structured
+ * ISA's compile-time combining: no ISA change, no code expansion, but
+ * bounded by the trace cache's own capacity).  A trace cache that
+ * never hits is therefore the conventional machine, result for result.
  */
 
 #ifndef BSISA_SIM_TC_SOURCE_HH
@@ -19,11 +25,7 @@
 #include <vector>
 
 #include "cache/trace_cache.hh"
-#include "codegen/layout.hh"
-#include "predict/twolevel.hh"
-#include "sim/fetch_source.hh"
-#include "sim/machine.hh"
-#include "sim/trace.hh"
+#include "sim/conv_source.hh"
 
 namespace bsisa
 {
@@ -41,30 +43,27 @@ class TraceCacheFetchSource : public FetchSource
 
     bool next(TimingUnit &unit) override;
 
-    FetchWalkCounters counters() const override { return counts; }
+    FetchWalkCounters counters() const override { return walker; }
 
     /** Trace-cache hit/miss statistics. */
     std::uint64_t traceHits() const { return cache.hits(); }
     std::uint64_t traceMisses() const { return cache.misses(); }
+
+    /** The walker points at this object's translation. */
+    TraceCacheFetchSource(const TraceCacheFetchSource &) = delete;
+    TraceCacheFetchSource &
+    operator=(const TraceCacheFetchSource &) = delete;
 
   private:
     /** Lookahead window depth for multi-block direction prediction:
      *  events [pos, pos + min(lookahead, eventCount - pos)). */
     static constexpr std::size_t lookahead = 16;
 
-    const Module &module;
-    const ConvLayout &layout;
-    const DecodedProgram &decoded;
-    const ExecTrace &trace;
-    bool perfect;
-    TwoLevelPredictor predictor;
+    ConvTranslation translation;
+    /** Prediction, counters, the cursor (walker.pos) and the redirect
+     *  the last committed block left for the next unit. */
+    ConvFetchWalker walker;
     TraceCache cache;
-
-    /** First unconsumed trace event. */
-    std::size_t pos = 0;
-
-    /** Redirect computed while emitting the previous unit. */
-    RedirectInfo pendingRedirect;
 
     /** Fill unit: committed blocks accumulating into a new trace. */
     Trace fill;
@@ -73,17 +72,6 @@ class TraceCacheFetchSource : public FetchSource
     std::vector<DecodedOp> emitOps;
     /** Direction predictions along the upcoming path, reused. */
     std::vector<bool> predictedDirs;
-
-    /** Every mispredict resolves at a terminator, so all count as
-     *  trap mispredicts. */
-    FetchWalkCounters counts;
-
-    /** Predict the direction of the trap ending @p ev's block; counts
-     *  and trains.  Returns predicted direction. */
-    bool predictTrap(const TraceEvent &ev);
-
-    /** Handle the non-trap exits (call/ret/ijmp bookkeeping). */
-    void handleExit(const TraceEvent &ev);
 
     /** Append a committed block to the fill unit, flushing when the
      *  trace is complete. */

@@ -9,10 +9,8 @@
 #include "ir/cfg.hh"
 #include "ir/dom.hh"
 #include "ir/module.hh"
-#include "ir/printer.hh"
 #include "ir/verifier.hh"
 
-#include <sstream>
 
 using namespace bsisa;
 
@@ -269,15 +267,4 @@ TEST(Verifier, RejectsBadJumpTable)
     Function &f = m.functions[0];
     f.blocks[1].ops = {makeIJmp(firstVirtualReg, 0)};
     EXPECT_FALSE(verifyModule(m).empty());  // table 0 does not exist
-}
-
-TEST(Printer, DumpContainsStructure)
-{
-    const Module m = diamondModule();
-    std::ostringstream os;
-    printModule(os, m);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("func main"), std::string::npos);
-    EXPECT_NE(s.find("B0:"), std::string::npos);
-    EXPECT_NE(s.find("halt"), std::string::npos);
 }

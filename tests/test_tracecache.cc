@@ -11,7 +11,10 @@
 #include "exp/runner.hh"
 #include "frontend/compile.hh"
 #include "sim/tc_source.hh"
+#include "sim_result_print.hh"
 #include "support/rng.hh"
+#include "workloads/specmix.hh"
+#include "workloads/synth.hh"
 
 using namespace bsisa;
 
@@ -183,17 +186,35 @@ TEST(TcSource, PerfectPredictionHasNoMispredicts)
 TEST(TcSource, ZeroCapacityDegradesToConventional)
 {
     // A trace needs at least 2 blocks; with maxBlocks = 1 nothing is
-    // ever installed and behaviour must match the plain machine's
-    // block sizes.
-    const Module m = loopyModule();
-    const ExecTrace trace = captureTrace(m, Interp::Limits{});
-    MachineConfig machine;
+    // ever installed, and the machine is the conventional one, result
+    // for result: every block is predicted, trained and redirected by
+    // the same walker.  Checked on the suite (indirect jumps, calls
+    // and returns included), on both timing models, with real and
+    // perfect prediction.
     TraceCacheConfig tiny;
     tiny.maxBlocks = 1;
-    const TraceCacheResult r = runTraceCache(m, machine, tiny, trace);
-    const SimResult conv = runConventional(m, machine, trace);
-    EXPECT_EQ(r.traceHits, 0u);
-    EXPECT_NEAR(r.sim.avgBlockSize(), conv.avgBlockSize(), 1e-9);
+    for (const SpecBenchmark &bench : specint95Suite()) {
+        const Module m = generateWorkload(bench.params);
+        Interp::Limits limits;
+        limits.maxOps = bench.scaledBudget(2000);
+        const ExecTrace trace = captureTrace(m, limits);
+        for (const TimingModel model :
+             {TimingModel::Abstract, TimingModel::Ooo}) {
+            for (const bool perfect : {false, true}) {
+                MachineConfig machine;
+                machine.timingModel = model;
+                machine.perfectPrediction = perfect;
+                SCOPED_TRACE(bench.params.name +
+                             (model == TimingModel::Ooo ? " ooo"
+                                                        : " abstract") +
+                             (perfect ? " perfect" : " real"));
+                const TraceCacheResult r =
+                    runTraceCache(m, machine, tiny, trace);
+                EXPECT_EQ(r.traceHits, 0u);
+                EXPECT_EQ(r.sim, runConventional(m, machine, trace));
+            }
+        }
+    }
 }
 
 TEST(TcSource, DeterministicAcrossRuns)

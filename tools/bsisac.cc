@@ -36,7 +36,6 @@
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "frontend/compile.hh"
-#include "ir/printer.hh"
 #include "ir/textform.hh"
 #include "ir/verifier.hh"
 #include "sim/interp.hh"
