@@ -50,7 +50,10 @@ const std::vector<unsigned> icacheSizesKB = {16, 32, 64};
 std::uint64_t
 scaleDivisor()
 {
-    return envU64("BSISA_SCALE", specScaleDivisor);
+    const std::uint64_t divisor = envU64("BSISA_SCALE", specScaleDivisor);
+    if (divisor == 0)
+        fatal("environment variable BSISA_SCALE: scale must be >= 1");
+    return divisor;
 }
 
 namespace

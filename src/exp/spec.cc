@@ -45,6 +45,21 @@ namespace bsisa
 namespace
 {
 
+/** Most work units (points per benchmark x benchmarks) a spec may
+ *  define: at about 2 s per 128 units this is hours of simulation,
+ *  and it bounds the validation walk and the plan's memory. */
+constexpr std::uint64_t maxSpecWorkUnits = std::uint64_t(1) << 20;
+
+/** @p a x @p b, saturating at the largest 64-bit value. */
+std::uint64_t
+saturatingMul(std::uint64_t a, std::uint64_t b)
+{
+    std::uint64_t product;
+    return __builtin_mul_overflow(a, b, &product)
+               ? std::numeric_limits<std::uint64_t>::max()
+               : product;
+}
+
 // ---------------------------------------------------------------
 // Generic node tree (the YAML-subset surface syntax).
 
@@ -825,8 +840,18 @@ interpretSpec(const SpecNode &root, SweepSpec &spec, std::string &error)
         error = "budget_div must be >= 1";
         return false;
     }
-    if (spec.pointsPerBenchmark() == 0) {
-        error = "spec defines an empty config grid";
+    // Count the work before enumerating any config: the walk below
+    // and the plan visit every point.  Each axis holds a value, so the
+    // count is at least one.
+    const std::uint64_t units =
+        saturatingMul(spec.pointsPerBenchmark(), spec.benchmarks.size());
+    if (units > maxSpecWorkUnits) {
+        error = "spec defines " +
+                (units == std::numeric_limits<std::uint64_t>::max()
+                     ? std::string("2^64 or more")
+                     : std::to_string(units)) +
+                " work units (configs x benchmarks), more than the " +
+                std::to_string(maxSpecWorkUnits) + " allowed";
         return false;
     }
     if (spec.figure != "none" && spec.pointsPerBenchmark() != 1) {
@@ -866,10 +891,13 @@ SweepSpec::pointsPerBenchmark() const
 {
     std::uint64_t grid = 1;
     for (const auto &axis : axes)
-        grid *= axis.second.size();
+        grid = saturatingMul(grid, axis.second.size());
     if (axes.empty())
         grid = points.empty() ? 1 : 0;
-    return grid + points.size();
+    std::uint64_t total;
+    return __builtin_add_overflow(grid, points.size(), &total)
+               ? std::numeric_limits<std::uint64_t>::max()
+               : total;
 }
 
 bool

@@ -78,7 +78,8 @@ struct SweepSpec
     /** The effective scale divisor. */
     std::uint64_t effectiveScale() const;
 
-    /** Grid points per benchmark (axis cross-product + points). */
+    /** Grid points per benchmark (axis cross-product + points),
+     *  saturating at the largest 64-bit value. */
     std::uint64_t pointsPerBenchmark() const;
 };
 

@@ -567,7 +567,9 @@ checkModels(const Module &module, const ExecTrace &trace,
  *  on at least one of issue width, window geometry, predictor, cache
  *  size, or perfect prediction, so lockstep lanes genuinely diverge
  *  (redirects resolve at different cycles, windows fill at different
- *  rates) and any cross-lane state bleed shows up as a result diff. */
+ *  rates) and any cross-lane state bleed shows up as a result diff.
+ *  The last two lanes repeat earlier ones, exactly and up to dead
+ *  predictor geometry, so the engine's lane collapse runs too. */
 std::vector<MachineConfig>
 lockstepGrid()
 {
@@ -608,6 +610,13 @@ lockstepGrid()
     // and the singleton claim walk past full cycles.
     m = MachineConfig{};
     m.issueWidth = 1;
+    grid.push_back(m);
+    grid.push_back(grid[0]);
+    // Perfect prediction never reads the predictor: lane 2's machine.
+    m = MachineConfig{};
+    m.perfectPrediction = true;
+    m.predictor.historyBits = 4;
+    m.predictor.phtBits = 10;
     grid.push_back(m);
     return grid;
 }

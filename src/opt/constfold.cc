@@ -8,11 +8,12 @@
  * traps into jumps.
  */
 
-#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "opt/passes.hh"
 #include "regalloc/liveness.hh"
+#include "sim/alu.hh"
 
 namespace bsisa
 {
@@ -20,60 +21,13 @@ namespace bsisa
 namespace
 {
 
-/** Evaluate a pure binary op on constants; mirrors the interpreter. */
-bool
-evalPure(const Operation &op, std::uint64_t a, std::uint64_t b,
-         std::uint64_t &out)
+/** FP results are never folded: keep bit-exactness decisions out of
+ *  the mid-end. */
+constexpr bool
+isFloatOp(Opcode op)
 {
-    const auto sa = static_cast<std::int64_t>(a);
-    const auto sb = static_cast<std::int64_t>(b);
-    switch (op.op) {
-      case Opcode::Mov: out = a; return true;
-      case Opcode::Add: out = a + b; return true;
-      case Opcode::AddI: out = a + static_cast<std::uint64_t>(op.imm);
-        return true;
-      case Opcode::Sub: out = a - b; return true;
-      case Opcode::And: out = a & b; return true;
-      case Opcode::AndI: out = a & static_cast<std::uint64_t>(op.imm);
-        return true;
-      case Opcode::Or: out = a | b; return true;
-      case Opcode::Xor: out = a ^ b; return true;
-      case Opcode::CmpEq: out = a == b; return true;
-      case Opcode::CmpEqI:
-        out = a == static_cast<std::uint64_t>(op.imm);
-        return true;
-      case Opcode::CmpNe: out = a != b; return true;
-      case Opcode::CmpLt: out = sa < sb; return true;
-      case Opcode::CmpLtI: out = sa < op.imm; return true;
-      case Opcode::CmpLe: out = sa <= sb; return true;
-      case Opcode::Shl: out = a << (b & 63); return true;
-      case Opcode::ShlI: out = a << (op.imm & 63); return true;
-      case Opcode::Shr: out = a >> (b & 63); return true;
-      case Opcode::ShrI: out = a >> (op.imm & 63); return true;
-      case Opcode::BitTest: out = (a >> (b & 63)) & 1; return true;
-      case Opcode::Mul: out = a * b; return true;
-      case Opcode::Div:
-        if (sb == 0) {
-            out = 0;
-        } else if (sa == INT64_MIN && sb == -1) {
-            out = static_cast<std::uint64_t>(INT64_MIN);
-        } else {
-            out = static_cast<std::uint64_t>(sa / sb);
-        }
-        return true;
-      case Opcode::Rem:
-        if (sb == 0) {
-            out = a;
-        } else if (sa == INT64_MIN && sb == -1) {
-            out = 0;
-        } else {
-            out = static_cast<std::uint64_t>(sa % sb);
-        }
-        return true;
-      default:
-        return false;  // FP folding is skipped: keep bit-exactness
-                       // decisions out of the mid-end
-    }
+    return op == Opcode::FAdd || op == Opcode::FSub ||
+           op == Opcode::FMul || op == Opcode::FDiv || op == Opcode::FCvt;
 }
 
 } // namespace
@@ -142,7 +96,7 @@ constantFold(Function &func)
 
             std::uint64_t result;
             if ((nsrc == 0 || a_known) && (nsrc < 2 || b_known) &&
-                op.op != Opcode::Ld && evalPure(op, a, b, result)) {
+                !isFloatOp(op.op) && evalAluOp(op, a, b, result)) {
                 op = makeMovI(op.dst, static_cast<std::int64_t>(result));
                 set_constant(op.dst, result);
                 ++folded;

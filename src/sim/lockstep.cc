@@ -42,22 +42,25 @@
  * outcomes, never on timing), so lanes with identical predictor
  * geometry — and all oracle-prediction lanes, which never touch a
  * predictor — form prediction groups that share one walker and one
- * redirect stream.  The engine lays each group's member lanes out
- * contiguously (groupLanes below), so a group advances as one
+ * redirect stream.  One lane plan (planLanes below) collapses
+ * effectively identical configs to one lane and lays each group's
+ * lanes out as one contiguous range, so a group advances as one
  * op-major stepBatch over register-major lane rows.
  * And because wrong-path loads never touch the dcache, the
  * committed-order dcache hit/miss stream is a pure function of
  * (trace, dcache geometry): LanePipelines precomputes it once per
  * distinct geometry and every lane reads outcome bits instead of
- * running its own cache model.  Effectively identical configs (oracle
- * rows swept across predictor geometry) collapse to one lane whose
- * result is replicated on return.
+ * running its own cache model; one per-lane rule (dcacheHit) reads
+ * that bit, or forks the lane a private cache at the pool's end.
+ * Effectively identical configs (oracle rows swept across predictor
+ * geometry) share one lane whose result is replicated on return.
  */
 
 #include "sim/lockstep.hh"
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "sim/bsa_source.hh"
 #include "sim/conv_source.hh"
@@ -101,7 +104,8 @@ lockstepFetchStatsSlot()
 LanePipelines::LanePipelines(const MachineConfig *cfgs,
                              std::size_t laneCount)
     : configs(cfgs, cfgs + laneCount), lanes(laneCount),
-      results(laneCount), stride(laneStride(laneCount))
+      results(laneCount), stride(laneStride(laneCount)),
+      dcacheStreamOf(laneCount, -1)
 {
     slots.reserve(laneCount);
     icaches.reserve(laneCount);
@@ -135,7 +139,6 @@ LanePipelines::shareDcachePool(const std::uint64_t *addrs,
 {
     dcachePool = addrs;
     dcachePoolCount = count;
-    dcacheStreamOf.assign(configs.size(), -1);
     dcacheStreams.clear();
 
     // One precomputed pool walk per distinct dcache geometry.
@@ -175,6 +178,21 @@ LanePipelines::privatizeDcache(std::size_t lane, const TimingUnit &unit)
                  "a lane left its dcache stream before the pool's end");
     dcaches[lane] = dcacheStreams[ds].cache;
     dcacheStreamOf[lane] = -1;
+}
+
+bool
+LanePipelines::dcacheHit(std::size_t lane, const TimingUnit &unit,
+                         std::uint32_t memIdx)
+{
+    // Stores access the cache too; only loads take the miss penalty
+    // (the caller applies it).
+    const std::int32_t ds = dcacheStreamOf[lane];
+    const bool in_pool = memIdx < unit.memCount;
+    if (ds >= 0 && in_pool)
+        return dcacheStreams[ds].hit[poolIndex(unit) + memIdx] != 0;
+    if (ds >= 0)
+        privatizeDcache(lane, unit);
+    return dcaches[lane].access(in_pool ? unit.memAddrs[memIdx] : 0);
 }
 
 std::uint64_t
@@ -324,7 +342,6 @@ LanePipelines::stepOneLane(std::size_t lane, const TimingUnit &unit,
     const std::uint64_t earliest = fetchPhase(lane, unit, redirect);
     const MachineConfig &cfg = configs[lane];
     IssueSlots &sl = slots[lane];
-    Cache &dcache = dcaches[lane];
     // Register-major rows: slot r of this lane is r * stride in (for
     // the one-lane pipeline stride is 1 and this is a dense array).
     std::uint64_t *rr = regReady.data() + lane;
@@ -341,21 +358,7 @@ LanePipelines::stepOneLane(std::size_t lane, const TimingUnit &unit,
         const std::uint64_t start = sl.allocate(ready);
         unsigned latency = op.latency;
         if (op.flags & opIsMem) {
-            bool hit;
-            const std::int32_t ds = dcacheStreamOf.empty()
-                                        ? -1
-                                        : dcacheStreamOf[lane];
-            if (ds >= 0 && mem_idx < unit.memCount) {
-                hit = dcacheStreams[ds].hit[poolIndex(unit) + mem_idx] != 0;
-            } else {
-                if (ds >= 0)
-                    privatizeDcache(lane, unit);
-                const std::uint64_t addr =
-                    mem_idx < unit.memCount ? unit.memAddrs[mem_idx]
-                                            : 0;
-                hit = dcache.access(addr);
-            }
-            ++mem_idx;
+            const bool hit = dcacheHit(lane, unit, mem_idx++);
             if (!hit && (op.flags & opIsLoad))
                 latency += cfg.l2Latency;
         }
@@ -372,34 +375,6 @@ void
 LanePipelines::step(std::size_t lane, const TimingUnit &unit)
 {
     stepOneLane(lane, unit, unit.redirect);
-}
-
-std::uint64_t
-LanePipelines::memAccessMask(std::size_t first, std::size_t n,
-                             const TimingUnit &unit,
-                             std::uint32_t memIdx)
-{
-    // Same per-lane resolution as stepOneLane's mem-op branch, for
-    // one op across the batch: stores access the cache too, only
-    // loads take the miss penalty (the caller applies it).
-    std::uint64_t miss = 0;
-    const bool in_pool = memIdx < unit.memCount;
-    const std::uint64_t addr = in_pool ? unit.memAddrs[memIdx] : 0;
-    for (std::size_t l = 0; l < n; ++l) {
-        const std::size_t lane = first + l;
-        const std::int32_t ds =
-            dcacheStreamOf.empty() ? -1 : dcacheStreamOf[lane];
-        bool hit;
-        if (ds >= 0 && in_pool) {
-            hit = dcacheStreams[ds].hit[poolIndex(unit) + memIdx] != 0;
-        } else {
-            if (ds >= 0)
-                privatizeDcache(lane, unit);
-            hit = dcaches[lane].access(addr);
-        }
-        miss |= std::uint64_t(!hit) << l;
-    }
-    return miss;
 }
 
 void
@@ -433,15 +408,10 @@ LanePipelines::opMajorChunk(std::size_t first, std::size_t n,
         // geometry), and mem op m of this unit reads the stream at
         // the unit's pool offset + m on every lane.  One byte read
         // then serves the whole batch: broadcast miss to all lanes.
-        bool uniform = n_mem <= unit.memCount &&
-                       !dcacheStreamOf.empty();
-        std::int32_t ds0 = -1;
-        if (uniform) {
-            ds0 = dcacheStreamOf[first];
-            uniform = ds0 >= 0;
-            for (std::size_t l = 1; uniform && l < n; ++l)
-                uniform = dcacheStreamOf[first + l] == ds0;
-        }
+        const std::int32_t ds0 = dcacheStreamOf[first];
+        bool uniform = n_mem <= unit.memCount && ds0 >= 0;
+        for (std::size_t l = 1; uniform && l < n; ++l)
+            uniform = dcacheStreamOf[first + l] == ds0;
         if (uniform) {
             const std::uint64_t full =
                 n >= 64 ? ~std::uint64_t(0)
@@ -451,8 +421,14 @@ LanePipelines::opMajorChunk(std::size_t first, std::size_t n,
             for (std::uint32_t m = 0; m < n_mem; ++m)
                 scrMiss[m] = hit[m] ? 0 : full;
         } else {
-            for (std::uint32_t m = 0; m < n_mem; ++m)
-                scrMiss[m] = memAccessMask(first, n, unit, m);
+            // Per-lane access order is op order, as in stepOneLane.
+            for (std::uint32_t m = 0; m < n_mem; ++m) {
+                scrMiss[m] = 0;
+                for (std::size_t l = 0; l < n; ++l) {
+                    scrMiss[m] |=
+                        std::uint64_t(!dcacheHit(first + l, unit, m)) << l;
+                }
+            }
         }
     }
 
@@ -506,8 +482,7 @@ LanePipelines::takeResult(std::size_t lane) const
     result.icache = icaches[lane].stats();
     // A lane still on its shared stream has read the whole pool, so
     // its statistics are the stream cache's.
-    const std::int32_t ds =
-        dcacheStreamOf.empty() ? -1 : dcacheStreamOf[lane];
+    const std::int32_t ds = dcacheStreamOf[lane];
     result.dcache = ds >= 0 ? dcacheStreams[ds].cache.stats()
                             : dcaches[lane].stats();
     return result;
@@ -554,87 +529,57 @@ sameEffectiveConfig(MachineConfig a, MachineConfig b)
     return a == b;
 }
 
-/** Collapse @p machines to its effective-config equivalence classes;
- *  @p uniqueOf maps each input index to its class representative's
- *  index in the returned vector. */
-std::vector<MachineConfig>
-dedupConfigs(const std::vector<MachineConfig> &machines,
-             std::vector<std::size_t> &uniqueOf)
-{
-    std::vector<MachineConfig> unique;
-    uniqueOf.resize(machines.size());
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-        std::size_t found = unique.size();
-        for (std::size_t u = 0; u < unique.size(); ++u) {
-            if (sameEffectiveConfig(machines[i], unique[u])) {
-                found = u;
-                break;
-            }
-        }
-        if (found == unique.size())
-            unique.push_back(machines[i]);
-        uniqueOf[i] = found;
-    }
-    return unique;
-}
-
-/** Partition lanes into prediction groups (shared predictor state);
- *  each group lists the lanes whose prediction evolution is
- *  identical, leader first, in input order. */
-std::vector<std::vector<std::size_t>>
-predictionGroups(const std::vector<MachineConfig> &machines)
-{
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t l = 0; l < machines.size(); ++l) {
-        bool placed = false;
-        for (auto &group : groups) {
-            if (samePredictionState(machines[l],
-                                    machines[group.front()])) {
-                group.push_back(l);
-                placed = true;
-                break;
-            }
-        }
-        if (!placed)
-            groups.push_back({l});
-    }
-    return groups;
-}
-
 /**
- * Group-contiguous lane layout: the input configs permuted so that
- * each prediction group occupies one contiguous ascending lane range
- * (the shape stepBatch consumes), plus the map back.
- *
- * Lanes never interact inside LanePipelines, so relabelling them
- * cannot change any per-config result; within a group the members
- * keep their input order, so the leader whose config seeds the
- * group's walker is unchanged too.
+ * The lane layout of one lockstep run, decided in one pass over the
+ * input configs.  Effectively identical configs share one lane, and
+ * each prediction group's lanes form one contiguous range (the shape
+ * stepBatch consumes).  Groups, and the lanes inside a group, keep
+ * their first-appearance order, so the config that seeds each group's
+ * walker is the group's first input config.  Lanes never interact
+ * inside LanePipelines, so the layout cannot change any result.
  */
-struct GroupedLanes
+struct LanePlan
 {
-    std::vector<MachineConfig> ordered;   //!< group-contiguous configs
-    std::vector<std::size_t> posOf;       //!< input lane -> ordered lane
-    std::vector<std::vector<std::size_t>> groups;  //!< ordered-lane ids
+    std::vector<MachineConfig> lanes;
+    /** Prediction groups as (first lane, lane count) ranges. */
+    std::vector<std::pair<std::size_t, std::size_t>> groups;
+    std::vector<std::size_t> laneOf;  //!< input config -> lane
 };
 
-GroupedLanes
-groupLanes(const std::vector<MachineConfig> &machines)
+LanePlan
+planLanes(const std::vector<MachineConfig> &machines)
 {
-    GroupedLanes g;
-    g.posOf.resize(machines.size());
-    g.ordered.reserve(machines.size());
-    for (const auto &members : predictionGroups(machines)) {
-        std::vector<std::size_t> lanes;
-        lanes.reserve(members.size());
-        for (const std::size_t l : members) {
-            g.posOf[l] = g.ordered.size();
-            lanes.push_back(g.ordered.size());
-            g.ordered.push_back(machines[l]);
-        }
-        g.groups.push_back(std::move(lanes));
+    // Each group's distinct configs (input indices), and each input's
+    // (group, member) slot; effective identity implies the same
+    // prediction state, so a config's duplicate is in its own group.
+    std::vector<std::vector<std::size_t>> members;
+    std::vector<std::pair<std::size_t, std::size_t>> slot(machines.size());
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        std::size_t g = 0;
+        while (g < members.size() &&
+               !samePredictionState(machines[i], machines[members[g][0]]))
+            ++g;
+        if (g == members.size())
+            members.emplace_back();
+        std::vector<std::size_t> &group = members[g];
+        std::size_t k = 0;
+        while (k < group.size() &&
+               !sameEffectiveConfig(machines[i], machines[group[k]]))
+            ++k;
+        if (k == group.size())
+            group.push_back(i);
+        slot[i] = {g, k};
     }
-    return g;
+
+    LanePlan plan;
+    for (const std::vector<std::size_t> &group : members) {
+        plan.groups.emplace_back(plan.lanes.size(), group.size());
+        for (const std::size_t i : group)
+            plan.lanes.push_back(machines[i]);
+    }
+    for (const auto &[g, k] : slot)
+        plan.laneOf.push_back(plan.groups[g].first + k);
+    return plan;
 }
 
 // ------------------------------------------------------------ engine
@@ -643,9 +588,9 @@ groupLanes(const std::vector<MachineConfig> &machines)
  * The lockstep engine, one instantiation per machine: N fetch walkers
  * (sim/fetch_outcome.hh), one per prediction group, over one shared
  * translation, so the config-independent translation of each stream
- * position is computed once for every group.  The caller lays each
- * group's lanes out contiguously (groupLanes), so a group steps as one
- * op-major batch.
+ * position is computed once for every group.  Each group's lanes are
+ * one contiguous range of the lane plan (planLanes), so a group steps
+ * as one op-major batch.
  *
  * run() works in capture windows of fetchCaptureWindow events: every
  * group's walker captures the steps that start in the window into the
@@ -662,32 +607,25 @@ class LockstepEngine
 
     /** @p args construct the translation. */
     template <class... Args>
-    explicit LockstepEngine(const std::vector<MachineConfig> &machineConfigs,
-                            const Args &...args)
-        : machines(machineConfigs), translation{args...}
+    explicit LockstepEngine(const LanePlan &lanePlan, const Args &...args)
+        : plan(lanePlan), translation{args...}
     {
-        for (const auto &members : predictionGroups(machines)) {
-            // stepBatch consumes contiguous lane ranges; the caller
-            // hands us group-contiguous configs (groupLanes).
-            for (std::size_t i = 1; i < members.size(); ++i) {
-                BSISA_ASSERT(members[i] == members[i - 1] + 1,
-                             "prediction groups must be contiguous");
-            }
-            groups.emplace_back(translation, machines[members.front()],
-                                members);
+        groups.reserve(plan.groups.size());
+        for (const auto &[first, count] : plan.groups) {
+            const MachineConfig &config = plan.lanes[first];
+            Group &group =
+                groups.emplace_back(translation, config, first, count);
+            // Exact window bounds keep the capture walk allocation-free:
+            // the lockstep steady state performs a length-independent
+            // number of heap allocations (tests/test_decoded.cc).
+            group.stream.reserveWindow(translation.trace,
+                                       !config.perfectPrediction);
         }
-        // Exact window bounds keep the capture walk allocation-free:
-        // the lockstep steady state performs a length-independent
-        // number of heap allocations (tests/test_decoded.cc).
-        for (Group &group : groups) {
-            group.stream.reserveWindow(
-                translation.trace,
-                !machines[group.lanes.front()].perfectPrediction);
-        }
-        laneRedirects.resize(machines.size());
+        laneRedirects.resize(plan.lanes.size());
         atPos.reserve(groups.size());
     }
 
+    /** Run every lane; the results are in input-config order. */
     std::vector<SimResult> run();
 
   private:
@@ -696,13 +634,15 @@ class LockstepEngine
     struct Group
     {
         Group(Translation &translation, const MachineConfig &config,
-              std::vector<std::size_t> members)
-            : walker(translation, config), lanes(std::move(members))
+              std::size_t firstLane, std::size_t laneCount)
+            : walker(translation, config), first(firstLane),
+              count(laneCount)
         {
         }
 
         Walker walker;
-        std::vector<std::size_t> lanes;  //!< member lane indices
+        std::size_t first;  //!< member lanes: [first, first + count)
+        std::size_t count;
         /** The group's fetch outcomes in the current capture window,
          *  and the timing walk's cursors into them. */
         FetchOutcomeStream stream;
@@ -714,7 +654,7 @@ class LockstepEngine
      *  fusing coincident groups into full-width batches. */
     void timingWalk(LanePipelines &pipes);
 
-    const std::vector<MachineConfig> &machines;
+    const LanePlan &plan;
     Translation translation;
     std::vector<Group> groups;
     /** timingWalk scratch: per-lane redirect rows (all clear between
@@ -793,20 +733,18 @@ LockstepEngine<Walker>::timingWalk(LanePipelines &pipes)
                 // Same position, same unit: the span content is
                 // identical whichever group's storage backs it.
                 BSISA_ASSERT(r.memCount == lead.memCount);
-                const std::size_t laneFirst = grp.lanes.front();
-                if (runCount > 0 &&
-                    laneFirst == runFirst + runCount) {
-                    runCount += grp.lanes.size();
+                if (runCount > 0 && grp.first == runFirst + runCount) {
+                    runCount += grp.count;
                 } else {
                     flush();
-                    runFirst = laneFirst;
-                    runCount = grp.lanes.size();
+                    runFirst = grp.first;
+                    runCount = grp.count;
                 }
                 if (grp.nextRedirect < st.redirectStep.size() &&
                     st.redirectStep[grp.nextRedirect] == grp.nextStep) {
-                    const RedirectInfo &rd = st.redirects[grp.nextRedirect++];
-                    for (const std::size_t lane : grp.lanes)
-                        laneRedirects[lane] = rd;
+                    std::fill_n(laneRedirects.begin() +
+                                    std::ptrdiff_t(grp.first),
+                                grp.count, st.redirects[grp.nextRedirect++]);
                     runRedirected = true;
                 }
                 ++grp.nextStep;
@@ -822,14 +760,13 @@ std::vector<SimResult>
 LockstepEngine<Walker>::run()
 {
     const ExecTrace &trace = translation.trace;
-    const std::size_t n = machines.size();
-    LanePipelines pipes(machines.data(), n);
+    LanePipelines pipes(plan.lanes.data(), plan.lanes.size());
     pipes.shareDcachePool(trace.memAddrs, trace.memAddrCount);
 
     LockstepFetchStats &fs = lockstepFetchStatsSlot();
     fs = LockstepFetchStats{};
     fs.groups = groups.size();
-    fs.lanes = n;
+    fs.lanes = plan.lanes.size();
     fs.fused = true;
 
     // Capture window by window.  Every group records the steps that
@@ -866,20 +803,23 @@ LockstepEngine<Walker>::run()
     fs.memoLookups = translation.memoLookups;
     fs.memoComputes = translation.memoComputes;
 
-    std::vector<SimResult> out(n);
+    std::vector<SimResult> laneOut(plan.lanes.size());
     for (const Group &group : groups) {
-        for (const std::size_t l : group.lanes) {
-            out[l] = pipes.takeResult(l);
-            fillSourceStats(out[l], group.walker);
+        for (std::size_t l = group.first; l < group.first + group.count;
+             ++l) {
+            laneOut[l] = pipes.takeResult(l);
+            fillSourceStats(laneOut[l], group.walker);
         }
     }
+    std::vector<SimResult> out;
+    out.reserve(plan.laneOf.size());
+    for (const std::size_t l : plan.laneOf)
+        out.push_back(laneOut[l]);
     return out;
 }
 
 /** Run @p machines through one LockstepEngine<Walker> over the
- *  translation built from @p args: effectively identical configs
- *  collapse to one lane, lanes are laid out group-contiguously, and
- *  the lane results map back to input order. */
+ *  translation built from @p args. */
 template <class Walker, class... Args>
 std::vector<SimResult>
 runLockstep(const std::vector<MachineConfig> &machines,
@@ -887,16 +827,8 @@ runLockstep(const std::vector<MachineConfig> &machines,
 {
     if (machines.empty())
         return {};
-    std::vector<std::size_t> uniqueOf;
-    const std::vector<MachineConfig> unique =
-        dedupConfigs(machines, uniqueOf);
-    const GroupedLanes grouped = groupLanes(unique);
-    LockstepEngine<Walker> engine(grouped.ordered, args...);
-    const std::vector<SimResult> laneOut = engine.run();
-    std::vector<SimResult> out(machines.size());
-    for (std::size_t i = 0; i < machines.size(); ++i)
-        out[i] = laneOut[grouped.posOf[uniqueOf[i]]];
-    return out;
+    const LanePlan plan = planLanes(machines);
+    return LockstepEngine<Walker>(plan, args...).run();
 }
 
 } // namespace

@@ -222,13 +222,11 @@ class LanePipelines
                       const TimingUnit &unit,
                       const RedirectInfo *redirects);
 
-    /** Resolve mem-op @p memIdx of @p unit for @p n lanes from
-     *  @p first — shared-stream outcome bits or private cache model
-     *  per lane — and return the lane miss mask (bit l set: lane
-     *  first+l missed). */
-    std::uint64_t memAccessMask(std::size_t first, std::size_t n,
-                                const TimingUnit &unit,
-                                std::uint32_t memIdx);
+    /** The one dcache rule: resolve mem-op @p memIdx of @p unit on
+     *  @p lane — its shared stream's outcome bit, a fork to a private
+     *  cache at the pool's end, or the private cache model. */
+    bool dcacheHit(std::size_t lane, const TimingUnit &unit,
+                   std::uint32_t memIdx);
 
     /** One distinct dcache geometry's precomputed pool walk: the
      *  per-access hit/miss stream plus the cache's final state (the
@@ -295,8 +293,8 @@ class LanePipelines
     AlignedVec<std::uint64_t> scrUnitDone;
     std::vector<std::uint64_t> scrMiss;
 
-    /** Shared dcache streams (see shareDcachePool); empty when the
-     *  per-lane cache models run privately. */
+    /** Shared dcache streams (see shareDcachePool); a lane's stream
+     *  is -1 while it runs its private cache model. */
     std::vector<DcacheStream> dcacheStreams;
     std::vector<std::int32_t> dcacheStreamOf;  //!< lane -> stream | -1
     const std::uint64_t *dcachePool = nullptr;

@@ -131,6 +131,22 @@ applyFlags(const CommandLine &args, std::initializer_list<ConfigFlag> flags,
     return false;
 }
 
+/** Load the input of a command that builds the machines and apply
+ *  @p flags; then split blocks longer than the enlarger's cap, as the
+ *  compiler does for BlockC, so textual IR holds only blocks both
+ *  machines can fetch. */
+bool
+loadForMachines(const CommandLine &args,
+                std::initializer_list<ConfigFlag> flags, Module &module,
+                RunConfig &config)
+{
+    if (!loadModule(args.positional[0], CompileOptions{}, module) ||
+        !applyFlags(args, flags, config))
+        return false;
+    splitOversizedBlocks(module, config.enlarge.maxOps);
+    return true;
+}
+
 /** The op budget of `run` and `sim`. */
 constexpr ConfigFlag maxOpsFlag{"--max-ops", "max_ops", "1000000000"};
 
@@ -183,15 +199,12 @@ int
 cmdSim(const CommandLine &args)
 {
     Module module;
-    if (!loadModule(args.positional[0], CompileOptions{}, module))
-        return 1;
-
     RunConfig config;
-    if (!applyFlags(args,
-                    {maxOpsFlag,
-                     {"--icache", "icache_kb"},
-                     {"--perfect-bp", "perfect_prediction"}},
-                    config))
+    if (!loadForMachines(args,
+                         {maxOpsFlag,
+                          {"--icache", "icache_kb"},
+                          {"--perfect-bp", "perfect_prediction"}},
+                         module, config))
         return 1;
 
     const PairResult r = runPair(module, config);
@@ -252,15 +265,12 @@ int
 cmdEnlarge(const CommandLine &args)
 {
     Module module;
-    if (!loadModule(args.positional[0], CompileOptions{}, module))
-        return 1;
     RunConfig config;
-    if (!applyFlags(args,
-                    {{"--max-ops-per-block", "enlarge_max_ops"},
-                     {"--max-faults", "enlarge_max_faults"}},
-                    config))
+    if (!loadForMachines(args,
+                         {{"--max-ops-per-block", "enlarge_max_ops"},
+                          {"--max-faults", "enlarge_max_faults"}},
+                         module, config))
         return 1;
-    splitOversizedBlocks(module, config.enlarge.maxOps);
     EnlargeStats stats;
     BsaModule bsa =
         enlargeModule(module, config.enlarge, nullptr, &stats);
