@@ -76,9 +76,10 @@ struct EnlargeStats
 /**
  * Run block enlargement over @p module.
  *
- * @param module Register-allocated conventional program (every block
- *               must already satisfy ops <= config.maxOps; see
- *               splitOversizedBlocks).
+ * @param module Any verified conventional program, register-allocated
+ *               or not (every block must already satisfy ops <=
+ *               config.maxOps; see splitOversizedBlocks).  Only the
+ *               timing decode needs architectural registers.
  * @param config Termination-condition parameters.
  * @param profile Optional branch-bias profile for minMergeBias.
  * @param stats Optional out-param for statistics.

@@ -288,7 +288,7 @@ checkAllOrNothing(const BsaModule &bsa, std::uint64_t policySeed,
     for (const std::uint64_t budget : {total / 3, (2 * total) / 3}) {
         if (budget == 0)
             continue;
-        BsaInterp::Limits la;
+        Interp::Limits la;
         la.maxOps = budget;
         BsaInterp a(bsa, makePolicy(), la);
         a.run();
@@ -299,7 +299,7 @@ checkAllOrNothing(const BsaModule &bsa, std::uint64_t policySeed,
                             " stopped early without halting");
         }
 
-        BsaInterp::Limits lb;
+        Interp::Limits lb;
         lb.maxBlocks = a.committedBlocks() + a.suppressedBlocks();
         BsaInterp b(bsa, makePolicy(), lb);
         b.run();
@@ -354,7 +354,7 @@ checkEnlarge(const Module &module, const ExecTrace &trace,
 
         // Suppressed wrong-variant work inflates the BSA op count, so
         // give the budget headroom over the conventional run.
-        BsaInterp::Limits lim;
+        Interp::Limits lim;
         lim.maxOps = options.limits.maxOps * 8;
 
         for (unsigned p = 0; p <= options.adversarialSeeds; ++p) {
@@ -412,13 +412,14 @@ checkEnlarge(const Module &module, const ExecTrace &trace,
 
 // --------------------------------------------------- models oracle
 
-/** The invariants every SimResult must satisfy, any machine. */
+/** The invariants every SimResult must satisfy, any machine and any
+ *  timing model; failures are reported under @p oracle. */
 OracleResult
-checkSimInvariants(const SimResult &r, const MachineConfig &machine,
-                   const char *what)
+checkResultInvariants(const SimResult &r, const char *oracle,
+                      const char *what)
 {
     auto bad = [&](const std::string &msg) {
-        return fail("models", std::string(what) + ": " + msg);
+        return fail(oracle, std::string(what) + ": " + msg);
     };
     if (r.retiredUnits == 0 || r.cycles < r.retiredUnits)
         return bad("fewer cycles than retired units");
@@ -428,16 +429,27 @@ checkSimInvariants(const SimResult &r, const MachineConfig &machine,
         return bad("more mispredicts than predictions");
     if (r.mispredicts != r.trapMispredicts + r.faultMispredicts)
         return bad("mispredict breakdown does not sum");
-    if (r.peakWindowUnits > machine.windowUnits)
-        return bad("window held more than windowUnits blocks");
-    if (r.peakWindowOps > machine.windowOps)
-        return bad("window held more than windowOps operations");
     if (r.stallRedirect + r.stallWindow + r.stallIcache > r.cycles)
         return bad("stall cycles exceed total cycles");
     if (r.icache.misses > r.icache.accesses ||
         r.dcache.misses > r.dcache.accesses)
         return bad("cache misses exceed accesses");
     return {};
+}
+
+/** checkResultInvariants plus the abstract model's window bounds. */
+OracleResult
+checkSimInvariants(const SimResult &r, const MachineConfig &machine,
+                   const char *what)
+{
+    auto bad = [&](const std::string &msg) {
+        return fail("models", std::string(what) + ": " + msg);
+    };
+    if (r.peakWindowUnits > machine.windowUnits)
+        return bad("window held more than windowUnits blocks");
+    if (r.peakWindowOps > machine.windowOps)
+        return bad("window held more than windowOps operations");
+    return checkResultInvariants(r, "models", what);
 }
 
 /** A trace cache that never hits is the conventional machine: with
@@ -685,12 +697,13 @@ checkLockstep(const Module &module, const ExecTrace &trace,
 
 // ------------------------------------------------------ ooo oracle
 
-/** Structural invariants of one simulateOoO() run.  The OoO backend
- *  reports ROB occupancy through peakWindow*, so the abstract window
- *  bounds do not apply; the bounds here are the configured ROB/LSQ
- *  capacities plus the telemetry violation counters, which a correct
- *  backend never increments (ROB within capacity, in-order commit, no
- *  load forwards from a younger store). */
+/** Structural invariants of one simulateOoO() run: the shared
+ *  checkResultInvariants plus the OoO bounds.  The OoO backend reports
+ *  ROB occupancy through peakWindow*, so the abstract window bounds do
+ *  not apply; the bounds here are the configured ROB/LSQ capacities
+ *  plus the telemetry violation counters, which a correct backend
+ *  never increments (ROB within capacity, in-order commit, no load
+ *  forwards from a younger store). */
 OracleResult
 checkOooInvariants(const SimResult &r, const OooTelemetry &tel,
                    const MachineConfig &machine, const char *what)
@@ -698,14 +711,6 @@ checkOooInvariants(const SimResult &r, const OooTelemetry &tel,
     auto bad = [&](const std::string &msg) {
         return fail("ooo", std::string(what) + ": " + msg);
     };
-    if (r.retiredUnits == 0 || r.cycles < r.retiredUnits)
-        return bad("fewer cycles than retired units");
-    if (r.retiredOps < r.retiredUnits)
-        return bad("retired fewer ops than units");
-    if (r.mispredicts > r.predictions)
-        return bad("more mispredicts than predictions");
-    if (r.mispredicts != r.trapMispredicts + r.faultMispredicts)
-        return bad("mispredict breakdown does not sum");
     if (r.peakWindowOps > machine.ooo.robOps ||
         tel.peakRobOps > machine.ooo.robOps)
         return bad("ROB held more ops than robOps");
@@ -719,12 +724,7 @@ checkOooInvariants(const SimResult &r, const OooTelemetry &tel,
         return bad("load forwarded from a younger store");
     if (tel.checkpointsRestored > tel.checkpointsTaken)
         return bad("more checkpoints restored than taken");
-    if (r.stallRedirect + r.stallWindow + r.stallIcache > r.cycles)
-        return bad("stall cycles exceed total cycles");
-    if (r.icache.misses > r.icache.accesses ||
-        r.dcache.misses > r.dcache.accesses)
-        return bad("cache misses exceed accesses");
-    return {};
+    return checkResultInvariants(r, "ooo", what);
 }
 
 OracleResult

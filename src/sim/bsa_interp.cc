@@ -32,21 +32,10 @@ randomVariantPolicy(std::uint64_t seed)
 }
 
 BsaInterp::BsaInterp(const BsaModule &bsa_mod, VariantPolicy pol,
-                     Limits lim)
-    : bsa(bsa_mod), module(*bsa_mod.src), policy(std::move(pol)),
-      limits(lim)
+                     Interp::Limits lim)
+    : ArchState(*bsa_mod.src), bsa(bsa_mod), policy(std::move(pol)),
+      limits(lim), curBlock(fetchHead(module.mainFunc, 0))
 {
-    mem.init(Module::dataBase, module.data);
-
-    const Function &main_fn = module.functions[module.mainFunc];
-    Frame f;
-    f.func = module.mainFunc;
-    f.retTo = invalidId;
-    f.regs.assign(numArchRegs, 0);
-    f.regs[regSp] = Module::stackBase - main_fn.frameSize;
-    frames.push_back(std::move(f));
-
-    curBlock = fetchHead(module.mainFunc, 0);
 }
 
 AtomicBlockId
@@ -59,12 +48,6 @@ BsaInterp::fetchHead(FuncId func, BlockId head)
     return trie.nodes[node].block;
 }
 
-std::uint64_t
-BsaInterp::exitValue() const
-{
-    return frames.front().regs[regRet];
-}
-
 bool
 BsaInterp::step()
 {
@@ -74,7 +57,7 @@ BsaInterp::step()
     }
 
     const AtomicBlock &blk = bsa.blocks[curBlock];
-    Frame &frame = frames.back();
+    Frame &frame = top();
     BSISA_ASSERT(blk.func == frame.func,
                  "fetched block from the wrong function");
 
@@ -136,55 +119,27 @@ BsaInterp::step()
           case Opcode::Ret:
           case Opcode::Halt: {
             // Terminator reached: the block commits.
-            frame.regs = shadow;
+            frame.regs.swap(shadow);
             for (const auto &[addr, value] : stores)
                 mem.write(addr, value);
             nCommittedOps += exec_ops;
             ++nCommittedBlocks;
 
             switch (op.op) {
-              case Opcode::Jmp:
-                curBlock = fetchHead(frame.func, op.target0);
-                break;
-              case Opcode::Trap:
-                curBlock = fetchHead(frame.func,
-                                     s1 != 0 ? op.target0 : op.target1);
-                break;
-              case Opcode::IJmp: {
-                const auto &table =
-                    module.functions[frame.func].jumpTables[op.imm];
-                curBlock =
-                    fetchHead(frame.func, table[s1 % table.size()]);
-                break;
-              }
-              case Opcode::Call: {
-                const Function &callee = module.functions[op.callee];
-                Frame nf;
-                nf.func = op.callee;
-                nf.retTo = op.target0;
-                nf.regs.assign(numArchRegs, 0);
-                for (RegNum r = 0; r < numArchRegs; ++r)
-                    nf.regs[r] = frame.regs[r];
-                nf.regs[regSp] -= callee.frameSize;
-                if (frames.size() >= 100000)
-                    fatal("call stack overflow (runaway recursion?)");
-                frames.push_back(std::move(nf));
+              case Opcode::Call:
+                call(op.callee, op.target0);
                 curBlock = fetchHead(op.callee, 0);
                 break;
-              }
               case Opcode::Ret: {
-                BSISA_ASSERT(frames.size() > 1);
-                const std::uint64_t ret_val = frame.regs[regRet];
-                const BlockId ret_to = frame.retTo;
-                frames.pop_back();
-                frames.back().regs[regRet] = ret_val;
-                curBlock = fetchHead(frames.back().func, ret_to);
+                const BlockId ret_to = ret();
+                curBlock = fetchHead(top().func, ret_to);
                 break;
               }
               case Opcode::Halt:
                 isHalted = true;
                 break;
-              default:
+              default:  // Jmp, Trap, IJmp
+                curBlock = fetchHead(frame.func, successor(op, s1));
                 break;
             }
             return true;

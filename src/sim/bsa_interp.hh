@@ -2,11 +2,13 @@
  * @file
  * Functional interpreter for block-structured ISA programs.
  *
- * Executes a BsaModule with the architectural atomic-block semantics:
- * every operation of a block executes into a speculation buffer; if
- * any fault operation's condition fires, the whole block is suppressed
- * (no architectural effect) and control redirects to the fault's
- * target; otherwise the block commits atomically.
+ * Runs on the same ArchState as the conventional Interp (memory, the
+ * register-window stack, call, return and branch successors; see
+ * sim/interp.hh) and adds the architectural atomic-block discipline:
+ * every operation of a block executes into shadow registers and a
+ * store buffer; if any fault operation's condition fires, the whole
+ * block is suppressed (no architectural effect) and control redirects
+ * to the fault's target; otherwise the block commits atomically.
  *
  * The *variant policy* models the fetch engine's freedom: whenever
  * control reaches an enlargement head, any emitted variant of that
@@ -23,7 +25,6 @@
 
 #include "core/bsa.hh"
 #include "sim/interp.hh"
-#include "sim/memory.hh"
 
 namespace bsisa
 {
@@ -36,26 +37,20 @@ namespace bsisa
 using VariantPolicy =
     std::function<int(const BsaModule &, FuncId, const HeadTrie &)>;
 
-/** Always fetch the deepest variant consistent with nothing (the
- *  first emitted node = shallowest in construction order is NOT used;
- *  this policy picks variant 0 deterministically). */
+/** Always fetch the head's first emitted variant (trie.emitted's
+ *  front node): deterministic, and independent of the path taken. */
 VariantPolicy firstVariantPolicy();
 
 /** Random variant selection from a deterministic seed. */
 VariantPolicy randomVariantPolicy(std::uint64_t seed);
 
-class BsaInterp
+class BsaInterp : public ArchState
 {
   public:
-    struct Limits
-    {
-        std::uint64_t maxOps = 1ull << 62;
-        std::uint64_t maxBlocks = 1ull << 62;
-    };
-
-    BsaInterp(const BsaModule &bsa, VariantPolicy policy, Limits limits);
+    BsaInterp(const BsaModule &bsa, VariantPolicy policy,
+              Interp::Limits limits);
     BsaInterp(const BsaModule &bsa, VariantPolicy policy)
-        : BsaInterp(bsa, std::move(policy), Limits())
+        : BsaInterp(bsa, std::move(policy), Interp::Limits())
     {
     }
 
@@ -68,8 +63,6 @@ class BsaInterp
     /** Run to completion or limit. */
     void run();
 
-    bool halted() const { return isHalted; }
-
     /** Committed (architecturally executed) operations. */
     std::uint64_t committedOps() const { return nCommittedOps; }
     /** Operations executed then suppressed by faults. */
@@ -79,33 +72,11 @@ class BsaInterp
     /** Blocks suppressed by a firing fault. */
     std::uint64_t suppressedBlocks() const { return nSuppressedBlocks; }
 
-    std::uint64_t exitValue() const;
-    std::uint64_t memChecksum() const { return mem.checksum(); }
-
-    /** Global-data-only checksum (see Interp::dataChecksum). */
-    std::uint64_t
-    dataChecksum() const
-    {
-        return mem.checksumRange(
-            Module::dataBase, Module::dataBase + module.data.size() * 8);
-    }
-
   private:
-    struct Frame
-    {
-        FuncId func;
-        BlockId retTo;
-        std::vector<std::uint64_t> regs;
-    };
-
     const BsaModule &bsa;
-    const Module &module;
     VariantPolicy policy;
-    Limits limits;
-    Memory mem;
-    std::vector<Frame> frames;
+    Interp::Limits limits;
     AtomicBlockId curBlock;
-    bool isHalted = false;
     std::uint64_t nCommittedOps = 0;
     std::uint64_t nSuppressedOps = 0;
     std::uint64_t nCommittedBlocks = 0;

@@ -1,10 +1,11 @@
 /**
  * @file
- * Functional interpreter implementation.
+ * Architectural state and conventional interpreter implementation.
  */
 
 #include "sim/interp.hh"
 
+#include <algorithm>
 #include <atomic>
 
 #include "sim/alu.hh"
@@ -26,20 +27,69 @@ interpInvocations()
     return interpCount.load(std::memory_order_relaxed);
 }
 
-Interp::Interp(const Module &mod, Limits lim)
-    : module(mod), limits(lim)
+ArchState::ArchState(const Module &mod) : module(mod)
 {
-    interpCount.fetch_add(1, std::memory_order_relaxed);
     BSISA_ASSERT(mod.mainFunc < mod.functions.size());
     mem.init(Module::dataBase, mod.data);
+    std::uint64_t boot[numArchRegs] = {};
+    boot[regSp] = Module::stackBase;
+    enter(mod.mainFunc, invalidId, boot);
+}
 
-    const Function &main_fn = module.functions[module.mainFunc];
-    Frame f;
-    f.func = module.mainFunc;
-    f.retTo = invalidId;
-    f.regs.assign(std::max<RegNum>(main_fn.numVirtualRegs, numArchRegs), 0);
-    f.regs[regSp] = Module::stackBase - main_fn.frameSize;
-    frames.push_back(std::move(f));
+void
+ArchState::enter(FuncId func, BlockId retTo, const std::uint64_t *caller)
+{
+    const Function &fn = module.functions[func];
+    std::vector<std::uint64_t> regs(
+        std::max<RegNum>(fn.numVirtualRegs, numArchRegs), 0);
+    std::copy_n(caller, numArchRegs, regs.begin());
+    regs[regSp] -= fn.frameSize;
+    frames.push_back({func, retTo, std::move(regs)});
+}
+
+void
+ArchState::call(FuncId callee, BlockId retTo)
+{
+    if (frames.size() >= 100000)
+        fatal("call stack overflow (runaway recursion?)");
+    enter(callee, retTo, frames.back().regs.data());
+}
+
+BlockId
+ArchState::ret()
+{
+    BSISA_ASSERT(frames.size() > 1,
+                 "ret from the bottom frame; main must halt");
+    const std::uint64_t ret_val = frames.back().regs[regRet];
+    const BlockId ret_to = frames.back().retTo;
+    frames.pop_back();
+    frames.back().regs[regRet] = ret_val;
+    return ret_to;
+}
+
+BlockId
+ArchState::successor(const Operation &op, std::uint64_t s1) const
+{
+    switch (op.op) {
+      case Opcode::Jmp:
+        return op.target0;
+      case Opcode::Trap:
+        return s1 != 0 ? op.target0 : op.target1;
+      case Opcode::IJmp: {
+        const auto &table =
+            module.functions[frames.back().func].jumpTables[op.imm];
+        BSISA_ASSERT(!table.empty());
+        return table[s1 % table.size()];
+      }
+      default:
+        panic("no intra-function successor for ", opcodeName(op.op));
+    }
+}
+
+Interp::Interp(const Module &mod, Limits lim)
+    : ArchState(mod), limits(lim)
+{
+    interpCount.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -58,20 +108,13 @@ Interp::writeReg(Frame &f, RegNum r, std::uint64_t v)
     f.regs[r] = v;
 }
 
-std::uint64_t
-Interp::exitValue() const
-{
-    BSISA_ASSERT(!frames.empty());
-    return frames.front().regs[regRet];
-}
-
 bool
 Interp::step(BlockEvent &ev)
 {
     if (isHalted || ops >= limits.maxOps || blocks >= limits.maxBlocks)
         return false;
 
-    Frame &frame = frames.back();
+    Frame &frame = top();
     const Function &fn = module.functions[frame.func];
     BSISA_ASSERT(curBlock < fn.blocks.size());
     const Block &blk = fn.blocks[curBlock];
@@ -115,57 +158,26 @@ Interp::step(BlockEvent &ev)
           case Opcode::Fault:
             panic("fault operation reached the conventional interpreter");
           case Opcode::Jmp:
-            ev.exit = ExitKind::Jump;
+          case Opcode::Trap:
+          case Opcode::IJmp:
+            ev.exit = op.op == Opcode::Jmp    ? ExitKind::Jump
+                      : op.op == Opcode::Trap ? ExitKind::Trap
+                                              : ExitKind::IJump;
+            ev.taken = op.op == Opcode::Trap && s1 != 0;
             ev.nextFunc = frame.func;
-            ev.nextBlock = op.target0;
+            ev.nextBlock = successor(op, s1);
             break;
-          case Opcode::Trap: {
-            const bool taken = s1 != 0;
-            ev.exit = ExitKind::Trap;
-            ev.taken = taken;
-            ev.nextFunc = frame.func;
-            ev.nextBlock = taken ? op.target0 : op.target1;
-            break;
-          }
-          case Opcode::IJmp: {
-            const auto &table = fn.jumpTables[op.imm];
-            BSISA_ASSERT(!table.empty());
-            ev.exit = ExitKind::IJump;
-            ev.nextFunc = frame.func;
-            ev.nextBlock = table[s1 % table.size()];
-            break;
-          }
-          case Opcode::Call: {
-            const Function &callee = module.functions[op.callee];
+          case Opcode::Call:
             ev.exit = ExitKind::Call;
             ev.nextFunc = op.callee;
             ev.nextBlock = 0;
-
-            Frame nf;
-            nf.func = op.callee;
-            nf.retTo = op.target0;
-            nf.regs.assign(
-                std::max<RegNum>(callee.numVirtualRegs, numArchRegs), 0);
-            for (RegNum r = 0; r < numArchRegs; ++r)
-                nf.regs[r] = frame.regs[r];
-            nf.regs[regSp] -= callee.frameSize;
-            if (frames.size() >= 100000)
-                fatal("call stack overflow (runaway recursion?)");
-            frames.push_back(std::move(nf));
+            call(op.callee, op.target0);
             break;
-          }
-          case Opcode::Ret: {
-            BSISA_ASSERT(frames.size() > 1,
-                         "ret from the bottom frame; main must halt");
+          case Opcode::Ret:
             ev.exit = ExitKind::Ret;
-            const std::uint64_t ret_val = frame.regs[regRet];
-            const BlockId ret_to = frame.retTo;
-            frames.pop_back();
-            frames.back().regs[regRet] = ret_val;
-            ev.nextFunc = frames.back().func;
-            ev.nextBlock = ret_to;
+            ev.nextBlock = ret();
+            ev.nextFunc = top().func;
             break;
-          }
           case Opcode::Halt:
             ev.exit = ExitKind::Halt;
             ev.nextFunc = invalidId;

@@ -1,16 +1,22 @@
 /**
  * @file
- * Functional interpreter for the conventional ISA.
+ * Architectural state and the functional interpreter for the
+ * conventional ISA.
  *
- * Executes a Module block-by-block at architectural level, producing
- * the committed dynamic basic-block stream that drives both timing
- * models (see DESIGN.md section 5: the committed path is the same for
- * both ISAs, so one functional execution serves both).
- *
+ * ArchState is the state both interpreters run on: data memory, the
+ * register-window call stack, call and return, the successor of an
+ * intra-function branch, and the exit-value and checksum read-outs.
  * Call semantics are register-windowed (see arch/reg.hh): the callee
  * starts with a copy of the caller's low 32 registers, its frame is
- * allocated by bumping the window's stack pointer by Function::
+ * allocated by lowering the window's stack pointer by Function::
  * frameSize, and on return the return-value register is copied back.
+ *
+ * Interp adds the conventional block discipline: it executes a Module
+ * basic block by basic block in place, producing the committed dynamic
+ * basic-block stream that drives both timing models (see DESIGN.md
+ * section 5: the committed path is the same for both ISAs, so one
+ * functional execution serves both).  BsaInterp (sim/bsa_interp.hh)
+ * adds the atomic-block discipline on the same state.
  */
 
 #ifndef BSISA_SIM_INTERP_HH
@@ -71,9 +77,77 @@ constexpr std::uint32_t interpVersion = 1;
 std::uint64_t interpInvocations();
 
 /**
+ * The architectural state of a functional execution: memory
+ * initialised from the module and one register window per active
+ * call.  A window holds max(numVirtualRegs, numArchRegs) registers, so
+ * a module that was never register-allocated runs as well.
+ */
+class ArchState
+{
+  public:
+    /** True once a Halt retired. */
+    bool halted() const { return isHalted; }
+
+    /** Value of the return register in the bottom frame. */
+    std::uint64_t exitValue() const { return frames.front().regs[regRet]; }
+
+    /** Checksum over all touched memory; used by equivalence tests. */
+    std::uint64_t memChecksum() const { return mem.checksum(); }
+
+    /**
+     * Checksum over the global-data region only (excludes the stack,
+     * whose leftover spill slots differ across compilation variants).
+     */
+    std::uint64_t
+    dataChecksum() const
+    {
+        return mem.checksumRange(
+            Module::dataBase, Module::dataBase + module.data.size() * 8);
+    }
+
+  protected:
+    struct Frame
+    {
+        FuncId func;
+        BlockId retTo;   //!< continuation block in the *caller*
+        std::vector<std::uint64_t> regs;
+    };
+
+    /** Set up memory and main's window, sp at the top of the stack. */
+    explicit ArchState(const Module &module);
+
+    /** The innermost window. */
+    Frame &top() { return frames.back(); }
+
+    /** Enter @p callee, returning to @p retTo in the current function:
+     *  the new window copies the caller's architectural registers and
+     *  lowers sp by the callee's frame. */
+    void call(FuncId callee, BlockId retTo);
+
+    /** Leave the current function, copying regRet back to the caller.
+     *  @return the caller's continuation block (top() is the caller). */
+    BlockId ret();
+
+    /** The block a Jmp, Trap or IJmp @p op of the current function
+     *  continues at, given its first source @p s1. */
+    BlockId successor(const Operation &op, std::uint64_t s1) const;
+
+    const Module &module;
+    Memory mem;
+    bool isHalted = false;
+
+  private:
+    std::vector<Frame> frames;
+
+    /** Push a window for @p func whose architectural registers start
+     *  as @p caller's. */
+    void enter(FuncId func, BlockId retTo, const std::uint64_t *caller);
+};
+
+/**
  * Pull-based functional execution of a Module.
  */
-class Interp
+class Interp : public ArchState
 {
   public:
     /** Execution limits; the interpreter stops cleanly at a block
@@ -105,51 +179,17 @@ class Interp
     /** Run to completion (or limit), discarding events. */
     void run();
 
-    /** True once a Halt retired. */
-    bool halted() const { return isHalted; }
-
     /** Dynamic operation count so far. */
     std::uint64_t dynOps() const { return ops; }
 
     /** Dynamic block count so far. */
     std::uint64_t dynBlocks() const { return blocks; }
 
-    /** Value of the return register in the bottom frame. */
-    std::uint64_t exitValue() const;
-
-    /** Checksum over all touched memory; used by equivalence tests. */
-    std::uint64_t memChecksum() const { return mem.checksum(); }
-
-    /**
-     * Checksum over the global-data region only (excludes the stack,
-     * whose leftover spill slots differ across compilation variants).
-     */
-    std::uint64_t
-    dataChecksum() const
-    {
-        return mem.checksumRange(
-            Module::dataBase, Module::dataBase + module.data.size() * 8);
-    }
-
-    /** Direct access to simulated memory (tests). */
-    Memory &memory() { return mem; }
-
   private:
-    struct Frame
-    {
-        FuncId func;
-        BlockId retTo;   //!< continuation block in the *caller*
-        std::vector<std::uint64_t> regs;
-    };
-
-    const Module &module;
     Limits limits;
-    Memory mem;
-    std::vector<Frame> frames;
     /** Backing storage for the last step()'s memAddrs span. */
     std::vector<std::uint64_t> memBuf;
     BlockId curBlock = 0;
-    bool isHalted = false;
     std::uint64_t ops = 0;
     std::uint64_t blocks = 0;
 

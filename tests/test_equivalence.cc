@@ -98,9 +98,10 @@ randomWorkload(Rng &rng)
 }
 
 Module
-compileWithData(const std::string &src, Rng &rng)
+compileWithData(const std::string &src, Rng &rng,
+                const CompileOptions &options = {})
 {
-    Module m = compileBlockCOrDie(src);
+    Module m = compileBlockCOrDie(src, options);
     for (std::size_t i = 0; i < m.data.size(); ++i)
         m.data[i] = rng.nextBelow(16);
     return m;
@@ -236,9 +237,7 @@ TEST(Equivalence, SmallIssueWidthStillCorrect)
     const std::string src = randomWorkload(rng);
     CompileOptions options;
     options.maxBlockOps = 8;
-    Module m = compileBlockCOrDie(src, options);
-    for (std::size_t i = 0; i < m.data.size(); ++i)
-        m.data[i] = rng.nextBelow(16);
+    const Module m = compileWithData(src, rng, options);
     const GoldenRun want = runConventional(m);
     EnlargeConfig narrow;
     narrow.maxOps = 8;
@@ -246,6 +245,28 @@ TEST(Equivalence, SmallIssueWidthStillCorrect)
     for (const auto &blk : bsa.blocks)
         EXPECT_LE(blk.ops.size(), 8u);
     expectBsaMatches(m, bsa, want, randomVariantPolicy(11), "narrow");
+}
+
+TEST(Equivalence, UnallocatedModuleMatches)
+{
+    // Both interpreters size a register window by the same rule, so a
+    // program that still uses virtual registers runs on both.
+    Rng rng(909);
+    const std::string src = randomWorkload(rng);
+    CompileOptions options;
+    options.allocate = false;
+    const Module m = compileWithData(src, rng, options);
+    bool virtualRegs = false;
+    for (const Function &fn : m.functions)
+        virtualRegs |= fn.numVirtualRegs > numArchRegs;
+    ASSERT_TRUE(virtualRegs);
+
+    const GoldenRun want = runConventional(m);
+    const BsaModule bsa = enlargeModule(m, EnlargeConfig{});
+    expectBsaMatches(m, bsa, want, firstVariantPolicy(),
+                     "unallocated/first");
+    expectBsaMatches(m, bsa, want, randomVariantPolicy(13),
+                     "unallocated/random");
 }
 
 // The timing models never touch architectural state, but each one

@@ -224,7 +224,7 @@ TEST(AtomicBudgetTest, OpBudgetExpiryNeverCommitsPartialBlocks)
 
         unsigned midBlockStops = 0;
         for (std::uint64_t b = 1; b <= total; b += 7) {
-            BsaInterp::Limits la;
+            Interp::Limits la;
             la.maxOps = b;
             BsaInterp a(bsa, policy(), la);
             a.run();
@@ -240,7 +240,7 @@ TEST(AtomicBudgetTest, OpBudgetExpiryNeverCommitsPartialBlocks)
                     ++midBlockStops;
             }
 
-            BsaInterp::Limits lb;
+            Interp::Limits lb;
             lb.maxBlocks =
                 a.committedBlocks() + a.suppressedBlocks();
             BsaInterp c(bsa, policy(), lb);

@@ -206,6 +206,19 @@ cmdSim(const CommandLine &args)
                           {"--perfect-bp", "perfect_prediction"}},
                          module, config))
         return 1;
+    // The timing models decode architectural registers only; `run`
+    // and `enlarge` accept virtual registers.
+    for (const Function &fn : module.functions) {
+        if (fn.numVirtualRegs > numArchRegs) {
+            std::cerr << "bsisac: " << args.positional[0]
+                      << ": function '" << fn.name << "' has vregs="
+                      << fn.numVirtualRegs
+                      << "; timing simulation needs register-allocated"
+                         " IR (vregs="
+                      << numArchRegs << ")\n";
+            return 1;
+        }
+    }
 
     const PairResult r = runPair(module, config);
 
