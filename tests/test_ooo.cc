@@ -6,7 +6,7 @@
  * forwarding and partial-overlap classification, directed engine
  * regressions on synthetic fetch streams, the commit-order digest
  * contract, determinism under BSISA_JOBS fanning, and every suite
- * benchmark's results pinned at two geometries.
+ * benchmark's results pinned at three geometries.
  */
 
 #include <gtest/gtest.h>
@@ -655,10 +655,12 @@ pinnedRowText(const PinnedOoo &r)
 
 /**
  * Expected OoO results of every suite benchmark on both machines at
- * 1/2000 of its Table-2 budget, under the default geometry and a tiny
- * one (2 stations per class, 4 LSQ entries, 40 physical registers, a
- * 16-op ROB committing 2 per cycle) that reaches the LSQ's capacity
- * reclaim and rename starvation.  Any change to the engine's
+ * 1/2000 of its Table-2 budget, under three geometries: the default;
+ * a tiny one (2 stations per class, 4 LSQ entries, 40 physical
+ * registers, a 16-op ROB committing 2 per cycle) that reaches the
+ * LSQ's capacity reclaim and rename starvation; and a deep "ladder"
+ * rung (ROB, stations and LSQ of 512, 600 physical registers) whose
+ * stations and queues rarely fill.  Any change to the engine's
  * structures must reproduce every row bit for bit.
  */
 const PinnedOoo kPinnedOoo[] = {
@@ -670,6 +672,10 @@ const PinnedOoo kPinnedOoo[] = {
      92743, 5506, 80398, 174, 1025,
      3719380931163717079ull, 479, 0, 332, 332, 12961,
      16, 5, 3, 0, 0, 0},
+    {"conv", "compress", "ladder",
+     15347, 3009, 5429, 174, 1432,
+     3719380931163717079ull, 3717, 0, 332, 332, 136,
+     512, 75, 79, 0, 0, 0},
     {"bsa", "compress", "default",
      18345, 5250, 7188, 378, 697,
      16078470328008759298ull, 3008, 0, 102, 102, 9066,
@@ -678,6 +684,10 @@ const PinnedOoo kPinnedOoo[] = {
      93347, 3005, 84518, 378, 360,
      16078470328008759298ull, 479, 0, 102, 102, 3433,
      16, 6, 3, 0, 0, 0},
+    {"bsa", "compress", "ladder",
+     14198, 1644, 6657, 378, 635,
+     16078470328008759298ull, 3878, 0, 102, 102, 0,
+     512, 60, 79, 0, 0, 0},
     {"conv", "gcc", "default",
      40052, 19994, 3394, 3354, 8139,
      16266610886918237482ull, 566, 0, 1888, 1888, 3165,
@@ -686,6 +696,10 @@ const PinnedOoo kPinnedOoo[] = {
      124450, 29744, 78080, 3354, 4086,
      16266610886918237482ull, 82, 0, 1888, 1888, 29370,
      16, 7, 4, 0, 0, 0},
+    {"conv", "gcc", "ladder",
+     38189, 20581, 921, 3354, 8096,
+     16266610886918237482ull, 706, 0, 1888, 1888, 0,
+     512, 96, 55, 0, 0, 0},
     {"bsa", "gcc", "default",
      39317, 20553, 4026, 7104, 4513,
      14276910917922446796ull, 538, 0, 619, 619, 1352,
@@ -694,6 +708,10 @@ const PinnedOoo kPinnedOoo[] = {
      132956, 30022, 88232, 7104, 2261,
      14276910917922446796ull, 71, 0, 619, 619, 4286,
      16, 4, 4, 0, 0, 0},
+    {"bsa", "gcc", "ladder",
+     36287, 19532, 1939, 7104, 4416,
+     14276910917922446796ull, 768, 0, 619, 619, 0,
+     512, 61, 56, 0, 0, 0},
     {"conv", "go", "default",
      36539, 20506, 1253, 3942, 9261,
      7848318737998112393ull, 634, 0, 2024, 2024, 1386,
@@ -702,6 +720,10 @@ const PinnedOoo kPinnedOoo[] = {
      104821, 31050, 59019, 3942, 4528,
      7848318737998112393ull, 76, 0, 2024, 2024, 24017,
      16, 8, 4, 0, 0, 0},
+    {"conv", "go", "ladder",
+     35143, 20036, 327, 3942, 9214,
+     7848318737998112393ull, 748, 0, 2024, 2024, 0,
+     512, 99, 54, 0, 0, 0},
     {"bsa", "go", "default",
      37219, 19660, 2150, 8622, 4102,
      4867519734519188257ull, 673, 0, 514, 514, 741,
@@ -710,6 +732,10 @@ const PinnedOoo kPinnedOoo[] = {
      110904, 31027, 64502, 8622, 1907,
      4867519734519188257ull, 72, 0, 514, 514, 8521,
      16, 4, 4, 0, 0, 0},
+    {"bsa", "go", "ladder",
+     34752, 17671, 1582, 8622, 4059,
+     4867519734519188257ull, 841, 0, 514, 514, 0,
+     512, 77, 98, 0, 0, 0},
     {"conv", "ijpeg", "default",
      41425, 5695, 22580, 300, 1843,
      16921275960548170340ull, 3118, 0, 317, 317, 11012,
@@ -718,6 +744,10 @@ const PinnedOoo kPinnedOoo[] = {
      160971, 4563, 143284, 300, 840,
      16921275960548170340ull, 154, 0, 317, 317, 10644,
      16, 5, 4, 0, 0, 0},
+    {"conv", "ijpeg", "ladder",
+     38838, 5193, 20473, 300, 1755,
+     16921275960548170340ull, 5814, 0, 317, 317, 0,
+     512, 71, 164, 0, 0, 0},
     {"bsa", "ijpeg", "default",
      41955, 9470, 21563, 756, 2637,
      4281608987414829635ull, 3192, 0, 274, 274, 4160,
@@ -726,6 +756,10 @@ const PinnedOoo kPinnedOoo[] = {
      161167, 6510, 143764, 756, 962,
      4281608987414829635ull, 155, 0, 274, 274, 3951,
      16, 4, 4, 0, 0, 0},
+    {"bsa", "ijpeg", "ladder",
+     38923, 6125, 21870, 756, 2408,
+     4281608987414829635ull, 6027, 0, 274, 274, 0,
+     512, 67, 164, 0, 0, 0},
     {"conv", "li", "default",
      43386, 23092, 1889, 294, 6809,
      15730470159098666733ull, 835, 0, 1581, 1581, 3627,
@@ -734,6 +768,10 @@ const PinnedOoo kPinnedOoo[] = {
      148455, 21950, 108093, 294, 3733,
      15730470159098666733ull, 0, 0, 1581, 1581, 32001,
      16, 8, 2, 0, 0, 0},
+    {"conv", "li", "ladder",
+     39464, 19754, 1305, 294, 6473,
+     15730470159098666733ull, 860, 0, 1581, 1581, 0,
+     512, 101, 55, 0, 0, 0},
     {"bsa", "li", "default",
      38921, 23891, 3256, 720, 8876,
      13010969483884524022ull, 811, 0, 1204, 1204, 9615,
@@ -742,6 +780,10 @@ const PinnedOoo kPinnedOoo[] = {
      156244, 24396, 120088, 720, 4347,
      13010969483884524022ull, 8, 0, 1204, 1204, 16464,
      16, 4, 2, 0, 0, 0},
+    {"bsa", "li", "ladder",
+     33318, 19538, 1995, 720, 8953,
+     13010969483884524022ull, 878, 0, 1204, 1204, 0,
+     512, 70, 55, 0, 0, 0},
     {"conv", "m88ksim", "default",
      19277, 5186, 4802, 204, 1179,
      17025224661552522716ull, 52, 0, 271, 271, 20354,
@@ -750,6 +792,10 @@ const PinnedOoo kPinnedOoo[] = {
      96303, 3491, 83540, 204, 595,
      17025224661552522716ull, 0, 0, 271, 271, 10318,
      16, 4, 2, 0, 0, 0},
+    {"conv", "m88ksim", "ladder",
+     12708, 2142, 1247, 204, 899,
+     17025224661552522716ull, 57, 0, 271, 271, 0,
+     511, 90, 54, 0, 0, 0},
     {"bsa", "m88ksim", "default",
      19319, 7939, 3633, 594, 2043,
      14423744807142896427ull, 16, 0, 194, 194, 15769,
@@ -758,6 +804,10 @@ const PinnedOoo kPinnedOoo[] = {
      98869, 5163, 85979, 594, 1159,
      14423744807142896427ull, 0, 0, 194, 194, 1050,
      16, 4, 2, 0, 0, 0},
+    {"bsa", "m88ksim", "ladder",
+     12249, 2620, 1863, 594, 2042,
+     14423744807142896427ull, 59, 0, 194, 194, 0,
+     512, 67, 56, 0, 0, 0},
     {"conv", "perl", "default",
      17744, 6292, 4442, 600, 1897,
      2471884882833797344ull, 428, 0, 483, 483, 7562,
@@ -766,6 +816,10 @@ const PinnedOoo kPinnedOoo[] = {
      62352, 7942, 47396, 600, 1100,
      2471884882833797344ull, 5, 0, 483, 483, 14831,
      16, 6, 3, 0, 0, 0},
+    {"conv", "perl", "ladder",
+     17066, 6005, 4051, 600, 1990,
+     2471884882833797344ull, 464, 0, 483, 483, 0,
+     512, 90, 49, 0, 0, 0},
     {"bsa", "perl", "default",
      16956, 6106, 5253, 1326, 1277,
      4381646525416506178ull, 431, 0, 141, 141, 6932,
@@ -774,6 +828,10 @@ const PinnedOoo kPinnedOoo[] = {
      65622, 6610, 53411, 1326, 720,
      4381646525416506178ull, 6, 0, 141, 141, 4456,
      16, 4, 3, 0, 0, 0},
+    {"bsa", "perl", "ladder",
+     15910, 5172, 5140, 1326, 1279,
+     4381646525416506178ull, 494, 0, 141, 141, 0,
+     512, 66, 50, 0, 0, 0},
     {"conv", "vortex", "default",
      41517, 16479, 4088, 882, 5834,
      5785220490948570187ull, 1052, 0, 1246, 1246, 9911,
@@ -782,6 +840,10 @@ const PinnedOoo kPinnedOoo[] = {
      181190, 19765, 140494, 882, 3119,
      5785220490948570187ull, 7, 0, 1246, 1246, 44878,
      16, 8, 3, 0, 0, 0},
+    {"conv", "vortex", "ladder",
+     35291, 13194, 1080, 882, 5333,
+     5785220490948570187ull, 1182, 0, 1246, 1246, 0,
+     512, 105, 50, 0, 0, 0},
     {"bsa", "vortex", "default",
      39309, 19837, 4034, 2112, 5730,
      3242355815951977379ull, 1077, 0, 734, 734, 4059,
@@ -790,6 +852,10 @@ const PinnedOoo kPinnedOoo[] = {
      190388, 20802, 154170, 2112, 2941,
      3242355815951977379ull, 7, 0, 734, 734, 15243,
      16, 4, 3, 0, 0, 0},
+    {"bsa", "vortex", "ladder",
+     31548, 12879, 3139, 2112, 5379,
+     3242355815951977379ull, 1255, 0, 734, 734, 127,
+     512, 88, 53, 0, 0, 0},
 };
 
 } // namespace
@@ -804,8 +870,13 @@ TEST(Ooo, PinnedAcrossSuiteAndGeometries)
     tiny.ooo.physRegs = 40;
     tiny.ooo.robOps = 16;
     tiny.ooo.commitWidth = 2;
+    MachineConfig ladder = base;
+    ladder.ooo.robOps = 512;
+    ladder.ooo.rsPerClass = 512;
+    ladder.ooo.lsqEntries = 512;
+    ladder.ooo.physRegs = 600;
     const std::pair<const char *, MachineConfig> geometries[] = {
-        {"default", base}, {"tiny", tiny}};
+        {"default", base}, {"tiny", tiny}, {"ladder", ladder}};
 
     const auto suite = specint95Suite();
     std::size_t row = 0;
