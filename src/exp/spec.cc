@@ -443,6 +443,10 @@ field(ConfigField row = {})
 constexpr std::uint64_t minPhysRegs = numArchRegs + 2;
 constexpr std::uint64_t maxPhysRegs = 65536;
 
+/** The OoO engine allocates its ROB, stations and LSQ at their full
+ *  size when it starts, so their keys share the register file's cap. */
+constexpr std::uint64_t maxOooEntries = 65536;
+
 /** splitOversizedBlocks' floor: a split block keeps one op and a
  *  jump. */
 constexpr std::uint64_t minBlockOps = 2;
@@ -524,13 +528,13 @@ constexpr ConfigField rows[] = {
     field<[](auto &c) -> auto & { return c.machine.timingModel; }>(
         {"timing_model"}),
     field<[](auto &c) -> auto & { return c.machine.ooo.robOps; }>(
-        {"rob_ops", 1}),
+        {"rob_ops", 1, maxOooEntries}),
     field<[](auto &c) -> auto & { return c.machine.ooo.physRegs; }>(
         {"phys_regs", minPhysRegs, maxPhysRegs}),
     field<[](auto &c) -> auto & { return c.machine.ooo.rsPerClass; }>(
-        {"rs_per_class", 1}),
+        {"rs_per_class", 1, maxOooEntries}),
     field<[](auto &c) -> auto & { return c.machine.ooo.lsqEntries; }>(
-        {"lsq_entries", 1}),
+        {"lsq_entries", 1, maxOooEntries}),
     field<[](auto &c) -> auto & { return c.machine.ooo.commitWidth; }>(
         {"commit_width", 1}),
 };

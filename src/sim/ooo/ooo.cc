@@ -18,11 +18,12 @@
  * physical register the cycle after the mapping that evicted it
  * commits).  That keeps the model deterministic by construction —
  * identical (trace, config) pairs produce bit-identical results on
- * any build.  It is one pass, but an op's cost depends on the
- * geometry: picking a reservation station is O(log rsPerClass) (a
- * min-heap per class, sim/ooo/rs.hh), a load's address gate is O(1)
- * and its conflict search walks only the queued stores
- * (sim/ooo/lsq.hh).
+ * any build.  It is one pass.  Picking a reservation station costs
+ * the same at any geometry (a calendar of per-cycle station counts
+ * per class whose earliest cycle only moves forward, sim/ooo/rs.hh),
+ * renaming pops a counted free list (sim/ooo/rat.hh), and a load's
+ * address gate is O(1) while its conflict search walks only the
+ * queued stores (sim/ooo/lsq.hh).
  *
  * Two conventions keep the dcache stream well-defined: accesses are
  * performed in program order at scheduling time (commit-time store
@@ -33,6 +34,8 @@
 #include "sim/ooo/ooo.hh"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "cache/cache.hh"
 #include "sim/lockstep.hh"
@@ -49,16 +52,23 @@ namespace bsisa
 namespace
 {
 
+/** OooFuClass by [memory flag][decoded latency]. */
+static_assert(opIsMem == 1, "classByOp is indexed by the mem flag");
+constexpr auto classByOp = [] {
+    std::array<std::array<std::uint8_t, 256>, 2> t{};
+    for (unsigned lat = 0; lat < 256; ++lat) {
+        t[0][lat] = lat >= 8   ? oooClsDiv
+                    : lat >= 3 ? oooClsMulFp
+                               : oooClsAlu;
+        t[1][lat] = oooClsMem;
+    }
+    return t;
+}();
+
 unsigned
 classify(const DecodedOp &op)
 {
-    if (op.flags & opIsMem)
-        return oooClsMem;
-    if (op.latency >= 8)
-        return oooClsDiv;
-    if (op.latency >= 3)
-        return oooClsMulFp;
-    return oooClsAlu;
+    return classByOp[op.flags & opIsMem][op.latency];
 }
 
 unsigned
@@ -73,6 +83,16 @@ fuWidth(unsigned cls, unsigned issueWidth)
     default:
         return std::max(1u, issueWidth / 16);
     }
+}
+
+/** One @p T per functional-unit class, built by @p make(class). */
+template <typename T, typename Make>
+std::array<T, oooNumClasses>
+perClass(Make make)
+{
+    return [&]<unsigned... C>(std::integer_sequence<unsigned, C...>) {
+        return std::array<T, oooNumClasses>{make(C)...};
+    }(std::make_integer_sequence<unsigned, oooNumClasses>{});
 }
 
 /** Fold one unit's committed identity; shared by the engine's
@@ -107,13 +127,15 @@ class OooEngine
         : cfg(config), tel(telemetry),
           rat(config.ooo.physRegs),
           lsq(config.ooo.lsqEntries),
+          fu(perClass<IssueSlots>([&](unsigned c) {
+              return IssueSlots(fuWidth(c, config.issueWidth));
+          })),
+          rs(perClass<ReservationStations>([&](unsigned) {
+              return ReservationStations(config.ooo.rsPerClass);
+          })),
           icache(config.icache), dcache(config.dcache)
     {
         physReady.assign(cfg.ooo.physRegs, 0);
-        for (unsigned c = 0; c < oooNumClasses; ++c) {
-            fu.emplace_back(fuWidth(c, cfg.issueWidth));
-            rs.emplace_back(cfg.ooo.rsPerClass);
-        }
         rob.resize(std::size_t(cfg.ooo.robOps) + 1);
     }
 
@@ -156,8 +178,8 @@ class OooEngine
     RegAliasTable rat;
     std::vector<std::uint64_t> physReady;
     LoadStoreQueue lsq;
-    std::vector<IssueSlots> fu;
-    std::vector<ReservationStations> rs;
+    std::array<IssueSlots, oooNumClasses> fu;
+    std::array<ReservationStations, oooNumClasses> rs;
 
     std::vector<RobUnit> rob;
     std::size_t robHead = 0;
@@ -404,7 +426,8 @@ OooEngine::step(const TimingUnit &unit)
     const std::uint64_t first =
         std::max(unitDone + 1, lastCommit + 1);
     const std::uint64_t span =
-        (unit.opCount + cfg.ooo.commitWidth - 1) / cfg.ooo.commitWidth;
+        (std::uint64_t(unit.opCount) + cfg.ooo.commitWidth - 1) /
+        cfg.ooo.commitWidth;
     const std::uint64_t commitEnd = first + span - 1;
     if (commitEnd < lastCommit)
         ++tel.commitOrderViolations;

@@ -31,6 +31,7 @@
 
 #include "arch/reg.hh"
 #include "sim/decoded.hh"
+#include "support/compiler.hh"
 #include "support/logging.hh"
 
 namespace bsisa
@@ -67,18 +68,14 @@ class RegAliasTable
         freeAvail.assign(physRegs, 0);
         for (unsigned p = mappedRegs; p < physRegs; ++p)
             freeRing[freeTail++] = static_cast<std::uint16_t>(p);
+        freeRegs = physRegs - mappedRegs;
     }
 
     std::uint16_t lookup(RegNum r) const { return map[r]; }
 
     unsigned physRegs() const { return physCount; }
 
-    std::size_t freeCount() const
-    {
-        return freeTail >= freeHead
-                   ? freeTail - freeHead
-                   : freeTail + freeRing.size() - freeHead;
-    }
+    std::size_t freeCount() const { return freeRegs; }
 
     /**
      * Map @p dst to a fresh physical register for an op dispatching
@@ -86,14 +83,16 @@ class RegAliasTable
      * free register's availability) — the engine folds it into the
      * op's dispatch time.
      */
-    Alloc rename(RegNum dst, std::uint64_t cycle)
+    BSISA_ALWAYS_INLINE Alloc
+    rename(RegNum dst, std::uint64_t cycle)
     {
         BSISA_ASSERT(dst != regZero, "regZero is never renamed");
-        BSISA_ASSERT(freeHead != freeTail, "free list underflow");
+        BSISA_ASSERT(freeRegs != 0, "free list underflow");
         const std::uint16_t phys = freeRing[freeHead];
         const std::uint64_t avail = freeAvail[phys];
         if (++freeHead == freeRing.size())
             freeHead = 0;
+        --freeRegs;
         const Alloc alloc{phys, map[dst],
                           avail > cycle ? avail : cycle};
         map[dst] = phys;
@@ -104,13 +103,17 @@ class RegAliasTable
 
     /** Return @p phys to the free list, usable from @p cycle on.
      *  Called at commit for the mapping the committing op evicted. */
-    void release(std::uint16_t phys, std::uint64_t cycle)
+    BSISA_ALWAYS_INLINE void
+    release(std::uint16_t phys, std::uint64_t cycle)
     {
+        // The mapped registers are never free.
+        BSISA_ASSERT(freeRegs < physCount - mappedRegs,
+                     "free list overflow");
         freeAvail[phys] = cycle;
         freeRing[freeTail] = phys;
         if (++freeTail == freeRing.size())
             freeTail = 0;
-        BSISA_ASSERT(freeTail != freeHead, "free list overflow");
+        ++freeRegs;
     }
 
     /** Snapshot the map ahead of wrong-path renaming.  Single-level:
@@ -153,12 +156,12 @@ class RegAliasTable
 
     unsigned physCount;
     std::vector<std::uint16_t> map;
-    /** FIFO of free physical registers; capacity physCount, so head
-     *  == tail only when empty. */
+    /** FIFO of free physical registers, capacity physCount. */
     std::vector<std::uint16_t> freeRing;
     std::vector<std::uint64_t> freeAvail;  //!< indexed by phys reg
     std::size_t freeHead = 0;
     std::size_t freeTail = 0;
+    std::size_t freeRegs = 0;  //!< entries between head and tail
     std::vector<JournalEntry> journal;
     bool journalActive = false;
 };

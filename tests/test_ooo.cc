@@ -2,7 +2,7 @@
  * @file
  * Tests for the out-of-order backend (sim/ooo): RAT checkpoint
  * round-trips under random squash points, the reservation-station
- * heap and the LSQ's store indices against brute-force scans, LSQ
+ * calendar and the LSQ's store indices against brute-force scans, LSQ
  * forwarding and partial-overlap classification, directed engine
  * regressions on synthetic fetch streams, the commit-order digest
  * contract, determinism under BSISA_JOBS fanning, and every suite
@@ -373,24 +373,40 @@ TEST(Lsq, StoreIndicesMatchBruteForceAcrossRingWraps)
 
 // ---------------------------------------------- reservation stations
 
-TEST(Rs, HeapTopMatchesLinearArgminOverRandomTakes)
+TEST(Rs, EarliestFreeMatchesLinearArgminOverRandomTakes)
 {
     Rng rng(99);
-    for (const unsigned entries : {1u, 2u, 3u, 5u, 24u, 64u}) {
+    for (const unsigned entries :
+         {1u, 2u, 3u, 5u, 24u, 64u, 512u, 4096u}) {
         ReservationStations rs(entries);
         std::vector<std::uint64_t> ref(entries, 0);
-        for (int step = 0; step < 5000; ++step) {
+        std::uint64_t now = 0;
+        std::uint64_t lastEarliest = 0;
+        for (int step = 0; step < 30000; ++step) {
             // The linear scan the engine used to run per op.
             const auto best = std::min_element(ref.begin(), ref.end());
             ASSERT_EQ(rs.earliestFree(), *best)
                 << entries << " stations, step " << step;
-            // Mostly near the top (ties are common), sometimes far.
+            ASSERT_GE(rs.earliestFree(), lastEarliest)
+                << entries << " stations, step " << step;
+            lastEarliest = rs.earliestFree();
+            // As in the engine: an op dispatches no earlier than the
+            // front end, which moves about a cycle per op, and holds
+            // its station until it issues — mostly at once (ties are
+            // common), sometimes hundreds of cycles later, and now
+            // and then thousands, past the calendar ring's span.
+            now += rng.nextBelow(3);
+            const std::uint64_t dispatch = std::max(*best, now);
+            const unsigned pick = rng.nextBelow(64);
             const std::uint64_t until =
-                *best + (rng.nextBelow(8) == 0 ? rng.nextBelow(500)
-                                               : rng.nextBelow(4));
+                dispatch + (pick == 0   ? 2000 + rng.nextBelow(20000)
+                            : pick < 8 ? rng.nextBelow(500)
+                                       : rng.nextBelow(4));
             rs.occupyEarliest(until);
             *best = until;
         }
+        // The earliest cycle went round the ring several times.
+        EXPECT_GT(rs.earliestFree(), 20000u) << entries << " stations";
     }
 }
 
@@ -478,6 +494,36 @@ TEST(Ooo, RenameStarvationReclaimsInProgramOrder)
     EXPECT_EQ(r.retiredOps, 96u);
     EXPECT_EQ(tel.robOverflows, 0u);
     EXPECT_EQ(tel.commitOrderViolations, 0u);
+}
+
+TEST(Ooo, EveryCommitWidthPastTheUnitCommitsItInOneCycle)
+{
+    // A width at least the unit's op count commits the unit in one
+    // cycle, up to the widest width commit_width accepts: the commit
+    // span is computed in 64 bits, so opCount + width - 1 cannot wrap
+    // to a zero-cycle span.
+    std::vector<DecodedOp> ops;
+    for (int i = 0; i < 16; ++i)
+        ops.push_back(aluOp(1, 2, std::uint8_t(1 + (i % 30))));
+    const std::vector<std::uint64_t> noAddrs;
+    VecSource source;
+    for (std::uint64_t pc : {0x1000, 0x2000, 0x3000})
+        source.units.push_back(unitOf(pc, ops, noAddrs));
+
+    auto cyclesAt = [&](unsigned width) {
+        source.rewind();
+        MachineConfig machine;
+        machine.timingModel = TimingModel::Ooo;
+        machine.ooo.commitWidth = width;
+        OooTelemetry tel;
+        const SimResult r = simulateOoO(source, machine, &tel);
+        EXPECT_EQ(tel.commitOrderViolations, 0u) << "width " << width;
+        return r.cycles;
+    };
+    const std::uint64_t oneCycle = cyclesAt(16);
+    EXPECT_LT(oneCycle, cyclesAt(8));
+    for (const unsigned width : {64u, 4000000000u, 4294967295u})
+        EXPECT_EQ(cyclesAt(width), oneCycle) << "width " << width;
 }
 
 TEST(Ooo, CommitDigestMatchesEmitStreamAcrossMachines)
