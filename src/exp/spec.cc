@@ -447,6 +447,13 @@ constexpr std::uint64_t maxPhysRegs = 65536;
  *  size when it starts, so their keys share the register file's cap. */
 constexpr std::uint64_t maxOooEntries = 65536;
 
+/** The front-end depth and the L2 latency each lengthen the span of
+ *  cycles past the fetch cycle that every IssueSlots calendar must
+ *  cover, and IssueSlots::grow allocates and zero-fills that span.
+ *  At this cap both together stay within the calendar's first
+ *  4096-cycle ring. */
+constexpr std::uint64_t maxLatencyCycles = 1024;
+
 /** splitOversizedBlocks' floor: a split block keeps one op and a
  *  jump. */
 constexpr std::uint64_t minBlockOps = 2;
@@ -464,11 +471,11 @@ constexpr ConfigField rows[] = {
     field<[](auto &c) -> auto & { return c.machine.windowUnits; }>(
         {"window_units", 1}),
     field<[](auto &c) -> auto & { return c.machine.frontendDepth; }>(
-        {"frontend_depth"}),
+        {"frontend_depth", 0, maxLatencyCycles}),
     field<[](auto &c) -> auto & { return c.machine.redirectPenalty; }>(
         {"redirect_penalty"}),
     field<[](auto &c) -> auto & { return c.machine.l2Latency; }>(
-        {"l2_latency"}),
+        {"l2_latency", 0, maxLatencyCycles}),
     field<[](auto &c) -> auto & { return c.machine.icache.sizeBytes; }>(
         {.key = "icache_kb", .scale = 1024}),
     field<[](auto &c) -> auto & { return c.machine.icache.assoc; }>(

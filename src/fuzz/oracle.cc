@@ -879,6 +879,14 @@ checkOoo(const Module &module, const ExecTrace &trace,
         ttel.commitDigest != tel.commitDigest)
         return fail("ooo", "tiny-geometry run changed the committed "
                            "stream");
+    {
+        // The commit-digest audit runs only with telemetry and must
+        // only observe.
+        ConvFetchSource source(module, layout, tiny, trace, decoded);
+        if (ts != simulateOoO(source, tiny))
+            return fail("ooo", "tiny-geometry run without telemetry "
+                               "differs from the audited run");
+    }
     return {};
 }
 

@@ -107,23 +107,31 @@ foldUnit(Fnv1a64 &digest, std::uint64_t pc, std::uint32_t bytes,
         digest.u64(addrs[i]);
 }
 
-/** One in-flight (fetched, not yet drained) unit.  The address copy
- *  lives in a per-slot vector reused across occupancies, so the
- *  steady state allocates nothing. */
+/** One in-flight (fetched, not yet drained) unit: what timing needs. */
 struct RobUnit
 {
     std::uint64_t commitEnd = 0;
+    std::uint32_t ops = 0;
+};
+
+/** The identity of one in-flight unit, retained for the commit
+ *  digest only when a caller asks for telemetry.  The address copy
+ *  lives in a per-slot vector reused across occupancies, so the
+ *  steady state allocates nothing. */
+struct AuditUnit
+{
     std::uint64_t pc = 0;
     std::uint32_t bytes = 0;
-    std::uint32_t ops = 0;
     std::vector<std::uint64_t> addrs;  //!< retained memAddrs copy
-    std::uint32_t memCount = 0;
 };
 
 class OooEngine
 {
   public:
-    OooEngine(const MachineConfig &config, OooTelemetry &telemetry)
+    /** @p audited: retain each unit's identity and fold it into
+     *  the commit digest as it drains. */
+    OooEngine(const MachineConfig &config, OooTelemetry &telemetry,
+              bool audited)
         : cfg(config), tel(telemetry),
           rat(config.ooo.physRegs),
           lsq(config.ooo.lsqEntries),
@@ -137,6 +145,8 @@ class OooEngine
     {
         physReady.assign(cfg.ooo.physRegs, 0);
         rob.resize(std::size_t(cfg.ooo.robOps) + 1);
+        if (audited)
+            audit.resize(rob.size());
     }
 
     void step(const TimingUnit &unit);
@@ -161,13 +171,15 @@ class OooEngine
                                   : robTail + rob.size() - robHead;
     }
 
-    /** Drain the ROB head into the commit digest. */
+    /** Drain the ROB head, into the commit digest when audited. */
     void popRobHead()
     {
-        RobUnit &u = rob[robHead];
-        foldUnit(digest, u.pc, u.bytes, u.ops, u.addrs.data(),
-                 u.memCount);
-        robOpsOcc -= u.ops;
+        if (!audit.empty()) {
+            const AuditUnit &a = audit[robHead];
+            foldUnit(digest, a.pc, a.bytes, rob[robHead].ops,
+                     a.addrs.data(), std::uint32_t(a.addrs.size()));
+        }
+        robOpsOcc -= rob[robHead].ops;
         robHead = robNext(robHead);
     }
 
@@ -182,6 +194,8 @@ class OooEngine
     std::array<ReservationStations, oooNumClasses> rs;
 
     std::vector<RobUnit> rob;
+    /** Parallel to rob when audited, else empty. */
+    std::vector<AuditUnit> audit;
     std::size_t robHead = 0;
     std::size_t robTail = 0;
     std::uint64_t robOpsOcc = 0;
@@ -437,14 +451,14 @@ OooEngine::step(const TimingUnit &unit)
         rat.release(evicted[i], commitEnd + 1);
     lsq.stampCommit(unitLsqBase, commitEnd);
 
-    // Retain the unit (identity + address copy) until it drains.
-    RobUnit &slot = rob[robTail];
-    slot.commitEnd = commitEnd;
-    slot.pc = unit.pc;
-    slot.bytes = unit.bytes;
-    slot.ops = unit.opCount;
-    slot.memCount = unit.memCount;
-    slot.addrs.assign(unit.memAddrs, unit.memAddrs + unit.memCount);
+    rob[robTail] = {commitEnd, unit.opCount};
+    if (!audit.empty()) {
+        // Retain the identity (and an address copy) until it drains.
+        AuditUnit &a = audit[robTail];
+        a.pc = unit.pc;
+        a.bytes = unit.bytes;
+        a.addrs.assign(unit.memAddrs, unit.memAddrs + unit.memCount);
+    }
     robTail = robNext(robTail);
     BSISA_ASSERT(robTail != robHead, "ROB ring overflow");
     robOpsOcc += unit.opCount;
@@ -463,7 +477,8 @@ OooEngine::finish()
 {
     while (robHead != robTail)
         popRobHead();
-    tel.commitDigest = digest.value();
+    if (!audit.empty())
+        tel.commitDigest = digest.value();
     res.peakWindowUnits = tel.peakRobUnits;
     res.peakWindowOps = tel.peakRobOps;
     res.icache = icache.stats();
@@ -481,7 +496,7 @@ simulateOoO(FetchSource &source, const MachineConfig &config,
     OooTelemetry &tel = telemetry ? *telemetry : local;
     tel = OooTelemetry{};
 
-    OooEngine engine(config, tel);
+    OooEngine engine(config, tel, telemetry != nullptr);
     TimingUnit unit;
     while (source.next(unit))
         engine.step(unit);

@@ -19,7 +19,10 @@
  * retained at fetch time.  Because the ROB holds units across many
  * subsequent next() calls, equality with fetchStreamDigest() — the
  * same fold done at emit time on a fresh walk — proves the reordering
- * consumer honoured the address-slice lifetime contract.
+ * consumer honoured the address-slice lifetime contract.  The copies
+ * and the fold are an audit kept only when the caller passes an
+ * OooTelemetry; without one (the runner's path) a ROB slot holds just
+ * its commit cycle and op count, and the SimResult is the same.
  */
 
 #ifndef BSISA_SIM_OOO_OOO_HH
@@ -52,7 +55,9 @@ enum OooFuClass : unsigned
 struct OooTelemetry
 {
     /** Commit-order fold of every committed unit's identity, from
-     *  data retained across reordered consumption. */
+     *  data retained across reordered consumption.  Filled only
+     *  when telemetry is requested: a run without it keeps no
+     *  copies and folds nothing. */
     std::uint64_t commitDigest = 0;
 
     std::uint64_t forwardedLoads = 0;   //!< exact-match store forwards

@@ -904,9 +904,16 @@ const PinnedOoo kPinnedOoo[] = {
      512, 88, 53, 0, 0, 0},
 };
 
-} // namespace
-
-TEST(Ooo, PinnedAcrossSuiteAndGeometries)
+/**
+ * Call @p body(bench, machine name, geometry name, trace, simulate)
+ * for every suite benchmark at a 1/2000 budget on both machines at
+ * the default, a tiny and the 512-entry "ladder" geometry.
+ * simulate(OooTelemetry *) runs simulateOoO on a fresh fetch source
+ * each call.
+ */
+template <typename Body>
+void
+forEachSuiteRun(Body &&body)
 {
     MachineConfig base;
     base.timingModel = TimingModel::Ooo;
@@ -924,9 +931,7 @@ TEST(Ooo, PinnedAcrossSuiteAndGeometries)
     const std::pair<const char *, MachineConfig> geometries[] = {
         {"default", base}, {"tiny", tiny}, {"ladder", ladder}};
 
-    const auto suite = specint95Suite();
-    std::size_t row = 0;
-    for (const SpecBenchmark &bench : suite) {
+    for (const SpecBenchmark &bench : specint95Suite()) {
         const Module module = generateWorkload(bench.params);
         Interp::Limits limits;
         limits.maxOps = bench.scaledBudget(2000);
@@ -941,36 +946,68 @@ TEST(Ooo, PinnedAcrossSuiteAndGeometries)
         for (const char *machineName : {"conv", "bsa"}) {
             for (const auto &[geometry, machine] : geometries) {
                 const bool conv = machineName == std::string("conv");
-                OooTelemetry t;
-                SimResult r;
-                if (conv) {
-                    ConvFetchSource source(module, layout, machine,
-                                           trace, convDecoded);
-                    r = simulateOoO(source, machine, &t);
-                    EXPECT_EQ(r.retiredOps, trace.dynOps);
-                } else {
+                auto simulate = [&](OooTelemetry *t) {
+                    if (conv) {
+                        ConvFetchSource source(module, layout, machine,
+                                               trace, convDecoded);
+                        return simulateOoO(source, machine, t);
+                    }
                     BsaFetchSource source(bsa, machine, trace,
                                           bsaDecoded);
-                    r = simulateOoO(source, machine, &t);
-                }
-                const PinnedOoo got{
-                    machineName, bench.params.name.c_str(), geometry,
-                    r.cycles, r.stallRedirect, r.stallWindow,
-                    r.stallIcache, r.wrongPathOps, t.commitDigest,
-                    t.forwardedLoads, t.overlapStallLoads,
-                    t.checkpointsTaken, t.checkpointsRestored,
-                    t.renameStallCycles, t.peakRobOps, t.peakRobUnits,
-                    t.peakLsq, t.robOverflows,
-                    t.commitOrderViolations, t.youngerForwards};
-                if (row < std::size(kPinnedOoo))
-                    EXPECT_EQ(pinnedRowText(got),
-                              pinnedRowText(kPinnedOoo[row]));
-                else
-                    ADD_FAILURE() << "unpinned row:\n"
-                                  << pinnedRowText(got);
-                ++row;
+                    return simulateOoO(source, machine, t);
+                };
+                body(bench, machineName, geometry, trace, simulate);
             }
         }
     }
+}
+
+} // namespace
+
+TEST(Ooo, PinnedAcrossSuiteAndGeometries)
+{
+    std::size_t row = 0;
+    forEachSuiteRun([&](const SpecBenchmark &bench,
+                        const char *machineName, const char *geometry,
+                        const ExecTrace &trace, auto simulate) {
+        OooTelemetry t;
+        const SimResult r = simulate(&t);
+        if (machineName == std::string("conv")) {
+            EXPECT_EQ(r.retiredOps, trace.dynOps);
+        }
+        const PinnedOoo got{
+            machineName, bench.params.name.c_str(), geometry,
+            r.cycles, r.stallRedirect, r.stallWindow,
+            r.stallIcache, r.wrongPathOps, t.commitDigest,
+            t.forwardedLoads, t.overlapStallLoads,
+            t.checkpointsTaken, t.checkpointsRestored,
+            t.renameStallCycles, t.peakRobOps, t.peakRobUnits,
+            t.peakLsq, t.robOverflows,
+            t.commitOrderViolations, t.youngerForwards};
+        if (row < std::size(kPinnedOoo))
+            EXPECT_EQ(pinnedRowText(got),
+                      pinnedRowText(kPinnedOoo[row]));
+        else
+            ADD_FAILURE() << "unpinned row:\n" << pinnedRowText(got);
+        ++row;
+    });
     EXPECT_EQ(row, std::size(kPinnedOoo));
+}
+
+// The commit-digest audit runs only when a caller passes telemetry;
+// it must only observe.  The path without it (the runner's) returns
+// the same SimResult on every pinned suite run.
+TEST(Ooo, TelemetryOnlyObserves)
+{
+    std::size_t runs = 0;
+    forEachSuiteRun([&](const SpecBenchmark &bench,
+                        const char *machineName, const char *geometry,
+                        const ExecTrace &, auto simulate) {
+        OooTelemetry t;
+        EXPECT_EQ(simulate(nullptr), simulate(&t))
+            << machineName << " " << bench.params.name << " "
+            << geometry;
+        ++runs;
+    });
+    EXPECT_EQ(runs, std::size(kPinnedOoo));
 }
