@@ -1,6 +1,6 @@
 /**
  * @file
- * Plan builder: grid expansion, unit dedup, and lease-chunk carving.
+ * Plan builder: grid expansion, unit dedup, and chunk carving.
  * runConfigDigest is defined in spec.cc, next to the config rows it
  * walks.
  */
@@ -115,9 +115,8 @@ buildPlan(const SweepSpec &spec, std::uint64_t chunkOverride,
         }
     }
 
-    // Lease chunks: per benchmark, split at the chunk cap.  Chunk
-    // keys hash the member unit keys, so chunk identity follows
-    // content — the same spec leases the same names everywhere.
+    // Chunks: per benchmark, split at the chunk cap.  Chunk keys hash
+    // the member unit keys, so chunk identity follows content.
     const std::uint64_t cap =
         chunkOverride ? chunkOverride : spec.chunkUnits;
     for (std::size_t b = 0; b < out.benches.size(); ++b) {

@@ -9,11 +9,10 @@
  * the planning analog of lockstep's effectively-identical-config
  * dedup: the unit runs once and its result serves every point.
  *
- * Units are grouped into lease *chunks* (per benchmark, split by the
- * spec's chunk_units or a CLI override).  A chunk is the granularity
- * at which workers claim work; its key hashes the member unit keys,
- * so the same spec always produces the same lease names and two
- * workers on the same store contend over the same files.
+ * Units are grouped into *chunks* (per benchmark, split by the spec's
+ * chunk_units or a CLI override).  Chunks size a sweep's rounds (up
+ * to BSISA_JOBS chunks per round) and decide when a benchmark's trace
+ * is dropped (after its last chunk).
  *
  * Unit keys are stable across processes and sessions — everything
  * hashed is either canonical spec text, module content, or
@@ -74,9 +73,11 @@ struct SweepPlan
     std::vector<WorkUnit> units;
     /** Grid point (bench-major) -> unit index. */
     std::vector<std::size_t> pointUnit;
-    /** Lease chunks: unit indices, benchmark-major order. */
+    /** Chunks: unit indices, benchmark-major order. */
     std::vector<std::vector<std::size_t>> chunks;
-    /** Chunk identity (lease file name component). */
+    /** Chunk identity, a hash of the member unit keys.  Only the
+     *  benchmark's traced sweep rebuild (perfbench/src/traced.cc)
+     *  reads it. */
     std::vector<std::uint64_t> chunkKeys;
 
     std::size_t gridPoints() const { return pointUnit.size(); }
@@ -93,7 +94,7 @@ bool expandGrid(const SweepSpec &spec, Interp::Limits limits,
 
 /**
  * Build the full plan: generate the benchmark modules (parallelFor),
- * digest them, expand and dedup the grid, and carve lease chunks.
+ * digest them, expand and dedup the grid, and carve chunks.
  * @p chunkOverride replaces the spec's chunk_units when non-zero.
  */
 bool buildPlan(const SweepSpec &spec, std::uint64_t chunkOverride,

@@ -1,7 +1,8 @@
 /**
  * @file
- * Results-store implementation: framed shard files, merge-on-refresh
- * indexing with torn-tail repair, and deterministic compaction.
+ * Results-store implementation: framed record files, the writer lock,
+ * merge-on-refresh indexing, torn-tail repair of the append log, and
+ * deterministic compaction.
  */
 
 #include "exp/result_store.hh"
@@ -12,12 +13,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <random>
 #include <type_traits>
 
 #include "sim/interp.hh"
 #include "support/digest.hh"
-#include "support/lockfile.hh"
 #include "support/logging.hh"
 #include "support/parse.hh"
 
@@ -39,7 +38,7 @@ static_assert(sizeof(ResultRecord) == 32 + sizeof(PairResult),
               "on-disk record layout changed; bump "
               "resultStoreFormatVersion");
 
-/** 16-byte shard/snapshot file header. */
+/** 16-byte log/snapshot file header. */
 struct ShardHeader
 {
     char magic[8];
@@ -63,6 +62,7 @@ std::atomic<bool> warnedDuplicate{false};
 std::atomic<bool> warnedWrite{false};
 
 constexpr char snapshotName[] = "snapshot.bsr";
+constexpr char logName[] = "log.bsr";
 
 bool
 isSnapshotPath(const std::string &path)
@@ -73,21 +73,38 @@ isSnapshotPath(const std::string &path)
     return std::filesystem::path(path).filename() == snapshotName;
 }
 
-/** The writer pid embedded in a `shard-<pid>-<salt>.bsr` name, or 0
- *  when the name does not carry one (snapshot, foreign files). */
-std::uint64_t
-shardWriterPid(const std::string &path)
+/** Call @p visit on each intact record of a record file's @p bytes,
+ *  in file order, up to the first torn or corrupt frame.  Returns the
+ *  length of the whole-frame prefix (header included), or 0 when the
+ *  header is not this version's. */
+template <typename Visit>
+std::size_t
+walkFrames(const std::string &bytes, Visit &&visit)
 {
-    const std::string name =
-        std::filesystem::path(path).filename().string();
-    constexpr std::string_view prefix = "shard-";
-    if (!name.starts_with(prefix))
+    if (bytes.size() < sizeof(ShardHeader))
         return 0;
-    const std::size_t end = name.find('-', prefix.size());
-    return end == std::string::npos
-               ? 0
-               : parsePid(std::string_view(name).substr(
-                     prefix.size(), end - prefix.size()));
+    ShardHeader h;
+    std::memcpy(&h, bytes.data(), sizeof(h));
+    if (std::memcmp(h.magic, resultStoreMagic, sizeof(h.magic)) != 0 ||
+        h.formatVersion != resultStoreFormatVersion)
+        return 0;
+    std::size_t pos = sizeof(ShardHeader);
+    while (bytes.size() - pos >= sizeof(FrameHeader)) {
+        FrameHeader f;
+        std::memcpy(&f, bytes.data() + pos, sizeof(f));
+        if (f.frameMagic != resultFrameMagic ||
+            f.payloadBytes != sizeof(ResultRecord) ||
+            bytes.size() - pos - sizeof(f) < f.payloadBytes)
+            break;
+        const char *payload = bytes.data() + pos + sizeof(f);
+        if (f.checksum != fnv1a64Words(payload, f.payloadBytes))
+            break;
+        ResultRecord record;
+        std::memcpy(&record, payload, sizeof(record));
+        visit(record);
+        pos += sizeof(f) + f.payloadBytes;
+    }
+    return pos;
 }
 
 void
@@ -163,10 +180,10 @@ ResultStore::refresh()
     index.clear();
     scanned.clear();
 
-    // Snapshot first, then shards sorted by name: scan order decides
-    // nothing semantically (first record per key wins and duplicates
-    // are byte-identical), but a deterministic order keeps the
-    // duplicate counters stable for tests.
+    // Snapshot first, then the other files sorted by name: scan order
+    // decides nothing semantically (first record per key wins and
+    // duplicates are byte-identical), but a deterministic order keeps
+    // the duplicate counters stable for tests.
     std::vector<std::string> files;
     std::error_code ec;
     std::filesystem::directory_iterator it(dir, ec);
@@ -189,88 +206,89 @@ ResultStore::refresh()
 
     for (const std::string &path : files) {
         std::string bytes;
-        if (!readWholeFile(path, bytes) ||
-            bytes.size() < sizeof(ShardHeader)) {
-            ++stats.badShards;
-            continue;
-        }
-        ShardHeader h;
-        std::memcpy(&h, bytes.data(), sizeof(h));
-        if (std::memcmp(h.magic, resultStoreMagic, sizeof(h.magic)) !=
-                0 ||
-            h.formatVersion != resultStoreFormatVersion) {
+        const auto visit = [&](const ResultRecord &record) {
+            const auto [at, inserted] =
+                index.emplace(record.unitKey, record);
+            if (inserted)
+                return;
+            ++stats.duplicates;
+            if (std::memcmp(&at->second, &record, sizeof(record)) != 0 &&
+                !warnedDuplicate.exchange(true)) {
+                warn("result store: byte-differing duplicate for unit "
+                     "key ",
+                     record.unitKey, " in ", path,
+                     "; keeping the first record seen");
+            }
+        };
+        const std::size_t intact =
+            readWholeFile(path, bytes) ? walkFrames(bytes, visit) : 0;
+        if (intact == 0) {
             ++stats.badShards;
             continue;
         }
         ++stats.shardFiles;
         scanned.push_back(path);
-
-        std::size_t pos = sizeof(ShardHeader);
-        while (pos < bytes.size()) {
-            if (bytes.size() - pos < sizeof(FrameHeader)) {
-                ++stats.tornTails;
-                break;
-            }
-            FrameHeader f;
-            std::memcpy(&f, bytes.data() + pos, sizeof(f));
-            if (f.frameMagic != resultFrameMagic ||
-                f.payloadBytes != sizeof(ResultRecord) ||
-                bytes.size() - pos - sizeof(f) < f.payloadBytes) {
-                ++stats.tornTails;
-                break;
-            }
-            const char *payload = bytes.data() + pos + sizeof(f);
-            if (f.checksum != fnv1a64Words(payload, f.payloadBytes)) {
-                ++stats.tornTails;
-                break;
-            }
-            ResultRecord record;
-            std::memcpy(&record, payload, sizeof(record));
-            pos += sizeof(f) + f.payloadBytes;
-
-            const auto [at, inserted] =
-                index.emplace(record.unitKey, record);
-            if (!inserted) {
-                ++stats.duplicates;
-                if (std::memcmp(&at->second, &record,
-                                sizeof(record)) != 0 &&
-                    !warnedDuplicate.exchange(true)) {
-                    warn("result store: byte-differing duplicate for "
-                         "unit key ",
-                         record.unitKey, " in ", path,
-                         "; keeping the first record seen");
-                }
-            }
-        }
+        if (intact < bytes.size())
+            ++stats.tornTails;
     }
     stats.records = index.size();
     return stats;
 }
 
 bool
+ResultStore::lockWriter(std::string &error)
+{
+    const std::string path = lockPath();
+    if (writer.held() || writer.tryAcquire(path))
+        return true;
+    const std::uint64_t holder = leaseHolderPid(path);
+    if (holder != 0)
+        error = "results store " + dir + " has a live writer, pid " +
+                std::to_string(holder) + " (" + path + ")";
+    else if (std::filesystem::exists(path))
+        error = "results store " + dir + " is locked by a malformed " +
+                path + ", honoured for " +
+                std::to_string(malformedLeaseGrace.count()) +
+                " s after its last write";
+    else
+        error = "cannot create " + path;
+    return false;
+}
+
+bool
 ResultStore::append(const ResultRecord &record)
 {
-    if (!shard.is_open()) {
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        // One shard per process: the name embeds the pid plus a
-        // random salt so re-executed pids and non-unix builds (pid
-        // tag 0) never collide on a shared directory.
-        std::random_device rd;
-        shardPath = dir + "/shard-" +
-                    std::to_string(currentProcessId()) + "-" +
-                    std::to_string(std::uint64_t(rd()) << 32 | rd()) +
-                    ".bsr";
-        shard.open(shardPath, std::ios::binary | std::ios::trunc);
-        std::string header;
-        appendShardHeader(header);
-        if (!shard ||
-            !shard.write(header.data(),
-                         std::streamsize(header.size()))) {
-            shard.close();
-            shardPath.clear();
+    if (!log.is_open()) {
+        std::string error;
+        if (!lockWriter(error)) {
             if (!warnedWrite.exchange(true))
-                warn("result store: cannot write to ", dir,
+                warn("result store: ", error,
+                     "; results will not persist");
+            return false;
+        }
+        // Resume after the last whole frame: a record appended behind
+        // a torn one would be invisible to every reader.  A log this
+        // version cannot read starts over.
+        const std::string path = dir + "/" + logName;
+        std::string bytes, header;
+        const std::size_t intact =
+            readWholeFile(path, bytes)
+                ? walkFrames(bytes, [](const ResultRecord &) {})
+                : 0;
+        std::error_code ec;
+        if (intact == 0)
+            appendShardHeader(header);
+        else if (intact < bytes.size())
+            std::filesystem::resize_file(path, intact, ec);
+        log.open(path, std::ios::binary |
+                           (intact == 0 ? std::ios::trunc
+                                        : std::ios::app));
+        if (ec || !log ||
+            !log.write(header.data(),
+                       std::streamsize(header.size()))) {
+            log.close();
+            if (!warnedWrite.exchange(true))
+                warn("result store: cannot write to ", path,
                      "; results will not persist");
             return false;
         }
@@ -278,11 +296,11 @@ ResultStore::append(const ResultRecord &record)
     // One buffered write + flush per frame: after append() returns
     // the frame is in the kernel, so killing the process cannot tear
     // it; a kill *during* the write leaves a checksummed torn tail
-    // that the next refresh() drops.
+    // that readers drop and the next writer truncates.
     std::string frame;
     appendFrame(frame, record);
-    if (!shard.write(frame.data(), std::streamsize(frame.size())) ||
-        !shard.flush())
+    if (!log.write(frame.data(), std::streamsize(frame.size())) ||
+        !log.flush())
         return false;
     index.emplace(record.unitKey, record);
     return true;
@@ -291,14 +309,18 @@ ResultStore::append(const ResultRecord &record)
 bool
 ResultStore::compact()
 {
-    refresh();
-    // Our own shard is about to be merged and unlinked; close it so
-    // a later append starts a fresh one.
-    if (shard.is_open()) {
-        shard.close();
-        shard = std::ofstream();
-        shardPath.clear();
+    std::string error;
+    if (!lockWriter(error)) {
+        warn("result store: ", error, "; not compacting");
+        return false;
     }
+    // The log is about to be merged and unlinked; a later append
+    // starts a fresh one.
+    if (log.is_open()) {
+        log.close();
+        log = std::ofstream();
+    }
+    refresh();
 
     std::string bytes;
     appendShardHeader(bytes);
@@ -308,28 +330,10 @@ ResultStore::compact()
     const std::string snapshot = dir + "/" + snapshotName;
     if (!publishFile(snapshot, bytes))
         return false;
-    std::vector<std::string> kept;
-    kept.push_back(snapshot);
-    for (const std::string &path : scanned) {
-        if (isSnapshotPath(path))
-            continue;
-        // Keep shards whose writer is a live peer process: it still
-        // holds the file open and will append more records, which an
-        // unlink would silently divert to an orphaned inode.  Its
-        // already-merged records stay on disk twice until the writer
-        // exits and a later compaction folds them (duplicates are
-        // byte-identical and first-record-wins at refresh).  Our own
-        // shard was closed above, and a dead writer's shard is fully
-        // merged, so both are safe to unlink.
-        const std::uint64_t writer = shardWriterPid(path);
-        if (writer != 0 && writer != currentProcessId() &&
-            processAlive(writer)) {
-            kept.push_back(path);
-            continue;
-        }
-        std::remove(path.c_str());
-    }
-    scanned = std::move(kept);
+    for (const std::string &path : scanned)
+        if (!isSnapshotPath(path))
+            std::remove(path.c_str());
+    scanned = {snapshot};
     return true;
 }
 

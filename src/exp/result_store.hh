@@ -1,28 +1,30 @@
 /**
  * @file
- * Persistent, sharded results store for the sweep service.
+ * Persistent results store for the sweep service.
  *
- * The store is a directory of append-only shard files plus an
- * optional compacted snapshot.  Each record is one work unit's
- * PairResult, framed with a length, a magic, and an FNV-1a checksum,
- * so a `kill -9` mid-append costs exactly the torn tail frame: on
- * the next open the intact prefix is kept and the tail dropped —
+ * The store is a directory holding one append log (`log.bsr`) plus
+ * an optional compacted snapshot (`snapshot.bsr`).  Each record is
+ * one work unit's PairResult, framed with a length, a magic, and an
+ * FNV-1a checksum, so a `kill -9` mid-append costs exactly the torn
+ * tail frame: a reader keeps the intact prefix and drops the tail —
  * the same graceful-degrade discipline as sim/trace_store.cc, with
  * the same atomic write-to-temp+rename publish for the snapshot.
  *
- * Concurrency model: every writing process appends to its *own*
- * shard (named by pid + sequence), so writers never contend; readers
- * merge all shards at refresh() time, first record per unit key
- * wins.  Duplicate keys are expected (two workers may race one unit
- * — units are idempotent and deterministic, so duplicates are
- * byte-identical; a byte-differing duplicate is warned about and
- * ignored).  compact() folds everything into a deterministic
- * `snapshot.bsr` — records sorted by unit key — and unlinks the
- * merged shards, except shards still held open by a live writer
- * process (identified by the pid in the shard name), which survive
- * until a compaction after that writer exits; two stores with the
- * same content compact to byte-identical snapshots, which is what
- * the crash-resume test asserts.
+ * Concurrency model: one writer per store.  A writer holds the
+ * store's lock (`writer.lock`, a FileLease naming its pid) from its
+ * first append or compaction until its handle is destroyed; a lock
+ * whose holder died is broken by the next writer.  A resumed writer
+ * first truncates the log back to its last whole frame, so records
+ * it appends never sit behind a torn one.  Readers take no lock:
+ * refresh() merges the snapshot and every other `.bsr` file, first
+ * record per unit key wins.  Duplicate keys are expected (a resumed
+ * run may repeat a unit whose record was torn — units are idempotent
+ * and deterministic, so duplicates are byte-identical; a
+ * byte-differing duplicate is warned about and ignored).  compact()
+ * folds everything into a deterministic `snapshot.bsr` — records
+ * sorted by unit key — and unlinks the merged files; two stores with
+ * the same content compact to byte-identical snapshots, which is
+ * what the crash-resume test asserts.
  */
 
 #ifndef BSISA_EXP_RESULT_STORE_HH
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "exp/runner.hh"
+#include "support/lockfile.hh"
 
 namespace bsisa
 {
@@ -70,16 +73,17 @@ struct ResultScanStats
 {
     std::uint64_t records = 0;     //!< distinct unit keys indexed
     std::uint64_t duplicates = 0;  //!< same-key records skipped
-    std::uint64_t tornTails = 0;   //!< shards truncated at a torn frame
+    std::uint64_t tornTails = 0;   //!< files truncated at a torn frame
     std::uint64_t badShards = 0;   //!< unreadable headers (skipped)
-    std::uint64_t shardFiles = 0;  //!< files scanned (incl. snapshot)
+    std::uint64_t shardFiles = 0;  //!< files scanned (log, snapshot)
 };
 
 /**
- * One process's handle on a store directory.  refresh() (re)builds
- * the in-memory index from disk; append() publishes one record to
- * this process's shard and indexes it.  Many processes may share a
- * directory; the handle itself is not thread-safe.
+ * One handle on a store directory.  refresh() (re)builds the
+ * in-memory index from disk; append() publishes one record to the
+ * log and indexes it.  Reading needs no lock; append() and compact()
+ * take the store's writer lock first and hold it until the handle is
+ * destroyed.  The handle itself is not thread-safe.
  */
 class ResultStore
 {
@@ -92,7 +96,10 @@ class ResultStore
 
     const std::string &directory() const { return dir; }
 
-    /** Rebuild the index from every shard on disk. */
+    /** The writer lock's path, `<directory>/writer.lock`. */
+    std::string lockPath() const { return dir + "/writer.lock"; }
+
+    /** Rebuild the index from every record file on disk. */
     ResultScanStats refresh();
 
     bool contains(std::uint64_t unitKey) const
@@ -110,28 +117,37 @@ class ResultStore
     std::vector<std::uint64_t> keys() const;
 
     /**
-     * Append one record to this process's shard (created lazily,
-     * directory included) and index it.  The frame is flushed before
-     * returning, so a subsequent SIGKILL cannot tear it.  False when
-     * the directory is not writable.
+     * Take the store's writer lock (held until destruction; a no-op
+     * when already held).  The directory must exist.  False, with
+     * @p error naming the live holder's pid when there is one, when
+     * another writer holds the lock or it cannot be created.
+     */
+    bool lockWriter(std::string &error);
+
+    /**
+     * Append one record to the log and index it.  The first append
+     * takes the writer lock and truncates the log to its last whole
+     * frame.  The frame is flushed before returning, so a subsequent
+     * SIGKILL cannot tear it.  False when the lock is held elsewhere
+     * or the directory is not writable.
      */
     bool append(const ResultRecord &record);
 
     /**
-     * Fold the current index into `snapshot.bsr` (records sorted by
-     * unit key, temp+rename publish) and unlink the shards that were
-     * merged into it — except shards whose writer process is still
-     * alive (it holds the file open and may append more records).
-     * Implies refresh().  False on write failure.
+     * Take the writer lock, fold every record on disk into
+     * `snapshot.bsr` (records sorted by unit key, temp+rename
+     * publish) and unlink the log and any other merged file.  Implies
+     * refresh().  False when the lock is held elsewhere or on write
+     * failure.
      */
     bool compact();
 
   private:
     std::string dir;
     std::map<std::uint64_t, ResultRecord> index;
-    std::vector<std::string> scanned;  //!< shard paths last refresh()
-    std::ofstream shard;               //!< this process's shard
-    std::string shardPath;
+    std::vector<std::string> scanned;  //!< record files last refresh()
+    FileLease writer;                  //!< the writer lock, once taken
+    std::ofstream log;                 //!< the append log, once opened
 };
 
 } // namespace bsisa

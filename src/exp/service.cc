@@ -1,28 +1,18 @@
 /**
  * @file
- * Sweep-service implementation: worker loop, process coordinator,
- * store rendering, and status/listing output.
+ * Sweep-service implementation: the in-process sweep, store
+ * rendering, and status/listing output.
  */
 
 #include "exp/service.hh"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/wait.h>
-#include <unistd.h>
-#define BSISA_HAVE_FORK 1
-#else
-#define BSISA_HAVE_FORK 0
-#endif
 
 #include "exp/figures.hh"
 #include "exp/result_store.hh"
@@ -44,12 +34,6 @@ std::string
 planMarkerPath(const std::string &storeDir, std::uint64_t specDigest)
 {
     return storeDir + "/plan-" + hex16(specDigest) + ".plan";
-}
-
-std::string
-leasePath(const std::string &storeDir, std::uint64_t chunkKey)
-{
-    return storeDir + "/lease-" + hex16(chunkKey) + ".lease";
 }
 
 /** The completion marker: "units N" then one hex unit key per line.
@@ -86,59 +70,43 @@ writePlanMarker(const std::string &path, const SweepPlan &plan)
     publishFile(path, os.str());
 }
 
-/** Probe that @p dir accepts file creation.  A worker whose store is
- *  unwritable can make no progress, but the wait loop cannot tell
- *  "every chunk leased by a peer" from "every write fails" — so
- *  writability is checked once up front instead. */
-bool
-storeWritable(const std::string &dir)
-{
-    const std::string probe =
-        dir + "/.probe-" + std::to_string(currentProcessId());
-    {
-        std::ofstream out(probe, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-    }
-    std::remove(probe.c_str());
-    return true;
-}
-
-/** Test hook: BSISA_SWEEP_STALL_AFTER=K parks the worker forever
+/** Test hook: BSISA_SWEEP_STALL_AFTER=K parks the sweep forever
  *  after its K-th published record (the crash-resume test SIGKILLs a
- *  worker parked mid-grid at a known checkpoint). */
+ *  sweep parked mid-grid at a known checkpoint). */
 void
-maybeStall(std::size_t published, std::ostream *log)
+maybeStall(std::size_t published, std::ostream &log)
 {
     const std::uint64_t stallAfter =
         envU64("BSISA_SWEEP_STALL_AFTER", 0);
     if (stallAfter == 0 || published != stallAfter)
         return;
-    if (log)
-        *log << "sweep-worker: stalled" << std::endl;
+    log << "sweep: stalled" << std::endl;
     for (;;)
         std::this_thread::sleep_for(std::chrono::seconds(60));
 }
 
-} // namespace
-
-SweepWorkerOutcome
-runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
+/** What one sweep counted. */
+struct SweepCounts
 {
-    SweepWorkerOutcome outcome;
-    // The store directory must exist before the first lease attempt:
-    // a failed O_CREAT on a missing directory is indistinguishable
-    // from a held lease, and two workers each waiting for the other
-    // to create the directory would spin forever.
+    std::size_t units = 0;     //!< plan size
+    std::size_t executed = 0;  //!< units simulated + published here
+    std::size_t warm = 0;      //!< units already stored at the start
+};
+
+/** The sweep on @p store's handle, which keeps the writer lock; true
+ *  when every unit of the plan is stored. */
+bool
+sweepInto(ResultStore &store, const SweepSpec &spec,
+          const SweepRunOptions &opts, std::ostream &log,
+          SweepCounts &counts)
+{
     std::error_code dirEc;
     std::filesystem::create_directories(opts.storeDir, dirEc);
-    if (dirEc || !storeWritable(opts.storeDir)) {
-        if (opts.log)
-            *opts.log << "sweep-worker: store directory "
-                      << opts.storeDir << " is not writable\n";
-        return outcome;
+    std::string error;
+    if (!store.lockWriter(error)) {
+        log << "sweep: " << error << "\n";
+        return false;
     }
-    ResultStore store(opts.storeDir);
     store.refresh();
 
     // Warm fast path: a completion marker whose units the store
@@ -152,31 +120,27 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
             markerKeys.begin(), markerKeys.end(),
             [&](std::uint64_t key) { return store.contains(key); });
         if (covered) {
-            outcome.units = markerKeys.size();
-            outcome.warm = markerKeys.size();
-            outcome.complete = true;
-            return outcome;
+            counts.units = markerKeys.size();
+            counts.warm = markerKeys.size();
+            return true;
         }
     }
 
     SweepPlan plan;
-    std::string error;
     if (!buildPlan(spec, opts.chunkOverride, plan, error)) {
-        if (opts.log)
-            *opts.log << "sweep-worker: " << error << "\n";
-        return outcome;
+        log << "sweep: " << error << "\n";
+        return false;
     }
-    outcome.units = plan.units.size();
+    counts.units = plan.units.size();
     for (const WorkUnit &unit : plan.units)
         if (store.contains(unit.key))
-            ++outcome.warm;
+            ++counts.warm;
 
     // One functional trace per benchmark, acquired on first need —
-    // through the BSISA_TRACE_DIR store when configured, so
-    // concurrent workers share warm captures — and dropped once no
-    // later chunk of the scan belongs to its benchmark.  A round
-    // acquires its traces in parallel, so each flag is a whole byte:
-    // std::vector<bool> packs flags into shared words.
+    // through the BSISA_TRACE_DIR store when configured — and dropped
+    // once no later chunk of the pass belongs to its benchmark.  A
+    // round acquires its traces in parallel, so each flag is a whole
+    // byte: std::vector<bool> packs flags into shared words.
     std::vector<ExecTrace> traces(plan.benches.size());
     std::vector<char> haveTrace(plan.benches.size(), 0);
     const auto ensureTrace = [&](std::size_t b) {
@@ -187,7 +151,7 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
                                        plan.benches[b].limits);
         haveTrace[b] = 1;
     };
-    // Chunks are benchmark-major; a trace is dropped once the scan
+    // Chunks are benchmark-major; a trace is dropped once the pass
     // has passed its benchmark's last chunk.
     std::vector<std::size_t> lastChunk(plan.benches.size(), 0);
     for (std::size_t c = 0; c < plan.chunks.size(); ++c)
@@ -201,20 +165,16 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
         }
     };
 
-    struct LeasedChunk
-    {
-        FileLease lease;
-        std::vector<std::size_t> pending;  //!< unit indices
-    };
-    // Simulate a round of leased chunks as one PairSweep — its
-    // missing traces acquired in one parallelFor, lockstep batching by
-    // the planner's usual grouping rules — then publish the records in
-    // lease order, releasing each chunk's lease right after its last
-    // record.  False when a record could not be persisted.
-    const auto runRound = [&](std::vector<LeasedChunk> &round) {
-        std::vector<std::size_t> benches;  // distinct, lease order
-        for (const LeasedChunk &chunk : round) {
-            const std::size_t b = plan.units[chunk.pending.front()].bench;
+    // Simulate a round — the pending unit indices of up to BSISA_JOBS
+    // chunks — as one PairSweep, its missing traces acquired in one
+    // parallelFor and lockstep batching by the planner's usual
+    // grouping rules, then append the records in chunk order.  False
+    // when a record could not be persisted.
+    using Round = std::vector<std::vector<std::size_t>>;
+    const auto runRound = [&](Round &round) {
+        std::vector<std::size_t> benches;  // distinct, chunk order
+        for (const std::vector<std::size_t> &pending : round) {
+            const std::size_t b = plan.units[pending.front()].bench;
             if (std::find(benches.begin(), benches.end(), b) ==
                 benches.end())
                 benches.push_back(b);
@@ -226,173 +186,68 @@ runSweepWorker(const SweepSpec &spec, const SweepWorkerOptions &opts)
         std::vector<std::size_t> handle(plan.benches.size());
         for (std::size_t b : benches)
             handle[b] = sweep.addBenchmark(plan.modules[b], traces[b]);
-        for (const LeasedChunk &chunk : round)
-            for (std::size_t u : chunk.pending)
+        for (const std::vector<std::size_t> &pending : round)
+            for (std::size_t u : pending)
                 sweep.addPoint(handle[plan.units[u].bench],
                                plan.units[u].config);
         const std::vector<PairResult> &results = sweep.run();
 
         std::size_t point = 0;
-        for (LeasedChunk &chunk : round) {
-            for (std::size_t u : chunk.pending) {
+        for (const std::vector<std::size_t> &pending : round) {
+            for (std::size_t u : pending) {
                 const WorkUnit &unit = plan.units[u];
                 if (!store.append(makeResultRecord(
                         unit.key, unit.moduleDigest,
                         unit.configDigest, results[point++]))) {
                     // The store went unwritable mid-run (disk full,
-                    // directory removed).  Abort rather than spin:
-                    // unpersisted units stay pending forever from
-                    // this process's point of view.
-                    if (opts.log)
-                        *opts.log << "sweep-worker: failed to "
-                                     "persist unit "
-                                  << hex16(unit.key)
-                                  << "; aborting\n";
+                    // directory removed): stop rather than simulate
+                    // units that cannot persist.
+                    log << "sweep: failed to persist unit "
+                        << hex16(unit.key) << "; aborting\n";
                     return false;
                 }
-                ++outcome.executed;
-                maybeStall(outcome.executed, opts.log);
+                ++counts.executed;
+                maybeStall(counts.executed, log);
             }
-            chunk.lease.release();
         }
         round.clear();
         return true;
     };
 
-    // A round holds up to BSISA_JOBS chunks with pending units, so at
-    // one job a worker leases, simulates, publishes and releases one
-    // chunk at a time.
     const std::size_t roundChunks = parallelJobs();
-    for (;;) {
-        bool progress = false;
-        bool anyPending = false;
-        std::vector<LeasedChunk> round;
-        for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
-            std::vector<std::size_t> pending;
-            for (std::size_t u : plan.chunks[c])
-                if (!store.contains(plan.units[u].key))
-                    pending.push_back(u);
-            if (pending.empty())
-                continue;
-            anyPending = true;
-
-            FileLease lease;
-            if (!lease.tryAcquire(
-                    leasePath(opts.storeDir, plan.chunkKeys[c]))) {
-                ++outcome.peerSkips;
-                continue;
-            }
-
-            // Double-check under the lease: the pending set above
-            // was computed against a possibly stale index, and a
-            // peer may have finished this chunk between our scan and
-            // our acquisition of its just-released lease.
-            store.refresh();
-            pending.erase(
-                std::remove_if(pending.begin(), pending.end(),
-                               [&](std::size_t u) {
-                                   return store.contains(
-                                       plan.units[u].key);
-                               }),
-                pending.end());
-            progress = true;
-            if (pending.empty())
-                continue;
-
-            round.push_back({std::move(lease), std::move(pending)});
-            if (round.size() == roundChunks) {
-                if (!runRound(round))
-                    return outcome;
-                dropTracesThrough(c);
-            }
+    Round round;
+    for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
+        std::vector<std::size_t> pending;
+        for (std::size_t u : plan.chunks[c])
+            if (!store.contains(plan.units[u].key))
+                pending.push_back(u);
+        if (pending.empty())
+            continue;
+        round.push_back(std::move(pending));
+        if (round.size() == roundChunks) {
+            if (!runRound(round))
+                return false;
+            dropTracesThrough(c);
         }
-        if (!round.empty() && !runRound(round))
-            return outcome;
-        dropTracesThrough(plan.chunks.size());
-        if (!anyPending) {
-            outcome.complete = true;
-            break;
-        }
-        if (!progress) {
-            // Every pending chunk is leased by a live peer; wait for
-            // its records (or its death) to show up.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-        }
-        store.refresh();
     }
-
-    // A missing or unreadable marker is (re)written; a peer's valid
-    // one is left alone.
-    if (!readPlanMarker(markerPath, markerKeys))
-        writePlanMarker(markerPath, plan);
-    return outcome;
+    if (!round.empty() && !runRound(round))
+        return false;
+    writePlanMarker(markerPath, plan);
+    return true;
 }
+
+} // namespace
 
 bool
 runSweepCoordinator(const SweepSpec &spec, const SweepRunOptions &opts,
                     std::ostream &log)
 {
-#if BSISA_HAVE_FORK
-    if (opts.workers > 1 && !opts.selfExe.empty() &&
-        !opts.specPath.empty()) {
-        std::vector<pid_t> children;
-        for (unsigned w = 0; w < opts.workers; ++w) {
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                log << "sweep: fork failed, continuing with "
-                    << children.size() << " workers\n";
-                break;
-            }
-            if (pid == 0) {
-                std::vector<std::string> args = {
-                    opts.selfExe, "worker", opts.specPath, "--store",
-                    opts.storeDir};
-                if (opts.chunkOverride) {
-                    args.push_back("--chunk");
-                    args.push_back(
-                        std::to_string(opts.chunkOverride));
-                }
-                std::vector<char *> argv;
-                for (std::string &arg : args)
-                    argv.push_back(arg.data());
-                argv.push_back(nullptr);
-                ::execv(opts.selfExe.c_str(), argv.data());
-                std::fprintf(stderr, "sweep: exec %s failed\n",
-                             opts.selfExe.c_str());
-                ::_exit(127);
-            }
-            children.push_back(pid);
-        }
-        for (pid_t pid : children) {
-            int status = 0;
-            if (::waitpid(pid, &status, 0) < 0)
-                continue;
-            if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-                // Not fatal: units are idempotent, so the in-process
-                // pass below re-leases whatever the dead worker left
-                // pending (this is the resume path).
-                log << "sweep: worker " << pid
-                    << " exited abnormally; resuming its units\n";
-            }
-        }
-    }
-#endif
-
-    SweepWorkerOptions workerOpts;
-    workerOpts.storeDir = opts.storeDir;
-    workerOpts.chunkOverride = opts.chunkOverride;
-    workerOpts.log = &log;
-    const SweepWorkerOutcome outcome =
-        runSweepWorker(spec, workerOpts);
-    log << "sweep: units=" << outcome.units << " executed="
-        << outcome.executed << " warm=" << outcome.warm
-        << " workers=" << opts.workers << "\n";
-    if (!outcome.complete)
-        return false;
-
     ResultStore store(opts.storeDir);
-    return store.compact();
+    SweepCounts counts;
+    const bool complete = sweepInto(store, spec, opts, log, counts);
+    log << "sweep: units=" << counts.units << " executed="
+        << counts.executed << " warm=" << counts.warm << "\n";
+    return complete && store.compact();
 }
 
 bool
@@ -455,9 +310,12 @@ renderSweepFromStore(std::ostream &os, const SweepSpec &spec,
     return true;
 }
 
-void
+bool
 printSweepStatus(std::ostream &os, const std::string &storeDir)
 {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(storeDir, ec))
+        return false;
     ResultStore store(storeDir);
     const ResultScanStats stats = store.refresh();
     os << "results store: " << storeDir << "\n";
@@ -468,37 +326,33 @@ printSweepStatus(std::ostream &os, const std::string &storeDir)
               Table::fmt(stats.shardFiles)});
     t.print(os);
 
-    // Leases and plan markers.
-    std::vector<std::string> leases, markers;
-    std::error_code ec;
+    // The writer lock's holder.
+    const std::string lock = store.lockPath();
+    os << "writer: ";
+    if (!std::filesystem::exists(lock, ec)) {
+        os << "none\n";
+    } else if (const std::uint64_t pid = leaseHolderPid(lock); pid == 0) {
+        // No holder to probe: writers honour it for the grace period,
+        // then break it as stale.
+        os << "writer.lock malformed (honoured until its "
+           << malformedLeaseGrace.count() << " s grace period ends)\n";
+    } else {
+        os << "pid " << pid << " ("
+           << (processAlive(pid) ? "alive" : "dead") << ")\n";
+    }
+
+    // Plan markers.
+    std::vector<std::string> markers;
     std::filesystem::directory_iterator it(storeDir, ec);
     if (!ec) {
         for (const auto &de : it) {
             if (!de.is_regular_file(ec) || ec)
                 continue;
-            if (de.path().extension() == ".lease")
-                leases.push_back(de.path().string());
-            else if (de.path().extension() == ".plan")
+            if (de.path().extension() == ".plan")
                 markers.push_back(de.path().string());
         }
     }
-    std::sort(leases.begin(), leases.end());
     std::sort(markers.begin(), markers.end());
-    for (const std::string &path : leases) {
-        const std::uint64_t pid = leaseHolderPid(path);
-        os << "lease: "
-           << std::filesystem::path(path).filename().string();
-        if (pid == 0) {
-            // No holder to probe: workers honour it for the grace
-            // period, then break it as stale.
-            os << " malformed (honoured until its "
-               << malformedLeaseGrace.count()
-               << " s grace period ends)\n";
-        } else {
-            os << " holder pid " << pid << " ("
-               << (processAlive(pid) ? "alive" : "dead") << ")\n";
-        }
-    }
     for (const std::string &path : markers) {
         std::vector<std::uint64_t> keys;
         if (!readPlanMarker(path, keys))
@@ -517,6 +371,7 @@ printSweepStatus(std::ostream &os, const std::string &storeDir)
         os << "\n";
         printTraceStoreListing(os, traceStore.directory());
     }
+    return true;
 }
 
 void

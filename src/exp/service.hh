@@ -1,43 +1,38 @@
 /**
  * @file
- * The sweep service: multi-process scheduling of content-addressed
- * work units over a shared results store.
+ * The sweep service: content-addressed work units run in-process
+ * against a persistent, single-writer results store.
  *
  * Roles:
  *
- *   worker       runSweepWorker() — builds the plan, then repeatedly
- *                passes over the lease chunks: skip chunks whose
- *                units are all stored (warm), skip chunks leased by a
- *                live peer, otherwise lease the chunk into the current
+ *   run          runSweepCoordinator() — takes the store's writer lock
+ *                (a second writer on a store whose holder is alive
+ *                fails, naming the holder's pid; a dead holder's lock
+ *                is broken), builds the plan, then passes once over
+ *                the plan's chunks: chunks whose units are all stored
+ *                (warm) are skipped, the others join the current
  *                round.  A round holds up to BSISA_JOBS chunks with
  *                pending units (one at one job); when it is full, or
- *                the pass ends, the worker acquires the round's
+ *                the pass ends, the sweep acquires the round's
  *                missing traces in one parallelFor, simulates every
  *                pending unit of the round as one PairSweep, and
- *                publishes one record per unit in lease order,
- *                releasing each chunk's lease right after its last
- *                record.  Chunks are benchmark-major, so a trace is
- *                dropped once the pass has passed its benchmark's
- *                last chunk (and re-acquired should a dead peer's
- *                chunk come back).  Exits when every unit of the plan
- *                is stored.
- *   coordinator  runSweepCoordinator() — spawns N worker processes
- *                on the same spec + store, waits for them, runs one
- *                in-process worker pass as the completeness check
- *                (which doubles as crash resume: a killed worker's
- *                pending chunks are simply re-leased), and compacts
- *                the store.
+ *                appends one record per unit in chunk order.  Chunks
+ *                are benchmark-major, so a trace is dropped once the
+ *                pass has passed its benchmark's last chunk.  Once
+ *                every unit is stored it compacts the store under the
+ *                same lock (`bsisa-sweep run`).
  *   render       renderSweepFromStore() — re-derives the plan and
  *                renders the spec's figure from stored records,
  *                byte-identical to the monolithic figure drivers.
  *
- * Safety argument: units are idempotent and deterministic, record
- * publishes are atomic appends of checksummed frames, and leases are
- * only an optimization — so `kill -9` of any role at any point
- * costs at most the in-flight units, and re-running any unit writes
- * a byte-identical duplicate that compaction folds away.
+ * Safety argument: units are idempotent and deterministic, and each
+ * record is an appended checksummed frame flushed before the next
+ * unit's, so `kill -9` at any point costs at most the unpublished
+ * units: the resumed run breaks the dead writer's lock, truncates a
+ * torn tail, counts the stored units as warm and runs the rest.
+ * Readers (render, status) take no lock.
  *
- * Warm fast path: on completion a worker publishes a plan marker
+ * Warm fast path: on completion a sweep publishes a plan marker
  * (`plan-<spec digest>.plan`, the unit-key list) keyed by the spec's
  * canonical digest.  A warm rerun finds the marker, checks the store
  * covers every listed key, and skips plan building — module
@@ -57,41 +52,20 @@
 namespace bsisa
 {
 
-/** Worker knobs. */
-struct SweepWorkerOptions
-{
-    std::string storeDir;
-    std::uint64_t chunkOverride = 0;  //!< 0 = spec's chunk_units
-    std::ostream *log = nullptr;      //!< progress/diagnostic sink
-};
-
-/** What one worker run did. */
-struct SweepWorkerOutcome
-{
-    std::size_t units = 0;      //!< plan size
-    std::size_t executed = 0;   //!< units simulated + published here
-    std::size_t warm = 0;       //!< units already stored at first sight
-    std::size_t peerSkips = 0;  //!< chunk claims lost to live peers
-    bool complete = false;      //!< every unit stored on exit
-};
-
-/** Run one worker in-process until the plan is complete. */
-SweepWorkerOutcome runSweepWorker(const SweepSpec &spec,
-                                  const SweepWorkerOptions &opts);
-
-/** Coordinator knobs. */
+/** `bsisa-sweep run` knobs. */
 struct SweepRunOptions
 {
     std::string storeDir;
-    std::uint64_t chunkOverride = 0;
-    unsigned workers = 1;
-    /** This binary's path (argv[0]); empty = run in-process only. */
-    std::string selfExe;
-    /** Spec file path handed to spawned workers. */
-    std::string specPath;
+    std::uint64_t chunkOverride = 0;  //!< 0 = spec's chunk_units
 };
 
-/** Coordinate a full sweep; true when the store ends complete. */
+/**
+ * Run the sweep in this process until every unit of the plan is
+ * stored (creating the store directory when missing), then compact
+ * the store, all under its writer lock.  Diagnostics, then one line
+ * `sweep: units=U executed=E warm=W`, go to @p log.  True when the
+ * store ends complete and compacted.
+ */
 bool runSweepCoordinator(const SweepSpec &spec,
                          const SweepRunOptions &opts,
                          std::ostream &log);
@@ -102,8 +76,11 @@ bool renderSweepFromStore(std::ostream &os, const SweepSpec &spec,
                           const std::string &storeDir,
                           std::string &error);
 
-/** Results-store + lease status summary (`bsisa-sweep status`). */
-void printSweepStatus(std::ostream &os, const std::string &storeDir);
+/** Results-store status (`bsisa-sweep status`): record counts, the
+ *  writer lock's holder, plan markers, and the trace-store listing
+ *  when one is configured.  False, printing nothing, when
+ *  @p storeDir is not a directory. */
+bool printSweepStatus(std::ostream &os, const std::string &storeDir);
 
 /** Human-readable listing of a BSISA_TRACE_DIR store — key,
  *  benchmark, events, bytes (`bsisa-tracedump --list`, also part of

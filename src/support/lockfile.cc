@@ -1,7 +1,7 @@
 /**
  * @file
- * Advisory file-lease implementation (exclusive create + pid-based
- * stale-lease breaking) and the stores' atomic file publish.
+ * File-lease implementation (exclusive create + pid-based stale-lease
+ * breaking) and the stores' atomic file publish.
  */
 
 #include "support/lockfile.hh"
@@ -79,9 +79,9 @@ createExclusive(const std::string &path)
 }
 
 /** A lease without a parseable pid line is foreign or torn.  Honor it
- *  briefly (it may be a peer's mid-publish artifact on a filesystem
- *  we did not anticipate), then treat it as stale — otherwise one
- *  such file would park every worker forever. */
+ *  briefly (it may be a mid-publish artifact on a filesystem we did
+ *  not anticipate), then treat it as stale — otherwise one such file
+ *  would lock its store forever. */
 bool
 malformedLeaseExpired(const std::string &path)
 {

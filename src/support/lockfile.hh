@@ -1,15 +1,12 @@
 /**
  * @file
- * Advisory file leases for the multi-process sweep service, and the
- * atomic temp-file-then-rename publish the trace store, the results
- * store and the plan markers share.
+ * File leases — the results store's writer lock — and the atomic
+ * temp-file-then-rename publish the trace store, the results store
+ * and the plan markers share.
  *
- * A lease is a lock *hint*, not a correctness mechanism: sweep work
- * units are idempotent and their publishes are atomic renames, so two
- * workers running the same unit waste cycles but never corrupt state.
- * The lease exists to make that waste rare — a worker claims a chunk
- * of units by creating `<name>.lease` with O_CREAT|O_EXCL (atomic on
- * every POSIX filesystem), and peers skip chunks whose lease exists.
+ * A lease is claimed by creating its file with O_CREAT|O_EXCL (atomic
+ * on every POSIX filesystem); whoever holds it is the one writer of
+ * what it guards, and others fail to acquire it.
  *
  * Crash recovery: the lease file records the holder's pid, written
  * atomically with the file itself (temp + link), so a lease can never
@@ -25,10 +22,10 @@
  * (foreign/torn) lease is honored for a short mtime grace window and
  * then treated as stale.
  *
- * Non-POSIX builds degrade to "never acquire": the service then runs
- * single-process (the store and plan layers are platform-neutral;
- * only the cheap multi-process hinting is Unix-bound, matching the
- * mmap degradation in sim/trace_store.cc).
+ * Non-POSIX builds degrade to "never acquire": a results-store writer
+ * there fails at once with the lock error (the store and plan layers
+ * are otherwise platform-neutral, matching the mmap degradation in
+ * sim/trace_store.cc).
  */
 
 #ifndef BSISA_SUPPORT_LOCKFILE_HH
@@ -43,7 +40,7 @@ namespace bsisa
 {
 
 /**
- * One advisory lease.  Move-only RAII: releasing (or destroying) a
+ * One lease.  Move-only RAII: releasing (or destroying) a
  * held lease unlinks its file.  The path should live on the same
  * filesystem as the store it guards so create/rename are atomic.
  */
@@ -87,15 +84,15 @@ class FileLease
 std::uint64_t parsePid(std::string_view text);
 
 /** Read the holder pid recorded in a lease file; 0 when absent or
- *  malformed (tests, `bsisa-sweep status`). */
+ *  malformed (lock errors, tests, `bsisa-sweep status`). */
 std::uint64_t leaseHolderPid(const std::string &path);
 
 /** How long after its last write a malformed lease (no parseable
  *  holder pid) is honoured before it is broken as stale. */
 inline constexpr std::chrono::seconds malformedLeaseGrace{5};
 
-/** This process's id, or 0 on platforms without one.  Tags temp,
- *  shard and lease files so concurrent writers never collide. */
+/** This process's id, or 0 on platforms without one.  Tags temp and
+ *  lease files so concurrent writers never collide. */
 std::uint64_t currentProcessId();
 
 /** @p v as 16 lower-case hex digits (store file names, unit keys). */

@@ -114,7 +114,7 @@ Rng::sizeDraw(double mean, unsigned cap)
 }
 
 Rng
-Rng::fork()
+Rng::split()
 {
     return Rng(next() ^ 0xd1b54a32d192ed03ULL);
 }

@@ -50,8 +50,9 @@ class Rng
      */
     unsigned sizeDraw(double mean, unsigned cap);
 
-    /** Fork an independent stream (deterministic function of state). */
-    Rng fork();
+    /** Split off an independent stream (deterministic function of
+     *  state). */
+    Rng split();
 
   private:
     std::uint64_t s[4];

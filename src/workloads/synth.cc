@@ -362,7 +362,7 @@ generateWorkload(const WorkloadParams &params)
     // Data segment (pseudo-random contents).
     const std::uint64_t data_addr = module.allocData(params.dataWords);
     {
-        Rng data_rng = rng.fork();
+        Rng data_rng = rng.split();
         for (auto &word : module.data)
             word = data_rng.next() & 0xffff;
     }
@@ -400,7 +400,7 @@ generateWorkload(const WorkloadParams &params)
                     callees.push_back(app_funcs[j]);
         }
         FuncBuilder builder(module, module.functions[app_funcs[i]],
-                            params, rng.fork(), callees, lib_funcs,
+                            params, rng.split(), callees, lib_funcs,
                             data_addr);
         builder.build();
     }
@@ -410,7 +410,7 @@ generateWorkload(const WorkloadParams &params)
         leaf.callDensity = 0.0;
         leaf.itemsPerFunc = std::max(2u, params.itemsPerFunc / 3);
         FuncBuilder builder(module, module.functions[lib], leaf,
-                            rng.fork(), none, none, data_addr);
+                            rng.split(), none, none, data_addr);
         builder.build();
     }
 
@@ -438,7 +438,7 @@ generateWorkload(const WorkloadParams &params)
         emit(makeTrap(c, body, exit));
 
         cur = body;
-        Rng hot_rng = rng.fork();
+        Rng hot_rng = rng.split();
         for (unsigned fi = 0; fi < params.numFuncs; ++fi) {
             if (tier_of(fi) != 0)
                 continue;

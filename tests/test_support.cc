@@ -105,10 +105,10 @@ TEST(Rng, SizeDrawMeanAndCap)
     EXPECT_LT(sum / n, 5.5);
 }
 
-TEST(Rng, ForkIndependent)
+TEST(Rng, SplitIndependent)
 {
     Rng a(5);
-    Rng b = a.fork();
+    Rng b = a.split();
     // Streams should not be identical.
     int same = 0;
     for (int i = 0; i < 100; ++i)

@@ -9,15 +9,16 @@
  *             and cross-point dedup (coinciding grid points collapse
  *             to one unit serving both).
  *   store   — bit-exact round trip, torn-tail repair that keeps the
- *             intact prefix, bad-shard skip, and deterministic
- *             compaction (same content => byte-identical snapshot)
- *             that survives trailing-slash directory spellings and
- *             preserves live writers' open shards.
+ *             intact prefix, a resumed writer's appends after a torn
+ *             tail, bad-file skip, deterministic compaction (same
+ *             content => byte-identical snapshot) that survives
+ *             trailing-slash directory spellings, and a compaction
+ *             that refuses a store a live writer holds.
  *   lease   — exclusive acquire, peer conflict, release, the
  *             stale-break of a dead holder's lease, atomic
  *             pid-with-create publication, and the malformed-lease
  *             grace window.
- *   worker  — an in-process end-to-end run whose stored PairResults
+ *   sweep   — an in-process end-to-end run whose stored PairResults
  *             are bit-identical to monolithic runPair, a
  *             store-rendered figure byte-identical to the monolithic
  *             driver's output, a compacted store and a trace count
@@ -605,6 +606,7 @@ TEST_F(SweepDirTest, StoreRoundTripIsBitExact)
         EXPECT_EQ(std::memcmp(got, &want, sizeof(want)), 0);
     }
     EXPECT_FALSE(reader.contains(12345));
+    EXPECT_EQ(reader.keys(), (std::vector<std::uint64_t>{3, 7, 11}));
 }
 
 TEST_F(SweepDirTest, TornTailKeepsIntactPrefix)
@@ -614,13 +616,10 @@ TEST_F(SweepDirTest, TornTailKeepsIntactPrefix)
         for (std::uint64_t key = 1; key <= 4; ++key)
             ASSERT_TRUE(writer.append(testRecord(key)));
     }
-    // Tear the final frame: chop 5 bytes off the single shard.
-    std::string shardPath;
-    for (const auto &de : std::filesystem::directory_iterator(dir))
-        shardPath = de.path().string();
-    ASSERT_FALSE(shardPath.empty());
-    const auto size = std::filesystem::file_size(shardPath);
-    std::filesystem::resize_file(shardPath, size - 5);
+    // Tear the final frame: chop 5 bytes off the log.
+    const std::string logPath = dir + "/log.bsr";
+    const auto size = std::filesystem::file_size(logPath);
+    std::filesystem::resize_file(logPath, size - 5);
 
     ResultStore reader(dir);
     const ResultScanStats stats = reader.refresh();
@@ -631,17 +630,53 @@ TEST_F(SweepDirTest, TornTailKeepsIntactPrefix)
 
     // A corrupted *byte* in an intact record is also a torn tail:
     // the checksum catches it and the scan stops there, keeping the
-    // records before it (16-byte shard header, then 16-byte frame
+    // records before it (16-byte file header, then 16-byte frame
     // headers — aim inside the second record's payload).
-    std::string bytes = readFileBytes(shardPath);
+    std::string bytes = readFileBytes(logPath);
     bytes[16 + (16 + sizeof(ResultRecord)) + 16 + 40] ^= 0x40;
-    std::ofstream(shardPath, std::ios::binary | std::ios::trunc)
+    std::ofstream(logPath, std::ios::binary | std::ios::trunc)
         << bytes;
     const ResultScanStats again = reader.refresh();
     EXPECT_EQ(again.tornTails, 1u);
     EXPECT_EQ(again.records, 1u);
     EXPECT_TRUE(reader.contains(1));
     EXPECT_FALSE(reader.contains(2));
+}
+
+// A writer resumed on a log with a torn tail truncates it to the last
+// whole frame before appending: the records it adds would otherwise
+// sit behind the torn frame, where no reader finds them.
+TEST_F(SweepDirTest, ResumedWriterAppendsAfterTornTail)
+{
+    {
+        ResultStore writer(dir);
+        for (std::uint64_t key = 1; key <= 4; ++key)
+            ASSERT_TRUE(writer.append(testRecord(key)));
+    }
+    const std::string logPath = dir + "/log.bsr";
+    std::filesystem::resize_file(logPath,
+                                 std::filesystem::file_size(logPath) - 5);
+    {
+        ResultStore resumed(dir);
+        for (std::uint64_t key : {5u, 6u})
+            ASSERT_TRUE(resumed.append(testRecord(key)));
+    }
+
+    const std::vector<std::uint64_t> intact = {1, 2, 3, 5, 6};
+    ResultStore reader(dir);
+    const ResultScanStats stats = reader.refresh();
+    EXPECT_EQ(stats.tornTails, 0u);
+    EXPECT_EQ(reader.keys(), intact);
+
+    ASSERT_TRUE(reader.compact());
+    ResultStore compacted(dir);
+    EXPECT_EQ(compacted.refresh().shardFiles, 1u);  // the snapshot
+    EXPECT_EQ(compacted.keys(), intact);
+    for (std::uint64_t key : intact) {
+        const ResultRecord want = testRecord(key);
+        EXPECT_EQ(std::memcmp(compacted.find(key), &want, sizeof(want)),
+                  0);
+    }
 }
 
 TEST_F(SweepDirTest, BadShardIsSkippedNotFatal)
@@ -662,8 +697,9 @@ TEST_F(SweepDirTest, CompactionIsDeterministic)
     const std::string dirB = dir + "-b";
     std::filesystem::create_directories(dirB);
 
-    // Same records, different shard layout and append order — plus a
-    // duplicate in one store.
+    // Same records, different append order and writers — plus a
+    // duplicate in one store, as a resumed run that repeats a unit
+    // leaves.
     {
         ResultStore a(dir);
         for (std::uint64_t key : {5u, 1u, 9u})
@@ -674,17 +710,18 @@ TEST_F(SweepDirTest, CompactionIsDeterministic)
         ResultStore b1(dirB);
         ASSERT_TRUE(b1.append(testRecord(9)));
         ASSERT_TRUE(b1.append(testRecord(5)));
-        ResultStore b2(dirB);  // second "process": its own shard
+    }
+    {
+        ResultStore b2(dirB);  // the next writer on the same log
         ASSERT_TRUE(b2.append(testRecord(1)));
-        ASSERT_TRUE(b2.append(testRecord(5)));  // racing duplicate
-        b2.refresh();
+        ASSERT_TRUE(b2.append(testRecord(5)));  // repeated unit
         EXPECT_EQ(b2.refresh().duplicates, 1u);
         ASSERT_TRUE(b2.compact());
     }
 
     EXPECT_EQ(readFileBytes(dir + "/snapshot.bsr"),
               readFileBytes(dirB + "/snapshot.bsr"));
-    // Compaction unlinked the merged shards.
+    // Compaction unlinked the merged log.
     std::size_t filesLeft = 0;
     for (const auto &de : std::filesystem::directory_iterator(dir)) {
         (void)de;
@@ -729,56 +766,35 @@ TEST_F(SweepDirTest, CompactionHandlesTrailingSlashDir)
     EXPECT_EQ(again.refresh().records, 2u);
 }
 
-TEST_F(SweepDirTest, CompactionKeepsLiveWritersShards)
+// A store has one writer.  While another live process holds the
+// writer lock, compaction (and appending) is refused with an error
+// naming that process, and the store is left as it was.
+TEST_F(SweepDirTest, CompactionRefusesALiveWritersStore)
 {
-    // A shard whose name carries a live foreign pid belongs to a
-    // worker that still holds it open: compaction must merge its
-    // records but leave the file in place, or the worker's later
-    // appends vanish into an unlinked inode.  A dead writer's shard
-    // is fully merged and safe to drop.
-    const pid_t deadChild = ::fork();
-    ASSERT_GE(deadChild, 0);
-    if (deadChild == 0)
-        ::_exit(0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(deadChild, &status, 0), deadChild);
-
-    const auto craftShard = [&](std::uint64_t key,
-                                const std::string &name) {
-        const std::string dirB = dir + "-craft";
-        std::filesystem::create_directories(dirB);
-        {
-            ResultStore tmp(dirB);
-            ASSERT_TRUE(tmp.append(testRecord(key)));
-        }
-        for (const auto &de :
-             std::filesystem::directory_iterator(dirB))
-            std::filesystem::rename(de.path(), dir + "/" + name);
-        std::error_code ec;
-        std::filesystem::remove_all(dirB, ec);
-    };
-    const std::string liveShard =
-        "shard-" + std::to_string(::getppid()) + "-42.bsr";
-    const std::string deadShard =
-        "shard-" + std::to_string(deadChild) + "-43.bsr";
-    // A pid no process can have names no live writer: it once wrapped
-    // to pid_t -1, and kill(-1, 0) kept the shard forever.
-    const std::string wrappedShard = "shard-18446744073709551615-44.bsr";
-    craftShard(3, liveShard);
-    craftShard(4, deadShard);
-    craftShard(5, wrappedShard);
-
+    {
+        ResultStore writer(dir);
+        ASSERT_TRUE(writer.append(testRecord(1)));
+    }
     ResultStore store(dir);
-    ASSERT_TRUE(store.append(testRecord(1)));
-    ASSERT_TRUE(store.compact());
+    const std::uint64_t holder = std::uint64_t(::getppid());
+    std::ofstream(store.lockPath()) << "pid " << holder << "\n";
 
-    EXPECT_TRUE(std::filesystem::exists(dir + "/" + liveShard));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/" + deadShard));
-    EXPECT_FALSE(std::filesystem::exists(dir + "/" + wrappedShard));
-    ResultStore reader(dir);
-    EXPECT_EQ(reader.refresh().records, 4u);
-    for (std::uint64_t key : {1u, 3u, 4u, 5u})
-        EXPECT_TRUE(reader.contains(key));
+    std::string error;
+    EXPECT_FALSE(store.lockWriter(error));
+    EXPECT_NE(error.find("pid " + std::to_string(holder)),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(store.compact());
+    EXPECT_FALSE(store.append(testRecord(2)));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot.bsr"));
+    EXPECT_EQ(store.refresh().records, 1u);
+    EXPECT_EQ(leaseHolderPid(store.lockPath()), holder);
+
+    // Once the holder is gone, the same handle compacts.
+    std::filesystem::remove(store.lockPath());
+    ASSERT_TRUE(store.compact());
+    EXPECT_TRUE(std::filesystem::exists(dir + "/snapshot.bsr"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/log.bsr"));
 }
 
 TEST(ParsePid, AcceptsOnlyWhatAPidCanHold)
@@ -847,7 +863,7 @@ TEST_F(SweepDirTest, AcquireLeavesNoTempLitterAndWritesPidAtomically)
 TEST_F(SweepDirTest, MalformedLeaseIsStaleOnlyAfterGrace)
 {
     // A lease file with no parseable pid (foreign writer, torn byte)
-    // must not park workers forever: it is honored for a short mtime
+    // must not lock a store forever: it is honored for a short mtime
     // grace window, then broken.
     const std::string path = dir + "/weird.lease";
     std::ofstream(path) << "not a lease\n";
@@ -863,12 +879,12 @@ TEST_F(SweepDirTest, MalformedLeaseIsStaleOnlyAfterGrace)
     EXPECT_EQ(leaseHolderPid(path), std::uint64_t(::getpid()));
 }
 
-// -------------------------------------------------------------- worker
+// --------------------------------------------------------------- sweep
 
 namespace
 {
 
-class WorkerFixture : public SweepDirTest
+class SweepFixture : public SweepDirTest
 {
   protected:
     void
@@ -888,11 +904,11 @@ class WorkerFixture : public SweepDirTest
 
 } // namespace
 
-TEST_F(WorkerFixture, WorkerFailsFastOnUnwritableStore)
+TEST_F(SweepFixture, SweepFailsFastOnUnwritableStore)
 {
     // A store that cannot be created (here: nested under a regular
-    // file, which fails even for root) must fail the worker up front
-    // instead of letting it spin forever in the peer-wait loop.
+    // file, which fails even for root) fails the sweep up front, at
+    // its writer lock, before any plan is built.
     std::ofstream(dir + "/blocker") << "x";
 
     const SweepSpec spec = mustParse(
@@ -900,17 +916,13 @@ TEST_F(WorkerFixture, WorkerFailsFastOnUnwritableStore)
         "scale: 2000\n"
         "benchmarks: [compress]\n");
     std::ostringstream log;
-    SweepWorkerOptions opts;
-    opts.storeDir = dir + "/blocker/store";
-    opts.log = &log;
-    const SweepWorkerOutcome outcome = runSweepWorker(spec, opts);
-    EXPECT_FALSE(outcome.complete);
-    EXPECT_EQ(outcome.executed, 0u);
-    EXPECT_NE(log.str().find("not writable"), std::string::npos)
-        << log.str();
+    EXPECT_FALSE(runSweepCoordinator(spec, {dir + "/blocker/store"}, log));
+    EXPECT_EQ(log.str(), "sweep: cannot create " + dir +
+                             "/blocker/store/writer.lock\n"
+                             "sweep: units=0 executed=0 warm=0\n");
 }
 
-TEST_F(WorkerFixture, EndToEndMatchesMonolithicRunPair)
+TEST_F(SweepFixture, EndToEndMatchesMonolithicRunPair)
 {
     const SweepSpec spec = mustParse(
         "name: e2e\n"
@@ -919,13 +931,9 @@ TEST_F(WorkerFixture, EndToEndMatchesMonolithicRunPair)
         "axes:\n"
         "  icache_kb: [16, 64]\n");
 
-    SweepWorkerOptions opts;
-    opts.storeDir = dir;
-    const SweepWorkerOutcome outcome = runSweepWorker(spec, opts);
-    EXPECT_TRUE(outcome.complete);
-    EXPECT_EQ(outcome.units, 4u);
-    EXPECT_EQ(outcome.executed, 4u);
-    EXPECT_EQ(outcome.warm, 0u);
+    std::ostringstream cold;
+    ASSERT_TRUE(runSweepCoordinator(spec, {dir}, cold));
+    EXPECT_EQ(cold.str(), "sweep: units=4 executed=4 warm=0\n");
 
     // Every stored result is bit-identical to a monolithic runPair of
     // the same module + config.
@@ -943,15 +951,14 @@ TEST_F(WorkerFixture, EndToEndMatchesMonolithicRunPair)
         EXPECT_EQ(std::memcmp(&got->pair, &want, sizeof(want)), 0);
     }
 
-    // A second worker run over the same store is fully warm (and the
-    // plan marker fast path reports completion without a plan).
-    const SweepWorkerOutcome warm = runSweepWorker(spec, opts);
-    EXPECT_TRUE(warm.complete);
-    EXPECT_EQ(warm.executed, 0u);
-    EXPECT_EQ(warm.warm, warm.units);
+    // A second run over the same store is fully warm (and the plan
+    // marker fast path reports completion without a plan).
+    std::ostringstream warm;
+    ASSERT_TRUE(runSweepCoordinator(spec, {dir}, warm));
+    EXPECT_EQ(warm.str(), "sweep: units=4 executed=0 warm=4\n");
 }
 
-TEST_F(WorkerFixture, StoreRenderedFigureMatchesMonolithicDriver)
+TEST_F(SweepFixture, StoreRenderedFigureMatchesMonolithicDriver)
 {
     const SweepSpec spec = mustParse(
         "name: fig\n"
@@ -959,9 +966,8 @@ TEST_F(WorkerFixture, StoreRenderedFigureMatchesMonolithicDriver)
         "benchmarks: suite\n"
         "figure: cycles\n");
 
-    SweepWorkerOptions opts;
-    opts.storeDir = dir;
-    ASSERT_TRUE(runSweepWorker(spec, opts).complete);
+    std::ostringstream log;
+    ASSERT_TRUE(runSweepCoordinator(spec, {dir}, log)) << log.str();
 
     std::ostringstream fromStore;
     std::string error;
@@ -992,16 +998,16 @@ hexBytes(const std::string &bytes)
 
 } // namespace
 
-// A worker leases up to BSISA_JOBS chunks per round, loads the round's
-// traces in parallel and drops a trace once the scan has passed its
+// A sweep runs up to BSISA_JOBS chunks per round, loads the round's
+// traces in parallel and drops a trace once the pass has passed its
 // benchmark's last chunk.  Here one chunk is one unit, so at four jobs
 // the rounds are chunks 0-3, 4-7 and 8: go's chunks straddle the
 // first two rounds and keep its trace loaded between them.  The
-// compacted snapshot must equal the one-job worker's byte for byte,
+// compacted snapshot must equal the one-job sweep's byte for byte,
 // and each leg acquires each benchmark's trace exactly once (a cold
 // capture into the leg's own trace store).  Each leg is a process of
 // its own: the trace store's counters are process-wide.
-TEST_F(WorkerFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
+TEST_F(SweepFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
 {
     const SweepSpec spec = mustParse(
         "name: rounds\n"
@@ -1016,19 +1022,16 @@ TEST_F(WorkerFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
             ::setenv("BSISA_JOBS", jobs, 1);
             ::setenv("BSISA_TRACE_DIR", (legDir + "/traces").c_str(), 1);
             TraceStore::resetStats();
-            SweepWorkerOptions opts;
-            opts.storeDir = legDir + "/results";
-            const SweepWorkerOutcome outcome = runSweepWorker(spec, opts);
-            ResultStore store(opts.storeDir);
-            const bool compacted = store.compact();
+            const std::string storeDir = legDir + "/results";
+            std::ostringstream log;
+            const bool complete =
+                runSweepCoordinator(spec, {storeDir}, log);
             const TraceStoreStats stats = TraceStore::stats();
             return std::vector<std::string>{
-                std::to_string(outcome.complete) + " " +
-                    std::to_string(outcome.executed) + " " +
-                    std::to_string(compacted),
+                std::to_string(complete) + " " + log.str(),
                 std::to_string(stats.coldCaptures) + " " +
                     std::to_string(stats.warmLoads),
-                hexBytes(readFileBytes(opts.storeDir + "/snapshot.bsr"))};
+                hexBytes(readFileBytes(storeDir + "/snapshot.bsr"))};
         });
     };
     const std::vector<std::string> serial = leg("1");
@@ -1036,7 +1039,7 @@ TEST_F(WorkerFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
     ASSERT_EQ(serial.size(), 3u);
     ASSERT_EQ(rounds.size(), 3u);
     for (const auto *out : {&serial, &rounds}) {
-        EXPECT_EQ((*out)[0], "1 9 1");  // complete, 9 units, compacted
+        EXPECT_EQ((*out)[0], "1 sweep: units=9 executed=9 warm=0\n");
         EXPECT_EQ((*out)[1], "3 0");    // 3 cold captures, no reloads
     }
     EXPECT_FALSE(serial[2].empty());
@@ -1047,7 +1050,7 @@ TEST_F(WorkerFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
 // batches of very different sizes start out of plan order; the results
 // must not depend on it, nor on the worker count, and must equal
 // one-point sweeps of each config.
-TEST_F(WorkerFixture, PairSweepResultsIgnoreBatchOrderAndJobs)
+TEST_F(SweepFixture, PairSweepResultsIgnoreBatchOrderAndJobs)
 {
     SweepPlan plan;
     std::string error;

@@ -4,30 +4,31 @@
  * real bsisa-sweep binary (path injected as BSISA_SWEEP_BIN).
  *
  * The property under test is the service's headline guarantee: a
- * `kill -9` of a worker mid-grid costs nothing but the units it had
+ * `kill -9` of a sweep mid-grid costs nothing but the units it had
  * not yet published.  Concretely:
  *
- *   1. A worker is started with BSISA_SWEEP_STALL_AFTER=3, which
- *      parks it forever right after its third published record —
- *      a deterministic mid-grid checkpoint, lease still held.
- *   2. The test waits for the three records to land, then SIGKILLs
- *      the parked worker: on disk are three intact frames, a shard
- *      with no footer ceremony, and a lease naming a dead pid.
- *   3. A fresh worker on the same store must (a) break the dead
- *      holder's lease, (b) execute exactly total-3 units — the three
+ *   1. `bsisa-sweep run` is started with BSISA_SWEEP_STALL_AFTER=3,
+ *      which parks it forever right after its third published
+ *      record — a deterministic mid-grid checkpoint, writer lock
+ *      held.  A second run on that store fails, naming the parked
+ *      run's pid.
+ *   2. The test SIGKILLs the parked run: on disk are three intact
+ *      frames in the log and a writer lock naming a dead pid.
+ *   3. A fresh run on the same store must (a) break the dead
+ *      holder's lock, (b) execute exactly total-3 units — the three
  *      stored ones count as warm, none re-executed — and complete.
- *   4. After compaction the store's snapshot is byte-identical to
- *      that of an uninterrupted run in a clean directory: the crash
- *      left no trace in the final artifact.
+ *   4. Its compacted snapshot is byte-identical to that of an
+ *      uninterrupted run in a clean directory: the crash left no
+ *      trace in the final artifact.
  *
- * Traces are shared through one BSISA_TRACE_DIR so the resumed and
- * reference runs replay the same captures (and run fast).
+ * Traces are shared through one BSISA_TRACE_DIR (BSISA_SWEEP_TRACE_DIR,
+ * emptied once per test program) so the resumed and reference runs
+ * replay the same captures (and run fast); ctest then lists that
+ * store with `bsisa-tracedump --list`.
  *
- * The test runs at BSISA_JOBS=1 and at BSISA_JOBS=4.  A worker leases
- * a round of up to BSISA_JOBS chunks and holds each chunk's lease
- * until that chunk's last record is on disk, so the parked worker
- * holds one lease at one job and, in this 4-chunk spec, the three
- * leases of its round's unfinished chunks at four.
+ * The test runs at BSISA_JOBS=1 and at BSISA_JOBS=4.  A run simulates
+ * a round of up to BSISA_JOBS chunks and appends its records in chunk
+ * order, so the kill lands mid-chunk at one job and mid-round at four.
  */
 
 #include <gtest/gtest.h>
@@ -57,7 +58,7 @@ using namespace bsisa;
 namespace
 {
 
-struct WorkerReport
+struct RunReport
 {
     int exitStatus = -1;
     bool signaled = false;
@@ -69,6 +70,13 @@ struct WorkerReport
 class SweepServiceTest : public ::testing::Test
 {
   protected:
+    static void
+    SetUpTestSuite()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(BSISA_SWEEP_TRACE_DIR, ec);
+    }
+
     void
     SetUp() override
     {
@@ -88,7 +96,7 @@ class SweepServiceTest : public ::testing::Test
                "axes:\n"
                "  icache_kb: [16, 64]\n"
                "  history_bits: [8, 12]\n";
-        // 2 benchmarks x 4 grid points = 8 units, 4 lease chunks.
+        // 2 benchmarks x 4 grid points = 8 units, 4 chunks.
     }
 
     void
@@ -98,12 +106,11 @@ class SweepServiceTest : public ::testing::Test
         std::filesystem::remove_all(root, ec);
     }
 
-    /** Spawn `bsisa-sweep worker` on @p storeDir, at BSISA_JOBS=@p jobs
+    /** Spawn `bsisa-sweep run` on @p storeDir, at BSISA_JOBS=@p jobs
      *  when given; stderr to a file. */
     pid_t
-    spawnWorker(const std::string &storeDir, const char *stallAfter,
-                const std::string &errPath,
-                const char *jobs = nullptr)
+    spawnRun(const std::string &storeDir, const char *stallAfter,
+             const std::string &errPath, const char *jobs = nullptr)
     {
         const pid_t pid = ::fork();
         if (pid != 0)
@@ -115,24 +122,24 @@ class SweepServiceTest : public ::testing::Test
             ::dup2(err, 2);
             ::close(err);
         }
-        ::setenv("BSISA_TRACE_DIR", (root + "/traces").c_str(), 1);
+        ::setenv("BSISA_TRACE_DIR", BSISA_SWEEP_TRACE_DIR, 1);
         if (jobs)
             ::setenv("BSISA_JOBS", jobs, 1);
         if (stallAfter)
             ::setenv("BSISA_SWEEP_STALL_AFTER", stallAfter, 1);
         else
             ::unsetenv("BSISA_SWEEP_STALL_AFTER");
-        ::execl(BSISA_SWEEP_BIN, BSISA_SWEEP_BIN, "worker",
+        ::execl(BSISA_SWEEP_BIN, BSISA_SWEEP_BIN, "run",
                 specPath.c_str(), "--store", storeDir.c_str(),
                 (char *)nullptr);
         ::_exit(127);
     }
 
     /** Wait for @p pid and parse its outcome line from @p errPath. */
-    WorkerReport
-    reapWorker(pid_t pid, const std::string &errPath)
+    RunReport
+    reapRun(pid_t pid, const std::string &errPath)
     {
-        WorkerReport report;
+        RunReport report;
         int status = 0;
         EXPECT_EQ(::waitpid(pid, &status, 0), pid);
         report.signaled = WIFSIGNALED(status);
@@ -144,8 +151,7 @@ class SweepServiceTest : public ::testing::Test
         while (std::getline(in, line)) {
             std::size_t u = 0, e = 0, w = 0;
             if (std::sscanf(line.c_str(),
-                            "sweep-worker: units=%zu executed=%zu "
-                            "warm=%zu",
+                            "sweep: units=%zu executed=%zu warm=%zu",
                             &u, &e, &w) == 3) {
                 report.units = u;
                 report.executed = e;
@@ -169,8 +175,7 @@ class SweepServiceTest : public ::testing::Test
         return false;
     }
 
-    void sigkillResumesWithoutRework(const char *jobs,
-                                     std::size_t leasesHeld);
+    void sigkillResumesWithoutRework(const char *jobs);
 
     std::string root;
     std::string specPath;
@@ -187,70 +192,71 @@ readFileBytes(const std::string &path)
 
 } // namespace
 
-/** The crash-resume property with every worker at BSISA_JOBS=@p jobs;
- *  the parked worker holds @p leasesHeld leases when it dies. */
+/** The crash-resume property with every run at BSISA_JOBS=@p jobs. */
 void
-SweepServiceTest::sigkillResumesWithoutRework(const char *jobs,
-                                              std::size_t leasesHeld)
+SweepServiceTest::sigkillResumesWithoutRework(const char *jobs)
 {
     const std::string crashed = root + "/store-crashed";
     const std::string clean = root + "/store-clean";
 
-    // Phase 1: park a worker right after its third published record,
-    // then SIGKILL it — leases held, shard mid-write, pid now dead.
+    // Phase 1: park a run right after its third published record.
+    // While it lives, a second run on its store is refused.
     const pid_t stalled =
-        spawnWorker(crashed, "3", root + "/stalled.err", jobs);
+        spawnRun(crashed, "3", root + "/stalled.err", jobs);
     ASSERT_GT(stalled, 0);
     ASSERT_TRUE(waitForRecords(crashed, 3))
-        << "stalled worker never reached its checkpoint";
-    ASSERT_EQ(::kill(stalled, SIGKILL), 0);
-    WorkerReport killedReport =
-        reapWorker(stalled, root + "/stalled.err");
-    EXPECT_TRUE(killedReport.signaled);
+        << "stalled run never reached its checkpoint";
+    const pid_t second =
+        spawnRun(crashed, nullptr, root + "/second.err", jobs);
+    ASSERT_GT(second, 0);
+    const RunReport secondReport = reapRun(second, root + "/second.err");
+    EXPECT_EQ(secondReport.exitStatus, 1);
+    EXPECT_EQ(secondReport.executed, 0u);
+    EXPECT_NE(readFileBytes(root + "/second.err")
+                  .find("has a live writer, pid " +
+                        std::to_string(stalled)),
+              std::string::npos)
+        << readFileBytes(root + "/second.err");
 
+    // SIGKILL the parked run: the log holds its three records, and
+    // the writer lock names a pid that is now dead.
+    ASSERT_EQ(::kill(stalled, SIGKILL), 0);
+    const RunReport killedReport =
+        reapRun(stalled, root + "/stalled.err");
+    EXPECT_TRUE(killedReport.signaled);
     {
         ResultStore probe(crashed);
         EXPECT_EQ(probe.refresh().records, 3u);
-        // The dead worker's leases are still on disk.
-        std::size_t leases = 0;
-        for (const auto &de :
-             std::filesystem::directory_iterator(crashed))
-            if (de.path().extension() == ".lease")
-                ++leases;
-        EXPECT_EQ(leases, leasesHeld);
+        EXPECT_EQ(leaseHolderPid(probe.lockPath()),
+                  std::uint64_t(stalled));
+        EXPECT_FALSE(processAlive(std::uint64_t(stalled)));
     }
 
-    // Phase 2: a fresh worker resumes — breaks the stale leases,
-    // counts the three stored units as warm, executes exactly the
-    // other five, and completes.
+    // Phase 2: a fresh run resumes — breaks the stale lock, counts
+    // the three stored units as warm, executes exactly the other
+    // five, completes and compacts.
     const pid_t resumed =
-        spawnWorker(crashed, nullptr, root + "/resumed.err", jobs);
+        spawnRun(crashed, nullptr, root + "/resumed.err", jobs);
     ASSERT_GT(resumed, 0);
-    const WorkerReport report =
-        reapWorker(resumed, root + "/resumed.err");
+    const RunReport report = reapRun(resumed, root + "/resumed.err");
     EXPECT_FALSE(report.signaled);
     EXPECT_EQ(report.exitStatus, 0);
     EXPECT_EQ(report.units, 8u);
     EXPECT_EQ(report.warm, 3u);
     EXPECT_EQ(report.executed, 5u);
+    EXPECT_FALSE(std::filesystem::exists(crashed + "/writer.lock"));
 
     // Phase 3: an uninterrupted reference run in a clean store.
     const pid_t reference =
-        spawnWorker(clean, nullptr, root + "/clean.err", jobs);
+        spawnRun(clean, nullptr, root + "/clean.err", jobs);
     ASSERT_GT(reference, 0);
-    const WorkerReport cleanReport =
-        reapWorker(reference, root + "/clean.err");
+    const RunReport cleanReport =
+        reapRun(reference, root + "/clean.err");
     EXPECT_EQ(cleanReport.exitStatus, 0);
     EXPECT_EQ(cleanReport.executed, 8u);
 
-    // Phase 4: compacted, the crashed-and-resumed store is
-    // byte-identical to the never-crashed one.
-    {
-        ResultStore a(crashed);
-        ASSERT_TRUE(a.compact());
-        ResultStore b(clean);
-        ASSERT_TRUE(b.compact());
-    }
+    // Phase 4: the crashed-and-resumed store compacted to the same
+    // bytes as the never-crashed one.
     const std::string snapA =
         readFileBytes(crashed + "/snapshot.bsr");
     const std::string snapB = readFileBytes(clean + "/snapshot.bsr");
@@ -258,32 +264,32 @@ SweepServiceTest::sigkillResumesWithoutRework(const char *jobs,
     EXPECT_EQ(snapA, snapB);
 }
 
-// One job: a round is one chunk, so the parked worker holds exactly
-// the lease of the chunk it was publishing.
+// One job: a round is one chunk, so the kill lands between the two
+// records of the second chunk.
 TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
 {
-    sigkillResumesWithoutRework("1", 1);
+    sigkillResumesWithoutRework("1");
 }
 
-// Four jobs: the round is all four chunks.  The first chunk's two
-// records are published and its lease released; the parked worker
-// holds the leases of the other three.
+// Four jobs: the round is all four chunks, simulated together; the
+// kill lands after the first chunk's two records and one of the
+// second's.
 TEST_F(SweepServiceTest, SigkillMidRoundResumesWithoutRework)
 {
-    sigkillResumesWithoutRework("4", 3);
+    sigkillResumesWithoutRework("4");
 }
 
 // A corrupt plan marker (a count the file does not hold, or a
-// truncated key list) reads as absent: `status` skips it, and a worker
+// truncated key list) reads as absent: `status` skips it, and a run
 // rebuilds the plan, finds every unit stored and rewrites the marker.
 // Nothing is sized from the declared count, so a huge one cannot
 // abort either of them.
 TEST_F(SweepServiceTest, CorruptPlanMarkerReadsAsAbsent)
 {
     const std::string store = root + "/store";
-    const pid_t first = spawnWorker(store, nullptr, root + "/first.err");
+    const pid_t first = spawnRun(store, nullptr, root + "/first.err");
     ASSERT_GT(first, 0);
-    ASSERT_EQ(reapWorker(first, root + "/first.err").executed, 8u);
+    ASSERT_EQ(reapRun(first, root + "/first.err").executed, 8u);
 
     std::string marker;
     for (const auto &de : std::filesystem::directory_iterator(store))
@@ -307,15 +313,13 @@ TEST_F(SweepServiceTest, CorruptPlanMarkerReadsAsAbsent)
         std::ofstream(marker, std::ios::binary | std::ios::trunc) << bad;
 
         std::ostringstream status;
-        printSweepStatus(status, store);
+        EXPECT_TRUE(printSweepStatus(status, store));
         EXPECT_EQ(status.str().find("plan: "), std::string::npos)
             << status.str();
 
-        const pid_t again =
-            spawnWorker(store, nullptr, root + "/again.err");
+        const pid_t again = spawnRun(store, nullptr, root + "/again.err");
         ASSERT_GT(again, 0);
-        const WorkerReport report =
-            reapWorker(again, root + "/again.err");
+        const RunReport report = reapRun(again, root + "/again.err");
         EXPECT_FALSE(report.signaled);
         EXPECT_EQ(report.exitStatus, 0);
         EXPECT_EQ(report.units, 8u);
@@ -329,7 +333,7 @@ TEST_F(SweepServiceTest, CorruptPlanMarkerReadsAsAbsent)
 // honoured through the grace window, then stale.  Both values once
 // read as a pid the liveness probe (signal 0) finds alive: "-1" as
 // 2^64-1, which is pid_t -1 and so every process, and "4294967297" as
-// pid_t 1.  Each such lease parked every worker forever.
+// pid_t 1.  Each such lease once parked every sweep forever.
 TEST_F(SweepServiceTest, LeaseWithImpossiblePidGoesStale)
 {
     const std::string path = root + "/chunk.lease";
@@ -346,22 +350,40 @@ TEST_F(SweepServiceTest, LeaseWithImpossiblePidGoesStale)
     }
 }
 
-// `status` names a lease without a holder pid as malformed and says
-// how long workers honour it; it once printed such a lease as held by
-// a live pid 0.
-TEST_F(SweepServiceTest, StatusReportsMalformedLease)
+// `status` names the writer lock's holder; a lock without a holder
+// pid is malformed, and status says how long writers honour it (it
+// once printed such a lease as held by a live pid 0).  A directory
+// that does not exist is no store: status prints nothing and fails,
+// where it once printed an all-zero table.
+TEST_F(SweepServiceTest, StatusReportsWriterLock)
 {
     const std::string store = root + "/store";
     std::filesystem::create_directories(store);
-    std::ofstream(store + "/chunk.lease") << "garbage\n";
+    const std::string lock = store + "/writer.lock";
+    const auto statusOf = [&](const std::string &dir) {
+        std::ostringstream status;
+        EXPECT_TRUE(printSweepStatus(status, dir));
+        return status.str();
+    };
+    EXPECT_NE(statusOf(store).find("writer: none\n"), std::string::npos);
 
-    std::ostringstream status;
-    printSweepStatus(status, store);
-    EXPECT_NE(status.str().find(
-                  "lease: chunk.lease malformed (honoured until its 5 s "
-                  "grace period ends)\n"),
+    std::ofstream(lock) << "pid " << ::getpid() << "\n";
+    EXPECT_NE(statusOf(store).find("writer: pid " +
+                                   std::to_string(::getpid()) +
+                                   " (alive)\n"),
               std::string::npos)
-        << status.str();
-    EXPECT_EQ(status.str().find("holder pid"), std::string::npos)
-        << status.str();
+        << statusOf(store);
+
+    std::ofstream(lock) << "garbage\n";
+    const std::string malformed = statusOf(store);
+    EXPECT_NE(malformed.find("writer: writer.lock malformed (honoured "
+                             "until its 5 s grace period ends)\n"),
+              std::string::npos)
+        << malformed;
+    EXPECT_EQ(malformed.find("writer: pid"), std::string::npos)
+        << malformed;
+
+    std::ostringstream missing;
+    EXPECT_FALSE(printSweepStatus(missing, root + "/no-such-store"));
+    EXPECT_TRUE(missing.str().empty());
 }

@@ -3,35 +3,31 @@
  * Sweep-service CLI.
  *
  * Usage:
- *   bsisa-sweep run <spec> --store DIR [--workers N] [--chunk K]
- *                   [--trace-dir DIR]
- *       Coordinate a full sweep: spawn N worker processes (children
- *       of this one), resume anything they leave behind, verify
- *       completeness, compact the store.  N and K are plain decimal
- *       counts (N at most 256).
- *   bsisa-sweep worker <spec> --store DIR [--chunk K] [--trace-dir D]
- *       Run one worker against an existing store.  Independently
- *       launched workers pointed at the same store cooperate through
- *       leases; this is also what `run` spawns.
+ *   bsisa-sweep run <spec> --store DIR [--chunk K] [--trace-dir DIR]
+ *       Run the sweep in this process (BSISA_JOBS threads), resuming
+ *       whatever an earlier run left, then compact the store.  K is a
+ *       plain decimal count.  A store has one writer: a run on a store
+ *       whose writer is alive fails, naming the writer's pid.
  *   bsisa-sweep plan <spec> [--chunk K]
  *       Print the plan: spec digest, units, chunks (no simulation).
  *   bsisa-sweep render <spec> --store DIR
  *       Render the spec's figure from stored results, byte-identical
  *       to the monolithic figure drivers.
  *   bsisa-sweep status --store DIR [--trace-dir DIR]
- *       Store health: records, torn tails, leases, plan markers, and
- *       the trace-store listing when one is configured.
+ *       Store health: records, torn tails, the writer lock's holder,
+ *       plan markers, and the trace-store listing when one is
+ *       configured.  A missing DIR is an error.
  *   bsisa-sweep compact --store DIR
- *       Fold all shards into a deterministic snapshot.
+ *       Fold the log into a deterministic snapshot (takes the writer
+ *       lock).
  *
  * Each subcommand takes only the options listed for it.  Any other
- * option, a repeated or valueless one, a second spec or a bad count
- * prints the usage and exits 2 before any process starts.
+ * option or subcommand, a repeated or valueless option, a second spec
+ * or a bad count prints the usage and exits 2 before anything runs.
  *
- * Exit status: 0 on success; with BSISA_EXPECT_WARM set, `run` and
- * `worker` additionally fail if any live functional execution
- * happened (the warm-resweep proof, same contract as the bench
- * binaries).
+ * Exit status: 0 on success; with BSISA_EXPECT_WARM set, `run`
+ * additionally fails if any live functional execution happened (the
+ * warm-resweep proof, same contract as the bench binaries).
  */
 
 #include <cstdint>
@@ -54,25 +50,19 @@ using namespace bsisa;
 namespace
 {
 
-/** The most worker processes `run` spawns. */
-constexpr std::uint64_t maxWorkers = 256;
-
 /** Print the usage, then @p error when there is one; exit status 2. */
 int
 usage(const std::string &error = "")
 {
     std::fprintf(
         stderr,
-        "usage: bsisa-sweep run <spec> --store DIR [--workers N] "
-        "[--chunk K] [--trace-dir DIR]\n"
-        "         (N and K are decimal counts, N at most %llu)\n"
-        "       bsisa-sweep worker <spec> --store DIR [--chunk K] "
+        "usage: bsisa-sweep run <spec> --store DIR [--chunk K] "
         "[--trace-dir DIR]\n"
+        "         (K is a decimal count)\n"
         "       bsisa-sweep plan <spec> [--chunk K]\n"
         "       bsisa-sweep render <spec> --store DIR\n"
         "       bsisa-sweep status --store DIR [--trace-dir DIR]\n"
-        "       bsisa-sweep compact --store DIR\n",
-        static_cast<unsigned long long>(maxWorkers));
+        "       bsisa-sweep compact --store DIR\n");
     if (!error.empty())
         std::fprintf(stderr, "bsisa-sweep: %s\n", error.c_str());
     return 2;
@@ -82,11 +72,8 @@ usage(const std::string &error = "")
 struct Cli
 {
     SweepSpec spec;
-    std::string specPath;
     std::string storeDir;
     std::uint64_t chunk = 0;
-    std::uint64_t workers = 1;
-    const char *selfExe = "";
 };
 
 /** The BSISA_EXPECT_WARM contract (same as bench_common.hh): any
@@ -121,38 +108,15 @@ cmdPlan(const Cli &cli)
     std::printf("grid points: %zu\n", plan.gridPoints());
     std::printf("work units: %zu (deduplicated)\n",
                 plan.units.size());
-    std::printf("lease chunks: %zu\n", plan.chunks.size());
+    std::printf("chunks: %zu\n", plan.chunks.size());
     return 0;
-}
-
-int
-cmdWorker(const Cli &cli)
-{
-    SweepWorkerOptions opts;
-    opts.storeDir = cli.storeDir;
-    opts.chunkOverride = cli.chunk;
-    opts.log = &std::cerr;
-    const SweepWorkerOutcome outcome = runSweepWorker(cli.spec, opts);
-    std::fprintf(stderr,
-                 "sweep-worker: units=%zu executed=%zu warm=%zu "
-                 "peer-skips=%zu\n",
-                 outcome.units, outcome.executed, outcome.warm,
-                 outcome.peerSkips);
-    if (!outcome.complete)
-        return 1;
-    return enforceExpectWarm();
 }
 
 int
 cmdRun(const Cli &cli)
 {
-    SweepRunOptions opts;
-    opts.storeDir = cli.storeDir;
-    opts.chunkOverride = cli.chunk;
-    opts.workers = cli.workers ? unsigned(cli.workers) : 1;
-    opts.selfExe = cli.selfExe;
-    opts.specPath = cli.specPath;
-    if (!runSweepCoordinator(cli.spec, opts, std::cerr))
+    if (!runSweepCoordinator(cli.spec, {cli.storeDir, cli.chunk},
+                             std::cerr))
         return 1;
     return enforceExpectWarm();
 }
@@ -171,7 +135,11 @@ cmdRender(const Cli &cli)
 int
 cmdStatus(const Cli &cli)
 {
-    printSweepStatus(std::cout, cli.storeDir);
+    if (!printSweepStatus(std::cout, cli.storeDir)) {
+        std::fprintf(stderr, "error: no results store at %s\n",
+                     cli.storeDir.c_str());
+        return 1;
+    }
     return 0;
 }
 
@@ -179,6 +147,11 @@ int
 cmdCompact(const Cli &cli)
 {
     ResultStore store(cli.storeDir);
+    std::string error;
+    if (!store.lockWriter(error)) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 1;
+    }
     if (!store.compact()) {
         std::fprintf(stderr, "error: compaction failed\n");
         return 1;
@@ -187,9 +160,6 @@ cmdCompact(const Cli &cli)
 }
 
 constexpr OptionSpec runOptions[] = {
-    {"--store", true}, {"--workers", true}, {"--chunk", true},
-    {"--trace-dir", true}};
-constexpr OptionSpec workerOptions[] = {
     {"--store", true}, {"--chunk", true}, {"--trace-dir", true}};
 constexpr OptionSpec planOptions[] = {{"--chunk", true}};
 constexpr OptionSpec storeOptions[] = {{"--store", true}};
@@ -208,7 +178,6 @@ struct Command
 
 constexpr Command commands[] = {
     {"run", runOptions, true, cmdRun},
-    {"worker", workerOptions, true, cmdWorker},
     {"plan", planOptions, true, cmdPlan},
     {"render", storeOptions, true, cmdRender},
     {"status", statusOptions, false, cmdStatus},
@@ -235,15 +204,11 @@ main(int argc, char **argv)
     std::string error;
     if (!parseCommandLine({argv + 2, argv + argc}, command->options,
                           command->takesSpec ? 1 : 0, args, error) ||
-        !args.number("--chunk", cli.chunk, error) ||
-        !args.number("--workers", cli.workers, error, std::uint64_t(0),
-                     maxWorkers))
+        !args.number("--chunk", cli.chunk, error))
         return usage(std::string(name) + ": " + error);
     cli.storeDir = args.get("--store");
-    cli.selfExe = argv[0];
 
-    // --trace-dir is a convenience for BSISA_TRACE_DIR: it applies to
-    // this process and is inherited by spawned workers.
+    // --trace-dir is a convenience for BSISA_TRACE_DIR.
     const std::string traceDir(args.get("--trace-dir"));
     if (!traceDir.empty()) {
 #if defined(__unix__) || defined(__APPLE__)
@@ -264,8 +229,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "error: missing spec file\n");
             return 1;
         }
-        cli.specPath = args.positional[0];
-        if (!parseSweepSpecFile(cli.specPath, cli.spec, error)) {
+        if (!parseSweepSpecFile(args.positional[0], cli.spec, error)) {
             std::fprintf(stderr, "error: %s\n", error.c_str());
             return 1;
         }
