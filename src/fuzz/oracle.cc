@@ -125,12 +125,15 @@ checkInterp(const Module &module, const ExecTrace &trace,
                         "live stream longer than capture (event " +
                             std::to_string(i) + ")");
         }
+        // The successor and the address count are derived from the
+        // next event (or the tail), so this checks the derivation.
         const TraceEvent &te = trace.events[i];
         const bool same =
             te.func == ev.func && te.block == ev.block &&
             te.exit == ev.exit && te.taken == ev.taken &&
-            te.nextFunc == ev.nextFunc && te.nextBlock == ev.nextBlock &&
-            te.memCount == ev.memCount;
+            trace.nextFunc(i) == ev.nextFunc &&
+            trace.nextBlock(i) == ev.nextBlock &&
+            trace.memCount(i) == ev.memCount;
         if (!same) {
             return fail("interp", "live/capture event mismatch at " +
                                       std::to_string(i));
@@ -202,8 +205,10 @@ checkInterp(const Module &module, const ExecTrace &trace,
             const TraceEvent &a = trace.events[e];
             const TraceEvent &b = rt.events[e];
             if (a.func != b.func || a.block != b.block ||
-                a.nextFunc != b.nextFunc || a.nextBlock != b.nextBlock ||
-                a.memBegin != b.memBegin || a.memCount != b.memCount ||
+                trace.nextFunc(e) != rt.nextFunc(e) ||
+                trace.nextBlock(e) != rt.nextBlock(e) ||
+                a.memBegin != b.memBegin ||
+                trace.memCount(e) != rt.memCount(e) ||
                 a.exit != b.exit || a.taken != b.taken) {
                 result = fail("interp",
                               "trace round trip changed event " +

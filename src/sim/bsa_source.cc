@@ -105,10 +105,7 @@ BsaTranslation::memoAt(std::size_t pos)
     const std::size_t consume = std::min<std::size_t>(
         bsa.blocks[pm.smax].bbs.size(), availAt(pos));
     pm.consume = static_cast<std::uint8_t>(consume);
-    std::uint32_t total = 0;
-    for (std::size_t i = 0; i < consume; ++i)
-        total += evs[i].memCount;
-    pm.memCount = total;
+    pm.memCount = trace.memOffset(pos + consume) - evs[0].memBegin;
     pm.computed = true;
     return pm;
 }
@@ -162,16 +159,12 @@ BsaTranslation::compatibleAt(std::size_t pos, AtomicBlockId block,
         return false;
     if (blk.bbs.size() > availAt(pos))
         return false;
+    // Each event is its predecessor's successor (ExecTrace), so
+    // matching the blocks matches the edges between them too.
     const TraceEvent *evs = trace.events + pos;
-    for (std::size_t i = 0; i < blk.bbs.size(); ++i) {
-        const TraceEvent &e = evs[i];
-        if (e.func != func || e.block != blk.bbs[i])
+    for (std::size_t i = 0; i < blk.bbs.size(); ++i)
+        if (evs[i].func != func || evs[i].block != blk.bbs[i])
             return false;
-        if (i + 1 < blk.bbs.size() &&
-            (e.nextFunc != func || e.nextBlock != blk.bbs[i + 1])) {
-            return false;
-        }
-    }
     return true;
 }
 
@@ -214,10 +207,10 @@ BsaFetchWalker::predictSuccessor(AtomicBlockId committed,
     if (lastEvent.exit == ExitKind::Halt || size == 0)
         return;
 
-    const FuncId next_func = lastEvent.nextFunc;
-    const BlockId next_head = lastEvent.nextBlock;
+    // The next unit's head is the successor of lastEvent.
     const TraceEvent *evs = tr->trace.events + pos;
-    BSISA_ASSERT(evs[0].func == next_func && evs[0].block == next_head);
+    const FuncId next_func = evs[0].func;
+    const BlockId next_head = evs[0].block;
 
     const BsaTranslation::PosMemo &pm = tr->memoAt(pos);
     const AtomicBlockId s_max = pm.smax;
@@ -426,22 +419,19 @@ BsaFetchWalker::captureStep(FetchOutcomeStream &out)
     }
 
     FetchOutcomeRecord rec;
-    rec.pos = static_cast<std::uint32_t>(pos);
+    rec.pos = pos;
     rec.committed = committed;
 
     // Record the block's memory span: one slice of the trace pool
     // starting at the head event (ExecTrace span adjacency).
     std::size_t consume = pm.consume;
-    std::uint32_t total = pm.memCount;
+    rec.memOffset = evs[0].memBegin;
+    rec.memCount = pm.memCount;
     if (committed != pm.smax) {
         consume = std::min<std::size_t>(
             tr->bsa.blocks[committed].bbs.size(), tr->availAt(pos));
-        total = 0;
-        for (std::size_t i = 0; i < consume; ++i)
-            total += evs[i].memCount;
+        rec.memCount = tr->trace.memOffset(pos + consume) - rec.memOffset;
     }
-    rec.memOffset = static_cast<std::uint32_t>(evs[0].memBegin);
-    rec.memCount = total;
 
     // The redirect recorded by the PREVIOUS step's prediction applies
     // to this unit's fetch; store it sparsely against this step.

@@ -9,7 +9,7 @@ namespace bsisa
 {
 
 void
-ConvFetchWalker::predictSuccessor(const TraceEvent &e,
+ConvFetchWalker::predictSuccessor(std::size_t i,
                                   std::optional<bool> trapDir,
                                   unsigned opBase)
 {
@@ -17,6 +17,8 @@ ConvFetchWalker::predictSuccessor(const TraceEvent &e,
     if (perfect)
         return;
 
+    const ExecTrace &trace = tr->trace;
+    const TraceEvent &e = trace.events[i];
     const Module &module = tr->module;
     const ConvLayout &layout = tr->layout;
     const DecodedProgram &decoded = tr->decoded;
@@ -54,7 +56,8 @@ ConvFetchWalker::predictSuccessor(const TraceEvent &e,
       }
       case ExitKind::IJump: {
         ++nPredictions;
-        const std::uint64_t actual = blockToken(e.nextFunc, e.nextBlock);
+        const std::uint64_t actual =
+            blockToken(trace.nextFunc(i), trace.nextBlock(i));
         const std::uint64_t predicted = predictor.predictTarget(pc);
         predictor.updateTarget(pc, actual);
         if (predicted != actual) {
@@ -84,7 +87,8 @@ ConvFetchWalker::predictSuccessor(const TraceEvent &e,
         break;
       case ExitKind::Ret: {
         ++nPredictions;
-        const std::uint64_t actual = blockToken(e.nextFunc, e.nextBlock);
+        const std::uint64_t actual =
+            blockToken(trace.nextFunc(i), trace.nextBlock(i));
         const std::uint64_t predicted = predictor.returnStack().pop();
         if (predicted != actual) {
             ++nTrapMiss;
@@ -102,7 +106,7 @@ ConvFetchWalker::predictSuccessor(const TraceEvent &e,
 void
 ConvFetchWalker::captureStep(FetchOutcomeStream &out)
 {
-    const TraceEvent &e = tr->trace.events[pos];
+    const ExecTrace &trace = tr->trace;
     // The redirect recorded by the PREVIOUS event's prediction applies
     // to this unit's fetch; store it sparsely against this step.
     if (pendingRedirect.mispredicted) {
@@ -112,12 +116,14 @@ ConvFetchWalker::captureStep(FetchOutcomeStream &out)
     }
     // Every group commits the event's block at this position, so
     // coincident groups fuse into one batch.
-    out.steps.push_back({static_cast<std::uint32_t>(pos), e.block,
-                         static_cast<std::uint32_t>(e.memBegin),
-                         e.memCount});
+    FetchOutcomeRecord rec;
+    rec.pos = pos;
+    rec.committed = trace.events[pos].block;
+    rec.memOffset = trace.events[pos].memBegin;
+    rec.memCount = trace.memCount(pos);
+    out.steps.push_back(rec);
     ++nFetchSteps;
-    ++pos;
-    predictSuccessor(e);
+    predictSuccessor(pos++);
 }
 
 } // namespace bsisa

@@ -88,15 +88,15 @@ class ConvFetchWalker : public FetchWalkCounters
     void captureStep(FetchOutcomeStream &out);
 
     /**
-     * Predict the successor of event @p e: the one conventional
+     * Predict the successor of trace event @p i: the one conventional
      * prediction step.  Trains the predictor, counts, and fills
      * pendingRedirect for the next unit.  A trap direction the caller
      * has already predicted (a trace cache's lookahead) comes in
      * @p trapDir, so the fetch decision and its validation use one
-     * prediction; @p opBase counts the ops fetched ahead of e's block
-     * in its unit and offsets the redirect's resolveOpIdx.
+     * prediction; @p opBase counts the ops fetched ahead of event
+     * i's block in its unit and offsets the redirect's resolveOpIdx.
      */
-    void predictSuccessor(const TraceEvent &e,
+    void predictSuccessor(std::size_t i,
                           std::optional<bool> trapDir = std::nullopt,
                           unsigned opBase = 0);
 

@@ -55,7 +55,6 @@
 #include "sim/fetch_source.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
-#include "support/logging.hh"
 
 namespace bsisa
 {
@@ -92,14 +91,12 @@ struct FetchOutcomeStream
 
     /** Reserve one window's exact bound — at most one step and one
      *  redirect per trace event — so a capture walk never allocates.
-     *  Oracle predictors never redirect.  Records narrow positions
-     *  and pool offsets to 32 bits, so @p trace must fit them. */
+     *  Oracle predictors never redirect.  Records hold positions and
+     *  pool offsets in 32 bits, which every trace fits
+     *  (maxTraceEntries). */
     void
     reserveWindow(const ExecTrace &trace, bool withRedirects)
     {
-        BSISA_ASSERT(trace.eventCount <= 0xffffffffull &&
-                         trace.memAddrCount <= 0xffffffffull,
-                     "FetchOutcomeRecord fields are 32-bit");
         const std::size_t window =
             std::min(fetchCaptureWindow, trace.eventCount);
         steps.reserve(window);

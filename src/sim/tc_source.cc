@@ -126,7 +126,6 @@ TraceCacheFetchSource::next(TimingUnit &unit)
     // invariant), so the unit's addresses are one zero-copy slice
     // starting at the head's span.
     unit.memAddrs = trace.memAddrs + head.memBegin;
-    unit.memCount = 0;
     emitOps.clear();
     std::size_t committed = 0;
     std::size_t trap_idx = 0;  // index into predictedDirs
@@ -138,12 +137,11 @@ TraceCacheFetchSource::next(TimingUnit &unit)
             // below.  Defensive: leave the event unconsumed and stop.
             break;
         }
-        ++walker.pos;
+        const std::size_t at = walker.pos++;
         const auto op_base = static_cast<unsigned>(emitOps.size());
         const DecodedUnit &bdu = decoded.unit(ev.func, ev.block);
         const DecodedOp *bops = decoded.ops(bdu);
         emitOps.insert(emitOps.end(), bops, bops + bdu.opCount);
-        unit.memCount += ev.memCount;
         ++committed;
         fillWith(ev);
 
@@ -156,13 +154,14 @@ TraceCacheFetchSource::next(TimingUnit &unit)
                 dir = predictedDirs[trap_idx];
             ++trap_idx;
         }
-        walker.predictSuccessor(ev, dir, op_base);
+        walker.predictSuccessor(at, dir, op_base);
         if (walker.pendingRedirect.mispredicted ||
             (ev.exit != ExitKind::Trap && ev.exit != ExitKind::Jump))
             break;
     }
 
     BSISA_ASSERT(!emitOps.empty());
+    unit.memCount = trace.memOffset(walker.pos) - head.memBegin;
     unit.pc = layout.addrOf(head.func, head.block);
     unit.bytes = static_cast<std::uint32_t>(emitOps.size() * opBytes);
     unit.skipIcache = tc != nullptr;

@@ -5,6 +5,8 @@
 
 #include "sim/trace.hh"
 
+#include "support/logging.hh"
+
 namespace bsisa
 {
 
@@ -15,18 +17,22 @@ captureTrace(const Module &module, Interp::Limits limits)
     Interp interp(module, limits);
     BlockEvent ev;
     while (interp.step(ev)) {
+        if (trace.ownedEvents.size() == maxTraceEntries ||
+            trace.ownedAddrs.size() + ev.memCount > maxTraceEntries)
+            fatal("trace capture: the run passes ", maxTraceEntries,
+                  " committed blocks or memory addresses, the most "
+                  "one trace holds; lower its op budget");
         TraceEvent te;
         te.func = ev.func;
         te.block = ev.block;
-        te.nextFunc = ev.nextFunc;
-        te.nextBlock = ev.nextBlock;
         te.exit = ev.exit;
         te.taken = ev.taken;
-        te.memBegin = trace.ownedAddrs.size();
-        te.memCount = ev.memCount;
+        te.memBegin = std::uint32_t(trace.ownedAddrs.size());
         trace.ownedAddrs.insert(trace.ownedAddrs.end(), ev.memAddrs,
                                 ev.memAddrs + ev.memCount);
         trace.ownedEvents.push_back(te);
+        trace.tailFunc = ev.nextFunc;
+        trace.tailBlock = ev.nextBlock;
     }
     trace.dynOps = interp.dynOps();
     trace.dynBlocks = interp.dynBlocks();

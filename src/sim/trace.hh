@@ -6,9 +6,12 @@
  * basic-block stream (DESIGN.md section 5), so one functional
  * execution can drive any number of timing configurations.  An
  * ExecTrace records that stream from one Interp run into a compact
- * in-memory buffer — per event: block identity, exit kind, trap
- * direction, successor, and the Ld/St addresses (pooled into a single
- * shared vector) — and every fetch source replays it by index.
+ * in-memory buffer — 16 bytes per event: block identity, exit kind,
+ * trap direction and the offset of its Ld/St addresses in a single
+ * shared pool — and every fetch source replays it by index.  What a
+ * neighbouring event already holds is not stored again: an event's
+ * successor is the next event's block and its address count the gap
+ * to the next event's offset (ExecTrace::nextFunc, memCount).
  * Capturing once per (module, limits) and replaying across an icache
  * sweep or a predictor ablation removes the dominant redundant work
  * from the paper's sweep-shaped experiments, and replay cursors are
@@ -29,19 +32,29 @@
 namespace bsisa
 {
 
-/** One committed block execution in trace form (addresses pooled). */
+/** Most events, and most pooled addresses, one trace may hold: every
+ *  pool offset and stream position fits 32 bits.  captureTrace stops
+ *  with a fatal error past it and the trace store rejects a header
+ *  past it, so no consumer narrows a count it has not been promised. */
+constexpr std::uint64_t maxTraceEntries = 0xffffffffull;
+
+/**
+ * One committed block execution in trace form.  Its successor and its
+ * address count are derived from the next event (ExecTrace::nextFunc,
+ * nextBlock, memCount), so the event stores neither.
+ */
 struct TraceEvent
 {
     FuncId func = invalidId;
     BlockId block = invalidId;
-    FuncId nextFunc = invalidId;
-    BlockId nextBlock = invalidId;
-    /** Slice [memBegin, memBegin + memCount) of the trace's pool. */
-    std::uint64_t memBegin = 0;
-    std::uint32_t memCount = 0;
+    /** Start of the event's slice of the trace's address pool. */
+    std::uint32_t memBegin = 0;
     ExitKind exit = ExitKind::Halt;
     bool taken = false;
 };
+
+static_assert(sizeof(TraceEvent) == 16,
+              "TraceEvent is the largest resident structure of a run");
 
 /**
  * The committed event stream of one functional execution.
@@ -55,14 +68,22 @@ struct TraceEvent
  * spans directly with zero copies.  `backing` pins whatever owns
  * foreign pools (e.g. the file mapping) for the trace's lifetime.
  *
- * Span adjacency invariant: events slice the pool in stream order
- * with no gaps, i.e. events[0].memBegin == 0, events[i].memBegin ==
- * events[i-1].memBegin + events[i-1].memCount, and the last span ends
- * at memAddrCount.  Both builders guarantee it — captureTrace appends
- * sequentially, and the trace-store decoder derives the offsets as
- * that running sum and rejects an entry whose sum is not the pool
- * size — so a fetch unit covering events [pos, pos + n) has the
- * single span [events[pos].memBegin, + sum of their memCounts).
+ * Events are linked and sliced by their neighbours:
+ *
+ *   - Successor: the block that executed after event i is event
+ *     i + 1's (func, block).  The last event's successor is the tail
+ *     (tailFunc, tailBlock): the block the run would have executed
+ *     next when its budget cut it, or invalidId after a Halt.
+ *   - Span adjacency: events slice the pool in stream order with no
+ *     gaps, so event i's span is [events[i].memBegin,
+ *     memOffset(i + 1)) and events[0].memBegin == 0.  A fetch unit
+ *     covering events [pos, pos + n) has the single span
+ *     [events[pos].memBegin, memOffset(pos + n)).
+ *
+ * Both builders guarantee both — captureTrace appends sequentially, and
+ * the trace-store decoder derives the offsets as the running sum of
+ * the stored counts, rejects an entry whose sum is not the pool size,
+ * and rejects an event that is not its predecessor's stored successor.
  *
  * Traces are move-only: spans point into the owned vectors, whose
  * heap buffers survive moves but not copies.
@@ -81,6 +102,10 @@ struct ExecTrace
     /** Ld/St address pool, shared by all events. */
     const std::uint64_t *memAddrs = nullptr;
     std::size_t memAddrCount = 0;
+
+    /** Successor of the last event (see above). */
+    FuncId tailFunc = invalidId;
+    BlockId tailBlock = invalidId;
 
     /** Dynamic operation count of the run (Table 2's metric). */
     std::uint64_t dynOps = 0;
@@ -103,6 +128,34 @@ struct ExecTrace
         memAddrCount = ownedAddrs.size();
     }
 
+    /** The function and block that executed after event @p i. */
+    FuncId
+    nextFunc(std::size_t i) const
+    {
+        return i + 1 < eventCount ? events[i + 1].func : tailFunc;
+    }
+    BlockId
+    nextBlock(std::size_t i) const
+    {
+        return i + 1 < eventCount ? events[i + 1].block : tailBlock;
+    }
+
+    /** Pool offset where event @p i's span begins; the pool size at
+     *  @p i == eventCount, where the last span ends. */
+    std::uint32_t
+    memOffset(std::size_t i) const
+    {
+        return i < eventCount ? events[i].memBegin
+                              : std::uint32_t(memAddrCount);
+    }
+
+    /** Number of pooled addresses event @p i touched. */
+    std::uint32_t
+    memCount(std::size_t i) const
+    {
+        return memOffset(i + 1) - events[i].memBegin;
+    }
+
     /** True when the pools live in a mmap-ed store entry. */
     bool mapped() const { return backing != nullptr; }
 
@@ -115,7 +168,8 @@ struct ExecTrace
     }
 };
 
-/** Run @p module under @p limits, recording the committed stream. */
+/** Run @p module under @p limits, recording the committed stream.
+ *  A run past maxTraceEntries events or addresses is a fatal error. */
 ExecTrace captureTrace(const Module &module, Interp::Limits limits);
 
 /** Derive a branch-bias profile from a captured trace (equivalent to

@@ -101,57 +101,85 @@ class MappedFile
     const std::uint8_t *data() const { return base; }
     std::size_t size() const { return length; }
 
+    /** Drop the whole pages below file offset @p end from the
+     *  process's resident set: bytes already read there and never
+     *  read again.  The mapping stays; a later read would fault the
+     *  page back in from the file. */
+    void
+    release(std::size_t end) const
+    {
+#if BSISA_HAVE_MMAP
+        const std::size_t page = std::size_t(::sysconf(_SC_PAGESIZE));
+        const std::size_t whole = end / page * page;
+        if (whole)
+            ::madvise(const_cast<std::uint8_t *>(base), whole,
+                      MADV_DONTNEED);
+#else
+        (void)end;
+#endif
+    }
+
   private:
     const std::uint8_t *base = nullptr;
     std::size_t length = 0;
 };
 
-/** Encode one event against its predecessor.  The stream is the
- *  committed path, so an event's identity almost always equals the
- *  previous event's successor — predicting from it makes the common
- *  deltas zero (one byte each). */
+/** Encode event @p i of @p trace.  The stream is the committed path,
+ *  so an event's identity is the previous event's successor (0 before
+ *  the first event) and those deltas are zero, one byte each.  The
+ *  successor and the address count are stored although the next
+ *  event holds them: they are the format. */
 void
-encodeEvent(std::vector<std::uint8_t> &out, const TraceEvent &te,
-            const TraceEvent &prev)
+encodeEvent(std::vector<std::uint8_t> &out, const ExecTrace &trace,
+            std::size_t i)
 {
+    const TraceEvent &te = trace.events[i];
+    const FuncId predFunc = i ? trace.nextFunc(i - 1) : 0;
+    const BlockId predBlock = i ? trace.nextBlock(i - 1) : 0;
     putVarint(out, zigzagEncode(std::int64_t(te.func) -
-                                std::int64_t(prev.nextFunc)));
+                                std::int64_t(predFunc)));
     putVarint(out, zigzagEncode(std::int64_t(te.block) -
-                                std::int64_t(prev.nextBlock)));
-    putVarint(out, zigzagEncode(std::int64_t(te.nextFunc) -
+                                std::int64_t(predBlock)));
+    putVarint(out, zigzagEncode(std::int64_t(trace.nextFunc(i)) -
                                 std::int64_t(te.func)));
-    putVarint(out, zigzagEncode(std::int64_t(te.nextBlock) -
+    putVarint(out, zigzagEncode(std::int64_t(trace.nextBlock(i)) -
                                 std::int64_t(te.block)));
     out.push_back(std::uint8_t(unsigned(te.exit) & 7) |
                   std::uint8_t(te.taken ? 8 : 0));
-    putVarint(out, te.memCount);
+    putVarint(out, trace.memCount(i));
 }
 
-/** Decode the whole event section; false on any inconsistency. */
+/** Decode the whole event section into @p out's owned events and
+ *  tail; false on any inconsistency.  The caller has checked that
+ *  @p eventCount fits the section, so the reservation is bounded by
+ *  the file size. */
 bool
 decodeEvents(const std::uint8_t *p, const std::uint8_t *end,
              std::uint64_t eventCount, std::uint64_t addrCount,
-             std::vector<TraceEvent> &out)
+             ExecTrace &out)
 {
-    out.clear();
-    out.reserve(eventCount);
-    TraceEvent prev;  // prev.nextFunc/nextBlock seed the prediction
-    prev.nextFunc = 0;
-    prev.nextBlock = 0;
+    std::vector<TraceEvent> &events = out.ownedEvents;
+    events.clear();
+    events.reserve(eventCount);
+    // The stored successor of the previous event (0 seeds the first).
+    FuncId predFunc = 0;
+    BlockId predBlock = 0;
     std::uint64_t pool = 0;
     for (std::uint64_t i = 0; i < eventCount; ++i) {
         std::uint64_t df, db, dnf, dnb, count;
         if (!getVarint(p, end, df) || !getVarint(p, end, db))
             return false;
+        // Only the first event may differ from its predecessor's
+        // successor: the in-memory event keeps one copy of each.
+        if (i > 0 && (df | db))
+            return false;
         TraceEvent te;
-        te.func = FuncId(std::int64_t(prev.nextFunc) + zigzagDecode(df));
-        te.block =
-            BlockId(std::int64_t(prev.nextBlock) + zigzagDecode(db));
+        te.func = FuncId(std::int64_t(predFunc) + zigzagDecode(df));
+        te.block = BlockId(std::int64_t(predBlock) + zigzagDecode(db));
         if (!getVarint(p, end, dnf) || !getVarint(p, end, dnb))
             return false;
-        te.nextFunc = FuncId(std::int64_t(te.func) + zigzagDecode(dnf));
-        te.nextBlock =
-            BlockId(std::int64_t(te.block) + zigzagDecode(dnb));
+        predFunc = FuncId(std::int64_t(te.func) + zigzagDecode(dnf));
+        predBlock = BlockId(std::int64_t(te.block) + zigzagDecode(dnb));
         if (p >= end)
             return false;
         const std::uint8_t packed = *p++;
@@ -159,16 +187,14 @@ decodeEvents(const std::uint8_t *p, const std::uint8_t *end,
             return false;
         te.exit = ExitKind(packed & 7);
         te.taken = (packed & 8) != 0;
-        if (!getVarint(p, end, count) || count > 0xffffffffull)
+        if (!getVarint(p, end, count) || count > addrCount - pool)
             return false;
-        te.memCount = std::uint32_t(count);
-        te.memBegin = pool;
+        te.memBegin = std::uint32_t(pool);
         pool += count;
-        if (pool > addrCount)
-            return false;
-        out.push_back(te);
-        prev = te;
+        events.push_back(te);
     }
+    out.tailFunc = predFunc;
+    out.tailBlock = predBlock;
     // The section must be consumed exactly, and the implicit pool
     // offsets must cover the whole address section.
     return p == end && pool == addrCount;
@@ -220,13 +246,8 @@ encodeTrace(const ExecTrace &trace, const TraceKey &key)
 {
     std::vector<std::uint8_t> events;
     events.reserve(trace.eventCount * 6);
-    TraceEvent prev;
-    prev.nextFunc = 0;
-    prev.nextBlock = 0;
-    for (std::size_t i = 0; i < trace.eventCount; ++i) {
-        encodeEvent(events, trace.events[i], prev);
-        prev = trace.events[i];
-    }
+    for (std::size_t i = 0; i < trace.eventCount; ++i)
+        encodeEvent(events, trace, i);
 
     TraceFileHeader h;
     std::memset(&h, 0, sizeof(h));
@@ -340,6 +361,12 @@ openTraceFile(const std::string &path, const TraceKey &key,
         h.addrCount > (size - h.addrOffset) / sizeof(std::uint64_t) ||
         h.addrOffset + h.addrCount * sizeof(std::uint64_t) != size)
         return TraceOpenStatus::BadGeometry;
+    // Every event encodes in at least six bytes (four varints, the
+    // exit byte, the address count), so a count the section cannot
+    // hold is rejected before anything is allocated for it.
+    if (h.eventCount > maxTraceEntries || h.addrCount > maxTraceEntries ||
+        h.eventCount > h.eventBytes / 6)
+        return TraceOpenStatus::BadGeometry;
 
     const std::uint8_t *events = base + sizeof(TraceFileHeader);
     const std::uint8_t *pool = base + h.addrOffset;
@@ -349,8 +376,11 @@ openTraceFile(const std::string &path, const TraceKey &key,
         return TraceOpenStatus::BadChecksum;
 
     if (!decodeEvents(events, events + h.eventBytes, h.eventCount,
-                      h.addrCount, out.ownedEvents))
+                      h.addrCount, out))
         return TraceOpenStatus::BadEventStream;
+    // The header and the event section are decoded; only the pool's
+    // pages stay resident.
+    file->release(h.addrOffset);
 
     out.ownedAddrs.clear();
     out.sealOwned();

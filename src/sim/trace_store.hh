@@ -17,13 +17,20 @@
  *                      content key, counts, section geometry, and
  *                      per-section FNV-1a checksums (the header
  *                      itself is checksummed too).
- *   [event section]    varint/delta stream, ~4-6 bytes per committed
- *                      block (vs 32 in memory): zigzag deltas for
- *                      func/block/successor, one packed exit|taken
+ *   [event section]    varint/delta stream, about 6 bytes per
+ *                      committed block (vs 16 in memory): zigzag
+ *                      deltas for func/block (against the previous
+ *                      event's successor) and for the successor
+ *                      (against the block), one packed exit|taken
  *                      byte, a varint address count.  Pool offsets
  *                      (TraceEvent::memBegin) are implicit — the
  *                      running sum of counts — which is what makes
- *                      the layout relocatable.
+ *                      the layout relocatable.  The decoder keeps
+ *                      one copy of what the stream stores twice: an
+ *                      event after the first must be its
+ *                      predecessor's successor (zero deltas), the
+ *                      last event's successor becomes the trace's
+ *                      tail, and the counts become offsets.
  *   [address pool]     the Ld/St addresses as raw uint64s, 64-byte
  *                      aligned.  Stored verbatim *because* replay
  *                      hands out zero-copy spans into this section:
@@ -31,9 +38,13 @@
  *                      directly, and the implicit offsets satisfy
  *                      the ExecTrace span-adjacency invariant.
  *
- * Opening verifies the header, both section checksums, and the
- * decoded event stream's bounds; any mismatch (torn write, stale
- * version, truncation, tampering) degrades gracefully: warn once,
+ * Opening verifies the header (its counts against maxTraceEntries
+ * and the event count against what the section can hold, before
+ * anything is allocated), both section checksums, and the decoded
+ * event stream's bounds.  Once decoded, the header and event pages
+ * are released from the resident set; only the pool stays mapped in.
+ * Any mismatch (torn write, stale version, truncation, tampering)
+ * degrades gracefully: warn once,
  * fall back to live capture, and atomically repair the entry
  * (write-to-temp + rename, safe under BSISA_JOBS concurrency and
  * across processes).
@@ -118,9 +129,9 @@ std::vector<std::uint8_t> encodeTrace(const ExecTrace &trace,
 
 /**
  * Open one entry file: mmap, verify header + checksums against
- * @p key, decode the event stream.  On success @p out is a live
- * trace whose address pool points into the mapping (pinned by
- * ExecTrace::backing).
+ * @p key, decode the event stream and release its pages.  On success
+ * @p out is a live trace whose address pool points into the mapping
+ * (pinned by ExecTrace::backing).
  */
 TraceOpenStatus openTraceFile(const std::string &path,
                               const TraceKey &key, ExecTrace &out);

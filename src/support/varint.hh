@@ -4,7 +4,7 @@
  *
  * The trace store's event section is a delta stream: most fields are
  * small signed jumps from the previous event, so zigzag + LEB128
- * shrinks a 32-byte TraceEvent to a handful of bytes.  Encoding
+ * shrinks a 16-byte TraceEvent to a handful of bytes.  Encoding
  * appends to a byte vector; decoding advances a raw cursor and is
  * bounds-checked against the section end so a truncated or corrupted
  * stream fails cleanly instead of reading past the mapping.

@@ -933,7 +933,8 @@ fitsStream(const BsaModule &bsa, const ExecTrace &trace,
         if (e.func != blk.func || e.block != blk.bbs[i])
             return false;
         if (i + 1 < blk.bbs.size() &&
-            (e.nextFunc != blk.func || e.nextBlock != blk.bbs[i + 1]))
+            (trace.nextFunc(pos + i) != blk.func ||
+             trace.nextBlock(pos + i) != blk.bbs[i + 1]))
             return false;
     }
     return true;
@@ -1036,7 +1037,7 @@ TEST(BsaSource, MemoMatchesSpecificationAtEveryPosition)
                 EXPECT_EQ(pm.consume, consume) << "pos " << pos;
                 std::uint32_t mem = 0;
                 for (std::size_t i = 0; i < consume; ++i)
-                    mem += trace.events[pos + i].memCount;
+                    mem += trace.memCount(pos + i);
                 EXPECT_EQ(pm.memCount, mem) << "pos " << pos;
             }
         }

@@ -87,10 +87,11 @@ TEST(Trace, ReplayStreamMatchesInterp)
         ASSERT_EQ(live.block, te.block) << "at event " << n;
         ASSERT_EQ(live.exit, te.exit) << "at event " << n;
         ASSERT_EQ(live.taken, te.taken) << "at event " << n;
-        ASSERT_EQ(live.nextFunc, te.nextFunc) << "at event " << n;
-        ASSERT_EQ(live.nextBlock, te.nextBlock) << "at event " << n;
-        ASSERT_EQ(live.memCount, te.memCount) << "at event " << n;
-        ASSERT_LE(te.memBegin + te.memCount, trace.memAddrCount)
+        // Derived from the next event, or the tail at the last one.
+        ASSERT_EQ(live.nextFunc, trace.nextFunc(n)) << "at event " << n;
+        ASSERT_EQ(live.nextBlock, trace.nextBlock(n)) << "at event " << n;
+        ASSERT_EQ(live.memCount, trace.memCount(n)) << "at event " << n;
+        ASSERT_LE(te.memBegin + trace.memCount(n), trace.memAddrCount)
             << "at event " << n;
         for (std::uint32_t a = 0; a < live.memCount; ++a)
             ASSERT_EQ(live.memAddrs[a], trace.memAddrs[te.memBegin + a])

@@ -4,14 +4,17 @@
  *
  * Five properties are pinned down:
  *   1. The on-disk round trip is bit-exact: encode + mmap-open
- *      reproduces every TraceEvent field and pool address of a live
- *      capture, on all eight benchmarks, and the replayed SimResult
- *      is identical.
+ *      reproduces every event, derived successor and address count,
+ *      and pool address of a live capture, on all eight benchmarks;
+ *      the replayed SimResult is identical; and re-encoding the
+ *      opened entry reproduces its file byte for byte.
  *   2. A warm load performs zero functional executions (the
  *      interpreter-invocation counter does not move) and serves the
  *      trace straight out of the mapping.
  *   3. Every corruption class — truncation, a flipped byte in any
- *      section, a stale version, a mismatched key — is detected with
+ *      section, a stale version, a mismatched key, an event count
+ *      the section cannot hold, an event that is not its
+ *      predecessor's successor — is detected with
  *      the right status, degrades to live capture with correct
  *      results, and leaves a repaired entry on disk.
  *   4. With no store configured, captureOrLoadTrace is plain
@@ -39,6 +42,7 @@
 #include "sim/trace_store.hh"
 #include "sim_result_print.hh"
 #include "support/digest.hh"
+#include "support/varint.hh"
 #include "workloads/specmix.hh"
 
 using namespace bsisa;
@@ -75,15 +79,34 @@ expectSameTrace(const ExecTrace &a, const ExecTrace &b)
         const TraceEvent &y = b.events[i];
         ASSERT_EQ(x.func, y.func) << "event " << i;
         ASSERT_EQ(x.block, y.block) << "event " << i;
-        ASSERT_EQ(x.nextFunc, y.nextFunc) << "event " << i;
-        ASSERT_EQ(x.nextBlock, y.nextBlock) << "event " << i;
+        ASSERT_EQ(a.nextFunc(i), b.nextFunc(i)) << "event " << i;
+        ASSERT_EQ(a.nextBlock(i), b.nextBlock(i)) << "event " << i;
         ASSERT_EQ(x.memBegin, y.memBegin) << "event " << i;
-        ASSERT_EQ(x.memCount, y.memCount) << "event " << i;
+        ASSERT_EQ(a.memCount(i), b.memCount(i)) << "event " << i;
         ASSERT_EQ(x.exit, y.exit) << "event " << i;
         ASSERT_EQ(x.taken, y.taken) << "event " << i;
     }
     for (std::size_t i = 0; i < a.memAddrCount; ++i)
         ASSERT_EQ(a.memAddrs[i], b.memAddrs[i]) << "addr " << i;
+}
+
+/** Edit the header of the entry in @p bytes, then recompute the
+ *  event-section and header checksums, as a tool rewriting the entry
+ *  consistently would. */
+void
+resealEntry(std::vector<std::uint8_t> &bytes,
+            const std::function<void(TraceFileHeader &)> &edit = {})
+{
+    TraceFileHeader h;
+    std::memcpy(&h, bytes.data(), sizeof(h));
+    if (edit)
+        edit(h);
+    h.eventChecksum =
+        fnv1a64Words(bytes.data() + sizeof(h), h.eventBytes);
+    std::memcpy(bytes.data(), &h, sizeof(h));
+    h.headerChecksum =
+        fnv1a64(bytes.data(), offsetof(TraceFileHeader, headerChecksum));
+    std::memcpy(bytes.data(), &h, sizeof(h));
 }
 
 /** ExecTrace span adjacency: each event's span starts where the
@@ -94,7 +117,7 @@ expectAdjacentSpans(const ExecTrace &t)
     std::uint64_t next = 0;
     for (std::size_t i = 0; i < t.eventCount; ++i) {
         ASSERT_EQ(t.events[i].memBegin, next) << "event " << i;
-        next += t.events[i].memCount;
+        next += t.memCount(i);
     }
     EXPECT_EQ(next, t.memAddrCount);
 }
@@ -146,6 +169,9 @@ TEST_F(TraceStoreTest, RoundTripBitIdenticalOnAllBenchmarks)
         ASSERT_EQ(openTraceFile(path, key, mapped), TraceOpenStatus::Ok);
         EXPECT_TRUE(mapped.mapped());
         expectSameTrace(live, mapped);
+        // The opened entry re-encodes to its file byte for byte: the
+        // derived successors and counts write the stored ones back.
+        EXPECT_EQ(encodeTrace(mapped, key), readFile(path));
 
         const MachineConfig machine;
         EXPECT_EQ(runConventional(m, machine, live),
@@ -225,8 +251,6 @@ TEST_F(TraceStoreTest, CorruptionMatrixFallsBackAndRepairs)
         TraceOpenStatus expect;
         std::function<void(std::vector<std::uint8_t> &)> mutate;
     };
-    const std::size_t checked =
-        offsetof(TraceFileHeader, headerChecksum);
     const Corruption matrix[] = {
         {"truncated mid-header", TraceOpenStatus::BadHeader,
          [](std::vector<std::uint8_t> &b) {
@@ -249,15 +273,37 @@ TEST_F(TraceStoreTest, CorruptionMatrixFallsBackAndRepairs)
              b[ph.addrOffset + 5] ^= 0x80;
          }},
         {"stale format version", TraceOpenStatus::BadVersion,
-         [checked](std::vector<std::uint8_t> &b) {
+         [](std::vector<std::uint8_t> &b) {
              // Bump the version and keep the header checksum valid,
              // as a real format migration would find it.
-             TraceFileHeader h;
-             std::memcpy(&h, b.data(), sizeof(h));
-             h.formatVersion += 1;
-             std::memcpy(b.data(), &h, sizeof(h));
-             h.headerChecksum = fnv1a64(b.data(), checked);
-             std::memcpy(b.data(), &h, sizeof(h));
+             resealEntry(b, [](TraceFileHeader &h) {
+                 h.formatVersion += 1;
+             });
+         }},
+        {"event count beyond its section", TraceOpenStatus::BadGeometry,
+         [](std::vector<std::uint8_t> &b) {
+             // Rejected before the decoder allocates for the count.
+             resealEntry(b, [](TraceFileHeader &h) {
+                 h.eventCount = std::uint64_t(1) << 33;
+             });
+         }},
+        {"event is not its predecessor's successor",
+         TraceOpenStatus::BadEventStream,
+         [](std::vector<std::uint8_t> &b) {
+             // Skip event 0 (four deltas, the exit byte, the address
+             // count) and give event 1 a function one past event 0's
+             // successor.
+             const std::uint8_t *p = b.data() + sizeof(TraceFileHeader);
+             const std::uint8_t *end = b.data() + b.size();
+             std::uint64_t v;
+             for (int field = 0; field < 4; ++field)
+                 ASSERT_TRUE(getVarint(p, end, v));
+             ++p;
+             ASSERT_TRUE(getVarint(p, end, v));
+             const std::size_t at = std::size_t(p - b.data());
+             ASSERT_EQ(b[at], 0u);  // a zero delta, one byte
+             b[at] = std::uint8_t(zigzagEncode(1));
+             resealEntry(b);
          }},
     };
 
