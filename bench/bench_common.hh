@@ -6,7 +6,12 @@
  * output goes to stdout exactly as before, and when a trace store is
  * configured (BSISA_TRACE_DIR) a one-line traffic summary goes to
  * stderr — warm entries served, cold captures, rejected-and-repaired
- * entries, and the number of live functional executions.  With
+ * entries, and the number of live functional executions.  A trace
+ * the store holds is resident only while a sweep or driver uses it
+ * (DESIGN.md decision 25), so warm= counts entry opens: each driver
+ * call that simulates opens its benchmarks' entries again, and
+ * Table 2 on a warm store reads only their headers (bench_paper_figures
+ * opens 24: Fig. 3, 4 and 6 each open the suite's 8).  With
  * BSISA_EXPECT_WARM=1 the wrapper turns "the whole run replayed from
  * disk" into an exit status: any live interpreter invocation (a cold
  * or rejected entry) fails the binary, which is how CI proves a warm

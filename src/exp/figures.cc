@@ -14,13 +14,15 @@
  * order, so the rendered tables are byte-identical for any worker
  * count.
  *
- * Drivers in one process share work through per-benchmark,
- * immutable memos (SuiteSlot): the compiled module and its digest
- * (suiteModule), the suite traces by op budget (captureSuiteTrace),
- * and the pair results by config digest (runSuiteGrid).  So Table 2
- * and Fig. 3-7 in one process load each trace once, Fig. 5 after
- * Fig. 3 simulates nothing, and Fig. 6 and Fig. 7 share one grid
- * whose 64 KB column is Fig. 3's base point.  A memoized value is computed
+ * Drivers in one process share work through per-benchmark memos
+ * (SuiteSlot): the compiled module and its digest (suiteModule), the
+ * suite traces by op budget (captureSuiteTrace), and the pair results
+ * by config digest (runSuiteGrid).  So Fig. 5 after Fig. 3 simulates
+ * nothing, and Fig. 6 and Fig. 7 share one grid whose 64 KB column is
+ * Fig. 3's base point.  A trace the store can serve again stays
+ * resident only while a sweep or driver holds it, so a later driver
+ * reopens its warm entry; a trace only a functional run could
+ * reproduce is kept for the process.  A memoized value is computed
  * exactly as an uncached call would compute it, so no driver's
  * output depends on what ran before it.
  */
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "arch/instr_class.hh"
@@ -88,19 +91,24 @@ suiteLimits(const SpecBenchmark &bench, std::uint64_t budgetDiv)
     return limits;
 }
 
-/** One memoized suite trace (see captureSuiteTrace). */
+/** One suite trace's memo entry (see captureSuiteTrace). */
 struct SuiteTrace
 {
-    std::once_flag once;
-    ExecTrace trace;
+    /** Serializes acquisition: racing users share one load. */
+    std::mutex mutex;
+    /** The trace while any user holds it. */
+    std::weak_ptr<const ExecTrace> live;
+    /** Set when the store cannot serve the trace again. */
+    std::shared_ptr<const ExecTrace> pinned;
 };
 
 /**
  * One benchmark's process-lifetime slot: its module and digest
  * (suiteModule, suiteModuleDigest), its traces (captureSuiteTrace)
- * and its pair results (runSuiteGrid).  Each entry is filled once
- * and never changes after that; std::map nodes never move, so a
- * reference to an entry stays valid while the maps grow.
+ * and its pair results (runSuiteGrid).  The module, the digest and a
+ * result are filled once and never change after that; std::map nodes
+ * never move, so a reference to an entry stays valid while the maps
+ * grow.
  */
 struct SuiteSlot
 {
@@ -125,11 +133,16 @@ suiteSlot(std::size_t i)
     return slots.at(i);
 }
 
-/** Benchmark @p i's functional trace under @p limits, acquired once
- *  per process: served from the trace store when warm, captured live
- *  otherwise.  The module is hashed only when a store is
- *  configured. */
-const ExecTrace &
+/**
+ * Benchmark @p i's functional trace under @p limits: the one a user
+ * still holds, or else served from the trace store when warm and
+ * captured live otherwise.  The handle keeps it resident; once every
+ * handle is gone, the next call reopens the store entry.  Without a
+ * store, or when its entry could not be written, the trace is kept
+ * for the process, since only a functional run could reproduce it.
+ * The module is hashed only when a store is configured.
+ */
+std::shared_ptr<const ExecTrace>
 captureSuiteTrace(std::size_t i, Interp::Limits limits)
 {
     SuiteSlot &slot = suiteSlot(i);
@@ -138,12 +151,44 @@ captureSuiteTrace(std::size_t i, Interp::Limits limits)
         std::lock_guard<std::mutex> lock(slot.mutex);
         entry = &slot.traces[{limits.maxOps, limits.maxBlocks}];
     }
-    std::call_once(entry->once, [&] {
-        const std::uint64_t digest =
-            TraceStore::fromEnv().enabled() ? suiteModuleDigest(i) : 0;
-        entry->trace = captureOrLoadTrace(suiteModule(i), digest, limits);
-    });
-    return entry->trace;
+    std::lock_guard<std::mutex> lock(entry->mutex);
+    if (entry->pinned)
+        return entry->pinned;
+    if (std::shared_ptr<const ExecTrace> held = entry->live.lock())
+        return held;
+    const TraceStore store = TraceStore::fromEnv();
+    bool persisted = false;
+    auto trace = std::make_shared<const ExecTrace>(
+        store.enabled()
+            ? store.load(suiteModule(i), suiteModuleDigest(i), limits,
+                         &persisted)
+            : captureTrace(suiteModule(i), limits));
+    if (!persisted)
+        entry->pinned = trace;
+    entry->live = trace;
+    return trace;
+}
+
+/** A PairSweep source for captureSuiteTrace(@p i, @p limits). */
+TraceSource
+suiteTraceSource(std::size_t i, Interp::Limits limits)
+{
+    return {limits.maxOps, [i, limits] {
+                return captureSuiteTrace(i, limits);
+            }};
+}
+
+/** A PairSweep source for a module outside the suite memo, captured
+ *  or loaded at each acquisition; @p digest is moduleDigest(@p module)
+ *  when a trace store is configured. */
+TraceSource
+moduleTraceSource(const Module &module, std::uint64_t digest,
+                  Interp::Limits limits)
+{
+    return {limits.maxOps, [&module, digest, limits] {
+                return std::make_shared<const ExecTrace>(
+                    captureOrLoadTrace(module, digest, limits));
+            }};
 }
 
 /**
@@ -159,7 +204,8 @@ captureSuiteTrace(std::size_t i, Interp::Limits limits)
  * is runConfigDigest of the config with its limits set to the
  * replayed trace's, so it covers BSISA_SCALE, BSISA_TIMING_MODEL and
  * the enlargement width, which also picks the module below.  Only a
- * benchmark with a missing point acquires a trace.  A point whose
+ * benchmark with a missing point acquires a trace, and the sweep
+ * acquires it when the benchmark's first batch starts.  A point whose
  * enlargement is narrower than the suite's blocks runs on a copy of
  * the module re-split to that width: its committed stream differs,
  * so each (width, benchmark) copy joins the sweep as an extra
@@ -211,27 +257,39 @@ runSuiteGrid(std::uint64_t budgetDiv, std::size_t nconfigs,
             benches.push_back(bench);
     }
 
+    // Up front only the modules are generated (and hashed, for the
+    // store's keys); the sweep acquires each trace when it needs it.
+    const bool hashed = TraceStore::fromEnv().enabled();
     std::vector<Module> splitModules(benches.size());
-    std::vector<ExecTrace> splitTraces(benches.size());
-    std::vector<const ExecTrace *> traces(benches.size());
+    std::vector<std::uint64_t> splitDigests(benches.size());
     parallelFor(benches.size(), [&](std::size_t b) {
         const auto [width, bi] = benches[b];
         if (width == 0) {
-            traces[b] = &captureSuiteTrace(bi, limits[bi]);
+            if (hashed)
+                suiteModuleDigest(bi);
+            else
+                suiteModule(bi);
             return;
         }
         Module &m = splitModules[b];
         m = suiteModule(bi);
         splitOversizedBlocks(m, width);
-        splitTraces[b] = captureOrLoadTrace(m, limits[bi]);
-        traces[b] = &splitTraces[b];
+        if (hashed)
+            splitDigests[b] = moduleDigest(m);
     });
 
     PairSweep sweep;
     for (std::size_t b = 0; b < benches.size(); ++b) {
         const auto [width, bi] = benches[b];
-        sweep.addBenchmark(width ? splitModules[b] : suiteModule(bi),
-                           *traces[b]);
+        if (width == 0) {
+            sweep.addBenchmark(suiteModule(bi),
+                               suiteTraceSource(bi, limits[bi]));
+            continue;
+        }
+        sweep.addBenchmark(splitModules[b],
+                           moduleTraceSource(splitModules[b],
+                                             splitDigests[b],
+                                             limits[bi]));
     }
     for (std::size_t k = 0; k < missing.size(); ++k)
         sweep.addPoint(benchOf[k], configs[k]);
@@ -399,15 +457,24 @@ printTable2(std::ostream &os)
     Table t({"Benchmark", "Input", "# of Instructions (paper)",
              "# simulated (measured)"});
     const auto suite = specint95Suite();
+    const TraceStore store = TraceStore::fromEnv();
     std::vector<BenchOutcome> outcomes(suite.size());
     parallelFor(suite.size(), [&](std::size_t i) {
         Interp::Limits limits;
         limits.maxOps = suite[i].scaledBudget(divisor);
-        // The measured count is a property of the committed stream, so
-        // a warm trace store answers it without executing anything.
-        const ExecTrace &trace = captureSuiteTrace(i, limits);
         outcomes[i].name = suite[i].params.name;
-        outcomes[i].dynOps = trace.dynOps;
+        // The measured count is a property of the committed stream,
+        // and a warm store entry's checked header records it; any
+        // other entry is loaded (and repaired) as a trace.
+        TraceFileHeader header;
+        const TraceKey key{store.enabled() ? suiteModuleDigest(i) : 0,
+                           limits.maxOps, limits.maxBlocks};
+        if (store.enabled() &&
+            readTraceHeader(store.entryPath(key), key, header) ==
+                TraceOpenStatus::Ok)
+            outcomes[i].dynOps = header.dynOps;
+        else
+            outcomes[i].dynOps = captureSuiteTrace(i, limits)->dynOps;
     });
     for (std::size_t i = 0; i < suite.size(); ++i) {
         t.addRow({suite[i].params.name, suite[i].input,
@@ -724,11 +791,11 @@ runWorkloadReport(std::ostream &os)
              "lib%", "branch acc", "dcache miss%"});
     for (std::size_t bi = 0; bi < suite.size(); ++bi) {
         const Module &m = suiteModule(bi);
-        const ExecTrace &trace =
+        const std::shared_ptr<const ExecTrace> trace =
             captureSuiteTrace(bi, suiteLimits(suite[bi], 4));
         std::uint64_t blocks = 0, ops = 0, callret = 0, lib_blocks = 0;
-        for (std::size_t i = 0; i < trace.eventCount; ++i) {
-            const TraceEvent &ev = trace.events[i];
+        for (std::size_t i = 0; i < trace->eventCount; ++i) {
+            const TraceEvent &ev = trace->events[i];
             const Function &fn = m.functions[ev.func];
             ++blocks;
             ops += fn.blocks[ev.block].ops.size();
@@ -772,19 +839,22 @@ runTraceCacheComparison(std::ostream &os)
             return baseConfig(suite[bi]);
         });
     // Both trace-cache sizes replay the pair's trace on the pair's
-    // machine, so the pair's conventional result is their baseline.
+    // machine, so the pair's conventional result is their baseline;
+    // one handle serves both.
     const unsigned tcEntries[] = {64, 256};
     const std::size_t ntc = std::size(tcEntries);
     std::vector<TraceCacheResult> tc(n * ntc);
-    parallelFor(tc.size(), [&](std::size_t k) {
-        const std::size_t bi = k / ntc;
-        const ExecTrace &trace =
+    parallelFor(n, [&](std::size_t bi) {
+        const std::shared_ptr<const ExecTrace> trace =
             captureSuiteTrace(bi, suiteLimits(suite[bi], 2));
-        TraceCacheConfig config;
-        config.entries = tcEntries[k % ntc];
-        tc[k] = runTraceCache(suiteModule(bi),
+        for (std::size_t t = 0; t < ntc; ++t) {
+            TraceCacheConfig config;
+            config.entries = tcEntries[t];
+            tc[bi * ntc + t] =
+                runTraceCache(suiteModule(bi),
                               baseConfig(suite[bi]).machine, config,
-                              trace);
+                              *trace);
+        }
     });
 
     Table t({"Benchmark", "conv", "conv+TC(64)", "conv+TC(256)", "BSA",
@@ -823,20 +893,26 @@ runInlineExtension(std::ostream &os)
     const std::vector<PairResult> plain = runSuiteGrid(2, 1, configOf);
 
     // An inlined module commits a different stream, so each joins the
-    // sweep as its own benchmark with its own trace (not memoized).
+    // sweep as its own benchmark with its own trace (not memoized),
+    // acquired when the sweep reaches it.
+    const bool hashed = TraceStore::fromEnv().enabled();
     std::vector<Module> modules(n);
-    std::vector<ExecTrace> traces(n);
+    std::vector<std::uint64_t> digests(n);
     parallelFor(n, [&](std::size_t bi) {
         WorkloadParams params = suite[bi].params;
         params.inlineSmallCalls = true;
         modules[bi] = generateWorkload(params);
-        traces[bi] =
-            captureOrLoadTrace(modules[bi], suiteLimits(suite[bi], 2));
+        if (hashed)
+            digests[bi] = moduleDigest(modules[bi]);
     });
     PairSweep sweep;
     for (std::size_t bi = 0; bi < n; ++bi)
-        sweep.addPoint(sweep.addBenchmark(modules[bi], traces[bi]),
-                       configOf(0, bi));
+        sweep.addPoint(
+            sweep.addBenchmark(
+                modules[bi],
+                moduleTraceSource(modules[bi], digests[bi],
+                                  suiteLimits(suite[bi], 2))),
+            configOf(0, bi));
     const std::vector<PairResult> &inlined = sweep.run();
 
     Table t({"Benchmark", "blk (plain)", "blk (inline)", "red% (plain)",

@@ -6,6 +6,7 @@
 #include "exp/runner.hh"
 
 #include <algorithm>
+#include <mutex>
 #include <numeric>
 
 #include "codegen/layout.hh"
@@ -175,11 +176,25 @@ runBlockStructuredBatch(const BsaModule &bsa,
         });
 }
 
-std::size_t
-PairSweep::addBenchmark(const Module &module, const ExecTrace &trace)
+TraceSource
+heldTrace(const ExecTrace &trace)
 {
-    BSISA_ASSERT(!planned);
-    benches.push_back(Bench{&module, &trace, {}});
+    return heldTrace(std::shared_ptr<const ExecTrace>(
+        &trace, [](const ExecTrace *) {}));
+}
+
+TraceSource
+heldTrace(std::shared_ptr<const ExecTrace> trace)
+{
+    const std::uint64_t weight = trace->eventCount;
+    return {weight, [trace = std::move(trace)] { return trace; }};
+}
+
+std::size_t
+PairSweep::addBenchmark(const Module &module, TraceSource source)
+{
+    BSISA_ASSERT(!planned && source.acquire);
+    benches.push_back(Bench{&module, std::move(source), {}});
     return benches.size() - 1;
 }
 
@@ -236,13 +251,13 @@ const std::vector<PairResult> &
 PairSweep::run()
 {
     plan();
-    // Longest batch first, by lanes x trace events (stable on ties),
+    // Longest batch first, by lanes x weight (stable on ties),
     // claimed one at a time: the largest walks start at once instead
     // of trailing the rest.  Each batch writes only its own points'
     // slots, so the order cannot move a result.
     const auto cost = [&](std::size_t b) {
         return std::uint64_t(batches[b].pointIds.size()) *
-               benches[batches[b].bench].trace->eventCount;
+               benches[batches[b].bench].source.weight;
     };
     std::vector<std::size_t> order(batches.size());
     std::iota(order.begin(), order.end(), std::size_t(0));
@@ -250,13 +265,40 @@ PairSweep::run()
                      [&](std::size_t x, std::size_t y) {
                          return cost(x) > cost(y);
                      });
-    parallelForChunked(order.size(), 1,
-                       [&](std::size_t i) { runBatch(order[i]); });
+
+    // A benchmark's trace is held from its first batch's start to its
+    // last batch's end: the first worker to start one acquires it
+    // (workers on the same benchmark wait for that), and the worker
+    // that finishes the last drops the sweep's reference.
+    struct Residency
+    {
+        std::mutex mutex;
+        std::shared_ptr<const ExecTrace> trace;
+        std::size_t batchesLeft = 0;
+    };
+    std::vector<Residency> resident(benches.size());
+    for (const Batch &bt : batches)
+        ++resident[bt.bench].batchesLeft;
+    parallelForChunked(order.size(), 1, [&](std::size_t i) {
+        const std::size_t b = batches[order[i]].bench;
+        Residency &r = resident[b];
+        std::shared_ptr<const ExecTrace> trace;
+        {
+            std::lock_guard<std::mutex> lock(r.mutex);
+            if (!r.trace)
+                r.trace = benches[b].source.acquire();
+            trace = r.trace;
+        }
+        runBatch(order[i], *trace);
+        std::lock_guard<std::mutex> lock(r.mutex);
+        if (--r.batchesLeft == 0)
+            r.trace.reset();
+    });
     return points;
 }
 
 void
-PairSweep::runBatch(std::size_t batch)
+PairSweep::runBatch(std::size_t batch, const ExecTrace &trace)
 {
     BSISA_ASSERT(planned && batch < batches.size());
     const Batch &bt = batches[batch];
@@ -268,12 +310,11 @@ PairSweep::runBatch(std::size_t batch)
         machines.reserve(bt.pointIds.size());
         for (std::size_t idx : bt.pointIds) {
             points[idx].convCodeBytes = layout.totalBytes();
-            points[idx].dynOps = bench.trace->dynOps;
+            points[idx].dynOps = trace.dynOps;
             machines.push_back(pointConfig[idx].machine);
         }
         const std::vector<SimResult> sims =
-            runConventionalBatch(*bench.module, machines,
-                                 *bench.trace);
+            runConventionalBatch(*bench.module, machines, trace);
         for (std::size_t i = 0; i < bt.pointIds.size(); ++i)
             points[bt.pointIds[i]].conv = sims[i];
         return;
@@ -285,7 +326,7 @@ PairSweep::runBatch(std::size_t batch)
     ProfileData profile;
     const ProfileData *profile_ptr = nullptr;
     if (head.minMergeBias > 0.0) {
-        profile = profileFromTrace(*bench.trace);
+        profile = profileFromTrace(trace);
         profile_ptr = &profile;
         enlarge_cfg.minMergeBias = head.minMergeBias;
     }
@@ -302,7 +343,7 @@ PairSweep::runBatch(std::size_t batch)
         machines.push_back(pointConfig[idx].machine);
     }
     const std::vector<SimResult> sims =
-        runBlockStructuredBatch(bsa, machines, *bench.trace);
+        runBlockStructuredBatch(bsa, machines, trace);
     for (std::size_t i = 0; i < bt.pointIds.size(); ++i)
         points[bt.pointIds[i]].bsa = sims[i];
 }
@@ -321,7 +362,7 @@ runPair(const Module &module, const RunConfig &config,
         const ExecTrace &trace)
 {
     PairSweep sweep;
-    sweep.addPoint(sweep.addBenchmark(module, trace), config);
+    sweep.addPoint(sweep.addBenchmark(module, heldTrace(trace)), config);
     return sweep.run()[0];
 }
 

@@ -9,6 +9,8 @@
 #ifndef BSISA_EXP_RUNNER_HH
 #define BSISA_EXP_RUNNER_HH
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/enlarge.hh"
@@ -111,6 +113,30 @@ std::vector<SimResult> runBlockStructuredBatch(
     const ExecTrace &trace);
 
 /**
+ * Where a PairSweep gets one benchmark's trace.  acquire() is called
+ * once per PairSweep::run(), when the benchmark's first batch starts,
+ * from whichever worker starts it; the sweep drops its reference when
+ * the benchmark's last batch ends.  A source shared by several
+ * benchmarks must be safe to call from several workers at once.
+ */
+struct TraceSource
+{
+    /** Per-lane batch-order weight, known before acquisition: the
+     *  trace's event count when the caller already holds it, else the
+     *  op budget (Interp::Limits::maxOps) it is acquired under. */
+    std::uint64_t weight = 0;
+    std::function<std::shared_ptr<const ExecTrace>()> acquire;
+};
+
+/** A source for a trace the caller already holds, weighted by its
+ *  event count; @p trace must outlive the sweep. */
+TraceSource heldTrace(const ExecTrace &trace);
+
+/** A source returning the shared @p trace, weighted by its event
+ *  count. */
+TraceSource heldTrace(std::shared_ptr<const ExecTrace> trace);
+
+/**
  * The one driver of (benchmark x config) pair grids: the figure
  * drivers' grids, the sweep service's chunks and runPair register
  * their points here and call run().  The planner groups the points
@@ -128,18 +154,21 @@ std::vector<SimResult> runBlockStructuredBatch(
  * the committed stream.  run() fans the batches across BSISA_JOBS
  * workers (over benchmark x batch, not benchmark x config), claiming
  * one batch at a time, longest first: batches are ordered by lanes x
- * trace events, largest first, ties in plan order, so the longest
- * walks never start last.  Distinct batches touch disjoint PairResult
- * fields, so the results are identical for any worker count and any
- * claim order.
+ * the source's weight, largest first, ties in plan order, so the
+ * longest walks never start last.  A benchmark's trace is
+ * acquired when its first batch starts and released when its last
+ * batch ends, so the traces resident at once are those of the
+ * batches in flight, not the whole grid's (DESIGN.md decision 25).
+ * Distinct batches touch disjoint PairResult fields, so the results
+ * are identical for any worker count and any claim order.
  */
 class PairSweep
 {
   public:
-    /** Register one benchmark's shared inputs; both must outlive the
-     *  sweep.  Returns the benchmark handle for addPoint(). */
-    std::size_t addBenchmark(const Module &module,
-                             const ExecTrace &trace);
+    /** Register one benchmark: its module, which must outlive the
+     *  sweep, and its trace source.  Returns the benchmark handle for
+     *  addPoint(). */
+    std::size_t addBenchmark(const Module &module, TraceSource source);
 
     /** Add one grid point; returns its index into the results. */
     std::size_t addPoint(std::size_t bench, const RunConfig &config);
@@ -155,7 +184,7 @@ class PairSweep
     struct Bench
     {
         const Module *module;
-        const ExecTrace *trace;
+        TraceSource source;
         /** Point indices in registration order. */
         std::vector<std::size_t> pointIds;
     };
@@ -169,8 +198,9 @@ class PairSweep
     /** Group the points into batches. */
     void plan();
 
-    /** Execute one batch (thread-safe across distinct indices). */
-    void runBatch(std::size_t batch);
+    /** Execute one batch on its benchmark's @p trace (thread-safe
+     *  across distinct indices). */
+    void runBatch(std::size_t batch, const ExecTrace &trace);
 
     std::vector<Bench> benches;
     std::vector<std::size_t> pointBench;

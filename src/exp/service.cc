@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -138,18 +139,15 @@ sweepInto(ResultStore &store, const SweepSpec &spec,
 
     // One functional trace per benchmark, acquired on first need —
     // through the BSISA_TRACE_DIR store when configured — and dropped
-    // once no later chunk of the pass belongs to its benchmark.  A
-    // round acquires its traces in parallel, so each flag is a whole
-    // byte: std::vector<bool> packs flags into shared words.
-    std::vector<ExecTrace> traces(plan.benches.size());
-    std::vector<char> haveTrace(plan.benches.size(), 0);
+    // once no later chunk of the pass belongs to its benchmark.
+    std::vector<std::shared_ptr<const ExecTrace>> traces(
+        plan.benches.size());
     const auto ensureTrace = [&](std::size_t b) {
-        if (haveTrace[b])
-            return;
-        traces[b] = captureOrLoadTrace(plan.modules[b],
-                                       plan.benches[b].moduleDigest,
-                                       plan.benches[b].limits);
-        haveTrace[b] = 1;
+        if (!traces[b])
+            traces[b] = std::make_shared<const ExecTrace>(
+                captureOrLoadTrace(plan.modules[b],
+                                   plan.benches[b].moduleDigest,
+                                   plan.benches[b].limits));
     };
     // Chunks are benchmark-major; a trace is dropped once the pass
     // has passed its benchmark's last chunk.
@@ -157,19 +155,17 @@ sweepInto(ResultStore &store, const SweepSpec &spec,
     for (std::size_t c = 0; c < plan.chunks.size(); ++c)
         lastChunk[plan.units[plan.chunks[c].front()].bench] = c;
     const auto dropTracesThrough = [&](std::size_t scanned) {
-        for (std::size_t b = 0; b < traces.size(); ++b) {
-            if (haveTrace[b] && lastChunk[b] <= scanned) {
-                traces[b] = ExecTrace();
-                haveTrace[b] = 0;
-            }
-        }
+        for (std::size_t b = 0; b < traces.size(); ++b)
+            if (lastChunk[b] <= scanned)
+                traces[b].reset();
     };
 
     // Simulate a round — the pending unit indices of up to BSISA_JOBS
     // chunks — as one PairSweep, its missing traces acquired in one
-    // parallelFor and lockstep batching by the planner's usual
-    // grouping rules, then append the records in chunk order.  False
-    // when a record could not be persisted.
+    // parallelFor (inside the sweep, a benchmark's second batch would
+    // wait on its first batch's cold capture) and lockstep batching
+    // by the planner's usual grouping rules, then append the records
+    // in chunk order.  False when a record could not be persisted.
     using Round = std::vector<std::vector<std::size_t>>;
     const auto runRound = [&](Round &round) {
         std::vector<std::size_t> benches;  // distinct, chunk order
@@ -185,7 +181,8 @@ sweepInto(ResultStore &store, const SweepSpec &spec,
         PairSweep sweep;
         std::vector<std::size_t> handle(plan.benches.size());
         for (std::size_t b : benches)
-            handle[b] = sweep.addBenchmark(plan.modules[b], traces[b]);
+            handle[b] =
+                sweep.addBenchmark(plan.modules[b], heldTrace(traces[b]));
         for (const std::vector<std::size_t> &pending : round)
             for (std::size_t u : pending)
                 sweep.addPoint(handle[plan.units[u].bench],

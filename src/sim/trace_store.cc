@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -46,6 +47,9 @@ static_assert(std::is_trivially_copyable_v<TraceFileHeader>);
 
 /** Address-pool alignment inside the file (cache-line sized). */
 constexpr std::uint64_t poolAlign = 64;
+
+/** Encoded events gathered before each write and checksum step. */
+constexpr std::size_t eventChunkBytes = 64 * 1024;
 
 std::atomic<std::uint64_t> statWarm{0};
 std::atomic<std::uint64_t> statCold{0};
@@ -200,6 +204,25 @@ decodeEvents(const std::uint8_t *p, const std::uint8_t *end,
     return p == end && pool == addrCount;
 }
 
+/** The checks a header passes before any of its fields is trusted:
+ *  magic and header checksum, format and interpreter versions, and
+ *  the content key. */
+TraceOpenStatus
+checkTraceHeader(const TraceFileHeader &h, const TraceKey &key)
+{
+    if (std::memcmp(h.magic, traceStoreMagic, sizeof(h.magic)) != 0 ||
+        h.headerChecksum !=
+            fnv1a64(&h, offsetof(TraceFileHeader, headerChecksum)))
+        return TraceOpenStatus::BadHeader;
+    if (h.formatVersion != traceStoreFormatVersion ||
+        h.interpVersionTag != interpVersion)
+        return TraceOpenStatus::BadVersion;
+    if (h.moduleDigest != key.moduleDigest || h.maxOps != key.maxOps ||
+        h.maxBlocks != key.maxBlocks)
+        return TraceOpenStatus::BadKey;
+    return TraceOpenStatus::Ok;
+}
+
 } // namespace
 
 std::uint64_t
@@ -241,16 +264,34 @@ traceOpenStatusName(TraceOpenStatus status)
     return "unknown";
 }
 
-std::vector<std::uint8_t>
-encodeTrace(const ExecTrace &trace, const TraceKey &key)
+bool
+encodeTrace(const ExecTrace &trace, const TraceKey &key,
+            std::ostream &out)
 {
-    std::vector<std::uint8_t> events;
-    events.reserve(trace.eventCount * 6);
-    for (std::size_t i = 0; i < trace.eventCount; ++i)
-        encodeEvent(events, trace, i);
-
+    // The header's sizes and sums are known once the sections are
+    // written; a zeroed header holds its place until then.
     TraceFileHeader h;
     std::memset(&h, 0, sizeof(h));
+    out.write(reinterpret_cast<const char *>(&h), sizeof(h));
+
+    Fnv1a64Words eventSum;
+    std::uint64_t eventBytes = 0;
+    std::vector<std::uint8_t> chunk;
+    chunk.reserve(eventChunkBytes + 64);
+    const auto flush = [&] {
+        eventSum.bytes(chunk.data(), chunk.size());
+        out.write(reinterpret_cast<const char *>(chunk.data()),
+                  std::streamsize(chunk.size()));
+        eventBytes += chunk.size();
+        chunk.clear();
+    };
+    for (std::size_t i = 0; i < trace.eventCount; ++i) {
+        encodeEvent(chunk, trace, i);
+        if (chunk.size() >= eventChunkBytes)
+            flush();
+    }
+    flush();
+
     std::memcpy(h.magic, traceStoreMagic, sizeof(h.magic));
     h.formatVersion = traceStoreFormatVersion;
     h.interpVersionTag = interpVersion;
@@ -260,28 +301,39 @@ encodeTrace(const ExecTrace &trace, const TraceKey &key)
     h.dynOps = trace.dynOps;
     h.dynBlocks = trace.dynBlocks;
     h.eventCount = trace.eventCount;
-    h.eventBytes = events.size();
+    h.eventBytes = eventBytes;
     h.addrCount = trace.memAddrCount;
-    h.addrOffset = (sizeof(TraceFileHeader) + events.size() +
+    h.addrOffset = (sizeof(TraceFileHeader) + eventBytes +
                     poolAlign - 1) &
                    ~(poolAlign - 1);
-    h.eventChecksum = fnv1a64Words(events.data(), events.size());
-    h.addrChecksum =
-        fnv1a64Words(trace.memAddrs,
-                     trace.memAddrCount * sizeof(std::uint64_t));
+    h.eventChecksum = eventSum.value();
+    const std::size_t poolBytes =
+        trace.memAddrCount * sizeof(std::uint64_t);
+    h.addrChecksum = fnv1a64Words(trace.memAddrs, poolBytes);
     h.headerChecksum =
         fnv1a64(&h, offsetof(TraceFileHeader, headerChecksum));
 
-    std::vector<std::uint8_t> file(h.addrOffset + h.addrCount *
-                                                      sizeof(std::uint64_t));
-    std::memcpy(file.data(), &h, sizeof(h));
-    if (!events.empty())
-        std::memcpy(file.data() + sizeof(h), events.data(),
-                    events.size());
-    if (h.addrCount)
-        std::memcpy(file.data() + h.addrOffset, trace.memAddrs,
-                    h.addrCount * sizeof(std::uint64_t));
-    return file;
+    // The pool goes out straight from the trace's own storage.
+    static const char padding[poolAlign] = {};
+    out.write(padding, std::streamsize(h.addrOffset -
+                                       sizeof(TraceFileHeader) -
+                                       eventBytes));
+    if (poolBytes)
+        out.write(reinterpret_cast<const char *>(trace.memAddrs),
+                  std::streamsize(poolBytes));
+    out.seekp(0);
+    out.write(reinterpret_cast<const char *>(&h), sizeof(h));
+    out.seekp(0, std::ios::end);
+    return bool(out);
+}
+
+std::vector<std::uint8_t>
+encodeTrace(const ExecTrace &trace, const TraceKey &key)
+{
+    std::ostringstream out;
+    encodeTrace(trace, key, out);
+    const std::string bytes = out.str();
+    return {bytes.begin(), bytes.end()};
 }
 
 bool
@@ -290,6 +342,17 @@ readTraceHeader(const std::string &path, TraceFileHeader &out)
     std::ifstream in(path, std::ios::binary);
     return in &&
            bool(in.read(reinterpret_cast<char *>(&out), sizeof(out)));
+}
+
+TraceOpenStatus
+readTraceHeader(const std::string &path, const TraceKey &key,
+                TraceFileHeader &out)
+{
+    if (readTraceHeader(path, out))
+        return checkTraceHeader(out, key);
+    std::error_code ec;
+    return std::filesystem::exists(path, ec) ? TraceOpenStatus::BadHeader
+                                             : TraceOpenStatus::NoEntry;
 }
 
 std::vector<TraceStoreEntryInfo>
@@ -342,16 +405,9 @@ openTraceFile(const std::string &path, const TraceKey &key,
         return TraceOpenStatus::BadHeader;
     TraceFileHeader h;
     std::memcpy(&h, base, sizeof(h));
-    if (std::memcmp(h.magic, traceStoreMagic, sizeof(h.magic)) != 0 ||
-        h.headerChecksum !=
-            fnv1a64(base, offsetof(TraceFileHeader, headerChecksum)))
-        return TraceOpenStatus::BadHeader;
-    if (h.formatVersion != traceStoreFormatVersion ||
-        h.interpVersionTag != interpVersion)
-        return TraceOpenStatus::BadVersion;
-    if (h.moduleDigest != key.moduleDigest || h.maxOps != key.maxOps ||
-        h.maxBlocks != key.maxBlocks)
-        return TraceOpenStatus::BadKey;
+    if (const TraceOpenStatus status = checkTraceHeader(h, key);
+        status != TraceOpenStatus::Ok)
+        return status;
 
     const std::uint64_t eventsEnd = sizeof(TraceFileHeader) +
                                     h.eventBytes;
@@ -411,7 +467,7 @@ TraceStore::entryPath(const TraceKey &key) const
 
 ExecTrace
 TraceStore::load(const Module &module, std::uint64_t digest,
-                 Interp::Limits limits) const
+                 Interp::Limits limits, bool *persisted) const
 {
     BSISA_ASSERT(enabled());
     const TraceKey key{digest, limits.maxOps, limits.maxBlocks};
@@ -421,6 +477,8 @@ TraceStore::load(const Module &module, std::uint64_t digest,
     const TraceOpenStatus status = openTraceFile(path, key, out);
     if (status == TraceOpenStatus::Ok) {
         statWarm.fetch_add(1, std::memory_order_relaxed);
+        if (persisted)
+            *persisted = true;
         return out;
     }
     if (status != TraceOpenStatus::NoEntry) {
@@ -437,13 +495,16 @@ TraceStore::load(const Module &module, std::uint64_t digest,
     ExecTrace trace = captureTrace(module, limits);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    const std::vector<std::uint8_t> bytes = encodeTrace(trace, key);
-    if (!publishFile(path, {reinterpret_cast<const char *>(bytes.data()),
-                            bytes.size()}) &&
-        !warnedWrite.exchange(true))
+    const bool written =
+        publishFile(path, [&](std::ostream &file) {
+            return encodeTrace(trace, key, file);
+        });
+    if (!written && !warnedWrite.exchange(true))
         warn("trace store: cannot write ", path,
              " (directory missing or not writable); captures will not "
              "persist");
+    if (persisted)
+        *persisted = written;
     return trace;
 }
 

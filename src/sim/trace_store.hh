@@ -47,13 +47,18 @@
  * degrades gracefully: warn once,
  * fall back to live capture, and atomically repair the entry
  * (write-to-temp + rename, safe under BSISA_JOBS concurrency and
- * across processes).
+ * across processes).  An entry is streamed into its temp file, the
+ * pool straight from the captured trace, so writing one holds no
+ * second copy of the trace.  A reader that needs only the header's
+ * counts (Table 2's op count) applies the same header checks without
+ * opening the sections (readTraceHeader with a key).
  */
 
 #ifndef BSISA_SIM_TRACE_STORE_HH
 #define BSISA_SIM_TRACE_STORE_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -123,7 +128,15 @@ enum class TraceOpenStatus
 /** Human-readable name of an open status (tracedump, warnings). */
 const char *traceOpenStatusName(TraceOpenStatus status);
 
-/** Serialize @p trace into the on-disk entry format. */
+/** Serialize @p trace into the on-disk entry format, streamed into
+ *  @p out: the header, the event section in chunks and the address
+ *  pool straight from trace.memAddrs, then the header again at offset
+ *  0 once its sums are known (so @p out must be seekable).  False
+ *  when the stream fails. */
+bool encodeTrace(const ExecTrace &trace, const TraceKey &key,
+                 std::ostream &out);
+
+/** The same bytes as one vector (tests, the fuzz oracle). */
 std::vector<std::uint8_t> encodeTrace(const ExecTrace &trace,
                                       const TraceKey &key);
 
@@ -138,6 +151,15 @@ TraceOpenStatus openTraceFile(const std::string &path,
 
 /** Read just the header of an entry file (tracedump). */
 bool readTraceHeader(const std::string &path, TraceFileHeader &out);
+
+/** Read the header of the entry for @p key and apply the checks
+ *  openTraceFile applies to a header: magic, header checksum, format
+ *  and interpreter versions, and key.  Ok means its counts (dynOps,
+ *  eventCount, ...) are the entry's, read without opening the
+ *  sections; NoEntry when the file is absent. */
+TraceOpenStatus readTraceHeader(const std::string &path,
+                                const TraceKey &key,
+                                TraceFileHeader &out);
 
 /** One entry of a store-directory listing (`bsisa-tracedump --list`,
  *  `bsisa-sweep status`).  The header is only meaningful when
@@ -188,12 +210,16 @@ class TraceStore
     /**
      * The capture-or-open primitive: return the trace for
      * (module, limits), serving it from disk when a valid entry
-     * exists and otherwise capturing live and (re)writing the entry.
+     * exists and otherwise capturing live and (re)writing the entry,
+     * streamed to a temp file and renamed into place.
      * @p digest is moduleDigest(module), hoisted so callers hash each
-     * module once per suite.
+     * module once per suite.  @p persisted, when given, is set to
+     * whether the store can serve the trace again: it was opened
+     * from an entry, or its entry was written.
      */
     ExecTrace load(const Module &module, std::uint64_t digest,
-                   Interp::Limits limits) const;
+                   Interp::Limits limits,
+                   bool *persisted = nullptr) const;
 
     /** Process-wide traffic counters. */
     static TraceStoreStats stats();

@@ -119,11 +119,21 @@ hex16(std::uint64_t v)
 bool
 publishFile(const std::string &path, std::string_view bytes)
 {
+    return publishFile(path, [bytes](std::ostream &out) {
+        return bool(
+            out.write(bytes.data(), std::streamsize(bytes.size())));
+    });
+}
+
+bool
+publishFile(const std::string &path,
+            const std::function<bool(std::ostream &)> &write)
+{
     const std::string temp = uniqueSibling(path, ".tmp-");
     {
         std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out || !out.write(bytes.data(),
-                               std::streamsize(bytes.size()))) {
+        if (!out || !write(out) || !out.flush()) {
+            out.close();
             std::remove(temp.c_str());
             return false;
         }

@@ -33,6 +33,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -105,6 +107,12 @@ std::string hex16(std::uint64_t v);
  * no temp left behind) on failure.
  */
 bool publishFile(const std::string &path, std::string_view bytes);
+
+/** The same publication, with the content streamed into the temp
+ *  file by @p write; false when @p write returns false or the stream
+ *  fails. */
+bool publishFile(const std::string &path,
+                 const std::function<bool(std::ostream &)> &write);
 
 /** True when @p pid names a live process on this host.  Conservative:
  *  unknown (e.g. EPERM) counts as alive, so leases are only broken on

@@ -15,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "codegen/layout.hh"
 #include "core/enlarge.hh"
+#include "exp/result_store.hh"
 #include "exp/runner.hh"
 #include "frontend/compile.hh"
 #include "fuzz/corpus.hh"
@@ -27,6 +29,8 @@
 #include "sim/fetch_outcome.hh"
 #include "sim/trace.hh"
 #include "sim_result_print.hh"
+#include "support/digest.hh"
+#include "support/lockfile.hh"
 #include "support/simd_dispatch.hh"
 #include "workloads/specmix.hh"
 
@@ -310,7 +314,7 @@ TEST(Lockstep, PairSweepGroupsByModelAndEnlargement)
     configs.push_back(ooo);  // same enlargement, other timing model
 
     PairSweep sweep;
-    const std::size_t b = sweep.addBenchmark(m, trace);
+    const std::size_t b = sweep.addBenchmark(m, heldTrace(trace));
     for (const RunConfig &config : configs)
         sweep.addPoint(b, config);
     const std::vector<PairResult> &results = sweep.run();
@@ -600,7 +604,7 @@ TEST(Lockstep, SweepIsDeterministicAcrossJobs)
         PairSweep sweep;
         for (std::size_t i = 0; i < modules.size(); ++i) {
             const std::size_t b =
-                sweep.addBenchmark(modules[i], traces[i]);
+                sweep.addBenchmark(modules[i], heldTrace(traces[i]));
             for (const unsigned hist : {4u, 8u, 12u, 16u}) {
                 RunConfig config;
                 config.machine.predictor.historyBits = hist;
@@ -617,5 +621,62 @@ TEST(Lockstep, SweepIsDeterministicAcrossJobs)
         SCOPED_TRACE("point " + std::to_string(i));
         EXPECT_EQ(serial[i].conv, fanned[i].conv);
         EXPECT_EQ(serial[i].bsa, fanned[i].bsa);
+    }
+}
+
+// PairSweep holds a benchmark's trace from its first batch to its
+// last: each source is acquired exactly once per run(), the sweep
+// keeps no reference after it, and the results are the ones a sweep
+// over caller-held traces produced (the pinned digest, computed by
+// the registration API that took a const ExecTrace & over these
+// points) for any worker count.
+TEST(Lockstep, PairSweepHoldsEachTraceOnlyWhileItRuns)
+{
+    const auto suite = specint95Suite();
+    std::vector<Module> modules;
+    for (std::size_t i = 0; i < 3; ++i)
+        modules.push_back(generateWorkload(suite[i].params));
+    // Per benchmark: one abstract conventional batch of four lanes
+    // and an OoO one; block-structured, the shared enlargement's
+    // three abstract lanes, the other enlargement and the OoO point.
+    std::vector<RunConfig> configs(5);
+    configs[1].machine.predictor.historyBits = 4;
+    configs[2].machine.icache.sizeBytes = 16 * 1024;
+    configs[3].enlarge.maxFaults = 1;
+    configs[4].machine.timingModel = TimingModel::Ooo;
+
+    for (const char *jobs : {"1", "4"}) {
+        SCOPED_TRACE(std::string("BSISA_JOBS=") + jobs);
+        ScopedEnv env("BSISA_JOBS", jobs);
+        std::vector<std::size_t> acquired(modules.size(), 0);
+        std::vector<std::weak_ptr<const ExecTrace>> handed(
+            modules.size());
+        PairSweep sweep;
+        for (std::size_t i = 0; i < modules.size(); ++i) {
+            const Interp::Limits limits = testLimits(suite[i]);
+            const std::size_t b = sweep.addBenchmark(
+                modules[i],
+                {limits.maxOps, [&, i, limits] {
+                     ++acquired[i];
+                     auto trace = std::make_shared<const ExecTrace>(
+                         captureTrace(modules[i], limits));
+                     handed[i] = trace;
+                     return trace;
+                 }});
+            for (const RunConfig &config : configs)
+                sweep.addPoint(b, config);
+        }
+        const std::vector<PairResult> &results = sweep.run();
+        EXPECT_EQ(sweep.batchCount(), 15u);
+        for (std::size_t i = 0; i < modules.size(); ++i) {
+            EXPECT_EQ(acquired[i], 1u) << suite[i].params.name;
+            EXPECT_TRUE(handed[i].expired()) << suite[i].params.name;
+        }
+        Fnv1a64 digest;
+        for (const PairResult &r : results) {
+            const ResultRecord record = makeResultRecord(0, 0, 0, r);
+            digest.bytes(&record, sizeof(record));
+        }
+        EXPECT_EQ(hex16(digest.value()), "f26ba611b6fce577");
     }
 }

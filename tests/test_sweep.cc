@@ -1084,7 +1084,7 @@ TEST_F(SweepFixture, PairSweepResultsIgnoreBatchOrderAndJobs)
         ::setenv("BSISA_JOBS", jobs, 1);
         PairSweep sweep;
         for (std::size_t b = 0; b < plan.benches.size(); ++b)
-            sweep.addBenchmark(plan.modules[b], traces[b]);
+            sweep.addBenchmark(plan.modules[b], heldTrace(traces[b]));
         for (const auto &[bench, config] : points)
             sweep.addPoint(bench, config);
         const std::vector<PairResult> results = sweep.run();
