@@ -2,29 +2,28 @@
  * @file
  * Figure-driver implementation.
  *
- * Every driver is a grid of independent simulation points (benchmark x
- * machine config).  This file is the only place that turns a suite
- * benchmark into a module, a trace and a pair result: every pair grid
- * (Fig. 3-7, the ablations and the extensions) goes through one
- * helper, runSuiteGrid, which simulates every point not yet in the
- * process's result memo through one PairSweep, whose batches replay
- * one functional trace (sim/trace.hh) per benchmark once per shared
- * walk.  Points are computed into pre-sized result slots by
- * parallelFor() (BSISA_JOBS workers) and printed serially in grid
- * order, so the rendered tables are byte-identical for any worker
- * count.
+ * Every driver's pair grid is a SweepSpec (benchmark x machine
+ * config), planned into work units by the sweep planner (planBenches,
+ * planUnits) over the process's suite modules.  This file is the only
+ * place that turns a suite benchmark into a module, a trace and a pair
+ * result: suiteGrid serves each unit already in the process's result
+ * memo and simulates the rest through one PairSweep, whose batches
+ * replay one functional trace (sim/trace.hh) per benchmark once per
+ * shared walk.  Results fill pre-sized slots (BSISA_JOBS workers) and
+ * print serially in grid order, so the tables are byte-identical for
+ * any worker count.
  *
- * Drivers in one process share work through per-benchmark memos
- * (SuiteSlot): the compiled module and its digest (suiteModule), the
- * suite traces by op budget (captureSuiteTrace), and the pair results
- * by config digest (runSuiteGrid).  So Fig. 5 after Fig. 3 simulates
- * nothing, and Fig. 6 and Fig. 7 share one grid whose 64 KB column is
- * Fig. 3's base point.  A trace the store can serve again stays
- * resident only while a sweep or driver holds it, so a later driver
- * reopens its warm entry; a trace only a functional run could
- * reproduce is kept for the process.  A memoized value is computed
- * exactly as an uncached call would compute it, so no driver's
- * output depends on what ran before it.
+ * Drivers in one process share work through per-process memos: the
+ * compiled module and its digest (suiteModule), the suite traces by op
+ * budget (captureSuiteTrace), and the pair results by unit key
+ * (suiteGrid).  So Fig. 5 after Fig. 3 simulates nothing, and Fig. 6
+ * and Fig. 7 share one grid whose 64 KB column is Fig. 3's base point.
+ * A trace the store can serve again stays resident only while a sweep
+ * or driver holds it; a trace only a functional run could reproduce
+ * is kept for the process.  Modules derived from the suite's (re-split
+ * or inlined) are memoized nowhere.  A memoized value is computed
+ * exactly as an uncached call would compute it, so no driver's output
+ * depends on what ran before it.
  */
 
 #include "exp/figures.hh"
@@ -34,11 +33,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 
 #include "arch/instr_class.hh"
 #include "arch/operation.hh"
 #include "cache/trace_cache.hh"
-#include "exp/plan.hh"
 #include "exp/spec.hh"
 #include "sim/trace_store.hh"
 #include "support/env.hh"
@@ -50,46 +49,48 @@ namespace bsisa
 
 const std::vector<unsigned> icacheSizesKB = {16, 32, 64};
 
+namespace
+{
+
+/** planBenches over a spec whose scale is BSISA_SCALE: fatal when a
+ *  benchmark's budget is 0. */
+std::vector<PlanBench>
+driverBenches(const SweepSpec &spec)
+{
+    std::vector<PlanBench> benches;
+    std::string error;
+    if (!planBenches(spec, benches, error))
+        fatal("environment variable BSISA_SCALE: ", error);
+    return benches;
+}
+
+/** The whole suite at @p scale, then @p budgetDiv, as a spec. */
+SweepSpec
+suiteSpec(const char *name, std::uint64_t scale, std::uint64_t budgetDiv)
+{
+    SweepSpec spec;
+    spec.name = name;
+    spec.scale = scale;
+    spec.budgetDiv = budgetDiv;
+    for (const SpecBenchmark &bench : specint95Suite())
+        spec.benchmarks.push_back(bench.params.name);
+    return spec;
+}
+
+} // namespace
+
 std::uint64_t
 scaleDivisor()
 {
     const std::uint64_t divisor = envU64("BSISA_SCALE", specScaleDivisor);
     if (divisor == 0)
         fatal("environment variable BSISA_SCALE: scale must be >= 1");
+    driverBenches(suiteSpec("scale", divisor, 1));
     return divisor;
 }
 
 namespace
 {
-
-RunConfig
-baseConfig(const SpecBenchmark &bench)
-{
-    RunConfig config;
-    config.limits.maxOps = bench.scaledBudget(scaleDivisor());
-    // BSISA_TIMING_MODEL=ooo re-runs every figure driver on the
-    // out-of-order backend (sim/ooo); traces are model-independent,
-    // so both models replay the same store entries.  Routing the
-    // knob through here covers every driver at once, and parsing it
-    // through the timing_model row makes a misspelt model an error
-    // rather than a silent abstract run.
-    std::string error;
-    if (!applyConfigKey(config, "timing_model",
-                        envString("BSISA_TIMING_MODEL", "abstract"),
-                        error))
-        fatal("environment variable BSISA_TIMING_MODEL: ", error);
-    return config;
-}
-
-/** @p bench's functional-run limits at 1/@p budgetDiv of its scaled
- *  budget. */
-Interp::Limits
-suiteLimits(const SpecBenchmark &bench, std::uint64_t budgetDiv)
-{
-    Interp::Limits limits = baseConfig(bench).limits;
-    limits.maxOps /= budgetDiv;
-    return limits;
-}
 
 /** One suite trace's memo entry (see captureSuiteTrace). */
 struct SuiteTrace
@@ -104,11 +105,10 @@ struct SuiteTrace
 
 /**
  * One benchmark's process-lifetime slot: its module and digest
- * (suiteModule, suiteModuleDigest), its traces (captureSuiteTrace)
- * and its pair results (runSuiteGrid).  The module, the digest and a
- * result are filled once and never change after that; std::map nodes
- * never move, so a reference to an entry stays valid while the maps
- * grow.
+ * (suiteModule, suiteModuleDigest) and its traces (captureSuiteTrace).
+ * The module and the digest are filled once and never change after
+ * that; std::map nodes never move, so a reference to an entry stays
+ * valid while the map grows.
  */
 struct SuiteSlot
 {
@@ -116,14 +116,11 @@ struct SuiteSlot
     std::once_flag digestOnce;
     Module module;
     std::uint64_t digest = 0;
-    /** Guards the structure of traces and results. */
+    /** Guards the structure of traces. */
     std::mutex mutex;
     /** Keyed by (limits.maxOps, limits.maxBlocks). */
     std::map<std::pair<std::uint64_t, std::uint64_t>, SuiteTrace>
         traces;
-    /** Keyed by runConfigDigest of the point's config, its limits
-     *  set to the limits of the trace it replayed. */
-    std::map<std::uint64_t, PairResult> results;
 };
 
 SuiteSlot &
@@ -140,7 +137,6 @@ suiteSlot(std::size_t i)
  * handle is gone, the next call reopens the store entry.  Without a
  * store, or when its entry could not be written, the trace is kept
  * for the process, since only a functional run could reproduce it.
- * The module is hashed only when a store is configured.
  */
 std::shared_ptr<const ExecTrace>
 captureSuiteTrace(std::size_t i, Interp::Limits limits)
@@ -169,160 +165,139 @@ captureSuiteTrace(std::size_t i, Interp::Limits limits)
     return trace;
 }
 
-/** A PairSweep source for captureSuiteTrace(@p i, @p limits). */
-TraceSource
-suiteTraceSource(std::size_t i, Interp::Limits limits)
+/**
+ * A driver grid's spec: the suite at BSISA_SCALE, then @p budgetDiv,
+ * on BSISA_TIMING_MODEL (traces are model-independent, so both models
+ * replay the same store entries); the caller adds the grid.  The model
+ * is parsed as the timing_model key, so a misspelt one is an error.
+ */
+SweepSpec
+driverSpec(const char *name, std::uint64_t budgetDiv)
 {
-    return {limits.maxOps, [i, limits] {
-                return captureSuiteTrace(i, limits);
-            }};
+    SweepSpec spec = suiteSpec(name, scaleDivisor(), budgetDiv);
+    const std::string model = envString("BSISA_TIMING_MODEL", "abstract");
+    RunConfig probe;
+    if (std::string error;
+        !applyConfigKey(probe, "timing_model", model, error))
+        fatal("environment variable BSISA_TIMING_MODEL: ", error);
+    spec.base = {{"timing_model", model}};
+    return spec;
 }
 
-/** A PairSweep source for a module outside the suite memo, captured
- *  or loaded at each acquisition; @p digest is moduleDigest(@p module)
- *  when a trace store is configured. */
-TraceSource
-moduleTraceSource(const Module &module, std::uint64_t digest,
-                  Interp::Limits limits)
+/** A driver grid's plan and its results by unit. */
+struct SuiteGrid
 {
-    return {limits.maxOps, [&module, digest, limits] {
-                return std::make_shared<const ExecTrace>(
-                    captureOrLoadTrace(module, digest, limits));
-            }};
-}
+    SweepPlan plan;
+    std::vector<PairResult> results;
+
+    /** Grid point @p k of benchmark @p b: its unit and its result. */
+    const WorkUnit &
+    unit(std::size_t b, std::size_t k) const
+    {
+        return plan.units[plan.pointUnit[
+            b * plan.spec.pointsPerBenchmark() + k]];
+    }
+    const PairResult &
+    at(std::size_t b, std::size_t k) const
+    {
+        return results[&unit(b, k) - plan.units.data()];  // by unit
+    }
+};
 
 /**
- * Simulate a (config x benchmark) grid over the suite and return its
- * results config-major: entry ci * suite.size() + bi is
- * configOf(ci, bi) on benchmark bi.  Every benchmark replays one
- * functional trace at 1/@p budgetDiv of its scaled budget (the
- * ablations and the workload report run at 1/4, the extensions at
- * 1/2), so configOf's limits are ignored.
+ * Plan @p spec and return its results.  On the suite's modules, a unit
+ * in the process's result memo is served from it; the rest run
+ * through one PairSweep and join the memo.  The unit key covers the
+ * module (each hashed once per process), BSISA_SCALE through the
+ * budget, and every config field.  A benchmark with a missing unit
+ * acquires its trace when its first batch starts.
  *
- * A point already in benchmark bi's result memo is served from it;
- * the rest run through one PairSweep and join the memo.  The memo key
- * is runConfigDigest of the config with its limits set to the
- * replayed trace's, so it covers BSISA_SCALE, BSISA_TIMING_MODEL and
- * the enlargement width, which also picks the module below.  Only a
- * benchmark with a missing point acquires a trace, and the sweep
- * acquires it when the benchmark's first batch starts.  A point whose
- * enlargement is narrower than the suite's blocks runs on a copy of
- * the module re-split to that width: its committed stream differs,
- * so each (width, benchmark) copy joins the sweep as an extra
- * benchmark with its own trace, which is not memoized.
+ * With @p derive, benchmark b runs on derive(its suite index) instead,
+ * a module the suite memo does not hold (a re-split copy, an inlined
+ * build): it commits a different stream, so it has a trace of its own,
+ * and neither that trace nor its results are memoized.
  */
-std::vector<PairResult>
-runSuiteGrid(std::uint64_t budgetDiv, std::size_t nconfigs,
-             const std::function<RunConfig(std::size_t, std::size_t)>
-                 &configOf)
+SuiteGrid
+suiteGrid(const SweepSpec &spec,
+          const std::function<Module(std::size_t)> &derive = nullptr)
 {
-    const auto suite = specint95Suite();
-    const std::size_t n = suite.size();
-    std::vector<Interp::Limits> limits(n);
-    for (std::size_t bi = 0; bi < n; ++bi)
-        limits[bi] = suiteLimits(suite[bi], budgetDiv);
-
-    std::vector<PairResult> results(nconfigs * n);
-    std::vector<std::size_t> missing;  // grid indices
-    std::vector<RunConfig> configs;    // per missing point
-    std::vector<std::uint64_t> keys;   // per missing point
-    for (std::size_t idx = 0; idx < results.size(); ++idx) {
-        const std::size_t bi = idx % n;
-        RunConfig config = configOf(idx / n, bi);
-        config.limits = limits[bi];
-        const std::uint64_t key = runConfigDigest(config);
-        SuiteSlot &slot = suiteSlot(bi);
-        std::lock_guard<std::mutex> lock(slot.mutex);
-        const auto it = slot.results.find(key);
-        if (it != slot.results.end()) {
-            results[idx] = it->second;
-            continue;
-        }
-        missing.push_back(idx);
-        configs.push_back(config);
-        keys.push_back(key);
-    }
-
-    // Sweep benchmarks as (re-split width, suite index), width 0 for
-    // the suite module itself.
-    std::vector<std::pair<unsigned, std::size_t>> benches;
-    std::vector<std::size_t> benchOf;  // per missing point
-    for (std::size_t k = 0; k < missing.size(); ++k) {
-        const unsigned width = configs[k].enlarge.maxOps;
-        const std::pair<unsigned, std::size_t> bench{
-            width < suiteBlockOps ? width : 0, missing[k] % n};
-        const auto it = std::find(benches.begin(), benches.end(), bench);
-        benchOf.push_back(std::size_t(it - benches.begin()));
-        if (it == benches.end())
-            benches.push_back(bench);
-    }
-
-    // Up front only the modules are generated (and hashed, for the
-    // store's keys); the sweep acquires each trace when it needs it.
-    const bool hashed = TraceStore::fromEnv().enabled();
-    std::vector<Module> splitModules(benches.size());
-    std::vector<std::uint64_t> splitDigests(benches.size());
-    parallelFor(benches.size(), [&](std::size_t b) {
-        const auto [width, bi] = benches[b];
-        if (width == 0) {
-            if (hashed)
-                suiteModuleDigest(bi);
-            else
-                suiteModule(bi);
+    SuiteGrid grid;
+    SweepPlan &plan = grid.plan;
+    plan.spec = spec;
+    plan.benches = driverBenches(spec);
+    plan.modules.resize(derive ? plan.benches.size() : 0);
+    parallelFor(plan.benches.size(), [&](std::size_t b) {
+        PlanBench &bench = plan.benches[b];
+        if (!derive) {
+            bench.moduleDigest = suiteModuleDigest(bench.suiteIndex);
             return;
         }
-        Module &m = splitModules[b];
-        m = suiteModule(bi);
-        splitOversizedBlocks(m, width);
-        if (hashed)
-            splitDigests[b] = moduleDigest(m);
+        plan.modules[b] = derive(bench.suiteIndex);
+        bench.moduleDigest = moduleDigest(plan.modules[b]);
     });
+    std::string error;
+    if (!planUnits(plan, error))
+        fatal("grid '", spec.name, "': ", error);
+
+    // The process's pair results by unit key.
+    static std::mutex memoMutex;
+    static std::unordered_map<std::uint64_t, PairResult> memo;
+    grid.results.resize(plan.units.size());
+    std::vector<std::size_t> missing;
+    {
+        std::lock_guard<std::mutex> lock(memoMutex);
+        for (std::size_t u = 0; u < plan.units.size(); ++u) {
+            const auto it = memo.find(plan.units[u].key);
+            if (!derive && it != memo.end())
+                grid.results[u] = it->second;
+            else
+                missing.push_back(u);
+        }
+    }
 
     PairSweep sweep;
-    for (std::size_t b = 0; b < benches.size(); ++b) {
-        const auto [width, bi] = benches[b];
-        if (width == 0) {
-            sweep.addBenchmark(suiteModule(bi),
-                               suiteTraceSource(bi, limits[bi]));
-            continue;
-        }
-        sweep.addBenchmark(splitModules[b],
-                           moduleTraceSource(splitModules[b],
-                                             splitDigests[b],
-                                             limits[bi]));
-    }
-    for (std::size_t k = 0; k < missing.size(); ++k)
-        sweep.addPoint(benchOf[k], configs[k]);
+    addUnitPoints(sweep, plan, missing, [&](std::size_t b) {
+        const PlanBench bench = plan.benches[b];
+        const Module &module =
+            derive ? plan.modules[b] : suiteModule(bench.suiteIndex);
+        return sweep.addBenchmark(
+            module, {bench.limits.maxOps,
+                     [&module, bench, derived = bool(derive)] {
+                         return derived
+                                    ? std::make_shared<const ExecTrace>(
+                                          captureOrLoadTrace(
+                                              module, bench.moduleDigest,
+                                              bench.limits))
+                                    : captureSuiteTrace(bench.suiteIndex,
+                                                        bench.limits);
+                     }});
+    });
     const std::vector<PairResult> &fresh = sweep.run();
 
+    std::lock_guard<std::mutex> lock(memoMutex);
     for (std::size_t k = 0; k < missing.size(); ++k) {
-        results[missing[k]] = fresh[k];
-        // A racing call may have stored the same point first; both
+        grid.results[missing[k]] = fresh[k];
+        // A racing call may have stored the same unit first; both
         // results are bit-identical, and the first one stays.
-        SuiteSlot &slot = suiteSlot(missing[k] % n);
-        std::lock_guard<std::mutex> lock(slot.mutex);
-        slot.results.emplace(keys[k], fresh[k]);
+        if (!derive)
+            memo.emplace(plan.units[missing[k]].key, fresh[k]);
     }
-    return results;
+    return grid;
 }
 
-/** Fig. 3-5's grid: every benchmark once on baseConfig, with
- *  @p perfectPrediction for Fig. 4. */
-std::vector<BenchOutcome>
-suiteOutcomes(bool perfectPrediction)
+/** Every benchmark's trace at @p spec's budgets, for a driver that
+ *  passes over the events after its grid: held from before the grid
+ *  until that pass ends, each trace is opened once. */
+std::vector<std::shared_ptr<const ExecTrace>>
+holdSuiteTraces(const SweepSpec &spec)
 {
-    const auto suite = specint95Suite();
-    const std::vector<PairResult> results =
-        runSuiteGrid(1, 1, [&](std::size_t, std::size_t bi) {
-            RunConfig config = baseConfig(suite[bi]);
-            config.machine.perfectPrediction = perfectPrediction;
-            return config;
-        });
-    std::vector<BenchOutcome> outcomes;
-    for (std::size_t bi = 0; bi < suite.size(); ++bi)
-        outcomes.push_back(
-            benchOutcomeOf(suite[bi].params.name, results[bi]));
-    return outcomes;
+    const std::vector<PlanBench> benches = driverBenches(spec);
+    std::vector<std::shared_ptr<const ExecTrace>> traces(benches.size());
+    parallelFor(benches.size(), [&](std::size_t b) {
+        traces[b] =
+            captureSuiteTrace(benches[b].suiteIndex, benches[b].limits);
+    });
+    return traces;
 }
 
 } // namespace
@@ -359,6 +334,23 @@ benchOutcomeOf(const std::string &name, const PairResult &r)
     o.bsaIcacheMissRate = r.bsa.icache.missRate();
     o.dynOps = r.dynOps;
     return o;
+}
+
+std::vector<BenchOutcome>
+renderFigure(std::ostream &os, const SweepPlan &plan,
+             const std::vector<PairResult> &results)
+{
+    std::vector<BenchOutcome> outcomes;
+    for (std::size_t b = 0; b < plan.benches.size(); ++b)
+        outcomes.push_back(benchOutcomeOf(plan.benches[b].name,
+                                          results[plan.pointUnit[b]]));
+    if (plan.spec.figure == "cycles")
+        renderCycleComparison(os, outcomes,
+                              plan.units[plan.pointUnit[0]]
+                                  .config.machine.perfectPrediction);
+    else
+        renderBlockSizeComparison(os, outcomes);
+    return outcomes;
 }
 
 void
@@ -488,18 +480,21 @@ printTable2(std::ostream &os)
 std::vector<BenchOutcome>
 runCycleComparison(std::ostream &os, bool perfectPrediction)
 {
-    const std::vector<BenchOutcome> outcomes =
-        suiteOutcomes(perfectPrediction);
-    renderCycleComparison(os, outcomes, perfectPrediction);
-    return outcomes;
+    SweepSpec spec = driverSpec(perfectPrediction ? "fig4" : "fig3", 1);
+    spec.figure = "cycles";
+    if (perfectPrediction)
+        spec.base.insert(spec.base.begin(), {"perfect_prediction", "true"});
+    const SuiteGrid grid = suiteGrid(spec);
+    return renderFigure(os, grid.plan, grid.results);
 }
 
 std::vector<BenchOutcome>
 runBlockSizeComparison(std::ostream &os)
 {
-    const std::vector<BenchOutcome> outcomes = suiteOutcomes(false);
-    renderBlockSizeComparison(os, outcomes);
-    return outcomes;
+    SweepSpec spec = driverSpec("fig5", 1);
+    spec.figure = "blocksize";
+    const SuiteGrid grid = suiteGrid(spec);
+    return renderFigure(os, grid.plan, grid.results);
 }
 
 std::vector<IcacheSweepRow>
@@ -514,24 +509,17 @@ runIcacheSweep(std::ostream &os, bool blockStructured)
                  "time with a perfect icache.\n")
        << "\n";
 
-    // Config 0 is the perfect-icache baseline and config 1 + si the
+    // Point 0 is the perfect-icache baseline and point 1 + si the
     // icacheSizesKB[si] icache.  Both machines run every point, so
     // Fig. 6 and Fig. 7 share one grid, and the 64 KB column is
     // Fig. 3's base point.
-    const auto suite = specint95Suite();
-    const std::size_t nsizes = icacheSizesKB.size();
-    const std::vector<PairResult> results =
-        runSuiteGrid(1, 1 + nsizes, [&](std::size_t ci, std::size_t bi) {
-            RunConfig config = baseConfig(suite[bi]);
-            if (ci == 0)
-                config.machine.icache.perfect = true;
-            else
-                config.machine.icache.sizeBytes =
-                    icacheSizesKB[ci - 1] * 1024;
-            return config;
-        });
+    SweepSpec spec = driverSpec("fig6-7", 1);
+    spec.points.push_back({{"icache_perfect", "true"}});
+    for (unsigned kb : icacheSizesKB)
+        spec.points.push_back({{"icache_kb", std::to_string(kb)}});
+    const SuiteGrid grid = suiteGrid(spec);
     const auto cycles = [&](std::size_t ci, std::size_t bi) {
-        const PairResult &r = results[ci * suite.size() + bi];
+        const PairResult &r = grid.at(bi, ci);
         return blockStructured ? r.bsa.cycles : r.conv.cycles;
     };
 
@@ -543,11 +531,11 @@ runIcacheSweep(std::ostream &os, bool blockStructured)
     BarChart chart("Relative execution-time increase vs perfect icache",
                    {"16KB", "32KB", "64KB"});
 
-    for (std::size_t bi = 0; bi < suite.size(); ++bi) {
+    for (std::size_t bi = 0; bi < grid.plan.benches.size(); ++bi) {
         IcacheSweepRow row;
-        row.name = suite[bi].params.name;
+        row.name = grid.plan.benches[bi].name;
         std::vector<std::string> cells{row.name};
-        for (std::size_t si = 0; si < nsizes; ++si) {
+        for (std::size_t si = 0; si < icacheSizesKB.size(); ++si) {
             const double increase =
                 double(cycles(1 + si, bi)) / double(cycles(0, bi)) -
                 1.0;
@@ -575,31 +563,39 @@ runLimitsAblation(std::ostream &os)
     const std::pair<unsigned, unsigned> configs[] = {
         {16, 0}, {16, 1}, {16, 2}, {16, 3},
         {8, 2},  {24, 2}, {32, 2}};
-    const std::size_t nconfigs = std::size(configs);
-    const auto suite = specint95Suite();
     // Per benchmark the (identical) conventional runs of the unsplit
     // configs collapse into one lockstep walk, while each distinct
-    // enlargement keeps its own BSA run; the narrow width runs on a
-    // re-split module (see runSuiteGrid).
-    const std::vector<PairResult> results =
-        runSuiteGrid(4, nconfigs, [&](std::size_t ci, std::size_t bi) {
-            RunConfig config = baseConfig(suite[bi]);
-            config.enlarge.maxOps = configs[ci].first;
-            config.enlarge.maxFaults = configs[ci].second;
-            return config;
-        });
+    // enlargement keeps its own BSA run.  The one width below the
+    // suite's blocks runs on copies of the modules re-split to it.
+    constexpr unsigned narrowOps = 8;
+    SweepSpec wide = driverSpec("limits", 4);
+    SweepSpec narrow = wide;
+    for (const auto &[ops, faults] : configs)
+        (ops == narrowOps ? narrow : wide)
+            .points.push_back(
+                {{"enlarge_max_faults", std::to_string(faults)},
+                 {"enlarge_max_ops", std::to_string(ops)}});
+    const SuiteGrid wideGrid = suiteGrid(wide);
+    const SuiteGrid narrowGrid = suiteGrid(narrow, [](std::size_t i) {
+        Module m = suiteModule(i);
+        splitOversizedBlocks(m, narrowOps);
+        return m;
+    });
 
-    for (std::size_t ci = 0; ci < nconfigs; ++ci) {
+    const double n = double(wideGrid.plan.benches.size());
+    std::size_t k = 0;  // the next wide grid point
+    for (const auto &[ops, faults] : configs) {
+        const SuiteGrid &grid = ops == narrowOps ? narrowGrid : wideGrid;
+        const std::size_t point = ops == narrowOps ? 0 : k++;
         double total_red = 0.0, total_blk = 0.0, total_exp = 0.0;
-        for (std::size_t bi = 0; bi < suite.size(); ++bi) {
-            const PairResult &r = results[ci * suite.size() + bi];
+        for (std::size_t bi = 0; bi < grid.plan.benches.size(); ++bi) {
+            const PairResult &r = grid.at(bi, point);
             total_red += r.reduction();
             total_blk += r.bsa.avgBlockSize();
             total_exp += r.enlarge.expansion();
         }
-        const double n = double(suite.size());
-        t.addRow({Table::fmt(std::uint64_t(configs[ci].first)),
-                  Table::fmt(std::uint64_t(configs[ci].second)),
+        t.addRow({Table::fmt(std::uint64_t(ops)),
+                  Table::fmt(std::uint64_t(faults)),
                   Table::fmt(100.0 * total_red / n, 1) + "%",
                   Table::fmt(total_blk / n, 2),
                   Table::fmt(total_exp / n, 2)});
@@ -618,37 +614,54 @@ runProfileAblation(std::ostream &os)
           "bias is below the threshold.\n\n";
     Table t({"min merge bias", "avg reduction", "avg code expansion",
              "avg BSA icache miss%"});
-    const double thresholds[] = {0.0, 0.6, 0.75, 0.9, 0.99};
-    const std::size_t nthresh = std::size(thresholds);
-    const auto suite = specint95Suite();
     // Each threshold enlarges differently (BSA runs stay singleton),
     // but every benchmark's five identical conventional runs share
     // one lockstep walk.
-    const std::vector<PairResult> results =
-        runSuiteGrid(4, nthresh, [&](std::size_t ti, std::size_t bi) {
-            RunConfig config = baseConfig(suite[bi]);
-            config.minMergeBias = thresholds[ti];
-            return config;
-        });
+    SweepSpec spec = driverSpec("profile", 4);
+    spec.axes = {{"min_merge_bias", {"0", "0.6", "0.75", "0.9", "0.99"}}};
+    const SuiteGrid grid = suiteGrid(spec);
 
-    for (std::size_t ti = 0; ti < nthresh; ++ti) {
+    const double n = double(grid.plan.benches.size());
+    for (std::size_t ti = 0; ti < spec.pointsPerBenchmark(); ++ti) {
         double total_red = 0.0, total_exp = 0.0, total_miss = 0.0;
-        for (std::size_t bi = 0; bi < suite.size(); ++bi) {
-            const PairResult &r = results[ti * suite.size() + bi];
+        for (std::size_t bi = 0; bi < grid.plan.benches.size(); ++bi) {
+            const PairResult &r = grid.at(bi, ti);
             total_red += r.reduction();
             total_exp += r.enlarge.expansion();
             total_miss += r.bsa.icache.missRate();
         }
-        const double n = double(suite.size());
-        t.addRow({thresholds[ti] == 0.0
-                      ? "off"
-                      : Table::fmt(thresholds[ti], 2),
+        const double threshold = grid.unit(0, ti).config.minMergeBias;
+        t.addRow({threshold == 0.0 ? "off" : Table::fmt(threshold, 2),
                   Table::fmt(100.0 * total_red / n, 1) + "%",
                   Table::fmt(total_exp / n, 2),
                   Table::fmt(100.0 * total_miss / n, 2) + "%"});
     }
     t.print(os);
 }
+
+namespace
+{
+
+/** @p cells, then @p grid's suite-average branch accuracies and
+ *  reduction at point @p k: a predictor-ablation row. */
+std::vector<std::string>
+accuracyRow(std::vector<std::string> cells, const SuiteGrid &grid,
+            std::size_t k)
+{
+    double conv_acc = 0.0, bsa_acc = 0.0, total_red = 0.0;
+    for (std::size_t bi = 0; bi < grid.plan.benches.size(); ++bi) {
+        const PairResult &r = grid.at(bi, k);
+        conv_acc += r.conv.branchAccuracy();
+        bsa_acc += r.bsa.branchAccuracy();
+        total_red += r.reduction();
+    }
+    const double n = double(grid.plan.benches.size());
+    for (double sum : {conv_acc, bsa_acc, total_red})
+        cells.push_back(Table::fmt(100.0 * sum / n, 1) + "%");
+    return cells;
+}
+
+} // namespace
 
 void
 runPredictorAblation(std::ostream &os)
@@ -657,36 +670,22 @@ runPredictorAblation(std::ostream &os)
           "size), both machines,\naverage across the suite.\n\n";
     Table t({"history bits", "PHT bits", "conv accuracy",
              "bsa accuracy", "avg reduction"});
-    const std::pair<unsigned, unsigned> configs[] = {
-        {4, 10}, {8, 12}, {12, 14}, {16, 16}};
-    const std::size_t ngeom = std::size(configs);
-    const auto suite = specint95Suite();
     // Only the predictor geometry varies, so per benchmark the whole
     // grid collapses to two lockstep walks: one advancing every
     // conventional lane, one advancing every BSA lane (the module
     // enlarges once per benchmark).
-    const std::vector<PairResult> geomResults =
-        runSuiteGrid(4, ngeom, [&](std::size_t ci, std::size_t bi) {
-            RunConfig config = baseConfig(suite[bi]);
-            config.machine.predictor.historyBits = configs[ci].first;
-            config.machine.predictor.phtBits = configs[ci].second;
-            return config;
-        });
-
-    for (std::size_t ci = 0; ci < ngeom; ++ci) {
-        double conv_acc = 0.0, bsa_acc = 0.0, total_red = 0.0;
-        for (std::size_t bi = 0; bi < suite.size(); ++bi) {
-            const PairResult &r = geomResults[ci * suite.size() + bi];
-            conv_acc += r.conv.branchAccuracy();
-            bsa_acc += r.bsa.branchAccuracy();
-            total_red += r.reduction();
-        }
-        const double n = double(suite.size());
-        t.addRow({Table::fmt(std::uint64_t(configs[ci].first)),
-                  Table::fmt(std::uint64_t(configs[ci].second)),
-                  Table::fmt(100.0 * conv_acc / n, 1) + "%",
-                  Table::fmt(100.0 * bsa_acc / n, 1) + "%",
-                  Table::fmt(100.0 * total_red / n, 1) + "%"});
+    SweepSpec geometries = driverSpec("predictor", 4);
+    for (const auto &[history, pht] :
+         {std::pair{"4", "10"}, {"8", "12"}, {"12", "14"}, {"16", "16"}})
+        geometries.points.push_back(
+            {{"history_bits", history}, {"pht_bits", pht}});
+    const SuiteGrid geomGrid = suiteGrid(geometries);
+    for (std::size_t ci = 0; ci < geometries.pointsPerBenchmark(); ++ci) {
+        const PredictorConfig &p =
+            geomGrid.unit(0, ci).config.machine.predictor;
+        t.addRow(accuracyRow({Table::fmt(std::uint64_t(p.historyBits)),
+                              Table::fmt(std::uint64_t(p.phtBits))},
+                             geomGrid, ci));
     }
     t.print(os);
 
@@ -694,32 +693,14 @@ runPredictorAblation(std::ostream &os)
           "paper-size tables:\n\n";
     Table ts({"scheme", "conv accuracy", "bsa accuracy",
               "avg reduction"});
-    const PredictorScheme schemes[] = {
-        PredictorScheme::GAg, PredictorScheme::GAs,
-        PredictorScheme::PAg, PredictorScheme::PAs};
-    const std::size_t nschemes = std::size(schemes);
-
-    const std::vector<PairResult> schemeResults =
-        runSuiteGrid(4, nschemes, [&](std::size_t ci, std::size_t bi) {
-            RunConfig config = baseConfig(suite[bi]);
-            config.machine.predictor.scheme = schemes[ci];
-            return config;
-        });
-
-    for (std::size_t ci = 0; ci < nschemes; ++ci) {
-        double conv_acc = 0.0, bsa_acc = 0.0, total_red = 0.0;
-        for (std::size_t bi = 0; bi < suite.size(); ++bi) {
-            const PairResult &r = schemeResults[ci * suite.size() + bi];
-            conv_acc += r.conv.branchAccuracy();
-            bsa_acc += r.bsa.branchAccuracy();
-            total_red += r.reduction();
-        }
-        const double n = double(suite.size());
-        ts.addRow({predictorSchemeName(schemes[ci]),
-                   Table::fmt(100.0 * conv_acc / n, 1) + "%",
-                   Table::fmt(100.0 * bsa_acc / n, 1) + "%",
-                   Table::fmt(100.0 * total_red / n, 1) + "%"});
-    }
+    SweepSpec schemes = driverSpec("predictor-schemes", 4);
+    schemes.axes = {{"predictor_scheme", {"GAg", "GAs", "PAg", "PAs"}}};
+    const SuiteGrid schemeGrid = suiteGrid(schemes);
+    for (std::size_t ci = 0; ci < schemes.pointsPerBenchmark(); ++ci)
+        ts.addRow(accuracyRow(
+            {predictorSchemeName(
+                schemeGrid.unit(0, ci).config.machine.predictor.scheme)},
+            schemeGrid, ci));
     ts.print(os);
 }
 
@@ -728,44 +709,30 @@ runConditionsAblation(std::ostream &os)
 {
     os << "Ablation: enlargement termination conditions 4 "
           "(loop iterations) and 5 (library code).\n\n";
-    const struct
-    {
-        const char *name;
-        bool mergeBackEdges;
-        bool enlargeLibrary;
-    } setups[] = {
-        {"paper (both conditions on)", false, false},
-        {"merge across back edges", true, false},
-        {"enlarge library code", false, true},
-        {"both lifted", true, true},
-    };
-    const std::size_t nsetups = std::size(setups);
-    const auto suite = specint95Suite();
     // The setups change only the enlargement, so every benchmark's
     // four conventional points share one lockstep walk; the paper
-    // setup is the ablations' shared base point.
-    const std::vector<PairResult> results =
-        runSuiteGrid(4, nsetups, [&](std::size_t ci, std::size_t bi) {
-            RunConfig config = baseConfig(suite[bi]);
-            config.enlarge.mergeAcrossBackEdges =
-                setups[ci].mergeBackEdges;
-            config.enlarge.enlargeLibraryFunctions =
-                setups[ci].enlargeLibrary;
-            return config;
-        });
+    // setup is the ablations' shared base point.  The second axis
+    // varies fastest, so the names follow the grid's order.
+    SweepSpec spec = driverSpec("conditions", 4);
+    spec.axes = {{"enlarge_library_functions", {"false", "true"}},
+                 {"merge_across_back_edges", {"false", "true"}}};
+    const char *names[] = {"paper (both conditions on)",
+                           "merge across back edges",
+                           "enlarge library code", "both lifted"};
+    const SuiteGrid grid = suiteGrid(spec);
 
     Table t({"configuration", "avg reduction", "avg BSA block",
              "avg code expansion"});
-    for (std::size_t ci = 0; ci < nsetups; ++ci) {
+    const double n = double(grid.plan.benches.size());
+    for (std::size_t ci = 0; ci < std::size(names); ++ci) {
         double red = 0.0, blk = 0.0, exp = 0.0;
-        for (std::size_t bi = 0; bi < suite.size(); ++bi) {
-            const PairResult &r = results[ci * suite.size() + bi];
+        for (std::size_t bi = 0; bi < grid.plan.benches.size(); ++bi) {
+            const PairResult &r = grid.at(bi, ci);
             red += r.reduction();
             blk += r.bsa.avgBlockSize();
             exp += r.enlarge.expansion();
         }
-        const double n = double(suite.size());
-        t.addRow({setups[ci].name, Table::fmt(100.0 * red / n, 1) + "%",
+        t.addRow({names[ci], Table::fmt(100.0 * red / n, 1) + "%",
                   Table::fmt(blk / n, 2), Table::fmt(exp / n, 2)});
     }
     t.print(os);
@@ -779,23 +746,21 @@ runWorkloadReport(std::ostream &os)
 {
     os << "Synthetic workload characterization (dynamic properties at "
           "1/4 scale budget).\n\n";
-    const auto suite = specint95Suite();
+    const SweepSpec spec = driverSpec("workload", 4);
+    const std::vector<std::shared_ptr<const ExecTrace>> traces =
+        holdSuiteTraces(spec);
     // The conventional half of the ablations' shared base point
     // supplies the branch accuracy and dcache miss rate.
-    const std::vector<PairResult> results =
-        runSuiteGrid(4, 1, [&](std::size_t, std::size_t bi) {
-            return baseConfig(suite[bi]);
-        });
+    const SuiteGrid grid = suiteGrid(spec);
 
     Table t({"Benchmark", "code KB", "funcs", "dyn block", "call+ret%",
              "lib%", "branch acc", "dcache miss%"});
-    for (std::size_t bi = 0; bi < suite.size(); ++bi) {
+    for (std::size_t bi = 0; bi < grid.plan.benches.size(); ++bi) {
         const Module &m = suiteModule(bi);
-        const std::shared_ptr<const ExecTrace> trace =
-            captureSuiteTrace(bi, suiteLimits(suite[bi], 4));
+        const ExecTrace &trace = *traces[bi];
         std::uint64_t blocks = 0, ops = 0, callret = 0, lib_blocks = 0;
-        for (std::size_t i = 0; i < trace->eventCount; ++i) {
-            const TraceEvent &ev = trace->events[i];
+        for (std::size_t i = 0; i < trace.eventCount; ++i) {
+            const TraceEvent &ev = trace.events[i];
             const Function &fn = m.functions[ev.func];
             ++blocks;
             ops += fn.blocks[ev.block].ops.size();
@@ -803,8 +768,8 @@ runWorkloadReport(std::ostream &os)
                        ev.exit == ExitKind::Ret;
             lib_blocks += fn.isLibrary;
         }
-        const PairResult &r = results[bi];
-        t.addRow({suite[bi].params.name,
+        const PairResult &r = grid.at(bi, 0);
+        t.addRow({grid.plan.benches[bi].name,
                   Table::fmt(m.numOps() * opBytes / 1024.0, 1),
                   Table::fmt(std::uint64_t(m.functions.size())),
                   Table::fmt(double(ops) / double(blocks), 2),
@@ -832,40 +797,37 @@ runTraceCacheComparison(std::ostream &os)
     os << "Extension: block-structured ISA vs conventional + trace "
           "cache\n(64KB icache; trace cache: up to 3 blocks / 16 ops "
           "per trace).\n\n";
-    const auto suite = specint95Suite();
-    const std::size_t n = suite.size();
-    const std::vector<PairResult> pairs =
-        runSuiteGrid(2, 1, [&](std::size_t, std::size_t bi) {
-            return baseConfig(suite[bi]);
-        });
+    const SweepSpec spec = driverSpec("tracecache", 2);
+    const std::vector<std::shared_ptr<const ExecTrace>> traces =
+        holdSuiteTraces(spec);
+    const SuiteGrid grid = suiteGrid(spec);
+    const std::size_t n = grid.plan.benches.size();
     // Both trace-cache sizes replay the pair's trace on the pair's
-    // machine, so the pair's conventional result is their baseline;
-    // one handle serves both.
+    // machine, so the pair's conventional result is their baseline.
     const unsigned tcEntries[] = {64, 256};
     const std::size_t ntc = std::size(tcEntries);
     std::vector<TraceCacheResult> tc(n * ntc);
     parallelFor(n, [&](std::size_t bi) {
-        const std::shared_ptr<const ExecTrace> trace =
-            captureSuiteTrace(bi, suiteLimits(suite[bi], 2));
         for (std::size_t t = 0; t < ntc; ++t) {
             TraceCacheConfig config;
             config.entries = tcEntries[t];
             tc[bi * ntc + t] =
                 runTraceCache(suiteModule(bi),
-                              baseConfig(suite[bi]).machine, config,
-                              *trace);
+                              grid.unit(bi, 0).config.machine, config,
+                              *traces[bi]);
         }
     });
 
     Table t({"Benchmark", "conv", "conv+TC(64)", "conv+TC(256)", "BSA",
              "TC(256) hit%", "best"});
     for (std::size_t bi = 0; bi < n; ++bi) {
-        const PairResult &pair = pairs[bi];
+        const PairResult &pair = grid.at(bi, 0);
         const TraceCacheResult &small = tc[bi * ntc];
         const TraceCacheResult &big = tc[bi * ntc + 1];
         const std::uint64_t best = std::min(
             {small.sim.cycles, big.sim.cycles, pair.bsa.cycles});
-        t.addRow({suite[bi].params.name, Table::fmtSep(pair.conv.cycles),
+        t.addRow({grid.plan.benches[bi].name,
+                  Table::fmtSep(pair.conv.cycles),
                   Table::fmtSep(small.sim.cycles),
                   Table::fmtSep(big.sim.cycles),
                   Table::fmtSep(pair.bsa.cycles),
@@ -885,45 +847,24 @@ runInlineExtension(std::ostream &os)
 {
     os << "Extension: small-leaf inlining before block enlargement "
           "(section 6).\n\n";
-    const auto suite = specint95Suite();
-    const std::size_t n = suite.size();
-    const auto configOf = [&](std::size_t, std::size_t bi) {
-        return baseConfig(suite[bi]);
-    };
-    const std::vector<PairResult> plain = runSuiteGrid(2, 1, configOf);
-
-    // An inlined module commits a different stream, so each joins the
-    // sweep as its own benchmark with its own trace (not memoized),
-    // acquired when the sweep reaches it.
-    const bool hashed = TraceStore::fromEnv().enabled();
-    std::vector<Module> modules(n);
-    std::vector<std::uint64_t> digests(n);
-    parallelFor(n, [&](std::size_t bi) {
-        WorkloadParams params = suite[bi].params;
+    const SweepSpec spec = driverSpec("inline", 2);
+    const SuiteGrid plain = suiteGrid(spec);
+    const SuiteGrid inlined = suiteGrid(spec, [](std::size_t i) {
+        WorkloadParams params = specint95Suite()[i].params;
         params.inlineSmallCalls = true;
-        modules[bi] = generateWorkload(params);
-        if (hashed)
-            digests[bi] = moduleDigest(modules[bi]);
+        return generateWorkload(params);
     });
-    PairSweep sweep;
-    for (std::size_t bi = 0; bi < n; ++bi)
-        sweep.addPoint(
-            sweep.addBenchmark(
-                modules[bi],
-                moduleTraceSource(modules[bi], digests[bi],
-                                  suiteLimits(suite[bi], 2))),
-            configOf(0, bi));
-    const std::vector<PairResult> &inlined = sweep.run();
 
     Table t({"Benchmark", "blk (plain)", "blk (inline)", "red% (plain)",
              "red% (inline)", "code x (inline)"});
+    const std::size_t n = plain.plan.benches.size();
     double base_sum = 0.0, inline_sum = 0.0;
     for (std::size_t bi = 0; bi < n; ++bi) {
-        const PairResult &rp = plain[bi];
-        const PairResult &ri = inlined[bi];
+        const PairResult &rp = plain.at(bi, 0);
+        const PairResult &ri = inlined.at(bi, 0);
         base_sum += rp.reduction();
         inline_sum += ri.reduction();
-        t.addRow({suite[bi].params.name,
+        t.addRow({plain.plan.benches[bi].name,
                   Table::fmt(rp.bsa.avgBlockSize(), 2),
                   Table::fmt(ri.bsa.avgBlockSize(), 2),
                   Table::fmt(100.0 * rp.reduction(), 1),

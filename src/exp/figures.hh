@@ -9,13 +9,15 @@
  * one-line wrappers.  The figure drivers also return their numbers so
  * tests can assert the shapes.
  *
- * The dynamic-op budget is Table-2's instruction counts divided by
- * the BSISA_SCALE env var (default specScaleDivisor).
+ * Every driver's pair grid is a SweepSpec, planned into work units by
+ * the sweep service's planner (exp/plan.hh): BSISA_SCALE is the spec's
+ * scale, dividing Table-2's instruction counts (default
+ * specScaleDivisor), and BSISA_TIMING_MODEL its base timing_model.
  *
  * Drivers called in one process share work: the suite's modules,
- * functional traces and pair results are computed once per process
- * and kept, immutable, for later calls (DESIGN.md decision 19).  A
- * driver's output never depends on which drivers ran before it.
+ * traces and pair results (by unit key) are computed once per process
+ * and kept for later calls (DESIGN.md decision 19).  A driver's output
+ * never depends on which drivers ran before it.
  */
 
 #ifndef BSISA_EXP_FIGURES_HH
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/plan.hh"
 #include "exp/runner.hh"
 #include "workloads/specmix.hh"
 
@@ -54,7 +57,8 @@ struct BenchOutcome
     }
 };
 
-/** Scale divisor from BSISA_SCALE (default specScaleDivisor). */
+/** Scale divisor from BSISA_SCALE (default specScaleDivisor); fatal
+ *  when it is 0 or leaves a benchmark a 0-op budget. */
 std::uint64_t scaleDivisor();
 
 /**
@@ -66,25 +70,27 @@ std::uint64_t scaleDivisor();
  */
 const Module &suiteModule(std::size_t i);
 
-/** moduleDigest(suiteModule(@p i)), hashed on first use.  Callers
- *  that only feed the trace store should skip it when the store is
- *  disabled, since nothing else consumes the digest. */
+/** moduleDigest(suiteModule(@p i)), hashed on first use: the
+ *  trace store's and every unit key's module component. */
 std::uint64_t suiteModuleDigest(std::size_t i);
 
-/** Fold one benchmark's PairResult into a BenchOutcome (the figure
- *  drivers' metric extraction, shared with the sweep service so
- *  store-rendered figures use the exact same folding). */
+/** Fold one benchmark's PairResult into a BenchOutcome. */
 BenchOutcome benchOutcomeOf(const std::string &name,
                             const PairResult &r);
 
-/** Render figures 3/4 from already-computed outcomes — the exact
- *  print path of runCycleComparison, split out so the sweep service
- *  renders byte-identical tables from its results store. */
+/** Render @p plan's figure (cycles: Fig. 3/4, blocksize: Fig. 5)
+ *  from @p results by unit and return its outcomes; the drivers and
+ *  the store renderer share it, so their text is byte-identical. */
+std::vector<BenchOutcome> renderFigure(
+    std::ostream &os, const SweepPlan &plan,
+    const std::vector<PairResult> &results);
+
+/** Render figures 3/4 from already-computed outcomes. */
 void renderCycleComparison(std::ostream &os,
                            const std::vector<BenchOutcome> &outcomes,
                            bool perfectPrediction);
 
-/** Render figure 5 from already-computed outcomes (see above). */
+/** Render figure 5 from already-computed outcomes. */
 void renderBlockSizeComparison(
     std::ostream &os, const std::vector<BenchOutcome> &outcomes);
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Plan builder: grid expansion, unit dedup, and chunk carving.
+ * Plan builder: benchmark budgets, grid expansion, unit dedup, and
+ * chunk carving.
  * runConfigDigest is defined in spec.cc, next to the config rows it
  * walks.
  */
@@ -48,72 +49,94 @@ expandGrid(const SweepSpec &spec, Interp::Limits limits,
 }
 
 bool
+planBenches(const SweepSpec &spec, std::vector<PlanBench> &out,
+            std::string &error)
+{
+    out.clear();
+    const auto suite = specint95Suite();
+    for (const std::string &name : spec.benchmarks) {
+        const auto it = std::find_if(
+            suite.begin(), suite.end(),
+            [&](const SpecBenchmark &b) { return b.params.name == name; });
+        if (it == suite.end()) {
+            error = "benchmarks: unknown benchmark '" + name + "'";
+            return false;
+        }
+        PlanBench bench;
+        bench.name = name;
+        bench.suiteIndex = std::size_t(it - suite.begin());
+        bench.limits.maxOps =
+            it->scaledBudget(spec.effectiveScale()) / spec.budgetDiv;
+        if (bench.limits.maxOps == 0) {
+            error = "scale " + std::to_string(spec.effectiveScale()) +
+                    (spec.budgetDiv > 1 ? " with budget_div " +
+                                              std::to_string(spec.budgetDiv)
+                                        : "") +
+                    " leaves " + name +
+                    " a 0-op budget: its Table-2 count is " +
+                    std::to_string(it->paperInstructions);
+            return false;
+        }
+        out.push_back(std::move(bench));
+    }
+    return true;
+}
+
+bool
+planUnits(SweepPlan &plan, std::string &error)
+{
+    std::unordered_map<std::uint64_t, std::size_t> unitOf;
+    for (std::size_t b = 0; b < plan.benches.size(); ++b) {
+        std::vector<RunConfig> grid;
+        if (!expandGrid(plan.spec, plan.benches[b].limits, grid, error))
+            return false;
+        for (const RunConfig &config : grid) {
+            const std::uint64_t configDigest = runConfigDigest(config);
+            const std::uint64_t key =
+                workUnitKey(plan.benches[b].moduleDigest, configDigest);
+            const std::size_t pointId = plan.pointUnit.size();
+            const auto it = unitOf.find(key);
+            if (it != unitOf.end()) {
+                plan.units[it->second].pointIds.push_back(pointId);
+                plan.pointUnit.push_back(it->second);
+                continue;
+            }
+            WorkUnit unit;
+            unit.key = key;
+            unit.moduleDigest = plan.benches[b].moduleDigest;
+            unit.configDigest = configDigest;
+            unit.bench = b;
+            unit.config = config;
+            unit.pointIds.push_back(pointId);
+            unitOf.emplace(key, plan.units.size());
+            plan.pointUnit.push_back(plan.units.size());
+            plan.units.push_back(std::move(unit));
+        }
+    }
+    return true;
+}
+
+bool
 buildPlan(const SweepSpec &spec, std::uint64_t chunkOverride,
           SweepPlan &out, std::string &error)
 {
     out = SweepPlan{};
     out.spec = spec;
     out.specDigest = specDigest(spec);
-
-    const auto suite = specint95Suite();
-    for (const std::string &name : spec.benchmarks) {
-        for (std::size_t i = 0; i < suite.size(); ++i) {
-            if (name == suite[i].params.name) {
-                PlanBench bench;
-                bench.name = name;
-                bench.suiteIndex = i;
-                bench.limits.maxOps =
-                    suite[i].scaledBudget(spec.effectiveScale()) /
-                    spec.budgetDiv;
-                out.benches.push_back(std::move(bench));
-                break;
-            }
-        }
-    }
-    if (out.benches.size() != spec.benchmarks.size()) {
-        error = "plan: unknown benchmark in spec";  // parse catches it
+    if (!planBenches(spec, out.benches, error))
         return false;
-    }
 
     // Generate + digest the modules (the expensive part of planning;
     // both are per-benchmark independent).
+    const auto suite = specint95Suite();
     out.modules.resize(out.benches.size());
     parallelFor(out.benches.size(), [&](std::size_t i) {
         out.modules[i] =
             generateWorkload(suite[out.benches[i].suiteIndex].params);
         out.benches[i].moduleDigest = moduleDigest(out.modules[i]);
     });
-
-    // Expand the grid once per benchmark (limits differ per
-    // benchmark, so config digests do too) and dedup into units.
-    std::unordered_map<std::uint64_t, std::size_t> unitOf;
-    for (std::size_t b = 0; b < out.benches.size(); ++b) {
-        std::vector<RunConfig> grid;
-        if (!expandGrid(spec, out.benches[b].limits, grid, error))
-            return false;
-        for (const RunConfig &config : grid) {
-            const std::uint64_t configDigest = runConfigDigest(config);
-            const std::uint64_t key =
-                workUnitKey(out.benches[b].moduleDigest, configDigest);
-            const std::size_t pointId = out.pointUnit.size();
-            const auto it = unitOf.find(key);
-            if (it != unitOf.end()) {
-                out.units[it->second].pointIds.push_back(pointId);
-                out.pointUnit.push_back(it->second);
-                continue;
-            }
-            WorkUnit unit;
-            unit.key = key;
-            unit.moduleDigest = out.benches[b].moduleDigest;
-            unit.configDigest = configDigest;
-            unit.bench = b;
-            unit.config = config;
-            unit.pointIds.push_back(pointId);
-            unitOf.emplace(key, out.units.size());
-            out.pointUnit.push_back(out.units.size());
-            out.units.push_back(std::move(unit));
-        }
-    }
+    if (!planUnits(out, error))
+        return false;
 
     // Chunks: per benchmark, split at the chunk cap.  Chunk keys hash
     // the member unit keys, so chunk identity follows content.
@@ -139,6 +162,21 @@ buildPlan(const SweepSpec &spec, std::uint64_t chunkOverride,
         }
     }
     return true;
+}
+
+void
+addUnitPoints(PairSweep &sweep, const SweepPlan &plan,
+              const std::vector<std::size_t> &units,
+              const std::function<std::size_t(std::size_t)> &addBench)
+{
+    constexpr std::size_t none = ~std::size_t(0);
+    std::vector<std::size_t> handle(plan.benches.size(), none);
+    for (std::size_t u : units) {
+        const std::size_t b = plan.units[u].bench;
+        if (handle[b] == none)
+            handle[b] = addBench(b);
+        sweep.addPoint(handle[b], plan.units[u].config);
+    }
 }
 
 } // namespace bsisa

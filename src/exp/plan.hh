@@ -9,6 +9,9 @@
  * the planning analog of lockstep's effectively-identical-config
  * dedup: the unit runs once and its result serves every point.
  *
+ * The figure drivers plan their grids the same way (planBenches,
+ * planUnits), so one unit key names a result everywhere.
+ *
  * Units are grouped into *chunks* (per benchmark, split by the spec's
  * chunk_units or a CLI override).  Chunks size a sweep's rounds (up
  * to BSISA_JOBS chunks per round) and decide when a benchmark's trace
@@ -24,6 +27,7 @@
 #define BSISA_EXP_PLAN_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,12 +97,35 @@ bool expandGrid(const SweepSpec &spec, Interp::Limits limits,
                 std::vector<RunConfig> &out, std::string &error);
 
 /**
- * Build the full plan: generate the benchmark modules (parallelFor),
- * digest them, expand and dedup the grid, and carve chunks.
- * @p chunkOverride replaces the spec's chunk_units when non-zero.
+ * The spec's benchmarks in spec order, each with its suite index and
+ * its op budget: the Table-2 count divided by the scale, then by
+ * budget_div.  Module digests are left 0.  False, with @p error
+ * naming the benchmark and its count, on a 0-op budget (a run with
+ * nothing to simulate); the spec validator and scaleDivisor() apply
+ * the same check.
+ */
+bool planBenches(const SweepSpec &spec, std::vector<PlanBench> &out,
+                 std::string &error);
+
+/** Expand @p plan.spec's grid over @p plan.benches, whose module
+ *  digests are set, and dedup it into plan.units and plan.pointUnit. */
+bool planUnits(SweepPlan &plan, std::string &error);
+
+/**
+ * Build the full plan: planBenches, then generate the benchmark
+ * modules (parallelFor) and digest them, then planUnits, and carve
+ * chunks.  @p chunkOverride replaces the spec's chunk_units when
+ * non-zero.
  */
 bool buildPlan(const SweepSpec &spec, std::uint64_t chunkOverride,
                SweepPlan &out, std::string &error);
+
+/** Add @p units (into plan.units) to @p sweep in order, so result k
+ *  is units[k]'s; @p addBench registers each benchmark at its first
+ *  unit and returns its sweep handle. */
+void addUnitPoints(PairSweep &sweep, const SweepPlan &plan,
+                   const std::vector<std::size_t> &units,
+                   const std::function<std::size_t(std::size_t)> &addBench);
 
 } // namespace bsisa
 

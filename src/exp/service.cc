@@ -142,13 +142,6 @@ sweepInto(ResultStore &store, const SweepSpec &spec,
     // once no later chunk of the pass belongs to its benchmark.
     std::vector<std::shared_ptr<const ExecTrace>> traces(
         plan.benches.size());
-    const auto ensureTrace = [&](std::size_t b) {
-        if (!traces[b])
-            traces[b] = std::make_shared<const ExecTrace>(
-                captureOrLoadTrace(plan.modules[b],
-                                   plan.benches[b].moduleDigest,
-                                   plan.benches[b].limits));
-    };
     // Chunks are benchmark-major; a trace is dropped once the pass
     // has passed its benchmark's last chunk.
     std::vector<std::size_t> lastChunk(plan.benches.size(), 0);
@@ -161,69 +154,67 @@ sweepInto(ResultStore &store, const SweepSpec &spec,
     };
 
     // Simulate a round — the pending unit indices of up to BSISA_JOBS
-    // chunks — as one PairSweep, its missing traces acquired in one
-    // parallelFor (inside the sweep, a benchmark's second batch would
-    // wait on its first batch's cold capture) and lockstep batching
-    // by the planner's usual grouping rules, then append the records
-    // in chunk order.  False when a record could not be persisted.
-    using Round = std::vector<std::vector<std::size_t>>;
-    const auto runRound = [&](Round &round) {
+    // chunks, in chunk order — as one PairSweep, its missing traces
+    // acquired in one parallelFor (inside the sweep, a benchmark's
+    // second batch would wait on its first batch's cold capture) and
+    // lockstep batching by the planner's usual grouping rules, then
+    // append the records in chunk order.  False when a record could
+    // not be persisted.
+    const auto runRound = [&](std::vector<std::size_t> &round) {
         std::vector<std::size_t> benches;  // distinct, chunk order
-        for (const std::vector<std::size_t> &pending : round) {
-            const std::size_t b = plan.units[pending.front()].bench;
-            if (std::find(benches.begin(), benches.end(), b) ==
-                benches.end())
-                benches.push_back(b);
-        }
-        parallelFor(benches.size(),
-                    [&](std::size_t i) { ensureTrace(benches[i]); });
+        for (std::size_t u : round)
+            if (std::find(benches.begin(), benches.end(),
+                          plan.units[u].bench) == benches.end())
+                benches.push_back(plan.units[u].bench);
+        parallelFor(benches.size(), [&](std::size_t i) {
+            const std::size_t b = benches[i];
+            if (!traces[b])
+                traces[b] = std::make_shared<const ExecTrace>(
+                    captureOrLoadTrace(plan.modules[b],
+                                       plan.benches[b].moduleDigest,
+                                       plan.benches[b].limits));
+        });
 
         PairSweep sweep;
-        std::vector<std::size_t> handle(plan.benches.size());
-        for (std::size_t b : benches)
-            handle[b] =
-                sweep.addBenchmark(plan.modules[b], heldTrace(traces[b]));
-        for (const std::vector<std::size_t> &pending : round)
-            for (std::size_t u : pending)
-                sweep.addPoint(handle[plan.units[u].bench],
-                               plan.units[u].config);
+        addUnitPoints(sweep, plan, round, [&](std::size_t b) {
+            return sweep.addBenchmark(plan.modules[b],
+                                      heldTrace(traces[b]));
+        });
         const std::vector<PairResult> &results = sweep.run();
 
-        std::size_t point = 0;
-        for (const std::vector<std::size_t> &pending : round) {
-            for (std::size_t u : pending) {
-                const WorkUnit &unit = plan.units[u];
-                if (!store.append(makeResultRecord(
-                        unit.key, unit.moduleDigest,
-                        unit.configDigest, results[point++]))) {
-                    // The store went unwritable mid-run (disk full,
-                    // directory removed): stop rather than simulate
-                    // units that cannot persist.
-                    log << "sweep: failed to persist unit "
-                        << hex16(unit.key) << "; aborting\n";
-                    return false;
-                }
-                ++counts.executed;
-                maybeStall(counts.executed, log);
+        for (std::size_t k = 0; k < round.size(); ++k) {
+            const WorkUnit &unit = plan.units[round[k]];
+            if (!store.append(makeResultRecord(unit.key, unit.moduleDigest,
+                                               unit.configDigest,
+                                               results[k]))) {
+                // The store went unwritable mid-run (disk full,
+                // directory removed): stop rather than simulate units
+                // that cannot persist.
+                log << "sweep: failed to persist unit " << hex16(unit.key)
+                    << "; aborting\n";
+                return false;
             }
+            ++counts.executed;
+            maybeStall(counts.executed, log);
         }
         round.clear();
         return true;
     };
 
     const std::size_t roundChunks = parallelJobs();
-    Round round;
+    std::vector<std::size_t> round;
+    std::size_t roundSize = 0;  // chunks in round
     for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
-        std::vector<std::size_t> pending;
+        const std::size_t before = round.size();
         for (std::size_t u : plan.chunks[c])
             if (!store.contains(plan.units[u].key))
-                pending.push_back(u);
-        if (pending.empty())
+                round.push_back(u);
+        if (round.size() == before)
             continue;
-        round.push_back(std::move(pending));
-        if (round.size() == roundChunks) {
+        if (++roundSize == roundChunks) {
             if (!runRound(round))
                 return false;
+            roundSize = 0;
             dropTracesThrough(c);
         }
     }
@@ -266,23 +257,12 @@ renderSweepFromStore(std::ostream &os, const SweepSpec &spec,
         }
     }
 
-    if (spec.figure == "cycles" || spec.figure == "blocksize") {
+    if (spec.figure != "none") {
         // Parse validation guarantees one grid point per benchmark.
-        std::vector<BenchOutcome> outcomes;
-        for (std::size_t b = 0; b < plan.benches.size(); ++b) {
-            const std::size_t unitId = plan.pointUnit[b];
-            const ResultRecord *record =
-                store.find(plan.units[unitId].key);
-            outcomes.push_back(benchOutcomeOf(plan.benches[b].name,
-                                              record->pair));
-        }
-        if (spec.figure == "cycles") {
-            const bool perfect = plan.units[plan.pointUnit[0]]
-                                     .config.machine.perfectPrediction;
-            renderCycleComparison(os, outcomes, perfect);
-        } else {
-            renderBlockSizeComparison(os, outcomes);
-        }
+        std::vector<PairResult> results;  // by unit
+        for (const WorkUnit &unit : plan.units)
+            results.push_back(store.find(unit.key)->pair);
+        renderFigure(os, plan, results);
         return true;
     }
 

@@ -851,6 +851,9 @@ interpretSpec(const SpecNode &root, SweepSpec &spec, std::string &error)
         error = "budget_div must be >= 1";
         return false;
     }
+    if (std::vector<PlanBench> benches;
+        !planBenches(spec, benches, error))
+        return false;
     // Count the work before enumerating any config: the walk below
     // and the plan visit every point.  Each axis holds a value, so the
     // count is at least one.

@@ -71,8 +71,8 @@ struct SweepSpec
     /** Explicit extra grid points, file order, each sorted by key. */
     std::vector<std::vector<SpecAssign>> points;
 
-    /** Default work-unit chunk size for leasing (0 = one chunk per
-     *  benchmark); CLI --chunk overrides. */
+    /** Default work-unit chunk size (0 = one chunk per benchmark);
+     *  chunks size a sweep's rounds.  CLI --chunk overrides. */
     std::uint64_t chunkUnits = 0;
 
     /** The effective scale divisor. */

@@ -461,9 +461,22 @@ struct ScratchStore
 namespace
 {
 
+/** The store traffic and interpreter runs since @p before and
+ *  @p interp0, as "warm=W cold=C fallback=F interp=I". */
+std::string
+trafficSince(const TraceStoreStats &before, std::uint64_t interp0)
+{
+    const TraceStoreStats after = TraceStore::stats();
+    return "warm=" + std::to_string(after.warmLoads - before.warmLoads) +
+           " cold=" +
+           std::to_string(after.coldCaptures - before.coldCaptures) +
+           " fallback=" +
+           std::to_string(after.fallbacks - before.fallbacks) +
+           " interp=" + std::to_string(interpInvocations() - interp0);
+}
+
 /** Run paperDrivers in @p order in a fresh child: each driver's text
- *  by driver index, then the process's store traffic and interpreter
- *  runs as "warm=W cold=C fallback=F interp=I". */
+ *  by driver index, then the process's traffic (trafficSince). */
 std::vector<std::string>
 driversInChild(const std::vector<std::size_t> &order)
 {
@@ -476,14 +489,7 @@ driversInChild(const std::vector<std::size_t> &order)
             paperDrivers[k].run(os);
             texts[k] = os.str();
         }
-        const TraceStoreStats after = TraceStore::stats();
-        texts.back() =
-            "warm=" + std::to_string(after.warmLoads - before.warmLoads) +
-            " cold=" +
-            std::to_string(after.coldCaptures - before.coldCaptures) +
-            " fallback=" +
-            std::to_string(after.fallbacks - before.fallbacks) +
-            " interp=" + std::to_string(interpInvocations() - interp0);
+        texts.back() = trafficSince(before, interp0);
         return texts;
     });
 }
@@ -569,6 +575,38 @@ TEST(SuiteMemo, WarmTable2ReadsOnlyEntryHeaders)
     EXPECT_EQ(warm.back(), "warm=0 cold=0 fallback=0 interp=0");
     EXPECT_FALSE(cold[0].empty());
     EXPECT_EQ(warm[0], cold[0]);
+}
+
+// The trace-cache extension and the workload report each make a pass
+// of their own over the suite's events after their grid runs.  Each
+// holds its traces from before the grid until that pass ends, so a
+// trace is opened once per driver call, cold or warm.  (They run at
+// a scale no other test uses, so a child inherits no memo entry.)
+TEST(SuiteMemo, PassDriversOpenEachTraceOnce)
+{
+    ScopedEnv scale("BSISA_SCALE", "5000");
+    ScopedEnv model("BSISA_TIMING_MODEL", "abstract");
+    const ScratchStore store;
+    ScopedEnv traceDir("BSISA_TRACE_DIR", store.dir.c_str());
+    const auto traffic = [](void (*driver)(std::ostream &)) {
+        const auto out = bsisatest::runInChild([driver] {
+            const TraceStoreStats before = TraceStore::stats();
+            const std::uint64_t interp0 = interpInvocations();
+            std::ostringstream os;
+            driver(os);
+            return std::vector<std::string>{
+                trafficSince(before, interp0)};
+        });
+        return out.empty() ? std::string() : out[0];
+    };
+    EXPECT_EQ(traffic(runTraceCacheComparison),
+              "warm=0 cold=8 fallback=0 interp=8");
+    EXPECT_EQ(traffic(runTraceCacheComparison),
+              "warm=8 cold=0 fallback=0 interp=0");
+    EXPECT_EQ(traffic(runWorkloadReport),
+              "warm=0 cold=8 fallback=0 interp=8");
+    EXPECT_EQ(traffic(runWorkloadReport),
+              "warm=8 cold=0 fallback=0 interp=0");
 }
 
 // An entry whose header fails a check is loaded as a trace instead,

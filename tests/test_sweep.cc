@@ -958,26 +958,48 @@ TEST_F(SweepFixture, EndToEndMatchesMonolithicRunPair)
     EXPECT_EQ(warm.str(), "sweep: units=4 executed=0 warm=4\n");
 }
 
+// Each checked-in figure spec, read from the source tree at scale
+// 2000, renders from the results store byte for byte what its driver
+// prints under the spec's timing model, so neither can drift.
 TEST_F(SweepFixture, StoreRenderedFigureMatchesMonolithicDriver)
 {
-    const SweepSpec spec = mustParse(
-        "name: fig\n"
-        "scale: 2000\n"
-        "benchmarks: suite\n"
-        "figure: cycles\n");
+    const struct
+    {
+        const char *file;
+        const char *timingModel;
+        void (*driver)(std::ostream &);
+    } figures[] = {
+        {"fig3.yml", "abstract",
+         [](std::ostream &os) { runCycleComparison(os, false); }},
+        {"fig3-ooo.yml", "ooo",
+         [](std::ostream &os) { runCycleComparison(os, false); }},
+        {"fig4.yml", "abstract",
+         [](std::ostream &os) { runCycleComparison(os, true); }},
+        {"fig5.yml", "abstract",
+         [](std::ostream &os) { runBlockSizeComparison(os); }},
+    };
+    for (const auto &figure : figures) {
+        SweepSpec spec;
+        std::string error;
+        ASSERT_TRUE(parseSweepSpecFile(
+            std::string(BSISA_SPECS_DIR) + "/" + figure.file, spec, error))
+            << error;
+        spec.scale = 2000;
+        const std::string store = dir + "/" + figure.file;
 
-    std::ostringstream log;
-    ASSERT_TRUE(runSweepCoordinator(spec, {dir}, log)) << log.str();
+        std::ostringstream log;
+        ASSERT_TRUE(runSweepCoordinator(spec, {store}, log)) << log.str();
+        std::ostringstream fromStore;
+        ASSERT_TRUE(renderSweepFromStore(fromStore, spec, store, error))
+            << error;
 
-    std::ostringstream fromStore;
-    std::string error;
-    ASSERT_TRUE(
-        renderSweepFromStore(fromStore, spec, dir, error))
-        << error;
-
-    std::ostringstream monolithic;
-    runCycleComparison(monolithic, false);
-    EXPECT_EQ(fromStore.str(), monolithic.str());
+        ::setenv("BSISA_TIMING_MODEL", figure.timingModel, 1);
+        std::ostringstream monolithic;
+        figure.driver(monolithic);
+        ::unsetenv("BSISA_TIMING_MODEL");
+        EXPECT_FALSE(monolithic.str().empty()) << figure.file;
+        EXPECT_EQ(fromStore.str(), monolithic.str()) << figure.file;
+    }
 }
 
 namespace
