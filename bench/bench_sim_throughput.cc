@@ -1,9 +1,10 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the toolchain itself: BlockC
- * compilation, block enlargement, functional interpretation, and
- * cycle-level simulation throughput.  These are engineering
- * benchmarks, not paper artifacts; they keep the simulator's speed
+ * google-benchmark measurements of the simulator's engineering
+ * speedups: trace replay, the trace store, the lockstep sweep engine
+ * and the timing-model dispatch seam.  These are not paper artifacts;
+ * bench/gates.py runs this binary with --benchmark_out and checks
+ * the ratios in its gate table, so the simulator's speed stays
  * honest as the code evolves.
  */
 
@@ -11,7 +12,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -20,129 +20,19 @@
 #include <unistd.h>
 #endif
 
-#include "bench_common.hh"
 #include "core/enlarge.hh"
 #include "codegen/layout.hh"
 #include "exp/runner.hh"
-#include "frontend/compile.hh"
+#include "sim/conv_source.hh"
+#include "sim/pipeline.hh"
 #include "sim/trace_store.hh"
-#include "support/env.hh"
 #include "support/parallel.hh"
-#include "support/rng.hh"
-#include "support/varint.hh"
 #include "workloads/specmix.hh"
 
 namespace
 {
 
 using namespace bsisa;
-
-const char *kSource = R"(
-    var d[64];
-    fn work(x, i) {
-        var t = x;
-        for (var k = 0; k < 4; k = k + 1) {
-            if (d[(i + k) & 63] & 1) { t = t * 3 + 1; }
-            else { t = t + k; }
-        }
-        return t;
-    }
-    fn main() {
-        var acc = 0;
-        for (var i = 0; i < 200; i = i + 1) { acc = acc + work(acc, i); }
-        return acc;
-    }
-)";
-
-void
-BM_CompileBlockC(benchmark::State &state)
-{
-    for (auto _ : state) {
-        Module m = compileBlockCOrDie(kSource);
-        benchmark::DoNotOptimize(m.numOps());
-    }
-}
-BENCHMARK(BM_CompileBlockC);
-
-void
-BM_GenerateWorkload(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const WorkloadParams &params = suite[0].params;  // compress
-    for (auto _ : state) {
-        Module m = generateWorkload(params);
-        benchmark::DoNotOptimize(m.numOps());
-    }
-}
-BENCHMARK(BM_GenerateWorkload);
-
-void
-BM_BlockEnlargement(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    for (auto _ : state) {
-        BsaModule bsa = enlargeModule(m, EnlargeConfig{});
-        benchmark::DoNotOptimize(bsa.numOps());
-    }
-}
-BENCHMARK(BM_BlockEnlargement);
-
-void
-BM_FunctionalInterp(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = 200000;
-    for (auto _ : state) {
-        Interp::Limits limits;
-        limits.maxOps = budget;
-        Interp interp(m, limits);
-        interp.run();
-        benchmark::DoNotOptimize(interp.dynOps());
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget));
-}
-BENCHMARK(BM_FunctionalInterp);
-
-void
-BM_ConvTimingSim(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = 200000;
-    for (auto _ : state) {
-        MachineConfig machine;
-        Interp::Limits limits;
-        limits.maxOps = budget;
-        const SimResult r = runConventional(m, machine, limits);
-        benchmark::DoNotOptimize(r.cycles);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget));
-}
-BENCHMARK(BM_ConvTimingSim);
-
-void
-BM_BsaTimingSim(benchmark::State &state)
-{
-    const auto suite = specint95Suite();
-    const Module m = generateWorkload(suite[0].params);
-    BsaModule bsa = enlargeModule(m, EnlargeConfig{});
-    layoutBsaModule(bsa);
-    const std::uint64_t budget = 200000;
-    for (auto _ : state) {
-        MachineConfig machine;
-        Interp::Limits limits;
-        limits.maxOps = budget;
-        const SimResult r = runBlockStructured(bsa, machine, limits);
-        benchmark::DoNotOptimize(r.cycles);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget));
-}
-BENCHMARK(BM_BsaTimingSim);
 
 /**
  * The sweep-shaped workload the figure drivers actually run: a full
@@ -152,16 +42,11 @@ BENCHMARK(BM_BsaTimingSim);
  * it) and executes the points serially; the replay path captures one
  * trace and fans the points across BSISA_JOBS cores.  Items/s is
  * simulated operations per second (Mops/s at the usual scales), so
- * the two benchmarks are directly comparable.  BSISA_BENCH_OPS
- * shrinks the per-point budget for CI smoke runs.
+ * the two benchmarks are directly comparable.  Every sweep, grid and
+ * store case runs compress at kSweepOps operations per point.
  */
 const std::vector<unsigned> kSweepKB = {16, 32, 64};
-
-std::uint64_t
-sweepBudget()
-{
-    return envU64("BSISA_BENCH_OPS", 200000);
-}
+constexpr std::uint64_t kSweepOps = 50000;
 
 void
 BM_PairSweep_SeedPath(benchmark::State &state)
@@ -170,9 +55,8 @@ BM_PairSweep_SeedPath(benchmark::State &state)
     const Module m = generateWorkload(suite[0].params);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{});
     layoutBsaModule(bsa);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     for (auto _ : state) {
         std::uint64_t total = 0;
         for (unsigned kb : kSweepKB) {
@@ -184,7 +68,7 @@ BM_PairSweep_SeedPath(benchmark::State &state)
         benchmark::DoNotOptimize(total);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) * 2 *
+                            std::int64_t(kSweepOps) * 2 *
                             std::int64_t(kSweepKB.size()));
 }
 BENCHMARK(BM_PairSweep_SeedPath)->Unit(benchmark::kMillisecond)
@@ -197,9 +81,8 @@ BM_PairSweep_CaptureReplayParallel(benchmark::State &state)
     const Module m = generateWorkload(suite[0].params);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{});
     layoutBsaModule(bsa);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     for (auto _ : state) {
         // Capture once per sweep (timed: it is part of the real cost),
         // then replay every config point from the shared trace.
@@ -219,7 +102,7 @@ BM_PairSweep_CaptureReplayParallel(benchmark::State &state)
         benchmark::DoNotOptimize(total);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) * 2 *
+                            std::int64_t(kSweepOps) * 2 *
                             std::int64_t(kSweepKB.size()));
 }
 BENCHMARK(BM_PairSweep_CaptureReplayParallel)
@@ -238,8 +121,8 @@ BENCHMARK(BM_PairSweep_CaptureReplayParallel)
  * hit/miss stream per dcache geometry, while every lane runs its own
  * icache (effectively identical configs collapse to a single lane).
  * Items/s is simulated operations per second summed over the grid,
- * so lockstep/independent is directly the sweep speedup recorded in
- * BENCH_PR6.json.
+ * so lockstep/independent is directly the sweep speedup; the lanes
+ * counter is the grid's measured size.
  */
 std::vector<MachineConfig>
 benchGrid16()
@@ -267,9 +150,8 @@ BM_Grid16Conv_IndependentReplay(benchmark::State &state)
 {
     const auto suite = specint95Suite();
     const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     const ExecTrace trace = captureTrace(m, limits);
     const std::vector<MachineConfig> grid = benchGrid16();
     for (auto _ : state) {
@@ -279,8 +161,9 @@ BM_Grid16Conv_IndependentReplay(benchmark::State &state)
         benchmark::DoNotOptimize(total);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
+                            std::int64_t(kSweepOps) *
                             std::int64_t(grid.size()));
+    state.counters["lanes"] = double(grid.size());
 }
 BENCHMARK(BM_Grid16Conv_IndependentReplay)
     ->Unit(benchmark::kMillisecond);
@@ -290,9 +173,8 @@ BM_Grid16Conv_Lockstep(benchmark::State &state)
 {
     const auto suite = specint95Suite();
     const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     const ExecTrace trace = captureTrace(m, limits);
     const std::vector<MachineConfig> grid = benchGrid16();
     for (auto _ : state) {
@@ -304,8 +186,9 @@ BM_Grid16Conv_Lockstep(benchmark::State &state)
         benchmark::DoNotOptimize(total);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
+                            std::int64_t(kSweepOps) *
                             std::int64_t(grid.size()));
+    state.counters["lanes"] = double(grid.size());
 }
 BENCHMARK(BM_Grid16Conv_Lockstep)->Unit(benchmark::kMillisecond);
 
@@ -316,9 +199,8 @@ BM_Grid16Bsa_IndependentReplay(benchmark::State &state)
     const Module m = generateWorkload(suite[0].params);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{});
     layoutBsaModule(bsa);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     const ExecTrace trace = captureTrace(m, limits);
     const std::vector<MachineConfig> grid = benchGrid16();
     for (auto _ : state) {
@@ -328,8 +210,9 @@ BM_Grid16Bsa_IndependentReplay(benchmark::State &state)
         benchmark::DoNotOptimize(total);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
+                            std::int64_t(kSweepOps) *
                             std::int64_t(grid.size()));
+    state.counters["lanes"] = double(grid.size());
 }
 BENCHMARK(BM_Grid16Bsa_IndependentReplay)
     ->Unit(benchmark::kMillisecond);
@@ -341,9 +224,8 @@ BM_Grid16Bsa_Lockstep(benchmark::State &state)
     const Module m = generateWorkload(suite[0].params);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{});
     layoutBsaModule(bsa);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     const ExecTrace trace = captureTrace(m, limits);
     const std::vector<MachineConfig> grid = benchGrid16();
     for (auto _ : state) {
@@ -355,8 +237,9 @@ BM_Grid16Bsa_Lockstep(benchmark::State &state)
         benchmark::DoNotOptimize(total);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) *
+                            std::int64_t(kSweepOps) *
                             std::int64_t(grid.size()));
+    state.counters["lanes"] = double(grid.size());
 }
 BENCHMARK(BM_Grid16Bsa_Lockstep)->Unit(benchmark::kMillisecond);
 
@@ -385,9 +268,8 @@ BM_TraceStore_ColdCapture(benchmark::State &state)
 {
     const auto suite = specint95Suite();
     const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     const TraceStore store(benchStoreDir());
     const std::uint64_t digest = moduleDigest(m);
     const TraceKey key{digest, limits.maxOps, limits.maxBlocks};
@@ -397,7 +279,7 @@ BM_TraceStore_ColdCapture(benchmark::State &state)
         benchmark::DoNotOptimize(trace.eventCount);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget));
+                            std::int64_t(kSweepOps));
 }
 BENCHMARK(BM_TraceStore_ColdCapture)->Unit(benchmark::kMillisecond);
 
@@ -406,9 +288,8 @@ BM_TraceStore_WarmLoad(benchmark::State &state)
 {
     const auto suite = specint95Suite();
     const Module m = generateWorkload(suite[0].params);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     const TraceStore store(benchStoreDir());
     const std::uint64_t digest = moduleDigest(m);
     (void)store.load(m, digest, limits);  // warm the entry
@@ -419,7 +300,7 @@ BM_TraceStore_WarmLoad(benchmark::State &state)
             state.SkipWithError("warm load fell back to capture");
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget));
+                            std::int64_t(kSweepOps));
 }
 BENCHMARK(BM_TraceStore_WarmLoad)->Unit(benchmark::kMillisecond);
 
@@ -430,9 +311,8 @@ BM_PairSweep_WarmStoreReplayParallel(benchmark::State &state)
     const Module m = generateWorkload(suite[0].params);
     BsaModule bsa = enlargeModule(m, EnlargeConfig{});
     layoutBsaModule(bsa);
-    const std::uint64_t budget = sweepBudget();
     Interp::Limits limits;
-    limits.maxOps = budget;
+    limits.maxOps = kSweepOps;
     const TraceStore store(benchStoreDir());
     const std::uint64_t digest = moduleDigest(m);
     (void)store.load(m, digest, limits);  // warm the entry
@@ -455,7 +335,7 @@ BM_PairSweep_WarmStoreReplayParallel(benchmark::State &state)
         benchmark::DoNotOptimize(total);
     }
     state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(budget) * 2 *
+                            std::int64_t(kSweepOps) * 2 *
                             std::int64_t(kSweepKB.size()));
 }
 BENCHMARK(BM_PairSweep_WarmStoreReplayParallel)
@@ -463,252 +343,105 @@ BENCHMARK(BM_PairSweep_WarmStoreReplayParallel)
     ->UseRealTime();
 
 /**
- * The varint/delta codec on its own, over a value distribution shaped
- * like the event stream (mostly tiny deltas, occasional large jumps),
- * so future format tweaks have an ops/sec baseline to beat.
+ * The timing-model dispatch seam and the out-of-order backend, on the
+ * conventional machine over compress (small, loopy) and gcc (large
+ * code footprint) at 1/2000 of their Table 2 budgets: the two icache
+ * extremes of the suite.  Each iteration walks both traces, so
+ * items/s is their total ops over total time.
+ *
+ *   AbstractDirect   — simulatePipeline() on a ConvFetchSource, the
+ *                      pre-dispatch entry point;
+ *   AbstractDispatch — runConventional() with the default config,
+ *                      routed through simulateModel(); its ratio to
+ *                      AbstractDirect is the seam's overhead;
+ *   OooDispatch      — runConventional() with timing_model=ooo; its
+ *                      ratio to AbstractDispatch is the fidelity cost
+ *                      of the high-fidelity backend.
+ *
+ * Both abstract variants build the layout and the decoded program
+ * inside the timed region, as runConventional does, so they time
+ * equal work.  Every variant is checked against each trace's
+ * committed-op count before it is timed, so a wrong simulation cannot
+ * post a throughput number.
  */
-std::vector<std::uint64_t>
-codecValues()
+struct SeamCase
 {
-    std::vector<std::uint64_t> values;
-    values.reserve(1 << 16);
-    Rng rng(12345);
-    for (std::size_t i = 0; i < values.capacity(); ++i) {
-        const unsigned shape = rng.nextBelow(16);
-        if (shape < 12)  // predicted-successor deltas: ~0
-            values.push_back(zigzagEncode(std::int64_t(shape) - 6));
-        else if (shape < 15)  // address counts / short jumps
-            values.push_back(rng.nextBelow(1024));
-        else  // cross-function jumps
-            values.push_back(rng.next() >> 16);
-    }
-    return values;
-}
-
-void
-BM_VarintEncode(benchmark::State &state)
-{
-    const std::vector<std::uint64_t> values = codecValues();
-    std::vector<std::uint8_t> out;
-    for (auto _ : state) {
-        out.clear();
-        for (std::uint64_t v : values)
-            putVarint(out, v);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(values.size()));
-}
-BENCHMARK(BM_VarintEncode);
-
-void
-BM_VarintDecode(benchmark::State &state)
-{
-    const std::vector<std::uint64_t> values = codecValues();
-    std::vector<std::uint8_t> buf;
-    for (std::uint64_t v : values)
-        putVarint(buf, v);
-    for (auto _ : state) {
-        const std::uint8_t *p = buf.data();
-        const std::uint8_t *end = buf.data() + buf.size();
-        std::uint64_t sum = 0, v = 0;
-        while (p < end && getVarint(p, end, v))
-            sum += v;
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(values.size()));
-}
-BENCHMARK(BM_VarintDecode);
-
-/**
- * Console reporter that also records every run for the
- * machine-readable summary.  The human-facing output is exactly
- * google-benchmark's default; the JSON rides along for CI gating.
- */
-class TeeReporter : public benchmark::ConsoleReporter
-{
-  public:
-    struct Entry
-    {
-        std::string name;
-        double realTimeSec = 0.0;
-        double cpuTimeSec = 0.0;
-        double itemsPerSecond = 0.0;
-        std::int64_t iterations = 0;
-    };
-
-    void
-    ReportRuns(const std::vector<Run> &reports) override
-    {
-        benchmark::ConsoleReporter::ReportRuns(reports);
-        for (const Run &run : reports) {
-            Entry e;
-            e.name = run.benchmark_name();
-            e.realTimeSec = run.GetAdjustedRealTime() *
-                            timeMultiplier(run.time_unit);
-            e.cpuTimeSec = run.GetAdjustedCPUTime() *
-                           timeMultiplier(run.time_unit);
-            const auto it = run.counters.find("items_per_second");
-            if (it != run.counters.end())
-                e.itemsPerSecond = it->second;
-            e.iterations = run.iterations;
-            entries.push_back(std::move(e));
-        }
-    }
-
-    std::vector<Entry> entries;
-
-  private:
-    static double
-    timeMultiplier(benchmark::TimeUnit unit)
-    {
-        switch (unit) {
-          case benchmark::kNanosecond: return 1e-9;
-          case benchmark::kMicrosecond: return 1e-6;
-          case benchmark::kMillisecond: return 1e-3;
-          case benchmark::kSecond: return 1.0;
-        }
-        return 1.0;
-    }
+    Module module;
+    ExecTrace trace;
 };
 
-/** Write the recorded runs (the BENCH_PR3.json record) to the path in
- *  BSISA_BENCH_JSON; unset or empty writes nothing. */
-void
-writeJson(const std::vector<TeeReporter::Entry> &entries)
+const std::vector<SeamCase> &
+seamCases()
 {
-    const char *env = std::getenv("BSISA_BENCH_JSON");
-    const std::string path = env ? env : "";
-    if (path.empty())
-        return;
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-
-    double seed_ips = 0.0, replay_ips = 0.0, warm_replay_ips = 0.0;
-    double cold_sec = 0.0, warm_sec = 0.0;
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const TeeReporter::Entry &e = entries[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"real_time_sec\": %.9g, "
-                     "\"cpu_time_sec\": %.9g, "
-                     "\"items_per_second\": %.9g, "
-                     "\"iterations\": %lld}%s\n",
-                     e.name.c_str(), e.realTimeSec, e.cpuTimeSec,
-                     e.itemsPerSecond,
-                     static_cast<long long>(e.iterations),
-                     i + 1 < entries.size() ? "," : "");
-        if (e.name.find("PairSweep_SeedPath") != std::string::npos)
-            seed_ips = e.itemsPerSecond;
-        if (e.name.find("PairSweep_CaptureReplayParallel") !=
-            std::string::npos)
-            replay_ips = e.itemsPerSecond;
-        if (e.name.find("PairSweep_WarmStoreReplayParallel") !=
-            std::string::npos)
-            warm_replay_ips = e.itemsPerSecond;
-        if (e.name.find("TraceStore_ColdCapture") != std::string::npos)
-            cold_sec = e.realTimeSec;
-        if (e.name.find("TraceStore_WarmLoad") != std::string::npos)
-            warm_sec = e.realTimeSec;
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"pair_sweep_seed_ops_per_sec\": %.9g,\n",
-                 seed_ips);
-    std::fprintf(f, "  \"pair_sweep_replay_ops_per_sec\": %.9g,\n",
-                 replay_ips);
-    std::fprintf(f, "  \"pair_sweep_speedup\": %.6g,\n",
-                 seed_ips > 0.0 ? replay_ips / seed_ips : 0.0);
-    std::fprintf(f,
-                 "  \"pair_sweep_warm_store_ops_per_sec\": %.9g,\n",
-                 warm_replay_ips);
-    std::fprintf(f, "  \"trace_store_cold_capture_sec\": %.9g,\n",
-                 cold_sec);
-    std::fprintf(f, "  \"trace_store_warm_load_sec\": %.9g,\n",
-                 warm_sec);
-    std::fprintf(f, "  \"trace_store_warm_cold_ratio\": %.6g\n",
-                 cold_sec > 0.0 ? warm_sec / cold_sec : 0.0);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
+    static const std::vector<SeamCase> cases = [] {
+        const auto suite = specint95Suite();
+        std::vector<SeamCase> out;
+        for (const std::size_t pick : {0, 1}) {  // compress, gcc
+            Module module = generateWorkload(suite[pick].params);
+            Interp::Limits limits;
+            limits.maxOps = suite[pick].scaledBudget(2000);
+            ExecTrace trace = captureTrace(module, limits);
+            out.push_back({std::move(module), std::move(trace)});
+        }
+        return out;
+    }();
+    return cases;
 }
 
-/** Write the lockstep-vs-independent-replay grid numbers (the
- *  BENCH_PR6.json record) to the path in BSISA_BENCH_JSON_PR6; unset
- *  or empty writes nothing.  The speedup keys are real-time ratios of
- *  the same sixteen-config sweep run both ways on this machine. */
+/** Time @p walk, which simulates a case's whole trace and returns
+ *  its retired-op count, over every seam case. */
+template <typename Walk>
 void
-writePr6Json(const std::vector<TeeReporter::Entry> &entries)
+timeSeamWalk(benchmark::State &state, Walk walk)
 {
-    const char *env = std::getenv("BSISA_BENCH_JSON_PR6");
-    const std::string path = env ? env : "";
-    if (path.empty())
-        return;
-
-    double conv_indep = 0.0, conv_lock = 0.0;
-    double bsa_indep = 0.0, bsa_lock = 0.0;
-    bool any = false;
-    for (const TeeReporter::Entry &e : entries) {
-        if (e.name.find("Grid16") == std::string::npos)
-            continue;
-        any = true;
-        if (e.name.find("Grid16Conv_IndependentReplay") !=
-            std::string::npos)
-            conv_indep = e.itemsPerSecond;
-        else if (e.name.find("Grid16Conv_Lockstep") !=
-                 std::string::npos)
-            conv_lock = e.itemsPerSecond;
-        else if (e.name.find("Grid16Bsa_IndependentReplay") !=
-                 std::string::npos)
-            bsa_indep = e.itemsPerSecond;
-        else if (e.name.find("Grid16Bsa_Lockstep") !=
-                 std::string::npos)
-            bsa_lock = e.itemsPerSecond;
+    std::uint64_t ops = 0;
+    for (const SeamCase &c : seamCases()) {
+        if (walk(c) != c.trace.dynOps)
+            state.SkipWithError("retired-op count diverged from the "
+                                "trace");
+        ops += c.trace.dynOps;
     }
-    if (!any)
-        return;  // grid benchmarks filtered out of this run
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-    bool first = true;
-    for (const TeeReporter::Entry &e : entries) {
-        if (e.name.find("Grid16") == std::string::npos)
-            continue;
-        std::fprintf(f,
-                     "%s    {\"name\": \"%s\", "
-                     "\"real_time_sec\": %.9g, "
-                     "\"cpu_time_sec\": %.9g, "
-                     "\"items_per_second\": %.9g, "
-                     "\"iterations\": %lld}",
-                     first ? "" : ",\n", e.name.c_str(),
-                     e.realTimeSec, e.cpuTimeSec, e.itemsPerSecond,
-                     static_cast<long long>(e.iterations));
-        first = false;
-    }
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f, "  \"grid_configs\": 16,\n");
-    std::fprintf(f,
-                 "  \"conv_independent_ops_per_sec\": %.9g,\n"
-                 "  \"conv_lockstep_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_independent_ops_per_sec\": %.9g,\n"
-                 "  \"bsa_lockstep_ops_per_sec\": %.9g,\n",
-                 conv_indep, conv_lock, bsa_indep, bsa_lock);
-    std::fprintf(f, "  \"conv_lockstep_speedup\": %.6g,\n",
-                 conv_indep > 0.0 ? conv_lock / conv_indep : 0.0);
-    std::fprintf(f, "  \"bsa_lockstep_speedup\": %.6g\n",
-                 bsa_indep > 0.0 ? bsa_lock / bsa_indep : 0.0);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
+    for (auto _ : state)
+        for (const SeamCase &c : seamCases())
+            benchmark::DoNotOptimize(walk(c));
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(ops));
 }
+
+void
+BM_Seam_AbstractDirect(benchmark::State &state)
+{
+    const MachineConfig machine;
+    timeSeamWalk(state, [&](const SeamCase &c) {
+        const ConvLayout layout(c.module);
+        const DecodedProgram decoded = DecodedProgram::forModule(c.module);
+        ConvFetchSource source(c.module, layout, machine, c.trace,
+                               decoded);
+        return simulatePipeline(source, machine).retiredOps;
+    });
+}
+BENCHMARK(BM_Seam_AbstractDirect)->Unit(benchmark::kMillisecond);
+
+void
+BM_Seam_AbstractDispatch(benchmark::State &state)
+{
+    const MachineConfig machine;
+    timeSeamWalk(state, [&](const SeamCase &c) {
+        return runConventional(c.module, machine, c.trace).retiredOps;
+    });
+}
+BENCHMARK(BM_Seam_AbstractDispatch)->Unit(benchmark::kMillisecond);
+
+void
+BM_Seam_OooDispatch(benchmark::State &state)
+{
+    MachineConfig machine;
+    machine.timingModel = TimingModel::Ooo;
+    timeSeamWalk(state, [&](const SeamCase &c) {
+        return runConventional(c.module, machine, c.trace).retiredOps;
+    });
+}
+BENCHMARK(BM_Seam_OooDispatch)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
@@ -718,12 +451,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    TeeReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    writeJson(reporter.entries);
-    writePr6Json(reporter.entries);
-    bsisabench::reportTraceStore();
     std::error_code ec;
     std::filesystem::remove_all(benchStoreDir(), ec);
     return 0;

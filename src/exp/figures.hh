@@ -5,8 +5,8 @@
  * Each function regenerates one of the paper's tables or figures (or
  * one of DESIGN.md's ablations and extensions) over the synthetic
  * SPECint95 suite and renders it as text; the bench/ binaries, except
- * the throughput benchmarks bench_sim_throughput and bench_ooo, are
- * one-line wrappers.  The figure drivers also return their numbers so
+ * the throughput benchmark bench_sim_throughput, are one-line
+ * wrappers.  The figure drivers also return their numbers so
  * tests can assert the shapes.
  *
  * Every driver's pair grid is a SweepSpec, planned into work units by

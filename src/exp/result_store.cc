@@ -235,12 +235,44 @@ ResultStore::refresh()
     return stats;
 }
 
+std::string
+ResultStore::foreignFile() const
+{
+    for (const char *name : {logName, snapshotName}) {
+        const std::string path = dir + "/" + name;
+        std::ifstream in(path, std::ios::binary);
+        ShardHeader h;
+        if (!in.read(reinterpret_cast<char *>(&h), sizeof(h)))
+            continue;  // absent, or a torn header a writer starts over
+        const std::string ours =
+            ", this binary's is " +
+            std::to_string(resultStoreFormatVersion) +
+            "; refusing to overwrite it";
+        if (std::memcmp(h.magic, resultStoreMagic, sizeof(h.magic)) != 0)
+            return path + " is not a results-store file" + ours;
+        if (h.formatVersion != resultStoreFormatVersion)
+            return path + " is results-store format version " +
+                   std::to_string(h.formatVersion) + ours;
+    }
+    return "";
+}
+
 bool
 ResultStore::lockWriter(std::string &error)
 {
     const std::string path = lockPath();
-    if (writer.held() || writer.tryAcquire(path))
+    if (writer.held())
         return true;
+    if (writer.tryAcquire(path)) {
+        // A log or snapshot another version wrote stays as it is: a
+        // writer would truncate the one and republish the other with
+        // only this version's records.
+        error = foreignFile();
+        if (error.empty())
+            return true;
+        writer.release();
+        return false;
+    }
     const std::uint64_t holder = leaseHolderPid(path);
     if (holder != 0)
         error = "results store " + dir + " has a live writer, pid " +
@@ -267,8 +299,9 @@ ResultStore::append(const ResultRecord &record)
             return false;
         }
         // Resume after the last whole frame: a record appended behind
-        // a torn one would be invisible to every reader.  A log this
-        // version cannot read starts over.
+        // a torn one would be invisible to every reader.  A log with a
+        // torn header starts over (lockWriter refused a whole header
+        // of another version).
         const std::string path = dir + "/" + logName;
         std::string bytes, header;
         const std::size_t intact =

@@ -25,6 +25,10 @@
  * sorted by unit key — and unlinks the merged files; two stores with
  * the same content compact to byte-identical snapshots, which is
  * what the crash-resume test asserts.
+ *
+ * Versions: a log or snapshot whose header is another format
+ * version's is skipped by readers (counted in badShards) and refused
+ * by writers, which leave its bytes as they are.
  */
 
 #ifndef BSISA_EXP_RESULT_STORE_HH
@@ -120,9 +124,19 @@ class ResultStore
      * Take the store's writer lock (held until destruction; a no-op
      * when already held).  The directory must exist.  False, with
      * @p error naming the live holder's pid when there is one, when
-     * another writer holds the lock or it cannot be created.
+     * another writer holds the lock or it cannot be created; false,
+     * with @p error from foreignFile(), when the store holds another
+     * version's file (the lock is released again).
      */
     bool lockWriter(std::string &error);
+
+    /**
+     * Why a writer must leave this store alone, naming the file and
+     * both versions: `log.bsr` or `snapshot.bsr` holds a whole 16-byte
+     * header that is not this version's.  Empty when neither does (a
+     * shorter, torn header is started over).
+     */
+    std::string foreignFile() const;
 
     /**
      * Append one record to the log and index it.  The first append

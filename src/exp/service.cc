@@ -302,6 +302,8 @@ printSweepStatus(std::ostream &os, const std::string &storeDir)
               Table::fmt(stats.tornTails), Table::fmt(stats.badShards),
               Table::fmt(stats.shardFiles)});
     t.print(os);
+    if (const std::string foreign = store.foreignFile(); !foreign.empty())
+        os << "writers refuse this store: " << foreign << "\n";
 
     // The writer lock's holder.
     const std::string lock = store.lockPath();

@@ -958,6 +958,93 @@ TEST_F(SweepFixture, EndToEndMatchesMonolithicRunPair)
     EXPECT_EQ(warm.str(), "sweep: units=4 executed=0 warm=4\n");
 }
 
+namespace
+{
+
+/** Stamp @p path's header with the next format version, as a newer
+ *  binary would have written it. */
+void
+stampNextFormatVersion(const std::string &path)
+{
+    const std::uint32_t next = resultStoreFormatVersion + 1;
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(sizeof(resultStoreMagic));
+    f.write(reinterpret_cast<const char *>(&next), sizeof(next));
+    ASSERT_TRUE(f.good()) << path;
+}
+
+const SweepSpec &
+foreignSpec()
+{
+    static const SweepSpec spec = mustParse(
+        "name: foreign\n"
+        "scale: 2000\n"
+        "benchmarks: [compress]\n");
+    return spec;
+}
+
+} // namespace
+
+// A store of another format version is refused, never truncated: a
+// `run` on another version's log fails naming the file and both
+// versions, and leaves its bytes as they are.
+TEST_F(SweepFixture, RunRefusesAnotherVersionsLog)
+{
+    std::ostringstream first;
+    ASSERT_TRUE(runSweepCoordinator(foreignSpec(), {dir}, first))
+        << first.str();
+    // A compacted store holds only its snapshot; a log is the same
+    // framing under another name.
+    const std::string logPath = dir + "/log.bsr";
+    std::filesystem::rename(dir + "/snapshot.bsr", logPath);
+    stampNextFormatVersion(logPath);
+    const std::string before = readFileBytes(logPath);
+
+    std::ostringstream log;
+    EXPECT_FALSE(runSweepCoordinator(foreignSpec(), {dir}, log));
+    EXPECT_NE(log.str().find(logPath + " is results-store format "
+                             "version " +
+                             std::to_string(resultStoreFormatVersion + 1) +
+                             ", this binary's is " +
+                             std::to_string(resultStoreFormatVersion)),
+              std::string::npos)
+        << log.str();
+    EXPECT_EQ(readFileBytes(logPath), before);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot.bsr"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/writer.lock"));
+}
+
+// ...and `compact` on another version's snapshot fails the same way
+// instead of republishing it with only this version's records;
+// `status` names the file.
+TEST_F(SweepFixture, CompactRefusesAnotherVersionsSnapshot)
+{
+    std::ostringstream first;
+    ASSERT_TRUE(runSweepCoordinator(foreignSpec(), {dir}, first))
+        << first.str();
+    const std::string snapshotPath = dir + "/snapshot.bsr";
+    stampNextFormatVersion(snapshotPath);
+    const std::string before = readFileBytes(snapshotPath);
+
+    ResultStore store(dir);
+    std::string error;
+    EXPECT_FALSE(store.lockWriter(error));
+    EXPECT_NE(error.find(snapshotPath + " is results-store format"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(store.compact());
+    EXPECT_FALSE(store.append(testRecord(1)));
+    EXPECT_EQ(readFileBytes(snapshotPath), before);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/log.bsr"));
+
+    std::ostringstream status;
+    ASSERT_TRUE(printSweepStatus(status, dir));
+    EXPECT_NE(status.str().find("writers refuse this store: " +
+                                snapshotPath),
+              std::string::npos)
+        << status.str();
+}
+
 // Each checked-in figure spec, read from the source tree at scale
 // 2000, renders from the results store byte for byte what its driver
 // prints under the spec's timing model, so neither can drift.
