@@ -278,10 +278,9 @@ ResultStore::lockWriter(std::string &error)
         error = "results store " + dir + " has a live writer, pid " +
                 std::to_string(holder) + " (" + path + ")";
     else if (std::filesystem::exists(path))
-        error = "results store " + dir + " is locked by a malformed " +
-                path + ", honoured for " +
-                std::to_string(malformedLeaseGrace.count()) +
-                " s after its last write";
+        error = "results store " + dir +
+                " is locked by another writer (" + path +
+                " names no pid)";
     else
         error = "cannot create " + path;
     return false;

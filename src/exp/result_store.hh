@@ -11,9 +11,10 @@
  * the same atomic write-to-temp+rename publish for the snapshot.
  *
  * Concurrency model: one writer per store.  A writer holds the
- * store's lock (`writer.lock`, a FileLease naming its pid) from its
- * first append or compaction until its handle is destroyed; a lock
- * whose holder died is broken by the next writer.  A resumed writer
+ * store's lock (`writer.lock`, a FileLease: an flock the kernel drops
+ * when the holder exits, however it dies) from its first append or
+ * compaction until its handle is destroyed.  The pid in the file only
+ * labels lock errors and `status`.  A resumed writer
  * first truncates the log back to its last whole frame, so records
  * it appends never sit behind a torn one.  Readers take no lock:
  * refresh() merges the snapshot and every other `.bsr` file, first
@@ -123,7 +124,7 @@ class ResultStore
     /**
      * Take the store's writer lock (held until destruction; a no-op
      * when already held).  The directory must exist.  False, with
-     * @p error naming the live holder's pid when there is one, when
+     * @p error naming the pid in the lock file when it names one, when
      * another writer holds the lock or it cannot be created; false,
      * with @p error from foreignFile(), when the store holds another
      * version's file (the lock is released again).

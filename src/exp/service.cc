@@ -128,7 +128,7 @@ sweepInto(ResultStore &store, const SweepSpec &spec,
     }
 
     SweepPlan plan;
-    if (!buildPlan(spec, opts.chunkOverride, plan, error)) {
+    if (!buildPlan(spec, 0, plan, error)) {
         log << "sweep: " << error << "\n";
         return false;
     }
@@ -311,10 +311,7 @@ printSweepStatus(std::ostream &os, const std::string &storeDir)
     if (!std::filesystem::exists(lock, ec)) {
         os << "none\n";
     } else if (const std::uint64_t pid = leaseHolderPid(lock); pid == 0) {
-        // No holder to probe: writers honour it for the grace period,
-        // then break it as stale.
-        os << "writer.lock malformed (honoured until its "
-           << malformedLeaseGrace.count() << " s grace period ends)\n";
+        os << "writer.lock names no pid\n";
     } else {
         os << "pid " << pid << " ("
            << (processAlive(pid) ? "alive" : "dead") << ")\n";

@@ -43,7 +43,6 @@
 #ifndef BSISA_EXP_SERVICE_HH
 #define BSISA_EXP_SERVICE_HH
 
-#include <cstdint>
 #include <ostream>
 #include <string>
 
@@ -56,7 +55,6 @@ namespace bsisa
 struct SweepRunOptions
 {
     std::string storeDir;
-    std::uint64_t chunkOverride = 0;  //!< 0 = spec's chunk_units
 };
 
 /**

@@ -72,7 +72,7 @@ struct SweepSpec
     std::vector<std::vector<SpecAssign>> points;
 
     /** Default work-unit chunk size (0 = one chunk per benchmark);
-     *  chunks size a sweep's rounds.  CLI --chunk overrides. */
+     *  chunks size a sweep's rounds. */
     std::uint64_t chunkUnits = 0;
 
     /** The effective scale divisor. */

@@ -1,16 +1,14 @@
 /**
  * @file
- * File-lease implementation (exclusive create + pid-based stale-lease
- * breaking) and the stores' atomic file publish.
+ * File-lease implementation (flock on a held descriptor) and the
+ * stores' atomic file publish.
  */
 
 #include "support/lockfile.hh"
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "support/parse.hh"
@@ -18,6 +16,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #define BSISA_HAVE_LEASES 1
 #else
@@ -40,60 +40,6 @@ uniqueSibling(const std::string &path, const char *tag)
            std::to_string(
                uniqueSeq.fetch_add(1, std::memory_order_relaxed));
 }
-
-#if BSISA_HAVE_LEASES
-
-/**
- * One exclusive-create attempt.  The "pid <pid>\n" line is written to
- * a private temp file which is then link()ed into place, so creation
- * and content are one atomic step: no observer can ever see a lease
- * without a parseable holder pid, however the creator dies.  (A
- * SIGKILL between the temp write and the link leaves only an inert
- * `.new-*` temp, never a malformed lease.)  On failure errno is
- * preserved from the failing call; an existing lease reads as EEXIST.
- */
-bool
-createExclusive(const std::string &path)
-{
-    const std::string temp = uniqueSibling(path, ".new-");
-    const int fd = ::open(temp.c_str(), O_CREAT | O_EXCL | O_WRONLY,
-                          0644);
-    if (fd < 0)
-        return false;
-    char buf[48];
-    const int len = std::snprintf(
-        buf, sizeof(buf), "pid %llu\n",
-        static_cast<unsigned long long>(currentProcessId()));
-    const bool wrote = ::write(fd, buf, std::size_t(len)) == len;
-    ::close(fd);
-    if (!wrote) {
-        std::remove(temp.c_str());
-        errno = EIO;
-        return false;
-    }
-    const bool linked = ::link(temp.c_str(), path.c_str()) == 0;
-    const int linkErrno = errno;
-    std::remove(temp.c_str());
-    errno = linkErrno;
-    return linked;
-}
-
-/** A lease without a parseable pid line is foreign or torn.  Honor it
- *  briefly (it may be a mid-publish artifact on a filesystem we did
- *  not anticipate), then treat it as stale — otherwise one such file
- *  would lock its store forever. */
-bool
-malformedLeaseExpired(const std::string &path)
-{
-    std::error_code ec;
-    const auto stamp = std::filesystem::last_write_time(path, ec);
-    if (ec)
-        return false;  // vanished: the next acquire attempt decides
-    return std::filesystem::file_time_type::clock::now() - stamp >
-           malformedLeaseGrace;
-}
-
-#endif // BSISA_HAVE_LEASES
 
 } // namespace
 
@@ -171,10 +117,8 @@ processAlive(std::uint64_t pid)
 {
 #if BSISA_HAVE_LEASES
     if (pid == 0)
-        return true;  // malformed lease: assume live, honor it
-    if (::kill(pid_t(pid), 0) == 0)
-        return true;
-    return errno != ESRCH;
+        return false;  // kill() would probe our own process group
+    return ::kill(pid_t(pid), 0) == 0 || errno != ESRCH;
 #else
     (void)pid;
     return true;
@@ -184,51 +128,45 @@ processAlive(std::uint64_t pid)
 bool
 FileLease::tryAcquire(const std::string &path)
 {
-#if BSISA_HAVE_LEASES
     release();
-    if (createExclusive(path)) {
-        path_ = path;
-        return true;
-    }
-    if (errno != EEXIST)
-        return false;
-
-    // The lease exists.  Break it only if its holder is provably
-    // dead (or the file is malformed and older than the grace
-    // window): rename to a unique trash name first so one of N
-    // concurrent breakers wins (rename is atomic; the losers' renames
-    // fail with ENOENT), then retry the exclusive create once.
-    const std::uint64_t holder = leaseHolderPid(path);
-    if (holder != 0) {
-        if (processAlive(holder))
+#if BSISA_HAVE_LEASES
+    // A holder's release() unlinks the file before it drops the lock,
+    // so the inode locked here may no longer be the one at @p path:
+    // then open afresh.  Each retry needs another holder's whole
+    // release in between, so a few attempts suffice.
+    for (int attempt = 0; attempt < 8; ++attempt) {
+        const int fd =
+            ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+        if (fd < 0)
             return false;
-    } else if (!malformedLeaseExpired(path)) {
-        return false;
-    }
-    const std::string trash = uniqueSibling(path, ".trash-");
-    if (std::rename(path.c_str(), trash.c_str()) != 0)
-        return false;  // a peer won the steal (or holder released)
-    // The rename alone is not proof of winning: a slow breaker can
-    // rename the *fresh* lease a faster breaker just re-created, not
-    // the stale one.  The trashed file's content tells the two apart
-    // — if it no longer names the dead holder we observed, put it
-    // back (link is atomic and fails if yet another lease appeared
-    // meanwhile) and report the lease as held.
-    if (leaseHolderPid(trash) != holder) {
-        (void)!::link(trash.c_str(), path.c_str());
-        std::remove(trash.c_str());
-        return false;
-    }
-    std::remove(trash.c_str());
-    if (createExclusive(path)) {
+        if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+            ::close(fd);
+            return false;
+        }
+        struct stat locked, named;
+        if (::fstat(fd, &locked) != 0 ||
+            ::stat(path.c_str(), &named) != 0 ||
+            locked.st_dev != named.st_dev ||
+            locked.st_ino != named.st_ino) {
+            ::close(fd);
+            continue;
+        }
         path_ = path;
-        return true;
+        fd_ = fd;
+        char label[48];
+        const int len = std::snprintf(
+            label, sizeof(label), "pid %llu\n",
+            static_cast<unsigned long long>(currentProcessId()));
+        if (::ftruncate(fd, 0) == 0 &&
+            ::write(fd, label, std::size_t(len)) == len)
+            return true;
+        release();
+        return false;
     }
-    return false;
 #else
     (void)path;
-    return false;
 #endif
+    return false;
 }
 
 void
@@ -237,6 +175,10 @@ FileLease::release()
     if (path_.empty())
         return;
     std::remove(path_.c_str());
+#if BSISA_HAVE_LEASES
+    ::close(fd_);
+#endif
+    fd_ = -1;
     path_.clear();
 }
 

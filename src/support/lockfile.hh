@@ -4,23 +4,12 @@
  * temp-file-then-rename publish the trace store, the results store
  * and the plan markers share.
  *
- * A lease is claimed by creating its file with O_CREAT|O_EXCL (atomic
- * on every POSIX filesystem); whoever holds it is the one writer of
- * what it guards, and others fail to acquire it.
- *
- * Crash recovery: the lease file records the holder's pid, written
- * atomically with the file itself (temp + link), so a lease can never
- * be observed without a parseable holder — a creator killed at any
- * instant leaves either no lease or a complete one.  When acquisition
- * fails, the prober reads that pid and checks liveness with
- * kill(pid, 0); a dead holder's lease is *stolen* by renaming it to a
- * unique trash name first — rename is atomic, and the breaker
- * verifies the trashed content still names the dead holder (restoring
- * it when it grabbed a freshly re-created lease instead), so one of N
- * concurrent breakers wins the steal — and then retrying the
- * exclusive create.  A live holder's lease is honored; a malformed
- * (foreign/torn) lease is honored for a short mtime grace window and
- * then treated as stale.
+ * A lease is an flock(LOCK_EX|LOCK_NB) on its file, held through a
+ * close-on-exec descriptor for the lease's whole life: the kernel
+ * decides who holds it and drops it when the holder exits, however it
+ * dies.  The holder writes `pid N` into the file, but only as a label
+ * for error texts and `bsisa-sweep status`: no reader trusts the
+ * file's bytes to decide whether the lease is held.
  *
  * Non-POSIX builds degrade to "never acquire": a results-store writer
  * there fails at once with the lock error (the store and plan layers
@@ -31,20 +20,19 @@
 #ifndef BSISA_SUPPORT_LOCKFILE_HH
 #define BSISA_SUPPORT_LOCKFILE_HH
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace bsisa
 {
 
 /**
- * One lease.  Move-only RAII: releasing (or destroying) a
- * held lease unlinks its file.  The path should live on the same
- * filesystem as the store it guards so create/rename are atomic.
+ * One lease.  Move-only RAII: releasing (or destroying) a held lease
+ * unlinks its file, then drops the lock.
  */
 class FileLease
 {
@@ -63,22 +51,30 @@ class FileLease
     FileLease &operator=(const FileLease &) = delete;
 
     /**
-     * Try to acquire the lease at @p path.  Returns true and holds on
-     * success.  A lease whose recorded holder is a dead process is
-     * broken and re-acquired transparently.  Never blocks.
+     * Try to acquire the lease at @p path, creating its file when
+     * missing.  Returns true and holds on success; false when another
+     * descriptor holds the lock or the file cannot be opened or
+     * labelled.  Never blocks.
      */
     bool tryAcquire(const std::string &path);
 
-    /** Unlink the lease file if held; safe to call when not held. */
+    /** Unlink the lease file, then drop the lock, if held; safe to
+     *  call when not held. */
     void release();
 
     bool held() const { return !path_.empty(); }
     const std::string &path() const { return path_; }
 
   private:
-    void swap(FileLease &other) noexcept { path_.swap(other.path_); }
+    void
+    swap(FileLease &other) noexcept
+    {
+        path_.swap(other.path_);
+        std::swap(fd_, other.fd_);
+    }
 
     std::string path_;  //!< empty when not held
+    int fd_ = -1;       //!< the locked descriptor while held
 };
 
 /** @p text as a process id: a decimal in [1, the largest pid_t], or
@@ -89,12 +85,8 @@ std::uint64_t parsePid(std::string_view text);
  *  malformed (lock errors, tests, `bsisa-sweep status`). */
 std::uint64_t leaseHolderPid(const std::string &path);
 
-/** How long after its last write a malformed lease (no parseable
- *  holder pid) is honoured before it is broken as stale. */
-inline constexpr std::chrono::seconds malformedLeaseGrace{5};
-
-/** This process's id, or 0 on platforms without one.  Tags temp and
- *  lease files so concurrent writers never collide. */
+/** This process's id, or 0 on platforms without one.  Tags temp files
+ *  so concurrent writers never collide, and labels held leases. */
 std::uint64_t currentProcessId();
 
 /** @p v as 16 lower-case hex digits (store file names, unit keys). */
@@ -114,9 +106,8 @@ bool publishFile(const std::string &path, std::string_view bytes);
 bool publishFile(const std::string &path,
                  const std::function<bool(std::ostream &)> &write);
 
-/** True when @p pid names a live process on this host.  Conservative:
- *  unknown (e.g. EPERM) counts as alive, so leases are only broken on
- *  a definite ESRCH. */
+/** True when @p pid names a live process on this host (`bsisa-sweep
+ *  status`).  Unknown (e.g. EPERM) counts as alive; 0 names none. */
 bool processAlive(std::uint64_t pid);
 
 } // namespace bsisa

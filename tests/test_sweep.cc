@@ -14,10 +14,9 @@
  *             content => byte-identical snapshot) that survives
  *             trailing-slash directory spellings, and a compaction
  *             that refuses a store a live writer holds.
- *   lease   — exclusive acquire, peer conflict, release, the
- *             stale-break of a dead holder's lease, atomic
- *             pid-with-create publication, and the malformed-lease
- *             grace window.
+ *   lease   — exclusive acquire, peer conflict, release, a lock
+ *             file a dead holder or no pid names that does not lock,
+ *             the pid label, and a lock no exec'd child inherits.
  *   sweep   — an in-process end-to-end run whose stored PairResults
  *             are bit-identical to monolithic runPair, a
  *             store-rendered figure byte-identical to the monolithic
@@ -32,7 +31,7 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -40,11 +39,13 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -766,9 +767,11 @@ TEST_F(SweepDirTest, CompactionHandlesTrailingSlashDir)
     EXPECT_EQ(again.refresh().records, 2u);
 }
 
-// A store has one writer.  While another live process holds the
-// writer lock, compaction (and appending) is refused with an error
-// naming that process, and the store is left as it was.
+// A store has one writer.  While another handle holds the writer
+// lock, compaction (and appending) is refused with an error naming the
+// holder's pid, and the store is left as it was.  flock conflicts
+// across two descriptors of one process, so the holder is a second
+// handle here.
 TEST_F(SweepDirTest, CompactionRefusesALiveWritersStore)
 {
     {
@@ -776,25 +779,49 @@ TEST_F(SweepDirTest, CompactionRefusesALiveWritersStore)
         ASSERT_TRUE(writer.append(testRecord(1)));
     }
     ResultStore store(dir);
-    const std::uint64_t holder = std::uint64_t(::getppid());
-    std::ofstream(store.lockPath()) << "pid " << holder << "\n";
-
+    auto holder = std::make_unique<ResultStore>(dir);
     std::string error;
+    ASSERT_TRUE(holder->lockWriter(error)) << error;
+
+    const std::uint64_t pid = std::uint64_t(::getpid());
     EXPECT_FALSE(store.lockWriter(error));
-    EXPECT_NE(error.find("pid " + std::to_string(holder)),
+    EXPECT_NE(error.find("has a live writer, pid " + std::to_string(pid)),
               std::string::npos)
         << error;
     EXPECT_FALSE(store.compact());
     EXPECT_FALSE(store.append(testRecord(2)));
     EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot.bsr"));
     EXPECT_EQ(store.refresh().records, 1u);
-    EXPECT_EQ(leaseHolderPid(store.lockPath()), holder);
+    EXPECT_EQ(leaseHolderPid(store.lockPath()), pid);
 
     // Once the holder is gone, the same handle compacts.
-    std::filesystem::remove(store.lockPath());
+    holder.reset();
+    EXPECT_FALSE(std::filesystem::exists(store.lockPath()));
     ASSERT_TRUE(store.compact());
     EXPECT_TRUE(std::filesystem::exists(dir + "/snapshot.bsr"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/log.bsr"));
+}
+
+// A writer.lock that names a live process no longer locks the store
+// when no process holds it: a crashed writer's file whose pid was
+// reused, here our parent's.
+TEST_F(SweepDirTest, UnheldLockNamingALivePidDoesNotLock)
+{
+    {
+        ResultStore writer(dir);
+        ASSERT_TRUE(writer.append(testRecord(1)));
+    }
+    ResultStore store(dir);
+    const std::uint64_t parent = std::uint64_t(::getppid());
+    ASSERT_TRUE(processAlive(parent));
+    std::ofstream(store.lockPath()) << "pid " << parent << "\n";
+
+    std::string error;
+    ASSERT_TRUE(store.lockWriter(error)) << error;
+    EXPECT_EQ(leaseHolderPid(store.lockPath()), std::uint64_t(::getpid()));
+    ASSERT_TRUE(store.compact());
+    EXPECT_TRUE(std::filesystem::exists(dir + "/snapshot.bsr"));
+    EXPECT_EQ(store.refresh().records, 1u);
 }
 
 TEST(ParsePid, AcceptsOnlyWhatAPidCanHold)
@@ -860,23 +887,47 @@ TEST_F(SweepDirTest, AcquireLeavesNoTempLitterAndWritesPidAtomically)
     EXPECT_EQ(files, 1u);
 }
 
-TEST_F(SweepDirTest, MalformedLeaseIsStaleOnlyAfterGrace)
+TEST_F(SweepDirTest, LeaseWithoutAPidDoesNotLock)
 {
     // A lease file with no parseable pid (foreign writer, torn byte)
-    // must not lock a store forever: it is honored for a short mtime
-    // grace window, then broken.
+    // is only a file: no descriptor holds its lock.
     const std::string path = dir + "/weird.lease";
     std::ofstream(path) << "not a lease\n";
     ASSERT_EQ(leaseHolderPid(path), 0u);
 
     FileLease lease;
-    EXPECT_FALSE(lease.tryAcquire(path));  // fresh: honored
-
-    std::filesystem::last_write_time(
-        path, std::filesystem::file_time_type::clock::now() -
-                  std::chrono::seconds(30));
-    EXPECT_TRUE(lease.tryAcquire(path));  // past grace: stale
+    EXPECT_TRUE(lease.tryAcquire(path));
     EXPECT_EQ(leaseHolderPid(path), std::uint64_t(::getpid()));
+}
+
+// The lease's descriptor is close-on-exec: a child the holder starts
+// does not inherit the lock and so cannot keep the store locked once
+// the holder lets go.  A hard link keeps the locked inode reachable
+// after release() unlinks its name, as a crashed holder's file stays.
+TEST_F(SweepDirTest, LeaseIsNotInheritedAcrossExec)
+{
+    const std::string path = dir + "/exec.lease";
+    const std::string alias = dir + "/exec-alias.lease";
+    FileLease lease;
+    ASSERT_TRUE(lease.tryAcquire(path));
+    ASSERT_EQ(::link(path.c_str(), alias.c_str()), 0);
+
+    char sleepPath[] = "/bin/sleep";
+    char seconds[] = "5";
+    char *argv[] = {sleepPath, seconds, nullptr};
+    pid_t child = 0;
+    ASSERT_EQ(::posix_spawn(&child, sleepPath, nullptr, nullptr, argv,
+                            environ),
+              0);
+    lease.release();
+
+    FileLease again;
+    EXPECT_TRUE(again.tryAcquire(alias));
+    int status = 0;
+    EXPECT_EQ(::waitpid(child, &status, WNOHANG), 0)
+        << "the child exited before the lock was probed";
+    ::kill(child, SIGKILL);
+    EXPECT_EQ(::waitpid(child, &status, 0), child);
 }
 
 // --------------------------------------------------------------- sweep

@@ -13,10 +13,11 @@
  *      held.  A second run on that store fails, naming the parked
  *      run's pid.
  *   2. The test SIGKILLs the parked run: on disk are three intact
- *      frames in the log and a writer lock naming a dead pid.
- *   3. A fresh run on the same store must (a) break the dead
- *      holder's lock, (b) execute exactly total-3 units — the three
- *      stored ones count as warm, none re-executed — and complete.
+ *      frames in the log and a writer.lock naming a dead pid, whose
+ *      lock the kernel dropped with the process.
+ *   3. A fresh run on the same store must (a) take the writer lock,
+ *      (b) execute exactly total-3 units — the three stored ones
+ *      count as warm, none re-executed — and complete.
  *   4. Its compacted snapshot is byte-identical to that of an
  *      uninterrupted run in a clean directory: the crash left no
  *      trace in the final artifact.
@@ -232,7 +233,7 @@ SweepServiceTest::sigkillResumesWithoutRework(const char *jobs)
         EXPECT_FALSE(processAlive(std::uint64_t(stalled)));
     }
 
-    // Phase 2: a fresh run resumes — breaks the stale lock, counts
+    // Phase 2: a fresh run resumes — takes the dropped lock, counts
     // the three stored units as warm, executes exactly the other
     // five, completes and compacts.
     const pid_t resumed =
@@ -329,11 +330,12 @@ TEST_F(SweepServiceTest, CorruptPlanMarkerReadsAsAbsent)
     }
 }
 
-// A lease whose pid line holds no pid a process can have is malformed:
-// honoured through the grace window, then stale.  Both values once
-// read as a pid the liveness probe (signal 0) finds alive: "-1" as
-// 2^64-1, which is pid_t -1 and so every process, and "4294967297" as
-// pid_t 1.  Each such lease once parked every sweep forever.
+// A lease whose pid line holds no pid a process can have names no
+// pid, and like any file no descriptor holds it does not lock.  Both
+// values once read as a pid the liveness probe (signal 0) finds alive:
+// "-1" as 2^64-1, which is pid_t -1 and so every process, and
+// "4294967297" as pid_t 1.  Each such lease once parked every sweep
+// forever.
 TEST_F(SweepServiceTest, LeaseWithImpossiblePidGoesStale)
 {
     const std::string path = root + "/chunk.lease";
@@ -341,18 +343,15 @@ TEST_F(SweepServiceTest, LeaseWithImpossiblePidGoesStale)
         SCOPED_TRACE(pid);
         std::ofstream(path) << "pid " << pid << "\n";
         EXPECT_EQ(leaseHolderPid(path), 0u);
-        std::filesystem::last_write_time(
-            path, std::filesystem::file_time_type::clock::now() -
-                      std::chrono::seconds(30));
         FileLease lease;
         EXPECT_TRUE(lease.tryAcquire(path));
         EXPECT_EQ(leaseHolderPid(path), std::uint64_t(::getpid()));
     }
 }
 
-// `status` names the writer lock's holder; a lock without a holder
-// pid is malformed, and status says how long writers honour it (it
-// once printed such a lease as held by a live pid 0).  A directory
+// `status` names the writer lock's holder; a lock file without a
+// holder pid says so (status once printed such a lease as held by a
+// live pid 0).  A directory
 // that does not exist is no store: status prints nothing and fails,
 // where it once printed an all-zero table.
 TEST_F(SweepServiceTest, StatusReportsWriterLock)
@@ -376,8 +375,7 @@ TEST_F(SweepServiceTest, StatusReportsWriterLock)
 
     std::ofstream(lock) << "garbage\n";
     const std::string malformed = statusOf(store);
-    EXPECT_NE(malformed.find("writer: writer.lock malformed (honoured "
-                             "until its 5 s grace period ends)\n"),
+    EXPECT_NE(malformed.find("writer: writer.lock names no pid\n"),
               std::string::npos)
         << malformed;
     EXPECT_EQ(malformed.find("writer: pid"), std::string::npos)

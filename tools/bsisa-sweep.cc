@@ -3,12 +3,13 @@
  * Sweep-service CLI.
  *
  * Usage:
- *   bsisa-sweep run <spec> --store DIR [--chunk K] [--trace-dir DIR]
+ *   bsisa-sweep run <spec> --store DIR [--trace-dir DIR]
  *       Run the sweep in this process (BSISA_JOBS threads), resuming
- *       whatever an earlier run left, then compact the store.  K is a
- *       plain decimal count.  A store has one writer: a run on a store
- *       whose writer is alive fails, naming the writer's pid.
- *   bsisa-sweep plan <spec> [--chunk K]
+ *       whatever an earlier run left, then compact the store.  A store
+ *       has one writer: a run on a store whose writer lock another
+ *       process holds fails, naming that writer's pid.  The lock is
+ *       the kernel's, so a writer that died holds nothing.
+ *   bsisa-sweep plan <spec>
  *       Print the plan: spec digest, units, chunks (no simulation).
  *   bsisa-sweep render <spec> --store DIR
  *       Render the spec's figure from stored results, byte-identical
@@ -22,15 +23,14 @@
  *       lock).
  *
  * Each subcommand takes only the options listed for it.  Any other
- * option or subcommand, a repeated or valueless option, a second spec
- * or a bad count prints the usage and exits 2 before anything runs.
+ * option or subcommand, a repeated or valueless option or a second
+ * spec prints the usage and exits 2 before anything runs.
  *
  * Exit status: 0 on success; with BSISA_EXPECT_WARM set, `run`
  * additionally fails if any live functional execution happened (the
  * warm-resweep proof, same contract as the bench binaries).
  */
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -56,10 +56,8 @@ usage(const std::string &error = "")
 {
     std::fprintf(
         stderr,
-        "usage: bsisa-sweep run <spec> --store DIR [--chunk K] "
-        "[--trace-dir DIR]\n"
-        "         (K is a decimal count)\n"
-        "       bsisa-sweep plan <spec> [--chunk K]\n"
+        "usage: bsisa-sweep run <spec> --store DIR [--trace-dir DIR]\n"
+        "       bsisa-sweep plan <spec>\n"
         "       bsisa-sweep render <spec> --store DIR\n"
         "       bsisa-sweep status --store DIR [--trace-dir DIR]\n"
         "       bsisa-sweep compact --store DIR\n");
@@ -73,7 +71,6 @@ struct Cli
 {
     SweepSpec spec;
     std::string storeDir;
-    std::uint64_t chunk = 0;
 };
 
 /** The BSISA_EXPECT_WARM contract (same as bench_common.hh): any
@@ -97,7 +94,7 @@ cmdPlan(const Cli &cli)
 {
     SweepPlan plan;
     std::string error;
-    if (!buildPlan(cli.spec, cli.chunk, plan, error)) {
+    if (!buildPlan(cli.spec, 0, plan, error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 1;
     }
@@ -115,8 +112,7 @@ cmdPlan(const Cli &cli)
 int
 cmdRun(const Cli &cli)
 {
-    if (!runSweepCoordinator(cli.spec, {cli.storeDir, cli.chunk},
-                             std::cerr))
+    if (!runSweepCoordinator(cli.spec, {cli.storeDir}, std::cerr))
         return 1;
     return enforceExpectWarm();
 }
@@ -159,11 +155,8 @@ cmdCompact(const Cli &cli)
     return 0;
 }
 
-constexpr OptionSpec runOptions[] = {
-    {"--store", true}, {"--chunk", true}, {"--trace-dir", true}};
-constexpr OptionSpec planOptions[] = {{"--chunk", true}};
 constexpr OptionSpec storeOptions[] = {{"--store", true}};
-constexpr OptionSpec statusOptions[] = {
+constexpr OptionSpec storeAndTraceOptions[] = {
     {"--store", true}, {"--trace-dir", true}};
 
 /** A subcommand: its name, its options, whether it reads a spec, and
@@ -177,10 +170,10 @@ struct Command
 };
 
 constexpr Command commands[] = {
-    {"run", runOptions, true, cmdRun},
-    {"plan", planOptions, true, cmdPlan},
+    {"run", storeAndTraceOptions, true, cmdRun},
+    {"plan", {}, true, cmdPlan},
     {"render", storeOptions, true, cmdRender},
-    {"status", statusOptions, false, cmdStatus},
+    {"status", storeAndTraceOptions, false, cmdStatus},
     {"compact", storeOptions, false, cmdCompact},
 };
 
@@ -203,8 +196,7 @@ main(int argc, char **argv)
     Cli cli;
     std::string error;
     if (!parseCommandLine({argv + 2, argv + argc}, command->options,
-                          command->takesSpec ? 1 : 0, args, error) ||
-        !args.number("--chunk", cli.chunk, error))
+                          command->takesSpec ? 1 : 0, args, error))
         return usage(std::string(name) + ": " + error);
     cli.storeDir = args.get("--store");
 
