@@ -305,7 +305,9 @@ printSweepStatus(std::ostream &os, const std::string &storeDir)
     if (const std::string foreign = store.foreignFile(); !foreign.empty())
         os << "writers refuse this store: " << foreign << "\n";
 
-    // The writer lock's holder.
+    // What the writer lock's file proves without taking the lock: a
+    // holder writes its pid once it holds the lock, so a pid that has
+    // exited holds nothing, but a live one may not hold it either.
     const std::string lock = store.lockPath();
     os << "writer: ";
     if (!std::filesystem::exists(lock, ec)) {
@@ -313,8 +315,8 @@ printSweepStatus(std::ostream &os, const std::string &storeDir)
     } else if (const std::uint64_t pid = leaseHolderPid(lock); pid == 0) {
         os << "writer.lock names no pid\n";
     } else {
-        os << "pid " << pid << " ("
-           << (processAlive(pid) ? "alive" : "dead") << ")\n";
+        os << "writer.lock names pid " << pid
+           << (processAlive(pid) ? "" : " (exited)") << "\n";
     }
 
     // Plan markers.
@@ -373,10 +375,16 @@ printTraceStoreListing(std::ostream &os, const std::string &dir)
     for (const TraceStoreEntryInfo &info : entries) {
         const std::string key =
             std::filesystem::path(info.path).stem().string();
-        if (!info.headerOk) {
-            t.addRow({key, "(corrupt header)", "-", "-",
+        totalBytes += info.fileBytes;
+        const char *unusable =
+            !info.headerOk ? "(corrupt header)"
+            : info.header.formatVersion != traceStoreFormatVersion ||
+                    info.header.interpVersionTag != interpVersion
+                ? "(stale version)"
+                : nullptr;
+        if (unusable) {
+            t.addRow({key, unusable, "-", "-",
                       Table::fmtSep(info.fileBytes)});
-            totalBytes += info.fileBytes;
             continue;
         }
         std::string bench = "(unknown)";
@@ -389,7 +397,6 @@ printTraceStoreListing(std::ostream &os, const std::string &dir)
         t.addRow({key, bench, Table::fmtSep(info.header.maxOps),
                   Table::fmtSep(info.header.eventCount),
                   Table::fmtSep(info.fileBytes)});
-        totalBytes += info.fileBytes;
     }
     t.print(os);
     os << "total: " << Table::fmtSep(totalBytes) << " bytes\n";

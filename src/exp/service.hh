@@ -75,14 +75,16 @@ bool renderSweepFromStore(std::ostream &os, const SweepSpec &spec,
                           std::string &error);
 
 /** Results-store status (`bsisa-sweep status`): record counts, the
- *  writer lock's holder, plan markers, and the trace-store listing
+ *  pid the writer lock's file names, plan markers, and the trace-store listing
  *  when one is configured.  False, printing nothing, when
  *  @p storeDir is not a directory. */
 bool printSweepStatus(std::ostream &os, const std::string &storeDir);
 
 /** Human-readable listing of a BSISA_TRACE_DIR store — key,
  *  benchmark, events, bytes (`bsisa-tracedump --list`, also part of
- *  `bsisa-sweep status`). */
+ *  `bsisa-sweep status`).  An entry no open would accept for its
+ *  header alone is listed as `(corrupt header)` or, when it names
+ *  another format or interpreter version, `(stale version)`. */
 void printTraceStoreListing(std::ostream &os, const std::string &dir);
 
 } // namespace bsisa

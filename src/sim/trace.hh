@@ -41,7 +41,9 @@ constexpr std::uint64_t maxTraceEntries = 0xffffffffull;
 /**
  * One committed block execution in trace form.  Its successor and its
  * address count are derived from the next event (ExecTrace::nextFunc,
- * nextBlock, memCount), so the event stores neither.
+ * nextBlock, memCount), so the event stores neither.  The trace store
+ * writes events as these very bytes, so the record has no padding:
+ * the two bytes after `taken` are a field, always zero.
  */
 struct TraceEvent
 {
@@ -51,6 +53,7 @@ struct TraceEvent
     std::uint32_t memBegin = 0;
     ExitKind exit = ExitKind::Halt;
     bool taken = false;
+    std::uint16_t spare = 0;
 };
 
 static_assert(sizeof(TraceEvent) == 16,
@@ -80,10 +83,10 @@ static_assert(sizeof(TraceEvent) == 16,
  *     covering events [pos, pos + n) has the single span
  *     [events[pos].memBegin, memOffset(pos + n)).
  *
- * Both builders guarantee both — captureTrace appends sequentially, and
- * the trace-store decoder derives the offsets as the running sum of
- * the stored counts, rejects an entry whose sum is not the pool size,
- * and rejects an event that is not its predecessor's stored successor.
+ * captureTrace guarantees both by appending sequentially.  A trace
+ * store entry stores the events and the tail as they are, and its
+ * open rejects an entry whose first offset is not 0, whose offsets
+ * decrease, or whose last offset is past the pool size.
  *
  * Traces are move-only: spans point into the owned vectors, whose
  * heap buffers survive moves but not copies.

@@ -1,7 +1,8 @@
 /**
  * @file
- * Trace store implementation: entry naming, varint/delta codec,
- * mmap-backed open, and the capture-or-open path with atomic repair.
+ * Trace store implementation: entry naming, the raw-record writer,
+ * mmap-backed open with one validation pass over the event records,
+ * and the capture-or-open path with atomic repair.
  */
 
 #include "sim/trace_store.hh"
@@ -32,7 +33,6 @@
 #include "support/env.hh"
 #include "support/lockfile.hh"
 #include "support/logging.hh"
-#include "support/varint.hh"
 
 namespace bsisa
 {
@@ -40,16 +40,23 @@ namespace bsisa
 namespace
 {
 
-static_assert(sizeof(TraceFileHeader) == 112,
+static_assert(sizeof(TraceFileHeader) == 120,
               "on-disk header layout changed; bump "
               "traceStoreFormatVersion");
 static_assert(std::is_trivially_copyable_v<TraceFileHeader>);
 
-/** Address-pool alignment inside the file (cache-line sized). */
-constexpr std::uint64_t poolAlign = 64;
-
-/** Encoded events gathered before each write and checksum step. */
-constexpr std::size_t eventChunkBytes = 64 * 1024;
+// The event section is the TraceEvent array itself.
+static_assert(sizeof(TraceEvent) == 16 &&
+                  offsetof(TraceEvent, func) == 0 &&
+                  offsetof(TraceEvent, block) == 4 &&
+                  offsetof(TraceEvent, memBegin) == 8 &&
+                  offsetof(TraceEvent, exit) == 12 &&
+                  offsetof(TraceEvent, taken) == 13 &&
+                  offsetof(TraceEvent, spare) == 14,
+              "on-disk event record layout changed; bump "
+              "traceStoreFormatVersion");
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
+static_assert(traceEventsOffset % alignof(TraceEvent) == 0);
 
 std::atomic<std::uint64_t> statWarm{0};
 std::atomic<std::uint64_t> statCold{0};
@@ -105,103 +112,34 @@ class MappedFile
     const std::uint8_t *data() const { return base; }
     std::size_t size() const { return length; }
 
-    /** Drop the whole pages below file offset @p end from the
-     *  process's resident set: bytes already read there and never
-     *  read again.  The mapping stays; a later read would fault the
-     *  page back in from the file. */
-    void
-    release(std::size_t end) const
-    {
-#if BSISA_HAVE_MMAP
-        const std::size_t page = std::size_t(::sysconf(_SC_PAGESIZE));
-        const std::size_t whole = end / page * page;
-        if (whole)
-            ::madvise(const_cast<std::uint8_t *>(base), whole,
-                      MADV_DONTNEED);
-#else
-        (void)end;
-#endif
-    }
-
   private:
     const std::uint8_t *base = nullptr;
     std::size_t length = 0;
 };
 
-/** Encode event @p i of @p trace.  The stream is the committed path,
- *  so an event's identity is the previous event's successor (0 before
- *  the first event) and those deltas are zero, one byte each.  The
- *  successor and the address count are stored although the next
- *  event holds them: they are the format. */
-void
-encodeEvent(std::vector<std::uint8_t> &out, const ExecTrace &trace,
-            std::size_t i)
-{
-    const TraceEvent &te = trace.events[i];
-    const FuncId predFunc = i ? trace.nextFunc(i - 1) : 0;
-    const BlockId predBlock = i ? trace.nextBlock(i - 1) : 0;
-    putVarint(out, zigzagEncode(std::int64_t(te.func) -
-                                std::int64_t(predFunc)));
-    putVarint(out, zigzagEncode(std::int64_t(te.block) -
-                                std::int64_t(predBlock)));
-    putVarint(out, zigzagEncode(std::int64_t(trace.nextFunc(i)) -
-                                std::int64_t(te.func)));
-    putVarint(out, zigzagEncode(std::int64_t(trace.nextBlock(i)) -
-                                std::int64_t(te.block)));
-    out.push_back(std::uint8_t(unsigned(te.exit) & 7) |
-                  std::uint8_t(te.taken ? 8 : 0));
-    putVarint(out, trace.memCount(i));
-}
-
-/** Decode the whole event section into @p out's owned events and
- *  tail; false on any inconsistency.  The caller has checked that
- *  @p eventCount fits the section, so the reservation is bounded by
- *  the file size. */
+/** Check the @p eventCount raw records at @p p against what a
+ *  TraceEvent may hold and the span-adjacency invariant of ExecTrace,
+ *  reading bytes only, so no record is read as a TraceEvent (whose
+ *  `taken` is a bool) until all of them passed. */
 bool
-decodeEvents(const std::uint8_t *p, const std::uint8_t *end,
-             std::uint64_t eventCount, std::uint64_t addrCount,
-             ExecTrace &out)
+validateEvents(const std::uint8_t *p, std::uint64_t eventCount,
+               std::uint64_t addrCount)
 {
-    std::vector<TraceEvent> &events = out.ownedEvents;
-    events.clear();
-    events.reserve(eventCount);
-    // The stored successor of the previous event (0 seeds the first).
-    FuncId predFunc = 0;
-    BlockId predBlock = 0;
-    std::uint64_t pool = 0;
-    for (std::uint64_t i = 0; i < eventCount; ++i) {
-        std::uint64_t df, db, dnf, dnb, count;
-        if (!getVarint(p, end, df) || !getVarint(p, end, db))
+    std::uint32_t pool = 0;
+    for (std::uint64_t i = 0; i < eventCount; ++i, p += sizeof(TraceEvent)) {
+        std::uint32_t memBegin;
+        std::uint16_t spare;
+        std::memcpy(&memBegin, p + offsetof(TraceEvent, memBegin),
+                    sizeof(memBegin));
+        std::memcpy(&spare, p + offsetof(TraceEvent, spare),
+                    sizeof(spare));
+        if (p[offsetof(TraceEvent, exit)] > unsigned(ExitKind::Halt) ||
+            p[offsetof(TraceEvent, taken)] > 1 || spare != 0 ||
+            memBegin < pool || (i == 0 && memBegin != 0))
             return false;
-        // Only the first event may differ from its predecessor's
-        // successor: the in-memory event keeps one copy of each.
-        if (i > 0 && (df | db))
-            return false;
-        TraceEvent te;
-        te.func = FuncId(std::int64_t(predFunc) + zigzagDecode(df));
-        te.block = BlockId(std::int64_t(predBlock) + zigzagDecode(db));
-        if (!getVarint(p, end, dnf) || !getVarint(p, end, dnb))
-            return false;
-        predFunc = FuncId(std::int64_t(te.func) + zigzagDecode(dnf));
-        predBlock = BlockId(std::int64_t(te.block) + zigzagDecode(dnb));
-        if (p >= end)
-            return false;
-        const std::uint8_t packed = *p++;
-        if ((packed & 7) > unsigned(ExitKind::Halt) || (packed >> 4))
-            return false;
-        te.exit = ExitKind(packed & 7);
-        te.taken = (packed & 8) != 0;
-        if (!getVarint(p, end, count) || count > addrCount - pool)
-            return false;
-        te.memBegin = std::uint32_t(pool);
-        pool += count;
-        events.push_back(te);
+        pool = memBegin;
     }
-    out.tailFunc = predFunc;
-    out.tailBlock = predBlock;
-    // The section must be consumed exactly, and the implicit pool
-    // offsets must cover the whole address section.
-    return p == end && pool == addrCount;
+    return pool <= addrCount;
 }
 
 /** The checks a header passes before any of its fields is trusted:
@@ -268,30 +206,11 @@ bool
 encodeTrace(const ExecTrace &trace, const TraceKey &key,
             std::ostream &out)
 {
-    // The header's sizes and sums are known once the sections are
-    // written; a zeroed header holds its place until then.
+    const std::uint64_t eventBytes = trace.eventCount * sizeof(TraceEvent);
+    const std::uint64_t poolBytes =
+        trace.memAddrCount * sizeof(std::uint64_t);
     TraceFileHeader h;
     std::memset(&h, 0, sizeof(h));
-    out.write(reinterpret_cast<const char *>(&h), sizeof(h));
-
-    Fnv1a64Words eventSum;
-    std::uint64_t eventBytes = 0;
-    std::vector<std::uint8_t> chunk;
-    chunk.reserve(eventChunkBytes + 64);
-    const auto flush = [&] {
-        eventSum.bytes(chunk.data(), chunk.size());
-        out.write(reinterpret_cast<const char *>(chunk.data()),
-                  std::streamsize(chunk.size()));
-        eventBytes += chunk.size();
-        chunk.clear();
-    };
-    for (std::size_t i = 0; i < trace.eventCount; ++i) {
-        encodeEvent(chunk, trace, i);
-        if (chunk.size() >= eventChunkBytes)
-            flush();
-    }
-    flush();
-
     std::memcpy(h.magic, traceStoreMagic, sizeof(h.magic));
     h.formatVersion = traceStoreFormatVersion;
     h.interpVersionTag = interpVersion;
@@ -303,27 +222,29 @@ encodeTrace(const ExecTrace &trace, const TraceKey &key,
     h.eventCount = trace.eventCount;
     h.eventBytes = eventBytes;
     h.addrCount = trace.memAddrCount;
-    h.addrOffset = (sizeof(TraceFileHeader) + eventBytes +
-                    poolAlign - 1) &
-                   ~(poolAlign - 1);
-    h.eventChecksum = eventSum.value();
-    const std::size_t poolBytes =
-        trace.memAddrCount * sizeof(std::uint64_t);
+    h.addrOffset = (traceEventsOffset + eventBytes +
+                    traceSectionAlign - 1) &
+                   ~(traceSectionAlign - 1);
+    h.tailFunc = trace.tailFunc;
+    h.tailBlock = trace.tailBlock;
+    h.eventChecksum = fnv1a64Words(trace.events, eventBytes);
     h.addrChecksum = fnv1a64Words(trace.memAddrs, poolBytes);
     h.headerChecksum =
         fnv1a64(&h, offsetof(TraceFileHeader, headerChecksum));
 
-    // The pool goes out straight from the trace's own storage.
-    static const char padding[poolAlign] = {};
-    out.write(padding, std::streamsize(h.addrOffset -
-                                       sizeof(TraceFileHeader) -
+    // Both sections go out straight from the trace's own storage.
+    static const char padding[traceSectionAlign] = {};
+    out.write(reinterpret_cast<const char *>(&h), sizeof(h));
+    out.write(padding,
+              std::streamsize(traceEventsOffset - sizeof(TraceFileHeader)));
+    if (eventBytes)
+        out.write(reinterpret_cast<const char *>(trace.events),
+                  std::streamsize(eventBytes));
+    out.write(padding, std::streamsize(h.addrOffset - traceEventsOffset -
                                        eventBytes));
     if (poolBytes)
         out.write(reinterpret_cast<const char *>(trace.memAddrs),
                   std::streamsize(poolBytes));
-    out.seekp(0);
-    out.write(reinterpret_cast<const char *>(&h), sizeof(h));
-    out.seekp(0, std::ios::end);
     return bool(out);
 }
 
@@ -409,40 +330,36 @@ openTraceFile(const std::string &path, const TraceKey &key,
         status != TraceOpenStatus::Ok)
         return status;
 
-    const std::uint64_t eventsEnd = sizeof(TraceFileHeader) +
-                                    h.eventBytes;
-    if (eventsEnd < sizeof(TraceFileHeader) ||  // overflow
-        eventsEnd > h.addrOffset || (h.addrOffset & (poolAlign - 1)) ||
+    // Every count is bounded, and the event section's size follows
+    // from its count, before any section is read.
+    if (h.eventCount > maxTraceEntries || h.addrCount > maxTraceEntries ||
+        h.eventBytes != h.eventCount * sizeof(TraceEvent))
+        return TraceOpenStatus::BadGeometry;
+    const std::uint64_t eventsEnd = traceEventsOffset + h.eventBytes;
+    if (eventsEnd > h.addrOffset || (h.addrOffset & (traceSectionAlign - 1)) ||
         h.addrOffset > size ||
         h.addrCount > (size - h.addrOffset) / sizeof(std::uint64_t) ||
         h.addrOffset + h.addrCount * sizeof(std::uint64_t) != size)
         return TraceOpenStatus::BadGeometry;
-    // Every event encodes in at least six bytes (four varints, the
-    // exit byte, the address count), so a count the section cannot
-    // hold is rejected before anything is allocated for it.
-    if (h.eventCount > maxTraceEntries || h.addrCount > maxTraceEntries ||
-        h.eventCount > h.eventBytes / 6)
-        return TraceOpenStatus::BadGeometry;
 
-    const std::uint8_t *events = base + sizeof(TraceFileHeader);
+    const std::uint8_t *events = base + traceEventsOffset;
     const std::uint8_t *pool = base + h.addrOffset;
     if (h.eventChecksum != fnv1a64Words(events, h.eventBytes) ||
         h.addrChecksum !=
             fnv1a64Words(pool, h.addrCount * sizeof(std::uint64_t)))
         return TraceOpenStatus::BadChecksum;
-
-    if (!decodeEvents(events, events + h.eventBytes, h.eventCount,
-                      h.addrCount, out))
+    if (!validateEvents(events, h.eventCount, h.addrCount))
         return TraceOpenStatus::BadEventStream;
-    // The header and the event section are decoded; only the pool's
-    // pages stay resident.
-    file->release(h.addrOffset);
 
+    // Zero-copy: both pools are the file's pages.
+    out.ownedEvents.clear();
     out.ownedAddrs.clear();
-    out.sealOwned();
-    // Zero-copy: the address pool is the file's pages.
+    out.events = reinterpret_cast<const TraceEvent *>(events);
+    out.eventCount = h.eventCount;
     out.memAddrs = reinterpret_cast<const std::uint64_t *>(pool);
     out.memAddrCount = h.addrCount;
+    out.tailFunc = h.tailFunc;
+    out.tailBlock = h.tailBlock;
     out.dynOps = h.dynOps;
     out.dynBlocks = h.dynBlocks;
     out.backing = file;

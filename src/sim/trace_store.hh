@@ -14,42 +14,32 @@
  * On-disk format (little-endian, one file per entry):
  *
  *   [TraceFileHeader]  magic, format + interp versions, the full
- *                      content key, counts, section geometry, and
- *                      per-section FNV-1a checksums (the header
+ *                      content key, counts, the trace's tail (the
+ *                      last event's successor), section geometry,
+ *                      and per-section FNV-1a checksums (the header
  *                      itself is checksummed too).
- *   [event section]    varint/delta stream, about 6 bytes per
- *                      committed block (vs 16 in memory): zigzag
- *                      deltas for func/block (against the previous
- *                      event's successor) and for the successor
- *                      (against the block), one packed exit|taken
- *                      byte, a varint address count.  Pool offsets
- *                      (TraceEvent::memBegin) are implicit — the
- *                      running sum of counts — which is what makes
- *                      the layout relocatable.  The decoder keeps
- *                      one copy of what the stream stores twice: an
- *                      event after the first must be its
- *                      predecessor's successor (zero deltas), the
- *                      last event's successor becomes the trace's
- *                      tail, and the counts become offsets.
+ *   [event section]    the TraceEvent records themselves, 16 bytes
+ *                      each, 64-byte aligned at traceEventsOffset.
  *   [address pool]     the Ld/St addresses as raw uint64s, 64-byte
- *                      aligned.  Stored verbatim *because* replay
- *                      hands out zero-copy spans into this section:
- *                      the mmap-ed pages become ExecTrace::memAddrs
- *                      directly, and the implicit offsets satisfy
- *                      the ExecTrace span-adjacency invariant.
+ *                      aligned.
  *
- * Opening verifies the header (its counts against maxTraceEntries
- * and the event count against what the section can hold, before
- * anything is allocated), both section checksums, and the decoded
- * event stream's bounds.  Once decoded, the header and event pages
- * are released from the resident set; only the pool stays mapped in.
+ * Both sections are stored as the trace holds them *because* replay
+ * reads them in place: the mmap-ed pages become ExecTrace::events and
+ * ExecTrace::memAddrs directly, so a warm trace owns nothing.
+ *
+ * Opening verifies the header (its counts against maxTraceEntries and
+ * eventBytes == 16 x eventCount, before any section is read), both
+ * section checksums, and then each record's bytes before any is read
+ * as a TraceEvent: an exit kind up to Halt, a taken byte of 0 or 1, a
+ * zero spare field, and pool offsets that start at 0, never decrease
+ * and end within the pool (the span-adjacency invariant of ExecTrace).
  * Any mismatch (torn write, stale version, truncation, tampering)
  * degrades gracefully: warn once,
  * fall back to live capture, and atomically repair the entry
  * (write-to-temp + rename, safe under BSISA_JOBS concurrency and
- * across processes).  An entry is streamed into its temp file, the
- * pool straight from the captured trace, so writing one holds no
- * second copy of the trace.  A reader that needs only the header's
+ * across processes).  An entry is written into its temp file straight
+ * from the captured trace's two pools, so writing one holds no second
+ * copy of the trace.  A reader that needs only the header's
  * counts (Table 2's op count) applies the same header checks without
  * opening the sections (readTraceHeader with a key).
  */
@@ -69,7 +59,7 @@ namespace bsisa
 {
 
 /** Format version of the on-disk layout (content-key component). */
-constexpr std::uint32_t traceStoreFormatVersion = 1;
+constexpr std::uint32_t traceStoreFormatVersion = 2;
 
 /** Digest of a module's complete compiled form (structure + data),
  *  via the canonical text serialization.  Compute once per module
@@ -100,10 +90,12 @@ struct TraceFileHeader
     std::uint64_t maxBlocks;
     std::uint64_t dynOps;
     std::uint64_t dynBlocks;
-    std::uint64_t eventCount;   //!< committed blocks in the stream
-    std::uint64_t eventBytes;   //!< size of the varint event section
+    std::uint64_t eventCount;   //!< TraceEvent records in the stream
+    std::uint64_t eventBytes;   //!< 16 x eventCount
     std::uint64_t addrCount;    //!< uint64 entries in the pool
     std::uint64_t addrOffset;   //!< file offset of the pool (aligned)
+    std::uint32_t tailFunc;     //!< ExecTrace::tailFunc
+    std::uint32_t tailBlock;    //!< ExecTrace::tailBlock
     std::uint64_t eventChecksum;
     std::uint64_t addrChecksum;
     std::uint64_t headerChecksum;  //!< over all preceding bytes
@@ -111,6 +103,15 @@ struct TraceFileHeader
 
 constexpr char traceStoreMagic[8] = {'B', 'S', 'A', 'T',
                                      'R', 'C', '0', '1'};
+
+/** Alignment of both sections in an entry file (a cache line). */
+constexpr std::uint64_t traceSectionAlign = 64;
+
+/** File offset of the event section: the header, rounded up to the
+ *  section alignment. */
+constexpr std::uint64_t traceEventsOffset =
+    (sizeof(TraceFileHeader) + traceSectionAlign - 1) &
+    ~(traceSectionAlign - 1);
 
 /** Why an open failed; Ok means the entry was mapped. */
 enum class TraceOpenStatus
@@ -122,17 +123,16 @@ enum class TraceOpenStatus
     BadKey,         //!< header key fields disagree with the request
     BadGeometry,    //!< section offsets/sizes exceed the file
     BadChecksum,    //!< an event/address section checksum mismatch
-    BadEventStream, //!< varint stream truncated or inconsistent
+    BadEventStream, //!< an event record breaks a rule of ExecTrace
 };
 
 /** Human-readable name of an open status (tracedump, warnings). */
 const char *traceOpenStatusName(TraceOpenStatus status);
 
 /** Serialize @p trace into the on-disk entry format, streamed into
- *  @p out: the header, the event section in chunks and the address
- *  pool straight from trace.memAddrs, then the header again at offset
- *  0 once its sums are known (so @p out must be seekable).  False
- *  when the stream fails. */
+ *  @p out: the header, then the event records and the address pool
+ *  straight from the trace's own storage.  False when the stream
+ *  fails. */
 bool encodeTrace(const ExecTrace &trace, const TraceKey &key,
                  std::ostream &out);
 
@@ -142,9 +142,9 @@ std::vector<std::uint8_t> encodeTrace(const ExecTrace &trace,
 
 /**
  * Open one entry file: mmap, verify header + checksums against
- * @p key, decode the event stream and release its pages.  On success
- * @p out is a live trace whose address pool points into the mapping
- * (pinned by ExecTrace::backing).
+ * @p key, then validate the event records.  On success @p out is a
+ * live trace whose events and address pool both point into the
+ * mapping (pinned by ExecTrace::backing).
  */
 TraceOpenStatus openTraceFile(const std::string &path,
                               const TraceKey &key, ExecTrace &out);

@@ -19,7 +19,6 @@
 #include "support/rng.hh"
 #include "support/sat_counter.hh"
 #include "support/table.hh"
-#include "support/varint.hh"
 
 using namespace bsisa;
 
@@ -363,64 +362,4 @@ TEST(Digest, WordVariantDetectsChangesAndLengths)
 
     // Empty input is well-defined and never reads the pointer.
     EXPECT_EQ(fnv1a64Words(nullptr, 0), fnv1a64Words(zeros, 0));
-}
-
-TEST(Varint, RoundTripsRepresentativeValues)
-{
-    const std::uint64_t values[] = {
-        0,    1,     127,        128,        16383, 16384,
-        1234, 99999, 1ull << 32, 1ull << 62, ~0ull};
-    std::vector<std::uint8_t> buf;
-    for (std::uint64_t v : values)
-        putVarint(buf, v);
-    const std::uint8_t *p = buf.data();
-    const std::uint8_t *end = buf.data() + buf.size();
-    for (std::uint64_t v : values) {
-        std::uint64_t got = 0;
-        ASSERT_TRUE(getVarint(p, end, got));
-        EXPECT_EQ(got, v);
-    }
-    EXPECT_EQ(p, end);
-}
-
-TEST(Varint, EncodedSizeTracksMagnitude)
-{
-    std::vector<std::uint8_t> buf;
-    putVarint(buf, 5);
-    EXPECT_EQ(buf.size(), 1u);
-    buf.clear();
-    putVarint(buf, 300);
-    EXPECT_EQ(buf.size(), 2u);
-    buf.clear();
-    putVarint(buf, ~0ull);
-    EXPECT_EQ(buf.size(), 10u);
-}
-
-TEST(Varint, RejectsTruncatedAndOverlong)
-{
-    std::vector<std::uint8_t> buf;
-    putVarint(buf, 1ull << 40);
-    std::uint64_t v = 0;
-    for (std::size_t cut = 0; cut + 1 < buf.size(); ++cut) {
-        const std::uint8_t *p = buf.data();
-        EXPECT_FALSE(getVarint(p, p + cut, v));
-    }
-    // 11-byte continuation run cannot fit in 64 bits.
-    const std::uint8_t overlong[11] = {0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
-                                       0x80, 0x80, 0x80, 0x80, 0x01};
-    const std::uint8_t *p = overlong;
-    EXPECT_FALSE(getVarint(p, overlong + sizeof(overlong), v));
-}
-
-TEST(Varint, ZigzagRoundTrip)
-{
-    const std::int64_t values[] = {0, -1, 1, -2, 2, 63, -64,
-                                   std::int64_t(1) << 40,
-                                   -(std::int64_t(1) << 40),
-                                   INT64_MAX, INT64_MIN};
-    for (std::int64_t v : values)
-        EXPECT_EQ(zigzagDecode(zigzagEncode(v)), v);
-    // Small magnitudes map to small codes (1-byte varints).
-    EXPECT_LT(zigzagEncode(-3), 8u);
-    EXPECT_LT(zigzagEncode(3), 8u);
 }

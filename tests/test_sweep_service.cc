@@ -366,10 +366,23 @@ TEST_F(SweepServiceTest, StatusReportsWriterLock)
     };
     EXPECT_NE(statusOf(store).find("writer: none\n"), std::string::npos);
 
+    // A live pid in a file no process locks: status reports what the
+    // file names, not a holder it cannot prove.
     std::ofstream(lock) << "pid " << ::getpid() << "\n";
-    EXPECT_NE(statusOf(store).find("writer: pid " +
-                                   std::to_string(::getpid()) +
-                                   " (alive)\n"),
+    EXPECT_NE(statusOf(store).find("writer: writer.lock names pid " +
+                                   std::to_string(::getpid()) + "\n"),
+              std::string::npos)
+        << statusOf(store);
+
+    // A pid that has exited holds nothing.
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        ::_exit(0);
+    ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+    std::ofstream(lock) << "pid " << child << "\n";
+    EXPECT_NE(statusOf(store).find("writer: writer.lock names pid " +
+                                   std::to_string(child) + " (exited)\n"),
               std::string::npos)
         << statusOf(store);
 

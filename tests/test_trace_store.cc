@@ -2,25 +2,29 @@
  * @file
  * Tests of the persistent content-addressed trace store.
  *
- * Five properties are pinned down:
+ * Seven properties are pinned down:
  *   1. The on-disk round trip is bit-exact: encode + mmap-open
  *      reproduces every event, derived successor and address count,
  *      and pool address of a live capture, on all eight benchmarks;
  *      the replayed SimResult is identical; and re-encoding the
  *      opened entry reproduces its file byte for byte.
- *   2. A warm load performs zero functional executions (the
+ *   2. An entry's bytes are a function of the trace: two fresh
+ *      stores capture the same benchmark into identical files.
+ *   3. A warm load performs zero functional executions (the
  *      interpreter-invocation counter does not move) and serves the
  *      trace straight out of the mapping.
- *   3. Every corruption class — truncation, a flipped byte in any
+ *   4. Every corruption class — truncation, a flipped byte in any
  *      section, a stale version, a mismatched key, an event count
- *      the section cannot hold, an event that is not its
- *      predecessor's successor — is detected with
+ *      the section cannot hold, a resealed event record that breaks
+ *      a rule of TraceEvent or of span adjacency — is detected with
  *      the right status, degrades to live capture with correct
  *      results, and leaves a repaired entry on disk.
- *   4. With no store configured, captureOrLoadTrace is plain
+ *   5. With no store configured, captureOrLoadTrace is plain
  *      captureTrace.
- *   5. Captured and warm-loaded traces both satisfy the ExecTrace
+ *   6. Captured and warm-loaded traces both satisfy the ExecTrace
  *      span-adjacency invariant the fetch sources slice units by.
+ *   7. A store listing names an entry of another format version as
+ *      stale, not as a live entry.
  */
 
 #include <gtest/gtest.h>
@@ -32,17 +36,18 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "exp/runner.hh"
+#include "exp/service.hh"
 #include "sim/interp.hh"
 #include "sim/trace_store.hh"
 #include "sim_result_print.hh"
 #include "support/digest.hh"
-#include "support/varint.hh"
 #include "workloads/specmix.hh"
 
 using namespace bsisa;
@@ -102,11 +107,28 @@ resealEntry(std::vector<std::uint8_t> &bytes,
     if (edit)
         edit(h);
     h.eventChecksum =
-        fnv1a64Words(bytes.data() + sizeof(h), h.eventBytes);
+        fnv1a64Words(bytes.data() + traceEventsOffset, h.eventBytes);
     std::memcpy(bytes.data(), &h, sizeof(h));
     h.headerChecksum =
         fnv1a64(bytes.data(), offsetof(TraceFileHeader, headerChecksum));
     std::memcpy(bytes.data(), &h, sizeof(h));
+}
+
+/** File offset of field @p field of event record @p i. */
+std::size_t
+eventField(std::size_t i, std::size_t field)
+{
+    return std::size_t(traceEventsOffset) + i * sizeof(TraceEvent) +
+           field;
+}
+
+/** Set event record @p i's memBegin in @p bytes. */
+void
+setMemBegin(std::vector<std::uint8_t> &bytes, std::size_t i,
+            std::uint32_t memBegin)
+{
+    std::memcpy(&bytes[eventField(i, offsetof(TraceEvent, memBegin))],
+                &memBegin, sizeof(memBegin));
 }
 
 /** ExecTrace span adjacency: each event's span starts where the
@@ -169,14 +191,34 @@ TEST_F(TraceStoreTest, RoundTripBitIdenticalOnAllBenchmarks)
         ASSERT_EQ(openTraceFile(path, key, mapped), TraceOpenStatus::Ok);
         EXPECT_TRUE(mapped.mapped());
         expectSameTrace(live, mapped);
-        // The opened entry re-encodes to its file byte for byte: the
-        // derived successors and counts write the stored ones back.
+        // The opened entry re-encodes to its file byte for byte: its
+        // mapped records and header tail write the same sections.
         EXPECT_EQ(encodeTrace(mapped, key), readFile(path));
 
         const MachineConfig machine;
         EXPECT_EQ(runConventional(m, machine, live),
                   runConventional(m, machine, mapped));
     }
+}
+
+TEST_F(TraceStoreTest, EntryBytesAreAFunctionOfTheTrace)
+{
+    // The spare field is written as zero, so two captures of one
+    // benchmark into two fresh stores write identical files.
+    const auto suite = specint95Suite();
+    const Module m = generateWorkload(suite[1].params);
+    const std::uint64_t digest = moduleDigest(m);
+    Interp::Limits limits;
+    limits.maxOps = suite[1].scaledBudget(4000);
+    const TraceKey key{digest, limits.maxOps, limits.maxBlocks};
+
+    const TraceStore a(dir + "/a"), b(dir + "/b");
+    (void)a.load(m, digest, limits);
+    (void)b.load(m, digest, limits);
+    EXPECT_EQ(TraceStore::stats().coldCaptures, 2u);
+    const std::vector<std::uint8_t> bytes = readFile(a.entryPath(key));
+    ASSERT_GT(bytes.size(), traceEventsOffset);
+    EXPECT_EQ(bytes, readFile(b.entryPath(key)));
 }
 
 TEST_F(TraceStoreTest, WarmLoadRunsZeroFunctionalExecutions)
@@ -258,7 +300,7 @@ TEST_F(TraceStoreTest, CorruptionMatrixFallsBackAndRepairs)
          }},
         {"truncated mid-event-section", TraceOpenStatus::BadGeometry,
          [](std::vector<std::uint8_t> &b) {
-             b.resize(sizeof(TraceFileHeader) + 3);
+             b.resize(traceEventsOffset + 3);
          }},
         {"flipped header byte", TraceOpenStatus::BadHeader,
          [](std::vector<std::uint8_t> &b) {
@@ -266,7 +308,7 @@ TEST_F(TraceStoreTest, CorruptionMatrixFallsBackAndRepairs)
          }},
         {"flipped event-section byte", TraceOpenStatus::BadChecksum,
          [](std::vector<std::uint8_t> &b) {
-             b[sizeof(TraceFileHeader) + 1] ^= 0x01;
+             b[traceEventsOffset + 1] ^= 0x01;
          }},
         {"flipped address-pool byte", TraceOpenStatus::BadChecksum,
          [&ph](std::vector<std::uint8_t> &b) {
@@ -282,27 +324,56 @@ TEST_F(TraceStoreTest, CorruptionMatrixFallsBackAndRepairs)
          }},
         {"event count beyond its section", TraceOpenStatus::BadGeometry,
          [](std::vector<std::uint8_t> &b) {
-             // Rejected before the decoder allocates for the count.
+             // Rejected before anything is allocated for the count.
              resealEntry(b, [](TraceFileHeader &h) {
                  h.eventCount = std::uint64_t(1) << 33;
              });
          }},
-        {"event is not its predecessor's successor",
-         TraceOpenStatus::BadEventStream,
+        {"event count disagrees with its section",
+         TraceOpenStatus::BadGeometry,
          [](std::vector<std::uint8_t> &b) {
-             // Skip event 0 (four deltas, the exit byte, the address
-             // count) and give event 1 a function one past event 0's
-             // successor.
-             const std::uint8_t *p = b.data() + sizeof(TraceFileHeader);
-             const std::uint8_t *end = b.data() + b.size();
-             std::uint64_t v;
-             for (int field = 0; field < 4; ++field)
-                 ASSERT_TRUE(getVarint(p, end, v));
-             ++p;
-             ASSERT_TRUE(getVarint(p, end, v));
-             const std::size_t at = std::size_t(p - b.data());
-             ASSERT_EQ(b[at], 0u);  // a zero delta, one byte
-             b[at] = std::uint8_t(zigzagEncode(1));
+             resealEntry(b, [](TraceFileHeader &h) { ++h.eventCount; });
+         }},
+        // Resealed records, each breaking one rule of the open's
+        // validation pass: what a TraceEvent may hold, then span
+        // adjacency.
+        {"exit kind past Halt", TraceOpenStatus::BadEventStream,
+         [](std::vector<std::uint8_t> &b) {
+             b[eventField(0, offsetof(TraceEvent, exit))] =
+                 std::uint8_t(ExitKind::Halt) + 1;
+             resealEntry(b);
+         }},
+        {"taken byte of 2", TraceOpenStatus::BadEventStream,
+         [](std::vector<std::uint8_t> &b) {
+             b[eventField(0, offsetof(TraceEvent, taken))] = 2;
+             resealEntry(b);
+         }},
+        {"non-zero spare field", TraceOpenStatus::BadEventStream,
+         [](std::vector<std::uint8_t> &b) {
+             b[eventField(0, offsetof(TraceEvent, spare)) + 1] = 1;
+             resealEntry(b);
+         }},
+        {"first memBegin past 0", TraceOpenStatus::BadEventStream,
+         [](std::vector<std::uint8_t> &b) {
+             setMemBegin(b, 0, 1);
+             resealEntry(b);
+         }},
+        {"memBegin that decreases", TraceOpenStatus::BadEventStream,
+         [&baseline](std::vector<std::uint8_t> &b) {
+             // The event after the first one with addresses before it
+             // starts one address earlier.
+             std::size_t i = 1;
+             while (i < baseline.eventCount &&
+                    baseline.events[i].memBegin == 0)
+                 ++i;
+             ASSERT_LT(i + 1, baseline.eventCount);
+             setMemBegin(b, i + 1, baseline.events[i].memBegin - 1);
+             resealEntry(b);
+         }},
+        {"last memBegin past addrCount", TraceOpenStatus::BadEventStream,
+         [&baseline](std::vector<std::uint8_t> &b) {
+             setMemBegin(b, baseline.eventCount - 1,
+                         std::uint32_t(baseline.memAddrCount) + 1);
              resealEntry(b);
          }},
     };
@@ -411,4 +482,34 @@ TEST_F(TraceStoreTest, EnvConfiguredStoreServesWarmEntries)
     EXPECT_FALSE(cold.mapped());
     EXPECT_TRUE(warm.mapped());
     expectSameTrace(cold, warm);
+}
+
+TEST_F(TraceStoreTest, ListingNamesStaleVersionEntries)
+{
+    const auto suite = specint95Suite();
+    const Module m = generateWorkload(suite[0].params);
+    const std::uint64_t digest = moduleDigest(m);
+    Interp::Limits limits;
+    limits.maxOps = suite[0].scaledBudget(4000);
+    const TraceKey key{digest, limits.maxOps, limits.maxBlocks};
+
+    const TraceStore store(dir);
+    (void)store.load(m, digest, limits);
+    // An entry a format-1 writer left: a whole, sealed header that
+    // names the old version, under a name no current key hashes to.
+    std::vector<std::uint8_t> stale = readFile(store.entryPath(key));
+    resealEntry(stale, [](TraceFileHeader &h) { h.formatVersion = 1; });
+    writeFile(dir + "/0000000000000001.bstrace", stale);
+
+    std::ostringstream listing;
+    printTraceStoreListing(listing, dir);
+    const std::string text = listing.str();
+    EXPECT_NE(text.find("(2 entries)"), std::string::npos) << text;
+    EXPECT_NE(text.find("0000000000000001  (stale version)"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find(key.fileName().substr(0, 16) + "  " +
+                        suite[0].params.name),
+              std::string::npos)
+        << text;
 }

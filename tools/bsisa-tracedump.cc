@@ -18,7 +18,7 @@
  * --list or --dir directory exits 1, any other misuse exits 2.
  *
  * Verification re-runs the exact open path the simulator uses (mmap,
- * header + section checksums, event-stream decode), using the entry's
+ * header + section checksums, event-record validation), using the entry's
  * own header as the expected key, so a "ok" entry is by construction
  * loadable.
  */
@@ -90,28 +90,19 @@ dumpEntry(const std::string &path, bool quiet)
     std::printf("  max blocks      %" PRIu64 "\n", h.maxBlocks);
     std::printf("  dyn ops         %" PRIu64 "\n", h.dynOps);
     std::printf("  dyn blocks      %" PRIu64 "\n", h.dynBlocks);
-    std::printf("  events          %" PRIu64 " (%" PRIu64
-                " bytes varint, %.2f B/event)\n",
-                h.eventCount, h.eventBytes,
-                h.eventCount ? double(h.eventBytes) / double(h.eventCount)
-                             : 0.0);
-    std::printf("  address pool    %" PRIu64 " addrs at offset %" PRIu64
-                "\n",
-                h.addrCount, h.addrOffset);
+    std::printf("  events          %" PRIu64 " records, %" PRIu64
+                " bytes at offset %" PRIu64 "\n",
+                h.eventCount, h.eventBytes, traceEventsOffset);
+    std::printf("  address pool    %" PRIu64 " addrs, %" PRIu64
+                " bytes at offset %" PRIu64 "\n",
+                h.addrCount, h.addrCount * sizeof(std::uint64_t),
+                h.addrOffset);
+    std::printf("  tail            func %u block %u\n", h.tailFunc,
+                h.tailBlock);
     std::printf("  checksums       header=%016" PRIx64
                 " events=%016" PRIx64 " addrs=%016" PRIx64 "\n",
                 h.headerChecksum, h.eventChecksum, h.addrChecksum);
     std::printf("  verify          %s\n", traceOpenStatusName(status));
-    if (ok) {
-        const std::size_t inMem = trace.sizeBytes();
-        std::uintmax_t onDisk = 0;
-        std::error_code ec;
-        onDisk = std::filesystem::file_size(path, ec);
-        std::printf("  size            %ju B on disk, %zu B replayed "
-                    "(%.2fx)\n",
-                    onDisk, inMem,
-                    onDisk ? double(inMem) / double(onDisk) : 0.0);
-    }
     return ok ? 0 : 1;
 }
 
