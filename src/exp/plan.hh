@@ -12,10 +12,10 @@
  * The figure drivers plan their grids the same way (planBenches,
  * planUnits), so one unit key names a result everywhere.
  *
- * Units are grouped into *chunks* (per benchmark, split by the spec's
- * chunk_units or a CLI override).  Chunks size a sweep's rounds (up
- * to BSISA_JOBS chunks per round) and decide when a benchmark's trace
- * is dropped (after its last chunk).
+ * Units are also grouped into *chunks* (per benchmark, split by the
+ * spec's chunk_units).  No library code reads them — a sweep runs its
+ * whole plan as one PairSweep — and only the benchmark's traced sweep
+ * rebuild (perfbench/src/traced.cc) walks them.
  *
  * Unit keys are stable across processes and sessions — everything
  * hashed is either canonical spec text, module content, or
@@ -79,9 +79,7 @@ struct SweepPlan
     std::vector<std::size_t> pointUnit;
     /** Chunks: unit indices, benchmark-major order. */
     std::vector<std::vector<std::size_t>> chunks;
-    /** Chunk identity, a hash of the member unit keys.  Only the
-     *  benchmark's traced sweep rebuild (perfbench/src/traced.cc)
-     *  reads it. */
+    /** Chunk identity, a hash of the member unit keys. */
     std::vector<std::uint64_t> chunkKeys;
 
     std::size_t gridPoints() const { return pointUnit.size(); }

@@ -7,7 +7,6 @@
 
 #include "exp/result_store.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -63,15 +62,6 @@ std::atomic<bool> warnedWrite{false};
 
 constexpr char snapshotName[] = "snapshot.bsr";
 constexpr char logName[] = "log.bsr";
-
-bool
-isSnapshotPath(const std::string &path)
-{
-    // Compare by filename, never by raw string: the same file can be
-    // spelled `results/snapshot.bsr` or `results//snapshot.bsr`
-    // depending on how the directory was given.
-    return std::filesystem::path(path).filename() == snapshotName;
-}
 
 /** Call @p visit on each intact record of a record file's @p bytes,
  *  in file order, up to the first torn or corrupt frame.  Returns the
@@ -148,8 +138,8 @@ makeResultRecord(std::uint64_t unitKey, std::uint64_t moduleDigest,
 ResultStore::ResultStore(std::string directory)
     : dir(std::move(directory))
 {
-    // Normalize away trailing slashes so paths built as dir + "/x"
-    // match what directory_iterator yields for the same files.
+    // Drop trailing slashes, so the paths built as dir + "/x" that
+    // warnings and errors print hold no doubled slash.
     while (dir.size() > 1 && dir.back() == '/')
         dir.pop_back();
 }
@@ -178,33 +168,15 @@ ResultStore::refresh()
 {
     ResultScanStats stats;
     index.clear();
-    scanned.clear();
 
-    // Snapshot first, then the other files sorted by name: scan order
-    // decides nothing semantically (first record per key wins and
-    // duplicates are byte-identical), but a deterministic order keeps
-    // the duplicate counters stable for tests.
-    std::vector<std::string> files;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir, ec);
-    if (!ec) {
-        for (const auto &de : it) {
-            if (!de.is_regular_file(ec) || ec)
-                continue;
-            if (de.path().extension() == ".bsr")
-                files.push_back(de.path().string());
-        }
-    }
-    std::sort(files.begin(), files.end(),
-              [&](const std::string &a, const std::string &b) {
-                  const bool sa = isSnapshotPath(a);
-                  const bool sb = isSnapshotPath(b);
-                  if (sa != sb)
-                      return sa;
-                  return a < b;
-              });
-
-    for (const std::string &path : files) {
+    // The snapshot, then the log: a crash between compaction's
+    // publish and its unlink leaves both, whose duplicates are
+    // byte-identical, and the first record per key wins.
+    for (const char *name : {snapshotName, logName}) {
+        const std::string path = dir + "/" + name;
+        std::error_code ec;
+        if (!std::filesystem::exists(path, ec))
+            continue;
         std::string bytes;
         const auto visit = [&](const ResultRecord &record) {
             const auto [at, inserted] =
@@ -227,7 +199,6 @@ ResultStore::refresh()
             continue;
         }
         ++stats.shardFiles;
-        scanned.push_back(path);
         if (intact < bytes.size())
             ++stats.tornTails;
     }
@@ -362,10 +333,7 @@ ResultStore::compact()
     const std::string snapshot = dir + "/" + snapshotName;
     if (!publishFile(snapshot, bytes))
         return false;
-    for (const std::string &path : scanned)
-        if (!isSnapshotPath(path))
-            std::remove(path.c_str());
-    scanned = {snapshot};
+    std::remove((dir + "/" + logName).c_str());
     return true;
 }
 

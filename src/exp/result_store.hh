@@ -17,13 +17,14 @@
  * labels lock errors and `status`.  A resumed writer
  * first truncates the log back to its last whole frame, so records
  * it appends never sit behind a torn one.  Readers take no lock:
- * refresh() merges the snapshot and every other `.bsr` file, first
- * record per unit key wins.  Duplicate keys are expected (a resumed
- * run may repeat a unit whose record was torn — units are idempotent
- * and deterministic, so duplicates are byte-identical; a
- * byte-differing duplicate is warned about and ignored).  compact()
- * folds everything into a deterministic `snapshot.bsr` — records
- * sorted by unit key — and unlinks the merged files; two stores with
+ * refresh() reads the snapshot, then the log, first record per unit
+ * key wins.  Duplicate keys are expected (a resumed run may repeat a
+ * unit whose record was torn, and a crash between compaction's
+ * publish and its unlink leaves the log beside the snapshot — units
+ * are idempotent and deterministic, so duplicates are byte-identical;
+ * a byte-differing duplicate is warned about and ignored).  compact()
+ * folds both into a deterministic `snapshot.bsr` — records sorted by
+ * unit key — and unlinks the log; two stores with
  * the same content compact to byte-identical snapshots, which is
  * what the crash-resume test asserts.
  *
@@ -73,7 +74,7 @@ ResultRecord makeResultRecord(std::uint64_t unitKey,
                               std::uint64_t configDigest,
                               const PairResult &pair);
 
-/** What refresh() saw while scanning the directory. */
+/** What refresh() saw in the snapshot and the log. */
 struct ResultScanStats
 {
     std::uint64_t records = 0;     //!< distinct unit keys indexed
@@ -104,7 +105,7 @@ class ResultStore
     /** The writer lock's path, `<directory>/writer.lock`. */
     std::string lockPath() const { return dir + "/writer.lock"; }
 
-    /** Rebuild the index from every record file on disk. */
+    /** Rebuild the index from the snapshot and the log. */
     ResultScanStats refresh();
 
     bool contains(std::uint64_t unitKey) const
@@ -151,18 +152,16 @@ class ResultStore
     /**
      * Take the writer lock, fold every record on disk into
      * `snapshot.bsr` (records sorted by unit key, temp+rename
-     * publish) and unlink the log and any other merged file.  Implies
-     * refresh().  False when the lock is held elsewhere or on write
-     * failure.
+     * publish) and unlink the log.  Implies refresh().  False when
+     * the lock is held elsewhere or on write failure.
      */
     bool compact();
 
   private:
     std::string dir;
     std::map<std::uint64_t, ResultRecord> index;
-    std::vector<std::string> scanned;  //!< record files last refresh()
-    FileLease writer;                  //!< the writer lock, once taken
-    std::ofstream log;                 //!< the append log, once opened
+    FileLease writer;   //!< the writer lock, once taken
+    std::ofstream log;  //!< the append log, once opened
 };
 
 } // namespace bsisa

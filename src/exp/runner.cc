@@ -6,6 +6,7 @@
 #include "exp/runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <numeric>
 
@@ -179,15 +180,10 @@ runBlockStructuredBatch(const BsaModule &bsa,
 TraceSource
 heldTrace(const ExecTrace &trace)
 {
-    return heldTrace(std::shared_ptr<const ExecTrace>(
-        &trace, [](const ExecTrace *) {}));
-}
-
-TraceSource
-heldTrace(std::shared_ptr<const ExecTrace> trace)
-{
-    const std::uint64_t weight = trace->eventCount;
-    return {weight, [trace = std::move(trace)] { return trace; }};
+    return {trace.eventCount, [&trace] {
+                return std::shared_ptr<const ExecTrace>(
+                    &trace, [](const ExecTrace *) {});
+            }};
 }
 
 std::size_t
@@ -248,22 +244,32 @@ PairSweep::plan()
 }
 
 const std::vector<PairResult> &
-PairSweep::run()
+PairSweep::run(const PointDone &done)
 {
     plan();
-    // Longest batch first, by lanes x weight (stable on ties),
-    // claimed one at a time: the largest walks start at once instead
-    // of trailing the rest.  Each batch writes only its own points'
-    // slots, so the order cannot move a result.
-    const auto cost = [&](std::size_t b) {
-        return std::uint64_t(batches[b].pointIds.size()) *
-               benches[batches[b].bench].source.weight;
-    };
+    // Benchmark-major, longest first: benchmarks by summed lanes x
+    // weight, then each one's batches by lanes (stable on ties),
+    // claimed one at a time.  The largest walks start at once instead
+    // of trailing the rest, and a benchmark's batches run back to
+    // back, so its trace is resident only while they do.  Each batch
+    // writes only its own points' slots, so the order cannot move a
+    // result.
+    std::vector<std::uint64_t> benchCost(benches.size(), 0);
+    for (const Batch &bt : batches)
+        benchCost[bt.bench] +=
+            bt.pointIds.size() * benches[bt.bench].source.weight;
     std::vector<std::size_t> order(batches.size());
     std::iota(order.begin(), order.end(), std::size_t(0));
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t x, std::size_t y) {
-                         return cost(x) > cost(y);
+                         const std::size_t bx = batches[x].bench;
+                         const std::size_t by = batches[y].bench;
+                         if (bx != by)
+                             return benchCost[bx] != benchCost[by]
+                                        ? benchCost[bx] > benchCost[by]
+                                        : bx < by;
+                         return batches[x].pointIds.size() >
+                                batches[y].pointIds.size();
                      });
 
     // A benchmark's trace is held from its first batch's start to its
@@ -279,7 +285,15 @@ PairSweep::run()
     std::vector<Residency> resident(benches.size());
     for (const Batch &bt : batches)
         ++resident[bt.bench].batchesLeft;
+    // Every point sits in one conventional and one block-structured
+    // batch; the second to finish reports it.
+    std::vector<std::atomic<unsigned char>> halvesLeft(points.size());
+    for (std::atomic<unsigned char> &left : halvesLeft)
+        left = 2;
+    std::atomic<bool> stopped{false};
     parallelForChunked(order.size(), 1, [&](std::size_t i) {
+        if (stopped)
+            return;
         const std::size_t b = batches[order[i]].bench;
         Residency &r = resident[b];
         std::shared_ptr<const ExecTrace> trace;
@@ -290,9 +304,17 @@ PairSweep::run()
             trace = r.trace;
         }
         runBatch(order[i], *trace);
-        std::lock_guard<std::mutex> lock(r.mutex);
-        if (--r.batchesLeft == 0)
-            r.trace.reset();
+        {
+            std::lock_guard<std::mutex> lock(r.mutex);
+            if (--r.batchesLeft == 0)
+                r.trace.reset();
+        }
+        if (!done)
+            return;
+        for (std::size_t idx : batches[order[i]].pointIds)
+            if (--halvesLeft[idx] == 0 && !stopped &&
+                !done(idx, points[idx]))
+                stopped = true;
     });
     return points;
 }

@@ -132,13 +132,9 @@ struct TraceSource
  *  event count; @p trace must outlive the sweep. */
 TraceSource heldTrace(const ExecTrace &trace);
 
-/** A source returning the shared @p trace, weighted by its event
- *  count. */
-TraceSource heldTrace(std::shared_ptr<const ExecTrace> trace);
-
 /**
  * The one driver of (benchmark x config) pair grids: the figure
- * drivers' grids, the sweep service's chunks and runPair register
+ * drivers' grids, the sweep service's plan and runPair register
  * their points here and call run().  The planner groups the points
  * into batches, each of which is one runConventionalBatch or
  * runBlockStructuredBatch call over a single trace replay:
@@ -153,12 +149,14 @@ TraceSource heldTrace(std::shared_ptr<const ExecTrace> trace);
  * Each point's RunConfig::limits is ignored — the registered trace is
  * the committed stream.  run() fans the batches across BSISA_JOBS
  * workers (over benchmark x batch, not benchmark x config), claiming
- * one batch at a time, longest first: batches are ordered by lanes x
- * the source's weight, largest first, ties in plan order, so the
- * longest walks never start last.  A benchmark's trace is
- * acquired when its first batch starts and released when its last
- * batch ends, so the traces resident at once are those of the
- * batches in flight, not the whole grid's (DESIGN.md decision 25).
+ * one batch at a time, benchmark-major: benchmarks by their batches'
+ * summed lanes x the source's weight, largest first, and within a
+ * benchmark its batches by lanes, largest first, ties in plan order.
+ * The longest work still starts first, and a benchmark's batches are
+ * claimed back to back.  A benchmark's trace is acquired when its
+ * first batch starts and released when its last batch ends, so the
+ * traces resident at once are those of the batches in flight — one
+ * at one job — not the whole grid's (DESIGN.md decision 25).
  * Distinct batches touch disjoint PairResult fields, so the results
  * are identical for any worker count and any claim order.
  */
@@ -173,9 +171,20 @@ class PairSweep
     /** Add one grid point; returns its index into the results. */
     std::size_t addPoint(std::size_t bench, const RunConfig &config);
 
-    /** Plan and simulate every point (once, after registration);
-     *  returns the results by point index. */
-    const std::vector<PairResult> &run();
+    /** Called with a point's index and result once both of its
+     *  batches (conventional and block-structured) have finished, on
+     *  the worker that finished the second; false stops the sweep. */
+    using PointDone =
+        std::function<bool(std::size_t point, const PairResult &result)>;
+
+    /**
+     * Plan and simulate every point (once, after registration);
+     * returns the results by point index.  With @p done, each point
+     * is reported as it completes; once a call returns false, no
+     * further batch starts and no further point is reported, and the
+     * results of unreported points are unspecified.
+     */
+    const std::vector<PairResult> &run(const PointDone &done = nullptr);
 
     /** Batches the plan formed; 0 before run(). */
     std::size_t batchCount() const { return batches.size(); }

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -72,8 +73,9 @@ writePlanMarker(const std::string &path, const SweepPlan &plan)
 }
 
 /** Test hook: BSISA_SWEEP_STALL_AFTER=K parks the sweep forever
- *  after its K-th published record (the crash-resume test SIGKILLs a
- *  sweep parked mid-grid at a known checkpoint). */
+ *  after its K-th published record, inside the append mutex, so no
+ *  worker publishes another (the crash-resume test SIGKILLs a sweep
+ *  parked mid-grid at a known checkpoint). */
 void
 maybeStall(std::size_t published, std::ostream &log)
 {
@@ -132,93 +134,48 @@ sweepInto(ResultStore &store, const SweepSpec &spec,
         log << "sweep: " << error << "\n";
         return false;
     }
+    std::vector<std::size_t> pending;
+    for (std::size_t u = 0; u < plan.units.size(); ++u)
+        if (!store.contains(plan.units[u].key))
+            pending.push_back(u);
     counts.units = plan.units.size();
-    for (const WorkUnit &unit : plan.units)
-        if (store.contains(unit.key))
-            ++counts.warm;
+    counts.warm = counts.units - pending.size();
 
-    // One functional trace per benchmark, acquired on first need —
-    // through the BSISA_TRACE_DIR store when configured — and dropped
-    // once no later chunk of the pass belongs to its benchmark.
-    std::vector<std::shared_ptr<const ExecTrace>> traces(
-        plan.benches.size());
-    // Chunks are benchmark-major; a trace is dropped once the pass
-    // has passed its benchmark's last chunk.
-    std::vector<std::size_t> lastChunk(plan.benches.size(), 0);
-    for (std::size_t c = 0; c < plan.chunks.size(); ++c)
-        lastChunk[plan.units[plan.chunks[c].front()].bench] = c;
-    const auto dropTracesThrough = [&](std::size_t scanned) {
-        for (std::size_t b = 0; b < traces.size(); ++b)
-            if (lastChunk[b] <= scanned)
-                traces[b].reset();
-    };
-
-    // Simulate a round — the pending unit indices of up to BSISA_JOBS
-    // chunks, in chunk order — as one PairSweep, its missing traces
-    // acquired in one parallelFor (inside the sweep, a benchmark's
-    // second batch would wait on its first batch's cold capture) and
-    // lockstep batching by the planner's usual grouping rules, then
-    // append the records in chunk order.  False when a record could
-    // not be persisted.
-    const auto runRound = [&](std::vector<std::size_t> &round) {
-        std::vector<std::size_t> benches;  // distinct, chunk order
-        for (std::size_t u : round)
-            if (std::find(benches.begin(), benches.end(),
-                          plan.units[u].bench) == benches.end())
-                benches.push_back(plan.units[u].bench);
-        parallelFor(benches.size(), [&](std::size_t i) {
-            const std::size_t b = benches[i];
-            if (!traces[b])
-                traces[b] = std::make_shared<const ExecTrace>(
-                    captureOrLoadTrace(plan.modules[b],
-                                       plan.benches[b].moduleDigest,
-                                       plan.benches[b].limits));
-        });
-
-        PairSweep sweep;
-        addUnitPoints(sweep, plan, round, [&](std::size_t b) {
-            return sweep.addBenchmark(plan.modules[b],
-                                      heldTrace(traces[b]));
-        });
-        const std::vector<PairResult> &results = sweep.run();
-
-        for (std::size_t k = 0; k < round.size(); ++k) {
-            const WorkUnit &unit = plan.units[round[k]];
-            if (!store.append(makeResultRecord(unit.key, unit.moduleDigest,
-                                               unit.configDigest,
-                                               results[k]))) {
-                // The store went unwritable mid-run (disk full,
-                // directory removed): stop rather than simulate units
-                // that cannot persist.
-                log << "sweep: failed to persist unit " << hex16(unit.key)
-                    << "; aborting\n";
-                return false;
-            }
-            ++counts.executed;
-            maybeStall(counts.executed, log);
+    // Every pending unit runs in one PairSweep.  A benchmark's trace
+    // is acquired — through the BSISA_TRACE_DIR store when configured
+    // — when its first batch starts and dropped after its last; each
+    // unit's record is appended, under one mutex, as soon as both its
+    // batches are done.
+    PairSweep sweep;
+    addUnitPoints(sweep, plan, pending, [&](std::size_t b) {
+        return sweep.addBenchmark(
+            plan.modules[b],
+            {plan.benches[b].limits.maxOps, [&plan, b] {
+                 return std::make_shared<const ExecTrace>(
+                     captureOrLoadTrace(plan.modules[b],
+                                        plan.benches[b].moduleDigest,
+                                        plan.benches[b].limits));
+             }});
+    });
+    std::mutex appendMutex;
+    sweep.run([&](std::size_t k, const PairResult &result) {
+        std::lock_guard<std::mutex> lock(appendMutex);
+        const WorkUnit &unit = plan.units[pending[k]];
+        if (!store.append(makeResultRecord(unit.key, unit.moduleDigest,
+                                           unit.configDigest, result))) {
+            // The store went unwritable mid-run (disk full, directory
+            // removed): stop rather than simulate units that cannot
+            // persist.
+            log << "sweep: failed to persist unit " << hex16(unit.key)
+                << "; aborting\n";
+            return false;
         }
-        round.clear();
+        ++counts.executed;
+        maybeStall(counts.executed, log);
         return true;
-    };
-
-    const std::size_t roundChunks = parallelJobs();
-    std::vector<std::size_t> round;
-    std::size_t roundSize = 0;  // chunks in round
-    for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
-        const std::size_t before = round.size();
-        for (std::size_t u : plan.chunks[c])
-            if (!store.contains(plan.units[u].key))
-                round.push_back(u);
-        if (round.size() == before)
-            continue;
-        if (++roundSize == roundChunks) {
-            if (!runRound(round))
-                return false;
-            roundSize = 0;
-            dropTracesThrough(c);
-        }
-    }
-    if (!round.empty() && !runRound(round))
+    });
+    // A sweep that stopped early reported fewer units than it had.
+    if (counts.executed != pending.size())
         return false;
     writePlanMarker(markerPath, plan);
     return true;

@@ -7,20 +7,15 @@
  *
  *   run          runSweepCoordinator() — takes the store's writer lock
  *                (a second writer on a store whose holder is alive
- *                fails, naming the holder's pid; a dead holder's lock
- *                is broken), builds the plan, then passes once over
- *                the plan's chunks: chunks whose units are all stored
- *                (warm) are skipped, the others join the current
- *                round.  A round holds up to BSISA_JOBS chunks with
- *                pending units (one at one job); when it is full, or
- *                the pass ends, the sweep acquires the round's
- *                missing traces in one parallelFor, simulates every
- *                pending unit of the round as one PairSweep, and
- *                appends one record per unit in chunk order.  Chunks
- *                are benchmark-major, so a trace is dropped once the
- *                pass has passed its benchmark's last chunk.  Once
- *                every unit is stored it compacts the store under the
- *                same lock (`bsisa-sweep run`).
+ *                fails, naming the holder's pid; the kernel drops a
+ *                dead holder's flock), builds the plan and runs every
+ *                unit not yet stored as one PairSweep on BSISA_JOBS
+ *                workers.  The sweep acquires a benchmark's trace
+ *                when its first batch starts and drops it after its
+ *                last, and appends a unit's record, under one mutex,
+ *                as soon as both of its batches finish.  Once every
+ *                unit is stored it compacts the store under the same
+ *                lock (`bsisa-sweep run`).
  *   render       renderSweepFromStore() — re-derives the plan and
  *                renders the spec's figure from stored records,
  *                byte-identical to the monolithic figure drivers.
@@ -28,16 +23,17 @@
  * Safety argument: units are idempotent and deterministic, and each
  * record is an appended checksummed frame flushed before the next
  * unit's, so `kill -9` at any point costs at most the unpublished
- * units: the resumed run breaks the dead writer's lock, truncates a
- * torn tail, counts the stored units as warm and runs the rest.
+ * units: the resumed run takes the lock the kernel dropped with the
+ * dead writer, truncates a torn tail, counts the stored units as warm
+ * and runs the rest.
  * Readers (render, status) take no lock.
  *
  * Warm fast path: on completion a sweep publishes a plan marker
  * (`plan-<spec digest>.plan`, the unit-key list) keyed by the spec's
  * canonical digest.  A warm rerun finds the marker, checks the store
  * covers every listed key, and skips plan building — module
- * generation included — so resweeping a finished grid costs a
- * directory scan.
+ * generation included — so resweeping a finished grid costs a read
+ * of the store.
  */
 
 #ifndef BSISA_EXP_SERVICE_HH

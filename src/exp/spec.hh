@@ -71,8 +71,9 @@ struct SweepSpec
     /** Explicit extra grid points, file order, each sorted by key. */
     std::vector<std::vector<SpecAssign>> points;
 
-    /** Default work-unit chunk size (0 = one chunk per benchmark);
-     *  chunks size a sweep's rounds. */
+    /** Work-unit chunk size (0 = one chunk per benchmark).  Kept
+     *  canonical for the specs that set it; a sweep runs its whole
+     *  plan as one PairSweep whatever it is. */
     std::uint64_t chunkUnits = 0;
 
     /** The effective scale divisor. */

@@ -142,18 +142,32 @@ validateEvents(const std::uint8_t *p, std::uint64_t eventCount,
     return pool <= addrCount;
 }
 
+/** The magic is the store's and the header checksum holds. */
+bool
+headerSealed(const TraceFileHeader &h)
+{
+    return std::memcmp(h.magic, traceStoreMagic, sizeof(h.magic)) == 0 &&
+           h.headerChecksum ==
+               fnv1a64(&h, offsetof(TraceFileHeader, headerChecksum));
+}
+
+/** The header names this binary's format and interpreter versions. */
+bool
+currentVersion(const TraceFileHeader &h)
+{
+    return h.formatVersion == traceStoreFormatVersion &&
+           h.interpVersionTag == interpVersion;
+}
+
 /** The checks a header passes before any of its fields is trusted:
  *  magic and header checksum, format and interpreter versions, and
  *  the content key. */
 TraceOpenStatus
 checkTraceHeader(const TraceFileHeader &h, const TraceKey &key)
 {
-    if (std::memcmp(h.magic, traceStoreMagic, sizeof(h.magic)) != 0 ||
-        h.headerChecksum !=
-            fnv1a64(&h, offsetof(TraceFileHeader, headerChecksum)))
+    if (!headerSealed(h))
         return TraceOpenStatus::BadHeader;
-    if (h.formatVersion != traceStoreFormatVersion ||
-        h.interpVersionTag != interpVersion)
+    if (!currentVersion(h))
         return TraceOpenStatus::BadVersion;
     if (h.moduleDigest != key.moduleDigest || h.maxOps != key.maxOps ||
         h.maxBlocks != key.maxBlocks)
@@ -296,9 +310,13 @@ listTraceStore(const std::string &dir)
         if (ec)
             info.fileBytes = 0;
         std::memset(&info.header, 0, sizeof(info.header));
-        info.headerOk = readTraceHeader(path, info.header) &&
-                        std::memcmp(info.header.magic, traceStoreMagic,
-                                    sizeof(info.header.magic)) == 0;
+        // Another version's header may lay its fields out otherwise,
+        // so only a current one is held to the checksum.
+        const TraceFileHeader &h = info.header;
+        info.headerOk =
+            readTraceHeader(path, info.header) &&
+            std::memcmp(h.magic, traceStoreMagic, sizeof(h.magic)) == 0 &&
+            (!currentVersion(h) || headerSealed(h));
         entries.push_back(std::move(info));
     }
     std::sort(entries.begin(), entries.end(),

@@ -163,8 +163,9 @@ TraceOpenStatus readTraceHeader(const std::string &path,
 
 /** One entry of a store-directory listing (`bsisa-tracedump --list`,
  *  `bsisa-sweep status`).  The header is only meaningful when
- *  headerOk; a false headerOk flags a short or unreadable entry
- *  without aborting the listing. */
+ *  headerOk; a false headerOk flags a short or unreadable entry, or a
+ *  current-version one whose header checksum fails, without aborting
+ *  the listing. */
 struct TraceStoreEntryInfo
 {
     std::string path;           //!< full path of the entry file

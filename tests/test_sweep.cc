@@ -21,9 +21,10 @@
  *             are bit-identical to monolithic runPair, a
  *             store-rendered figure byte-identical to the monolithic
  *             driver's output, a compacted store and a trace count
- *             that do not depend on BSISA_JOBS (the round size), and
- *             PairSweep results that do not depend on its batch
- *             order.
+ *             that do not depend on BSISA_JOBS, PairSweep results
+ *             that do not depend on its batch order, one trace
+ *             resident at a time at one job, and completion callbacks
+ *             that report each point once and can stop the sweep.
  *
  * The process-level crash-resume property (SIGKILL mid-grid) lives in
  * test_sweep_service.cc, which drives the real bsisa-sweep binary.
@@ -40,6 +41,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -680,17 +682,24 @@ TEST_F(SweepDirTest, ResumedWriterAppendsAfterTornTail)
     }
 }
 
+// A junk log beside a snapshot is counted and skipped; the snapshot's
+// records are still read.
 TEST_F(SweepDirTest, BadShardIsSkippedNotFatal)
 {
-    ResultStore writer(dir);
-    ASSERT_TRUE(writer.append(testRecord(1)));
-    std::ofstream(dir + "/junk.bsr", std::ios::binary)
+    {
+        ResultStore writer(dir);
+        ASSERT_TRUE(writer.append(testRecord(1)));
+        ASSERT_TRUE(writer.compact());
+    }
+    std::ofstream(dir + "/log.bsr", std::ios::binary)
         << "not a shard at all";
 
     ResultStore reader(dir);
     const ResultScanStats stats = reader.refresh();
     EXPECT_EQ(stats.badShards, 1u);
+    EXPECT_EQ(stats.shardFiles, 1u);
     EXPECT_EQ(stats.records, 1u);
+    EXPECT_TRUE(reader.contains(1));
 }
 
 TEST_F(SweepDirTest, CompactionIsDeterministic)
@@ -1158,19 +1167,17 @@ hexBytes(const std::string &bytes)
 
 } // namespace
 
-// A sweep runs up to BSISA_JOBS chunks per round, loads the round's
-// traces in parallel and drops a trace once the pass has passed its
-// benchmark's last chunk.  Here one chunk is one unit, so at four jobs
-// the rounds are chunks 0-3, 4-7 and 8: go's chunks straddle the
-// first two rounds and keep its trace loaded between them.  The
+// A sweep runs its whole plan as one PairSweep, whatever the spec's
+// chunk_units, and appends each unit's record as it completes — in
+// completion order, which at four jobs is not plan order.  The
 // compacted snapshot must equal the one-job sweep's byte for byte,
 // and each leg acquires each benchmark's trace exactly once (a cold
 // capture into the leg's own trace store).  Each leg is a process of
 // its own: the trace store's counters are process-wide.
-TEST_F(SweepFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
+TEST_F(SweepFixture, FourJobsMatchOneJobAndAcquireEachTraceOnce)
 {
     const SweepSpec spec = mustParse(
-        "name: rounds\n"
+        "name: one-sweep\n"
         "scale: 2000\n"
         "benchmarks: [compress, go, li]\n"
         "chunk_units: 1\n"
@@ -1195,15 +1202,15 @@ TEST_F(SweepFixture, RoundsMatchOneJobAndAcquireEachTraceOnce)
         });
     };
     const std::vector<std::string> serial = leg("1");
-    const std::vector<std::string> rounds = leg("4");
+    const std::vector<std::string> parallel = leg("4");
     ASSERT_EQ(serial.size(), 3u);
-    ASSERT_EQ(rounds.size(), 3u);
-    for (const auto *out : {&serial, &rounds}) {
+    ASSERT_EQ(parallel.size(), 3u);
+    for (const auto *out : {&serial, &parallel}) {
         EXPECT_EQ((*out)[0], "1 sweep: units=9 executed=9 warm=0\n");
         EXPECT_EQ((*out)[1], "3 0");    // 3 cold captures, no reloads
     }
     EXPECT_FALSE(serial[2].empty());
-    EXPECT_EQ(serial[2], rounds[2]);
+    EXPECT_EQ(serial[2], parallel[2]);
 }
 
 // PairSweep runs its batches longest first (lanes x trace events), so
@@ -1266,4 +1273,111 @@ TEST_F(SweepFixture, PairSweepResultsIgnoreBatchOrderAndJobs)
         EXPECT_TRUE(serial[i] ==
                     runPair(plan.modules[bench], config, traces[bench]));
     }
+}
+
+namespace
+{
+
+/** A mixed-width grid over three benchmarks, as in specs/ci-grid64.yml:
+ *  per benchmark one 4-lane conventional batch and two 2-lane
+ *  block-structured batches (one per enlarge_max_faults value).  Each
+ *  source counts the traces held at once; every benchmark gets the
+ *  same weight, so the batch order alone decides residency. */
+struct CountedGrid
+{
+    SweepPlan plan;
+    std::vector<ExecTrace> traces;
+    int held = 0;
+    int peak = 0;
+    int acquired = 0;
+
+    CountedGrid()
+    {
+        std::string error;
+        EXPECT_TRUE(buildPlan(mustParse("name: residency\n"
+                                        "scale: 2000\n"
+                                        "benchmarks: [compress, go, li]\n"
+                                        "axes:\n"
+                                        "  icache_kb: [16, 64]\n"
+                                        "  enlarge_max_faults: [1, 2]\n"),
+                              0, plan, error))
+            << error;
+        for (std::size_t b = 0; b < plan.benches.size(); ++b)
+            traces.push_back(
+                captureTrace(plan.modules[b], plan.benches[b].limits));
+    }
+
+    /** Register every unit; the counters are plain ints, so run the
+     *  sweep at BSISA_JOBS=1 (inline on this thread). */
+    void
+    addTo(PairSweep &sweep)
+    {
+        std::vector<std::size_t> units(plan.units.size());
+        std::iota(units.begin(), units.end(), std::size_t(0));
+        addUnitPoints(sweep, plan, units, [&](std::size_t b) {
+            const auto acquire = [this, b] {
+                ++acquired;
+                peak = std::max(peak, ++held);
+                return std::shared_ptr<const ExecTrace>(
+                    &traces[b], [this](const ExecTrace *) { --held; });
+            };
+            return sweep.addBenchmark(plan.modules[b], {1000, acquire});
+        });
+    }
+};
+
+} // namespace
+
+// PairSweep claims batches benchmark-major, so at one job a
+// benchmark's trace is dropped before the next one's is acquired:
+// longest-first order across benchmarks would run every wide
+// conventional batch before the narrow block-structured ones and hold
+// all three traces.
+TEST_F(SweepFixture, PairSweepHoldsOneTraceAtATimeAtOneJob)
+{
+    CountedGrid grid;
+    ::setenv("BSISA_JOBS", "1", 1);
+    PairSweep sweep;
+    grid.addTo(sweep);
+    sweep.run();
+    ::unsetenv("BSISA_JOBS");
+    EXPECT_EQ(sweep.batchCount(), 9u);
+    EXPECT_EQ(grid.acquired, 3);
+    EXPECT_EQ(grid.peak, 1);
+    EXPECT_EQ(grid.held, 0);
+}
+
+// run()'s callback reports each point once, with its final result,
+// after both of its batches; a false return stops the sweep before
+// its next batch, so no other benchmark's trace is acquired.
+TEST_F(SweepFixture, PairSweepReportsEachPointOnceAndStopsOnFalse)
+{
+    CountedGrid grid;
+    ::setenv("BSISA_JOBS", "1", 1);
+    PairSweep full;
+    grid.addTo(full);
+    std::vector<int> reports(grid.plan.units.size(), 0);
+    full.run([&](std::size_t point, const PairResult &result) {
+        ++reports[point];
+        const WorkUnit &unit = grid.plan.units[point];
+        EXPECT_TRUE(result == runPair(grid.plan.modules[unit.bench],
+                                      unit.config,
+                                      grid.traces[unit.bench]))
+            << point;
+        return true;
+    });
+    EXPECT_EQ(reports, std::vector<int>(reports.size(), 1));
+
+    grid.acquired = 0;
+    PairSweep stopped;
+    grid.addTo(stopped);
+    std::size_t calls = 0;
+    stopped.run([&](std::size_t, const PairResult &) {
+        ++calls;
+        return false;
+    });
+    ::unsetenv("BSISA_JOBS");
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(grid.acquired, 1);
+    EXPECT_EQ(grid.held, 0);
 }

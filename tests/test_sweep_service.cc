@@ -28,8 +28,12 @@
  * store with `bsisa-tracedump --list`.
  *
  * The test runs at BSISA_JOBS=1 and at BSISA_JOBS=4.  A run simulates
- * a round of up to BSISA_JOBS chunks and appends its records in chunk
- * order, so the kill lands mid-chunk at one job and mid-round at four.
+ * its plan as one PairSweep and appends each unit's record, under one
+ * mutex, once both of its batches finish; the stall parks inside that
+ * mutex, so no other worker publishes a fourth.  At one job the kill
+ * lands while the second benchmark is still to run; at four, both
+ * benchmarks' batches run at once, and the kill lands with units of
+ * either still unpublished.
  */
 
 #include <gtest/gtest.h>
@@ -97,7 +101,8 @@ class SweepServiceTest : public ::testing::Test
                "axes:\n"
                "  icache_kb: [16, 64]\n"
                "  history_bits: [8, 12]\n";
-        // 2 benchmarks x 4 grid points = 8 units, 4 chunks.
+        // 2 benchmarks x 4 grid points = 8 units: per benchmark one
+        // 4-lane conventional and one 4-lane block-structured batch.
     }
 
     void
@@ -265,17 +270,17 @@ SweepServiceTest::sigkillResumesWithoutRework(const char *jobs)
     EXPECT_EQ(snapA, snapB);
 }
 
-// One job: a round is one chunk, so the kill lands between the two
-// records of the second chunk.
+// One job: batches run one at a time, benchmark by benchmark, so
+// the kill lands among the first benchmark's four records.
 TEST_F(SweepServiceTest, SigkillMidGridResumesWithoutRework)
 {
     sigkillResumesWithoutRework("1");
 }
 
-// Four jobs: the round is all four chunks, simulated together; the
-// kill lands after the first chunk's two records and one of the
-// second's.
-TEST_F(SweepServiceTest, SigkillMidRoundResumesWithoutRework)
+// Four jobs: all four batches run at once, and records arrive in
+// completion order from several workers; the kill still finds exactly
+// three on disk.
+TEST_F(SweepServiceTest, SigkillAtFourJobsResumesWithoutRework)
 {
     sigkillResumesWithoutRework("4");
 }

@@ -484,6 +484,9 @@ TEST_F(TraceStoreTest, EnvConfiguredStoreServesWarmEntries)
     expectSameTrace(cold, warm);
 }
 
+// A listed entry is live only when its header would open: another
+// version's names its version, and a current one that fails its
+// header checksum is corrupt.
 TEST_F(TraceStoreTest, ListingNamesStaleVersionEntries)
 {
     const auto suite = specint95Suite();
@@ -500,12 +503,20 @@ TEST_F(TraceStoreTest, ListingNamesStaleVersionEntries)
     std::vector<std::uint8_t> stale = readFile(store.entryPath(key));
     resealEntry(stale, [](TraceFileHeader &h) { h.formatVersion = 1; });
     writeFile(dir + "/0000000000000001.bstrace", stale);
+    // A current entry with one bit of maxBlocks flipped after sealing:
+    // its magic and versions pass, its header checksum does not.
+    std::vector<std::uint8_t> flipped = readFile(store.entryPath(key));
+    flipped[offsetof(TraceFileHeader, maxBlocks)] ^= 0x01;
+    writeFile(dir + "/0000000000000002.bstrace", flipped);
 
     std::ostringstream listing;
     printTraceStoreListing(listing, dir);
     const std::string text = listing.str();
-    EXPECT_NE(text.find("(2 entries)"), std::string::npos) << text;
+    EXPECT_NE(text.find("(3 entries)"), std::string::npos) << text;
     EXPECT_NE(text.find("0000000000000001  (stale version)"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("0000000000000002  (corrupt header)"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find(key.fileName().substr(0, 16) + "  " +

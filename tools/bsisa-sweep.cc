@@ -10,7 +10,8 @@
  *       process holds fails, naming that writer's pid.  The lock is
  *       the kernel's, so a writer that died holds nothing.
  *   bsisa-sweep plan <spec>
- *       Print the plan: spec digest, units, chunks (no simulation).
+ *       Print the plan: spec digest, benchmarks, grid points and work
+ *       units (no simulation).
  *   bsisa-sweep render <spec> --store DIR
  *       Render the spec's figure from stored results, byte-identical
  *       to the monolithic figure drivers.
@@ -105,7 +106,6 @@ cmdPlan(const Cli &cli)
     std::printf("grid points: %zu\n", plan.gridPoints());
     std::printf("work units: %zu (deduplicated)\n",
                 plan.units.size());
-    std::printf("chunks: %zu\n", plan.chunks.size());
     return 0;
 }
 
